@@ -24,9 +24,9 @@ from .liealg import (LieAlgebra, Representation, abelian, ad_matrix,
 from .cochains import (BilinearProduct, Cochain, LinearAction, SymMultiMap,
                        alt, ce_differential, compose_sym, covariant_derivative,
                        curvature, evaluation_product, increasing_tuples,
-                       is_product_derivation, lie_bracket_product,
-                       nondecreasing_tuples, scalar_multiplication,
-                       sym_product, sym_tensor_product, wedge)
+                       lie_bracket_product, nondecreasing_tuples,
+                       scalar_multiplication, sym_product, sym_tensor_product,
+                       wedge)
 from .extensions import (ExactnessViolation, Extension, InvalidSection,
                          InvarianceWarning, Section, is_invariant,
                          kernel_coords, param_curvature, param_section,

@@ -1,9 +1,16 @@
 """Cohomology spaces, Bott-Lecomte cochains, and characteristic classes.
 
 H^p(g, V) is computed from exact matrices of the Chevalley-Eilenberg
-differential: the cocycle space is the nullspace of d on degree p, the
-coboundary space the column space of d on degree p-1 (zero for p = 0), both
-with deterministic echelon bases, so coordinates of classes are reproducible.
+differential: the cocycle space Z is the nullspace of d on degree p, the
+coboundary space B the column space of d on degree p-1 (zero for p = 0), both
+with deterministic echelon bases.  One rref of the matrix [B | Z], whose
+columns are the B vectors followed by the Z vectors, gives the rest.  A
+column is a pivot exactly when it lies outside the span of the columns before
+it, so the pivot columns past B are a greedy choice H of cocycles completing
+B to a basis of Z.  The rows of those H pivots, restricted to the Z columns,
+hold the H-coordinates of each cocycle basis vector (class_projection).
+Reduced row echelon forms are unique, so bases and coordinates of classes are
+reproducible.
 
 For an extension with kernel n and an invariant symmetric map f of degree p,
 the relative cochain of n+1 sections is the simplex integral
@@ -38,7 +45,7 @@ from .extensions import (Extension, InvalidSection, InvarianceWarning, Section,
                          is_invariant, param_curvature, param_section,
                          section_curvature, section_difference, validate_section)
 from .liealg import LieAlgebra, Representation
-from .linalg import column_space_basis, nullspace, solve_linear
+from .linalg import column_space_basis, nullspace, rref, solve_linear
 from .scalars import as_poly, integrate_poly_simplex
 
 __all__ = [
@@ -117,59 +124,26 @@ class CohomologySpace:
 
     def __init__(self, algebra: LieAlgebra, rep: Representation, degree: int):
         if degree < 0:
-            raise ValueError("cohomology degree must be non-negative")
+            raise DegreeError("cohomology degree must be non-negative")
         self.algebra = algebra
         self.rep = rep
         self.degree = degree
         m = rep.space_dim
         dim_c = comb(algebra.dim, degree) * m
-        dim_c_up = comb(algebra.dim, degree + 1) * m
-        if dim_c == 0:
-            zvecs = []
-        elif dim_c_up == 0:
-            zvecs = [[Fraction(1) if i == j else Fraction(0) for j in range(dim_c)]
-                     for i in range(dim_c)]
-        else:
-            zvecs = nullspace(differential_matrix(algebra, rep, degree), ncols=dim_c)
-        if degree == 0 or dim_c == 0 or comb(algebra.dim, degree - 1) == 0:
-            bvecs = []
-        else:
+        zvecs = nullspace(differential_matrix(algebra, rep, degree), ncols=dim_c)
+        bvecs = []
+        if degree and dim_c:
             bvecs = column_space_basis(differential_matrix(algebra, rep, degree - 1))
-        hvecs = []
-        for z in zvecs:
-            span = bvecs + hvecs
-            if not span:
-                if any(x != 0 for x in z):
-                    hvecs.append(z)
-                continue
-            mat = [[col[i] for col in span] for i in range(dim_c)]
-            if solve_linear(mat, z) is None:
-                hvecs.append(z)
-        self._zvecs = zvecs
-        self._bvecs = bvecs
-        self._hvecs = hvecs
-        self.h_dim = len(zvecs) - len(bvecs)
+        nb = len(bvecs)
+        rows, pivots = rref([list(col) for col in zip(*bvecs, *zvecs)])
+        hvecs = [zvecs[c - nb] for c in pivots[nb:]]
+        self._basis = bvecs + hvecs
+        self.h_dim = len(hvecs)
         self.cocycle_basis = [
             _unflatten(v, algebra, degree, m) for v in zvecs]
         self.coboundary_basis = [
             _unflatten(v, algebra, degree, m) for v in bvecs]
-        self.class_projection = self._projection_matrix()
-
-    def _coords_vec(self, vec):
-        span = self._bvecs + self._hvecs
-        if not span:
-            if any(x != 0 for x in vec):
-                raise NotACocycle("cochain is not in the cocycle space")
-            return ()
-        mat = [[col[i] for col in span] for i in range(len(vec))]
-        x = solve_linear(mat, vec)
-        if x is None:
-            raise NotACocycle("cochain is not in the cocycle space")
-        return tuple(x[len(self._bvecs):])
-
-    def _projection_matrix(self):
-        cols = [self._coords_vec(z) for z in self._zvecs]
-        return [[cols[j][i] for j in range(len(cols))] for i in range(self.h_dim)]
+        self.class_projection = [row[nb:] for row in rows[nb:nb + self.h_dim]]
 
     def coordinates_of(self, w: Cochain):
         """H-coordinates of a cocycle; NotACocycle if d w != 0."""
@@ -178,11 +152,15 @@ class CohomologySpace:
             raise ValueError("cochain shape does not match this cohomology space")
         if not ce_differential(w, self.rep).is_zero():
             raise NotACocycle("differential of the cochain is nonzero")
-        return self._coords_vec(_flatten(w))
+        vec = _flatten(w)
+        x = solve_linear([[col[i] for col in self._basis] for i in range(len(vec))], vec)
+        if x is None:
+            raise NotACocycle("cochain is not in the cocycle space")
+        return tuple(x[len(x) - self.h_dim:])
 
     def __repr__(self):
-        return (f"CohomologySpace(degree={self.degree}, z={len(self._zvecs)}, "
-                f"b={len(self._bvecs)}, h={self.h_dim})")
+        return (f"CohomologySpace(degree={self.degree}, z={len(self.cocycle_basis)}, "
+                f"b={len(self.coboundary_basis)}, h={self.h_dim})")
 
 
 def cohomology_space(algebra: LieAlgebra, rep: Representation, degree: int) -> CohomologySpace:
@@ -193,14 +171,7 @@ def cohomology_space(algebra: LieAlgebra, rep: Representation, degree: int) -> C
 
 def classes_equal(a: Cochain, b: Cochain, space: CohomologySpace) -> bool:
     """True iff a - b is a coboundary; both inputs must be cocycles."""
-    for w in (a, b):
-        if not ce_differential(w, space.rep).is_zero():
-            raise NotACocycle("differential of an input is nonzero")
-    diff = _flatten(a - b)
-    if not space._bvecs:
-        return all(x == 0 for x in diff)
-    mat = [[col[i] for col in space._bvecs] for i in range(len(diff))]
-    return solve_linear(mat, diff) is not None
+    return space.coordinates_of(a) == space.coordinates_of(b)
 
 
 @dataclass

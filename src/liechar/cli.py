@@ -78,9 +78,14 @@ def _lookup(registry, name, kind):
 
 
 def _resolve_rep(ws, args, ext):
-    if getattr(args, "rep", None):
-        return _lookup(ws.representations, args.rep, "representation")
-    return trivial_representation(ext.base, 1)
+    if not getattr(args, "rep", None):
+        return trivial_representation(ext.base, 1)
+    rep = _lookup(ws.representations, args.rep, "representation")
+    if rep.algebra != ext.base:
+        raise ValidationError(
+            f"representation '{args.rep}' is not over the base of extension "
+            f"'{args.extension}'")
+    return rep
 
 
 def _print_cochain(w, indent=""):

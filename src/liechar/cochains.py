@@ -52,7 +52,6 @@ __all__ = [
     "scalar_multiplication",
     "evaluation_product",
     "sym_tensor_product",
-    "is_product_derivation",
 ]
 
 
@@ -78,12 +77,6 @@ def _sort_with_sign(seq):
     if len(set(seq)) != len(seq):
         return None, 0
     return tuple(sorted(seq)), _perm_sign(seq)
-
-
-def _unit(d, i):
-    v = [Fraction(0)] * d
-    v[i] = Fraction(1)
-    return v
 
 
 def _coerce_scalar(x):
@@ -555,19 +548,3 @@ def sym_product(f: SymMultiMap, g: SymMultiMap, m: BilinearProduct) -> SymMultiM
         return out
 
     return SymMultiMap.from_function(f.source, p + q, m.out_dim, fn)
-
-
-def is_product_derivation(mat, m: BilinearProduct) -> bool:
-    """True iff D(u . v) = Du . v + u . Dv on basis pairs of a product V x V -> V."""
-    if not (m.left_dim == m.right_dim == m.out_dim):
-        raise ValueError("derivation check needs a product on a single space")
-    d = m.out_dim
-    cols = [[mat[r][j] for r in range(d)] for j in range(d)]
-    for i in range(d):
-        for j in range(d):
-            lhs = mat_vec(mat, m.apply(_unit(d, i), _unit(d, j)))
-            rhs = [a + b for a, b in zip(m.apply(cols[i], _unit(d, j)),
-                                         m.apply(_unit(d, i), cols[j]))]
-            if any(x != y for x, y in zip(lhs, rhs)):
-                return False
-    return True

@@ -210,7 +210,7 @@ def section_difference(ext: Extension, sec_a: Section, sec_b: Section) -> Cochai
     return Cochain.from_function(ext.base, 1, ext.kernel.dim, fn)
 
 
-_MODES = ("section", "strict", "strict_total")
+_MODES = ("section", "strict")
 
 
 def is_invariant(f, ext: Extension, rep: Representation, mode: str = "section",
@@ -218,9 +218,9 @@ def is_invariant(f, ext: Extension, rep: Representation, mode: str = "section",
     """Check x.f(y_1..y_p) = sum_i f(y_1, .., S(x) y_i, .., y_p) on basis data.
 
     mode "section": x runs over the base with S = ad(sigma x)|kernel and the
-    module action of the base representation.  mode "strict" (alias
-    "strict_total"): x runs over the whole total algebra with S(x) = ad(x)
-    restricted to the kernel and the module action pulled back along q.
+    module action of the base representation.  mode "strict": x runs over
+    the whole total algebra with S(x) = ad(x) restricted to the kernel and the
+    module action pulled back along q.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown invariance mode {mode!r}")

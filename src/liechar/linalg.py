@@ -3,7 +3,8 @@
 Matrices are lists of equal-length row lists with Fraction entries.  Pivot
 selection scans columns left to right and takes the first row with a nonzero
 entry, so echelon forms, ranks, nullspace bases and solutions are fully
-reproducible.  solve_linear also accepts right-hand sides with MultiPoly
+reproducible.  rref and solve_linear share one elimination loop; solve_linear
+runs it on the rows augmented by the right-hand side, which may have MultiPoly
 entries (the coefficient matrix stays rational); that is how curvature values
 of polynomial section families are expressed in kernel coordinates.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 __all__ = [
-    "vec_zero", "vec_add", "vec_sub", "vec_scale", "vec_is_zero",
+    "vec_zero", "vec_sub", "vec_is_zero",
     "zeros", "identity", "transpose", "mat_mul", "mat_vec",
     "rref", "rank", "nullspace", "column_space_basis", "solve_linear",
 ]
@@ -23,16 +24,8 @@ def vec_zero(m):
     return [Fraction(0)] * m
 
 
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
 def vec_sub(u, v):
     return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(c, u):
-    return [c * a for a in u]
 
 
 def vec_is_zero(u):
@@ -67,14 +60,16 @@ def mat_vec(a, x):
     return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
 
 
-def rref(a):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    m = [list(row) for row in a]
+def _eliminate(m, ncols):
+    """Reduce the rows m in place to reduced row echelon form in their first
+    ncols columns and return the pivot columns.  Entries past ncols are
+    carried along by the row operations and may be MultiPoly."""
     nrows = len(m)
-    ncols = len(m[0]) if m else 0
     pivots = []
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         pr = None
         for i in range(r, nrows):
             if m[i][c] != 0:
@@ -91,9 +86,13 @@ def rref(a):
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    return pivots
+
+
+def rref(a):
+    """Reduced row echelon form; returns (rows, pivot_columns)."""
+    m = [list(row) for row in a]
+    return m, _eliminate(m, len(m[0]) if m else 0)
 
 
 def rank(a) -> int:
@@ -137,40 +136,14 @@ def solve_linear(a, b):
     Free variables are set to zero.  Entries of b may be MultiPoly; row
     operations then mix Fraction coefficients into the polynomial entries.
     """
-    nrows = len(a)
-    if len(b) != nrows:
+    if len(b) != len(a):
         raise ValueError("matrix dimension mismatch")
     ncols = len(a[0]) if a else 0
-    m = [list(row) for row in a]
-    rhs = list(b)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        rhs[r], rhs[pr] = rhs[pr], rhs[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        rhs[r] = rhs[r] * inv
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-                rhs[i] = rhs[i] - rhs[r] * f
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if not rhs[i] == 0:
-            return None
+    m = [[*row, y] for row, y in zip(a, b)]
+    pivots = _eliminate(m, ncols)
+    if any(not row[ncols] == 0 for row in m[len(pivots):]):
+        return None
     x = [Fraction(0)] * ncols
-    for row, p in enumerate(pivots):
-        x[p] = rhs[row]
+    for row, p in zip(m, pivots):
+        x[p] = row[ncols]
     return x

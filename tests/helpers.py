@@ -1,10 +1,12 @@
 """Seeded random generators and shared fixture pools for the test suite."""
 
 from fractions import Fraction
+from math import comb
 
 from liechar import (
     Cochain, Extension, LieAlgebra, Section, SymMultiMap,
     abelian, adjoint_representation, algebra_from_brackets, bracket,
+    column_space_basis, differential_matrix, increasing_tuples, nullspace,
     scalar_multiplication, solve_linear, sym_product, trivial_representation,
 )
 from liechar.catalog import (
@@ -69,6 +71,41 @@ def conjugate_algebra(rng, algebra):
         structure.append(plane)
     names = tuple(f"b{i + 1}" for i in range(d))
     return LieAlgebra(names, structure, validate=True)
+
+
+def greedy_cohomology(algebra, rep, degree):
+    """Reference construction of H^p with one solve per cocycle.
+
+    H collects each cocycle basis vector that solve_linear finds outside the
+    span of B and the H vectors chosen before it.  The class projection and
+    the coordinates of a cocycle come from one solve_linear each against
+    B + H.  Returns (h_dim, class_projection, coords), where coords maps a
+    cocycle to its H-coordinates.
+    """
+    dim_c = comb(algebra.dim, degree) * rep.space_dim
+    zvecs = nullspace(differential_matrix(algebra, rep, degree), ncols=dim_c)
+    bvecs = []
+    if degree and dim_c:
+        bvecs = column_space_basis(differential_matrix(algebra, rep, degree - 1))
+
+    def solve(span, vec):
+        return solve_linear([[col[i] for col in span] for i in range(dim_c)], vec)
+
+    hvecs = []
+    for z in zvecs:
+        if solve(bvecs + hvecs, z) is None:
+            hvecs.append(z)
+
+    def coords_vec(vec):
+        return tuple(solve(bvecs + hvecs, vec)[len(bvecs):])
+
+    def coords(w):
+        return coords_vec([x for key in increasing_tuples(algebra.dim, degree)
+                           for x in w.values[key]])
+
+    cols = [coords_vec(z) for z in zvecs]
+    projection = [[col[i] for col in cols] for i in range(len(hvecs))]
+    return len(zvecs) - len(bvecs), projection, coords
 
 
 SMALL_ALGEBRAS = {

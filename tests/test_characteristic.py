@@ -6,16 +6,17 @@ import pytest
 
 from liechar import (Cochain, InvarianceWarning, NotACocycle, NotAdmissible,
                      NotInvariant, DegreeError, Section, SymMultiMap,
-                     abelian, ce_differential, chern_weil, classes_equal,
-                     cohomology_space, compose_sym, delta_f,
-                     differential_matrix, heisenberg3, rank,
-                     secondary_class, section_curvature,
+                     abelian, adjoint_representation, ce_differential,
+                     chern_weil, classes_equal, cohomology_space, compose_sym,
+                     delta_f, differential_matrix, heisenberg, heisenberg3,
+                     rank, secondary_class, section_curvature,
                      trivial_representation, verify_main_theorem)
 from liechar.catalog import (filiform_extension, heisenberg_central_extension,
                              oscillator_extension)
 
-from helpers import (fixture_extensions, rand_cochain,
-                     random_invariant_symmap, section_pool)
+from helpers import (fixture_extensions, greedy_cohomology, rand_cochain,
+                     rand_fraction, random_algebra, random_invariant_symmap,
+                     random_representation, section_pool)
 
 
 def oscillator_setup():
@@ -70,6 +71,33 @@ class TestCohomologySpace:
         h3 = heisenberg3()
         space = cohomology_space(h3, trivial_representation(h3, 1), 4)
         assert space.h_dim == 0 and space.cocycle_basis == []
+
+
+class TestAgainstGreedyReference:
+    """The single-echelon H^p matches the per-cocycle greedy construction."""
+
+    def check(self, rng, alg, rep):
+        for degree in range(alg.dim + 2):
+            space = cohomology_space(alg, rep, degree)
+            h_dim, projection, coords = greedy_cohomology(alg, rep, degree)
+            assert space.h_dim == h_dim
+            assert space.class_projection == projection
+            for _ in range(3):
+                w = Cochain.zero(alg, degree, rep.space_dim)
+                for z in space.cocycle_basis:
+                    w = w + z.scale(rand_fraction(rng))
+                assert space.coordinates_of(w) == coords(w)
+
+    def test_random_algebras_and_modules(self):
+        rng = random.Random(93)
+        for _ in range(6):
+            alg = random_algebra(rng)
+            for rep in (trivial_representation(alg, 1), random_representation(rng, alg)):
+                self.check(rng, alg, rep)
+
+    def test_heisenberg5_adjoint(self):
+        h5 = heisenberg(2)
+        self.check(random.Random(94), h5, adjoint_representation(h5))
 
 
 class TestClassesEqual:

@@ -123,6 +123,33 @@ class TestComputations:
         assert code == 1
         assert "curvature" in err
 
+    def test_negative_degree_exits_1(self, capsys, fixtures_dir):
+        code, out, err = run(
+            capsys, "cohomology", str(fixtures_dir / "heisenberg.json"),
+            "--algebra", "h3", "--rep", "triv_total", "--degree", "-1")
+        assert (code, out) == (1, "")
+        assert err == "validation error: cohomology degree must be non-negative\n"
+
+    def test_rep_not_over_base_exits_1(self, capsys, fixtures_dir):
+        code, out, err = run(
+            capsys, "secondary", str(fixtures_dir / "heisenberg.json"),
+            "--extension", "heis", "--poly", "f2", "--sections", "s0,s0",
+            "--rep", "triv_total")
+        assert (code, out) == (1, "")
+        assert err == ("validation error: representation 'triv_total' is not "
+                       "over the base of extension 'heis'\n")
+
+    def test_rep_over_inline_base_accepted(self, capsys, fixtures_dir, tmp_path):
+        doc = json.loads((fixtures_dir / "heisenberg.json").read_text(encoding="utf-8"))
+        doc["extensions"]["heis"]["base"] = doc["algebras"]["plane"]
+        path = tmp_path / "inline.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run(
+            capsys, "chern-weil", str(path), "--extension", "heis", "--poly", "f1",
+            "--section", "s1", "--rep", "triv", "--output", "json")
+        assert code == 0
+        assert json.loads(out)["coordinates"] == ["1"]
+
 
 class TestModuleEntryPoint:
     def test_runs_as_module(self, fixtures_dir):

@@ -88,18 +88,13 @@ class NotInvariant(ValueError):
 
 
 def _flatten(w: Cochain):
-    return [x for key in increasing_tuples(w.source.dim, w.degree)
-            for x in w.values[key]]
+    return [x for val in w.values.values() for x in val]
 
 
 def _unflatten(vec, algebra: LieAlgebra, degree: int, target_dim: int) -> Cochain:
     keys = increasing_tuples(algebra.dim, degree)
-    values = {}
-    pos = 0
-    for key in keys:
-        values[key] = tuple(vec[pos:pos + target_dim])
-        pos += target_dim
-    return Cochain(algebra, degree, target_dim, values)
+    return Cochain(algebra, degree, target_dim,
+                   {key: vec[i * target_dim:(i + 1) * target_dim] for i, key in enumerate(keys)})
 
 
 def differential_matrix(algebra: LieAlgebra, rep: Representation, degree: int):
@@ -184,10 +179,44 @@ class CharacteristicClass:
     h_space: CohomologySpace
 
 
-def _check_invariance(f, ext, rep, mode, sections):
+def _check_delta_inputs(ext, f, sections, rep, mode, names) -> bool:
+    """Raise on inputs delta_f cannot use; True when f passes the invariance policy.
+
+    ``names`` labels the sections in InvalidSection messages.
+    """
+    for name, sec in zip(names, sections):
+        if not validate_section(ext, sec):
+            raise InvalidSection(f"{name} fails q . sigma = id")
+    if f.source.dim != ext.kernel.dim:
+        raise ValueError("dimension mismatch: f is not defined on the kernel")
+    if f.target_dim != rep.space_dim:
+        raise ValueError("dimension mismatch: f does not map into the module")
+    p = f.degree
+    n = len(sections) - 1
+    if p < n:
+        raise DegreeError(
+            f"map of degree {p} cannot absorb {n} section differences")
     if mode == "section":
         return all(is_invariant(f, ext, rep, "section", s) for s in sections)
     return is_invariant(f, ext, rep, mode)
+
+
+def _delta_f(ext: Extension, f: SymMultiMap, sections) -> Cochain:
+    """delta_f on inputs that _check_delta_inputs accepted."""
+    p = f.degree
+    n = len(sections) - 1
+    if n == 0:
+        if p == 0:
+            return Cochain(ext.base, 0, f.target_dim, {(): f.entry(())})
+        curv = section_curvature(ext, sections[0])
+        return compose_sym(f, [curv] * p)
+    args = [section_difference(ext, sections[i], sections[0]).to_poly(n)
+            for i in range(1, n + 1)]
+    if p > n:
+        curv_t = param_curvature(ext, param_section(ext, sections))
+        args.extend([curv_t] * (p - n))
+    integrand = compose_sym(f, args)
+    return integrand.map_values(lambda s: integrate_poly_simplex(as_poly(s, n)))
 
 
 def delta_f(ext: Extension, f: SymMultiMap, sections, rep: Representation,
@@ -201,37 +230,22 @@ def delta_f(ext: Extension, f: SymMultiMap, sections, rep: Representation,
     sections = list(sections)
     if not sections:
         raise ValueError("need at least one section")
-    for idx, sec in enumerate(sections):
-        if not validate_section(ext, sec):
-            raise InvalidSection(f"section {idx} fails q . sigma = id")
-    if f.source.dim != ext.kernel.dim:
-        raise ValueError("dimension mismatch: f is not defined on the kernel")
-    if f.target_dim != rep.space_dim:
-        raise ValueError("dimension mismatch: f does not map into the module")
-    p = f.degree
-    n = len(sections) - 1
-    if p < n:
-        raise DegreeError(
-            f"map of degree {p} cannot absorb {n} section differences")
-    if not _check_invariance(f, ext, rep, mode, sections):
+    names = [f"section {idx}" for idx in range(len(sections))]
+    if not _check_delta_inputs(ext, f, sections, rep, mode, names):
         warnings.warn(InvarianceWarning(
             "symmetric map fails the configured invariance condition; "
             "the computed cochain need not be closed"))
-    if n == 0:
-        if p == 0:
-            return Cochain(ext.base, 0, f.target_dim, {(): f.entry(())})
-        curv = section_curvature(ext, sections[0])
-        return compose_sym(f, [curv] * p)
-    alphas = [
-        section_difference(ext, sections[i], sections[0]).to_poly(n)
-        for i in range(1, n + 1)
-    ]
-    args = list(alphas)
-    if p > n:
-        curv_t = param_curvature(ext, param_section(ext, sections))
-        args.extend([curv_t] * (p - n))
-    integrand = compose_sym(f, args)
-    return integrand.map_values(lambda s: integrate_poly_simplex(as_poly(s, n)))
+    return _delta_f(ext, f, sections)
+
+
+def _characteristic_class(ext, rep, representative, message) -> CharacteristicClass:
+    """The class of a representative; NotClosed (with message) when d of it is nonzero."""
+    space = cohomology_space(ext.base, rep, representative.degree)
+    try:
+        coords = space.coordinates_of(representative)
+    except NotACocycle:
+        raise NotClosed(message) from None
+    return CharacteristicClass(representative.degree, representative, coords, space)
 
 
 def chern_weil(ext: Extension, f: SymMultiMap, sec: Section, rep: Representation,
@@ -241,16 +255,10 @@ def chern_weil(ext: Extension, f: SymMultiMap, sec: Section, rep: Representation
     Requires f invariant under the configured policy; the representative is
     verified closed (NotClosed signals corrupt input).
     """
-    if not _check_invariance(f, ext, rep, mode, [sec]):
+    if not _check_delta_inputs(ext, f, [sec], rep, mode, ["section 0"]):
         raise NotInvariant("symmetric map fails the configured invariance condition")
-    p = f.degree
-    core = delta_f(ext, f, [sec], rep, mode)
-    representative = core.scale(Fraction(1, factorial(p)))
-    if not ce_differential(representative, rep).is_zero():
-        raise NotClosed("representative is not closed")
-    space = cohomology_space(ext.base, rep, 2 * p)
-    coords = space.coordinates_of(representative)
-    return CharacteristicClass(2 * p, representative, coords, space)
+    representative = _delta_f(ext, f, [sec]).scale(Fraction(1, factorial(f.degree)))
+    return _characteristic_class(ext, rep, representative, "representative is not closed")
 
 
 def secondary_class(ext: Extension, f: SymMultiMap, sec_a: Section, sec_b: Section,
@@ -264,21 +272,18 @@ def secondary_class(ext: Extension, f: SymMultiMap, sec_a: Section, sec_b: Secti
     p = f.degree
     if p < 1:
         raise DegreeError("secondary classes need a map of degree at least 1")
-    for name, sec in (("first", sec_a), ("second", sec_b)):
-        if not validate_section(ext, sec):
-            raise InvalidSection(f"{name} section fails q . sigma = id")
+    sections = [sec_a, sec_b]
+    invariant = _check_delta_inputs(ext, f, sections, rep, mode,
+                                    ["first section", "second section"])
+    for name, sec in zip(("first", "second"), sections):
         composite = compose_sym(f, [section_curvature(ext, sec)] * p)
         if not composite.is_zero():
             raise NotAdmissible(
                 f"f applied to the {name} section curvature is nonzero")
-    if not _check_invariance(f, ext, rep, mode, [sec_a, sec_b]):
+    if not invariant:
         raise NotInvariant("symmetric map fails the configured invariance condition")
-    representative = delta_f(ext, f, [sec_a, sec_b], rep, mode)
-    if not ce_differential(representative, rep).is_zero():
-        raise NotClosed("relative cochain of an admissible map is not closed")
-    space = cohomology_space(ext.base, rep, 2 * p - 1)
-    coords = space.coordinates_of(representative)
-    return CharacteristicClass(2 * p - 1, representative, coords, space)
+    return _characteristic_class(ext, rep, _delta_f(ext, f, sections),
+                                 "relative cochain of an admissible map is not closed")
 
 
 @dataclass

@@ -4,8 +4,15 @@ A degree-p cochain with values in an m-dimensional target stores one value
 vector per strictly increasing basis index tuple (i_1 < ... < i_p); its value
 on arbitrary arguments is the alternating multilinear extension.  A symmetric
 p-linear map stores one value per non-decreasing tuple and extends
-symmetrically.  Scalar entries are Fraction or MultiPoly; every operator here
-is generic over the two kinds.
+symmetrically.  Both are thin subclasses of one keyed-table base, which
+validates and stores the table, adds, scales and compares tables, and
+evaluates the extension.  A subclass names only its canonical tuples and how
+an arbitrary index tuple maps onto one: sorted with its permutation sign
+(sign 0 on a repeated index) for cochains, plainly sorted for symmetric maps.
+Evaluation sums over the product of the arguments' supports (their nonzero
+coordinates), in the order of the full d^p loop, so the cost is the product
+of the support sizes rather than d^p.  Scalar entries are Fraction or
+MultiPoly; every operator here is generic over the two kinds.
 
 Wedge products are computed as (p,q)-shuffle sums,
 
@@ -27,6 +34,7 @@ R(x,y) = [sigma x, sigma y] - sigma([x,y]).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -85,35 +93,44 @@ def _coerce_scalar(x):
     return Fraction(x)
 
 
-class Cochain:
-    """Alternating multilinear map g^p -> V on a table of increasing tuples."""
+def _plain_sort(seq):
+    return tuple(sorted(seq)), 1
+
+
+class _Table:
+    """One value vector per canonical index tuple, extended multilinearly.
+
+    A subclass names its canonical tuples (``key_tuples``) and how an
+    arbitrary index tuple maps onto one of them (``_normalize``: the
+    canonical tuple and a sign, 0 when the term drops out).
+    """
 
     __slots__ = ("source", "degree", "target_dim", "values")
 
     def __init__(self, source: LieAlgebra, degree: int, target_dim: int, values):
-        keys = increasing_tuples(source.dim, degree)
+        keys = self.key_tuples(source.dim, degree)
         table = {}
         for key in keys:
             if key not in values:
-                raise ValueError(f"missing cochain entry for tuple {key}")
+                raise ValueError(f"missing {self._kind} entry for tuple {key}")
             val = tuple(_coerce_scalar(x) for x in values[key])
             if len(val) != target_dim:
-                raise ValueError(f"cochain value at {key} has wrong length")
+                raise ValueError(f"{self._kind} value at {key} has wrong length")
             table[key] = val
         if len(values) != len(keys):
-            raise ValueError("cochain table has extra entries")
+            raise ValueError(f"{self._kind} table has extra entries")
         self.source = source
         self.degree = degree
         self.target_dim = target_dim
         self.values = table
 
     @classmethod
-    def from_function(cls, source, degree, target_dim, fn) -> "Cochain":
+    def from_function(cls, source, degree, target_dim, fn):
         return cls(source, degree, target_dim,
-                   {key: fn(key) for key in increasing_tuples(source.dim, degree)})
+                   {key: fn(key) for key in cls.key_tuples(source.dim, degree)})
 
     @classmethod
-    def zero(cls, source, degree, target_dim, nvars=None) -> "Cochain":
+    def zero(cls, source, degree, target_dim, nvars=None):
         z = Fraction(0) if nvars is None else MultiPoly.zero(nvars)
         return cls.from_function(source, degree, target_dim, lambda key: [z] * target_dim)
 
@@ -123,39 +140,36 @@ class Cochain:
     def is_zero(self) -> bool:
         return all(x == 0 for val in self.values.values() for x in val)
 
-    def map_values(self, fn) -> "Cochain":
-        return Cochain(self.source, self.degree, self.target_dim,
-                       {k: [fn(x) for x in v] for k, v in self.values.items()})
+    def map_values(self, fn):
+        return type(self)(self.source, self.degree, self.target_dim,
+                          {k: [fn(x) for x in v] for k, v in self.values.items()})
 
-    def to_poly(self, nvars: int) -> "Cochain":
+    def to_poly(self, nvars: int):
         return self.map_values(lambda x: as_poly(x, nvars))
 
-    def scale(self, c) -> "Cochain":
+    def scale(self, c):
         return self.map_values(lambda x: c * x)
 
+    def _combine(self, other, op):
+        if (type(other) is not type(self) or other.degree != self.degree
+                or other.target_dim != self.target_dim
+                or other.source.dim != self.source.dim):
+            raise ValueError(f"{self._kind} shape mismatch")
+        return type(self)(self.source, self.degree, self.target_dim,
+                          {k: [op(a, b) for a, b in zip(v, other.values[k])]
+                           for k, v in self.values.items()})
+
     def __add__(self, other):
-        self._check_compatible(other)
-        return Cochain(self.source, self.degree, self.target_dim,
-                       {k: [a + b for a, b in zip(v, other.values[k])]
-                        for k, v in self.values.items()})
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        self._check_compatible(other)
-        return Cochain(self.source, self.degree, self.target_dim,
-                       {k: [a - b for a, b in zip(v, other.values[k])]
-                        for k, v in self.values.items()})
+        return self._combine(other, operator.sub)
 
     def __neg__(self):
         return self.scale(Fraction(-1))
 
-    def _check_compatible(self, other):
-        if (not isinstance(other, Cochain) or other.degree != self.degree
-                or other.target_dim != self.target_dim
-                or other.source.dim != self.source.dim):
-            raise ValueError("cochain shape mismatch")
-
     def __eq__(self, other):
-        if not isinstance(other, Cochain):
+        if type(other) is not type(self):
             return NotImplemented
         return (self.degree == other.degree
                 and self.target_dim == other.target_dim
@@ -164,120 +178,53 @@ class Cochain:
 
     __hash__ = None
 
-    def evaluate(self, args):
-        """Alternating multilinear extension to arbitrary coefficient vectors."""
+    def _extend(self, args):
+        """Sum of coeff * value over the product of the arguments' supports."""
         if len(args) != self.degree:
             raise ValueError("argument count mismatch")
-        d = self.source.dim
+        if any(len(vec) != self.source.dim for vec in args):
+            raise ValueError("dimension mismatch")
+        supports = [[(i, x) for i, x in enumerate(vec) if x] for vec in args]
         out = [Fraction(0)] * self.target_dim
-        for combo in product(range(d), repeat=self.degree):
-            key, sgn = _sort_with_sign(combo)
+        for terms in product(*supports):
+            key, sgn = self._normalize(tuple(i for i, _ in terms))
             if sgn == 0:
                 continue
             coeff = Fraction(sgn)
-            dead = False
-            for vec, idx in zip(args, combo):
-                v = vec[idx]
-                if v == 0:
-                    dead = True
-                    break
-                coeff = coeff * v
-            if dead:
-                continue
-            val = self.values[key]
-            out = [o + coeff * x for o, x in zip(out, val)]
+            for _, x in terms:
+                coeff = coeff * x
+            out = [o + coeff * x for o, x in zip(out, self.values[key])]
         return out
 
     def __repr__(self):
-        return (f"Cochain(degree={self.degree}, source_dim={self.source.dim}, "
-                f"target_dim={self.target_dim})")
+        return (f"{type(self).__name__}(degree={self.degree}, "
+                f"source_dim={self.source.dim}, target_dim={self.target_dim})")
 
 
-class SymMultiMap:
+class Cochain(_Table):
+    """Alternating multilinear map g^p -> V on a table of increasing tuples."""
+
+    __slots__ = ()
+    _kind = "cochain"
+    key_tuples = staticmethod(increasing_tuples)
+    _normalize = staticmethod(_sort_with_sign)
+
+    def evaluate(self, args):
+        """Alternating multilinear extension to arbitrary coefficient vectors."""
+        return self._extend(args)
+
+
+class SymMultiMap(_Table):
     """Symmetric multilinear map n^p -> V on a table of non-decreasing tuples."""
 
-    __slots__ = ("source", "degree", "target_dim", "values")
-
-    def __init__(self, source: LieAlgebra, degree: int, target_dim: int, values):
-        keys = nondecreasing_tuples(source.dim, degree)
-        table = {}
-        for key in keys:
-            if key not in values:
-                raise ValueError(f"missing symmetric-map entry for tuple {key}")
-            val = tuple(_coerce_scalar(x) for x in values[key])
-            if len(val) != target_dim:
-                raise ValueError(f"symmetric-map value at {key} has wrong length")
-            table[key] = val
-        if len(values) != len(keys):
-            raise ValueError("symmetric-map table has extra entries")
-        self.source = source
-        self.degree = degree
-        self.target_dim = target_dim
-        self.values = table
-
-    @classmethod
-    def from_function(cls, source, degree, target_dim, fn) -> "SymMultiMap":
-        return cls(source, degree, target_dim,
-                   {key: fn(key) for key in nondecreasing_tuples(source.dim, degree)})
-
-    @classmethod
-    def zero(cls, source, degree, target_dim) -> "SymMultiMap":
-        return cls.from_function(source, degree, target_dim,
-                                 lambda key: [Fraction(0)] * target_dim)
-
-    def entry(self, key):
-        return self.values[tuple(key)]
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for val in self.values.values() for x in val)
-
-    def scale(self, c) -> "SymMultiMap":
-        return SymMultiMap(self.source, self.degree, self.target_dim,
-                           {k: [c * x for x in v] for k, v in self.values.items()})
-
-    def __add__(self, other):
-        if (not isinstance(other, SymMultiMap) or other.degree != self.degree
-                or other.target_dim != self.target_dim
-                or other.source.dim != self.source.dim):
-            raise ValueError("symmetric-map shape mismatch")
-        return SymMultiMap(self.source, self.degree, self.target_dim,
-                           {k: [a + b for a, b in zip(v, other.values[k])]
-                            for k, v in self.values.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, SymMultiMap):
-            return NotImplemented
-        return (self.degree == other.degree
-                and self.target_dim == other.target_dim
-                and self.source.dim == other.source.dim
-                and self.values == other.values)
-
-    __hash__ = None
+    __slots__ = ()
+    _kind = "symmetric-map"
+    key_tuples = staticmethod(nondecreasing_tuples)
+    _normalize = staticmethod(_plain_sort)
 
     def evaluate(self, args):
         """Symmetric multilinear extension to arbitrary coefficient vectors."""
-        if len(args) != self.degree:
-            raise ValueError("argument count mismatch")
-        d = self.source.dim
-        out = [Fraction(0)] * self.target_dim
-        for combo in product(range(d), repeat=self.degree):
-            coeff = Fraction(1)
-            dead = False
-            for vec, idx in zip(args, combo):
-                v = vec[idx]
-                if v == 0:
-                    dead = True
-                    break
-                coeff = coeff * v
-            if dead:
-                continue
-            val = self.values[tuple(sorted(combo))]
-            out = [o + coeff * x for o, x in zip(out, val)]
-        return out
-
-    def __repr__(self):
-        return (f"SymMultiMap(degree={self.degree}, source_dim={self.source.dim}, "
-                f"target_dim={self.target_dim})")
+        return self._extend(args)
 
 
 class BilinearProduct:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cochains import Cochain, LinearAction, nondecreasing_tuples
+from .cochains import Cochain, LinearAction, _coerce_scalar, nondecreasing_tuples
 from .liealg import LieAlgebra, Representation, bracket
 from .linalg import identity, mat_mul, mat_vec, rank, solve_linear, vec_sub, vec_zero
 from .scalars import MultiPoly, as_poly
@@ -52,12 +52,6 @@ class InvalidSection(ValueError):
 
 class InvarianceWarning(UserWarning):
     """The symmetric map fails the configured invariance condition."""
-
-
-def _coerce_entry(x):
-    if isinstance(x, MultiPoly):
-        return x
-    return Fraction(x)
 
 
 class Extension:
@@ -131,7 +125,7 @@ class Section:
     __slots__ = ("extension", "matrix")
 
     def __init__(self, extension: Extension, matrix):
-        mat = [[_coerce_entry(c) for c in row] for row in matrix]
+        mat = [[_coerce_scalar(c) for c in row] for row in matrix]
         if len(mat) != extension.total.dim or any(
             len(row) != extension.base.dim for row in mat
         ):

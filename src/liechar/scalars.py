@@ -23,8 +23,9 @@ code can accumulate either kind starting from ``Fraction(0)``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 Rational = Fraction
 
@@ -41,17 +42,30 @@ __all__ = [
 ]
 
 
+_RATIONAL = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
+
+
 def rational_to_str(x: Fraction) -> str:
     """Format as ``p/q`` in lowest terms, or ``p`` when the denominator is 1."""
     return str(Fraction(x))
 
 
 def rational_from_str(s: str) -> Fraction:
-    """Parse the string form produced by :func:`rational_to_str`."""
+    """Parse exactly the strings :func:`rational_to_str` produces.
+
+    That is ``p`` or ``p/q`` with q > 1 and gcd(p, q) = 1, digits only, no
+    leading zeros, no plus sign, no spaces, and no sign on zero.
+    """
+    match = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid rational literal {s!r}") from exc
+        if match is None or s == "-0":
+            raise ValueError
+        num, den = int(match[1]), int(match[2] or 1)  # int caps the digit count
+        if match[2] and (den == 1 or gcd(num, den) != 1):
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"invalid rational literal {s!r}") from None
+    return Fraction(num, den)
 
 
 class MultiPoly:

@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass, field
 
 from .characteristic import CharacteristicClass
-from .cochains import Cochain, SymMultiMap, increasing_tuples, nondecreasing_tuples
+from .cochains import Cochain, SymMultiMap
 from .extensions import Extension, Section, validate_extension, validate_section
 from .liealg import (LieAlgebra, Representation, algebra_from_brackets,
                      check_jacobi, check_representation)
@@ -265,14 +265,26 @@ def _symmap_from_json(name, obj, algebras, location):
     _expect(isinstance(ref, str), "source must be a name", location)
     if ref not in algebras:
         raise ValidationError(f"polynomial '{name}': unknown algebra '{ref}'")
-    alg = algebras[ref]
     degree = obj.get("degree")
     target_dim = obj.get("target_dim")
     _expect(isinstance(degree, int) and degree >= 0, "degree must be a non-negative integer", location)
     _expect(isinstance(target_dim, int) and target_dim >= 1,
             "target_dim must be a positive integer", location)
-    expected = nondecreasing_tuples(alg.dim, degree)
-    entries = obj.get("entries")
+    return _table_from_json(SymMultiMap, obj.get("entries"), algebras[ref], degree,
+                            target_dim, location)
+
+
+def _symmap_to_json(name, f, algebras):
+    ref = _find_name(algebras, f.source)
+    if ref is None:
+        raise ValueError(f"polynomial '{name}' refers to an unregistered algebra")
+    return {"degree": f.degree, "source": ref, "target_dim": f.target_dim,
+            "entries": _table_entries_to_json(f)}
+
+
+def _table_from_json(cls, entries, alg, degree, target_dim, location):
+    """A Cochain or SymMultiMap from its entry list in canonical tuple order."""
+    expected = cls.key_tuples(alg.dim, degree)
     _expect(isinstance(entries, list) and len(entries) == len(expected),
             f"expected {len(expected)} entries", location)
     values = {}
@@ -280,29 +292,19 @@ def _symmap_from_json(name, obj, algebras, location):
         loc = f"{location}.entries[{idx}]"
         _expect(isinstance(item, dict) and set(item) <= {"tuple", "value"},
                 "entry must have keys tuple, value", loc)
-        key = tuple(item.get("tuple", ()))
-        _expect(key == expected[idx],
+        key = item.get("tuple", [])
+        _expect(isinstance(key, list) and tuple(key) == expected[idx],
                 f"entry {idx} must be for tuple {list(expected[idx])}", loc)
         val = item.get("value")
         _expect(isinstance(val, list) and len(val) == target_dim,
                 f"value must have length {target_dim}", loc)
-        values[key] = [_rational(v, f"{loc}.value[{i}]") for i, v in enumerate(val)]
-    return SymMultiMap(alg, degree, target_dim, values)
+        values[expected[idx]] = [_rational(v, f"{loc}.value[{i}]") for i, v in enumerate(val)]
+    return cls(alg, degree, target_dim, values)
 
 
-def _symmap_to_json(name, f, algebras):
-    ref = _find_name(algebras, f.source)
-    if ref is None:
-        raise ValueError(f"polynomial '{name}' refers to an unregistered algebra")
-    return {
-        "degree": f.degree,
-        "source": ref,
-        "target_dim": f.target_dim,
-        "entries": [
-            {"tuple": list(key), "value": [rational_to_str(v) for v in f.values[key]]}
-            for key in nondecreasing_tuples(f.source.dim, f.degree)
-        ],
-    }
+def _table_entries_to_json(table):
+    return [{"tuple": list(key), "value": [_scalar_to_json(v) for v in val]}
+            for key, val in table.values.items()]
 
 
 def _find_name(registry, obj):
@@ -379,28 +381,16 @@ def _scalar_to_json(x):
 
 def cochain_to_json(w: Cochain):
     """Dense entry list over increasing tuples in lexicographic order."""
-    return {
-        "degree": w.degree,
-        "entries": [
-            {"tuple": list(key), "value": [_scalar_to_json(v) for v in w.values[key]]}
-            for key in increasing_tuples(w.source.dim, w.degree)
-        ],
-    }
+    return {"degree": w.degree, "entries": _table_entries_to_json(w)}
 
 
 def cochain_from_json(obj, source: LieAlgebra, target_dim: int) -> Cochain:
-    degree = obj["degree"]
-    expected = increasing_tuples(source.dim, degree)
-    entries = obj["entries"]
-    if len(entries) != len(expected):
-        raise ParseError(f"expected {len(expected)} cochain entries", "cochain")
-    values = {}
-    for idx, item in enumerate(entries):
-        key = tuple(item["tuple"])
-        if key != expected[idx]:
-            raise ParseError(f"entry {idx} must be for tuple {list(expected[idx])}", "cochain")
-        values[key] = [rational_from_str(v) for v in item["value"]]
-    return Cochain(source, degree, target_dim, values)
+    _expect(isinstance(obj, dict), "cochain must be an object", "cochain")
+    degree = obj.get("degree")
+    _expect(isinstance(degree, int) and degree >= 0,
+            "degree must be a non-negative integer", "cochain")
+    return _table_from_json(Cochain, obj.get("entries"), source, degree, target_dim,
+                            "cochain")
 
 
 def class_to_json(cls: CharacteristicClass):

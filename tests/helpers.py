@@ -1,6 +1,7 @@
 """Seeded random generators and shared fixture pools for the test suite."""
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from liechar import (
@@ -106,6 +107,45 @@ def greedy_cohomology(algebra, rep, degree):
     cols = [coords_vec(z) for z in zvecs]
     projection = [[col[i] for col in cols] for i in range(len(hvecs))]
     return len(zvecs) - len(bvecs), projection, coords
+
+
+def _dense_evaluate(table, args, normalize):
+    """Sum over all d^p index tuples, skipping those that meet a zero coordinate."""
+    out = [Fraction(0)] * table.target_dim
+    for combo in product(range(table.source.dim), repeat=table.degree):
+        key, sgn = normalize(combo)
+        if sgn == 0:
+            continue
+        coeff = Fraction(sgn)
+        dead = False
+        for vec, idx in zip(args, combo):
+            v = vec[idx]
+            if v == 0:
+                dead = True
+                break
+            coeff = coeff * v
+        if dead:
+            continue
+        out = [o + coeff * x for o, x in zip(out, table.values[key])]
+    return out
+
+
+def _sorted_with_sign(combo):
+    if len(set(combo)) != len(combo):
+        return None, 0
+    inversions = sum(1 for i in range(len(combo)) for j in range(i + 1, len(combo))
+                     if combo[i] > combo[j])
+    return tuple(sorted(combo)), -1 if inversions % 2 else 1
+
+
+def dense_cochain_evaluate(w, args):
+    """Reference alternating multilinear extension of a Cochain."""
+    return _dense_evaluate(w, args, _sorted_with_sign)
+
+
+def dense_symmap_evaluate(f, args):
+    """Reference symmetric multilinear extension of a SymMultiMap."""
+    return _dense_evaluate(f, args, lambda combo: (tuple(sorted(combo)), 1))
 
 
 SMALL_ALGEBRAS = {

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from liechar import (Cochain, InvarianceWarning, NotACocycle, NotAdmissible,
-                     NotInvariant, DegreeError, Section, SymMultiMap,
-                     abelian, adjoint_representation, ce_differential,
+from liechar import (Cochain, DegreeError, InvalidSection, InvarianceWarning,
+                     NotACocycle, NotAdmissible, NotClosed, NotInvariant,
+                     Representation, Section, SymMultiMap, abelian, adjoint_representation, ce_differential,
                      chern_weil, classes_equal, cohomology_space, compose_sym,
                      delta_f, differential_matrix, heisenberg, heisenberg3,
                      rank, secondary_class, section_curvature,
@@ -223,6 +223,82 @@ class TestChernWeil:
         sec = Section(ext, [[1, 0], [0, 1], [0, 0]])
         cls = chern_weil(ext, f, sec, triv)  # degree 4 > dim 2
         assert cls.degree == 4 and cls.coordinates == () and cls.h_space.h_dim == 0
+
+
+class TestInputChecks:
+    """chern_weil and secondary_class check each input once, before computing."""
+
+    @staticmethod
+    def counting(monkeypatch, name, calls, key=lambda *args: True):
+        import liechar.characteristic as characteristic
+
+        original = getattr(characteristic, name)
+
+        def wrapper(*args, **kwargs):
+            if key(*args):
+                calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(characteristic, name, wrapper)
+
+    def count_checks(self, monkeypatch, compute):
+        calls = {}
+        for name in ("validate_section", "is_invariant"):
+            self.counting(monkeypatch, name, calls)
+        closedness = []
+        self.counting(monkeypatch, "ce_differential", calls,
+                      key=lambda w, rep: closedness.append(w) or False)
+        cls = compute()
+        calls["ce_differential"] = sum(1 for w in closedness if w is cls.representative)
+        return calls
+
+    def test_chern_weil(self, monkeypatch):
+        ext = heisenberg_central_extension()
+        triv = trivial_representation(ext.base, 1)
+        f = SymMultiMap(ext.kernel, 1, 1, {(0,): [1]})
+        sec = Section(ext, [[1, 0], [0, 1], [0, 0]])
+        calls = self.count_checks(monkeypatch, lambda: chern_weil(ext, f, sec, triv))
+        assert calls == {"validate_section": 1, "is_invariant": 1, "ce_differential": 1}
+
+    def test_secondary_class(self, monkeypatch):
+        ext, s0, sz, fz, triv = oscillator_setup()
+        calls = self.count_checks(
+            monkeypatch, lambda: secondary_class(ext, fz, s0, sz, triv))
+        assert calls == {"validate_section": 2, "is_invariant": 2, "ce_differential": 1}
+
+    def test_invalid_section_messages(self):
+        ext = heisenberg_central_extension()
+        triv = trivial_representation(ext.base, 1)
+        f = SymMultiMap(ext.kernel, 1, 1, {(0,): [0]})
+        good = Section(ext, [[1, 0], [0, 1], [0, 0]])
+        bad = Section(ext, [[2, 0], [0, 1], [0, 0]])
+        with pytest.raises(InvalidSection, match="^section 0 fails q . sigma = id$"):
+            chern_weil(ext, f, bad, triv)
+        with pytest.raises(InvalidSection, match="^section 1 fails q . sigma = id$"):
+            delta_f(ext, f, [good, bad], triv)
+        with pytest.raises(InvalidSection, match="^second section fails q . sigma = id$"):
+            secondary_class(ext, f, good, bad, triv)
+
+    def test_non_closed_representative_raises_not_closed(self, monkeypatch):
+        import liechar.characteristic as characteristic
+
+        ext = heisenberg_central_extension()
+        # a module on which the first base vector acts by 1: constants and
+        # the dual of the second base vector are no longer closed
+        rep = Representation(ext.base, 1, [[[1]], [[0]]])
+        sec = Section(ext, [[1, 0], [0, 1], [0, 0]])
+        const = SymMultiMap(ext.kernel, 0, 1, {(): [1]})
+        with pytest.raises(NotInvariant):
+            chern_weil(ext, const, sec, rep)
+        monkeypatch.setattr(characteristic, "is_invariant", lambda *args: True)
+        with pytest.raises(NotClosed, match="^representative is not closed$"):
+            chern_weil(ext, const, sec, rep)
+        zero = SymMultiMap(ext.kernel, 1, 1, {(0,): [0]})
+        other = Section(ext, [[1, 0], [0, 1], [1, 0]])
+        not_closed = Cochain(ext.base, 1, 1, {(0,): [0], (1,): [1]})
+        monkeypatch.setattr(characteristic, "_delta_f", lambda *args: not_closed)
+        with pytest.raises(NotClosed, match="admissible map is not closed"):
+            secondary_class(ext, zero, sec, other, rep)
 
 
 class TestProductHomomorphism:

@@ -25,6 +25,18 @@ class TestValidate:
         assert code == 2
         assert "parse error" in err
 
+    def test_non_canonical_rational_exits_2(self, capsys, fixtures_dir, tmp_path):
+        text = (fixtures_dir / "heisenberg.json").read_text(encoding="utf-8")
+        doc = json.loads(text)
+        doc["sections"]["s0"]["matrix"][0][0] = "1e5"
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "invalid rational literal '1e5'" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", str(tmp_path / "absent.json"))
         assert code == 2

@@ -12,15 +12,16 @@ from math import factorial
 
 import pytest
 
-from liechar import (Cochain, LinearAction, SymMultiMap, abelian, ad_matrix,
+from liechar import (Cochain, LinearAction, MultiPoly, SymMultiMap, abelian, ad_matrix,
                      alt, ce_differential, compose_sym,
                      covariant_derivative, curvature, evaluation_product,
                      heisenberg3, lie_bracket_product, nondecreasing_tuples,
                      scalar_multiplication, sym_product, sym_tensor_product,
                      trivial_representation, wedge)
 
-from helpers import (rand_cochain, rand_fraction, rand_symmap, rand_vector,
-                     random_algebra, random_representation)
+from helpers import (dense_cochain_evaluate, dense_symmap_evaluate, rand_cochain,
+                     rand_fraction, rand_symmap, rand_vector, random_algebra,
+                     random_representation)
 
 
 def unit(d, i):
@@ -59,6 +60,70 @@ def compose_oracle(f, args):
         return out
 
     return Cochain.from_function(acc.source, acc.degree, f.target_dim, fn)
+
+
+def rand_poly(rng, nvars=2):
+    return MultiPoly(nvars, {(rng.randint(0, 2), rng.randint(0, 1)): rand_fraction(rng)
+                             for _ in range(rng.randint(0, 3))})
+
+
+def sparse_args(rng, d, p, scalar):
+    """p coefficient vectors of length d with about half their entries zero."""
+    return [[scalar(rng) if rng.random() < 0.5 else Fraction(0) for _ in range(d)]
+            for _ in range(p)]
+
+
+class TestTables:
+    KINDS = ((Cochain, rand_cochain, dense_cochain_evaluate),
+             (SymMultiMap, rand_symmap, dense_symmap_evaluate))
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["cochain", "symmap"])
+    def test_evaluate_matches_dense_oracle(self, kind):
+        _, make, oracle = self.KINDS[kind]
+        rng = random.Random(5 + kind)
+        for d in range(1, 5):
+            g = abelian(d)
+            for p in range(4):
+                for _ in range(6):
+                    table = make(rng, g, p, 2)
+                    args = sparse_args(rng, d, p, rand_fraction)
+                    assert table.evaluate(args) == oracle(table, args)
+                    poly_table = table.map_values(lambda x: x * rand_poly(rng))
+                    poly_args = sparse_args(rng, d, p, rand_poly)
+                    assert poly_table.evaluate(poly_args) == oracle(poly_table, poly_args)
+
+    @pytest.mark.parametrize("cls", [Cochain, SymMultiMap])
+    def test_argument_length_must_match_dimension(self, cls):
+        table = cls.zero(heisenberg3(), 2, 1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            table.evaluate([[1, 0, 0, 5], [0, 1, 0]])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            table.evaluate([[1, 0], [0, 1, 0]])
+        with pytest.raises(ValueError, match="argument count"):
+            table.evaluate([[1, 0, 0]])
+
+    def test_kinds_never_mix(self):
+        g = abelian(2)
+        w = Cochain(g, 1, 1, {(0,): [2], (1,): [3]})
+        f = SymMultiMap(g, 1, 1, {(0,): [2], (1,): [3]})
+        assert w.values == f.values
+        assert w != f and f != w
+        for a, b in ((w, f), (f, w)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                a + b
+            with pytest.raises(ValueError, match="shape mismatch"):
+                a - b
+
+    def test_shared_operations_on_symmetric_maps(self):
+        rng = random.Random(7)
+        f = rand_symmap(rng, heisenberg3(), 2)
+        assert f - f == SymMultiMap.zero(heisenberg3(), 2, 1)
+        assert -f == f.scale(-1)
+        poly = f.to_poly(2)
+        assert poly.values == f.values
+        assert all(isinstance(x, MultiPoly) for v in poly.values.values() for x in v)
+        assert SymMultiMap.zero(heisenberg3(), 1, 1, nvars=2).entry((0,)) == (MultiPoly.zero(2),)
+        assert repr(f) == "SymMultiMap(degree=2, source_dim=3, target_dim=1)"
 
 
 class TestAlt:

@@ -73,6 +73,29 @@ class TestRationalStrings:
         with pytest.raises(ValueError):
             rational_from_str("x")
 
+    @pytest.mark.parametrize("literal", ["1.5", "4/6", " 2 ", "1e5", "+3", "-0", "007",
+                                         "3/1", "2/4", "0/5", "-0/3", "1/-2", "1_000",
+                                         "1\n", "\u0663", ""])
+    def test_only_the_canonical_grammar_parses(self, literal):
+        with pytest.raises(ValueError, match="invalid rational literal"):
+            rational_from_str(literal)
+
+    def test_exponent_literal_rejected_before_building_a_value(self, monkeypatch):
+        import liechar.scalars as scalars
+
+        def no_fraction(*args):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(scalars, "Fraction", no_fraction)
+        with pytest.raises(ValueError, match="invalid rational literal"):
+            rational_from_str("1e100000")
+
+    def test_overlong_digit_string_rejected(self):
+        with pytest.raises(ValueError, match="invalid rational literal"):
+            rational_from_str("9" * 5000)
+        with pytest.raises(ValueError, match="invalid rational literal"):
+            rational_from_str("1/" + "7" * 5000)
+
 
 class TestMultiPoly:
     def test_zero_coefficients_never_stored(self):

@@ -62,6 +62,22 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="i < j"):
             parse_workspace(json.dumps(doc))
 
+    @pytest.mark.parametrize("literal", ["1.5", "4/6", " 2 ", "1e5", "+3", "-0",
+                                         "007", "3/1", "2/4"])
+    def test_non_canonical_rational_rejected(self, literal):
+        doc = {"algebras": {"a": {"dim": 1, "basis": ["x"], "brackets": []}},
+               "representations": {
+                   "r": {"algebra": "a", "space_dim": 1, "matrices": [[[literal]]]}}}
+        with pytest.raises(ParseError, match=r"representations\.r\.matrices\[0\]\[0\]\[0\]"):
+            parse_workspace(json.dumps(doc))
+
+
+    def test_polynomial_entry_tuple_must_be_a_list(self, fixtures_dir):
+        doc = json.loads((fixtures_dir / "oscillator.json").read_text(encoding="utf-8"))
+        doc["polynomials"]["fz"]["entries"][0]["tuple"] = 0
+        with pytest.raises(ParseError, match=r"polynomials\.fz\.entries\[0\]"):
+            parse_workspace(json.dumps(doc))
+
 
 class TestValidationErrors:
     def test_jacobi_violation_names_the_triple(self):
@@ -123,3 +139,25 @@ class TestCochainJson:
         assert obj["degree"] == 2
         assert [e["tuple"] for e in obj["entries"]] == [[0, 1], [0, 2], [1, 2]]
         assert cochain_from_json(obj, h3, 1) == w
+
+    @pytest.mark.parametrize("obj, where", [
+        ([], "cochain"),
+        ({"entries": []}, "cochain"),
+        ({"degree": -1, "entries": []}, "cochain"),
+        ({"degree": 1}, "cochain"),
+        ({"degree": 1, "entries": [{"tuple": [0], "value": ["1"]}]}, "cochain"),
+        ({"degree": 1, "entries": [[0, ["1"]], {}, {}]}, r"cochain\.entries\[0\]"),
+        ({"degree": 1, "entries": [{"tuple": 0, "value": ["1"]}, {}, {}]},
+         r"cochain\.entries\[0\]"),
+        ({"degree": 1, "entries": [{"tuple": [1], "value": ["1"]}, {}, {}]},
+         r"cochain\.entries\[0\]"),
+        ({"degree": 1, "entries": [{"tuple": [0], "value": "1"}, {}, {}]},
+         r"cochain\.entries\[0\]"),
+        ({"degree": 1, "entries": [{"tuple": [0], "value": ["1", "2"]}, {}, {}]},
+         r"cochain\.entries\[0\]"),
+        ({"degree": 1, "entries": [{"tuple": [0], "value": ["1.5"]}, {}, {}]},
+         r"cochain\.entries\[0\]\.value\[0\]"),
+    ])
+    def test_malformed_cochain_is_a_parse_error(self, obj, where):
+        with pytest.raises(ParseError, match=where):
+            cochain_from_json(obj, heisenberg3(), 1)

@@ -1,16 +1,17 @@
 """Cohomology spaces, Bott-Lecomte cochains, and characteristic classes.
 
 H^p(g, V) is computed from exact matrices of the Chevalley-Eilenberg
-differential: the cocycle space Z is the nullspace of d on degree p, the
-coboundary space B the column space of d on degree p-1 (zero for p = 0), both
-with deterministic echelon bases.  One rref of the matrix [B | Z], whose
-columns are the B vectors followed by the Z vectors, gives the rest.  A
-column is a pivot exactly when it lies outside the span of the columns before
-it, so the pivot columns past B are a greedy choice H of cocycles completing
-B to a basis of Z.  The rows of those H pivots, restricted to the Z columns,
-hold the H-coordinates of each cocycle basis vector (class_projection).
-Reduced row echelon forms are unique, so bases and coordinates of classes are
-reproducible.
+differential, assembled from its term list (cochains): a block sign * rho(e_t)
+per action term, coeff * I per bracket term.  The cocycle space Z is the
+nullspace of d on degree p, the coboundary space B the column space of d on
+degree p-1 (zero for p = 0), both with deterministic echelon bases.  One rref
+of the matrix [B | Z], whose columns are the B vectors followed by the Z
+vectors, gives the rest.  A column is a pivot exactly when it lies outside the
+span of the columns before it, so the pivot columns past B are a greedy choice
+H of cocycles completing B to a basis of Z.  The rows of those H pivots,
+restricted to the Z columns, hold the H-coordinates of each cocycle basis
+vector (class_projection).  Reduced row echelon forms are unique, so bases and
+coordinates of classes are reproducible.
 
 For an extension with kernel n and an invariant symmetric map f of degree p,
 the relative cochain of n+1 sections is the simplex integral
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .cochains import (Cochain, SymMultiMap, ce_differential, compose_sym,
-                       increasing_tuples)
+from .cochains import (Cochain, SymMultiMap, _differential_terms, ce_differential,
+                       compose_sym, increasing_tuples)
 from .extensions import (Extension, InvalidSection, InvarianceWarning, Section,
                          is_invariant, param_curvature, param_section,
                          section_curvature, section_difference, validate_section)
@@ -99,19 +100,21 @@ def _unflatten(vec, algebra: LieAlgebra, degree: int, target_dim: int) -> Cochai
 
 def differential_matrix(algebra: LieAlgebra, rep: Representation, degree: int):
     """Matrix of d: C^degree -> C^{degree+1} in the flattened tuple-major bases."""
-    keys = increasing_tuples(algebra.dim, degree)
     m = rep.space_dim
-    cols = []
-    for key in keys:
-        for c in range(m):
-            values = {k: [Fraction(0)] * m for k in keys}
-            row = list(values[key])
-            row[c] = Fraction(1)
-            values[key] = row
-            w = Cochain(algebra, degree, m, values)
-            cols.append(_flatten(ce_differential(w, rep)))
-    nrows = comb(algebra.dim, degree + 1) * m
-    return [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
+    col_of = {key: i * m for i, key in enumerate(increasing_tuples(algebra.dim, degree))}
+    matrix = []
+    for _, actions, brackets in _differential_terms(algebra, degree):
+        block = [[Fraction(0)] * (len(col_of) * m) for _ in range(m)]
+        for sgn, t, src in actions:
+            for row, action_row in zip(block, rep.matrices[t]):
+                for c, x in enumerate(action_row, col_of[src]):
+                    if x:
+                        row[c] += sgn * x
+        for coeff, src in brackets:
+            for i, row in enumerate(block, col_of[src]):
+                row[i] += coeff
+        matrix.extend(block)
+    return matrix
 
 
 class CohomologySpace:

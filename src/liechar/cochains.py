@@ -27,7 +27,13 @@ in low degree.  The differential twisted by endomorphisms S(e_i) is
                       + sum_{i<j} (-1)^{i+j} w([x_i,x_j], .., x_i, x_j omitted, ..);
 
 the Chevalley-Eilenberg differential is the case S = rho for a module action
-rho, and the covariant derivative is the case of an arbitrary linear S.
+rho, and the covariant derivative is the case of an arbitrary linear S.  Both
+apply one term list per increasing (p+1)-tuple key, which depends only on the
+algebra: action terms (sign, t, src) add sign * S(e_t) . w(src); bracket terms
+(coeff, src) add coeff * w(src), summed from each nonzero c_ab^k of the pair
+at positions i < j of key, with k not in the rest of key and sign (-1)^{i+j}
+times the shuffle sign of inserting k into the rest.  The matrix of d in
+characteristic is assembled from the same list, so the formula exists once.
 The curvature of a 1-cochain sigma into a Lie algebra is
 R(x,y) = [sigma x, sigma y] - sigma([x,y]).
 """
@@ -35,6 +41,7 @@ R(x,y) = [sigma x, sigma y] - sigma([x,y]).
 from __future__ import annotations
 
 import operator
+from bisect import bisect
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -357,54 +364,45 @@ def wedge(a: Cochain, b: Cochain, m: BilinearProduct) -> Cochain:
     return Cochain.from_function(a.source, p + q, m.out_dim, fn)
 
 
-def _eval_vector_first(w: Cochain, vec, rest):
-    """w(vec, e_{r_1}, .., e_{r_{p-1}}) for a strictly increasing tuple rest."""
-    out = [Fraction(0)] * w.target_dim
-    for k, coeff in enumerate(vec):
-        if coeff == 0 or k in rest:
-            continue
-        pos = sum(1 for r in rest if r < k)
-        sgn = -1 if pos % 2 else 1
-        val = w.entry(tuple(sorted(rest + (k,))))
-        out = [o + coeff * sgn * x for o, x in zip(out, val)]
-    return out
+def _differential_terms(algebra: LieAlgebra, degree: int):
+    """(key, action terms, bracket terms) of d_S for each increasing (degree+1)-tuple."""
+    terms = []
+    for key in increasing_tuples(algebra.dim, degree + 1):
+        actions = [(-1 if j % 2 else 1, t, key[:j] + key[j + 1:]) for j, t in enumerate(key)]
+        brackets = {}
+        for ai, bi in combinations(range(degree + 1), 2):
+            rest = key[:ai] + key[ai + 1:bi] + key[bi + 1:]
+            for k, c in enumerate(algebra.structure[key[ai]][key[bi]]):
+                if c and k not in rest:
+                    pos = bisect(rest, k)
+                    src = rest[:pos] + (k,) + rest[pos:]
+                    brackets[src] = brackets.get(src, 0) + (-c if (ai + bi + pos) % 2 else c)
+        terms.append((key, actions, [(c, src) for src, c in brackets.items() if c]))
+    return terms
 
 
-def _twisted_differential(w: Cochain, mats) -> Cochain:
-    src = w.source
-    p = w.degree
-
-    def fn(key):
+def _twisted_differential(w: Cochain, source_dim: int, space_dim: int, mats) -> Cochain:
+    if w.source.dim != source_dim or w.target_dim != space_dim:
+        raise ValueError("dimension mismatch")
+    values = {}
+    for key, actions, brackets in _differential_terms(w.source, w.degree):
         out = [Fraction(0)] * w.target_dim
-        for j, tj in enumerate(key):
-            av = mat_vec(mats[tj], list(w.entry(key[:j] + key[j + 1:])))
-            sgn = -1 if j % 2 else 1
-            out = [o + sgn * x for o, x in zip(out, av)]
-        for ai, bi in combinations(range(p + 1), 2):
-            u = src.bracket_basis(key[ai], key[bi])
-            if all(c == 0 for c in u):
-                continue
-            rest = tuple(key[x] for x in range(p + 1) if x not in (ai, bi))
-            sgn = -1 if (ai + bi) % 2 else 1
-            val = _eval_vector_first(w, u, rest)
-            out = [o + sgn * x for o, x in zip(out, val)]
-        return out
-
-    return Cochain.from_function(src, p + 1, w.target_dim, fn)
+        for sgn, t, src in actions:
+            out = [o + sgn * x for o, x in zip(out, mat_vec(mats[t], w.values[src]))]
+        for coeff, src in brackets:
+            out = [o + coeff * x for o, x in zip(out, w.values[src])]
+        values[key] = out
+    return Cochain(w.source, w.degree + 1, w.target_dim, values)
 
 
 def ce_differential(w: Cochain, rep: Representation) -> Cochain:
     """Chevalley-Eilenberg differential of w with module action rep."""
-    if w.source.dim != rep.algebra.dim or w.target_dim != rep.space_dim:
-        raise ValueError("dimension mismatch")
-    return _twisted_differential(w, rep.matrices)
+    return _twisted_differential(w, rep.algebra.dim, rep.space_dim, rep.matrices)
 
 
 def covariant_derivative(w: Cochain, action: LinearAction) -> Cochain:
     """Differential twisted by the linear action S (trivial module underneath)."""
-    if w.source.dim != action.source.dim or w.target_dim != action.space_dim:
-        raise ValueError("dimension mismatch")
-    return _twisted_differential(w, action.matrices)
+    return _twisted_differential(w, action.source.dim, action.space_dim, action.matrices)
 
 
 def curvature(sigma: Cochain, br: BilinearProduct) -> Cochain:

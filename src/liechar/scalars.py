@@ -263,10 +263,15 @@ def poly_to_json(p: MultiPoly):
 
 
 def poly_from_json(obj, nvars: int) -> MultiPoly:
+    """Read a poly_to_json term list; ValueError on any other shape."""
     terms = {}
-    for item in obj:
-        exps = tuple(int(e) for e in item["exponents"])
-        terms[exps] = terms.get(exps, Fraction(0)) + rational_from_str(item["coeff"])
+    for item in obj if isinstance(obj, list) else [None]:  # a non-list fails as a bad term
+        exps = item.get("exponents") if isinstance(item, dict) and len(item) == 2 else None
+        if not (isinstance(exps, list) and len(exps) == nvars and "coeff" in item
+                and all(type(e) is int and e >= 0 for e in exps)):
+            raise ValueError("expected a list of {exponents, coeff} terms with "
+                             f"{nvars} non-negative integer exponents")
+        terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + rational_from_str(item["coeff"])
     return MultiPoly(nvars, terms)
 
 

@@ -35,7 +35,8 @@ from .cochains import Cochain, SymMultiMap
 from .extensions import Extension, Section, validate_extension, validate_section
 from .liealg import (LieAlgebra, Representation, algebra_from_brackets,
                      check_jacobi, check_representation)
-from .scalars import MultiPoly, poly_to_json, rational_from_str, rational_to_str
+from .scalars import (MultiPoly, poly_from_json, poly_to_json, rational_from_str,
+                      rational_to_str)
 
 __all__ = [
     "ParseError",
@@ -82,13 +83,14 @@ def _expect(cond, message, location):
         raise ParseError(message, location)
 
 
-def _rational(s, location):
+def _rational(s, location, nvars=None):
+    """A rational string; with nvars, a polynomial term list instead."""
     if isinstance(s, float):
         raise ParseError("floats are not accepted; use rational strings", location)
-    if not isinstance(s, (str, int)):
+    if nvars is None and not isinstance(s, (str, int)):
         raise ParseError(f"expected a rational string, got {type(s).__name__}", location)
     try:
-        return rational_from_str(str(s))
+        return rational_from_str(str(s)) if nvars is None else poly_from_json(s, nvars)
     except ValueError as exc:
         raise ParseError(str(exc), location) from None
 
@@ -282,7 +284,7 @@ def _symmap_to_json(name, f, algebras):
             "entries": _table_entries_to_json(f)}
 
 
-def _table_from_json(cls, entries, alg, degree, target_dim, location):
+def _table_from_json(cls, entries, alg, degree, target_dim, location, nvars=None):
     """A Cochain or SymMultiMap from its entry list in canonical tuple order."""
     expected = cls.key_tuples(alg.dim, degree)
     _expect(isinstance(entries, list) and len(entries) == len(expected),
@@ -298,7 +300,8 @@ def _table_from_json(cls, entries, alg, degree, target_dim, location):
         val = item.get("value")
         _expect(isinstance(val, list) and len(val) == target_dim,
                 f"value must have length {target_dim}", loc)
-        values[expected[idx]] = [_rational(v, f"{loc}.value[{i}]") for i, v in enumerate(val)]
+        values[expected[idx]] = [_rational(v, f"{loc}.value[{i}]", nvars)
+                               for i, v in enumerate(val)]
     return cls(alg, degree, target_dim, values)
 
 
@@ -384,13 +387,14 @@ def cochain_to_json(w: Cochain):
     return {"degree": w.degree, "entries": _table_entries_to_json(w)}
 
 
-def cochain_from_json(obj, source: LieAlgebra, target_dim: int) -> Cochain:
+def cochain_from_json(obj, source: LieAlgebra, target_dim: int, nvars=None) -> Cochain:
+    """Inverse of cochain_to_json; with nvars, values are polynomial term lists."""
     _expect(isinstance(obj, dict), "cochain must be an object", "cochain")
     degree = obj.get("degree")
     _expect(isinstance(degree, int) and degree >= 0,
             "degree must be a non-negative integer", "cochain")
     return _table_from_json(Cochain, obj.get("entries"), source, degree, target_dim,
-                            "cochain")
+                            "cochain", nvars)
 
 
 def class_to_json(cls: CharacteristicClass):

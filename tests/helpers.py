@@ -1,13 +1,13 @@
 """Seeded random generators and shared fixture pools for the test suite."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 from liechar import (
     Cochain, Extension, LieAlgebra, Section, SymMultiMap,
     abelian, adjoint_representation, algebra_from_brackets, bracket,
-    column_space_basis, differential_matrix, increasing_tuples, nullspace,
+    column_space_basis, differential_matrix, increasing_tuples, mat_vec, nullspace,
     scalar_multiplication, solve_linear, sym_product, trivial_representation,
 )
 from liechar.catalog import (
@@ -107,6 +107,65 @@ def greedy_cohomology(algebra, rep, degree):
     cols = [coords_vec(z) for z in zvecs]
     projection = [[col[i] for col in cols] for i in range(len(hvecs))]
     return len(zvecs) - len(bvecs), projection, coords
+
+
+def _eval_vector_first(w, vec, rest):
+    """w(vec, e_{r_1}, .., e_{r_{p-1}}) for a strictly increasing tuple rest."""
+    out = [Fraction(0)] * w.target_dim
+    for k, coeff in enumerate(vec):
+        if coeff == 0 or k in rest:
+            continue
+        pos = sum(1 for r in rest if r < k)
+        sgn = -1 if pos % 2 else 1
+        val = w.entry(tuple(sorted(rest + (k,))))
+        out = [o + coeff * sgn * x for o, x in zip(out, val)]
+    return out
+
+
+def reference_twisted_differential(w, mats):
+    """Reference d_S w, term by term from the textbook formula
+
+        (d_S w)(x_0..x_p) = sum_j (-1)^j S(x_j) . w(.., x_j omitted, ..)
+                          + sum_{i<j} (-1)^{i+j} w([x_i,x_j], .., x_i, x_j omitted, ..),
+
+    with the bracket evaluated in the first slot of w.
+    """
+    src = w.source
+    p = w.degree
+
+    def fn(key):
+        out = [Fraction(0)] * w.target_dim
+        for j, tj in enumerate(key):
+            av = mat_vec(mats[tj], list(w.entry(key[:j] + key[j + 1:])))
+            sgn = -1 if j % 2 else 1
+            out = [o + sgn * x for o, x in zip(out, av)]
+        for ai, bi in combinations(range(p + 1), 2):
+            u = src.bracket_basis(key[ai], key[bi])
+            if all(c == 0 for c in u):
+                continue
+            rest = tuple(key[x] for x in range(p + 1) if x not in (ai, bi))
+            sgn = -1 if (ai + bi) % 2 else 1
+            val = _eval_vector_first(w, u, rest)
+            out = [o + sgn * x for o, x in zip(out, val)]
+        return out
+
+    return Cochain.from_function(src, p + 1, w.target_dim, fn)
+
+
+def dense_differential_matrix(algebra, rep, degree):
+    """Reference matrix of d: C^degree -> C^{degree+1}, one column per unit cochain."""
+    keys = increasing_tuples(algebra.dim, degree)
+    m = rep.space_dim
+    cols = []
+    for key in keys:
+        for c in range(m):
+            values = {k: [Fraction(0)] * m for k in keys}
+            values[key] = [Fraction(int(i == c)) for i in range(m)]
+            d = reference_twisted_differential(Cochain(algebra, degree, m, values),
+                                               rep.matrices)
+            cols.append([x for val in d.values.values() for x in val])
+    nrows = comb(algebra.dim, degree + 1) * m
+    return [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
 
 
 def _dense_evaluate(table, args, normalize):

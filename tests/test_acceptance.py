@@ -13,9 +13,10 @@ from fractions import Fraction
 from math import comb, factorial
 
 from liechar import (BilinearProduct, LinearAction, MultiPoly, SymMultiMap,
-                     abelian, ad_matrix, alt, ce_differential, chern_weil,
+                     abelian, ad_matrix, adjoint_representation,
+                     algebra_from_brackets, alt, ce_differential, chern_weil,
                      classes_equal, cohomology_space, covariant_derivative,
-                     delta_f, differential_matrix, heisenberg3,
+                     delta_f, differential_matrix, heisenberg, heisenberg3,
                      integrate_poly_simplex, lie_bracket_product,
                      parse_workspace, rank, s_from_section,
                      scalar_multiplication, secondary_class, section_curvature,
@@ -24,7 +25,7 @@ from liechar import (BilinearProduct, LinearAction, MultiPoly, SymMultiMap,
 from liechar.catalog import heisenberg_central_extension
 from liechar.cli import run_command
 
-from helpers import (fixture_extensions, rand_cochain, rand_fraction,
+from helpers import (conjugate_algebra, fixture_extensions, rand_cochain, rand_fraction,
                      rand_section, rand_vector, random_algebra,
                      random_invariant_symmap, random_representation,
                      section_pool)
@@ -305,3 +306,39 @@ def test_criterion_11_cli_round_trip(capsys, fixtures_dir, tmp_path):
     capsys.readouterr()
     with capsys.disabled():
         budget.done("criterion 11: byte round-trip and exit codes 0/1/2")
+
+
+def santharoubane_betti(m):
+    """dim H^p(h_{2m+1}, R) = C(2m, p) - C(2m, p-2) for p <= m, and Poincare
+    duality dim H^p = dim H^{2m+1-p} above (Santharoubane, Proc. AMS 1983)."""
+    low = [comb(2 * m, p) - (comb(2 * m, p - 2) if p >= 2 else 0) for p in range(m + 1)]
+    return low + low[::-1]
+
+
+def test_criterion_12_heisenberg_betti_and_whitehead(capsys):
+    budget = Budget(20.0)
+    rng = random.Random(20240212)
+    for m in range(1, 5):
+        std = heisenberg(m)
+        betti = santharoubane_betti(m)
+        assert len(betti) == 2 * m + 2
+        for alg in (std, conjugate_algebra(rng, std)):
+            triv = trivial_representation(alg, 1)
+            assert [cohomology_space(alg, triv, p).h_dim for p in range(2 * m + 2)] == betti
+    sl2 = algebra_from_brackets(
+        ("h", "e", "f"), {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+    for alg in (sl2, conjugate_algebra(rng, sl2)):
+        triv = trivial_representation(alg, 1)
+        adj = adjoint_representation(alg)
+        assert [cohomology_space(alg, triv, p).h_dim for p in range(4)] == [1, 0, 0, 1]
+        assert [cohomology_space(alg, adj, p).h_dim for p in range(4)] == [0, 0, 0, 0]
+    with capsys.disabled():
+        budget.done("criterion 12: Betti numbers of h_3..h_9 (two bases) and Whitehead for sl_2")
+
+
+def test_criterion_13_h9_degree_four(capsys):
+    budget = Budget(3.0)
+    h9 = heisenberg(4)
+    assert cohomology_space(h9, trivial_representation(h9, 1), 4).h_dim == 42
+    with capsys.disabled():
+        budget.done("criterion 13: H^4(h_9) has dimension 42")

@@ -13,15 +13,16 @@ from math import factorial
 import pytest
 
 from liechar import (Cochain, LinearAction, MultiPoly, SymMultiMap, abelian, ad_matrix,
-                     alt, ce_differential, compose_sym,
-                     covariant_derivative, curvature, evaluation_product,
-                     heisenberg3, lie_bracket_product, nondecreasing_tuples,
+                     adjoint_representation, alt, ce_differential, compose_sym,
+                     covariant_derivative, curvature, differential_matrix,
+                     evaluation_product, heisenberg3, lie_bracket_product, nondecreasing_tuples,
                      scalar_multiplication, sym_product, sym_tensor_product,
                      trivial_representation, wedge)
 
-from helpers import (dense_cochain_evaluate, dense_symmap_evaluate, rand_cochain,
-                     rand_fraction, rand_symmap, rand_vector, random_algebra,
-                     random_representation)
+from helpers import (SMALL_ALGEBRAS, conjugate_algebra, dense_cochain_evaluate,
+                     dense_differential_matrix, dense_symmap_evaluate, rand_cochain,
+                     rand_fraction, rand_matrix, rand_symmap, rand_vector, random_algebra,
+                     random_representation, reference_twisted_differential)
 
 
 def unit(d, i):
@@ -246,6 +247,56 @@ class TestDifferential:
         w = rand_cochain(rng, h3, 3, 1)
         d = ce_differential(w, trivial_representation(h3, 1))
         assert d.degree == 4 and d.values == {}
+
+
+class TestOneDifferential:
+    """d and its matrix come from one term list; both match the term-by-term
+    formula and the unit-cochain matrix built from it."""
+
+    @staticmethod
+    def cases(rng):
+        for name in sorted(SMALL_ALGEBRAS):
+            for conjugated in (False, True):
+                alg = SMALL_ALGEBRAS[name]()
+                if conjugated:
+                    alg = conjugate_algebra(rng, alg)
+                for rep in (trivial_representation(alg, 1), trivial_representation(alg, 2),
+                            adjoint_representation(alg), random_representation(rng, alg)):
+                    yield alg, rep
+
+    def test_matrix_matches_unit_cochain_oracle(self):
+        rng = random.Random(24)
+        for alg, rep in self.cases(rng):
+            for p in range(alg.dim + 2):
+                got = differential_matrix(alg, rep, p)
+                assert got == dense_differential_matrix(alg, rep, p), (alg.basis_names, p)
+                assert all(type(x) is Fraction for row in got for x in row)
+
+    def test_ce_differential_matches_reference(self):
+        rng = random.Random(25)
+        for alg, rep in self.cases(rng):
+            for p in range(alg.dim + 2):
+                w = rand_cochain(rng, alg, p, rep.space_dim)
+                for cochain in (w, w.map_values(lambda x: x * rand_poly(rng))):
+                    got = ce_differential(cochain, rep)
+                    want = reference_twisted_differential(cochain, rep.matrices)
+                    assert got == want
+                    assert [type(x) for v in got.values.values() for x in v] == \
+                        [type(x) for v in want.values.values() for x in v]
+
+    def test_covariant_derivative_matches_reference(self):
+        rng = random.Random(26)
+        for _ in range(30):
+            g = random_algebra(rng)
+            m = rng.randint(1, 3)
+            mats = [rand_matrix(rng, m, m) for _ in range(g.dim)]
+            if rng.random() < 0.5:
+                mats = [[[x * rand_poly(rng) for x in row] for row in mat] for mat in mats]
+            action = LinearAction(g, mats)
+            for p in range(g.dim + 2):
+                w = rand_cochain(rng, g, p, m)
+                assert covariant_derivative(w, action) == \
+                    reference_twisted_differential(w, mats)
 
 
 class TestCovariantDerivative:

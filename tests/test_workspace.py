@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from liechar import (Cochain, ParseError, ValidationError,
+from liechar import (Cochain, MultiPoly, ParseError, ValidationError,
                      cochain_from_json, cochain_to_json, heisenberg3,
-                     parse_workspace, serialize_workspace)
+                     param_curvature, param_section, parse_workspace,
+                     serialize_workspace)
 from liechar.catalog import (filiform_workspace, heisenberg_workspace,
                              oscillator_workspace)
 
@@ -161,3 +162,39 @@ class TestCochainJson:
     def test_malformed_cochain_is_a_parse_error(self, obj, where):
         with pytest.raises(ParseError, match=where):
             cochain_from_json(obj, heisenberg3(), 1)
+
+    @pytest.mark.parametrize("names", [("s0", "s2"), ("s1", "s2"), ("s0", "s1", "s2")])
+    def test_polynomial_round_trip(self, names):
+        ws = filiform_workspace()
+        ext = ws.extensions["fil"]
+        rt = param_curvature(ext, param_section(ext, [ws.sections[n] for n in names]))
+        obj = cochain_to_json(rt)
+        back = cochain_from_json(obj, ext.base, ext.kernel.dim, nvars=len(names) - 1)
+        assert back == rt
+        assert all(isinstance(x, MultiPoly) for v in back.values.values() for x in v)
+        assert cochain_to_json(back) == obj
+        with pytest.raises(ParseError, match="expected a rational string, got list"):
+            cochain_from_json(obj, ext.base, ext.kernel.dim)
+
+    @pytest.mark.parametrize("value", [
+        "1", ["1"], [[]], [None], [{}],
+        [{"exponents": [0, 0]}],
+        [{"coeff": "1"}],
+        [{"exponents": [0, 0], "coeff": "1", "extra": 0}],
+        [{"exponents": [0], "coeff": "1"}],
+        [{"exponents": [0, 1.0], "coeff": "1"}],
+        [{"exponents": [0, True], "coeff": "1"}],
+        [{"exponents": [0, -1], "coeff": "1"}],
+        [{"exponents": "00", "coeff": "1"}],
+        [{"exponents": [0, 0], "coeff": 1.5}],
+        [{"exponents": [0, 0], "coeff": "2/4"}],
+        [{"exponents": [0, 0], "coeff": ["1"]}],
+    ])
+    def test_malformed_polynomial_entry_is_a_parse_error(self, value):
+        good = [{"exponents": [1, 0], "coeff": "1/2"}]
+        obj = {"degree": 1, "entries": [{"tuple": [i], "value": [good]} for i in range(3)]}
+        assert cochain_from_json(obj, heisenberg3(), 1, nvars=2).entry((2,)) == (
+            MultiPoly(2, {(1, 0): Fraction(1, 2)}),)
+        obj["entries"][2]["value"] = [value]
+        with pytest.raises(ParseError, match=r"cochain\.entries\[2\]\.value\[0\]"):
+            cochain_from_json(obj, heisenberg3(), 1, nvars=2)

@@ -43,7 +43,7 @@ from math import comb, factorial
 from .cochains import (Cochain, SymMultiMap, _differential_terms, ce_differential,
                        compose_sym, increasing_tuples)
 from .extensions import (Extension, InvalidSection, InvarianceWarning, Section,
-                         is_invariant, param_curvature, param_section,
+                         _interpolate, is_invariant, param_curvature,
                          section_curvature, section_difference, validate_section)
 from .liealg import LieAlgebra, Representation
 from .linalg import column_space_basis, nullspace, rref, solve_linear
@@ -188,6 +188,8 @@ def _check_delta_inputs(ext, f, sections, rep, mode, names) -> bool:
     ``names`` labels the sections in InvalidSection messages.
     """
     for name, sec in zip(names, sections):
+        if len(sections) > 1 and sec.is_polynomial:
+            raise InvalidSection(f"{name} must be rational")
         if not validate_section(ext, sec):
             raise InvalidSection(f"{name} fails q . sigma = id")
     if f.source.dim != ext.kernel.dim:
@@ -216,7 +218,7 @@ def _delta_f(ext: Extension, f: SymMultiMap, sections) -> Cochain:
     args = [section_difference(ext, sections[i], sections[0]).to_poly(n)
             for i in range(1, n + 1)]
     if p > n:
-        curv_t = param_curvature(ext, param_section(ext, sections))
+        curv_t = param_curvature(ext, _interpolate(ext, sections))
         args.extend([curv_t] * (p - n))
     integrand = compose_sym(f, args)
     return integrand.map_values(lambda s: integrate_poly_simplex(as_poly(s, n)))
@@ -228,7 +230,8 @@ def delta_f(ext: Extension, f: SymMultiMap, sections, rep: Representation,
 
     Emits InvarianceWarning (and proceeds) when f fails the configured
     invariance policy; raises DegreeError when f has fewer slots than there
-    are section differences, and InvalidSection on a bad section.
+    are section differences, and InvalidSection on a bad section (or on a
+    polynomial one, when there are two or more).
     """
     sections = list(sections)
     if not sections:
@@ -308,7 +311,10 @@ class TheoremReport:
 def verify_main_theorem(ext: Extension, f: SymMultiMap, sections,
                         rep: Representation, mode: str = "section") -> TheoremReport:
     """Compare (k-n+1) d(Delta_f(all sections)) with the alternating sum of
-    the Delta_f over each omitted section, exactly."""
+    the Delta_f over each omitted section, exactly.
+
+    The inputs are checked once, by delta_f on the full tuple; the faces reuse
+    those checks."""
     sections = list(sections)
     n = len(sections) - 1
     if n < 1:
@@ -320,8 +326,7 @@ def verify_main_theorem(ext: Extension, f: SymMultiMap, sections,
     lhs = ce_differential(full, rep).scale(Fraction(k - n + 1))
     rhs = None
     for i in range(n + 1):
-        omitted = sections[:i] + sections[i + 1:]
-        term = delta_f(ext, f, omitted, rep, mode)
+        term = _delta_f(ext, f, sections[:i] + sections[i + 1:])
         if i % 2:
             term = -term
         rhs = term if rhs is None else rhs + term

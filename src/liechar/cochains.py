@@ -35,7 +35,8 @@ at positions i < j of key, with k not in the rest of key and sign (-1)^{i+j}
 times the shuffle sign of inserting k into the rest.  The matrix of d in
 characteristic is assembled from the same list, so the formula exists once.
 The curvature of a 1-cochain sigma into a Lie algebra is
-R(x,y) = [sigma x, sigma y] - sigma([x,y]).
+R(x,y) = [sigma x, sigma y] - sigma([x,y]); the curvature of a section in
+extensions applies the same formula with the bracket of the total algebra.
 """
 
 from __future__ import annotations
@@ -405,25 +406,29 @@ def covariant_derivative(w: Cochain, action: LinearAction) -> Cochain:
     return _twisted_differential(w, action.source.dim, action.space_dim, action.matrices)
 
 
+def _curvature_values(source: LieAlgebra, sigma, br):
+    """{(i, j): br(sigma(i), sigma(j)) - sum_k c_ij^k sigma(k)} over i < j.
+
+    sigma(k) is the image of the basis vector e_k, br the bracket of the target.
+    """
+    values = {}
+    for i, j in increasing_tuples(source.dim, 2):
+        val = br(sigma(i), sigma(j))
+        for k, c in enumerate(source.bracket_basis(i, j)):
+            if c:
+                val = [v - c * x for v, x in zip(val, sigma(k))]
+        values[(i, j)] = val
+    return values
+
+
 def curvature(sigma: Cochain, br: BilinearProduct) -> Cochain:
     """R(x,y) = [sigma x, sigma y] - sigma([x,y]) for a 1-cochain into a Lie algebra."""
     if sigma.degree != 1:
         raise ValueError("curvature needs a 1-cochain")
     if not (br.left_dim == br.right_dim == br.out_dim == sigma.target_dim):
         raise ValueError("dimension mismatch")
-    src = sigma.source
-
-    def fn(key):
-        i, j = key
-        val = br.apply(sigma.entry((i,)), sigma.entry((j,)))
-        for k, c in enumerate(src.bracket_basis(i, j)):
-            if c == 0:
-                continue
-            sk = sigma.entry((k,))
-            val = [v - c * x for v, x in zip(val, sk)]
-        return val
-
-    return Cochain.from_function(src, 2, sigma.target_dim, fn)
+    return Cochain(sigma.source, 2, sigma.target_dim,
+                   _curvature_values(sigma.source, lambda k: sigma.entry((k,)), br.apply))
 
 
 def _ordered_partitions(positions, sizes):

@@ -7,9 +7,14 @@ coordinates by an exact linear solve; ExactnessViolation signals a value that
 escapes the kernel, which only happens on corrupted input.
 
 A section is any linear right inverse of q.  Its curvature
-R(x,y) = [sigma x, sigma y] - sigma([x,y]) lands in the kernel, and
-S(x) = ad(sigma x) restricted to the kernel gives the induced action used in
-the invariance condition for symmetric maps.  Families sigma_t interpolating
+R(x,y) = [sigma x, sigma y] - sigma([x,y]) lands in the kernel; it is the
+curvature formula of cochains, applied with the bracket of the total algebra
+and followed by kernel coordinates.  One helper builds ad(v) restricted to the
+kernel, in kernel coordinates: S(x) = ad(sigma x)|n for the section policy,
+ad(e_x)|n over the total basis for the strict one.  Invariance of a symmetric
+map f, x.f(key) = sum over slots s and kernel indices r of
+S(x)[r][key_s] f(key with key_s replaced by r) for every non-decreasing key,
+is read straight off the table of f.  Families sigma_t interpolating
 n+1 sections over the simplex (t_0 eliminated as 1 - t_1 - ... - t_n) have
 polynomial entries, and their curvature R_t flows through the same code with
 MultiPoly scalars.
@@ -18,10 +23,12 @@ MultiPoly scalars.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
-from .cochains import Cochain, LinearAction, _coerce_scalar, nondecreasing_tuples
+from .cochains import (Cochain, LinearAction, _coerce_scalar, _curvature_values,
+                       nondecreasing_tuples)
 from .liealg import LieAlgebra, Representation, bracket
-from .linalg import identity, mat_mul, mat_vec, rank, solve_linear, vec_sub, vec_zero
+from .linalg import identity, mat_mul, mat_vec, rank, solve_linear, transpose, vec_sub
 from .scalars import MultiPoly, as_poly
 
 __all__ = [
@@ -91,31 +98,22 @@ def validate_extension(ext: Extension):
         failures.append("q is not surjective")
     if any(c != 0 for row in mat_mul(ext.proj, ext.iota) for c in row):
         failures.append("q . iota is not zero")
-    iota_cols = [[ext.iota[r][j] for r in range(dt)] for j in range(dn)]
-    for i in range(dn):
-        for j in range(i + 1, dn):
-            lhs = [sum(ext.iota[r][k] * ext.kernel.structure[i][j][k] for k in range(dn))
-                   for r in range(dt)]
-            rhs = bracket(ext.total, iota_cols[i], iota_cols[j])
-            if lhs != rhs:
-                failures.append(
-                    f"iota is not a homomorphism on kernel pair ({i},{j})")
-    for x in range(dt):
-        ex = [Fraction(1) if r == x else Fraction(0) for r in range(dt)]
-        for j in range(dn):
-            w = bracket(ext.total, ex, iota_cols[j])
-            if solve_linear(ext.iota, w) is None:
+    iota_cols = transpose(ext.iota)
+    for i, j in combinations(range(dn), 2):
+        if mat_vec(ext.iota, ext.kernel.structure[i][j]) != bracket(
+                ext.total, iota_cols[i], iota_cols[j]):
+            failures.append(f"iota is not a homomorphism on kernel pair ({i},{j})")
+    for x, plane in enumerate(ext.total.structure):
+        ad_x = transpose(plane)
+        for j, col in enumerate(iota_cols):
+            if solve_linear(ext.iota, mat_vec(ad_x, col)) is None:
                 failures.append(
                     f"iota image is not an ideal: [e_{x}, iota e_{j}] escapes")
-    for i in range(dt):
-        for j in range(i + 1, dt):
-            ei = [Fraction(1) if r == i else Fraction(0) for r in range(dt)]
-            ej = [Fraction(1) if r == j else Fraction(0) for r in range(dt)]
-            lhs = [sum(ext.proj[r][k] * ext.total.structure[i][j][k] for k in range(dt))
-                   for r in range(dg)]
-            rhs = bracket(ext.base, mat_vec(ext.proj, ei), mat_vec(ext.proj, ej))
-            if lhs != rhs:
-                failures.append(f"q is not a homomorphism on pair ({i},{j})")
+    q_cols = transpose(ext.proj)
+    for i, j in combinations(range(dt), 2):
+        if mat_vec(ext.proj, ext.total.structure[i][j]) != bracket(
+                ext.base, q_cols[i], q_cols[j]):
+            failures.append(f"q is not a homomorphism on pair ({i},{j})")
     return failures
 
 
@@ -167,32 +165,21 @@ def kernel_coords(ext: Extension, vec):
 
 def section_curvature(ext: Extension, sec: Section) -> Cochain:
     """R(x,y) = [sigma x, sigma y] - sigma([x,y]) in kernel coordinates."""
-    g = ext.base
+    values = _curvature_values(ext.base, transpose(sec.matrix).__getitem__,
+                               lambda u, v: bracket(ext.total, u, v))
+    return Cochain(ext.base, 2, ext.kernel.dim,
+                   {key: kernel_coords(ext, val) for key, val in values.items()})
 
-    def fn(key):
-        i, j = key
-        val = bracket(ext.total, sec.column(i), sec.column(j))
-        for k, c in enumerate(g.bracket_basis(i, j)):
-            if c == 0:
-                continue
-            col = sec.column(k)
-            val = [v - c * x for v, x in zip(val, col)]
-        return kernel_coords(ext, val)
 
-    return Cochain.from_function(g, 2, ext.kernel.dim, fn)
+def _kernel_action(ext: Extension, v):
+    """ad(v) restricted to the kernel, as a matrix in kernel coordinates."""
+    return transpose([kernel_coords(ext, bracket(ext.total, v, col))
+                      for col in transpose(ext.iota)])
 
 
 def s_from_section(ext: Extension, sec: Section) -> LinearAction:
     """S(x) = ad(sigma x) restricted to the kernel, in kernel coordinates."""
-    dn = ext.kernel.dim
-    iota_cols = [[ext.iota[r][j] for r in range(ext.total.dim)] for j in range(dn)]
-    mats = []
-    for i in range(ext.base.dim):
-        sx = sec.column(i)
-        cols = [kernel_coords(ext, bracket(ext.total, sx, iota_cols[j]))
-                for j in range(dn)]
-        mats.append([[cols[j][r] for j in range(dn)] for r in range(dn)])
-    return LinearAction(ext.base, mats)
+    return LinearAction(ext.base, [_kernel_action(ext, col) for col in transpose(sec.matrix)])
 
 
 def section_difference(ext: Extension, sec_a: Section, sec_b: Section) -> Cochain:
@@ -218,7 +205,8 @@ def is_invariant(f, ext: Extension, rep: Representation, mode: str = "section",
     """
     if mode not in _MODES:
         raise ValueError(f"unknown invariance mode {mode!r}")
-    if f.source.dim != ext.kernel.dim or f.target_dim != rep.space_dim:
+    if (f.source.dim != ext.kernel.dim or f.target_dim != rep.space_dim
+            or rep.algebra.dim != ext.base.dim):
         raise ValueError("dimension mismatch")
     dn = ext.kernel.dim
     if mode == "section":
@@ -227,37 +215,21 @@ def is_invariant(f, ext: Extension, rep: Representation, mode: str = "section",
         s_mats = s_from_section(ext, sigma).matrices
         act_mats = rep.matrices
     else:
-        dt = ext.total.dim
-        iota_cols = [[ext.iota[r][j] for r in range(dt)] for j in range(dn)]
-        s_mats = []
-        act_mats = []
-        for x in range(dt):
-            ex = [Fraction(1) if r == x else Fraction(0) for r in range(dt)]
-            cols = [kernel_coords(ext, bracket(ext.total, ex, iota_cols[j]))
-                    for j in range(dn)]
-            s_mats.append([[cols[j][r] for j in range(dn)] for r in range(dn)])
-            qx = [sum(ext.proj[r][c] * ex[c] for c in range(dt))
-                  for r in range(ext.base.dim)]
-            acted = [[sum(qx[b] * rep.matrices[b][r][s] for b in range(ext.base.dim))
-                      for s in range(rep.space_dim)] for r in range(rep.space_dim)]
-            act_mats.append(acted)
-    for x in range(len(s_mats)):
-        s_mat = s_mats[x]
+        s_mats = [_kernel_action(ext, v) for v in identity(ext.total.dim)]
+        m = rep.space_dim
+        act_mats = [[[sum(c * mat[r][s] for c, mat in zip(qx, rep.matrices))
+                      for s in range(m)] for r in range(m)]
+                    for qx in transpose(ext.proj)]
+    for s_mat, act in zip(s_mats, act_mats):
         for key in nondecreasing_tuples(dn, f.degree):
-            lhs = mat_vec(act_mats[x], list(f.entry(key)))
-            rhs = vec_zero(f.target_dim)
-            for slot in range(f.degree):
-                moved = [s_mat[r][key[slot]] for r in range(dn)]
-                vecs = []
-                for t in range(f.degree):
-                    if t == slot:
-                        vecs.append(moved)
-                    else:
-                        unit = vec_zero(dn)
-                        unit[key[t]] = Fraction(1)
-                        vecs.append(unit)
-                rhs = [a + b for a, b in zip(rhs, f.evaluate(vecs))]
-            if any(a != b for a, b in zip(lhs, rhs)):
+            rhs = [Fraction(0)] * f.target_dim
+            for slot, k in enumerate(key):
+                rest = key[:slot] + key[slot + 1:]
+                for r in range(dn):
+                    if s_mat[r][k]:
+                        val = f.entry(sorted(rest + (r,)))
+                        rhs = [a + s_mat[r][k] * b for a, b in zip(rhs, val)]
+            if mat_vec(act, list(f.entry(key))) != rhs:
                 return False
     return True
 
@@ -269,20 +241,24 @@ def param_section(ext: Extension, sections) -> Section:
     entries in t_1..t_n; the barycentric t_0 is eliminated at construction.
     """
     sections = list(sections)
-    n = len(sections) - 1
-    if n < 1:
+    if len(sections) < 2:
         raise ValueError("need at least two sections to interpolate")
     for idx, sec in enumerate(sections):
         if sec.is_polynomial:
             raise InvalidSection(f"input section {idx} must be rational")
         if not validate_section(ext, sec):
             raise InvalidSection(f"input section {idx} fails q . sigma = id")
+    return _interpolate(ext, sections)
+
+
+def _interpolate(ext: Extension, sections) -> Section:
+    """param_section on rational sections that are already validated."""
+    n = len(sections) - 1
     base = sections[0].matrix
-    rows, cols = ext.total.dim, ext.base.dim
     matrix = []
-    for r in range(rows):
+    for r in range(ext.total.dim):
         row = []
-        for c in range(cols):
+        for c in range(ext.base.dim):
             entry = MultiPoly.constant(n, base[r][c])
             for i in range(1, n + 1):
                 diff = sections[i].matrix[r][c] - base[r][c]
@@ -295,14 +271,8 @@ def param_section(ext: Extension, sections) -> Section:
 
 def param_curvature(ext: Extension, sec_t: Section) -> Cochain:
     """Curvature of an interpolating section, with MultiPoly entries throughout."""
-    nvars = None
-    for row in sec_t.matrix:
-        for c in row:
-            if isinstance(c, MultiPoly):
-                nvars = c.nvars
-                break
-        if nvars is not None:
-            break
+    nvars = next((c.nvars for row in sec_t.matrix for c in row if isinstance(c, MultiPoly)),
+                 None)
     if nvars is None:
         raise ValueError("expected a polynomial section from param_section")
     return section_curvature(ext, sec_t).map_values(lambda s: as_poly(s, nvars))

@@ -115,6 +115,7 @@ def _algebra_from_json(name, obj, location):
     _expect(isinstance(basis, list) and len(basis) == dim
             and all(isinstance(b, str) for b in basis),
             "basis must list dim names", location)
+    _expect(isinstance(obj.get("brackets", []), list), "brackets must be a list", location)
     brackets = {}
     for idx, item in enumerate(obj.get("brackets", [])):
         loc = f"{location}.brackets[{idx}]"
@@ -123,8 +124,9 @@ def _algebra_from_json(name, obj, location):
         i, j = item.get("i"), item.get("j")
         _expect(isinstance(i, int) and isinstance(j, int) and 0 <= i < j < dim,
                 "bracket indices must satisfy 0 <= i < j < dim", loc)
+        _expect(isinstance(item.get("coeffs", {}), dict), "coeffs must be an object", loc)
         coeffs = {}
-        for k, c in (item.get("coeffs") or {}).items():
+        for k, c in item.get("coeffs", {}).items():
             try:
                 ki = int(k)
             except ValueError:

@@ -7,8 +7,9 @@ from math import comb
 from liechar import (
     Cochain, Extension, LieAlgebra, Section, SymMultiMap,
     abelian, adjoint_representation, algebra_from_brackets, bracket,
-    column_space_basis, differential_matrix, increasing_tuples, mat_vec, nullspace,
-    scalar_multiplication, solve_linear, sym_product, trivial_representation,
+    column_space_basis, differential_matrix, increasing_tuples, kernel_coords,
+    mat_vec, nondecreasing_tuples, nullspace, scalar_multiplication, solve_linear,
+    sym_product, trivial_representation,
 )
 from liechar.catalog import (
     affine_split_extension, euclidean_extension, filiform_extension,
@@ -205,6 +206,64 @@ def dense_cochain_evaluate(w, args):
 def dense_symmap_evaluate(f, args):
     """Reference symmetric multilinear extension of a SymMultiMap."""
     return _dense_evaluate(f, args, lambda combo: (tuple(sorted(combo)), 1))
+
+
+def reference_section_curvature(ext, sec):
+    """Reference R(x,y) = [sigma x, sigma y] - sigma([x,y]) in kernel coordinates."""
+    g = ext.base
+
+    def fn(key):
+        i, j = key
+        val = bracket(ext.total, sec.column(i), sec.column(j))
+        for k, c in enumerate(g.bracket_basis(i, j)):
+            if c == 0:
+                continue
+            val = [v - c * x for v, x in zip(val, sec.column(k))]
+        return kernel_coords(ext, val)
+
+    return Cochain.from_function(g, 2, ext.kernel.dim, fn)
+
+
+def reference_is_invariant(f, ext, rep, mode, sigma=None):
+    """Reference invariance check on basis data, through unit vectors and evaluate:
+
+        x.f(e_k1..e_kp) == sum_slot f(e_k1, .., S(x) e_k_slot, .., e_kp)
+
+    with S(x) = ad(sigma e_x) on the kernel and x over the base (mode "section"),
+    or S(x) = ad(e_x) on the kernel, x over the total algebra and the module
+    action pulled back along q (mode "strict").
+    """
+    dn, dt = ext.kernel.dim, ext.total.dim
+    iota_cols = [[ext.iota[r][j] for r in range(dt)] for j in range(dn)]
+
+    def unit(d, i):
+        return [Fraction(1) if r == i else Fraction(0) for r in range(d)]
+
+    def ad_on_kernel(v):
+        cols = [kernel_coords(ext, bracket(ext.total, v, col)) for col in iota_cols]
+        return [[cols[j][r] for j in range(dn)] for r in range(dn)]
+
+    if mode == "section":
+        s_mats = [ad_on_kernel(sigma.column(i)) for i in range(ext.base.dim)]
+        act_mats = rep.matrices
+    else:
+        s_mats = [ad_on_kernel(unit(dt, x)) for x in range(dt)]
+        act_mats = []
+        for x in range(dt):
+            qx = mat_vec(ext.proj, unit(dt, x))
+            act_mats.append([[sum(qx[b] * rep.matrices[b][r][s] for b in range(ext.base.dim))
+                              for s in range(rep.space_dim)] for r in range(rep.space_dim)])
+    for s_mat, act in zip(s_mats, act_mats):
+        for key in nondecreasing_tuples(dn, f.degree):
+            lhs = mat_vec(act, list(f.entry(key)))
+            rhs = [Fraction(0)] * f.target_dim
+            for slot in range(f.degree):
+                moved = [s_mat[r][key[slot]] for r in range(dn)]
+                vecs = [moved if t == slot else unit(dn, key[t]) for t in range(f.degree)]
+                rhs = [a + b for a, b in zip(rhs, f.evaluate(vecs))]
+            if lhs != rhs:
+                return False
+    return True
 
 
 SMALL_ALGEBRAS = {

@@ -6,17 +6,19 @@ import pytest
 
 from liechar import (Cochain, DegreeError, InvalidSection, InvarianceWarning,
                      NotACocycle, NotAdmissible, NotClosed, NotInvariant,
-                     Representation, Section, SymMultiMap, abelian, adjoint_representation, ce_differential,
+                     Representation, Section, SymMultiMap, abelian,
+                     adjoint_representation, ce_differential,
                      chern_weil, classes_equal, cohomology_space, compose_sym,
                      delta_f, differential_matrix, heisenberg, heisenberg3,
-                     rank, secondary_class, section_curvature,
+                     param_section, rank, secondary_class, section_curvature,
                      trivial_representation, verify_main_theorem)
 from liechar.catalog import (filiform_extension, heisenberg_central_extension,
                              oscillator_extension)
 
 from helpers import (fixture_extensions, greedy_cohomology, rand_cochain,
-                     rand_fraction, random_algebra, random_invariant_symmap,
-                     random_representation, section_pool)
+                     rand_fraction, rand_section, random_algebra,
+                     random_invariant_symmap, random_representation,
+                     section_pool)
 
 
 def oscillator_setup():
@@ -226,20 +228,21 @@ class TestChernWeil:
 
 
 class TestInputChecks:
-    """chern_weil and secondary_class check each input once, before computing."""
+    """The class and relative-cochain entry points check each input once."""
 
     @staticmethod
-    def counting(monkeypatch, name, calls, key=lambda *args: True):
-        import liechar.characteristic as characteristic
+    def counting(monkeypatch, name, calls, key=lambda *args: True, module="characteristic"):
+        import importlib
 
-        original = getattr(characteristic, name)
+        owner = importlib.import_module(f"liechar.{module}")
+        original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             if key(*args):
                 calls[name] = calls.get(name, 0) + 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(characteristic, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
     def count_checks(self, monkeypatch, compute):
         calls = {}
@@ -266,6 +269,26 @@ class TestInputChecks:
             monkeypatch, lambda: secondary_class(ext, fz, s0, sz, triv))
         assert calls == {"validate_section": 2, "is_invariant": 2, "ce_differential": 1}
 
+    @pytest.mark.parametrize("mode", ["section", "strict"])
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_delta_f_and_verify_main_theorem(self, monkeypatch, mode, count):
+        # validate_section is counted at both bindings, so that a re-check
+        # inside param_section would show up too
+        rng = random.Random(40 + count)
+        ext = heisenberg_central_extension()
+        triv = trivial_representation(ext.base, 1)
+        f = SymMultiMap(ext.kernel, 2, 1, {(0, 0): [1]})
+        sections = [rand_section(rng, ext) for _ in range(count)]
+        for compute in (delta_f, verify_main_theorem):
+            calls = {}
+            self.counting(monkeypatch, "validate_section", calls, module="extensions")
+            self.counting(monkeypatch, "validate_section", calls)
+            self.counting(monkeypatch, "is_invariant", calls)
+            compute(ext, f, sections, triv, mode)
+            monkeypatch.undo()
+            assert calls == {"validate_section": count,
+                             "is_invariant": count if mode == "section" else 1}, compute
+
     def test_invalid_section_messages(self):
         ext = heisenberg_central_extension()
         triv = trivial_representation(ext.base, 1)
@@ -278,6 +301,17 @@ class TestInputChecks:
             delta_f(ext, f, [good, bad], triv)
         with pytest.raises(InvalidSection, match="^second section fails q . sigma = id$"):
             secondary_class(ext, f, good, bad, triv)
+
+    def test_polynomial_section_refused_before_interpolation(self):
+        ext = heisenberg_central_extension()
+        triv = trivial_representation(ext.base, 1)
+        f = SymMultiMap(ext.kernel, 2, 1, {(0, 0): [1]})
+        good = Section(ext, [[1, 0], [0, 1], [0, 0]])
+        poly = param_section(ext, [good, Section(ext, [[1, 0], [0, 1], [1, 0]])])
+        with pytest.raises(InvalidSection, match="^section 1 must be rational$"):
+            delta_f(ext, f, [good, poly], triv)
+        with pytest.raises(InvalidSection, match="^first section must be rational$"):
+            secondary_class(ext, f, poly, good, triv)
 
     def test_non_closed_representative_raises_not_closed(self, monkeypatch):
         import liechar.characteristic as characteristic

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from liechar.cli import run_command
 
 
@@ -35,6 +37,22 @@ class TestValidate:
         assert code == 2
         assert out == ""
         assert "invalid rational literal '1e5'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("brackets", 3), ("brackets", None), ("coeffs", 3), ("coeffs", ["1"])])
+    def test_malformed_brackets_exit_2(self, capsys, fixtures_dir, tmp_path, field, value):
+        doc = json.loads((fixtures_dir / "heisenberg.json").read_text(encoding="utf-8"))
+        if field == "brackets":
+            doc["algebras"]["h3"]["brackets"] = value
+        else:
+            doc["algebras"]["h3"]["brackets"][0]["coeffs"] = value
+        path = tmp_path / "brackets.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"must be {'a list' if field == 'brackets' else 'an object'}" in err
         assert "Traceback" not in err
 
     def test_missing_file_exits_2(self, capsys, tmp_path):

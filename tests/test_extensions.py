@@ -1,20 +1,23 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from liechar import (ExactnessViolation, Extension, InvalidSection, Section,
-                     SymMultiMap, as_poly, covariant_derivative, heisenberg3,
-                     is_invariant, param_curvature, param_section,
-                     s_from_section, section_curvature, section_difference,
-                     trivial_representation, validate_extension,
-                     validate_section)
+                     SymMultiMap, abelian, adjoint_representation,
+                     algebra_from_brackets, as_poly, covariant_derivative,
+                     heisenberg3, is_invariant, param_curvature,
+                     param_section, s_from_section, section_curvature,
+                     section_difference, trivial_representation,
+                     validate_extension, validate_section)
 from liechar.catalog import (affine_split_extension, euclidean_extension,
                              filiform_extension, heisenberg_central_extension,
                              oscillator_extension)
 
 from helpers import (fixture_extensions, rand_section, rand_symmap,
-                     section_pool)
+                     random_invariant_symmap, reference_is_invariant,
+                     reference_section_curvature, section_pool)
 
 ROTATION = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
 
@@ -28,6 +31,62 @@ def oscillator_sections():
 
 def fz_map(kernel):
     return SymMultiMap(kernel, 1, 1, {(0,): [0], (1,): [0], (2,): [1]})
+
+
+def _aff1(names=("a", "b")):
+    return algebra_from_brackets(names, {(0, 1): {1: 1}})
+
+
+# One broken extension per failure kind of validate_extension, each with its
+# full failure list in the order the checks run.
+BROKEN_EXTENSIONS = {
+    "dimension_count": (
+        lambda: Extension(heisenberg3(), abelian(1), abelian(1),
+                          [[0], [0], [1]], [[1, 0, 0]]),
+        ["dimension count fails: dim kernel 1 + dim base 1 != dim total 3"]),
+    "iota_not_injective": (
+        lambda: Extension(heisenberg3(), abelian(2), abelian(1),
+                          [[0], [0], [0]], [[1, 0, 0], [0, 1, 0]]),
+        ["iota is not injective"]),
+    "q_not_surjective": (
+        lambda: Extension(heisenberg3(), abelian(2), abelian(1),
+                          [[0], [0], [1]], [[1, 0, 0], [0, 0, 0]]),
+        ["q is not surjective"]),
+    "q_iota_nonzero": (
+        lambda: Extension(abelian(3), abelian(2), abelian(1),
+                          [[0], [0], [1]], [[1, 0, 1], [0, 1, 0]]),
+        ["q . iota is not zero"]),
+    "iota_not_homomorphism": (
+        lambda: Extension(abelian(3), abelian(1), _aff1(),
+                          [[1, 0], [0, 1], [0, 0]], [[0, 0, 1]]),
+        ["iota is not a homomorphism on kernel pair (0,1)"]),
+    "image_not_ideal": (
+        lambda: Extension(_aff1(), abelian(1), abelian(1), [[1], [0]], [[0, 1]]),
+        ["iota image is not an ideal: [e_1, iota e_0] escapes",
+         "q is not a homomorphism on pair (0,1)"]),
+    "q_not_homomorphism": (
+        lambda: Extension(heisenberg3(), _aff1(), abelian(1),
+                          [[0], [0], [1]], [[1, 0, 0], [0, 1, 0]]),
+        ["q is not a homomorphism on pair (0,1)"]),
+    "plane_in_heisenberg": (
+        lambda: Extension(heisenberg3(), abelian(1), abelian(2),
+                          [[1, 0], [0, 1], [0, 0]], [[0, 0, 1]]),
+        ["iota is not a homomorphism on kernel pair (0,1)",
+         "iota image is not an ideal: [e_0, iota e_1] escapes",
+         "iota image is not an ideal: [e_1, iota e_0] escapes",
+         "q is not a homomorphism on pair (0,1)"]),
+    "everything_at_once": (
+        lambda: Extension(heisenberg3(), _aff1(("c", "d")), _aff1(),
+                          [[1, 1], [0, 0], [0, 0]], [[1, 1, 1], [0, 0, 0]]),
+        ["dimension count fails: dim kernel 2 + dim base 2 != dim total 3",
+         "iota is not injective",
+         "q is not surjective",
+         "q . iota is not zero",
+         "iota is not a homomorphism on kernel pair (0,1)",
+         "iota image is not an ideal: [e_1, iota e_0] escapes",
+         "iota image is not an ideal: [e_1, iota e_1] escapes",
+         "q is not a homomorphism on pair (0,1)"]),
+}
 
 
 class TestValidateExtension:
@@ -56,6 +115,11 @@ class TestValidateExtension:
         ext = Extension(h3, abelian(1, ("t",)), kernel, iota, proj)
         failures = validate_extension(ext)
         assert any("ideal" in f for f in failures)
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_EXTENSIONS))
+    def test_full_failure_list(self, case):
+        build, expected = BROKEN_EXTENSIONS[case]
+        assert validate_extension(build()) == expected
 
 
 class TestSections:
@@ -143,6 +207,13 @@ class TestInvariance:
         pdual = SymMultiMap(ext.kernel, 1, 1, {(0,): [1], (1,): [0], (2,): [0]})
         assert not is_invariant(pdual, ext, triv, "section", s0)
 
+    @pytest.mark.parametrize("mode", ["section", "strict"])
+    def test_module_over_another_algebra_refused(self, mode):
+        ext, s0, _ = oscillator_sections()
+        on_total = trivial_representation(ext.total, 1)
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            is_invariant(fz_map(ext.kernel), ext, on_total, mode, s0)
+
     def test_fz_fails_strict_policy(self):
         # ad(p) moves q to z inside the kernel, so the two readings differ
         ext, _, _ = oscillator_sections()
@@ -165,6 +236,37 @@ class TestInvariance:
         f = random_invariant_symmap(rng, "euclidean", ext, 2)
         assert is_invariant(f, ext, triv, "strict")
         assert is_invariant(f, ext, triv, "section", rand_section(rng, ext))
+
+
+class TestAgainstReference:
+    """section_curvature and is_invariant agree with the unit-vector oracles."""
+
+    def test_section_curvature(self):
+        rng = random.Random(91)
+        for name, ext in fixture_extensions().items():
+            sections = section_pool(rng, name, ext, 2) + [rand_section(rng, ext)]
+            for sec in sections + [param_section(ext, sections)]:
+                assert (section_curvature(ext, sec)
+                        == reference_section_curvature(ext, sec)), name
+
+    @pytest.mark.parametrize("mode", ["section", "strict"])
+    def test_is_invariant(self, mode):
+        rng = random.Random(92)
+        outcomes = []
+        for name, ext in fixture_extensions().items():
+            reps = [trivial_representation(ext.base, 1), trivial_representation(ext.base, 2),
+                    adjoint_representation(ext.base)]
+            for rep, degree in product(reps, range(4)):
+                maps = [rand_symmap(rng, ext.kernel, degree, rep.space_dim)]
+                if rep.space_dim == 1:
+                    maps.append(random_invariant_symmap(rng, name, ext, degree))
+                for f in filter(None, maps):
+                    for sec in section_pool(rng, name, ext, 1) + [rand_section(rng, ext)]:
+                        got = is_invariant(f, ext, rep, mode, sec)
+                        assert got == reference_is_invariant(f, ext, rep, mode, sec), (
+                            name, rep.space_dim, degree)
+                        outcomes.append(got)
+        assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
 
 
 class TestParamFamily:

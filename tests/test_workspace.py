@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from liechar import (Cochain, MultiPoly, ParseError, ValidationError,
+from liechar import (Cochain, MultiPoly, ParseError, ValidationError, abelian,
                      cochain_from_json, cochain_to_json, heisenberg3,
                      param_curvature, param_section, parse_workspace,
                      serialize_workspace)
@@ -62,6 +62,26 @@ class TestParseErrors:
                                   "brackets": [{"i": 1, "j": 0, "coeffs": {}}]}}}
         with pytest.raises(ParseError, match="i < j"):
             parse_workspace(json.dumps(doc))
+
+    @pytest.mark.parametrize("brackets", [3, "x", None, {"i": 0, "j": 1}])
+    def test_brackets_must_be_a_list(self, brackets):
+        doc = {"algebras": {"a": {"dim": 2, "basis": ["x", "y"], "brackets": brackets}}}
+        with pytest.raises(ParseError, match=r"^algebras\.a: brackets must be a list$"):
+            parse_workspace(json.dumps(doc))
+
+    @pytest.mark.parametrize("coeffs", [3, ["1"], [], "1", None, 0])
+    def test_bracket_coeffs_must_be_an_object(self, coeffs):
+        doc = {"algebras": {"a": {"dim": 2, "basis": ["x", "y"], "brackets": [
+            {"i": 0, "j": 1, "coeffs": {"1": "1"}},
+            {"i": 0, "j": 1, "coeffs": coeffs}]}}}
+        with pytest.raises(ParseError,
+                           match=r"^algebras\.a\.brackets\[1\]: coeffs must be an object$"):
+            parse_workspace(json.dumps(doc))
+
+    def test_missing_coeffs_mean_a_zero_bracket(self):
+        doc = {"algebras": {"a": {"dim": 2, "basis": ["x", "y"],
+                                  "brackets": [{"i": 0, "j": 1}]}}}
+        assert parse_workspace(json.dumps(doc)).algebras["a"] == abelian(2, ("x", "y"))
 
     @pytest.mark.parametrize("literal", ["1.5", "4/6", " 2 ", "1e5", "+3", "-0",
                                          "007", "3/1", "2/4"])

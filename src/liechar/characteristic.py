@@ -22,6 +22,10 @@ the relative cochain of n+1 sections is the simplex integral
 with a_i = s_i - s_0, R_t the curvature of the interpolating section, and
 p - n copies of R_t; the result has degree 2p - n.  For n = 0 no integration
 happens and Delta_f(s) is f applied to p copies of the section curvature.
+For p = n >= 1 the integrand has no curvature slot and is constant, so
+Delta_f = f(a_1 ^ ... ^ a_n) / n!, since D_n has volume 1/n!.  The section
+differences a_i stay rational in every case; only the curvature R_t is a
+MultiPoly, and the integrand is a polynomial only through it.
 The primary (Chern-Weil) class of f is (1/p!) [Delta_f(s)], independent of
 the section; the secondary class of an admissible f (both section curvature
 composites vanish) is [Delta_f(s_a, s_b)] in degree 2p - 1.
@@ -215,12 +219,11 @@ def _delta_f(ext: Extension, f: SymMultiMap, sections) -> Cochain:
             return Cochain(ext.base, 0, f.target_dim, {(): f.entry(())})
         curv = section_curvature(ext, sections[0])
         return compose_sym(f, [curv] * p)
-    args = [section_difference(ext, sections[i], sections[0]).to_poly(n)
-            for i in range(1, n + 1)]
-    if p > n:
-        curv_t = param_curvature(ext, _interpolate(ext, sections))
-        args.extend([curv_t] * (p - n))
-    integrand = compose_sym(f, args)
+    args = [section_difference(ext, sections[i], sections[0]) for i in range(1, n + 1)]
+    if p == n:
+        return compose_sym(f, args).scale(Fraction(1, factorial(n)))
+    curv_t = param_curvature(ext, _interpolate(ext, sections))
+    integrand = compose_sym(f, args + [curv_t] * (p - n))
     return integrand.map_values(lambda s: integrate_poly_simplex(as_poly(s, n)))
 
 

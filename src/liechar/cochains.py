@@ -48,7 +48,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 from .liealg import LieAlgebra, Representation
 from .linalg import mat_vec
-from .scalars import MultiPoly, as_poly
+from .scalars import MultiPoly
 
 __all__ = [
     "Cochain",
@@ -151,9 +151,6 @@ class _Table:
     def map_values(self, fn):
         return type(self)(self.source, self.degree, self.target_dim,
                           {k: [fn(x) for x in v] for k, v in self.values.items()})
-
-    def to_poly(self, nvars: int):
-        return self.map_values(lambda x: as_poly(x, nvars))
 
     def scale(self, c):
         return self.map_values(lambda x: c * x)

@@ -9,7 +9,13 @@ values: sparse polynomials with Fraction coefficients in the coordinates
     D_n = { t in R^n : t_i >= 0  and  t_1 + ... + t_n <= 1 }.
 
 A polynomial stores a map from exponent tuples to nonzero coefficients; the
-zero polynomial is the empty map.  Terms are ordered graded-lexicographically
+zero polynomial is the empty map.  Every instance keeps three invariants:
+each coefficient is a nonzero Fraction, and each key is a tuple of nvars
+non-negative ints.  The public constructor checks and coerces its input into
+that form; the arithmetic methods build their results through the trusted
+constructor ``_of``, which skips those checks, so each of them drops the zero
+coefficients it produces itself and combines only terms that already hold
+the invariants.  Terms are ordered graded-lexicographically
 for serialization, so equal polynomials serialize to identical bytes.
 
 Integration over D_n with Lebesgue measure is closed form on monomials,
@@ -23,6 +29,7 @@ code can accumulate either kind starting from ``Fraction(0)``.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from math import factorial, gcd, prod
@@ -88,6 +95,14 @@ class MultiPoly:
         self.terms = clean
 
     @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """Trusted constructor: ``terms`` must already hold the class invariants."""
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def constant(cls, nvars: int, value) -> "MultiPoly":
         return cls(nvars, {(0,) * nvars: Fraction(value)})
 
@@ -138,7 +153,7 @@ class MultiPoly:
                 raise ValueError("polynomial variable counts differ")
             return other
         if isinstance(other, (int, Fraction)):
-            return MultiPoly.constant(self.nvars, other)
+            return MultiPoly._of(self.nvars, {(0,) * self.nvars: Fraction(other)} if other else {})
         return None
 
     def __add__(self, other):
@@ -147,13 +162,17 @@ class MultiPoly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in o.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return MultiPoly(self.nvars, terms)
+            c = terms.get(e, 0) + c
+            if c:
+                terms[e] = c
+            else:
+                del terms[e]
+        return MultiPoly._of(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -169,19 +188,18 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return MultiPoly.zero(self.nvars)
-            return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+            if not other:
+                return MultiPoly._of(self.nvars, {})
+            return MultiPoly._of(self.nvars, {e: other * v for e, v in self.terms.items()})
         if isinstance(other, MultiPoly):
             if other.nvars != self.nvars:
                 raise ValueError("polynomial variable counts differ")
             out = {}
             for ea, ca in self.terms.items():
                 for eb, cb in other.terms.items():
-                    key = tuple(x + y for x, y in zip(ea, eb))
-                    out[key] = out.get(key, Fraction(0)) + ca * cb
-            return MultiPoly(self.nvars, out)
+                    key = tuple(map(operator.add, ea, eb))
+                    out[key] = out.get(key, 0) + ca * cb
+            return MultiPoly._of(self.nvars, {e: c for e, c in out.items() if c})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -207,13 +225,9 @@ class MultiPoly:
 
     def diff(self, index: int) -> "MultiPoly":
         """Partial derivative with respect to t_{index+1}."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[index] == 0:
-                continue
-            key = e[:index] + (e[index] - 1,) + e[index + 1:]
-            out[key] = out.get(key, Fraction(0)) + c * e[index]
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._of(self.nvars, {  # distinct terms stay distinct
+            e[:index] + (e[index] - 1,) + e[index + 1:]: c * e[index]
+            for e, c in self.terms.items() if e[index]})
 
     def eval_at(self, point) -> Fraction:
         """Evaluate at a rational point (a sequence of nvars values)."""

@@ -20,6 +20,9 @@ Schemas:
                     "entries": [{"tuple": [..], "value": [..]}]}
                    over non-decreasing tuples in lexicographic order
 
+Dimensions, degrees and indices are JSON integers; true and false are not
+read as 1 and 0 there, although Python's bool is a subclass of int.
+
 ParseError marks malformed documents (bad JSON, wrong shapes, dangling
 references by shape); ValidationError marks well-formed objects that violate
 a mathematical invariant, and names the object and the invariant.
@@ -111,7 +114,7 @@ def _algebra_from_json(name, obj, location):
             "unknown keys in algebra object", location)
     dim = obj.get("dim")
     basis = obj.get("basis")
-    _expect(isinstance(dim, int) and dim >= 0, "dim must be a non-negative integer", location)
+    _expect(type(dim) is int and dim >= 0, "dim must be a non-negative integer", location)
     _expect(isinstance(basis, list) and len(basis) == dim
             and all(isinstance(b, str) for b in basis),
             "basis must list dim names", location)
@@ -122,7 +125,7 @@ def _algebra_from_json(name, obj, location):
         _expect(isinstance(item, dict) and set(item) <= {"i", "j", "coeffs"},
                 "bracket entry must have keys i, j, coeffs", loc)
         i, j = item.get("i"), item.get("j")
-        _expect(isinstance(i, int) and isinstance(j, int) and 0 <= i < j < dim,
+        _expect(type(i) is int and type(j) is int and 0 <= i < j < dim,
                 "bracket indices must satisfy 0 <= i < j < dim", loc)
         _expect(isinstance(item.get("coeffs", {}), dict), "coeffs must be an object", loc)
         coeffs = {}
@@ -171,7 +174,7 @@ def _rep_from_json(name, obj, algebras, location):
         raise ValidationError(f"representation '{name}': unknown algebra '{ref}'")
     alg = algebras[ref]
     m = obj.get("space_dim")
-    _expect(isinstance(m, int) and m >= 1, "space_dim must be a positive integer", location)
+    _expect(type(m) is int and m >= 1, "space_dim must be a positive integer", location)
     mats = obj.get("matrices")
     _expect(isinstance(mats, list) and len(mats) == alg.dim,
             "need one matrix per basis element", location)
@@ -271,8 +274,8 @@ def _symmap_from_json(name, obj, algebras, location):
         raise ValidationError(f"polynomial '{name}': unknown algebra '{ref}'")
     degree = obj.get("degree")
     target_dim = obj.get("target_dim")
-    _expect(isinstance(degree, int) and degree >= 0, "degree must be a non-negative integer", location)
-    _expect(isinstance(target_dim, int) and target_dim >= 1,
+    _expect(type(degree) is int and degree >= 0, "degree must be a non-negative integer", location)
+    _expect(type(target_dim) is int and target_dim >= 1,
             "target_dim must be a positive integer", location)
     return _table_from_json(SymMultiMap, obj.get("entries"), algebras[ref], degree,
                             target_dim, location)
@@ -297,7 +300,8 @@ def _table_from_json(cls, entries, alg, degree, target_dim, location, nvars=None
         _expect(isinstance(item, dict) and set(item) <= {"tuple", "value"},
                 "entry must have keys tuple, value", loc)
         key = item.get("tuple", [])
-        _expect(isinstance(key, list) and tuple(key) == expected[idx],
+        _expect(isinstance(key, list) and all(type(k) is int for k in key)
+                and tuple(key) == expected[idx],
                 f"entry {idx} must be for tuple {list(expected[idx])}", loc)
         val = item.get("value")
         _expect(isinstance(val, list) and len(val) == target_dim,
@@ -393,7 +397,7 @@ def cochain_from_json(obj, source: LieAlgebra, target_dim: int, nvars=None) -> C
     """Inverse of cochain_to_json; with nvars, values are polynomial term lists."""
     _expect(isinstance(obj, dict), "cochain must be an object", "cochain")
     degree = obj.get("degree")
-    _expect(isinstance(degree, int) and degree >= 0,
+    _expect(type(degree) is int and degree >= 0,
             "degree must be a non-negative integer", "cochain")
     return _table_from_json(Cochain, obj.get("entries"), source, degree, target_dim,
                             "cochain", nvars)

@@ -1,15 +1,17 @@
 """Seeded random generators and shared fixture pools for the test suite."""
 
+import json
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
 from liechar import (
     Cochain, Extension, LieAlgebra, Section, SymMultiMap,
-    abelian, adjoint_representation, algebra_from_brackets, bracket,
-    column_space_basis, differential_matrix, increasing_tuples, kernel_coords,
-    mat_vec, nondecreasing_tuples, nullspace, scalar_multiplication, solve_linear,
-    sym_product, trivial_representation,
+    abelian, adjoint_representation, algebra_from_brackets, as_poly, bracket,
+    column_space_basis, compose_sym, differential_matrix, heisenberg, increasing_tuples,
+    integrate_poly_simplex, kernel_coords, mat_vec, nondecreasing_tuples, nullspace,
+    param_curvature, param_section, scalar_multiplication, section_curvature,
+    section_difference, solve_linear, sym_product, trivial_representation,
 )
 from liechar.catalog import (
     affine_split_extension, euclidean_extension, filiform_extension,
@@ -224,6 +226,27 @@ def reference_section_curvature(ext, sec):
     return Cochain.from_function(g, 2, ext.kernel.dim, fn)
 
 
+def to_poly(table, nvars):
+    """The same table with every entry promoted to a MultiPoly in nvars variables."""
+    return table.map_values(lambda x: as_poly(x, nvars))
+
+
+def reference_delta_f(ext, f, sections):
+    """Reference Delta_f: every argument a MultiPoly, every entry integrated over D_n."""
+    p = f.degree
+    n = len(sections) - 1
+    if n == 0:
+        if p == 0:
+            return Cochain(ext.base, 0, f.target_dim, {(): f.entry(())})
+        return compose_sym(f, [section_curvature(ext, sections[0])] * p)
+    args = [to_poly(section_difference(ext, sections[i], sections[0]), n)
+            for i in range(1, n + 1)]
+    if p > n:
+        args.extend([param_curvature(ext, param_section(ext, sections))] * (p - n))
+    integrand = compose_sym(f, args)
+    return integrand.map_values(lambda s: integrate_poly_simplex(as_poly(s, n)))
+
+
 def reference_is_invariant(f, ext, rep, mode, sigma=None):
     """Reference invariance check on basis data, through unit vectors and evaluate:
 
@@ -306,6 +329,17 @@ def fixture_extensions():
     }
 
 
+def direct_sum_extension() -> Extension:
+    """h_5 + R^3 -> h_5 with the abelian summand (k1, k2, k3) as kernel."""
+    base = heisenberg(2)
+    brackets = {(i, j): {k: c for k, c in enumerate(base.bracket_basis(i, j)) if c}
+                for i, j in combinations(range(5), 2)}
+    total = algebra_from_brackets(base.basis_names + ("k1", "k2", "k3"), brackets)
+    iota = [[int(r == 5 + c) for c in range(3)] for r in range(8)]
+    proj = [[int(c == r) for c in range(8)] for r in range(5)]
+    return Extension(total, base, abelian(3, ("k1", "k2", "k3")), iota, proj)
+
+
 def rand_section(rng, ext: Extension) -> Section:
     """A random valid section: particular right inverse plus kernel shifts."""
     dt, dg, dn = ext.total.dim, ext.base.dim, ext.kernel.dim
@@ -381,3 +415,35 @@ def section_pool(rng, name, ext, count):
     if name == "oscillator":
         return [rand_section_oscillator_zline(rng, ext) for _ in range(count)]
     return [rand_section(rng, ext) for _ in range(count)]
+
+
+def boolean_document(field, value):
+    """A valid document in which ``field`` holds ``value`` (an int or its JSON boolean)."""
+    doc = {"algebras": {
+        "a": {"dim": 2, "basis": ["x", "y"], "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1"}}]},
+        "b": {"dim": 1, "basis": ["x"]}},
+        "representations": {"r": {"algebra": "b", "space_dim": 1, "matrices": [[["0"]]]}},
+        "polynomials": {"f": {"degree": 1, "source": "a", "target_dim": 1, "entries": [
+            {"tuple": [0], "value": ["1"]}, {"tuple": [1], "value": ["0"]}]}}}
+    owner, key = {
+        "dim": (doc["algebras"]["b"], "dim"),
+        "i": (doc["algebras"]["a"]["brackets"][0], "i"),
+        "j": (doc["algebras"]["a"]["brackets"][0], "j"),
+        "space_dim": (doc["representations"]["r"], "space_dim"),
+        "degree": (doc["polynomials"]["f"], "degree"),
+        "target_dim": (doc["polynomials"]["f"], "target_dim"),
+        "tuple": (doc["polynomials"]["f"]["entries"][0], "tuple"),
+    }[field]
+    owner[key] = [value] if field == "tuple" else value
+    return json.dumps(doc)
+
+
+BOOLEAN_FIELDS = [
+    ("dim", 1, r"^algebras\.b: dim must be a non-negative integer$"),
+    ("i", 0, r"^algebras\.a\.brackets\[0\]: bracket indices must satisfy"),
+    ("j", 1, r"^algebras\.a\.brackets\[0\]: bracket indices must satisfy"),
+    ("space_dim", 1, r"^representations\.r: space_dim must be a positive integer$"),
+    ("degree", 1, r"^polynomials\.f: degree must be a non-negative integer$"),
+    ("target_dim", 1, r"^polynomials\.f: target_dim must be a positive integer$"),
+    ("tuple", 0, r"^polynomials\.f\.entries\[0\]: entry 0 must be for tuple \[0\]$"),
+]

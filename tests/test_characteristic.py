@@ -1,6 +1,8 @@
 import random
 import warnings
 from fractions import Fraction
+from itertools import combinations
+from math import comb, factorial
 
 import pytest
 
@@ -10,15 +12,16 @@ from liechar import (Cochain, DegreeError, InvalidSection, InvarianceWarning,
                      adjoint_representation, ce_differential,
                      chern_weil, classes_equal, cohomology_space, compose_sym,
                      delta_f, differential_matrix, heisenberg, heisenberg3,
-                     param_section, rank, secondary_class, section_curvature,
+                     increasing_tuples, param_section, rank, secondary_class,
+                     section_curvature, section_difference,
                      trivial_representation, verify_main_theorem)
 from liechar.catalog import (filiform_extension, heisenberg_central_extension,
                              oscillator_extension)
 
-from helpers import (fixture_extensions, greedy_cohomology, rand_cochain,
-                     rand_fraction, rand_section, random_algebra,
-                     random_invariant_symmap, random_representation,
-                     section_pool)
+from helpers import (direct_sum_extension, fixture_extensions, greedy_cohomology,
+                     rand_cochain, rand_fraction, rand_section, rand_symmap,
+                     random_algebra, random_invariant_symmap, random_representation,
+                     reference_delta_f, section_pool)
 
 
 def oscillator_setup():
@@ -182,6 +185,74 @@ class TestDeltaF:
         assert out.entry((0, 1)) == (Fraction(1, 2),)
 
 
+class TestDeltaFAgainstReference:
+    """delta_f equals the reference that promotes every argument to a MultiPoly
+    and integrates every entry, value for value and kind for kind."""
+
+    @staticmethod
+    def extensions():
+        return {**fixture_extensions(), "direct_sum": direct_sum_extension()}
+
+    @staticmethod
+    def assert_same(out, ref):
+        assert (out.degree, out.target_dim) == (ref.degree, ref.target_dim)
+        assert out.values == ref.values
+        assert all(type(x) is Fraction for w in (out, ref) for v in w.values.values() for x in v)
+
+    @staticmethod
+    def quiet(compute):
+        with warnings.catch_warnings():  # the seeded maps need not be invariant
+            warnings.simplefilter("ignore", InvarianceWarning)
+            return compute()
+
+    @pytest.mark.parametrize("p,n", [(p, n) for p in range(1, 5) for n in range(min(p, 3) + 1)])
+    def test_delta_f(self, p, n):
+        rng = random.Random(1000 + 10 * p + n)
+        for name, ext in self.extensions().items():
+            triv = trivial_representation(ext.base, 1)
+            for _ in range(2):
+                f = rand_symmap(rng, ext.kernel, p)
+                sections = section_pool(rng, name, ext, n + 1)
+                out = self.quiet(lambda: delta_f(ext, f, sections, triv))
+                self.assert_same(out, reference_delta_f(ext, f, sections))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_constant_integrand_at_p_equal_n(self, monkeypatch, n):
+        # no curvature, no polynomial, no integration: f(a_1..a_n) / n!
+        from liechar import characteristic
+        for name in ("param_curvature", "integrate_poly_simplex"):
+            monkeypatch.setattr(characteristic, name, None)
+        rng = random.Random(1100 + n)
+        for name, ext in self.extensions().items():
+            triv = trivial_representation(ext.base, 1)
+            f = rand_symmap(rng, ext.kernel, n)
+            sections = section_pool(rng, name, ext, n + 1)
+            out = self.quiet(lambda: delta_f(ext, f, sections, triv))
+            self.assert_same(out, reference_delta_f(ext, f, sections))
+            diffs = [section_difference(ext, s, sections[0]) for s in sections[1:]]
+            assert out == compose_sym(f, diffs).scale(Fraction(1, factorial(n)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_verify_main_theorem_faces_and_sides(self, n):
+        rng = random.Random(1200 + n)
+        for name, ext in self.extensions().items():
+            triv = trivial_representation(ext.base, 1)
+            for k in range(n, 4):
+                f = rand_symmap(rng, ext.kernel, k)
+                sections = section_pool(rng, name, ext, n + 1)
+                report = self.quiet(lambda: verify_main_theorem(ext, f, sections, triv))
+                lhs = ce_differential(reference_delta_f(ext, f, sections), triv)
+                self.assert_same(report.lhs, lhs.scale(Fraction(k - n + 1)))
+                faces = [sections[:i] + sections[i + 1:] for i in range(n + 1)]
+                rhs = None
+                for i, face in enumerate(faces):
+                    ref = reference_delta_f(ext, f, face)
+                    self.assert_same(self.quiet(lambda: delta_f(ext, f, face, triv)), ref)
+                    ref = -ref if i % 2 else ref
+                    rhs = ref if rhs is None else rhs + ref
+                self.assert_same(report.rhs, rhs)
+
+
 class TestChernWeil:
     def test_heisenberg_identity_functional_coordinate_one(self):
         ext = heisenberg_central_extension()
@@ -193,6 +264,27 @@ class TestChernWeil:
             cls = chern_weil(ext, f, sec, triv)
             assert cls.coordinates == (1,)
             assert cls.h_space.h_dim == 1
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_heisenberg_powers_of_the_symplectic_form(self, m):
+        # h_{2m+1} -> R^{2m} with the standard lift: the curvature is the
+        # symplectic form w = sum_i p_i* ^ q_i*, and (1/p!) [f(R, .., R)] for
+        # f = z^p is w^p / p! = sum over p-sets I of the wedge of p_i* ^ q_i*,
+        # i in I.  On the increasing key (p_I, q_I) that wedge is
+        # (-1)^(p(p-1)/2); it vanishes off such keys, and for p > m entirely.
+        ext = heisenberg_central_extension(m)
+        triv = trivial_representation(ext.base, 1)
+        sec = Section(ext, [[int(r == c) for c in range(2 * m)] for r in range(2 * m + 1)])
+        for p in range(1, m + 2):
+            f = SymMultiMap(ext.kernel, p, 1, {(0,) * p: [1]})
+            cls = chern_weil(ext, f, sec, triv)
+            sign = -1 if p * (p - 1) // 2 % 2 else 1
+            expected = {tuple(subset) + tuple(i + m for i in subset): (sign,)
+                        for subset in combinations(range(m), p)}
+            assert cls.degree == 2 * p and cls.h_space.h_dim == comb(2 * m, 2 * p)
+            assert cls.representative.values == {
+                key: expected.get(key, (0,)) for key in increasing_tuples(2 * m, 2 * p)}
+            assert any(cls.coordinates) == (p <= m), (m, p)
 
     def test_section_independence(self):
         ext = filiform_extension()

@@ -7,6 +7,8 @@ import pytest
 
 from liechar.cli import run_command
 
+from helpers import BOOLEAN_FIELDS, boolean_document
+
 
 def run(capsys, *argv):
     code = run_command(list(argv))
@@ -54,6 +56,17 @@ class TestValidate:
         assert out == ""
         assert f"must be {'a list' if field == 'brackets' else 'an object'}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value", [(field, v) for field, v, _ in BOOLEAN_FIELDS])
+    def test_boolean_for_an_integer_exits_2(self, capsys, tmp_path, field, value):
+        path = tmp_path / "boolean.json"
+        path.write_text(boolean_document(field, value), encoding="utf-8")
+        assert run(capsys, "validate", str(path))[0] == 0
+        path.write_text(boolean_document(field, bool(value)), encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "parse error" in err and "Traceback" not in err
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", str(tmp_path / "absent.json"))

@@ -22,7 +22,7 @@ from liechar import (Cochain, LinearAction, MultiPoly, SymMultiMap, abelian, ad_
 from helpers import (SMALL_ALGEBRAS, conjugate_algebra, dense_cochain_evaluate,
                      dense_differential_matrix, dense_symmap_evaluate, rand_cochain,
                      rand_fraction, rand_matrix, rand_symmap, rand_vector, random_algebra,
-                     random_representation, reference_twisted_differential)
+                     random_representation, reference_twisted_differential, to_poly)
 
 
 def unit(d, i):
@@ -120,7 +120,7 @@ class TestTables:
         f = rand_symmap(rng, heisenberg3(), 2)
         assert f - f == SymMultiMap.zero(heisenberg3(), 2, 1)
         assert -f == f.scale(-1)
-        poly = f.to_poly(2)
+        poly = to_poly(f, 2)
         assert poly.values == f.values
         assert all(isinstance(x, MultiPoly) for v in poly.values.values() for x in v)
         assert SymMultiMap.zero(heisenberg3(), 1, 1, nvars=2).entry((0,)) == (MultiPoly.zero(2),)

@@ -17,7 +17,7 @@ from liechar.catalog import (affine_split_extension, euclidean_extension,
 
 from helpers import (fixture_extensions, rand_section, rand_symmap,
                      random_invariant_symmap, reference_is_invariant,
-                     reference_section_curvature, section_pool)
+                     reference_section_curvature, section_pool, to_poly)
 
 ROTATION = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
 
@@ -335,7 +335,7 @@ class TestParamFamily:
             rt = param_curvature(ext, st)
             st_action = s_from_section(ext, st)
             for i in (1, 2):
-                alpha = section_difference(ext, sections[i], sections[0]).to_poly(2)
+                alpha = to_poly(section_difference(ext, sections[i], sections[0]), 2)
                 lhs = covariant_derivative(alpha, st_action)
                 rhs = rt.map_values(lambda p: p.diff(i - 1))
                 assert lhs == rhs, (name, i)

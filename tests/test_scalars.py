@@ -137,6 +137,97 @@ class TestMultiPoly:
             MultiPoly.variable(2, 0) + MultiPoly.variable(3, 0)
 
 
+def _rand_poly(rng, nvars):
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        e = tuple(rng.randint(0, 2) for _ in range(nvars))
+        terms[e] = terms.get(e, Fraction(0)) + rand_fraction(rng)
+    return MultiPoly(nvars, terms)
+
+
+def _pairs(x, nvars, sign=1):
+    """(exponents, coefficient) pairs of a polynomial, or of a scalar as a constant."""
+    if isinstance(x, MultiPoly):
+        return [(e, sign * v) for e, v in x.terms.items()]
+    return [((0,) * nvars, sign * x)]
+
+
+def _summed(nvars, pairs):
+    """The sum of (exponents, coefficient) pairs, through the public constructor."""
+    terms = {}
+    for e, c in pairs:
+        terms[e] = terms.get(e, 0) + c
+    return MultiPoly(nvars, terms)
+
+
+def _assert_invariants(p, nvars):
+    assert type(p) is MultiPoly and p.nvars == nvars
+    for e, c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert type(e) is tuple and len(e) == nvars
+        assert all(type(k) is int and k >= 0 for k in e)
+
+
+class TestMultiPolyInvariants:
+    """Arithmetic results hold the invariants the trusted constructor relies on.
+
+    Each result is compared term for term with the same sum or product formed
+    through the public constructor, which checks its input and drops zeros.
+    """
+
+    @staticmethod
+    def cases(seed):
+        rng = random.Random(seed)
+        for _ in range(80):
+            n = rng.randint(1, 3)
+            p = _rand_poly(rng, n)
+            q = _rand_poly(rng, n)
+            r = rng.random()  # force cancellations in sums and products
+            if r < 0.4:
+                q = q - p if r < 0.2 else -p
+            elif r < 0.6:  # (a + b + ..)(-a + b - ..): the cross terms cancel
+                q = MultiPoly(n, {e: v if i % 2 else -v
+                                  for i, (e, v) in enumerate(p.terms.items())})
+            k = rng.randint(-2, 2)
+            c = rand_fraction(rng) if rng.random() < 0.8 else Fraction(0)
+            yield n, p, q, c, [(p, q), (q, p), (p, k), (k, p), (p, c), (c, p)]
+
+    def test_sums_and_differences(self):
+        for n, p, q, _, operands in self.cases(301):
+            for a, b in operands:
+                for sign, result in ((1, a + b), (-1, a - b)):
+                    _assert_invariants(result, n)
+                    assert result.terms == _summed(n, _pairs(a, n) + _pairs(b, n, sign)).terms
+            _assert_invariants(-q, n)
+            assert (-q).terms == _summed(n, _pairs(q, n, -1)).terms
+
+    def test_products_quotients_and_derivatives(self):
+        for n, p, _, c, operands in self.cases(302):
+            results = [(a * b, _pairs(a, n), _pairs(b, n)) for a, b in operands]
+            if c:
+                results.append((p / c, _pairs(p, n), _pairs(1 / c, n)))
+            for result, left, right in results:
+                _assert_invariants(result, n)
+                expected = _summed(n, [(tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+                                       for ea, ca in left for eb, cb in right])
+                assert result.terms == expected.terms
+            for i in range(n):
+                _assert_invariants(p.diff(i), n)
+                expected = _summed(n, [(e[:i] + (e[i] - 1,) + e[i + 1:], v * e[i])
+                                       for e, v in p.terms.items() if e[i]])
+                assert p.diff(i).terms == expected.terms
+
+    def test_public_constructor_keeps_its_checks(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            MultiPoly(-1)
+        for bad in [(1,), (1, 0, 0), (1, -1), (-2, 0)]:
+            with pytest.raises(ValueError, match="bad exponent vector"):
+                MultiPoly(2, {bad: 1})
+        p = MultiPoly(2, {(1.0, 0): 2, (0, 1): Fraction(0), (0, 0): Fraction(1, 2)})
+        _assert_invariants(p, 2)
+        assert p.terms == {(1, 0): Fraction(2), (0, 0): Fraction(1, 2)}
+
+
 class TestSimplexIntegration:
     def test_unit_interval_length(self):
         assert integrate_monomial_simplex(1, (0,)) == 1

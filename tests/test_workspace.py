@@ -10,6 +10,8 @@ from liechar import (Cochain, MultiPoly, ParseError, ValidationError, abelian,
 from liechar.catalog import (filiform_workspace, heisenberg_workspace,
                              oscillator_workspace)
 
+from helpers import BOOLEAN_FIELDS, boolean_document
+
 
 class TestRoundTrips:
     def test_fixture_files_are_canonical(self, fixtures_dir):
@@ -98,6 +100,21 @@ class TestParseErrors:
         doc["polynomials"]["fz"]["entries"][0]["tuple"] = 0
         with pytest.raises(ParseError, match=r"polynomials\.fz\.entries\[0\]"):
             parse_workspace(json.dumps(doc))
+
+
+class TestBooleansAreNotIntegers:
+    @pytest.mark.parametrize("field, value, message", BOOLEAN_FIELDS,
+                             ids=[field for field, _, _ in BOOLEAN_FIELDS])
+    def test_workspace_field(self, field, value, message):
+        parse_workspace(boolean_document(field, value))
+        with pytest.raises(ParseError, match=message):
+            parse_workspace(boolean_document(field, bool(value)))
+
+    def test_cochain_degree(self):
+        obj = {"degree": 1, "entries": [{"tuple": [k], "value": ["1"]} for k in range(3)]}
+        assert cochain_from_json(obj, heisenberg3(), 1).degree == 1
+        with pytest.raises(ParseError, match="^cochain: degree must be a non-negative integer$"):
+            cochain_from_json({**obj, "degree": True}, heisenberg3(), 1)
 
 
 class TestValidationErrors:

@@ -1,14 +1,17 @@
 """Cohomology spaces, Bott-Lecomte cochains, and characteristic classes.
 
-H^p(g, V) is computed from exact matrices of the Chevalley-Eilenberg
+H^p(g, V) is computed from exact sparse rows of the Chevalley-Eilenberg
 differential, assembled from its term list (cochains): a block sign * rho(e_t)
-per action term, coeff * I per bracket term.  The cocycle space Z is the
-nullspace of d on degree p, the coboundary space B the column space of d on
-degree p-1 (zero for p = 0), both with deterministic echelon bases.  One rref
-of the matrix [B | Z], whose columns are the B vectors followed by the Z
-vectors, gives the rest.  A column is a pivot exactly when it lies outside the
-span of the columns before it, so the pivot columns past B are a greedy choice
-H of cocycles completing B to a basis of Z.  The rows of those H pivots,
+per action term, coeff * I per bracket term.  d is very sparse (on h_11 in
+degree 5 it is 462 x 462 with 350 nonzeros), so its rows hold only nonzero
+entries and never pass through dense form; differential_matrix densifies the
+same rows.  The cocycle space Z is the nullspace of the echelon form of d on
+degree p; the coboundary space B is spanned by the echelon rows of the
+transpose of d on degree p-1 (zero for p = 0).  One sparse elimination of the
+rows of [B | Z], whose columns are the B vectors followed by the Z vectors,
+gives the rest.  A column is a pivot exactly when it lies outside the span of
+the columns before it, so the pivot columns past B are a greedy choice H of
+cocycles completing B to a basis of Z.  The rows of those H pivots,
 restricted to the Z columns, hold the H-coordinates of each cocycle basis
 vector (class_projection).  Reduced row echelon forms are unique, so bases and
 coordinates of classes are reproducible.
@@ -50,7 +53,8 @@ from .extensions import (Extension, InvalidSection, InvarianceWarning, Section,
                          _interpolate, is_invariant, param_curvature,
                          section_curvature, section_difference, validate_section)
 from .liealg import LieAlgebra, Representation
-from .linalg import column_space_basis, nullspace, rref, solve_linear
+from .linalg import (echelon_nullspace, solve_linear, sparse_rref, sparse_transpose,
+                     to_dense)
 from .scalars import as_poly, integrate_poly_simplex
 
 __all__ = [
@@ -96,29 +100,44 @@ def _flatten(w: Cochain):
     return [x for val in w.values.values() for x in val]
 
 
-def _unflatten(vec, algebra: LieAlgebra, degree: int, target_dim: int) -> Cochain:
-    keys = increasing_tuples(algebra.dim, degree)
-    return Cochain(algebra, degree, target_dim,
-                   {key: vec[i * target_dim:(i + 1) * target_dim] for i, key in enumerate(keys)})
+def _unflatten(vec, keys, zero: Cochain) -> Cochain:
+    """The cochain of a sparse Fraction vector in the tuple-major basis over keys,
+    built from the zero cochain of the same shape without re-checking entries."""
+    m = zero.target_dim
+    blocks = {}
+    for i, x in vec.items():
+        blocks.setdefault(i // m, [Fraction(0)] * m)[i % m] = x
+    values = zero.values.copy()
+    for k, block in blocks.items():
+        values[keys[k]] = tuple(block)
+    return Cochain._of(zero.source, zero.degree, m, values)
+
+
+def _differential_rows(algebra: LieAlgebra, rep: Representation, degree: int):
+    """Sparse rows {column: nonzero entry} of d: C^degree -> C^{degree+1}."""
+    m = rep.space_dim
+    col_of = {key: i * m for i, key in enumerate(increasing_tuples(algebra.dim, degree))}
+    action = [[[(c, x) for c, x in enumerate(row) if x] for row in mat]
+              for mat in rep.matrices]
+    rows = []
+    for _, actions, brackets in _differential_terms(algebra, degree):
+        block = [{} for _ in range(m)]
+        for sgn, t, src in actions:
+            base = col_of[src]
+            for row, action_row in zip(block, action[t]):
+                for c, x in action_row:
+                    row[base + c] = row.get(base + c, 0) + sgn * x
+        for coeff, src in brackets:
+            for i, row in enumerate(block, col_of[src]):
+                row[i] = row.get(i, 0) + coeff
+        rows.extend({c: x for c, x in row.items() if x} for row in block)
+    return rows
 
 
 def differential_matrix(algebra: LieAlgebra, rep: Representation, degree: int):
     """Matrix of d: C^degree -> C^{degree+1} in the flattened tuple-major bases."""
-    m = rep.space_dim
-    col_of = {key: i * m for i, key in enumerate(increasing_tuples(algebra.dim, degree))}
-    matrix = []
-    for _, actions, brackets in _differential_terms(algebra, degree):
-        block = [[Fraction(0)] * (len(col_of) * m) for _ in range(m)]
-        for sgn, t, src in actions:
-            for row, action_row in zip(block, rep.matrices[t]):
-                for c, x in enumerate(action_row, col_of[src]):
-                    if x:
-                        row[c] += sgn * x
-        for coeff, src in brackets:
-            for i, row in enumerate(block, col_of[src]):
-                row[i] += coeff
-        matrix.extend(block)
-    return matrix
+    return to_dense(_differential_rows(algebra, rep, degree),
+                    comb(algebra.dim, degree) * rep.space_dim)
 
 
 class CohomologySpace:
@@ -132,20 +151,24 @@ class CohomologySpace:
         self.degree = degree
         m = rep.space_dim
         dim_c = comb(algebra.dim, degree) * m
-        zvecs = nullspace(differential_matrix(algebra, rep, degree), ncols=dim_c)
+        zvecs = echelon_nullspace(
+            sparse_rref(_differential_rows(algebra, rep, degree), dim_c), dim_c)
         bvecs = []
         if degree and dim_c:
-            bvecs = column_space_basis(differential_matrix(algebra, rep, degree - 1))
+            below = comb(algebra.dim, degree - 1) * m
+            bvecs = [row for _, row in sparse_rref(
+                sparse_transpose(_differential_rows(algebra, rep, degree - 1), below), dim_c)]
         nb = len(bvecs)
-        rows, pivots = rref([list(col) for col in zip(*bvecs, *zvecs)])
-        hvecs = [zvecs[c - nb] for c in pivots[nb:]]
-        self._basis = bvecs + hvecs
-        self.h_dim = len(hvecs)
-        self.cocycle_basis = [
-            _unflatten(v, algebra, degree, m) for v in zvecs]
-        self.coboundary_basis = [
-            _unflatten(v, algebra, degree, m) for v in bvecs]
-        self.class_projection = [row[nb:] for row in rows[nb:nb + self.h_dim]]
+        echelon = sparse_rref(sparse_transpose(bvecs + zvecs, dim_c), nb + len(zvecs))
+        h_rows = echelon[nb:]
+        self.h_dim = len(h_rows)
+        zero = Cochain.zero(algebra, degree, m)
+        keys = list(zero.values)
+        self.cocycle_basis = [_unflatten(v, keys, zero) for v in zvecs]
+        self.coboundary_basis = [_unflatten(v, keys, zero) for v in bvecs]
+        self._basis = bvecs + [zvecs[c - nb] for c, _ in h_rows]
+        self.class_projection = [
+            row[nb:] for row in to_dense([row for _, row in h_rows], nb + len(zvecs))]
 
     def coordinates_of(self, w: Cochain):
         """H-coordinates of a cocycle; NotACocycle if d w != 0."""
@@ -155,7 +178,8 @@ class CohomologySpace:
         if not ce_differential(w, self.rep).is_zero():
             raise NotACocycle("differential of the cochain is nonzero")
         vec = _flatten(w)
-        x = solve_linear([[col[i] for col in self._basis] for i in range(len(vec))], vec)
+        matrix = to_dense(sparse_transpose(self._basis, len(vec)), len(self._basis))
+        x = solve_linear(matrix, vec)
         if x is None:
             raise NotACocycle("cochain is not in the cocycle space")
         return tuple(x[len(x) - self.h_dim:])

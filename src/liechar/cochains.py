@@ -12,7 +12,10 @@ an arbitrary index tuple maps onto one: sorted with its permutation sign
 Evaluation sums over the product of the arguments' supports (their nonzero
 coordinates), in the order of the full d^p loop, so the cost is the product
 of the support sizes rather than d^p.  Scalar entries are Fraction or
-MultiPoly; every operator here is generic over the two kinds.
+MultiPoly; every operator here is generic over the two kinds.  The public
+constructors check and coerce every entry; package code that already holds a
+complete table of exact entries (the basis cochains of a cohomology space)
+builds it through the trusted constructor _of, which skips those checks.
 
 Wedge products are computed as (p,q)-shuffle sums,
 
@@ -131,6 +134,17 @@ class _Table:
         self.degree = degree
         self.target_dim = target_dim
         self.values = table
+
+    @classmethod
+    def _of(cls, source: LieAlgebra, degree: int, target_dim: int, table: dict):
+        """Trusted constructor: ``table`` must map every canonical tuple, and
+        nothing else, to a tuple of target_dim Fraction or MultiPoly entries."""
+        obj = object.__new__(cls)
+        obj.source = source
+        obj.degree = degree
+        obj.target_dim = target_dim
+        obj.values = table
+        return obj
 
     @classmethod
     def from_function(cls, source, degree, target_dim, fn):
@@ -364,14 +378,16 @@ def wedge(a: Cochain, b: Cochain, m: BilinearProduct) -> Cochain:
 
 def _differential_terms(algebra: LieAlgebra, degree: int):
     """(key, action terms, bracket terms) of d_S for each increasing (degree+1)-tuple."""
+    structure = [[[(k, c) for k, c in enumerate(vec) if c] for vec in plane]
+                 for plane in algebra.structure]
     terms = []
     for key in increasing_tuples(algebra.dim, degree + 1):
         actions = [(-1 if j % 2 else 1, t, key[:j] + key[j + 1:]) for j, t in enumerate(key)]
         brackets = {}
         for ai, bi in combinations(range(degree + 1), 2):
             rest = key[:ai] + key[ai + 1:bi] + key[bi + 1:]
-            for k, c in enumerate(algebra.structure[key[ai]][key[bi]]):
-                if c and k not in rest:
+            for k, c in structure[key[ai]][key[bi]]:
+                if k not in rest:
                     pos = bisect(rest, k)
                     src = rest[:pos] + (k,) + rest[pos:]
                     brackets[src] = brackets.get(src, 0) + (-c if (ai + bi + pos) % 2 else c)

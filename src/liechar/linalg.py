@@ -1,12 +1,20 @@
-"""Gaussian elimination over the rationals with deterministic pivoting.
+"""Exact Gauss-Jordan elimination over the rationals on sparse rows.
 
-Matrices are lists of equal-length row lists with Fraction entries.  Pivot
-selection scans columns left to right and takes the first row with a nonzero
-entry, so echelon forms, ranks, nullspace bases and solutions are fully
-reproducible.  rref and solve_linear share one elimination loop; solve_linear
-runs it on the rows augmented by the right-hand side, which may have MultiPoly
-entries (the coefficient matrix stays rational); that is how curvature values
-of polynomial section families are expressed in kernel coordinates.
+One loop, sparse_rref, does all elimination.  Its rows are {column: entry}
+dicts of nonzero entries; it adds them one at a time, reducing each new row
+against the pivot rows found so far, taking its lowest remaining column as a
+new pivot and clearing that column from the older pivot rows.  The result is
+the reduced row echelon form, which is unique (the row space determines it),
+so it does not depend on the row order or on which row supplies a pivot, and
+it equals the form reached by scanning columns left to right.  Echelon forms,
+ranks, nullspace bases and solutions are therefore reproducible.
+
+Pivots come only from the first ncols columns.  Later columns are carried
+along and may hold MultiPoly entries; solve_linear puts its right-hand side
+there, which is how curvature values of polynomial section families are
+expressed in kernel coordinates.  rref, rank, nullspace, column_space_basis
+and solve_linear take and return dense lists of Fraction rows; each converts
+at the boundary and calls the one sparse loop.
 """
 
 from __future__ import annotations
@@ -14,14 +22,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 __all__ = [
-    "vec_zero", "vec_sub", "vec_is_zero",
+    "vec_sub", "vec_is_zero",
     "zeros", "identity", "transpose", "mat_mul", "mat_vec",
+    "sparse_rref", "sparse_transpose", "echelon_nullspace", "to_dense",
     "rref", "rank", "nullspace", "column_space_basis", "solve_linear",
 ]
-
-
-def vec_zero(m):
-    return [Fraction(0)] * m
 
 
 def vec_sub(u, v):
@@ -60,74 +65,112 @@ def mat_vec(a, x):
     return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
 
 
-def _eliminate(m, ncols):
-    """Reduce the rows m in place to reduced row echelon form in their first
-    ncols columns and return the pivot columns.  Entries past ncols are
-    carried along by the row operations and may be MultiPoly."""
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
+def _subtract(row, f, prow, ncols):
+    """row -= f * prow, dropping entries that cancel in the first ncols columns."""
+    for k, y in prow.items():
+        v = row.get(k, 0) - f * y
+        if v or k >= ncols:
+            row[k] = v
+        else:
+            del row[k]
+
+
+def sparse_rref(rows, ncols):
+    """Reduced row echelon form of sparse rows: [(pivot column, row)] by pivot.
+
+    The rows are {column: entry} dicts with no zero entry in the first ncols
+    columns; they are not modified.  Each pivot row has entry 1 at its pivot
+    and no entry at any other pivot.
+    Entries past ncols are never pivots and are kept even when zero.  A row
+    whose first ncols entries cancel while a later entry does not is an
+    inconsistent equation for solve_linear; it is returned as it stands,
+    after the pivot rows, under the pivot ncols.
+    """
+    pivots = {}
+    inconsistent = []
+    for row in rows:
+        row = dict(row)
+        for c in [c for c in row if c in pivots]:
+            _subtract(row, row[c], pivots[c], ncols)
+        lead = [c for c in row if c < ncols]
+        if not lead:
+            if any(row.values()):
+                inconsistent.append((ncols, row))
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
+        c = min(lead)
+        if row[c] != 1:
+            inv = Fraction(1) / row[c]
+            row = {k: x * inv for k, x in row.items()}
+        for prow in pivots.values():
+            if c in prow:
+                _subtract(prow, prow[c], row, ncols)
+        pivots[c] = row
+    return sorted(pivots.items()) + inconsistent
+
+
+def sparse_transpose(rows, ncols):
+    """The ncols columns of sparse rows, as sparse rows indexed by row number."""
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j][i] = x
+    return cols
+
+
+def echelon_nullspace(echelon, ncols):
+    """Sparse kernel basis from sparse_rref output, one vector per free column.
+
+    The vector of a free column has entry 1 there and minus the echelon entry
+    at each pivot; the vectors come in free-column order.
+    """
+    pivset = {p for p, _ in echelon}
+    vecs = {free: {free: Fraction(1)} for free in range(ncols) if free not in pivset}
+    for p, row in echelon:
+        for k, x in row.items():
+            if k in vecs:
+                vecs[k][p] = -x
+    return list(vecs.values())
+
+
+def _sparse(a):
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def to_dense(rows, ncols):
+    """Dense Fraction rows of length ncols from sparse rows."""
+    out = []
+    for row in rows:
+        dense = [Fraction(0)] * ncols
+        for j, x in row.items():
+            dense[j] = x
+        out.append(dense)
+    return out
 
 
 def rref(a):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
-    m = [list(row) for row in a]
-    return m, _eliminate(m, len(m[0]) if m else 0)
+    ncols = len(a[0]) if a else 0
+    echelon = sparse_rref(_sparse(a), ncols)
+    rows = to_dense([row for _, row in echelon], ncols)
+    rows += zeros(len(a) - len(rows), ncols)
+    return rows, [p for p, _ in echelon]
 
 
 def rank(a) -> int:
-    return len(rref(a)[1])
+    return len(sparse_rref(_sparse(a), len(a[0]) if a else 0))
 
 
 def nullspace(a, ncols=None):
     """Deterministic basis of the kernel.  For each free column the basis
     vector has entry 1 there and minus the echelon entry at each pivot."""
-    if not a:
-        if ncols is None:
-            return []
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(ncols)]
-                for i in range(ncols)]
-    m, pivots = rref(a)
-    n = len(a[0])
-    basis = []
-    pivset = set(pivots)
-    for free in range(n):
-        if free in pivset:
-            continue
-        v = vec_zero(n)
-        v[free] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -m[r][free]
-        basis.append(v)
-    return basis
+    n = len(a[0]) if a else ncols or 0
+    return to_dense(echelon_nullspace(sparse_rref(_sparse(a), n), n), n)
 
 
 def column_space_basis(a):
     """Deterministic basis of the column space: nonzero rows of rref(a^T)."""
-    if not a or not a[0]:
-        return []
-    rows, _ = rref(transpose(a))
-    return [row for row in rows if not vec_is_zero(row)]
+    cols = sparse_transpose(_sparse(a), len(a[0]) if a else 0)
+    return to_dense([row for _, row in sparse_rref(cols, len(a))], len(a))
 
 
 def solve_linear(a, b):
@@ -139,11 +182,13 @@ def solve_linear(a, b):
     if len(b) != len(a):
         raise ValueError("matrix dimension mismatch")
     ncols = len(a[0]) if a else 0
-    m = [[*row, y] for row, y in zip(a, b)]
-    pivots = _eliminate(m, ncols)
-    if any(not row[ncols] == 0 for row in m[len(pivots):]):
+    rows = _sparse(a)
+    for row, y in zip(rows, b):
+        row[ncols] = y
+    echelon = sparse_rref(rows, ncols)
+    if echelon and echelon[-1][0] == ncols:
         return None
     x = [Fraction(0)] * ncols
-    for row, p in zip(m, pivots):
+    for p, row in echelon:
         x[p] = row[ncols]
     return x

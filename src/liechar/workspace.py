@@ -2,16 +2,17 @@
 
 A workspace document has the top-level keys "algebras", "representations",
 "extensions", "sections" and "polynomials", each mapping names to objects.
-All rationals are strings ("p/q" in lowest terms, "p" for integers); floats
-never appear.  Canonical form is two-space-indented JSON with sorted keys and
-a trailing newline, so parse and serialize are mutually inverse on canonical
-documents byte for byte.
+All rationals are strings ("p/q" in lowest terms, "p" for integers); bare
+JSON numbers are rejected there, and floats never appear.  Canonical form is
+two-space-indented JSON with sorted keys and a trailing newline, so parse and
+serialize are mutually inverse on canonical documents byte for byte.
 
 Schemas:
 
     algebra        {"dim": n, "basis": [..], "brackets": [{"i", "j", "coeffs"}]}
                    with sparse i < j entries and coefficient keys that are
-                   basis indices as strings
+                   basis indices as canonical decimal strings ("1", never
+                   "01", "+1" or " 1")
     representation {"algebra": name, "space_dim": m, "matrices": [[[..]]]}
     extension      {"total": name-or-algebra, "base": .., "kernel": ..,
                     "iota": [[..]], "q": [[..]]}
@@ -90,10 +91,10 @@ def _rational(s, location, nvars=None):
     """A rational string; with nvars, a polynomial term list instead."""
     if isinstance(s, float):
         raise ParseError("floats are not accepted; use rational strings", location)
-    if nvars is None and not isinstance(s, (str, int)):
+    if nvars is None and not isinstance(s, str):
         raise ParseError(f"expected a rational string, got {type(s).__name__}", location)
     try:
-        return rational_from_str(str(s)) if nvars is None else poly_from_json(s, nvars)
+        return rational_from_str(s) if nvars is None else poly_from_json(s, nvars)
     except ValueError as exc:
         raise ParseError(str(exc), location) from None
 
@@ -133,7 +134,9 @@ def _algebra_from_json(name, obj, location):
             try:
                 ki = int(k)
             except ValueError:
-                raise ParseError("coefficient keys must be basis indices", loc) from None
+                ki = None
+            _expect(ki is not None and k == str(ki),
+                    "coefficient keys must be basis indices in canonical form", loc)
             _expect(0 <= ki < dim, f"coefficient index {ki} out of range", loc)
             coeffs[ki] = _rational(c, f"{loc}.coeffs[{k}]")
         _expect((i, j) not in brackets, f"duplicate bracket entry ({i},{j})", loc)

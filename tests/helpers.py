@@ -4,14 +4,16 @@ import json
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from types import SimpleNamespace
 
 from liechar import (
-    Cochain, Extension, LieAlgebra, Section, SymMultiMap,
+    Cochain, Extension, LieAlgebra, Representation, Section, SymMultiMap,
     abelian, adjoint_representation, algebra_from_brackets, as_poly, bracket,
     column_space_basis, compose_sym, differential_matrix, heisenberg, increasing_tuples,
-    integrate_poly_simplex, kernel_coords, mat_vec, nondecreasing_tuples, nullspace,
-    param_curvature, param_section, scalar_multiplication, section_curvature,
-    section_difference, solve_linear, sym_product, trivial_representation,
+    integrate_poly_simplex, kernel_coords, mat_mul, mat_vec, nondecreasing_tuples,
+    nullspace, param_curvature, param_section, rref, scalar_multiplication,
+    section_curvature, section_difference, solve_linear, sym_product, transpose,
+    trivial_representation,
 )
 from liechar.catalog import (
     affine_split_extension, euclidean_extension, filiform_extension,
@@ -77,6 +79,17 @@ def conjugate_algebra(rng, algebra):
     return LieAlgebra(names, structure, validate=True)
 
 
+def dense_cocycles_and_coboundaries(algebra, rep, degree):
+    """Dense Z and B bases: the nullspace of d on degree p and the column space
+    of d on degree p-1 (none for p = 0)."""
+    dim_c = comb(algebra.dim, degree) * rep.space_dim
+    zvecs = nullspace(differential_matrix(algebra, rep, degree), ncols=dim_c)
+    bvecs = []
+    if degree and dim_c:
+        bvecs = column_space_basis(differential_matrix(algebra, rep, degree - 1))
+    return zvecs, bvecs
+
+
 def greedy_cohomology(algebra, rep, degree):
     """Reference construction of H^p with one solve per cocycle.
 
@@ -87,10 +100,7 @@ def greedy_cohomology(algebra, rep, degree):
     cocycle to its H-coordinates.
     """
     dim_c = comb(algebra.dim, degree) * rep.space_dim
-    zvecs = nullspace(differential_matrix(algebra, rep, degree), ncols=dim_c)
-    bvecs = []
-    if degree and dim_c:
-        bvecs = column_space_basis(differential_matrix(algebra, rep, degree - 1))
+    zvecs, bvecs = dense_cocycles_and_coboundaries(algebra, rep, degree)
 
     def solve(span, vec):
         return solve_linear([[col[i] for col in span] for i in range(dim_c)], vec)
@@ -110,6 +120,88 @@ def greedy_cohomology(algebra, rep, degree):
     cols = [coords_vec(z) for z in zvecs]
     projection = [[col[i] for col in cols] for i in range(len(hvecs))]
     return len(zvecs) - len(bvecs), projection, coords
+
+
+def dense_rref(a, ncols=None):
+    """Reference Gauss-Jordan elimination on dense rows; (rows, pivot columns).
+
+    Columns are scanned left to right and the first row with a nonzero entry
+    in the column is the pivot row.  The first ncols columns (all by default)
+    of a copy of a are reduced; entries past ncols are carried along and may
+    be MultiPoly.  This is the loop linalg ran before it went sparse.
+    """
+    m = [list(row) for row in a]
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = None
+        for i in range(r, nrows):
+            if m[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def dense_solve(a, b):
+    """Reference solve_linear on dense_rref: free variables zero, None if inconsistent."""
+    ncols = len(a[0]) if a else 0
+    m, pivots = dense_rref([[*row, y] for row, y in zip(a, b)], ncols)
+    if any(not row[ncols] == 0 for row in m[len(pivots):]):
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(m, pivots):
+        x[p] = row[ncols]
+    return x
+
+
+def dense_cohomology(algebra, rep, degree):
+    """Reference H^p on dense rows, as cohomology spaces were built before
+    elimination went sparse.
+
+    Z is the nullspace of the dense matrix of d, B the column space of the
+    matrix of d one degree lower, and one rref of the dense matrix [B | Z]
+    gives H and the class projection.  Bases are built through the checking
+    Cochain constructor; coordinates_of solves with dense_solve.
+    """
+    m = rep.space_dim
+    zvecs, bvecs = dense_cocycles_and_coboundaries(algebra, rep, degree)
+    nb = len(bvecs)
+    rows, pivots = rref([list(col) for col in zip(*bvecs, *zvecs)])
+    hvecs = [zvecs[c - nb] for c in pivots[nb:]]
+    basis = bvecs + hvecs
+    keys = increasing_tuples(algebra.dim, degree)
+
+    def unflatten(vec):
+        return Cochain(algebra, degree, m,
+                       {key: vec[i * m:(i + 1) * m] for i, key in enumerate(keys)})
+
+    def coordinates_of(w):
+        vec = [x for key in keys for x in w.values[key]]
+        x = dense_solve([[col[i] for col in basis] for i in range(len(vec))], vec)
+        return None if x is None else tuple(x[len(x) - len(hvecs):])
+
+    return SimpleNamespace(
+        h_dim=len(hvecs),
+        cocycle_basis=[unflatten(v) for v in zvecs],
+        coboundary_basis=[unflatten(v) for v in bvecs],
+        class_projection=[row[nb:] for row in rows[nb:nb + len(hvecs)]],
+        coordinates_of=coordinates_of)
 
 
 def _eval_vector_first(w, vec, rest):
@@ -307,6 +399,19 @@ def random_algebra(rng):
     if rng.random() < 0.5:
         alg = conjugate_algebra(rng, alg)
     return alg
+
+
+def random_module(rng, algebra):
+    """The adjoint module plus a trivial line, in a random basis P: P rho P^-1."""
+    d = algebra.dim + 1
+    pm = random_invertible(rng, d)
+    inv = transpose([solve_linear(pm, [Fraction(int(i == j)) for i in range(d)])
+                     for j in range(d)])
+    mats = []
+    for mat in adjoint_representation(algebra).matrices:
+        block = [[*row, Fraction(0)] for row in mat] + [[Fraction(0)] * d]
+        mats.append(mat_mul(mat_mul(pm, block), inv))
+    return Representation(algebra, d, mats)
 
 
 def random_representation(rng, algebra):

@@ -18,10 +18,11 @@ from liechar import (Cochain, DegreeError, InvalidSection, InvarianceWarning,
 from liechar.catalog import (filiform_extension, heisenberg_central_extension,
                              oscillator_extension)
 
-from helpers import (direct_sum_extension, fixture_extensions, greedy_cohomology,
+from helpers import (SMALL_ALGEBRAS, conjugate_algebra, dense_cohomology,
+                     direct_sum_extension, fixture_extensions, greedy_cohomology,
                      rand_cochain, rand_fraction, rand_section, rand_symmap,
-                     random_algebra, random_invariant_symmap, random_representation,
-                     reference_delta_f, section_pool)
+                     random_algebra, random_invariant_symmap, random_module,
+                     random_representation, reference_delta_f, section_pool)
 
 
 def oscillator_setup():
@@ -103,6 +104,39 @@ class TestAgainstGreedyReference:
     def test_heisenberg5_adjoint(self):
         h5 = heisenberg(2)
         self.check(random.Random(94), h5, adjoint_representation(h5))
+
+
+class TestAgainstDensePath:
+    """The sparse H^p matches the dense construction value for value and kind for kind."""
+
+    @staticmethod
+    def entries(cochains):
+        return [x for w in cochains for val in w.values.values() for x in val]
+
+    @pytest.mark.parametrize("name", sorted(SMALL_ALGEBRAS))
+    def test_small_algebras(self, name):
+        rng = random.Random(sorted(SMALL_ALGEBRAS).index(name) + 4100)
+        std = SMALL_ALGEBRAS[name]()
+        for alg in (std, conjugate_algebra(rng, std)):
+            for rep in (trivial_representation(alg, 1), adjoint_representation(alg),
+                        random_module(rng, alg)):
+                for degree in range(alg.dim + 2):
+                    space = cohomology_space(alg, rep, degree)
+                    ref = dense_cohomology(alg, rep, degree)
+                    assert space.h_dim == ref.h_dim
+                    assert space.cocycle_basis == ref.cocycle_basis
+                    assert space.coboundary_basis == ref.coboundary_basis
+                    assert space.class_projection == ref.class_projection
+                    values = (self.entries(space.cocycle_basis + space.coboundary_basis)
+                              + [x for row in space.class_projection for x in row])
+                    assert all(type(x) is Fraction for x in values)
+                    for _ in range(3):
+                        w = Cochain.zero(alg, degree, rep.space_dim)
+                        for z in space.cocycle_basis + space.coboundary_basis:
+                            w = w + z.scale(rand_fraction(rng))
+                        coords = space.coordinates_of(w)
+                        assert coords == ref.coordinates_of(w)
+                        assert all(type(x) is Fraction for x in coords)
 
 
 class TestClassesEqual:

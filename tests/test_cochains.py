@@ -103,6 +103,22 @@ class TestTables:
         with pytest.raises(ValueError, match="argument count"):
             table.evaluate([[1, 0, 0]])
 
+    @pytest.mark.parametrize("cls", [Cochain, SymMultiMap])
+    def test_public_constructor_checks_every_entry(self, cls):
+        g = abelian(2)
+        keys = cls.key_tuples(2, 1)
+        table = cls(g, 1, 2, {key: [1, "1/2"] for key in keys})
+        assert all(type(x) is Fraction for v in table.values.values() for x in v)
+        assert all(type(v) is tuple for v in table.values.values())
+        with pytest.raises(ValueError, match="missing"):
+            cls(g, 1, 2, {keys[0]: [1, 2]})
+        with pytest.raises(ValueError, match="extra entries"):
+            cls(g, 1, 2, {**{key: [1, 2] for key in keys}, (5,): [1, 2]})
+        with pytest.raises(ValueError, match="wrong length"):
+            cls(g, 1, 2, {key: [1] for key in keys})
+        with pytest.raises(ValueError):
+            cls(g, 1, 2, {key: ["x", 1] for key in keys})
+
     def test_kinds_never_mix(self):
         g = abelian(2)
         w = Cochain(g, 1, 1, {(0,): [2], (1,): [3]})

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from liechar import (MultiPoly, column_space_basis, mat_mul, mat_vec,
                      nullspace, rank, rref, solve_linear)
+from liechar.linalg import echelon_nullspace, sparse_rref, sparse_transpose
 
-from helpers import rand_matrix
+from helpers import dense_rref, dense_solve, rand_fraction, rand_matrix
 
 
 def F(x):  # noqa: N802 - terse literal helper
@@ -112,3 +113,129 @@ class TestRref:
         a = rand_matrix(rng, 3, 2)
         b = rand_matrix(rng, 2, 4)
         assert len(mat_mul(a, b)) == 3 and len(mat_mul(a, b)[0]) == 4
+
+
+def sparse_rows(a):
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def seeded_matrices(rng, count):
+    """Random rational matrices, with zero, rank-deficient and empty ones among them."""
+    yield []
+    yield [[]]
+    yield [[], []]
+    for _ in range(count):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        kind = rng.randrange(4)
+        if kind == 0:
+            yield [[F(0)] * cols for _ in range(rows)]
+        elif kind == 1:
+            inner = rng.randint(1, max(1, min(rows, cols) - 1))
+            yield mat_mul(rand_matrix(rng, rows, inner), rand_matrix(rng, inner, cols))
+        elif kind == 2:
+            # sparse: most entries zero
+            yield [[rand_fraction(rng) if rng.random() < 0.3 else F(0) for _ in range(cols)]
+                   for _ in range(rows)]
+        else:
+            yield rand_matrix(rng, rows, cols)
+
+
+def kinds(rows):
+    return [[type(x) for x in row] for row in rows]
+
+
+class TestAgainstDenseLoop:
+    """The one sparse loop and its dense wrappers against the dense reference loop."""
+
+    def test_sparse_rref_matches_dense_rref(self):
+        rng = random.Random(71)
+        for a in seeded_matrices(rng, 300):
+            ncols = len(a[0]) if a else 0
+            rows, pivots = dense_rref(a)
+            given = sparse_rows(a)
+            echelon = sparse_rref(given, ncols)
+            assert given == sparse_rows(a)
+            assert [p for p, _ in echelon] == pivots
+            assert sparse_rows(rows) == [row for _, row in echelon] + [{}] * (len(a) - len(pivots))
+            assert all(type(x) is Fraction for _, row in echelon for x in row.values())
+
+    def test_row_order_does_not_matter(self):
+        rng = random.Random(72)
+        for a in seeded_matrices(rng, 100):
+            ncols = len(a[0]) if a else 0
+            shuffled = list(a)
+            rng.shuffle(shuffled)
+            assert sparse_rref(sparse_rows(shuffled), ncols) == sparse_rref(sparse_rows(a), ncols)
+
+    def test_dense_wrappers_match(self):
+        rng = random.Random(73)
+        for a in seeded_matrices(rng, 200):
+            rows, pivots = dense_rref(a)
+            got_rows, got_pivots = rref(a)
+            assert (got_rows, got_pivots) == (rows, pivots)
+            assert kinds(got_rows) == [[Fraction] * len(row) for row in rows]
+            assert rank(a) == len(pivots)
+            if a and a[0]:
+                ncols = len(a[0])
+                expected = []
+                for free in (c for c in range(ncols) if c not in pivots):
+                    v = [F(0)] * ncols
+                    v[free] = F(1)
+                    for r, p in enumerate(pivots):
+                        v[p] = -rows[r][free]
+                    expected.append(v)
+                assert nullspace(a) == expected
+                assert kinds(nullspace(a)) == kinds(expected)
+                at_rows, at_pivots = dense_rref([list(col) for col in zip(*a)])
+                assert column_space_basis(a) == at_rows[:len(at_pivots)]
+
+    def test_echelon_nullspace_and_transpose(self):
+        rng = random.Random(74)
+        for a in seeded_matrices(rng, 100):
+            ncols = len(a[0]) if a else 0
+            kernel = echelon_nullspace(sparse_rref(sparse_rows(a), ncols), ncols)
+            for v in kernel:
+                dense = [v.get(j, F(0)) for j in range(ncols)]
+                assert all(x == 0 for x in mat_vec(a, dense))
+            assert len(kernel) == ncols - rank(a)
+            assert sparse_transpose(sparse_rows(a), ncols) == sparse_rows(
+                [list(col) for col in zip(*a)] if ncols else [])
+
+    def test_solve_linear_matches_dense_loop(self):
+        rng = random.Random(75)
+        for a in seeded_matrices(rng, 300):
+            if not a:
+                continue
+            ncols = len(a[0])
+            for b in ([rand_fraction(rng) for _ in a],
+                      mat_vec(a, [rand_fraction(rng) for _ in range(ncols)])):
+                expected = dense_solve(a, b)
+                got = solve_linear(a, b)
+                assert got == expected
+                if expected is not None:
+                    assert [type(x) for x in got] == [Fraction] * ncols
+
+    def test_solve_linear_polynomial_rhs_matches_dense_loop(self):
+        rng = random.Random(76)
+        t = [MultiPoly.variable(2, i) for i in range(2)]
+
+        def rand_poly():
+            return t[0] * rand_fraction(rng) + t[1] * t[0] * rand_fraction(rng) + rand_fraction(rng)
+
+        solvable = inconsistent = 0
+        for a in seeded_matrices(rng, 200):
+            if not a or not a[0]:
+                continue
+            ncols = len(a[0])
+            for b in ([rand_poly() for _ in a],
+                      mat_vec(a, [rand_poly() for _ in range(ncols)])):
+                b = [x if isinstance(x, MultiPoly) else MultiPoly.constant(2, x) for x in b]
+                expected = dense_solve(a, b)
+                got = solve_linear(a, b)
+                assert got == expected
+                if expected is None:
+                    inconsistent += 1
+                else:
+                    solvable += 1
+                    assert [type(x) for x in got] == [type(x) for x in expected]
+        assert solvable > 100 and inconsistent > 50

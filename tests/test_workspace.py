@@ -102,6 +102,64 @@ class TestParseErrors:
             parse_workspace(json.dumps(doc))
 
 
+class TestCoefficientKeys:
+    @pytest.mark.parametrize("key", [" 1", "1 ", "+1", "01", "0_1", "-0", "1.0", "\u0661", "", "None"])
+    def test_non_canonical_key_rejected(self, key):
+        doc = {"algebras": {"a": {"dim": 2, "basis": ["x", "y"], "brackets": [
+            {"i": 0, "j": 1, "coeffs": {"1": "1"}}]}}}
+        assert parse_workspace(json.dumps(doc)).algebras["a"].structure[0][1] == (0, 1)
+        doc["algebras"]["a"]["brackets"][0]["coeffs"] = {key: "1"}
+        with pytest.raises(ParseError, match=r"^algebras\.a\.brackets\[0\]: coefficient keys"):
+            parse_workspace(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["-1", "2"])
+    def test_key_out_of_range(self, key):
+        doc = {"algebras": {"a": {"dim": 2, "basis": ["x", "y"], "brackets": [
+            {"i": 0, "j": 1, "coeffs": {key: "1"}}]}}}
+        with pytest.raises(ParseError, match="out of range"):
+            parse_workspace(json.dumps(doc))
+
+
+def _set_path(doc, path, value):
+    for step in path[:-1]:
+        doc = doc[step]
+    doc[path[-1]] = value
+
+
+class TestRationalsAreStrings:
+    @pytest.mark.parametrize("path, where", [
+        (("representations", "triv", "matrices", 0, 0, 0), r"representations\.triv\.matrices"),
+        (("extensions", "osc", "iota", 0, 0), r"extensions\.osc\.iota"),
+        (("extensions", "osc", "q", 0, 3), r"extensions\.osc\.q"),
+        (("sections", "sz", "matrix", 2, 0), r"sections\.sz\.matrix"),
+        (("algebras", "h3", "brackets", 0, "coeffs", "2"), r"algebras\.h3\.brackets\[0\]"),
+        (("polynomials", "fz", "entries", 2, "value", 0), r"polynomials\.fz\.entries\[2\]"),
+    ])
+    def test_bare_number_rejected(self, fixtures_dir, path, where):
+        text = (fixtures_dir / "oscillator.json").read_text(encoding="utf-8")
+        doc = json.loads(text)
+        _set_path(doc, path, 1)
+        with pytest.raises(ParseError, match=f"{where}.*expected a rational string, got int"):
+            parse_workspace(json.dumps(doc))
+
+    def test_bare_number_in_cochain_value_rejected(self):
+        obj = {"degree": 1, "entries": [{"tuple": [k], "value": ["1"]} for k in range(3)]}
+        assert cochain_from_json(obj, heisenberg3(), 1).entry((0,)) == (1,)
+        obj["entries"][0]["value"] = [1]
+        with pytest.raises(ParseError, match=r"^cochain\.entries\[0\]\.value\[0\]: "
+                                             "expected a rational string, got int$"):
+            cochain_from_json(obj, heisenberg3(), 1)
+
+    def test_bare_number_in_polynomial_coefficient_rejected(self):
+        obj = {"degree": 1, "entries": [
+            {"tuple": [i], "value": [[{"exponents": [1], "coeff": "1"}]]} for i in range(3)]}
+        assert cochain_from_json(obj, heisenberg3(), 1, nvars=1).entry((0,)) == (
+            MultiPoly.variable(1, 0),)
+        obj["entries"][0]["value"][0][0]["coeff"] = 1
+        with pytest.raises(ParseError, match=r"^cochain\.entries\[0\]\.value\[0\]: "):
+            cochain_from_json(obj, heisenberg3(), 1, nvars=1)
+
+
 class TestBooleansAreNotIntegers:
     @pytest.mark.parametrize("field, value, message", BOOLEAN_FIELDS,
                              ids=[field for field, _, _ in BOOLEAN_FIELDS])

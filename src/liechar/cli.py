@@ -234,10 +234,13 @@ _DISPATCH = {
 }
 
 
+# Built once, at import: parse_args keeps no state between calls.
+_PARSER = _build_parser()
+
+
 def run_command(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -48,10 +48,11 @@ import operator
 from bisect import bisect
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import comb
 
 from .liealg import LieAlgebra, Representation
 from .linalg import mat_vec
-from .scalars import MultiPoly
+from .scalars import MultiPoly, _fraction
 
 __all__ = [
     "Cochain",
@@ -82,6 +83,10 @@ def nondecreasing_tuples(dim: int, degree: int):
     return list(combinations_with_replacement(range(dim), degree))
 
 
+def _count_nondecreasing(dim: int, degree: int) -> int:
+    return comb(dim + degree - 1, degree) if dim else int(degree == 0)
+
+
 def _perm_sign(seq) -> int:
     inv = 0
     for i in range(len(seq)):
@@ -101,7 +106,7 @@ def _sort_with_sign(seq):
 def _coerce_scalar(x):
     if isinstance(x, MultiPoly):
         return x
-    return Fraction(x)
+    return _fraction(x)
 
 
 def _plain_sort(seq):
@@ -111,7 +116,8 @@ def _plain_sort(seq):
 class _Table:
     """One value vector per canonical index tuple, extended multilinearly.
 
-    A subclass names its canonical tuples (``key_tuples``) and how an
+    A subclass names its canonical tuples (``key_tuples``), their number
+    (``key_count``, without enumerating them) and how an
     arbitrary index tuple maps onto one of them (``_normalize``: the
     canonical tuple and a sign, 0 when the term drops out).
     """
@@ -226,6 +232,7 @@ class Cochain(_Table):
     __slots__ = ()
     _kind = "cochain"
     key_tuples = staticmethod(increasing_tuples)
+    key_count = staticmethod(comb)
     _normalize = staticmethod(_sort_with_sign)
 
     def evaluate(self, args):
@@ -239,6 +246,7 @@ class SymMultiMap(_Table):
     __slots__ = ()
     _kind = "symmetric-map"
     key_tuples = staticmethod(nondecreasing_tuples)
+    key_count = staticmethod(_count_nondecreasing)
     _normalize = staticmethod(_plain_sort)
 
     def evaluate(self, args):

@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import mat_mul, mat_vec, vec_is_zero, vec_sub, zeros
+from .scalars import _fraction
 
 __all__ = [
     "LieAlgebra",
@@ -36,6 +37,8 @@ __all__ = [
     "adjoint_representation",
 ]
 
+_ZERO = Fraction(0)
+
 
 class LieAlgebra:
     """Lie algebra with a named basis and rational structure constants."""
@@ -43,9 +46,7 @@ class LieAlgebra:
     __slots__ = ("dim", "basis_names", "structure")
 
     def __init__(self, basis_names, structure, validate: bool = True):
-        names = tuple(str(n) for n in basis_names)
-        if len(set(names)) != len(names):
-            raise ValueError("basis names must be unique")
+        names = _basis_names(basis_names)
         d = len(names)
         if len(structure) != d or any(
             len(plane) != d or any(len(row) != d for row in plane)
@@ -53,18 +54,30 @@ class LieAlgebra:
         ):
             raise ValueError("structure constants must be dim x dim x dim")
         table = tuple(
-            tuple(tuple(Fraction(c) for c in row) for row in plane)
+            tuple(tuple(_fraction(c) for c in row) for row in plane)
             for plane in structure
         )
         for i in range(d):
             for j in range(i, d):
-                for k in range(d):
-                    if table[i][j][k] != -table[j][i][k]:
+                for k, (a, b) in enumerate(zip(table[i][j], table[j][i])):
+                    if (a or b) and a != -b:
                         raise ValueError(
                             f"structure constants not antisymmetric at "
                             f"({names[i]},{names[j]},{names[k]})"
                         )
-        self.dim = d
+        self._fill(names, table, validate)
+
+    @classmethod
+    def _of(cls, names, table, validate: bool = True) -> "LieAlgebra":
+        """Trusted constructor: ``names`` must be unique strings and ``table``
+        an antisymmetric dim x dim x dim tuple of Fractions.  Jacobi is still
+        checked when ``validate`` is set."""
+        alg = object.__new__(cls)
+        alg._fill(names, table, validate)
+        return alg
+
+    def _fill(self, names, table, validate):
+        self.dim = len(names)
         self.basis_names = names
         self.structure = table
         if validate:
@@ -96,7 +109,7 @@ def algebra_from_brackets(basis_names, brackets, validate: bool = True) -> LieAl
     """Build an algebra from sparse data {(i, j): {k: coeff}} for i < j."""
     names = tuple(basis_names)
     d = len(names)
-    structure = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    structure = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
     for (i, j), coeffs in brackets.items():
         if not 0 <= i < j < d:
             raise ValueError(f"bracket indices ({i},{j}) must satisfy 0 <= i < j < dim")
@@ -104,9 +117,18 @@ def algebra_from_brackets(basis_names, brackets, validate: bool = True) -> LieAl
             k = int(k)
             if not 0 <= k < d:
                 raise ValueError(f"bracket coefficient index {k} out of range")
-            structure[i][j][k] = Fraction(c)
-            structure[j][i][k] = -Fraction(c)
-    return LieAlgebra(names, structure, validate=validate)
+            c = _fraction(c)
+            structure[i][j][k] = c
+            structure[j][i][k] = -c
+    table = tuple(tuple(map(tuple, plane)) for plane in structure)
+    return LieAlgebra._of(_basis_names(names), table, validate=validate)
+
+
+def _basis_names(basis_names):
+    names = tuple(str(n) for n in basis_names)
+    if len(set(names)) != len(names):
+        raise ValueError("basis names must be unique")
+    return names
 
 
 def check_jacobi(alg: LieAlgebra):
@@ -287,10 +309,7 @@ class Representation:
     __slots__ = ("algebra", "space_dim", "matrices")
 
     def __init__(self, algebra: LieAlgebra, space_dim: int, matrices, validate: bool = True):
-        mats = [
-            [[Fraction(c) for c in row] for row in mat]
-            for mat in matrices
-        ]
+        mats = [[[_fraction(c) for c in row] for row in mat] for mat in matrices]
         if len(mats) != algebra.dim or any(
             len(mat) != space_dim or any(len(row) != space_dim for row in mat)
             for mat in mats

@@ -21,12 +21,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .scalars import MultiPoly
+
 __all__ = [
     "vec_sub", "vec_is_zero",
     "zeros", "identity", "transpose", "mat_mul", "mat_vec",
     "sparse_rref", "sparse_transpose", "echelon_nullspace", "to_dense",
     "rref", "rank", "nullspace", "column_space_basis", "solve_linear",
 ]
+
+_FRACTION_ZERO = Fraction(0)
 
 
 def vec_sub(u, v):
@@ -50,19 +54,45 @@ def transpose(a):
 
 
 def mat_mul(a, b):
+    """a b over the products of two nonzero factors; entry types as in mat_vec."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix dimension mismatch")
-    out = []
-    for row in a:
-        out.append([sum(row[k] * b[k][j] for k in range(len(b)))
-                    for j in range(len(b[0]) if b else 0)])
-    return out
+    cols = list(zip(*b))
+    return [_dots(cols, row) for row in a]
 
 
 def mat_vec(a, x):
+    """a x over the products of two nonzero factors.
+
+    Each entry starts from the zero of its factors' kind, a MultiPoly zero
+    when the row or x holds a MultiPoly and Fraction(0) otherwise, so the
+    result types are those of the dense sum over every column.
+    """
     if a and len(a[0]) != len(x):
         raise ValueError("matrix dimension mismatch")
-    return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
+    return _dots(a, x)
+
+
+def _zero(entries):
+    """The zero of the entries' kind: a MultiPoly zero if one is a MultiPoly."""
+    if MultiPoly in map(type, entries):
+        return next(c for c in entries if type(c) is MultiPoly) * 0
+    return _FRACTION_ZERO
+
+
+def _dots(rows, x):
+    """[sum over k of row[k] * x[k] for each row], over nonzero factors only."""
+    support = [(k, y) for k, y in enumerate(x) if y]
+    zero_x = _zero(x)
+    out = []
+    for row in rows:
+        acc = zero_x if type(zero_x) is MultiPoly else _zero(row)
+        for k, y in support:
+            c = row[k]
+            if c:
+                acc = acc + c * y
+        out.append(acc)
+    return out
 
 
 def _subtract(row, f, prow, ncols):

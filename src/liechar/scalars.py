@@ -52,6 +52,11 @@ __all__ = [
 _RATIONAL = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 
 
+def _fraction(x) -> Fraction:
+    """x itself when it is already a Fraction, else Fraction(x)."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def rational_to_str(x: Fraction) -> str:
     """Format as ``p/q`` in lowest terms, or ``p`` when the denominator is 1."""
     return str(Fraction(x))

@@ -293,25 +293,29 @@ def _symmap_to_json(name, f, algebras):
 
 
 def _table_from_json(cls, entries, alg, degree, target_dim, location, nvars=None):
-    """A Cochain or SymMultiMap from its entry list in canonical tuple order."""
-    expected = cls.key_tuples(alg.dim, degree)
-    _expect(isinstance(entries, list) and len(entries) == len(expected),
-            f"expected {len(expected)} entries", location)
+    """A Cochain or SymMultiMap from its entry list in canonical tuple order.
+
+    The entry count is checked against the number of canonical tuples before
+    any tuple is enumerated, so the work is bounded by the document's size.
+    """
+    count = cls.key_count(alg.dim, degree)
+    _expect(isinstance(entries, list) and len(entries) == count,
+            f"expected {count} entries", location)
     values = {}
-    for idx, item in enumerate(entries):
+    for idx, (item, expected) in enumerate(zip(entries, cls.key_tuples(alg.dim, degree))):
         loc = f"{location}.entries[{idx}]"
         _expect(isinstance(item, dict) and set(item) <= {"tuple", "value"},
                 "entry must have keys tuple, value", loc)
         key = item.get("tuple", [])
         _expect(isinstance(key, list) and all(type(k) is int for k in key)
-                and tuple(key) == expected[idx],
-                f"entry {idx} must be for tuple {list(expected[idx])}", loc)
+                and tuple(key) == expected,
+                f"entry {idx} must be for tuple {list(expected)}", loc)
         val = item.get("value")
         _expect(isinstance(val, list) and len(val) == target_dim,
                 f"value must have length {target_dim}", loc)
-        values[expected[idx]] = [_rational(v, f"{loc}.value[{i}]", nvars)
-                               for i, v in enumerate(val)]
-    return cls(alg, degree, target_dim, values)
+        values[expected] = tuple(_rational(v, f"{loc}.value[{i}]", nvars)
+                                 for i, v in enumerate(val))
+    return cls._of(alg, degree, target_dim, values)
 
 
 def _table_entries_to_json(table):

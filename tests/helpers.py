@@ -11,7 +11,7 @@ from liechar import (
     abelian, adjoint_representation, algebra_from_brackets, as_poly, bracket,
     column_space_basis, compose_sym, differential_matrix, heisenberg, increasing_tuples,
     integrate_poly_simplex, kernel_coords, mat_mul, mat_vec, nondecreasing_tuples,
-    nullspace, param_curvature, param_section, rref, scalar_multiplication,
+    nullspace, param_curvature, param_section, rank, rref, scalar_multiplication,
     section_curvature, section_difference, solve_linear, sym_product, transpose,
     trivial_representation,
 )
@@ -77,6 +77,22 @@ def conjugate_algebra(rng, algebra):
         structure.append(plane)
     names = tuple(f"b{i + 1}" for i in range(d))
     return LieAlgebra(names, structure, validate=True)
+
+
+def conjugate_extension(rng, ext):
+    """ext written in a seeded basis of its total algebra: e'_i = sum_j P[j][i] e_j.
+
+    The structure constants, iota and q become dense; the extension stays exact.
+    """
+    d = ext.total.dim
+    pm = random_invertible(rng, d)
+    cols = [[pm[r][i] for r in range(d)] for i in range(d)]
+    structure = [[solve_linear(pm, bracket(ext.total, cols[i], cols[j])) for j in range(d)]
+                 for i in range(d)]
+    total = LieAlgebra(tuple(f"b{i + 1}" for i in range(d)), structure)
+    iota = transpose([solve_linear(pm, col) for col in transpose(ext.iota)])
+    proj = mat_mul(ext.proj, pm)
+    return Extension(total, ext.base, ext.kernel, iota, proj)
 
 
 def dense_cocycles_and_coboundaries(algebra, rep, degree):
@@ -552,3 +568,65 @@ BOOLEAN_FIELDS = [
     ("target_dim", 1, r"^polynomials\.f: target_dim must be a positive integer$"),
     ("tuple", 0, r"^polynomials\.f\.entries\[0\]: entry 0 must be for tuple \[0\]$"),
 ]
+
+
+def dense_mat_mul(a, b):
+    """The dense product: every entry a sum over all k, zero factors included."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("matrix dimension mismatch")
+    return [[sum(row[k] * b[k][j] for k in range(len(b)))
+             for j in range(len(b[0]) if b else 0)] for row in a]
+
+
+def dense_mat_vec(a, x):
+    """The dense matrix-vector product, zero factors included."""
+    if a and len(a[0]) != len(x):
+        raise ValueError("matrix dimension mismatch")
+    return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
+
+
+def reference_validate_extension(ext):
+    """validate_extension with dense products and one solve per ideal pair."""
+    failures = []
+    dn, dg, dt = ext.kernel.dim, ext.base.dim, ext.total.dim
+    if dn + dg != dt:
+        failures.append(
+            f"dimension count fails: dim kernel {dn} + dim base {dg} != dim total {dt}")
+    if rank(ext.iota) != dn:
+        failures.append("iota is not injective")
+    if rank(ext.proj) != dg:
+        failures.append("q is not surjective")
+    if any(c != 0 for row in dense_mat_mul(ext.proj, ext.iota) for c in row):
+        failures.append("q . iota is not zero")
+    iota_cols = transpose(ext.iota)
+    for i, j in combinations(range(dn), 2):
+        if dense_mat_vec(ext.iota, ext.kernel.structure[i][j]) != bracket(
+                ext.total, iota_cols[i], iota_cols[j]):
+            failures.append(f"iota is not a homomorphism on kernel pair ({i},{j})")
+    for x, plane in enumerate(ext.total.structure):
+        ad_x = transpose(plane)
+        for j, col in enumerate(iota_cols):
+            if solve_linear(ext.iota, dense_mat_vec(ad_x, col)) is None:
+                failures.append(
+                    f"iota image is not an ideal: [e_{x}, iota e_{j}] escapes")
+    q_cols = transpose(ext.proj)
+    for i, j in combinations(range(dt), 2):
+        if dense_mat_vec(ext.proj, ext.total.structure[i][j]) != bracket(
+                ext.base, q_cols[i], q_cols[j]):
+            failures.append(f"q is not a homomorphism on pair ({i},{j})")
+    return failures
+
+
+def oversized_polynomial_document():
+    """About 250 bytes naming a degree-30 map on a 20-dimensional algebra.
+
+    Such a map has C(49, 30) table entries; the document lists none.
+    """
+    return json.dumps({
+        "algebras": {"g": {"dim": 20, "basis": [f"e{i}" for i in range(20)]}},
+        "polynomials": {"f": {"degree": 30, "source": "g", "target_dim": 1,
+                              "entries": []}}})
+
+
+def no_enumeration(dim, degree):
+    raise AssertionError(f"enumerated the tuples of degree {degree} over dim {dim}")

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from liechar import SymMultiMap
 from liechar.cli import run_command
 
-from helpers import BOOLEAN_FIELDS, boolean_document
+from helpers import (BOOLEAN_FIELDS, boolean_document, no_enumeration,
+                     oversized_polynomial_document)
 
 
 def run(capsys, *argv):
@@ -82,6 +84,14 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 1
         assert "broken" in err
+
+    def test_oversized_polynomial_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(SymMultiMap, "key_tuples", staticmethod(no_enumeration))
+        path = tmp_path / "big.json"
+        path.write_text(oversized_polynomial_document(), encoding="utf-8")
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert "polynomials.f: expected" in err
 
     def test_usage_error_exits_2(self, capsys):
         assert run_command(["frobnicate", "x.json"]) == 2
@@ -192,6 +202,29 @@ class TestComputations:
             "--section", "s1", "--rep", "triv", "--output", "json")
         assert code == 0
         assert json.loads(out)["coordinates"] == ["1"]
+
+
+class TestSharedParser:
+    """run_command reuses one parser; a failed call leaves nothing for the next."""
+
+    def test_good_command_after_failures_matches_golden(self, capsys, monkeypatch):
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.chdir(root)
+        path = "fixtures/oscillator.json"
+        argv = ["secondary", path, "--extension", "osc", "--poly", "fz",
+                "--sections", "s0,sz", "--output", "json"]
+        golden = (root / "tests" / "golden" / "cli" / "oscillator.json.txt").read_text(
+            encoding="utf-8")
+        (expected,) = [part.split("\n", 1)[1] for part in golden.split("$ liechar ")
+                       if part.startswith(" ".join(argv) + "\n")]
+        assert run_command(["secondary", path, "--invariance", "strict", "--rep", "triv",
+                            "--output", "text", "--bogus"]) == 2
+        assert run_command(["secondary", path, "--extension", "nope", "--poly", "fz",
+                            "--sections", "s0,sz", "--invariance", "strict",
+                            "--rep", "triv", "--output", "text"]) == 1
+        capsys.readouterr()
+        code = run_command(argv)
+        assert f"exit {code}\n{capsys.readouterr().out}" == expected
 
 
 class TestModuleEntryPoint:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -8,16 +9,18 @@ from liechar import (ExactnessViolation, Extension, InvalidSection, Section,
                      SymMultiMap, abelian, adjoint_representation,
                      algebra_from_brackets, as_poly, covariant_derivative,
                      heisenberg3, is_invariant, param_curvature,
-                     param_section, s_from_section, section_curvature,
-                     section_difference, trivial_representation,
+                     param_section, parse_workspace, s_from_section,
+                     section_curvature, section_difference, trivial_representation,
                      validate_extension, validate_section)
+from liechar import extensions as extensions_module
 from liechar.catalog import (affine_split_extension, euclidean_extension,
                              filiform_extension, heisenberg_central_extension,
                              oscillator_extension)
 
-from helpers import (fixture_extensions, rand_section, rand_symmap,
-                     random_invariant_symmap, reference_is_invariant,
-                     reference_section_curvature, section_pool, to_poly)
+from helpers import (conjugate_extension, direct_sum_extension, fixture_extensions,
+                     rand_fraction, rand_section, rand_symmap, random_invariant_symmap,
+                     reference_is_invariant, reference_section_curvature,
+                     reference_validate_extension, section_pool, to_poly)
 
 ROTATION = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
 
@@ -120,6 +123,89 @@ class TestValidateExtension:
     def test_full_failure_list(self, case):
         build, expected = BROKEN_EXTENSIONS[case]
         assert validate_extension(build()) == expected
+
+
+def corruptions(rng, ext):
+    """Broken copies of ext: one perturbed entry of iota or q, a kernel or a
+    base swapped for an abelian algebra, a dropped row of q, a shrunken iota."""
+    dt, dg, dn = ext.total.dim, ext.base.dim, ext.kernel.dim
+    for _ in range(3):
+        iota = [list(row) for row in ext.iota]
+        iota[rng.randrange(dt)][rng.randrange(dn)] += rand_fraction(rng) or 1
+        yield Extension(ext.total, ext.base, ext.kernel, iota, ext.proj)
+        proj = [list(row) for row in ext.proj]
+        proj[rng.randrange(dg)][rng.randrange(dt)] += rand_fraction(rng) or 1
+        yield Extension(ext.total, ext.base, ext.kernel, ext.iota, proj)
+    yield Extension(ext.total, ext.base, abelian(dn), ext.iota, ext.proj)
+    yield Extension(ext.total, abelian(dg), ext.kernel, ext.iota, ext.proj)
+    yield Extension(abelian(dt), ext.base, ext.kernel, ext.iota, ext.proj)
+    if dg > 1:
+        yield Extension(ext.total, abelian(dg - 1), ext.kernel, ext.iota, ext.proj[1:])
+    if dn > 1:
+        yield Extension(ext.total, ext.base, abelian(dn - 1), [row[1:] for row in ext.iota],
+                        ext.proj)
+    # the first dn coordinate lines as kernel: rarely an ideal in a dense basis
+    unit_iota = [[Fraction(int(r == c)) for c in range(dn)] for r in range(dt)]
+    yield Extension(ext.total, ext.base, abelian(dn), unit_iota, ext.proj)
+
+
+def validation_cases():
+    """Catalog, fixture and conjugated extensions, each with its corruptions,
+    and the hand-built broken extensions."""
+    rng = random.Random(93)
+    root = Path(__file__).resolve().parents[1]
+    valid = list(fixture_extensions().values()) + [
+        heisenberg_central_extension(3), direct_sum_extension()]
+    for name in ("oscillator", "heisenberg", "filiform"):
+        text = (root / "fixtures" / f"{name}.json").read_text(encoding="utf-8")
+        valid += parse_workspace(text).extensions.values()
+    valid += [conjugate_extension(rng, ext) for ext in list(valid)]
+    for ext in valid:
+        yield ext
+        yield from corruptions(rng, ext)
+    for build, _ in BROKEN_EXTENSIONS.values():
+        yield build()
+
+
+class TestValidateAgainstReference:
+    """validate_extension against one solve_linear per ideal pair and dense products."""
+
+    def test_failure_lists_match(self):
+        seen = set()
+        count = 0
+        for ext in validation_cases():
+            failures = validate_extension(ext)
+            assert failures == reference_validate_extension(ext), ext
+            seen.update(f.split(":")[0].split(" on ")[0] for f in failures)
+            count += 1
+        assert count > 200
+        assert seen == {"dimension count fails", "iota is not injective",
+                        "q is not surjective", "q . iota is not zero",
+                        "iota is not a homomorphism", "iota image is not an ideal",
+                        "q is not a homomorphism"}
+
+    def test_one_elimination_whatever_the_size(self, monkeypatch):
+        calls = []
+        original = extensions_module.sparse_rref
+
+        def counting(rows, ncols):
+            calls.append(ncols)
+            return original(rows, ncols)
+
+        def no_solve(a, b):
+            raise AssertionError("validate_extension must not solve per pair")
+
+        monkeypatch.setattr(extensions_module, "sparse_rref", counting)
+        monkeypatch.setattr(extensions_module, "solve_linear", no_solve)
+        small = heisenberg_central_extension()
+        large = conjugate_extension(random.Random(94), direct_sum_extension())
+        counts = []
+        for ext in (small, large):
+            calls.clear()
+            assert validate_extension(ext) == []
+            counts.append(len(calls))
+        assert counts == [1, 1]
+        assert large.total.dim * large.kernel.dim == 24 > small.total.dim * small.kernel.dim
 
 
 class TestSections:

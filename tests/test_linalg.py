@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +10,8 @@ from liechar import (MultiPoly, column_space_basis, mat_mul, mat_vec,
                      nullspace, rank, rref, solve_linear)
 from liechar.linalg import echelon_nullspace, sparse_rref, sparse_transpose
 
-from helpers import dense_rref, dense_solve, rand_fraction, rand_matrix
+from helpers import (dense_mat_mul, dense_mat_vec, dense_rref, dense_solve, rand_fraction,
+                     rand_matrix)
 
 
 def F(x):  # noqa: N802 - terse literal helper
@@ -239,3 +242,61 @@ class TestAgainstDenseLoop:
                     solvable += 1
                     assert [type(x) for x in got] == [type(x) for x in expected]
         assert solvable > 100 and inconsistent > 50
+
+
+class TestProductsAgainstDenseSum:
+    """mat_mul and mat_vec skip zero factors but keep the dense sum's values and types."""
+
+    @staticmethod
+    def entry(rng, kind):
+        """A sparse scalar: zero half the time, a Fraction or a MultiPoly by kind."""
+        if kind == "fraction" or rng.random() < 0.3:
+            return rand_fraction(rng) if rng.random() < 0.5 else F(0)
+        t = MultiPoly.variable(2, rng.randrange(2))
+        if rng.random() < 0.2:
+            return MultiPoly.zero(2)
+        return t * rand_fraction(rng) + rand_fraction(rng)
+
+    def operands(self, rng):
+        """300 triples (a, b, x) with a, b and x each all Fraction or partly MultiPoly."""
+        for _ in range(300):
+            rows, inner, cols = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 4)
+            a_kind, b_kind, x_kind = (rng.choice(["fraction", "poly"]) for _ in range(3))
+            a = [[self.entry(rng, a_kind) for _ in range(inner)] for _ in range(rows)]
+            b = [[self.entry(rng, b_kind) for _ in range(cols)] for _ in range(inner)]
+            yield a, b, [self.entry(rng, x_kind) for _ in range(inner)]
+
+    def test_mat_mul_matches_dense_sum(self):
+        polys = 0
+        for a, b, _ in self.operands(random.Random(77)):
+            got, want = mat_mul(a, b), dense_mat_mul(a, b)
+            assert got == want
+            assert kinds(got) == kinds(want)
+            polys += sum(t is MultiPoly for row in kinds(want) for t in row)
+        assert polys > 500
+
+    def test_mat_vec_matches_dense_sum(self):
+        polys = 0
+        for a, _, x in self.operands(random.Random(78)):
+            got, want = mat_vec(a, x), dense_mat_vec(a, x)
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+            polys += sum(type(v) is MultiPoly for v in want)
+        assert polys > 200
+
+    def test_zero_factors_keep_the_polynomial_kind(self):
+        zero_poly = MultiPoly.zero(1)
+        t = MultiPoly.variable(1, 0)
+        assert [type(v) for v in mat_vec(fmat([[1, 0], [0, 0]]), [zero_poly, F(0)])] == \
+            [MultiPoly, MultiPoly]
+        assert [type(v) for v in mat_vec([[t, F(0)], [F(0), F(0)]], fmat([[0, 1]])[0])] == \
+            [MultiPoly, Fraction]
+        assert kinds(mat_mul(fmat([[0, 0]]), [[t], [F(0)]])) == [[MultiPoly]]
+
+    def test_shape_errors_and_empty_operands(self):
+        with pytest.raises(ValueError):
+            mat_mul(fmat([[1, 2]]), fmat([[1, 2]]))
+        with pytest.raises(ValueError):
+            mat_vec(fmat([[1, 2]]), [F(1)])
+        assert mat_mul([], fmat([[1]])) == [] and mat_mul(fmat([[1]]), [[]]) == [[]]
+        assert mat_vec([], []) == []

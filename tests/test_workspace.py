@@ -1,16 +1,18 @@
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from liechar import (Cochain, MultiPoly, ParseError, ValidationError, abelian,
-                     cochain_from_json, cochain_to_json, heisenberg3,
+from liechar import (Cochain, MultiPoly, ParseError, SymMultiMap, ValidationError, abelian,
+                     cochain_from_json, cochain_to_json, heisenberg, heisenberg3,
                      param_curvature, param_section, parse_workspace,
                      serialize_workspace)
 from liechar.catalog import (filiform_workspace, heisenberg_workspace,
                              oscillator_workspace)
 
-from helpers import BOOLEAN_FIELDS, boolean_document
+from helpers import (BOOLEAN_FIELDS, boolean_document, no_enumeration,
+                     oversized_polynomial_document)
 
 
 class TestRoundTrips:
@@ -225,6 +227,28 @@ class TestInlineAlgebras:
         # anonymous algebras serialize back inline
         again = parse_workspace(serialize_workspace(ws))
         assert again.extensions["inline"].total == ws.extensions["inline"].total
+
+
+class TestSizeBound:
+    """The entry count is compared with the number of tuples before enumerating them."""
+
+    def test_oversized_polynomial_rejected_without_enumeration(self, monkeypatch):
+        monkeypatch.setattr(SymMultiMap, "key_tuples", staticmethod(no_enumeration))
+        text = oversized_polynomial_document()
+        assert len(text) < 300
+        with pytest.raises(ParseError, match=f"expected {comb(49, 30)} entries"):
+            parse_workspace(text)
+
+    def test_oversized_cochain_rejected_without_enumeration(self, monkeypatch):
+        monkeypatch.setattr(Cochain, "key_tuples", staticmethod(no_enumeration))
+        with pytest.raises(ParseError, match=f"expected {comb(41, 20)} entries"):
+            cochain_from_json({"degree": 20, "entries": []}, heisenberg(20), 1)
+
+    @pytest.mark.parametrize("cls", [Cochain, SymMultiMap])
+    def test_key_count_matches_enumeration(self, cls):
+        for dim in range(6):
+            for degree in range(8):
+                assert cls.key_count(dim, degree) == len(cls.key_tuples(dim, degree))
 
 
 class TestCochainJson:

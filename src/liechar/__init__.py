@@ -19,10 +19,9 @@ from .liealg import (LieAlgebra, Representation, abelian, ad_matrix,
                      adjoint_representation, algebra_from_brackets, bracket,
                      check_jacobi, check_representation, heisenberg,
                      heisenberg3, is_derivation, oscillator,
-                     semidirect_product, standard_algebra,
-                     trivial_representation)
+                     semidirect_product, trivial_representation)
 from .cochains import (BilinearProduct, Cochain, LinearAction, SymMultiMap,
-                       alt, ce_differential, compose_sym, covariant_derivative,
+                       ce_differential, compose_sym, covariant_derivative,
                        curvature, evaluation_product, increasing_tuples,
                        lie_bracket_product, nondecreasing_tuples,
                        scalar_multiplication, sym_product, sym_tensor_product,

@@ -17,26 +17,30 @@ constructors check and coerce every entry; package code that already holds a
 complete table of exact entries (the basis cochains of a cohomology space)
 builds it through the trusted constructor _of, which skips those checks.
 
-Wedge products are computed as (p,q)-shuffle sums,
+Wedge products, symmetric products and the composition of a symmetric map
+with cochains are shuffle sums over one enumerator of ordered partitions; the
+wedge product is the (p,q)-shuffle sum
 
     (a ^_m b)(x_1..x_{p+q}) = sum over shuffles s of
                               sign(s) * m(a(x_s(1)..x_s(p)), b(x_s(p+1)..)),
 
 which is division free and equals the normalized alternation
 Alt(a ._m b) / (p! q!); the test suite exercises that equality exhaustively
-in low degree.  The differential twisted by endomorphisms S(e_i) is
+in low degree.  The Lie bracket and every bilinear product contract their
+coefficient table in one loop.  The differential twisted by endomorphisms
+S(e_i) is
 
     (d_S w)(x_0..x_p) = sum_j (-1)^j S(x_j) . w(.., x_j omitted, ..)
                       + sum_{i<j} (-1)^{i+j} w([x_i,x_j], .., x_i, x_j omitted, ..);
 
 the Chevalley-Eilenberg differential is the case S = rho for a module action
 rho, and the covariant derivative is the case of an arbitrary linear S.  Both
-apply one term list per increasing (p+1)-tuple key, which depends only on the
-algebra: action terms (sign, t, src) add sign * S(e_t) . w(src); bracket terms
-(coeff, src) add coeff * w(src), summed from each nonzero c_ab^k of the pair
-at positions i < j of key, with k not in the rest of key and sign (-1)^{i+j}
-times the shuffle sign of inserting k into the rest.  The matrix of d in
-characteristic is assembled from the same list, so the formula exists once.
+apply the sparse rows of d_S to the flattened cochain.  One builder emits
+those rows straight from the nonzero structure constants and the nonzero
+entries of the S(e_t): a block sign * S(e_t) per position of the key (none
+when S(e_t) is zero, as for a trivial module) and a block coeff * I per
+nonzero c_ab^k of a pair of positions.  The matrix of d and the cohomology
+spaces in characteristic use the same rows, so the formula exists once.
 The curvature of a 1-cochain sigma into a Lie algebra is
 R(x,y) = [sigma x, sigma y] - sigma([x,y]); the curvature of a section in
 extensions applies the same formula with the bracket of the total algebra.
@@ -47,11 +51,11 @@ from __future__ import annotations
 import operator
 from bisect import bisect
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
-from .liealg import LieAlgebra, Representation
-from .linalg import mat_vec
+from .liealg import LieAlgebra, Representation, _contract
+from .linalg import _zero
 from .scalars import MultiPoly, _fraction
 
 __all__ = [
@@ -61,7 +65,6 @@ __all__ = [
     "LinearAction",
     "increasing_tuples",
     "nondecreasing_tuples",
-    "alt",
     "wedge",
     "ce_differential",
     "covariant_derivative",
@@ -113,6 +116,11 @@ def _plain_sort(seq):
     return tuple(sorted(seq)), 1
 
 
+def _flatten(table):
+    """The entries of a table in the tuple-major basis (tables are in key order)."""
+    return [x for val in table.values.values() for x in val]
+
+
 class _Table:
     """One value vector per canonical index tuple, extended multilinearly.
 
@@ -143,8 +151,9 @@ class _Table:
 
     @classmethod
     def _of(cls, source: LieAlgebra, degree: int, target_dim: int, table: dict):
-        """Trusted constructor: ``table`` must map every canonical tuple, and
-        nothing else, to a tuple of target_dim Fraction or MultiPoly entries."""
+        """Trusted constructor: ``table`` must map every canonical tuple, in key
+        order and nothing else, to a tuple of target_dim Fraction or MultiPoly
+        entries."""
         obj = object.__new__(cls)
         obj.source = source
         obj.degree = degree
@@ -277,19 +286,7 @@ class BilinearProduct:
     def apply(self, u, v):
         if len(u) != self.left_dim or len(v) != self.right_dim:
             raise ValueError("dimension mismatch")
-        out = [Fraction(0)] * self.out_dim
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            plane = self.coeffs[i]
-            for j, vj in enumerate(v):
-                if vj == 0:
-                    continue
-                row = plane[j]
-                for k in range(self.out_dim):
-                    if row[k]:
-                        out[k] = out[k] + ui * vj * row[k]
-        return out
+        return _contract(self.coeffs, u, v, self.out_dim)
 
 
 def lie_bracket_product(alg: LieAlgebra) -> BilinearProduct:
@@ -343,78 +340,59 @@ class LinearAction:
         self.space_dim = m
 
 
-def alt(source: LieAlgebra, degree: int, target_dim: int, table) -> Cochain:
-    """Antisymmetrization sum over permutations s of sign(s) * f(w_s(1),..,w_s(p)).
-
-    ``table`` maps every length-``degree`` index tuple (repeats allowed) to a
-    value vector; callables are accepted in place of a dict.  Already
-    alternating input comes back multiplied by degree!.
-    """
-    get = table if callable(table) else table.__getitem__
-
-    def fn(key):
-        out = [Fraction(0)] * target_dim
-        for perm in permutations(range(degree)):
-            sgn = _perm_sign(perm)
-            val = get(tuple(key[i] for i in perm))
-            out = [o + sgn * x for o, x in zip(out, val)]
-        return out
-
-    return Cochain.from_function(source, degree, target_dim, fn)
-
-
 def wedge(a: Cochain, b: Cochain, m: BilinearProduct) -> Cochain:
     """Shuffle-sum wedge product a ^_m b of degree a.degree + b.degree."""
-    if a.source.dim != b.source.dim:
-        raise ValueError("source algebra mismatch")
-    if a.target_dim != m.left_dim or b.target_dim != m.right_dim:
-        raise ValueError("dimension mismatch")
-    p, q = a.degree, b.degree
-
-    def fn(key):
-        out = [Fraction(0)] * m.out_dim
-        for left_pos in combinations(range(p + q), p):
-            sgn = -1 if (sum(left_pos) - sum(range(p))) % 2 else 1
-            left_key = tuple(key[i] for i in left_pos)
-            right_key = tuple(key[i] for i in range(p + q) if i not in left_pos)
-            val = m.apply(a.entry(left_key), b.entry(right_key))
-            out = [o + sgn * x for o, x in zip(out, val)]
-        return out
-
-    return Cochain.from_function(a.source, p + q, m.out_dim, fn)
+    return _shuffle_product(Cochain, a, b, m, True)
 
 
-def _differential_terms(algebra: LieAlgebra, degree: int):
-    """(key, action terms, bracket terms) of d_S for each increasing (degree+1)-tuple."""
+def _differential_rows(algebra: LieAlgebra, mats, m: int, degree: int):
+    """Sparse rows {column: nonzero entry} of d_S: C^degree -> C^{degree+1} in the
+    flattened tuple-major bases, m the dimension the S(e_t) act on."""
     structure = [[[(k, c) for k, c in enumerate(vec) if c] for vec in plane]
                  for plane in algebra.structure]
-    terms = []
+    action = [[[(c, x) for c, x in enumerate(row) if x] for row in mat]
+              if any(map(any, mat)) else None for mat in mats]
+    col_of = {key: i * m for i, key in enumerate(increasing_tuples(algebra.dim, degree))}
+    rows = []
     for key in increasing_tuples(algebra.dim, degree + 1):
-        actions = [(-1 if j % 2 else 1, t, key[:j] + key[j + 1:]) for j, t in enumerate(key)]
-        brackets = {}
+        block = [{} for _ in range(m)]
+        for j, t in enumerate(key):
+            if action[t]:
+                sgn = -1 if j % 2 else 1
+                base = col_of[key[:j] + key[j + 1:]]
+                for row, action_row in zip(block, action[t]):
+                    for c, x in action_row:
+                        row[base + c] = row.get(base + c, 0) + sgn * x
         for ai, bi in combinations(range(degree + 1), 2):
             rest = key[:ai] + key[ai + 1:bi] + key[bi + 1:]
             for k, c in structure[key[ai]][key[bi]]:
                 if k not in rest:
                     pos = bisect(rest, k)
-                    src = rest[:pos] + (k,) + rest[pos:]
-                    brackets[src] = brackets.get(src, 0) + (-c if (ai + bi + pos) % 2 else c)
-        terms.append((key, actions, [(c, src) for src, c in brackets.items() if c]))
-    return terms
+                    coeff = -c if (ai + bi + pos) % 2 else c
+                    for i, row in enumerate(block, col_of[rest[:pos] + (k,) + rest[pos:]]):
+                        row[i] = row.get(i, 0) + coeff
+        rows.extend({c: x for c, x in row.items() if x} for row in block)
+    return rows
 
 
-def _twisted_differential(w: Cochain, source_dim: int, space_dim: int, mats) -> Cochain:
-    if w.source.dim != source_dim or w.target_dim != space_dim:
+def _twisted_differential(w: Cochain, source_dim: int, m: int, mats) -> Cochain:
+    """The rows of d_S applied to w; each entry starts from the zero of the
+    inputs' kind (a MultiPoly zero when w or S holds one, else Fraction(0))."""
+    if w.source.dim != source_dim or w.target_dim != m:
         raise ValueError("dimension mismatch")
-    values = {}
-    for key, actions, brackets in _differential_terms(w.source, w.degree):
-        out = [Fraction(0)] * w.target_dim
-        for sgn, t, src in actions:
-            out = [o + sgn * x for o, x in zip(out, mat_vec(mats[t], w.values[src]))]
-        for coeff, src in brackets:
-            out = [o + coeff * x for o, x in zip(out, w.values[src])]
-        values[key] = out
-    return Cochain(w.source, w.degree + 1, w.target_dim, values)
+    flat = _flatten(w)
+    zero = _zero(flat + [x for mat in mats for row in mat for x in row])
+    out = []
+    for row in _differential_rows(w.source, mats, m, w.degree):
+        acc = zero
+        for c, x in row.items():
+            y = flat[c]
+            if y:
+                acc = acc + x * y
+        out.append(acc)
+    keys = increasing_tuples(source_dim, w.degree + 1)
+    return Cochain._of(w.source, w.degree + 1, m,
+                       {key: tuple(out[i * m:(i + 1) * m]) for i, key in enumerate(keys)})
 
 
 def ce_differential(w: Cochain, rep: Representation) -> Cochain:
@@ -463,6 +441,24 @@ def _ordered_partitions(positions, sizes):
             yield [block] + tail
 
 
+def _shuffle_sum(sizes, out_dim, signed, fn):
+    """key -> sum of sign * fn(key restricted to each block) over the ordered
+    partitions of the positions of key into increasing blocks of the given
+    sizes; the sign is that of the permutation the blocks spell when signed,
+    else 1."""
+    positions = tuple(range(sum(sizes)))
+
+    def total(key):
+        out = [Fraction(0)] * out_dim
+        for blocks in _ordered_partitions(positions, sizes):
+            sgn = _perm_sign([pos for block in blocks for pos in block]) if signed else 1
+            val = fn([tuple(key[pos] for pos in block) for block in blocks])
+            out = [o + sgn * x for o, x in zip(out, val)]
+        return out
+
+    return total
+
+
 def compose_sym(f: SymMultiMap, args) -> Cochain:
     """f-tilde applied to the iterated symmetric-tensor wedge of the arguments.
 
@@ -483,39 +479,29 @@ def compose_sym(f: SymMultiMap, args) -> Cochain:
         if a.target_dim != f.source.dim:
             raise ValueError("dimension mismatch")
     degrees = [a.degree for a in args]
-    total = sum(degrees)
 
-    def fn(key):
-        out = [Fraction(0)] * f.target_dim
-        for blocks in _ordered_partitions(tuple(range(total)), degrees):
-            seq = [pos for block in blocks for pos in block]
-            sgn = _perm_sign(seq)
-            vectors = [
-                list(args[i].entry(tuple(key[pos] for pos in block)))
-                for i, block in enumerate(blocks)
-            ]
-            val = f.evaluate(vectors)
-            out = [o + sgn * x for o, x in zip(out, val)]
-        return out
+    def term(keys):
+        return f.evaluate([list(a.entry(k)) for a, k in zip(args, keys)])
 
-    return Cochain.from_function(src, total, f.target_dim, fn)
+    return Cochain.from_function(src, sum(degrees), f.target_dim,
+                                 _shuffle_sum(degrees, f.target_dim, True, term))
 
 
 def sym_product(f: SymMultiMap, g: SymMultiMap, m: BilinearProduct) -> SymMultiMap:
     """Unsigned shuffle-sum product (f v g)(y_1..y_{p+q}) = sum m(f(block), g(block))."""
-    if f.source.dim != g.source.dim:
+    return _shuffle_product(SymMultiMap, f, g, m, False)
+
+
+def _shuffle_product(cls, a, b, m: BilinearProduct, signed: bool):
+    """The (p,q)-shuffle sum of m(a(block), b(block)), signed for cochains."""
+    if a.source.dim != b.source.dim:
         raise ValueError("source algebra mismatch")
-    if f.target_dim != m.left_dim or g.target_dim != m.right_dim:
+    if a.target_dim != m.left_dim or b.target_dim != m.right_dim:
         raise ValueError("dimension mismatch")
-    p, q = f.degree, g.degree
+    sizes = (a.degree, b.degree)
 
-    def fn(key):
-        out = [Fraction(0)] * m.out_dim
-        for left_pos in combinations(range(p + q), p):
-            left_key = tuple(key[i] for i in left_pos)
-            right_key = tuple(key[i] for i in range(p + q) if i not in left_pos)
-            val = m.apply(f.entry(left_key), g.entry(right_key))
-            out = [o + x for o, x in zip(out, val)]
-        return out
+    def term(keys):
+        return m.apply(a.entry(keys[0]), b.entry(keys[1]))
 
-    return SymMultiMap.from_function(f.source, p + q, m.out_dim, fn)
+    return cls.from_function(a.source, sum(sizes), m.out_dim,
+                             _shuffle_sum(sizes, m.out_dim, signed, term))

@@ -120,7 +120,7 @@ def validate_extension(ext: Extension):
         failures.append("q is not surjective")
     if any(c != 0 for row in mat_mul(ext.proj, ext.iota) for c in row):
         failures.append("q . iota is not zero")
-    iota_cols = transpose(ext.iota)
+    iota_cols = [[row[j] for row in ext.iota] for j in range(dn)]
     for i, j in combinations(range(dn), 2):
         if mat_vec(ext.iota, ext.kernel.structure[i][j]) != bracket(
                 ext.total, iota_cols[i], iota_cols[j]):
@@ -128,7 +128,7 @@ def validate_extension(ext: Extension):
     for pair in sorted(escapes):
         x, j = divmod(pair, dn)
         failures.append(f"iota image is not an ideal: [e_{x}, iota e_{j}] escapes")
-    q_cols = transpose(ext.proj)
+    q_cols = [[row[i] for row in ext.proj] for i in range(dt)]
     for i, j in combinations(range(dt), 2):
         if mat_vec(ext.proj, ext.total.structure[i][j]) != bracket(
                 ext.base, q_cols[i], q_cols[j]):
@@ -236,9 +236,10 @@ def is_invariant(f, ext: Extension, rep: Representation, mode: str = "section",
     else:
         s_mats = [_kernel_action(ext, v) for v in identity(ext.total.dim)]
         m = rep.space_dim
+        q_cols = [[row[x] for row in ext.proj] for x in range(ext.total.dim)]
         act_mats = [[[sum(c * mat[r][s] for c, mat in zip(qx, rep.matrices))
                       for s in range(m)] for r in range(m)]
-                    for qx in transpose(ext.proj)]
+                    for qx in q_cols]
     for s_mat, act in zip(s_mats, act_mats):
         for key in nondecreasing_tuples(dn, f.degree):
             rhs = [Fraction(0)] * f.target_dim

@@ -8,6 +8,9 @@ construction, so downstream operators may assume validity; pass
 Constructions used throughout: abelian algebras, the Heisenberg algebras
 h_{2m+1}, semidirect products h x| a by derivations, and the oscillator
 algebra h_3 x| R with the rotation derivation.
+
+The representation and derivation checks share one matrix defect; Jacobi
+keeps its own loop, which never forms the matrices ad(e_i) of a large table.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import mat_mul, mat_vec, vec_is_zero, vec_sub, zeros
+from .linalg import identity, mat_mul, transpose, vec_is_zero, zeros
 from .scalars import _fraction
 
 __all__ = [
@@ -31,7 +34,6 @@ __all__ = [
     "heisenberg",
     "heisenberg3",
     "oscillator",
-    "standard_algebra",
     "check_representation",
     "trivial_representation",
     "adjoint_representation",
@@ -159,50 +161,59 @@ def bracket(alg: LieAlgebra, x, y):
     d = alg.dim
     if len(x) != d or len(y) != d:
         raise ValueError("dimension mismatch")
-    out = [Fraction(0)] * d
-    c = alg.structure
-    for i in range(d):
-        xi = x[i]
+    return _contract(alg.structure, x, y, d)
+
+
+def _contract(table, x, y, out_dim):
+    """sum of x_i y_j table[i][j][k] e_k over nonzero factors: the one bilinear loop."""
+    out = [Fraction(0)] * out_dim
+    for xi, plane in zip(x, table):
         if xi == 0:
             continue
-        for j in range(d):
-            yj = y[j]
+        for yj, row in zip(y, plane):
             if yj == 0:
                 continue
-            row = c[i][j]
-            for k in range(d):
-                if row[k]:
-                    out[k] = out[k] + xi * yj * row[k]
+            for k, c in enumerate(row):
+                if c:
+                    out[k] = out[k] + xi * yj * c
     return out
 
 
 def ad_matrix(alg: LieAlgebra, x):
     """Matrix of ad(x): y -> [x, y] in the basis of alg."""
-    d = alg.dim
-    cols = [bracket(alg, x, _unit(d, j)) for j in range(d)]
-    return [[cols[j][k] for j in range(d)] for k in range(d)]
+    return transpose([bracket(alg, x, e) for e in identity(alg.dim)])
 
 
-def _unit(d, i):
-    v = [Fraction(0)] * d
-    v[i] = Fraction(1)
-    return v
+def _ad_basis(alg: LieAlgebra):
+    """The matrices ad(e_i), read off the table: ad(e_i)[k][j] = c_ij^k."""
+    return [transpose(plane) for plane in alg.structure]
+
+
+def _defect(a, b, coeffs, mats):
+    """ab - ba - sum_k coeffs[k] mats[k], the defect of either bracket identity on
+    matrices: rho([e_i, e_j]) = [rho e_i, rho e_j] and [D, ad e_i] = ad(D e_i)."""
+    out = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(mat_mul(a, b), mat_mul(b, a))]
+    for c, mat in zip(coeffs, mats):
+        if c:
+            for row, mrow in zip(out, mat):
+                for s, x in enumerate(mrow):
+                    if x:
+                        row[s] = row[s] - c * x
+    return out
+
+
+def _is_zero_matrix(mat) -> bool:
+    return not any(any(row) for row in mat)
 
 
 def is_derivation(alg: LieAlgebra, mat) -> bool:
-    """True iff D[x,y] = [Dx,y] + [x,Dy] on all basis pairs."""
+    """True iff D[x,y] = [Dx,y] + [x,Dy], i.e. [D, ad e_i] = ad(D e_i) for every i."""
     d = alg.dim
     if len(mat) != d or any(len(row) != d for row in mat):
         raise ValueError("dimension mismatch")
-    cols = [[mat[r][j] for r in range(d)] for j in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            lhs = mat_vec(mat, alg.bracket_basis(i, j))
-            rhs = [a + b for a, b in zip(bracket(alg, cols[i], _unit(d, j)),
-                                         bracket(alg, _unit(d, i), cols[j]))]
-            if not vec_is_zero(vec_sub(lhs, rhs)):
-                return False
-    return True
+    ads = _ad_basis(alg)
+    return all(_is_zero_matrix(_defect(mat, ad_i, [row[i] for row in mat], ads))
+               for i, ad_i in enumerate(ads))
 
 
 def semidirect_product(h: LieAlgebra, a: LieAlgebra, action) -> LieAlgebra:
@@ -222,23 +233,13 @@ def semidirect_product(h: LieAlgebra, a: LieAlgebra, action) -> LieAlgebra:
     for j, mat in enumerate(action):
         if not is_derivation(h, mat):
             raise ValueError(f"action matrix for {a.basis_names[j]} is not a derivation of h")
-    for i in range(da):
-        for j in range(i + 1, da):
-            comm = [[sum(action[i][r][k] * action[j][k][s] -
-                         action[j][r][k] * action[i][k][s] for k in range(dh))
-                     for s in range(dh)] for r in range(dh)]
-            expect = zeros(dh, dh)
-            for k in range(da):
-                ck = a.structure[i][j][k]
-                if ck:
-                    for r in range(dh):
-                        for s in range(dh):
-                            expect[r][s] += ck * action[k][r][s]
-            if comm != expect:
-                raise ValueError(
-                    f"action is not a representation of a: fails on "
-                    f"({a.basis_names[i]},{a.basis_names[j]})"
-                )
+    bad = check_representation(Representation(a, dh, action, validate=False))
+    if bad:
+        i, j, _ = bad[0]
+        raise ValueError(
+            f"action is not a representation of a: fails on "
+            f"({a.basis_names[i]},{a.basis_names[j]})"
+        )
     names = h.basis_names + a.basis_names
     d = dh + da
     structure = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
@@ -290,19 +291,6 @@ def oscillator() -> LieAlgebra:
     return semidirect_product(heisenberg3(), abelian(1, ("w",)), [rotation])
 
 
-def standard_algebra(name: str, dim: int | None = None) -> LieAlgebra:
-    """Named constructions: abelian(d), heisenberg3, oscillator."""
-    if name == "abelian":
-        if dim is None:
-            raise ValueError("abelian needs a dimension")
-        return abelian(dim)
-    if name == "heisenberg3":
-        return heisenberg3()
-    if name == "oscillator":
-        return oscillator()
-    raise ValueError(f"unknown algebra name {name!r}")
-
-
 class Representation:
     """Linear action of an algebra: one space_dim x space_dim matrix per basis element."""
 
@@ -335,24 +323,11 @@ def check_representation(rep: Representation):
     """Pairs i<j where rho([e_i,e_j]) != [rho(e_i), rho(e_j)], with defects."""
     alg, mats = rep.algebra, rep.matrices
     violations = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            comm = _mat_sub(mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i]))
-            expect = zeros(rep.space_dim, rep.space_dim)
-            for k in range(alg.dim):
-                c = alg.structure[i][j][k]
-                if c:
-                    for r in range(rep.space_dim):
-                        for s in range(rep.space_dim):
-                            expect[r][s] += c * mats[k][r][s]
-            defect = _mat_sub(comm, expect)
-            if any(any(x != 0 for x in row) for row in defect):
-                violations.append((i, j, defect))
+    for i, j in combinations(range(alg.dim), 2):
+        defect = _defect(mats[i], mats[j], alg.structure[i][j], mats)
+        if not _is_zero_matrix(defect):
+            violations.append((i, j, defect))
     return violations
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def trivial_representation(algebra: LieAlgebra, space_dim: int = 1) -> Representation:
@@ -364,5 +339,4 @@ def trivial_representation(algebra: LieAlgebra, space_dim: int = 1) -> Represent
 
 
 def adjoint_representation(algebra: LieAlgebra) -> Representation:
-    mats = [ad_matrix(algebra, _unit(algebra.dim, i)) for i in range(algebra.dim)]
-    return Representation(algebra, algebra.dim, mats, validate=False)
+    return Representation(algebra, algebra.dim, _ad_basis(algebra), validate=False)

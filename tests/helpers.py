@@ -2,19 +2,21 @@
 
 import json
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 from types import SimpleNamespace
 
 from liechar import (
     Cochain, Extension, LieAlgebra, Representation, Section, SymMultiMap,
     abelian, adjoint_representation, algebra_from_brackets, as_poly, bracket,
-    column_space_basis, compose_sym, differential_matrix, heisenberg, increasing_tuples,
-    integrate_poly_simplex, kernel_coords, mat_mul, mat_vec, nondecreasing_tuples,
+    column_space_basis, compose_sym, differential_matrix, heisenberg, heisenberg3, identity,
+    increasing_tuples, integrate_poly_simplex, kernel_coords, mat_mul, mat_vec,
+    nondecreasing_tuples,
     nullspace, param_curvature, param_section, rank, rref, scalar_multiplication,
     section_curvature, section_difference, solve_linear, sym_product, transpose,
     trivial_representation,
 )
+from liechar.linalg import zeros
 from liechar.catalog import (
     affine_split_extension, euclidean_extension, filiform_extension,
     heisenberg_central_extension, oscillator_extension,
@@ -303,9 +305,7 @@ def _dense_evaluate(table, args, normalize):
 def _sorted_with_sign(combo):
     if len(set(combo)) != len(combo):
         return None, 0
-    inversions = sum(1 for i in range(len(combo)) for j in range(i + 1, len(combo))
-                     if combo[i] > combo[j])
-    return tuple(sorted(combo)), -1 if inversions % 2 else 1
+    return tuple(sorted(combo)), _inversion_sign(combo)
 
 
 def dense_cochain_evaluate(w, args):
@@ -630,3 +630,280 @@ def oversized_polynomial_document():
 
 def no_enumeration(dim, degree):
     raise AssertionError(f"enumerated the tuples of degree {degree} over dim {dim}")
+
+
+def _inversion_sign(seq) -> int:
+    inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+                     if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
+
+
+def alt(source, degree, target_dim, table):
+    """Antisymmetrization sum over permutations s of sign(s) * f(w_s(1),..,w_s(p)).
+
+    ``table`` maps every length-``degree`` index tuple (repeats allowed) to a
+    value vector; callables are accepted in place of a dict.  Already
+    alternating input comes back multiplied by degree!.  The oracle for the
+    shuffle-sum wedge: a ^_m b = Alt(a ._m b) / (p! q!).
+    """
+    get = table if callable(table) else table.__getitem__
+
+    def fn(key):
+        out = [Fraction(0)] * target_dim
+        for perm in permutations(range(degree)):
+            sgn = _inversion_sign(perm)
+            val = get(tuple(key[i] for i in perm))
+            out = [o + sgn * x for o, x in zip(out, val)]
+        return out
+
+    return Cochain.from_function(source, degree, target_dim, fn)
+
+
+# Reference loops for the identities the library computes through one shared
+# path each: the representation and derivation checks on dense scratch
+# matrices, the bracket's own triple loop, and a separate partition enumeration
+# per product.  None of them goes through _defect, _contract or _shuffle_sum.
+
+def _reference_unit(d, i):
+    v = [Fraction(0)] * d
+    v[i] = Fraction(1)
+    return v
+
+
+def _reference_mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def reference_bracket(alg, x, y):
+    """The triple loop of the bracket over the structure constants."""
+    d = alg.dim
+    if len(x) != d or len(y) != d:
+        raise ValueError("dimension mismatch")
+    out = [Fraction(0)] * d
+    c = alg.structure
+    for i in range(d):
+        xi = x[i]
+        if xi == 0:
+            continue
+        for j in range(d):
+            yj = y[j]
+            if yj == 0:
+                continue
+            row = c[i][j]
+            for k in range(d):
+                if row[k]:
+                    out[k] = out[k] + xi * yj * row[k]
+    return out
+
+
+def reference_is_derivation(alg, mat) -> bool:
+    """D[e_i,e_j] == [De_i,e_j] + [e_i,De_j] on every basis pair i < j."""
+    d = alg.dim
+    if len(mat) != d or any(len(row) != d for row in mat):
+        raise ValueError("dimension mismatch")
+    cols = [[mat[r][j] for r in range(d)] for j in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            lhs = mat_vec(mat, alg.bracket_basis(i, j))
+            rhs = [a + b for a, b in zip(reference_bracket(alg, cols[i], _reference_unit(d, j)),
+                                         reference_bracket(alg, _reference_unit(d, i), cols[j]))]
+            if any(a - b != 0 for a, b in zip(lhs, rhs)):
+                return False
+    return True
+
+
+def reference_check_representation(rep):
+    """Pairs i<j with defect [rho(e_i), rho(e_j)] - rho([e_i,e_j]) != 0, on dense scratch."""
+    alg, mats = rep.algebra, rep.matrices
+    violations = []
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            comm = _reference_mat_sub(mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i]))
+            expect = zeros(rep.space_dim, rep.space_dim)
+            for k in range(alg.dim):
+                c = alg.structure[i][j][k]
+                if c:
+                    for r in range(rep.space_dim):
+                        for s in range(rep.space_dim):
+                            expect[r][s] += c * mats[k][r][s]
+            defect = _reference_mat_sub(comm, expect)
+            if any(any(x != 0 for x in row) for row in defect):
+                violations.append((i, j, defect))
+    return violations
+
+
+def reference_semidirect_product(h, a, action):
+    """h x| a with the derivation and representation checks written out inline."""
+    dh, da = h.dim, a.dim
+    action = [[[Fraction(c) for c in row] for row in mat] for mat in action]
+    if len(action) != da or any(
+        len(mat) != dh or any(len(row) != dh for row in mat) for mat in action
+    ):
+        raise ValueError("action must supply one dim(h) x dim(h) matrix per basis element of a")
+    for j, mat in enumerate(action):
+        if not reference_is_derivation(h, mat):
+            raise ValueError(f"action matrix for {a.basis_names[j]} is not a derivation of h")
+    for i in range(da):
+        for j in range(i + 1, da):
+            comm = [[sum(action[i][r][k] * action[j][k][s] -
+                         action[j][r][k] * action[i][k][s] for k in range(dh))
+                     for s in range(dh)] for r in range(dh)]
+            expect = zeros(dh, dh)
+            for k in range(da):
+                ck = a.structure[i][j][k]
+                if ck:
+                    for r in range(dh):
+                        for s in range(dh):
+                            expect[r][s] += ck * action[k][r][s]
+            if comm != expect:
+                raise ValueError(
+                    f"action is not a representation of a: fails on "
+                    f"({a.basis_names[i]},{a.basis_names[j]})"
+                )
+    names = h.basis_names + a.basis_names
+    d = dh + da
+    structure = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    for i in range(dh):
+        for j in range(dh):
+            for k in range(dh):
+                structure[i][j][k] = h.structure[i][j][k]
+    for i in range(da):
+        for j in range(da):
+            for k in range(da):
+                structure[dh + i][dh + j][dh + k] = a.structure[i][j][k]
+    for j in range(da):
+        for i in range(dh):
+            for k in range(dh):
+                c = action[j][k][i]
+                structure[dh + j][i][k] = c
+                structure[i][dh + j][k] = -c
+    return LieAlgebra(names, structure, validate=True)
+
+
+def _reference_apply(m, u, v):
+    """BilinearProduct.apply as its own triple loop."""
+    if len(u) != m.left_dim or len(v) != m.right_dim:
+        raise ValueError("dimension mismatch")
+    out = [Fraction(0)] * m.out_dim
+    for i, ui in enumerate(u):
+        if ui == 0:
+            continue
+        plane = m.coeffs[i]
+        for j, vj in enumerate(v):
+            if vj == 0:
+                continue
+            row = plane[j]
+            for k in range(m.out_dim):
+                if row[k]:
+                    out[k] = out[k] + ui * vj * row[k]
+    return out
+
+
+def reference_wedge(a, b, m):
+    """The (p,q)-shuffle sum over combinations of left positions."""
+    if a.source.dim != b.source.dim:
+        raise ValueError("source algebra mismatch")
+    if a.target_dim != m.left_dim or b.target_dim != m.right_dim:
+        raise ValueError("dimension mismatch")
+    p, q = a.degree, b.degree
+
+    def fn(key):
+        out = [Fraction(0)] * m.out_dim
+        for left_pos in combinations(range(p + q), p):
+            sgn = -1 if (sum(left_pos) - sum(range(p))) % 2 else 1
+            left_key = tuple(key[i] for i in left_pos)
+            right_key = tuple(key[i] for i in range(p + q) if i not in left_pos)
+            val = _reference_apply(m, a.entry(left_key), b.entry(right_key))
+            out = [o + sgn * x for o, x in zip(out, val)]
+        return out
+
+    return Cochain.from_function(a.source, p + q, m.out_dim, fn)
+
+
+def reference_sym_product(f, g, m):
+    """The unsigned shuffle sum over combinations of left positions."""
+    if f.source.dim != g.source.dim:
+        raise ValueError("source algebra mismatch")
+    if f.target_dim != m.left_dim or g.target_dim != m.right_dim:
+        raise ValueError("dimension mismatch")
+    p, q = f.degree, g.degree
+
+    def fn(key):
+        out = [Fraction(0)] * m.out_dim
+        for left_pos in combinations(range(p + q), p):
+            left_key = tuple(key[i] for i in left_pos)
+            right_key = tuple(key[i] for i in range(p + q) if i not in left_pos)
+            val = _reference_apply(m, f.entry(left_key), g.entry(right_key))
+            out = [o + x for o, x in zip(out, val)]
+        return out
+
+    return SymMultiMap.from_function(f.source, p + q, m.out_dim, fn)
+
+
+def _reference_partitions(positions, sizes):
+    if not sizes:
+        yield []
+        return
+    for block in combinations(positions, sizes[0]):
+        chosen = set(block)
+        remaining = tuple(p for p in positions if p not in chosen)
+        for tail in _reference_partitions(remaining, sizes[1:]):
+            yield [block] + tail
+
+
+def reference_compose_sym(f, args):
+    """f applied to the iterated wedge, summed over ordered partitions with signs."""
+    if len(args) != f.degree:
+        raise ValueError(
+            f"slot-count mismatch: map of degree {f.degree} applied to {len(args)} cochains")
+    if not args:
+        raise ValueError("need at least one argument cochain")
+    src = args[0].source
+    for a in args:
+        if a.source.dim != src.dim:
+            raise ValueError("source algebra mismatch")
+        if a.target_dim != f.source.dim:
+            raise ValueError("dimension mismatch")
+    degrees = [a.degree for a in args]
+    total = sum(degrees)
+
+    def fn(key):
+        out = [Fraction(0)] * f.target_dim
+        for blocks in _reference_partitions(tuple(range(total)), degrees):
+            sgn = _inversion_sign([pos for block in blocks for pos in block])
+            vectors = [list(args[i].entry(tuple(key[pos] for pos in block)))
+                       for i, block in enumerate(blocks)]
+            val = f.evaluate(vectors)
+            out = [o + sgn * x for o, x in zip(out, val)]
+        return out
+
+    return Cochain.from_function(src, total, f.target_dim, fn)
+
+
+def point_base_extension():
+    """0 -> h3 -> h3 -> 0 -> 0: iota the identity, q with no rows."""
+    h3 = heisenberg3()
+    return Extension(h3, abelian(0), h3, identity(3), [])
+
+
+def kernel_functional(kernel, index):
+    """The degree-1 symmetric map e_index^* on the kernel."""
+    return SymMultiMap(kernel, 1, 1, {(k,): [int(k == index)] for k in range(kernel.dim)})
+
+
+def point_base_document():
+    """point_base_extension as a workspace, with a section and the maps z* and 0."""
+    entries = [[{"tuple": [k], "value": [str(int(k == z))]} for k in range(3)]
+               for z in (2, None)]
+    return json.dumps({
+        "algebras": {
+            "h3": {"dim": 3, "basis": ["p", "q", "z"],
+                   "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}}]},
+            "point": {"dim": 0, "basis": []}},
+        "extensions": {"e": {"total": "h3", "base": "point", "kernel": "h3",
+                             "iota": [[str(int(r == c)) for c in range(3)] for r in range(3)],
+                             "q": []}},
+        "sections": {"s": {"extension": "e", "matrix": [[], [], []]}},
+        "polynomials": {
+            name: {"degree": 1, "source": "h3", "target_dim": 1, "entries": ents}
+            for name, ents in zip(("zstar", "zero"), entries)}})

@@ -14,7 +14,7 @@ from math import comb, factorial
 
 from liechar import (BilinearProduct, LinearAction, MultiPoly, SymMultiMap,
                      abelian, ad_matrix, adjoint_representation,
-                     algebra_from_brackets, alt, ce_differential, chern_weil,
+                     algebra_from_brackets, ce_differential, chern_weil,
                      classes_equal, cohomology_space, covariant_derivative,
                      delta_f, differential_matrix, heisenberg, heisenberg3,
                      integrate_poly_simplex, lie_bracket_product,
@@ -25,7 +25,7 @@ from liechar import (BilinearProduct, LinearAction, MultiPoly, SymMultiMap,
 from liechar.catalog import heisenberg_central_extension
 from liechar.cli import run_command
 
-from helpers import (conjugate_algebra, fixture_extensions, rand_cochain, rand_fraction,
+from helpers import (alt, conjugate_algebra, fixture_extensions, rand_cochain, rand_fraction,
                      rand_section, rand_vector, random_algebra,
                      random_invariant_symmap, random_representation,
                      section_pool)

@@ -9,7 +9,7 @@ from liechar import SymMultiMap
 from liechar.cli import run_command
 
 from helpers import (BOOLEAN_FIELDS, boolean_document, no_enumeration,
-                     oversized_polynomial_document)
+                     oversized_polynomial_document, point_base_document)
 
 
 def run(capsys, *argv):
@@ -202,6 +202,34 @@ class TestComputations:
             "--section", "s1", "--rep", "triv", "--output", "json")
         assert code == 0
         assert json.loads(out)["coordinates"] == ["1"]
+
+
+class TestZeroDimensionalBase:
+    """A workspace whose extension has the base {"dim": 0, "basis": []}."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "point.json"
+        path.write_text(point_base_document(), encoding="utf-8")
+        return str(path)
+
+    def test_validate_exits_0(self, capsys, path):
+        code, out, err = run(capsys, "validate", path)
+        assert (code, err) == (0, "")
+        assert out == "ok: 2 algebras, 0 representations, 1 extensions, 1 sections, 2 polynomials\n"
+
+    def test_strict_chern_weil_exits_1(self, capsys, path):
+        code, out, err = run(capsys, "chern-weil", path, "--extension", "e", "--poly", "zstar",
+                             "--section", "s", "--invariance", "strict")
+        assert (code, out) == (1, "")
+        assert err == ("validation error: symmetric map fails the configured "
+                       "invariance condition\n")
+
+    def test_strict_chern_weil_of_zero_map_exits_0(self, capsys, path):
+        code, out, _ = run(capsys, "chern-weil", path, "--extension", "e", "--poly", "zero",
+                           "--section", "s", "--invariance", "strict")
+        assert code == 0
+        assert out.startswith("primary class: degree 2, H-dimension 0")
 
 
 class TestSharedParser:

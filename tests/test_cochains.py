@@ -6,23 +6,26 @@ compose_sym against explicit iterated symmetric-tensor wedges.
 """
 
 import random
+import sys
 from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
 
 import pytest
 
+from liechar import cochains, liealg
 from liechar import (Cochain, LinearAction, MultiPoly, SymMultiMap, abelian, ad_matrix,
-                     adjoint_representation, alt, ce_differential, compose_sym,
-                     covariant_derivative, curvature, differential_matrix,
+                     adjoint_representation, bracket, ce_differential, cohomology_space,
+                     compose_sym, covariant_derivative, curvature, differential_matrix,
                      evaluation_product, heisenberg3, lie_bracket_product, nondecreasing_tuples,
                      scalar_multiplication, sym_product, sym_tensor_product,
                      trivial_representation, wedge)
 
-from helpers import (SMALL_ALGEBRAS, conjugate_algebra, dense_cochain_evaluate,
+from helpers import (SMALL_ALGEBRAS, alt, conjugate_algebra, dense_cochain_evaluate,
                      dense_differential_matrix, dense_symmap_evaluate, rand_cochain,
                      rand_fraction, rand_matrix, rand_symmap, rand_vector, random_algebra,
-                     random_representation, reference_twisted_differential, to_poly)
+                     random_representation, reference_compose_sym, reference_sym_product,
+                     reference_twisted_differential, reference_wedge, to_poly)
 
 
 def unit(d, i):
@@ -266,8 +269,8 @@ class TestDifferential:
 
 
 class TestOneDifferential:
-    """d and its matrix come from one term list; both match the term-by-term
-    formula and the unit-cochain matrix built from it."""
+    """d and its matrix come from one builder of sparse rows; both match the
+    term-by-term formula and the unit-cochain matrix built from it."""
 
     @staticmethod
     def cases(rng):
@@ -311,8 +314,11 @@ class TestOneDifferential:
             action = LinearAction(g, mats)
             for p in range(g.dim + 2):
                 w = rand_cochain(rng, g, p, m)
-                assert covariant_derivative(w, action) == \
-                    reference_twisted_differential(w, mats)
+                got = covariant_derivative(w, action)
+                want = reference_twisted_differential(w, mats)
+                assert got == want
+                assert [type(x) for v in got.values.values() for x in v] == \
+                    [type(x) for v in want.values.values() for x in v]
 
 
 class TestCovariantDerivative:
@@ -484,3 +490,115 @@ class TestSymProduct:
         expected = [f.evaluate([u])[0] * h.evaluate([v])[0] +
                     f.evaluate([v])[0] * h.evaluate([u])[0]]
         assert direct == expected
+
+
+def _everywhere(monkeypatch, module, name):
+    """Replace every binding of module.name inside liechar with a function that raises."""
+    original = getattr(module, name)
+
+    def boom(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("liechar") and \
+                getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, boom)
+
+
+class TestOneCodePath:
+    """Each multilinear identity has one implementation that every caller reaches."""
+
+    def test_every_differential_goes_through_the_row_builder(self, monkeypatch):
+        h3 = heisenberg3()
+        rep = adjoint_representation(h3)
+        w = rand_cochain(random.Random(91), h3, 1, 3)
+        _everywhere(monkeypatch, cochains, "_differential_rows")
+        for call in (lambda: ce_differential(w, rep),
+                     lambda: covariant_derivative(w, LinearAction(h3, rep.matrices)),
+                     lambda: differential_matrix(h3, rep, 1),
+                     lambda: cohomology_space(h3, rep, 1)):
+            with pytest.raises(AssertionError, match="_differential_rows"):
+                call()
+
+    def test_bracket_and_bilinear_products_share_one_contraction(self, monkeypatch):
+        h3 = heisenberg3()
+        _everywhere(monkeypatch, liealg, "_contract")
+        with pytest.raises(AssertionError, match="_contract"):
+            bracket(h3, [1, 0, 0], [0, 1, 0])
+        with pytest.raises(AssertionError, match="_contract"):
+            lie_bracket_product(h3).apply([1, 0, 0], [0, 1, 0])
+
+    def test_products_share_one_shuffle_enumerator(self, monkeypatch):
+        rng = random.Random(92)
+        g = abelian(3)
+        a = rand_cochain(rng, g, 1, 1)
+        f = rand_symmap(rng, g, 1)
+        _everywhere(monkeypatch, cochains, "_shuffle_sum")
+        for call in (lambda: wedge(a, a, scalar_multiplication(1)),
+                     lambda: sym_product(f, f, scalar_multiplication(1)),
+                     lambda: compose_sym(f, [rand_cochain(rng, abelian(2), 1, 3)])):
+            with pytest.raises(AssertionError, match="_shuffle_sum"):
+                call()
+
+    def test_trivial_module_rows_hold_only_bracket_entries(self):
+        rng = random.Random(93)
+        for name in sorted(SMALL_ALGEBRAS):
+            alg = conjugate_algebra(rng, SMALL_ALGEBRAS[name]())
+            for m in (1, 2, 3):
+                mats = trivial_representation(alg, m).matrices
+                for p in range(alg.dim + 1):
+                    rows = cochains._differential_rows(alg, mats, m, p)
+                    scalar = cochains._differential_rows(
+                        alg, trivial_representation(alg, 1).matrices, 1, p)
+                    # d on V = R^m is d on R tensored with the identity of R^m
+                    assert rows == [{c * m + r: x for c, x in row.items()}
+                                    for row in scalar for r in range(m)]
+
+
+class TestAgainstReferenceProducts:
+    """wedge, sym_product and compose_sym agree with the separate reference enumerations."""
+
+    @staticmethod
+    def _same(got, want):
+        assert got == want
+        assert [type(x) for v in got.values.values() for x in v] == \
+            [type(x) for v in want.values.values() for x in v]
+
+    @staticmethod
+    def _promote(rng, table):
+        return table.map_values(lambda x: x * rand_poly(rng))
+
+    def test_wedge(self):
+        rng = random.Random(94)
+        for name in sorted(SMALL_ALGEBRAS):
+            g = SMALL_ALGEBRAS[name]()
+            for p in range(g.dim + 1):
+                for q in range(g.dim + 1 - p):
+                    a, b = rand_cochain(rng, g, p, 1), rand_cochain(rng, g, q, 2)
+                    m = scalar_multiplication(2)
+                    self._same(wedge(a, b, m), reference_wedge(a, b, m))
+                    pa, pb = self._promote(rng, a), self._promote(rng, b)
+                    self._same(wedge(pa, pb, m), reference_wedge(pa, pb, m))
+                    self._same(wedge(a, pb, m), reference_wedge(a, pb, m))
+
+    def test_sym_product(self):
+        rng = random.Random(95)
+        g = heisenberg3()
+        m = sym_tensor_product(1, 1, 1)
+        for p in range(4):
+            for q in range(4 - p):
+                f, h = rand_symmap(rng, g, p), rand_symmap(rng, g, q)
+                self._same(sym_product(f, h, m), reference_sym_product(f, h, m))
+                pf = self._promote(rng, f)
+                self._same(sym_product(pf, h, m), reference_sym_product(pf, h, m))
+
+    def test_compose_sym(self):
+        rng = random.Random(96)
+        h3 = heisenberg3()
+        for g in (abelian(4), conjugate_algebra(rng, SMALL_ALGEBRAS["filiform4"]())):
+            for degrees in ((1,), (2,), (1, 1), (1, 2), (2, 2), (1, 1, 2), (0, 2)):
+                f = rand_symmap(rng, h3, len(degrees))
+                args = [rand_cochain(rng, g, p, 3) for p in degrees]
+                self._same(compose_sym(f, args), reference_compose_sym(f, args))
+                args[-1] = self._promote(rng, args[-1])
+                self._same(compose_sym(f, args), reference_compose_sym(f, args))

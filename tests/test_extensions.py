@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from liechar import (ExactnessViolation, Extension, InvalidSection, Section,
-                     SymMultiMap, abelian, adjoint_representation,
+from liechar import (ExactnessViolation, Extension, InvalidSection, NotInvariant, Section,
+                     SymMultiMap, abelian, adjoint_representation, chern_weil,
                      algebra_from_brackets, as_poly, covariant_derivative,
                      heisenberg3, is_invariant, param_curvature,
                      param_section, parse_workspace, s_from_section,
@@ -18,7 +18,8 @@ from liechar.catalog import (affine_split_extension, euclidean_extension,
                              oscillator_extension)
 
 from helpers import (conjugate_extension, direct_sum_extension, fixture_extensions,
-                     rand_fraction, rand_section, rand_symmap, random_invariant_symmap,
+                     kernel_functional, point_base_extension, rand_fraction, rand_section,
+                     rand_symmap, random_invariant_symmap,
                      reference_is_invariant, reference_section_curvature,
                      reference_validate_extension, section_pool, to_poly)
 
@@ -322,6 +323,34 @@ class TestInvariance:
         f = random_invariant_symmap(rng, "euclidean", ext, 2)
         assert is_invariant(f, ext, triv, "strict")
         assert is_invariant(f, ext, triv, "section", rand_section(rng, ext))
+
+
+class TestZeroDimensionalBase:
+    """0 -> h3 -> h3 -> 0 -> 0: q has no rows but still dim(total) columns."""
+
+    def test_validate_extension_is_clean(self):
+        assert validate_extension(point_base_extension()) == []
+
+    def test_strict_invariance_sees_every_total_basis_vector(self):
+        # ad(p) maps q to z, so z* fails x.f(q) = f(ad(x) q) at x = p
+        ext = point_base_extension()
+        triv = trivial_representation(ext.base, 1)
+        assert not is_invariant(kernel_functional(ext.kernel, 2), ext, triv, "strict")
+        zero = SymMultiMap.zero(ext.kernel, 1, 1)
+        assert is_invariant(zero, ext, triv, "strict")
+
+    def test_strict_chern_weil_refuses_z_star(self):
+        ext = point_base_extension()
+        triv = trivial_representation(ext.base, 1)
+        sec = Section(ext, [[], [], []])
+        with pytest.raises(NotInvariant):
+            chern_weil(ext, kernel_functional(ext.kernel, 2), sec, triv, mode="strict")
+
+    def test_zero_dimensional_total_reports_its_failures(self):
+        ext = Extension(abelian(0), abelian(0), abelian(2), [], [])
+        assert validate_extension(ext) == [
+            "dimension count fails: dim kernel 2 + dim base 0 != dim total 0",
+            "iota is not injective"]
 
 
 class TestAgainstReference:

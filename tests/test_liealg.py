@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from liechar import (LieAlgebra, Representation, abelian, ad_matrix,
+from liechar import liealg
+from liechar import (LieAlgebra, MultiPoly, Representation, abelian, ad_matrix,
                      adjoint_representation, algebra_from_brackets, bracket,
                      check_jacobi, check_representation, heisenberg,
                      heisenberg3, identity, is_derivation, oscillator,
-                     semidirect_product, standard_algebra,
-                     trivial_representation)
+                     semidirect_product, trivial_representation)
 
-from helpers import rand_vector, random_algebra
+from helpers import (SMALL_ALGEBRAS, conjugate_algebra, rand_fraction, rand_matrix,
+                     rand_vector, random_algebra, random_module, reference_bracket,
+                     reference_check_representation, reference_is_derivation,
+                     reference_semidirect_product)
 
 ROTATION = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
 
@@ -126,27 +129,23 @@ class TestSemidirect:
 
 class TestStandardAlgebras:
     def test_abelian_all_zero(self):
-        alg = standard_algebra("abelian", 2)
+        alg = abelian(2)
         assert all(c == 0 for plane in alg.structure for row in plane for c in row)
 
     def test_heisenberg_structure(self):
-        h3 = standard_algebra("heisenberg3")
+        h3 = heisenberg3()
         nonzero = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)
                    if h3.structure[i][j][k] != 0]
         assert nonzero == [(0, 1, 2), (1, 0, 2)]
         assert h3.structure[0][1][2] == 1
 
     def test_oscillator_validates(self):
-        assert check_jacobi(standard_algebra("oscillator")) == []
+        assert check_jacobi(oscillator()) == []
 
     def test_heisenberg_family(self):
         h5 = heisenberg(2)
         assert h5.dim == 5
         assert bracket(h5, [1, 0, 0, 0, 0], [0, 0, 1, 0, 0]) == [0, 0, 0, 0, 1]
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            standard_algebra("so3")
 
 
 class TestRepresentations:
@@ -178,3 +177,145 @@ class TestRepresentations:
         ad_w = ad_matrix(osc, [0, 0, 0, 1])
         restricted = [row[:3] for row in ad_w[:3]]
         assert restricted == [[Fraction(c) for c in row] for row in ROTATION]
+
+
+def _algebras(rng):
+    """Every SMALL_ALGEBRAS entry in its standard basis and in a conjugated one."""
+    for name in sorted(SMALL_ALGEBRAS):
+        alg = SMALL_ALGEBRAS[name]()
+        yield alg
+        yield conjugate_algebra(rng, alg)
+
+
+def _representations(rng, alg):
+    """Trivial, adjoint and random modules, and broken matrix families."""
+    yield trivial_representation(alg, 1)
+    yield trivial_representation(alg, 2)
+    yield adjoint_representation(alg)
+    yield random_module(rng, alg)
+    yield Representation(alg, 2, [rand_matrix(rng, 2, 2) for _ in range(alg.dim)],
+                         validate=False)
+    ad = [[list(row) for row in mat] for mat in adjoint_representation(alg).matrices]
+    ad[rng.randrange(alg.dim)][rng.randrange(alg.dim)][rng.randrange(alg.dim)] += 1
+    yield Representation(alg, alg.dim, ad, validate=False)
+
+
+def _outcome(fn, *args):
+    """("ok", result) or ("error", message) of a ValueError."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _kinds(mat):
+    return [[type(x) for x in row] for row in mat]
+
+
+class TestAgainstReferenceLoops:
+    """The bracket-identity checks and the bracket agree with separate reference loops."""
+
+    def test_check_representation(self):
+        rng = random.Random(81)
+        seen_broken = 0
+        for alg in _algebras(rng):
+            for rep in _representations(rng, alg):
+                got = check_representation(rep)
+                want = reference_check_representation(rep)
+                assert got == want
+                assert [_kinds(d) for _, _, d in got] == [_kinds(d) for _, _, d in want]
+                seen_broken += bool(got)
+        assert seen_broken >= 10
+
+    def test_is_derivation(self):
+        rng = random.Random(82)
+        verdicts = set()
+        for alg in _algebras(rng):
+            d = alg.dim
+            inner = ad_matrix(alg, rand_vector(rng, d))
+            perturbed = [list(row) for row in inner]
+            perturbed[rng.randrange(d)][rng.randrange(d)] += rand_fraction(rng) or 1
+            for mat in (inner, perturbed, identity(d), rand_matrix(rng, d, d),
+                        [[0] * d for _ in range(d)]):
+                got = is_derivation(alg, mat)
+                assert got == reference_is_derivation(alg, mat)
+                verdicts.add(got)
+            for bad in (rand_matrix(rng, d + 1, d + 1), rand_matrix(rng, d, d + 1)):
+                assert _outcome(is_derivation, alg, bad) == \
+                    _outcome(reference_is_derivation, alg, bad)
+        assert verdicts == {True, False}
+
+    def test_semidirect_product(self):
+        rng = random.Random(83)
+        messages = set()
+        for h in _algebras(rng):
+            d = h.dim
+            x = rand_vector(rng, d)
+            ad_x, ad_y = ad_matrix(h, x), ad_matrix(h, rand_vector(rng, d))
+            cases = [
+                (abelian(1, ("w",)), [ad_x]),
+                (abelian(1, ("w",)), [rand_matrix(rng, d, d)]),
+                (abelian(2, ("u", "v")), [ad_x, ad_matrix(h, [2 * c for c in x])]),
+                (abelian(2, ("u", "v")), [ad_x, ad_y]),
+                (abelian(2, ("u", "v")), [ad_x]),
+                (algebra_from_brackets(("a", "b"), {(0, 1): {1: 1}}), [ad_x, ad_y]),
+            ]
+            for a, action in cases:
+                got = _outcome(semidirect_product, h, a, action)
+                assert got == _outcome(reference_semidirect_product, h, a, action)
+                messages.add(got[1].split(":")[0] if got[0] == "error" else "ok")
+        assert {"ok", "action is not a representation of a"} <= messages
+        assert any("derivation" in m for m in messages)
+
+    def test_bracket_values_and_kinds(self):
+        rng = random.Random(84)
+
+        def poly():
+            return MultiPoly(2, {(rng.randint(0, 2), rng.randint(0, 1)): rand_fraction(rng)})
+
+        for alg in _algebras(rng):
+            d = alg.dim
+            for scalar in (lambda: rand_fraction(rng), poly):
+                x = [scalar() if rng.random() < 0.6 else Fraction(0) for _ in range(d)]
+                y = [scalar() if rng.random() < 0.6 else Fraction(0) for _ in range(d)]
+                got, want = bracket(alg, x, y), reference_bracket(alg, x, y)
+                assert got == want
+                assert [type(c) for c in got] == [type(c) for c in want]
+
+
+class TestOneDefect:
+    """Both bracket identities on matrices, and semidirect products, share one check."""
+
+    def test_semidirect_product_checks_the_representation_once(self, monkeypatch):
+        calls = []
+        original = liealg.check_representation
+
+        def counted(rep):
+            calls.append(rep)
+            return original(rep)
+
+        monkeypatch.setattr(liealg, "check_representation", counted)
+        semidirect_product(heisenberg3(), abelian(1, ("w",)), [ROTATION])
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="representation"):
+            semidirect_product(abelian(2), abelian(2), [[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
+        assert len(calls) == 2
+
+    def test_representation_and_derivation_checks_go_through_defect(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("defect computed")
+
+        monkeypatch.setattr(liealg, "_defect", boom)
+        with pytest.raises(AssertionError):
+            check_representation(adjoint_representation(heisenberg3()))
+        with pytest.raises(AssertionError):
+            is_derivation(heisenberg3(), ROTATION)
+
+    def test_adjoint_matrices_read_off_the_table(self):
+        rng = random.Random(85)
+        for alg in _algebras(rng):
+            mats = adjoint_representation(alg).matrices
+            for i, mat in enumerate(mats):
+                assert mat == ad_matrix(alg, identity(alg.dim)[i])
+                assert all(mat[k][j] == alg.structure[i][j][k]
+                           for j in range(alg.dim) for k in range(alg.dim))

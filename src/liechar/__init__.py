@@ -13,19 +13,15 @@ boundary identity relating the relative cochains of section tuples.
 from .scalars import (MultiPoly, Rational, as_poly, integrate_monomial_simplex,
                       integrate_poly_simplex, poly_from_json, poly_to_json,
                       rational_from_str, rational_to_str)
-from .linalg import (column_space_basis, identity, mat_mul, mat_vec, nullspace,
-                     rank, rref, solve_linear, transpose)
-from .liealg import (LieAlgebra, Representation, abelian, ad_matrix,
-                     adjoint_representation, algebra_from_brackets, bracket,
-                     check_jacobi, check_representation, heisenberg,
-                     heisenberg3, is_derivation, oscillator,
-                     semidirect_product, trivial_representation)
+from .linalg import identity, mat_mul, mat_vec, rank, solve_linear, transpose
+from .liealg import (LieAlgebra, Representation, abelian, adjoint_representation,
+                     algebra_from_brackets, bracket, check_jacobi,
+                     check_representation, heisenberg, heisenberg3,
+                     is_derivation, oscillator, semidirect_product,
+                     trivial_representation)
 from .cochains import (BilinearProduct, Cochain, LinearAction, SymMultiMap,
                        ce_differential, compose_sym, covariant_derivative,
-                       curvature, evaluation_product, increasing_tuples,
-                       lie_bracket_product, nondecreasing_tuples,
-                       scalar_multiplication, sym_product, sym_tensor_product,
-                       wedge)
+                       curvature, increasing_tuples, nondecreasing_tuples, wedge)
 from .extensions import (ExactnessViolation, Extension, InvalidSection,
                          InvarianceWarning, Section, is_invariant,
                          kernel_coords, param_curvature, param_section,

@@ -18,7 +18,6 @@ __all__ = [
     "oscillator_extension",
     "filiform_extension",
     "affine_split_extension",
-    "euclidean_extension",
     "oscillator_workspace",
     "heisenberg_workspace",
     "filiform_workspace",
@@ -73,16 +72,6 @@ def affine_split_extension() -> Extension:
     iota = [[0], [0], [1]]
     proj = [[1, 0, 0], [0, 1, 0]]
     return Extension(total, aff, kernel, iota, proj)
-
-
-def euclidean_extension() -> Extension:
-    """0 -> R^2 -> e(2) -> R -> 0: translations inside the planar motion algebra."""
-    kernel = abelian(2, ("x", "y"))
-    total = semidirect_product(kernel, abelian(1, ("r",)), [[[0, -1], [1, 0]]])
-    base = abelian(1, ("r",))
-    iota = [[1, 0], [0, 1], [0, 0]]
-    proj = [[0, 0, 1]]
-    return Extension(total, base, kernel, iota, proj)
 
 
 def _workspace_for(ext: Extension, names, sections, polynomials) -> Workspace:

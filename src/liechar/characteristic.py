@@ -147,17 +147,18 @@ class CohomologySpace:
             row[nb:] for row in to_dense([row for _, row in h_rows], nb + len(zvecs))]
 
     def coordinates_of(self, w: Cochain):
-        """H-coordinates of a cocycle; NotACocycle if d w != 0."""
+        """H-coordinates of a cocycle; NotACocycle if d w != 0.
+
+        B + H spans exactly Z, so the solve fails exactly when d w != 0.
+        """
         if (w.degree != self.degree or w.target_dim != self.rep.space_dim
                 or w.source.dim != self.algebra.dim):
             raise ValueError("cochain shape does not match this cohomology space")
-        if not ce_differential(w, self.rep).is_zero():
-            raise NotACocycle("differential of the cochain is nonzero")
         vec = _flatten(w)
         matrix = to_dense(sparse_transpose(self._basis, len(vec)), len(self._basis))
         x = solve_linear(matrix, vec)
         if x is None:
-            raise NotACocycle("cochain is not in the cocycle space")
+            raise NotACocycle("differential of the cochain is nonzero")
         return tuple(x[len(x) - self.h_dim:])
 
     def __repr__(self):

@@ -88,6 +88,34 @@ def _resolve_rep(ws, args, ext):
     return rep
 
 
+def _resolve_extension(ws, args, section_names):
+    """(extension, sections, map, module) named by an extension command.
+
+    Each name is looked up and each object checked to fit the extension: the
+    sections belong to it, and the map goes from its kernel into the module.
+    Map and module are None for a command without --poly (curvature).
+    """
+    ext = _lookup(ws.extensions, args.extension, "extension")
+    sections = [_lookup(ws.sections, name, "section") for name in section_names]
+    for name, sec in zip(section_names, sections):
+        if sec.extension is not ext:
+            raise ValidationError(
+                f"section '{name}' is not a section of extension '{args.extension}'")
+    if not hasattr(args, "poly"):
+        return ext, sections, None, None
+    f = _lookup(ws.polynomials, args.poly, "polynomial")
+    rep = _resolve_rep(ws, args, ext)
+    if f.source.dim != ext.kernel.dim:
+        raise ValidationError(
+            f"polynomial '{args.poly}' is not defined on the kernel of extension "
+            f"'{args.extension}'")
+    if f.target_dim != rep.space_dim:
+        raise ValidationError(
+            f"polynomial '{args.poly}' does not map into the module of dimension "
+            f"{rep.space_dim}")
+    return ext, sections, f, rep
+
+
 def _print_cochain(w, indent=""):
     names = w.source.basis_names
     printed = False
@@ -143,8 +171,7 @@ def _cmd_cohomology(ws, args):
 
 
 def _cmd_curvature(ws, args):
-    ext = _lookup(ws.extensions, args.extension, "extension")
-    sec = _lookup(ws.sections, args.section, "section")
+    ext, (sec,), _, _ = _resolve_extension(ws, args, [args.section])
     curv = section_curvature(ext, sec)
     if args.output == "json":
         payload = {
@@ -171,37 +198,27 @@ def _print_class(label, cls, output):
 
 
 def _cmd_chern_weil(ws, args):
-    ext = _lookup(ws.extensions, args.extension, "extension")
-    f = _lookup(ws.polynomials, args.poly, "polynomial")
-    sec = _lookup(ws.sections, args.section, "section")
-    rep = _resolve_rep(ws, args, ext)
+    ext, (sec,), f, rep = _resolve_extension(ws, args, [args.section])
     cls = chern_weil(ext, f, sec, rep, mode=args.invariance)
     _print_class("primary class", cls, args.output)
     return 0
 
 
 def _cmd_secondary(ws, args):
-    ext = _lookup(ws.extensions, args.extension, "extension")
-    f = _lookup(ws.polynomials, args.poly, "polynomial")
     names = [s for s in args.sections.split(",") if s]
     if len(names) != 2:
         raise ValidationError("secondary needs exactly two section names")
-    sec_a = _lookup(ws.sections, names[0], "section")
-    sec_b = _lookup(ws.sections, names[1], "section")
-    rep = _resolve_rep(ws, args, ext)
+    ext, (sec_a, sec_b), f, rep = _resolve_extension(ws, args, names)
     cls = secondary_class(ext, f, sec_a, sec_b, rep, mode=args.invariance)
     _print_class("secondary class", cls, args.output)
     return 0
 
 
 def _cmd_verify_theorem(ws, args):
-    ext = _lookup(ws.extensions, args.extension, "extension")
-    f = _lookup(ws.polynomials, args.poly, "polynomial")
     names = [s for s in args.sections.split(",") if s]
     if len(names) < 2:
         raise ValidationError("verify-theorem needs at least two section names")
-    sections = [_lookup(ws.sections, n, "section") for n in names]
-    rep = _resolve_rep(ws, args, ext)
+    ext, sections, f, rep = _resolve_extension(ws, args, names)
     report = verify_main_theorem(ext, f, sections, rep, mode=args.invariance)
     sign = {1: "+1", -1: "-1", 0: "0", None: None}[report.sign]
     if args.output == "json":

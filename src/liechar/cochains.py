@@ -17,9 +17,9 @@ constructors check and coerce every entry; package code that already holds a
 complete table of exact entries (the basis cochains of a cohomology space)
 builds it through the trusted constructor _of, which skips those checks.
 
-Wedge products, symmetric products and the composition of a symmetric map
-with cochains are shuffle sums over one enumerator of ordered partitions; the
-wedge product is the (p,q)-shuffle sum
+The wedge product and the composition of a symmetric map with cochains are
+signed shuffle sums over one enumerator of ordered partitions; the wedge
+product is the (p,q)-shuffle sum
 
     (a ^_m b)(x_1..x_{p+q}) = sum over shuffles s of
                               sign(s) * m(a(x_s(1)..x_s(p)), b(x_s(p+1)..)),
@@ -70,11 +70,6 @@ __all__ = [
     "covariant_derivative",
     "curvature",
     "compose_sym",
-    "sym_product",
-    "lie_bracket_product",
-    "scalar_multiplication",
-    "evaluation_product",
-    "sym_tensor_product",
 ]
 
 
@@ -289,40 +284,6 @@ class BilinearProduct:
         return _contract(self.coeffs, u, v, self.out_dim)
 
 
-def lie_bracket_product(alg: LieAlgebra) -> BilinearProduct:
-    """The bracket of alg as a bilinear product V x V -> V."""
-    return BilinearProduct(alg.dim, alg.dim, alg.dim, alg.structure)
-
-
-def scalar_multiplication(dim: int = 1) -> BilinearProduct:
-    """Multiplication R x V -> V; with dim=1 plain scalar multiplication."""
-    coeffs = [[[Fraction(1) if k == j else Fraction(0) for k in range(dim)]
-               for j in range(dim)]]
-    return BilinearProduct(1, dim, dim, coeffs)
-
-
-def evaluation_product(dim: int) -> BilinearProduct:
-    """End(V) x V -> V with endomorphisms flattened row-major (E_ij at i*dim+j)."""
-    coeffs = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim * dim)]
-    for i in range(dim):
-        for j in range(dim):
-            coeffs[i * dim + j][j][i] = Fraction(1)
-    return BilinearProduct(dim * dim, dim, dim, coeffs)
-
-
-def sym_tensor_product(dim: int, p: int, q: int) -> BilinearProduct:
-    """S^p(V) x S^q(V) -> S^{p+q}(V) in the monomial bases of non-decreasing tuples."""
-    left = nondecreasing_tuples(dim, p)
-    right = nondecreasing_tuples(dim, q)
-    out = nondecreasing_tuples(dim, p + q)
-    out_index = {key: idx for idx, key in enumerate(out)}
-    coeffs = [[[Fraction(0)] * len(out) for _ in right] for _ in left]
-    for a, ka in enumerate(left):
-        for b, kb in enumerate(right):
-            coeffs[a][b][out_index[tuple(sorted(ka + kb))]] = Fraction(1)
-    return BilinearProduct(len(left), len(right), len(out), coeffs)
-
-
 class LinearAction:
     """A linear map x -> S(x) into endomorphisms of a target space."""
 
@@ -342,7 +303,17 @@ class LinearAction:
 
 def wedge(a: Cochain, b: Cochain, m: BilinearProduct) -> Cochain:
     """Shuffle-sum wedge product a ^_m b of degree a.degree + b.degree."""
-    return _shuffle_product(Cochain, a, b, m, True)
+    if a.source.dim != b.source.dim:
+        raise ValueError("source algebra mismatch")
+    if a.target_dim != m.left_dim or b.target_dim != m.right_dim:
+        raise ValueError("dimension mismatch")
+    sizes = (a.degree, b.degree)
+
+    def term(keys):
+        return m.apply(a.entry(keys[0]), b.entry(keys[1]))
+
+    return Cochain.from_function(a.source, sum(sizes), m.out_dim,
+                                 _shuffle_sum(sizes, m.out_dim, term))
 
 
 def _differential_rows(algebra: LieAlgebra, mats, m: int, degree: int):
@@ -441,17 +412,16 @@ def _ordered_partitions(positions, sizes):
             yield [block] + tail
 
 
-def _shuffle_sum(sizes, out_dim, signed, fn):
+def _shuffle_sum(sizes, out_dim, fn):
     """key -> sum of sign * fn(key restricted to each block) over the ordered
     partitions of the positions of key into increasing blocks of the given
-    sizes; the sign is that of the permutation the blocks spell when signed,
-    else 1."""
+    sizes; the sign is that of the permutation the blocks spell."""
     positions = tuple(range(sum(sizes)))
 
     def total(key):
         out = [Fraction(0)] * out_dim
         for blocks in _ordered_partitions(positions, sizes):
-            sgn = _perm_sign([pos for block in blocks for pos in block]) if signed else 1
+            sgn = _perm_sign([pos for block in blocks for pos in block])
             val = fn([tuple(key[pos] for pos in block) for block in blocks])
             out = [o + sgn * x for o, x in zip(out, val)]
         return out
@@ -484,24 +454,4 @@ def compose_sym(f: SymMultiMap, args) -> Cochain:
         return f.evaluate([list(a.entry(k)) for a, k in zip(args, keys)])
 
     return Cochain.from_function(src, sum(degrees), f.target_dim,
-                                 _shuffle_sum(degrees, f.target_dim, True, term))
-
-
-def sym_product(f: SymMultiMap, g: SymMultiMap, m: BilinearProduct) -> SymMultiMap:
-    """Unsigned shuffle-sum product (f v g)(y_1..y_{p+q}) = sum m(f(block), g(block))."""
-    return _shuffle_product(SymMultiMap, f, g, m, False)
-
-
-def _shuffle_product(cls, a, b, m: BilinearProduct, signed: bool):
-    """The (p,q)-shuffle sum of m(a(block), b(block)), signed for cochains."""
-    if a.source.dim != b.source.dim:
-        raise ValueError("source algebra mismatch")
-    if a.target_dim != m.left_dim or b.target_dim != m.right_dim:
-        raise ValueError("dimension mismatch")
-    sizes = (a.degree, b.degree)
-
-    def term(keys):
-        return m.apply(a.entry(keys[0]), b.entry(keys[1]))
-
-    return cls.from_function(a.source, sum(sizes), m.out_dim,
-                             _shuffle_sum(sizes, m.out_dim, signed, term))
+                                 _shuffle_sum(degrees, f.target_dim, term))

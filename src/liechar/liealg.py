@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import identity, mat_mul, transpose, vec_is_zero, zeros
+from .linalg import mat_mul, transpose, vec_is_zero, zeros
 from .scalars import _fraction
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "algebra_from_brackets",
     "check_jacobi",
     "bracket",
-    "ad_matrix",
     "is_derivation",
     "semidirect_product",
     "abelian",
@@ -177,11 +176,6 @@ def _contract(table, x, y, out_dim):
                 if c:
                     out[k] = out[k] + xi * yj * c
     return out
-
-
-def ad_matrix(alg: LieAlgebra, x):
-    """Matrix of ad(x): y -> [x, y] in the basis of alg."""
-    return transpose([bracket(alg, x, e) for e in identity(alg.dim)])
 
 
 def _ad_basis(alg: LieAlgebra):

@@ -12,9 +12,8 @@ ranks, nullspace bases and solutions are therefore reproducible.
 Pivots come only from the first ncols columns.  Later columns are carried
 along and may hold MultiPoly entries; solve_linear puts its right-hand side
 there, which is how curvature values of polynomial section families are
-expressed in kernel coordinates.  rref, rank, nullspace, column_space_basis
-and solve_linear take and return dense lists of Fraction rows; each converts
-at the boundary and calls the one sparse loop.
+expressed in kernel coordinates.  rank and solve_linear take dense lists of
+Fraction rows; each converts at the boundary and calls the one sparse loop.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ __all__ = [
     "vec_sub", "vec_is_zero",
     "zeros", "identity", "transpose", "mat_mul", "mat_vec",
     "sparse_rref", "sparse_transpose", "echelon_nullspace", "to_dense",
-    "rref", "rank", "nullspace", "column_space_basis", "solve_linear",
+    "rank", "solve_linear",
 ]
 
 _FRACTION_ZERO = Fraction(0)
@@ -177,30 +176,8 @@ def to_dense(rows, ncols):
     return out
 
 
-def rref(a):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    ncols = len(a[0]) if a else 0
-    echelon = sparse_rref(_sparse(a), ncols)
-    rows = to_dense([row for _, row in echelon], ncols)
-    rows += zeros(len(a) - len(rows), ncols)
-    return rows, [p for p, _ in echelon]
-
-
 def rank(a) -> int:
     return len(sparse_rref(_sparse(a), len(a[0]) if a else 0))
-
-
-def nullspace(a, ncols=None):
-    """Deterministic basis of the kernel.  For each free column the basis
-    vector has entry 1 there and minus the echelon entry at each pivot."""
-    n = len(a[0]) if a else ncols or 0
-    return to_dense(echelon_nullspace(sparse_rref(_sparse(a), n), n), n)
-
-
-def column_space_basis(a):
-    """Deterministic basis of the column space: nonzero rows of rref(a^T)."""
-    cols = sparse_transpose(_sparse(a), len(a[0]) if a else 0)
-    return to_dense([row for _, row in sparse_rref(cols, len(a))], len(a))
 
 
 def solve_linear(a, b):

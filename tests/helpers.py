@@ -1,26 +1,38 @@
 """Seeded random generators and shared fixture pools for the test suite."""
 
 import json
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
 from types import SimpleNamespace
 
 from liechar import (
-    Cochain, Extension, LieAlgebra, Representation, Section, SymMultiMap,
+    BilinearProduct, Cochain, Extension, LieAlgebra, Representation, Section, SymMultiMap,
     abelian, adjoint_representation, algebra_from_brackets, as_poly, bracket,
-    column_space_basis, compose_sym, differential_matrix, heisenberg, heisenberg3, identity,
-    increasing_tuples, integrate_poly_simplex, kernel_coords, mat_mul, mat_vec,
-    nondecreasing_tuples,
-    nullspace, param_curvature, param_section, rank, rref, scalar_multiplication,
-    section_curvature, section_difference, solve_linear, sym_product, transpose,
-    trivial_representation,
+    compose_sym, heisenberg, heisenberg3, identity, increasing_tuples,
+    integrate_poly_simplex, kernel_coords, mat_mul, mat_vec, nondecreasing_tuples,
+    param_curvature, param_section, rank, section_curvature, section_difference,
+    semidirect_product, solve_linear, transpose, trivial_representation,
 )
 from liechar.linalg import zeros
 from liechar.catalog import (
-    affine_split_extension, euclidean_extension, filiform_extension,
-    heisenberg_central_extension, oscillator_extension,
+    affine_split_extension, filiform_extension, heisenberg_central_extension,
+    oscillator_extension,
 )
+
+
+def raise_everywhere(monkeypatch, module, name):
+    """Replace every binding of module.name inside liechar with a function that raises."""
+    original = getattr(module, name)
+
+    def boom(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("liechar") and \
+                getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, boom)
 
 
 def rand_fraction(rng, span=3, max_den=3) -> Fraction:
@@ -98,22 +110,24 @@ def conjugate_extension(rng, ext):
 
 
 def dense_cocycles_and_coboundaries(algebra, rep, degree):
-    """Dense Z and B bases: the nullspace of d on degree p and the column space
-    of d on degree p-1 (none for p = 0)."""
+    """Dense Z and B bases: the kernel of the reference matrix of d on degree p
+    and the column space of the one on degree p-1 (none for p = 0), both read
+    off dense_rref."""
     dim_c = comb(algebra.dim, degree) * rep.space_dim
-    zvecs = nullspace(differential_matrix(algebra, rep, degree), ncols=dim_c)
+    zvecs = dense_kernel(dense_differential_matrix(algebra, rep, degree), dim_c)
     bvecs = []
     if degree and dim_c:
-        bvecs = column_space_basis(differential_matrix(algebra, rep, degree - 1))
+        rows, pivots = dense_rref(transpose(dense_differential_matrix(algebra, rep, degree - 1)))
+        bvecs = rows[:len(pivots)]
     return zvecs, bvecs
 
 
 def greedy_cohomology(algebra, rep, degree):
     """Reference construction of H^p with one solve per cocycle.
 
-    H collects each cocycle basis vector that solve_linear finds outside the
+    H collects each cocycle basis vector that dense_solve finds outside the
     span of B and the H vectors chosen before it.  The class projection and
-    the coordinates of a cocycle come from one solve_linear each against
+    the coordinates of a cocycle come from one dense_solve each against
     B + H.  Returns (h_dim, class_projection, coords), where coords maps a
     cocycle to its H-coordinates.
     """
@@ -121,7 +135,7 @@ def greedy_cohomology(algebra, rep, degree):
     zvecs, bvecs = dense_cocycles_and_coboundaries(algebra, rep, degree)
 
     def solve(span, vec):
-        return solve_linear([[col[i] for col in span] for i in range(dim_c)], vec)
+        return dense_solve([[col[i] for col in span] for i in range(dim_c)], vec)
 
     hvecs = []
     for z in zvecs:
@@ -176,6 +190,20 @@ def dense_rref(a, ncols=None):
     return m, pivots
 
 
+def dense_kernel(a, ncols):
+    """Kernel basis of a dense matrix with ncols columns, from dense_rref: for
+    each free column, 1 there and minus the echelon entry at each pivot."""
+    rows, pivots = dense_rref(a, ncols)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            v[p] = -row[free]
+        basis.append(v)
+    return basis
+
+
 def dense_solve(a, b):
     """Reference solve_linear on dense_rref: free variables zero, None if inconsistent."""
     ncols = len(a[0]) if a else 0
@@ -192,15 +220,16 @@ def dense_cohomology(algebra, rep, degree):
     """Reference H^p on dense rows, as cohomology spaces were built before
     elimination went sparse.
 
-    Z is the nullspace of the dense matrix of d, B the column space of the
-    matrix of d one degree lower, and one rref of the dense matrix [B | Z]
-    gives H and the class projection.  Bases are built through the checking
-    Cochain constructor; coordinates_of solves with dense_solve.
+    Z and B come from dense_cocycles_and_coboundaries, and one dense_rref of
+    the dense matrix [B | Z] gives H and the class projection.  Bases are
+    built through the checking Cochain constructor; coordinates_of solves
+    with dense_solve.  Nothing here reaches sparse_rref or the library's rows
+    of d.
     """
     m = rep.space_dim
     zvecs, bvecs = dense_cocycles_and_coboundaries(algebra, rep, degree)
     nb = len(bvecs)
-    rows, pivots = rref([list(col) for col in zip(*bvecs, *zvecs)])
+    rows, pivots = dense_rref([list(col) for col in zip(*bvecs, *zvecs)])
     hvecs = [zvecs[c - nb] for c in pivots[nb:]]
     basis = bvecs + hvecs
     keys = increasing_tuples(algebra.dim, degree)
@@ -437,6 +466,51 @@ def random_representation(rng, algebra):
     if kind == "trivial2":
         return trivial_representation(algebra, 2)
     return adjoint_representation(algebra)
+
+
+def lie_bracket_product(alg) -> BilinearProduct:
+    """The bracket of alg as a bilinear product V x V -> V."""
+    return BilinearProduct(alg.dim, alg.dim, alg.dim, alg.structure)
+
+
+def scalar_multiplication(dim=1) -> BilinearProduct:
+    """Multiplication R x V -> V; with dim=1 plain scalar multiplication."""
+    coeffs = [[[Fraction(int(k == j)) for k in range(dim)] for j in range(dim)]]
+    return BilinearProduct(1, dim, dim, coeffs)
+
+
+def evaluation_product(dim) -> BilinearProduct:
+    """End(V) x V -> V with endomorphisms flattened row-major (E_ij at i*dim+j)."""
+    coeffs = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim * dim)]
+    for i in range(dim):
+        for j in range(dim):
+            coeffs[i * dim + j][j][i] = Fraction(1)
+    return BilinearProduct(dim * dim, dim, dim, coeffs)
+
+
+def sym_tensor_product(dim, p, q) -> BilinearProduct:
+    """S^p(V) x S^q(V) -> S^{p+q}(V) in the monomial bases of non-decreasing tuples."""
+    left = nondecreasing_tuples(dim, p)
+    right = nondecreasing_tuples(dim, q)
+    out_index = {key: idx for idx, key in enumerate(nondecreasing_tuples(dim, p + q))}
+    coeffs = [[[Fraction(0)] * len(out_index) for _ in right] for _ in left]
+    for a, ka in enumerate(left):
+        for b, kb in enumerate(right):
+            coeffs[a][b][out_index[tuple(sorted(ka + kb))]] = Fraction(1)
+    return BilinearProduct(len(left), len(right), len(out_index), coeffs)
+
+
+def ad_matrix(alg, x):
+    """Matrix of ad(x): y -> [x, y] in the basis of alg."""
+    return transpose([bracket(alg, x, e) for e in identity(alg.dim)])
+
+
+def euclidean_extension() -> Extension:
+    """0 -> R^2 -> e(2) -> R -> 0: translations inside the planar motion algebra."""
+    kernel = abelian(2, ("x", "y"))
+    total = semidirect_product(kernel, abelian(1, ("r",)), [[[0, -1], [1, 0]]])
+    iota = [[1, 0], [0, 1], [0, 0]]
+    return Extension(total, abelian(1, ("r",)), kernel, iota, [[0, 0, 1]])
 
 
 def fixture_extensions():
@@ -820,8 +894,9 @@ def reference_wedge(a, b, m):
     return Cochain.from_function(a.source, p + q, m.out_dim, fn)
 
 
-def reference_sym_product(f, g, m):
-    """The unsigned shuffle sum over combinations of left positions."""
+def sym_product(f, g, m):
+    """The symmetric product (f v g)(y_1..y_{p+q}) = sum m(f(block), g(block)),
+    an unsigned shuffle sum over combinations of left positions."""
     if f.source.dim != g.source.dim:
         raise ValueError("source algebra mismatch")
     if f.target_dim != m.left_dim or g.target_dim != m.right_dim:

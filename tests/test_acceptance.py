@@ -13,22 +13,21 @@ from fractions import Fraction
 from math import comb, factorial
 
 from liechar import (BilinearProduct, LinearAction, MultiPoly, SymMultiMap,
-                     abelian, ad_matrix, adjoint_representation,
+                     abelian, adjoint_representation,
                      algebra_from_brackets, ce_differential, chern_weil,
                      classes_equal, cohomology_space, covariant_derivative,
                      delta_f, differential_matrix, heisenberg, heisenberg3,
-                     integrate_poly_simplex, lie_bracket_product,
-                     parse_workspace, rank, s_from_section,
-                     scalar_multiplication, secondary_class, section_curvature,
+                     integrate_poly_simplex, parse_workspace, rank,
+                     s_from_section, secondary_class, section_curvature,
                      serialize_workspace, trivial_representation,
                      verify_main_theorem, wedge)
 from liechar.catalog import heisenberg_central_extension
 from liechar.cli import run_command
 
-from helpers import (alt, conjugate_algebra, fixture_extensions, rand_cochain, rand_fraction,
-                     rand_section, rand_vector, random_algebra,
-                     random_invariant_symmap, random_representation,
-                     section_pool)
+from helpers import (ad_matrix, alt, conjugate_algebra, fixture_extensions,
+                     lie_bracket_product, rand_cochain, rand_fraction, rand_section,
+                     rand_vector, random_algebra, random_invariant_symmap,
+                     random_representation, scalar_multiplication, section_pool)
 from test_cochains import raw_product_table
 from test_scalars import fubini_integral
 

@@ -14,7 +14,7 @@ from liechar import (Cochain, DegreeError, InvalidSection, InvarianceWarning,
                      delta_f, differential_matrix, heisenberg, heisenberg3,
                      increasing_tuples, param_section, rank, secondary_class,
                      section_curvature, section_difference,
-                     trivial_representation, verify_main_theorem)
+                     trivial_representation, verify_main_theorem, wedge)
 from liechar.catalog import (filiform_extension, heisenberg_central_extension,
                              oscillator_extension)
 
@@ -22,7 +22,8 @@ from helpers import (SMALL_ALGEBRAS, conjugate_algebra, dense_cohomology,
                      direct_sum_extension, fixture_extensions, greedy_cohomology,
                      rand_cochain, rand_fraction, rand_section, rand_symmap,
                      random_algebra, random_invariant_symmap, random_module,
-                     random_representation, reference_delta_f, section_pool)
+                     random_representation, raise_everywhere, reference_delta_f,
+                     scalar_multiplication, section_pool, sym_product)
 
 
 def oscillator_setup():
@@ -137,6 +138,44 @@ class TestAgainstDensePath:
                         coords = space.coordinates_of(w)
                         assert coords == ref.coordinates_of(w)
                         assert all(type(x) is Fraction for x in coords)
+
+
+class TestNonCocycles:
+    """coordinates_of rejects a cochain with d w != 0 through its own solve."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_seeded_cochain_in_every_degree(self, m):
+        rng = random.Random(130 + m)
+        alg = heisenberg(m)
+        rep = adjoint_representation(alg)
+        for degree in range(alg.dim):
+            space = cohomology_space(alg, rep, degree)
+            w = rand_cochain(rng, alg, degree, rep.space_dim)
+            for z in space.cocycle_basis:
+                w = w + z.scale(rand_fraction(rng))
+            assert not ce_differential(w, rep).is_zero()
+            with pytest.raises(NotACocycle, match=r"^differential of the cochain is nonzero$"):
+                space.coordinates_of(w)
+
+
+class TestReferencesShareNoCode:
+    """The dense oracles never reach the library's elimination or rows of d."""
+
+    def test_dense_and_greedy_cohomology(self, monkeypatch):
+        from liechar import cochains, linalg
+
+        h3, h5 = heisenberg3(), heisenberg(2)
+        cases = []
+        for alg, rep in ((h5, trivial_representation(h5, 1)), (h3, adjoint_representation(h3))):
+            for degree in range(alg.dim + 2):
+                space = cohomology_space(alg, rep, degree)
+                cases.append((alg, rep, degree, space.h_dim, space.class_projection))
+        raise_everywhere(monkeypatch, linalg, "sparse_rref")
+        raise_everywhere(monkeypatch, cochains, "_differential_rows")
+        for alg, rep, degree, h_dim, projection in cases:
+            ref = dense_cohomology(alg, rep, degree)
+            assert (ref.h_dim, ref.class_projection) == (h_dim, projection)
+            assert greedy_cohomology(alg, rep, degree)[:2] == (h_dim, projection)
 
 
 class TestClassesEqual:
@@ -387,13 +426,13 @@ class TestInputChecks:
         f = SymMultiMap(ext.kernel, 1, 1, {(0,): [1]})
         sec = Section(ext, [[1, 0], [0, 1], [0, 0]])
         calls = self.count_checks(monkeypatch, lambda: chern_weil(ext, f, sec, triv))
-        assert calls == {"validate_section": 1, "is_invariant": 1, "ce_differential": 1}
+        assert calls == {"validate_section": 1, "is_invariant": 1, "ce_differential": 0}
 
     def test_secondary_class(self, monkeypatch):
         ext, s0, sz, fz, triv = oscillator_setup()
         calls = self.count_checks(
             monkeypatch, lambda: secondary_class(ext, fz, s0, sz, triv))
-        assert calls == {"validate_section": 2, "is_invariant": 2, "ce_differential": 1}
+        assert calls == {"validate_section": 2, "is_invariant": 2, "ce_differential": 0}
 
     @pytest.mark.parametrize("mode", ["section", "strict"])
     @pytest.mark.parametrize("count", [2, 3])
@@ -466,8 +505,6 @@ class TestProductHomomorphism:
         # (1/2!) (f v g) applied to two curvature slots equals the wedge of
         # the two single-slot composites; on the rank-2 symplectic central
         # extension both sides are a nonzero top-degree cochain
-        from liechar import scalar_multiplication, sym_product, wedge
-
         rng = random.Random(121)
         ext = heisenberg_central_extension(2)
         f = SymMultiMap(ext.kernel, 1, 1, {(0,): [Fraction(2, 3)]})
@@ -486,8 +523,6 @@ class TestProductHomomorphism:
         rng = random.Random(122)
         ext = heisenberg_central_extension(2)
         triv = trivial_representation(ext.base, 1)
-        from liechar import scalar_multiplication, sym_product, wedge
-
         f = SymMultiMap(ext.kernel, 1, 1, {(0,): [Fraction(2, 3)]})
         g = SymMultiMap(ext.kernel, 1, 1, {(0,): [Fraction(-5, 2)]})
         fg = sym_product(f, g, scalar_multiplication(1))

@@ -1,11 +1,13 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from liechar import SymMultiMap
+from liechar import SymMultiMap, serialize_workspace
+from liechar.catalog import filiform_workspace, heisenberg_workspace
 from liechar.cli import run_command
 
 from helpers import (BOOLEAN_FIELDS, boolean_document, no_enumeration,
@@ -202,6 +204,81 @@ class TestComputations:
             "--section", "s1", "--rep", "triv", "--output", "json")
         assert code == 0
         assert json.loads(out)["coordinates"] == ["1"]
+
+
+def _class_commands(ext, f, s0, s1):
+    return [["chern-weil", "--extension", ext, "--poly", f, "--section", s0],
+            ["secondary", "--extension", ext, "--poly", f, "--sections", f"{s0},{s1}"],
+            ["verify-theorem", "--extension", ext, "--poly", f, "--sections", f"{s0},{s1}"]]
+
+
+# case: (commands, the message each prints after "validation error: ")
+MISFITS = {
+    "map-source": (_class_commands("heis", "f1", "s0", "s1"),
+                   "polynomial 'f1' is not defined on the kernel of extension 'heis'"),
+    "map-target": (_class_commands("heis", "f1", "s0", "s1"),
+                   "polynomial 'f1' does not map into the module of dimension 1"),
+    "foreign-section": ([["curvature", "--extension", "heis", "--section", "fil_s1"]]
+                        + _class_commands("heis", "f1", "fil_s0", "fil_s1"),
+                        "section 'fil_s[01]' is not a section of extension 'heis'"),
+}
+
+
+def misfit_document(fixtures_dir, case):
+    """A valid workspace in which the named objects do not fit extension 'heis'.
+
+    map-source: f1 is a map on h3 (3 entries), not on the kernel.
+    map-target: f1 has target_dim 2, the default module dimension 1.
+    foreign-section: the filiform catalog workspace joins the Heisenberg one,
+    its objects under names prefixed with fil_.
+    """
+    if case == "foreign-section":
+        ws = heisenberg_workspace()
+        for registry, objects in vars(filiform_workspace()).items():
+            for name, obj in objects.items():
+                getattr(ws, registry)[f"fil_{name}"] = obj
+        return serialize_workspace(ws)
+    doc = json.loads((fixtures_dir / "heisenberg.json").read_text(encoding="utf-8"))
+    f1 = doc["polynomials"]["f1"]
+    if case == "map-source":
+        f1["source"] = "h3"
+        f1["entries"] = [{"tuple": [k], "value": ["1"]} for k in range(3)]
+    else:
+        f1["target_dim"] = 2
+        f1["entries"] = [{"tuple": [0], "value": ["1", "0"]}]
+    return json.dumps(doc)
+
+
+class TestObjectsThatDoNotFitTheExtension:
+    """A named map or section that does not fit the named extension is a
+    validation error: exit 1, one message line, empty stdout, no traceback."""
+
+    @pytest.fixture(params=sorted(MISFITS))
+    def case(self, request, fixtures_dir, tmp_path):
+        path = tmp_path / f"{request.param}.json"
+        path.write_text(misfit_document(fixtures_dir, request.param), encoding="utf-8")
+        commands, message = MISFITS[request.param]
+        return str(path), commands, f"validation error: {message}\n"
+
+    def test_in_process(self, capsys, case):
+        path, commands, expected = case
+        assert run(capsys, "validate", path)[0] == 0
+        for argv in commands:
+            code, out, err = run(capsys, argv[0], path, *argv[1:])
+            assert (code, out) == (1, ""), argv
+            assert re.fullmatch(expected, err), (argv, err)
+
+    def test_exit_code(self, case):
+        path, commands, expected = case
+        root = Path(__file__).resolve().parents[1]
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "liechar.cli", argv[0], path, *argv[1:]],
+                capture_output=True, text=True,
+                env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"})
+            assert (proc.returncode, proc.stdout) == (1, ""), argv
+            assert "Traceback" not in proc.stderr
+            assert re.fullmatch(expected, proc.stderr), (argv, proc.stderr)
 
 
 class TestZeroDimensionalBase:

@@ -6,7 +6,6 @@ compose_sym against explicit iterated symmetric-tensor wedges.
 """
 
 import random
-import sys
 from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
@@ -14,18 +13,17 @@ from math import factorial
 import pytest
 
 from liechar import cochains, liealg
-from liechar import (Cochain, LinearAction, MultiPoly, SymMultiMap, abelian, ad_matrix,
+from liechar import (Cochain, LinearAction, MultiPoly, SymMultiMap, abelian,
                      adjoint_representation, bracket, ce_differential, cohomology_space,
                      compose_sym, covariant_derivative, curvature, differential_matrix,
-                     evaluation_product, heisenberg3, lie_bracket_product, nondecreasing_tuples,
-                     scalar_multiplication, sym_product, sym_tensor_product,
-                     trivial_representation, wedge)
+                     heisenberg3, nondecreasing_tuples, trivial_representation, wedge)
 
-from helpers import (SMALL_ALGEBRAS, alt, conjugate_algebra, dense_cochain_evaluate,
-                     dense_differential_matrix, dense_symmap_evaluate, rand_cochain,
-                     rand_fraction, rand_matrix, rand_symmap, rand_vector, random_algebra,
-                     random_representation, reference_compose_sym, reference_sym_product,
-                     reference_twisted_differential, reference_wedge, to_poly)
+from helpers import (SMALL_ALGEBRAS, ad_matrix, alt, conjugate_algebra, dense_cochain_evaluate,
+                     dense_differential_matrix, dense_symmap_evaluate, evaluation_product,
+                     lie_bracket_product, rand_cochain, rand_fraction, rand_matrix, rand_symmap,
+                     rand_vector, random_algebra, random_representation, raise_everywhere,
+                     reference_compose_sym, reference_twisted_differential, reference_wedge,
+                     scalar_multiplication, sym_tensor_product, to_poly)
 
 
 def unit(d, i):
@@ -461,50 +459,6 @@ class TestComposeSym:
             compose_sym(f, [a])
 
 
-class TestSymProduct:
-    def test_two_functionals(self):
-        g = abelian(2)
-        f = SymMultiMap(g, 1, 1, {(0,): [2], (1,): [3]})
-        h = SymMultiMap(g, 1, 1, {(0,): [5], (1,): [7]})
-        fg = sym_product(f, h, scalar_multiplication(1))
-        # f(y1)h(y2) + f(y2)h(y1)
-        assert fg.entry((0, 0)) == (2 * 5 * 2,)
-        assert fg.entry((0, 1)) == (2 * 7 + 3 * 5,)
-
-    def test_commutative_for_commutative_target(self):
-        rng = random.Random(61)
-        g = heisenberg3()
-        f = rand_symmap(rng, g, 2)
-        h = rand_symmap(rng, g, 1)
-        m = scalar_multiplication(1)
-        assert sym_product(f, h, m) == sym_product(h, f, m)
-
-    def test_symmetric_extension_consistency(self):
-        rng = random.Random(62)
-        g = abelian(3)
-        f = rand_symmap(rng, g, 1)
-        h = rand_symmap(rng, g, 1)
-        fg = sym_product(f, h, scalar_multiplication(1))
-        u, v = rand_vector(rng, 3), rand_vector(rng, 3)
-        direct = fg.evaluate([u, v])
-        expected = [f.evaluate([u])[0] * h.evaluate([v])[0] +
-                    f.evaluate([v])[0] * h.evaluate([u])[0]]
-        assert direct == expected
-
-
-def _everywhere(monkeypatch, module, name):
-    """Replace every binding of module.name inside liechar with a function that raises."""
-    original = getattr(module, name)
-
-    def boom(*args, **kwargs):
-        raise AssertionError(f"{name} called")
-
-    for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").startswith("liechar") and \
-                getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, boom)
-
-
 class TestOneCodePath:
     """Each multilinear identity has one implementation that every caller reaches."""
 
@@ -512,7 +466,7 @@ class TestOneCodePath:
         h3 = heisenberg3()
         rep = adjoint_representation(h3)
         w = rand_cochain(random.Random(91), h3, 1, 3)
-        _everywhere(monkeypatch, cochains, "_differential_rows")
+        raise_everywhere(monkeypatch, cochains, "_differential_rows")
         for call in (lambda: ce_differential(w, rep),
                      lambda: covariant_derivative(w, LinearAction(h3, rep.matrices)),
                      lambda: differential_matrix(h3, rep, 1),
@@ -522,7 +476,7 @@ class TestOneCodePath:
 
     def test_bracket_and_bilinear_products_share_one_contraction(self, monkeypatch):
         h3 = heisenberg3()
-        _everywhere(monkeypatch, liealg, "_contract")
+        raise_everywhere(monkeypatch, liealg, "_contract")
         with pytest.raises(AssertionError, match="_contract"):
             bracket(h3, [1, 0, 0], [0, 1, 0])
         with pytest.raises(AssertionError, match="_contract"):
@@ -533,9 +487,8 @@ class TestOneCodePath:
         g = abelian(3)
         a = rand_cochain(rng, g, 1, 1)
         f = rand_symmap(rng, g, 1)
-        _everywhere(monkeypatch, cochains, "_shuffle_sum")
+        raise_everywhere(monkeypatch, cochains, "_shuffle_sum")
         for call in (lambda: wedge(a, a, scalar_multiplication(1)),
-                     lambda: sym_product(f, f, scalar_multiplication(1)),
                      lambda: compose_sym(f, [rand_cochain(rng, abelian(2), 1, 3)])):
             with pytest.raises(AssertionError, match="_shuffle_sum"):
                 call()
@@ -556,7 +509,7 @@ class TestOneCodePath:
 
 
 class TestAgainstReferenceProducts:
-    """wedge, sym_product and compose_sym agree with the separate reference enumerations."""
+    """wedge and compose_sym agree with the separate reference enumerations."""
 
     @staticmethod
     def _same(got, want):
@@ -580,17 +533,6 @@ class TestAgainstReferenceProducts:
                     pa, pb = self._promote(rng, a), self._promote(rng, b)
                     self._same(wedge(pa, pb, m), reference_wedge(pa, pb, m))
                     self._same(wedge(a, pb, m), reference_wedge(a, pb, m))
-
-    def test_sym_product(self):
-        rng = random.Random(95)
-        g = heisenberg3()
-        m = sym_tensor_product(1, 1, 1)
-        for p in range(4):
-            for q in range(4 - p):
-                f, h = rand_symmap(rng, g, p), rand_symmap(rng, g, q)
-                self._same(sym_product(f, h, m), reference_sym_product(f, h, m))
-                pf = self._promote(rng, f)
-                self._same(sym_product(pf, h, m), reference_sym_product(pf, h, m))
 
     def test_compose_sym(self):
         rng = random.Random(96)

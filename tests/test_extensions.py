@@ -13,13 +13,12 @@ from liechar import (ExactnessViolation, Extension, InvalidSection, NotInvariant
                      section_curvature, section_difference, trivial_representation,
                      validate_extension, validate_section)
 from liechar import extensions as extensions_module
-from liechar.catalog import (affine_split_extension, euclidean_extension,
-                             filiform_extension, heisenberg_central_extension,
-                             oscillator_extension)
+from liechar.catalog import (affine_split_extension, filiform_extension,
+                             heisenberg_central_extension, oscillator_extension)
 
-from helpers import (conjugate_extension, direct_sum_extension, fixture_extensions,
-                     kernel_functional, point_base_extension, rand_fraction, rand_section,
-                     rand_symmap, random_invariant_symmap,
+from helpers import (conjugate_extension, direct_sum_extension, euclidean_extension,
+                     fixture_extensions, kernel_functional, point_base_extension,
+                     rand_fraction, rand_section, rand_symmap, random_invariant_symmap,
                      reference_is_invariant, reference_section_curvature,
                      reference_validate_extension, section_pool, to_poly)
 

@@ -2,7 +2,9 @@
 
 Each example takes one of the three fixture documents and applies one to three
 random mutations at random places in its JSON tree: replace a value with a
-small random JSON value, delete a key or list item, or insert one.  Parsing
+small random JSON value, delete a key or list item, insert one, or re-point a
+reference (an algebra named by source, algebra, total, base or kernel, an
+extension named by extension) to another name of the same kind.  Parsing
 must either succeed or raise ParseError/ValidationError, and the CLI must
 return 0, 1 or 2 on the mutated file.  Integers are drawn from a small range:
 there is no size guard yet, and a degree or dimension in the millions would
@@ -45,6 +47,11 @@ SETTINGS = settings(max_examples=100, derandomize=True, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
+# reference field: the top-level registry its names come from
+REFERENCES = {"source": "algebras", "algebra": "algebras", "total": "algebras",
+              "base": "algebras", "kernel": "algebras", "extension": "extensions"}
+
+
 def _paths(node, path=()):
     yield path
     children = node.items() if isinstance(node, dict) else (
@@ -53,11 +60,35 @@ def _paths(node, path=()):
         yield from _paths(child, path + (key,))
 
 
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _references(doc):
+    """(path, other names of the same kind) for each reference field holding a name."""
+    for path in _paths(doc):
+        if not path or path[-1] not in REFERENCES:
+            continue
+        name = _parent(doc, path)[path[-1]]
+        registry = doc.get(REFERENCES[path[-1]]) if isinstance(doc, dict) else None
+        if isinstance(name, str) and isinstance(registry, dict):
+            others = sorted(n for n in registry if n != name)
+            if others:
+                yield path, others
+
+
 @st.composite
 def mutated_fixtures(draw):
     name = draw(st.sampled_from(sorted(DOCS)))
     doc = json.loads(DOCS[name])
     for _ in range(draw(st.integers(1, 3))):
+        references = list(_references(doc))
+        if references and draw(st.integers(0, 3)) == 0:
+            path, others = draw(st.sampled_from(references))
+            _parent(doc, path)[path[-1]] = draw(st.sampled_from(others))
+            continue
         paths = list(_paths(doc))
         if draw(st.booleans()):
             # half of the mutations hit a named field rather than a matrix entry
@@ -66,9 +97,7 @@ def mutated_fixtures(draw):
         if not path:
             doc = draw(JSON_VALUES)
             continue
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
+        parent = _parent(doc, path)
         last = path[-1]
         kind = draw(st.sampled_from(["replace", "delete", "insert"]))
         if kind == "replace":
@@ -102,6 +131,7 @@ def test_cli_keeps_its_exit_code_contract(tmp_path_factory, case):
     for argv in (["validate"],
                  ["curvature", "--extension", ext, "--section", s1],
                  ["chern-weil", "--extension", ext, "--poly", f1, "--section", s0],
+                 ["secondary", "--extension", ext, "--poly", f1, "--sections", f"{s0},{s1}"],
                  ["verify-theorem", "--extension", ext, "--poly", f1,
                   "--sections", f"{s0},{s1}"]):
         with contextlib.redirect_stdout(io.StringIO()), \

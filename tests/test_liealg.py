@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from liechar import liealg
-from liechar import (LieAlgebra, MultiPoly, Representation, abelian, ad_matrix,
+from liechar import (LieAlgebra, MultiPoly, Representation, abelian,
                      adjoint_representation, algebra_from_brackets, bracket,
                      check_jacobi, check_representation, heisenberg,
                      heisenberg3, identity, is_derivation, oscillator,
                      semidirect_product, trivial_representation)
 
-from helpers import (SMALL_ALGEBRAS, conjugate_algebra, rand_fraction, rand_matrix,
+from helpers import (SMALL_ALGEBRAS, ad_matrix, conjugate_algebra, rand_fraction, rand_matrix,
                      rand_vector, random_algebra, random_module, reference_bracket,
                      reference_check_representation, reference_is_derivation,
                      reference_semidirect_product)

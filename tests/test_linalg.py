@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liechar import (MultiPoly, column_space_basis, mat_mul, mat_vec,
-                     nullspace, rank, rref, solve_linear)
-from liechar.linalg import echelon_nullspace, sparse_rref, sparse_transpose
+from liechar import MultiPoly, mat_mul, mat_vec, rank, solve_linear
+from liechar.linalg import echelon_nullspace, sparse_rref, sparse_transpose, to_dense
 
-from helpers import (dense_mat_mul, dense_mat_vec, dense_rref, dense_solve, rand_fraction,
-                     rand_matrix)
+from helpers import (dense_kernel, dense_mat_mul, dense_mat_vec, dense_rref, dense_solve,
+                     rand_fraction, rand_matrix)
 
 
 def F(x):  # noqa: N802 - terse literal helper
@@ -20,6 +19,32 @@ def F(x):  # noqa: N802 - terse literal helper
 
 def fmat(rows):
     return [[Fraction(x) for x in row] for row in rows]
+
+
+def sparse_rows(a):
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+# Dense views of the sparse results, for literal matrices in the tests below.
+
+def rref(a):
+    """(echelon rows padded with zero rows, pivot columns) from sparse_rref."""
+    ncols = len(a[0]) if a else 0
+    echelon = sparse_rref(sparse_rows(a), ncols)
+    rows = to_dense([row for _, row in echelon], ncols)
+    return rows + [[F(0)] * ncols for _ in range(len(a) - len(rows))], [p for p, _ in echelon]
+
+
+def nullspace(a):
+    """Kernel basis from echelon_nullspace, one vector per free column."""
+    ncols = len(a[0]) if a else 0
+    return to_dense(echelon_nullspace(sparse_rref(sparse_rows(a), ncols), ncols), ncols)
+
+
+def column_space_basis(a):
+    """The echelon rows of the sparse transpose: a basis of the column space."""
+    cols = sparse_transpose(sparse_rows(a), len(a[0]) if a else 0)
+    return to_dense([row for _, row in sparse_rref(cols, len(a))], len(a))
 
 
 class TestSolve:
@@ -118,10 +143,6 @@ class TestRref:
         assert len(mat_mul(a, b)) == 3 and len(mat_mul(a, b)[0]) == 4
 
 
-def sparse_rows(a):
-    return [{j: x for j, x in enumerate(row) if x} for row in a]
-
-
 def seeded_matrices(rng, count):
     """Random rational matrices, with zero, rank-deficient and empty ones among them."""
     yield []
@@ -148,7 +169,8 @@ def kinds(rows):
 
 
 class TestAgainstDenseLoop:
-    """The one sparse loop and its dense wrappers against the dense reference loop."""
+    """The one sparse loop and the dense views of its results against the dense
+    reference loop."""
 
     def test_sparse_rref_matches_dense_rref(self):
         rng = random.Random(71)
@@ -179,14 +201,7 @@ class TestAgainstDenseLoop:
             assert kinds(got_rows) == [[Fraction] * len(row) for row in rows]
             assert rank(a) == len(pivots)
             if a and a[0]:
-                ncols = len(a[0])
-                expected = []
-                for free in (c for c in range(ncols) if c not in pivots):
-                    v = [F(0)] * ncols
-                    v[free] = F(1)
-                    for r, p in enumerate(pivots):
-                        v[p] = -rows[r][free]
-                    expected.append(v)
+                expected = dense_kernel(a, len(a[0]))
                 assert nullspace(a) == expected
                 assert kinds(nullspace(a)) == kinds(expected)
                 at_rows, at_pivots = dense_rref([list(col) for col in zip(*a)])

@@ -5,17 +5,17 @@ vector per strictly increasing basis index tuple (i_1 < ... < i_p); its value
 on arbitrary arguments is the alternating multilinear extension.  A symmetric
 p-linear map stores one value per non-decreasing tuple and extends
 symmetrically.  Both are thin subclasses of one keyed-table base, which
-validates and stores the table, adds, scales and compares tables, and
-evaluates the extension.  A subclass names only its canonical tuples and how
-an arbitrary index tuple maps onto one: sorted with its permutation sign
-(sign 0 on a repeated index) for cochains, plainly sorted for symmetric maps.
-Evaluation sums over the product of the arguments' supports (their nonzero
-coordinates), in the order of the full d^p loop, so the cost is the product
-of the support sizes rather than d^p.  Scalar entries are Fraction or
-MultiPoly; every operator here is generic over the two kinds.  The public
-constructors check and coerce every entry; package code that already holds a
-complete table of exact entries (the basis cochains of a cohomology space)
-builds it through the trusted constructor _of, which skips those checks.
+validates and stores the table, adds, scales and compares tables; each
+subclass names its canonical tuples and evaluates its extension.  A cochain
+sums over the product of the arguments' supports (their nonzero
+coordinates), so the cost is the product of the support sizes rather than
+d^p; a symmetric map is contracted slot by slot, last argument outermost,
+and terms that share a partial sum compute it once.  Scalar entries are
+Fraction or MultiPoly; every operator here is generic over the two kinds.
+The public constructors check and coerce every entry; package code that
+already holds a complete table of exact entries (the basis cochains of a
+cohomology space) builds it through the trusted constructor _of, which
+skips those checks.
 
 The wedge product and the composition of a symmetric map with cochains are
 signed shuffle sums over one enumerator of ordered partitions; the wedge
@@ -107,10 +107,6 @@ def _coerce_scalar(x):
     return _fraction(x)
 
 
-def _plain_sort(seq):
-    return tuple(sorted(seq)), 1
-
-
 def _flatten(table):
     """The entries of a table in the tuple-major basis (tables are in key order)."""
     return [x for val in table.values.values() for x in val]
@@ -119,10 +115,8 @@ def _flatten(table):
 class _Table:
     """One value vector per canonical index tuple, extended multilinearly.
 
-    A subclass names its canonical tuples (``key_tuples``), their number
-    (``key_count``, without enumerating them) and how an
-    arbitrary index tuple maps onto one of them (``_normalize``: the
-    canonical tuple and a sign, 0 when the term drops out).
+    A subclass names its canonical tuples (``key_tuples``) and their number
+    (``key_count``, without enumerating them), and evaluates its extension.
     """
 
     __slots__ = ("source", "degree", "target_dim", "values")
@@ -207,23 +201,11 @@ class _Table:
 
     __hash__ = None
 
-    def _extend(self, args):
-        """Sum of coeff * value over the product of the arguments' supports."""
+    def _check_arguments(self, args):
         if len(args) != self.degree:
             raise ValueError("argument count mismatch")
         if any(len(vec) != self.source.dim for vec in args):
             raise ValueError("dimension mismatch")
-        supports = [[(i, x) for i, x in enumerate(vec) if x] for vec in args]
-        out = [Fraction(0)] * self.target_dim
-        for terms in product(*supports):
-            key, sgn = self._normalize(tuple(i for i, _ in terms))
-            if sgn == 0:
-                continue
-            coeff = Fraction(sgn)
-            for _, x in terms:
-                coeff = coeff * x
-            out = [o + coeff * x for o, x in zip(out, self.values[key])]
-        return out
 
     def __repr__(self):
         return (f"{type(self).__name__}(degree={self.degree}, "
@@ -237,11 +219,21 @@ class Cochain(_Table):
     _kind = "cochain"
     key_tuples = staticmethod(increasing_tuples)
     key_count = staticmethod(comb)
-    _normalize = staticmethod(_sort_with_sign)
 
     def evaluate(self, args):
         """Alternating multilinear extension to arbitrary coefficient vectors."""
-        return self._extend(args)
+        self._check_arguments(args)
+        supports = [[(i, x) for i, x in enumerate(vec) if x] for vec in args]
+        out = [Fraction(0)] * self.target_dim
+        for terms in product(*supports):
+            key, sgn = _sort_with_sign(tuple(i for i, _ in terms))
+            if sgn == 0:
+                continue
+            coeff = Fraction(sgn)
+            for _, x in terms:
+                coeff = coeff * x
+            out = [o + coeff * x for o, x in zip(out, self.values[key])]
+        return out
 
 
 class SymMultiMap(_Table):
@@ -251,11 +243,11 @@ class SymMultiMap(_Table):
     _kind = "symmetric-map"
     key_tuples = staticmethod(nondecreasing_tuples)
     key_count = staticmethod(_count_nondecreasing)
-    _normalize = staticmethod(_plain_sort)
 
     def evaluate(self, args):
         """Symmetric multilinear extension to arbitrary coefficient vectors."""
-        return self._extend(args)
+        self._check_arguments(args)
+        return _contraction(self, lambda j, key: args[j])([()] * self.degree)
 
 
 class BilinearProduct:
@@ -319,6 +311,8 @@ def wedge(a: Cochain, b: Cochain, m: BilinearProduct) -> Cochain:
 def _differential_rows(algebra: LieAlgebra, mats, m: int, degree: int):
     """Sparse rows {column: nonzero entry} of d_S: C^degree -> C^{degree+1} in the
     flattened tuple-major bases, m the dimension the S(e_t) act on."""
+    if degree + 1 > algebra.dim:
+        return []
     structure = [[[(k, c) for k, c in enumerate(vec) if c] for vec in plane]
                  for plane in algebra.structure]
     action = [[[(c, x) for c, x in enumerate(row) if x] for row in mat]
@@ -429,13 +423,44 @@ def _shuffle_sum(sizes, out_dim, fn):
     return total
 
 
+def _contraction(f: SymMultiMap, vector):
+    """keys -> f with each slot j contracted against vector(j, keys[j]).
+
+    inner(prefix, chosen) is f at the sorted indices ``chosen`` of the later
+    slots, slot j < len(prefix) contracted against vector(j, prefix[j]); None
+    (not a zero of either kind) when such a slot is zero; memoised below the
+    top, where no two calls share their keys."""
+    memo = {}
+
+    def inner(prefix, chosen):
+        if not prefix:
+            return f.values[chosen]
+        if (prefix, chosen) in memo:
+            return memo[prefix, chosen]
+        out = None
+        for i, x in enumerate(vector(len(prefix) - 1, prefix[-1])):
+            if x:
+                pos = bisect(chosen, i)
+                sub = inner(prefix[:-1], chosen[:pos] + (i,) + chosen[pos:])
+                if sub is None:
+                    break
+                out = ([x * s for s in sub] if out is None
+                       else [o + x * s for o, s in zip(out, sub)])
+        if chosen:
+            memo[prefix, chosen] = out
+        return out
+
+    return lambda keys: list(inner(tuple(keys), ()) or [Fraction(0)] * f.target_dim)
+
+
 def compose_sym(f: SymMultiMap, args) -> Cochain:
     """f-tilde applied to the iterated symmetric-tensor wedge of the arguments.
 
     Each argument cochain (with values in the source of f) occupies one slot
     of f, so len(args) must equal f.degree.  Computed as the signed sum over
     ordered partitions of the output positions into per-argument increasing
-    blocks, which avoids building symmetric tensor spaces explicitly.
+    blocks, which avoids building symmetric tensor spaces explicitly.  The
+    terms share the partial sums of one contraction of f.
     """
     if len(args) != f.degree:
         raise ValueError(
@@ -449,9 +474,6 @@ def compose_sym(f: SymMultiMap, args) -> Cochain:
         if a.target_dim != f.source.dim:
             raise ValueError("dimension mismatch")
     degrees = [a.degree for a in args]
-
-    def term(keys):
-        return f.evaluate([list(a.entry(k)) for a, k in zip(args, keys)])
-
+    term = _contraction(f, lambda j, key: args[j].values[key])
     return Cochain.from_function(src, sum(degrees), f.target_dim,
                                  _shuffle_sum(degrees, f.target_dim, term))

@@ -140,9 +140,6 @@ class MultiPoly:
             raise ValueError(f"{self!r} is not a constant polynomial")
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def coefficient(self, exps) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
@@ -225,24 +222,6 @@ class MultiPoly:
         return NotImplemented
 
     __hash__ = None
-
-    # -- calculus ---------------------------------------------------------
-
-    def diff(self, index: int) -> "MultiPoly":
-        """Partial derivative with respect to t_{index+1}."""
-        return MultiPoly._of(self.nvars, {  # distinct terms stay distinct
-            e[:index] + (e[index] - 1,) + e[index + 1:]: c * e[index]
-            for e, c in self.terms.items() if e[index]})
-
-    def eval_at(self, point) -> Fraction:
-        """Evaluate at a rational point (a sequence of nvars values)."""
-        point = [Fraction(p) for p in point]
-        if len(point) != self.nvars:
-            raise ValueError("evaluation point has wrong length")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            total += c * prod(p ** k for p, k in zip(point, e) if k)
-        return total
 
     def __repr__(self):
         if not self.terms:

@@ -4,11 +4,12 @@ import json
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, prod
 from types import SimpleNamespace
 
 from liechar import (
-    BilinearProduct, Cochain, Extension, LieAlgebra, Representation, Section, SymMultiMap,
+    BilinearProduct, Cochain, Extension, LieAlgebra, MultiPoly, Representation, Section,
+    SymMultiMap,
     abelian, adjoint_representation, algebra_from_brackets, as_poly, bracket,
     compose_sym, heisenberg, heisenberg3, identity, increasing_tuples,
     integrate_poly_simplex, kernel_coords, mat_mul, mat_vec, nondecreasing_tuples,
@@ -366,6 +367,27 @@ def reference_section_curvature(ext, sec):
 def to_poly(table, nvars):
     """The same table with every entry promoted to a MultiPoly in nvars variables."""
     return table.map_values(lambda x: as_poly(x, nvars))
+
+
+def poly_diff(p, index):
+    """Partial derivative of a MultiPoly with respect to t_{index+1}."""
+    return MultiPoly(p.nvars, {e[:index] + (e[index] - 1,) + e[index + 1:]: c * e[index]
+                               for e, c in p.terms.items() if e[index]})
+
+
+def poly_eval_at(p, point):
+    """A MultiPoly evaluated at a rational point (a sequence of nvars values)."""
+    point = [Fraction(x) for x in point]
+    if len(point) != p.nvars:
+        raise ValueError("evaluation point has wrong length")
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        total += c * prod(x ** k for x, k in zip(point, e) if k)
+    return total
+
+
+def poly_total_degree(p):
+    return max((sum(e) for e in p.terms), default=0)
 
 
 def reference_delta_f(ext, f, sections):
@@ -926,8 +948,23 @@ def _reference_partitions(positions, sizes):
             yield [block] + tail
 
 
+def _support_symmap_evaluate(f, vectors):
+    """Reference f(vectors): coeff * f(sorted index tuple) summed from Fraction(0)
+    over the product of the vectors' supports."""
+    supports = [[(i, x) for i, x in enumerate(vec) if x != 0] for vec in vectors]
+    out = [Fraction(0)] * f.target_dim
+    for terms in product(*supports):
+        coeff = Fraction(1)
+        for _, x in terms:
+            coeff = coeff * x
+        val = f.values[tuple(sorted(i for i, _ in terms))]
+        out = [o + coeff * x for o, x in zip(out, val)]
+    return out
+
+
 def reference_compose_sym(f, args):
-    """f applied to the iterated wedge, summed over ordered partitions with signs."""
+    """f applied to the iterated wedge, summed over ordered partitions with signs;
+    each term is a sum over the product of its vectors' supports."""
     if len(args) != f.degree:
         raise ValueError(
             f"slot-count mismatch: map of degree {f.degree} applied to {len(args)} cochains")
@@ -948,7 +985,7 @@ def reference_compose_sym(f, args):
             sgn = _inversion_sign([pos for block in blocks for pos in block])
             vectors = [list(args[i].entry(tuple(key[pos] for pos in block)))
                        for i, block in enumerate(blocks)]
-            val = f.evaluate(vectors)
+            val = _support_symmap_evaluate(f, vectors)
             out = [o + sgn * x for o, x in zip(out, val)]
         return out
 

@@ -548,6 +548,22 @@ class TestSecondaryClass:
         assert cls.h_space.h_dim == 1
         assert cls.coordinates == (1,)
 
+    def test_cocycle_property_on_seeded_triples(self):
+        # [Delta(s_b,s_c)] - [Delta(s_a,s_c)] + [Delta(s_a,s_b)] = 0; for the
+        # sections s_c: w -> w + c z each class is c_b - c_a, an answer read
+        # off the sections that shares no code with compose_sym
+        ext, _, _, fz, triv = oscillator_setup()
+        rng = random.Random(61)
+        for _ in range(8):
+            cs = [rand_fraction(rng) for _ in range(3)]
+            sections = [Section(ext, [[0], [0], [c], [1]]) for c in cs]
+            coords = {}
+            for i, j in combinations(range(3), 2):
+                cls = secondary_class(ext, fz, sections[i], sections[j], triv)
+                assert cls.coordinates == (cs[j] - cs[i],)
+                coords[i, j] = cls.coordinates[0]
+            assert coords[1, 2] - coords[0, 2] + coords[0, 1] == 0
+
     def test_equal_sections_give_zero_class(self):
         ext, s0, _, fz, triv = oscillator_setup()
         cls = secondary_class(ext, fz, s0, s0, triv)

@@ -261,9 +261,22 @@ class TestDifferential:
     def test_top_degree_maps_to_empty_table(self):
         h3 = heisenberg3()
         rng = random.Random(23)
-        w = rand_cochain(rng, h3, 3, 1)
-        d = ce_differential(w, trivial_representation(h3, 1))
-        assert d.degree == 4 and d.values == {}
+        for rep in (trivial_representation(h3, 1), adjoint_representation(h3)):
+            m = rep.space_dim
+            for p in (3, 4):
+                w = rand_cochain(rng, h3, p, m)
+                for cochain in (w, w.map_values(lambda x: x * rand_poly(rng))):
+                    d = ce_differential(cochain, rep)
+                    assert type(d) is Cochain and d.source is h3
+                    assert (d.degree, d.target_dim, d.values) == (p + 1, m, {})
+                    assert d == Cochain.zero(h3, p + 1, m) and d.is_zero()
+
+    def test_rows_past_the_top_degree_touch_no_structure_constants(self):
+        class Bare:  # an algebra with a dimension and nothing else
+            dim = 2
+
+        assert cochains._differential_rows(Bare(), [[[1]], [[1]]], 1, 2) == []
+        assert cochains._differential_rows(Bare(), [[[1]], [[1]]], 1, 5) == []
 
 
 class TestOneDifferential:
@@ -544,3 +557,38 @@ class TestAgainstReferenceProducts:
                 self._same(compose_sym(f, args), reference_compose_sym(f, args))
                 args[-1] = self._promote(rng, args[-1])
                 self._same(compose_sym(f, args), reference_compose_sym(f, args))
+
+    @staticmethod
+    def _sparse_cochain(rng, g, p, d, entry):
+        """Values that are zero with probability 0.4, so some vectors vanish."""
+        return Cochain.from_function(
+            g, p, d, lambda key: [entry(rng) if rng.random() < 0.6 else 0 for _ in range(d)])
+
+    def test_compose_sym_shares_partial_sums(self):
+        # p = 3, 4 on kernels of dimension 3-5: the terms of one output key
+        # reuse the contraction of their common inner slots
+        rng = random.Random(97)
+        g = abelian(6)
+        for d, degrees in ((3, (1, 2, 1)), (3, (2, 1, 1, 2)), (4, (1, 1, 2)),
+                           (4, (2, 1, 1, 1)), (5, (1, 2, 2)), (5, (2, 1, 1))):
+            f = rand_symmap(rng, abelian(d), len(degrees), 2)
+            args = [self._sparse_cochain(rng, g, p, d, rand_fraction) for p in degrees]
+            self._same(compose_sym(f, args), reference_compose_sym(f, args))
+            args[-1] = self._sparse_cochain(rng, g, degrees[-1], d, rand_poly)
+            self._same(compose_sym(f, args), reference_compose_sym(f, args))
+
+    def test_compose_sym_unit_arguments_on_a_large_kernel(self):
+        rng = random.Random(98)
+        d = 20
+        f = rand_symmap(rng, abelian(d), 4, 2)
+        g = abelian(7)
+
+        def unit_cochain(p):
+            # a seeded basis vector e_i, or zero one time in five
+            return Cochain.from_function(
+                g, p, d, lambda key: unit(d, rng.randrange(d)) if rng.random() < 0.8 else [0] * d)
+
+        args = [unit_cochain(p) for p in (1, 1, 2, 2)]
+        self._same(compose_sym(f, args), reference_compose_sym(f, args))
+        args[-1] = self._promote(rng, args[-1])
+        self._same(compose_sym(f, args), reference_compose_sym(f, args))

@@ -5,7 +5,9 @@
   module's ``__all__``;
 - every name a module imports from inside the package (a relative import) is
   used in that module.  ``__init__.py`` is exempt: its imports are the
-  package's API.
+  package's API;
+- every private name bound at module level is referenced by some other
+  top-level statement of the package.
 """
 
 import ast
@@ -54,3 +56,41 @@ def test_every_relative_import_is_used(name):
     unused = [f"{module}.{imported}" for module, imported, local in relative_imports(module_tree)
               if local not in used]
     assert unused == []
+
+
+def private_definitions(module_tree):
+    """(name, statement) for each private name a module-level statement binds."""
+    for node in module_tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            names = []
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def references(node):
+    """Every name the node reads: plain names, attributes and imported names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_every_private_module_name_is_used_elsewhere():
+    """A private helper that only its own definition mentions is dead code."""
+    trees = {name: tree(name) for name in MODULES + ["__init__"]}
+    statements = [(node, set(references(node)))
+                  for module_tree in trees.values() for node in module_tree.body]
+    dead = [f"{name}.{private}"
+            for name, module_tree in trees.items()
+            for private, definition in private_definitions(module_tree)
+            if not any(private in refs for node, refs in statements if node is not definition)]
+    assert dead == []

@@ -10,7 +10,7 @@ and secondary (Bott-Lecomte) characteristic classes, and a checker for the
 boundary identity relating the relative cochains of section tuples.
 """
 
-from .scalars import (MultiPoly, Rational, as_poly, integrate_monomial_simplex,
+from .scalars import (MultiPoly, as_poly, integrate_monomial_simplex,
                       integrate_poly_simplex, poly_from_json, poly_to_json,
                       rational_from_str, rational_to_str)
 from .linalg import identity, mat_mul, mat_vec, rank, solve_linear, transpose
@@ -32,8 +32,7 @@ from .characteristic import (CharacteristicClass, CohomologySpace, DegreeError,
                              NotACocycle, NotAdmissible, NotClosed,
                              NotInvariant, TheoremReport, chern_weil,
                              classes_equal, cohomology_space, delta_f,
-                             differential_matrix, secondary_class,
-                             verify_main_theorem)
+                             secondary_class, verify_main_theorem)
 from .workspace import (ParseError, ValidationError, Workspace,
                         canonical_dumps, cochain_from_json, cochain_to_json,
                         parse_workspace, serialize_workspace)

@@ -2,19 +2,18 @@
 
 H^p(g, V) is computed from exact sparse rows of the Chevalley-Eilenberg
 differential, from the one builder of the rows of d_S in cochains (S = rho,
-no entries from a zero rho(e_t)).  d is very sparse (on h_11 in
-degree 5 it is 462 x 462 with 350 nonzeros), so its rows hold only nonzero
-entries and never pass through dense form; differential_matrix densifies the
-same rows.  The cocycle space Z is the nullspace of the echelon form of d on
-degree p; the coboundary space B is spanned by the echelon rows of the
-transpose of d on degree p-1 (zero for p = 0).  One sparse elimination of the
-rows of [B | Z], whose columns are the B vectors followed by the Z vectors,
-gives the rest.  A column is a pivot exactly when it lies outside the span of
-the columns before it, so the pivot columns past B are a greedy choice H of
-cocycles completing B to a basis of Z.  The rows of those H pivots,
-restricted to the Z columns, hold the H-coordinates of each cocycle basis
-vector (class_projection).  Reduced row echelon forms are unique, so bases and
-coordinates of classes are reproducible.
+no entries from a zero rho(e_t)).  d is very sparse (on h_11 in degree 5 it
+is 462 x 462 with 350 nonzeros), so its rows hold only nonzero entries and
+never pass through dense form.  The cocycle space Z is the nullspace of the
+echelon form of d on degree p; the coboundary space B is spanned by the
+echelon rows of the transpose of d on degree p-1 (zero for p = 0).  One
+sparse elimination of the rows of [B | Z], whose columns are the B vectors
+followed by the Z vectors, gives the rest.  A column is a pivot exactly when
+it lies outside the span of the columns before it, so the pivot columns past
+B are a greedy choice H of cocycles completing B to a basis of Z.  The rows
+of those H pivots, restricted to the Z columns, hold the H-coordinates of
+each cocycle basis vector (class_projection).  Reduced row echelon forms are
+unique, so bases and coordinates of classes are reproducible.
 
 For an extension with kernel n and an invariant symmetric map f of degree p,
 the relative cochain of n+1 sections is the simplex integral
@@ -66,7 +65,6 @@ __all__ = [
     "NotClosed",
     "NotAdmissible",
     "NotInvariant",
-    "differential_matrix",
     "cohomology_space",
     "classes_equal",
     "delta_f",
@@ -107,12 +105,6 @@ def _unflatten(vec, keys, zero: Cochain) -> Cochain:
     for k, block in blocks.items():
         values[keys[k]] = tuple(block)
     return Cochain._of(zero.source, zero.degree, m, values)
-
-
-def differential_matrix(algebra: LieAlgebra, rep: Representation, degree: int):
-    """Matrix of d: C^degree -> C^{degree+1} in the flattened tuple-major bases."""
-    return to_dense(_differential_rows(algebra, rep.matrices, rep.space_dim, degree),
-                    comb(algebra.dim, degree) * rep.space_dim)
 
 
 class CohomologySpace:

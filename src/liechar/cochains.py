@@ -164,7 +164,7 @@ class _Table:
         return self.values[tuple(key)]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for val in self.values.values() for x in val)
+        return not any(any(val) for val in self.values.values())
 
     def map_values(self, fn):
         return type(self)(self.source, self.degree, self.target_dim,

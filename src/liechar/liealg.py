@@ -1,9 +1,11 @@
 """Finite-dimensional Lie algebras by structure constants.
 
 An algebra stores ``structure[i][j][k]``, the e_k-coefficient of [e_i, e_j].
-Antisymmetry is enforced structurally and the Jacobi identity is validated at
-construction, so downstream operators may assume validity; pass
-``validate=False`` only to build intentionally broken tables for diagnostics.
+The public constructors check antisymmetry, the Jacobi identity and the
+representation property, so downstream operators may assume validity.  Only
+objects that are valid by construction (abelian algebras, trivial and adjoint
+modules, actions that semidirect_product checks itself) skip the checks
+through the trusted constructors ``_of``.
 
 Constructions used throughout: abelian algebras, the Heisenberg algebras
 h_{2m+1}, semidirect products h x| a by derivations, and the oscillator
@@ -46,7 +48,7 @@ class LieAlgebra:
 
     __slots__ = ("dim", "basis_names", "structure")
 
-    def __init__(self, basis_names, structure, validate: bool = True):
+    def __init__(self, basis_names, structure):
         names = _basis_names(basis_names)
         d = len(names)
         if len(structure) != d or any(
@@ -66,29 +68,16 @@ class LieAlgebra:
                             f"structure constants not antisymmetric at "
                             f"({names[i]},{names[j]},{names[k]})"
                         )
-        self._fill(names, table, validate)
+        self.dim, self.basis_names, self.structure = d, names, table
+        _require_jacobi(self)
 
     @classmethod
-    def _of(cls, names, table, validate: bool = True) -> "LieAlgebra":
+    def _of(cls, names, table) -> "LieAlgebra":
         """Trusted constructor: ``names`` must be unique strings and ``table``
-        an antisymmetric dim x dim x dim tuple of Fractions.  Jacobi is still
-        checked when ``validate`` is set."""
+        an antisymmetric dim x dim x dim tuple of Fractions satisfying Jacobi."""
         alg = object.__new__(cls)
-        alg._fill(names, table, validate)
+        alg.dim, alg.basis_names, alg.structure = len(names), names, table
         return alg
-
-    def _fill(self, names, table, validate):
-        self.dim = len(names)
-        self.basis_names = names
-        self.structure = table
-        if validate:
-            bad = check_jacobi(self)
-            if bad:
-                i, j, k, defect = bad[0]
-                raise ValueError(
-                    f"Jacobi identity fails at ({names[i]},{names[j]},{names[k]}): "
-                    f"defect {defect}"
-                )
 
     def bracket_basis(self, i: int, j: int):
         """[e_i, e_j] as a coefficient tuple."""
@@ -106,7 +95,7 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, basis={list(self.basis_names)})"
 
 
-def algebra_from_brackets(basis_names, brackets, validate: bool = True) -> LieAlgebra:
+def algebra_from_brackets(basis_names, brackets) -> LieAlgebra:
     """Build an algebra from sparse data {(i, j): {k: coeff}} for i < j."""
     names = tuple(basis_names)
     d = len(names)
@@ -122,7 +111,7 @@ def algebra_from_brackets(basis_names, brackets, validate: bool = True) -> LieAl
             structure[i][j][k] = c
             structure[j][i][k] = -c
     table = tuple(tuple(map(tuple, plane)) for plane in structure)
-    return LieAlgebra._of(_basis_names(names), table, validate=validate)
+    return _require_jacobi(LieAlgebra._of(_basis_names(names), table))
 
 
 def _basis_names(basis_names):
@@ -130,6 +119,17 @@ def _basis_names(basis_names):
     if len(set(names)) != len(names):
         raise ValueError("basis names must be unique")
     return names
+
+
+def _require_jacobi(alg: LieAlgebra) -> LieAlgebra:
+    """``alg`` itself, or a ValueError naming the first triple where Jacobi fails."""
+    bad = check_jacobi(alg)
+    if bad:
+        i, j, k, defect = bad[0]
+        names = alg.basis_names
+        raise ValueError(f"Jacobi identity fails at ({names[i]},{names[j]},{names[k]}) "
+                         f"with defect {list(map(str, defect))}")
+    return alg
 
 
 def check_jacobi(alg: LieAlgebra):
@@ -167,10 +167,10 @@ def _contract(table, x, y, out_dim):
     """sum of x_i y_j table[i][j][k] e_k over nonzero factors: the one bilinear loop."""
     out = [Fraction(0)] * out_dim
     for xi, plane in zip(x, table):
-        if xi == 0:
+        if not xi:
             continue
         for yj, row in zip(y, plane):
-            if yj == 0:
+            if not yj:
                 continue
             for k, c in enumerate(row):
                 if c:
@@ -215,8 +215,8 @@ def semidirect_product(h: LieAlgebra, a: LieAlgebra, action) -> LieAlgebra:
 
     The bracket is [(x,r),(y,s)] = ([x,y] + r.Dy - s.Dx, [r,s]_a) extended
     bilinearly, where r.D = sum_j r_j action[j].  The action matrices must be
-    derivations of h and a representation of a; both are checked eagerly.
-    The product is re-validated at construction.
+    derivations of h and a representation of a; both are checked eagerly,
+    and the product is built through algebra_from_brackets, which checks Jacobi.
     """
     dh, da = h.dim, a.dim
     action = [[[Fraction(c) for c in row] for row in mat] for mat in action]
@@ -227,38 +227,29 @@ def semidirect_product(h: LieAlgebra, a: LieAlgebra, action) -> LieAlgebra:
     for j, mat in enumerate(action):
         if not is_derivation(h, mat):
             raise ValueError(f"action matrix for {a.basis_names[j]} is not a derivation of h")
-    bad = check_representation(Representation(a, dh, action, validate=False))
+    bad = check_representation(Representation._of(a, dh, action))
     if bad:
         i, j, _ = bad[0]
         raise ValueError(
             f"action is not a representation of a: fails on "
             f"({a.basis_names[i]},{a.basis_names[j]})"
         )
-    names = h.basis_names + a.basis_names
-    d = dh + da
-    structure = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(dh):
-        for j in range(dh):
-            for k in range(dh):
-                structure[i][j][k] = h.structure[i][j][k]
-    for i in range(da):
-        for j in range(da):
-            for k in range(da):
-                structure[dh + i][dh + j][dh + k] = a.structure[i][j][k]
-    for j in range(da):
-        for i in range(dh):
-            for k in range(dh):
-                c = action[j][k][i]
-                structure[dh + j][i][k] = c
-                structure[i][dh + j][k] = -c
-    return LieAlgebra(names, structure, validate=True)
+    brackets = {}
+    for off, alg in ((0, h), (dh, a)):
+        for i, j in combinations(range(alg.dim), 2):
+            brackets[off + i, off + j] = {off + k: c for k, c in enumerate(alg.structure[i][j])
+                                          if c}
+    for j, mat in enumerate(action):
+        for i in range(dh):  # [x_i, w_j] = -D_j x_i
+            brackets[i, dh + j] = {k: -row[i] for k, row in enumerate(mat) if row[i]}
+    return algebra_from_brackets(h.basis_names + a.basis_names, brackets)
 
 
 def abelian(dim: int, names=None) -> LieAlgebra:
-    if names is None:
-        names = tuple(f"e{i + 1}" for i in range(dim))
-    zero = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    return LieAlgebra(names, zero, validate=False)
+    names = _basis_names(names if names is not None else [f"e{i + 1}" for i in range(dim)])
+    if len(names) != dim:
+        raise ValueError("abelian(dim, names) needs dim basis names")
+    return LieAlgebra._of(names, (((_ZERO,) * dim,) * dim,) * dim)
 
 
 def heisenberg(m: int) -> LieAlgebra:
@@ -290,24 +281,27 @@ class Representation:
 
     __slots__ = ("algebra", "space_dim", "matrices")
 
-    def __init__(self, algebra: LieAlgebra, space_dim: int, matrices, validate: bool = True):
+    def __init__(self, algebra: LieAlgebra, space_dim: int, matrices):
         mats = [[[_fraction(c) for c in row] for row in mat] for mat in matrices]
         if len(mats) != algebra.dim or any(
             len(mat) != space_dim or any(len(row) != space_dim for row in mat)
             for mat in mats
         ):
             raise ValueError("representation needs one space_dim x space_dim matrix per basis element")
-        self.algebra = algebra
-        self.space_dim = space_dim
-        self.matrices = mats
-        if validate:
-            bad = check_representation(self)
-            if bad:
-                i, j, _ = bad[0]
-                names = algebra.basis_names
-                raise ValueError(
-                    f"representation property fails on ({names[i]},{names[j]})"
-                )
+        self.algebra, self.space_dim, self.matrices = algebra, space_dim, mats
+        bad = check_representation(self)
+        if bad:
+            i, j, _ = bad[0]
+            names = algebra.basis_names
+            raise ValueError(f"representation property fails on ({names[i]},{names[j]})")
+
+    @classmethod
+    def _of(cls, algebra: LieAlgebra, space_dim: int, matrices) -> "Representation":
+        """Trusted constructor: ``matrices`` must be algebra.dim lists of
+        space_dim x space_dim Fraction lists; the representation property is not checked."""
+        rep = object.__new__(cls)
+        rep.algebra, rep.space_dim, rep.matrices = algebra, space_dim, matrices
+        return rep
 
     def __repr__(self):
         return f"Representation(dim={self.algebra.dim} -> gl({self.space_dim}))"
@@ -325,12 +319,11 @@ def check_representation(rep: Representation):
 
 
 def trivial_representation(algebra: LieAlgebra, space_dim: int = 1) -> Representation:
-    return Representation(
-        algebra, space_dim,
-        [zeros(space_dim, space_dim) for _ in range(algebra.dim)],
-        validate=False,
-    )
+    if space_dim < 0:
+        raise ValueError("space_dim must be non-negative")
+    return Representation._of(
+        algebra, space_dim, [zeros(space_dim, space_dim) for _ in range(algebra.dim)])
 
 
 def adjoint_representation(algebra: LieAlgebra) -> Representation:
-    return Representation(algebra, algebra.dim, _ad_basis(algebra), validate=False)
+    return Representation._of(algebra, algebra.dim, _ad_basis(algebra))

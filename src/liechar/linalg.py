@@ -37,7 +37,7 @@ def vec_sub(u, v):
 
 
 def vec_is_zero(u):
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 def zeros(r, c):

@@ -34,10 +34,7 @@ import re
 from fractions import Fraction
 from math import factorial, gcd, prod
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "MultiPoly",
     "as_poly",
     "rational_from_str",

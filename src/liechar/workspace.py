@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 from .characteristic import CharacteristicClass
 from .cochains import Cochain, SymMultiMap
 from .extensions import Extension, Section, validate_extension, validate_section
-from .liealg import (LieAlgebra, Representation, algebra_from_brackets,
-                     check_jacobi, check_representation)
+from .liealg import LieAlgebra, Representation, algebra_from_brackets
 from .scalars import (MultiPoly, poly_from_json, poly_to_json, rational_from_str,
                       rational_to_str)
 
@@ -119,6 +118,7 @@ def _algebra_from_json(name, obj, location):
     _expect(isinstance(basis, list) and len(basis) == dim
             and all(isinstance(b, str) for b in basis),
             "basis must list dim names", location)
+    _expect(len(set(basis)) == dim, "basis names must be unique", location)
     _expect(isinstance(obj.get("brackets", []), list), "brackets must be a list", location)
     brackets = {}
     for idx, item in enumerate(obj.get("brackets", [])):
@@ -142,17 +142,9 @@ def _algebra_from_json(name, obj, location):
         _expect((i, j) not in brackets, f"duplicate bracket entry ({i},{j})", loc)
         brackets[(i, j)] = coeffs
     try:
-        alg = algebra_from_brackets(basis, brackets, validate=False)
+        return algebra_from_brackets(basis, brackets)
     except ValueError as exc:
-        raise ParseError(str(exc), location) from None
-    bad = check_jacobi(alg)
-    if bad:
-        i, j, k, defect = bad[0]
-        names = alg.basis_names
-        raise ValidationError(
-            f"algebra '{name}': Jacobi identity fails at "
-            f"({names[i]},{names[j]},{names[k]}) with defect {list(map(str, defect))}")
-    return alg
+        raise ValidationError(f"algebra '{name}': {exc}") from None
 
 
 def algebra_to_json(alg: LieAlgebra):
@@ -183,14 +175,10 @@ def _rep_from_json(name, obj, algebras, location):
             "need one matrix per basis element", location)
     matrices = [_matrix(mat, m, m, f"{location}.matrices[{i}]")
                 for i, mat in enumerate(mats)]
-    rep = Representation(alg, m, matrices, validate=False)
-    bad = check_representation(rep)
-    if bad:
-        i, j, _ = bad[0]
-        raise ValidationError(
-            f"representation '{name}': representation property fails on "
-            f"({alg.basis_names[i]},{alg.basis_names[j]})")
-    return rep
+    try:
+        return Representation(alg, m, matrices)
+    except ValueError as exc:
+        raise ValidationError(f"representation '{name}': {exc}") from None
 
 
 def _rep_to_json(name, rep, algebras):
@@ -306,7 +294,7 @@ def _table_from_json(cls, entries, alg, degree, target_dim, location, nvars=None
         loc = f"{location}.entries[{idx}]"
         _expect(isinstance(item, dict) and set(item) <= {"tuple", "value"},
                 "entry must have keys tuple, value", loc)
-        key = item.get("tuple", [])
+        key = item.get("tuple")
         _expect(isinstance(key, list) and all(type(k) is int for k in key)
                 and tuple(key) == expected,
                 f"entry {idx} must be for tuple {list(expected)}", loc)

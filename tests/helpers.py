@@ -91,7 +91,7 @@ def conjugate_algebra(rng, algebra):
             plane.append(solve_linear(pm, w))
         structure.append(plane)
     names = tuple(f"b{i + 1}" for i in range(d))
-    return LieAlgebra(names, structure, validate=True)
+    return LieAlgebra(names, structure)
 
 
 def conjugate_extension(rng, ext):
@@ -666,6 +666,41 @@ BOOLEAN_FIELDS = [
 ]
 
 
+_H3_DOCUMENT = {"dim": 3, "basis": ["p", "q", "z"],
+                "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}}]}
+
+# (id, document, error class, message) of load failures whose wording the
+# workspace and the CLI keep: invariant violations are ValidationErrors (exit 1),
+# duplicate basis names stay ParseErrors (exit 2).
+PINNED_LOAD_FAILURES = [
+    ("jacobi", {"algebras": {"broken": {
+        "dim": 3, "basis": ["p", "q", "z"],
+        "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}},
+                     {"i": 1, "j": 2, "coeffs": {"1": "1"}}]}}},
+     "ValidationError",
+     "algebra 'broken': Jacobi identity fails at (p,q,z) with defect ['0', '0', '-1']"),
+    ("inline-jacobi", {"algebras": {"h3": _H3_DOCUMENT}, "extensions": {"e": {
+        "total": {"dim": 3, "basis": ["p", "q", "z"],
+                  "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}},
+                               {"i": 1, "j": 2, "coeffs": {"1": "1"}}]},
+        "base": "h3", "kernel": "h3", "iota": [], "q": []}}},
+     "ValidationError",
+     "algebra 'extension 'e' (total)': Jacobi identity fails at (p,q,z) "
+     "with defect ['0', '0', '-1']"),
+    ("representation", {"algebras": {"h3": _H3_DOCUMENT}, "representations": {"r": {
+        "algebra": "h3", "space_dim": 2,
+        "matrices": [[["0", "1"], ["0", "0"]], [["0", "0"], ["1", "0"]],
+                     [["0", "0"], ["0", "0"]]]}}},
+     "ValidationError", "representation 'r': representation property fails on (p,q)"),
+    ("duplicate-basis", {"algebras": {"a": {"dim": 2, "basis": ["x", "x"], "brackets": []}}},
+     "ParseError", "algebras.a: basis names must be unique"),
+    ("inline-duplicate-basis", {"extensions": {"e": {
+        "total": {"dim": 2, "basis": ["x", "x"], "brackets": []},
+        "base": "a", "kernel": "a", "iota": [], "q": []}}},
+     "ParseError", "extension 'e' (total): basis names must be unique"),
+]
+
+
 def dense_mat_mul(a, b):
     """The dense product: every entry a sum over all k, zero factors included."""
     if a and b and len(a[0]) != len(b):
@@ -808,6 +843,19 @@ def reference_is_derivation(alg, mat) -> bool:
     return True
 
 
+def reference_check_jacobi(alg):
+    """Triples i<j<k with [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] != 0."""
+    e = [_reference_unit(alg.dim, i) for i in range(alg.dim)]
+    violations = []
+    for i, j, k in combinations(range(alg.dim), 3):
+        terms = [reference_bracket(alg, reference_bracket(alg, e[a], e[b]), e[c])
+                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
+        defect = tuple(sum(col) for col in zip(*terms))
+        if any(defect):
+            violations.append((i, j, k, defect))
+    return violations
+
+
 def reference_check_representation(rep):
     """Pairs i<j with defect [rho(e_i), rho(e_j)] - rho([e_i,e_j]) != 0, on dense scratch."""
     alg, mats = rep.algebra, rep.matrices
@@ -873,7 +921,7 @@ def reference_semidirect_product(h, a, action):
                 c = action[j][k][i]
                 structure[dh + j][i][k] = c
                 structure[i][dh + j][k] = -c
-    return LieAlgebra(names, structure, validate=True)
+    return LieAlgebra(names, structure)
 
 
 def _reference_apply(m, u, v):

@@ -16,7 +16,7 @@ from liechar import (BilinearProduct, Cochain, LinearAction, MultiPoly, SymMulti
                      abelian, adjoint_representation,
                      algebra_from_brackets, ce_differential, chern_weil,
                      classes_equal, cohomology_space, compose_sym, covariant_derivative,
-                     delta_f, differential_matrix, heisenberg, heisenberg3,
+                     delta_f, heisenberg, heisenberg3,
                      integrate_poly_simplex, parse_workspace, rank,
                      s_from_section, secondary_class, section_curvature,
                      serialize_workspace, trivial_representation,
@@ -24,11 +24,11 @@ from liechar import (BilinearProduct, Cochain, LinearAction, MultiPoly, SymMulti
 from liechar.catalog import heisenberg_central_extension
 from liechar.cli import run_command
 
-from helpers import (ad_matrix, alt, conjugate_algebra, fixture_extensions,
-                     lie_bracket_product, rand_cochain, rand_fraction, rand_section,
-                     rand_symmap, rand_vector, random_algebra, random_invariant_symmap,
-                     random_representation, reference_compose_sym, scalar_multiplication,
-                     section_pool)
+from helpers import (ad_matrix, alt, conjugate_algebra, dense_differential_matrix,
+                     fixture_extensions, lie_bracket_product, rand_cochain, rand_fraction,
+                     rand_section, rand_symmap, rand_vector, random_algebra,
+                     random_invariant_symmap, random_representation, reference_compose_sym,
+                     scalar_multiplication, section_pool)
 from test_cochains import raw_product_table
 from test_scalars import fubini_integral
 
@@ -269,8 +269,8 @@ def test_criterion_09_cohomology_dimensions(fixtures_dir):
     assert betti == [1, 2, 2, 1]
     for p in range(4):
         dim_c = comb(3, p)
-        r_p = rank(differential_matrix(h3, triv, p))
-        r_prev = rank(differential_matrix(h3, triv, p - 1)) if p >= 1 else 0
+        r_p = rank(dense_differential_matrix(h3, triv, p))
+        r_prev = rank(dense_differential_matrix(h3, triv, p - 1)) if p >= 1 else 0
         assert betti[p] == dim_c - r_p - r_prev
     budget.done("criterion 9: cohomology dimensions incl. Betti (1,2,2,1)")
 

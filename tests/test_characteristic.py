@@ -11,7 +11,7 @@ from liechar import (Cochain, DegreeError, InvalidSection, InvarianceWarning,
                      Representation, Section, SymMultiMap, abelian,
                      adjoint_representation, ce_differential,
                      chern_weil, classes_equal, cohomology_space, compose_sym,
-                     delta_f, differential_matrix, heisenberg, heisenberg3,
+                     delta_f, heisenberg, heisenberg3,
                      increasing_tuples, param_section, rank, secondary_class,
                      section_curvature, section_difference,
                      trivial_representation, verify_main_theorem, wedge)
@@ -19,9 +19,9 @@ from liechar.catalog import (filiform_extension, heisenberg_central_extension,
                              oscillator_extension)
 
 from helpers import (SMALL_ALGEBRAS, conjugate_algebra, dense_cohomology,
-                     direct_sum_extension, fixture_extensions, greedy_cohomology,
-                     rand_cochain, rand_fraction, rand_section, rand_symmap,
-                     random_algebra, random_invariant_symmap, random_module,
+                     dense_differential_matrix, direct_sum_extension, fixture_extensions,
+                     greedy_cohomology, rand_cochain, rand_fraction, rand_section,
+                     rand_symmap, random_algebra, random_invariant_symmap, random_module,
                      random_representation, raise_everywhere, reference_delta_f,
                      scalar_multiplication, section_pool, sym_product)
 
@@ -63,8 +63,8 @@ class TestCohomologySpace:
         triv = trivial_representation(h3, 1)
         for p in range(4):
             dim_c = comb(3, p)
-            r_p = rank(differential_matrix(h3, triv, p)) if dim_c else 0
-            r_prev = rank(differential_matrix(h3, triv, p - 1)) if p >= 1 else 0
+            r_p = rank(dense_differential_matrix(h3, triv, p)) if dim_c else 0
+            r_prev = rank(dense_differential_matrix(h3, triv, p - 1)) if p >= 1 else 0
             assert cohomology_space(h3, triv, p).h_dim == dim_c - r_p - r_prev
 
     def test_coboundaries_inside_cocycles(self):

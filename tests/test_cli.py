@@ -10,7 +10,7 @@ from liechar import SymMultiMap, serialize_workspace
 from liechar.catalog import filiform_workspace, heisenberg_workspace
 from liechar.cli import run_command
 
-from helpers import (BOOLEAN_FIELDS, boolean_document, no_enumeration,
+from helpers import (BOOLEAN_FIELDS, PINNED_LOAD_FAILURES, boolean_document, no_enumeration,
                      oversized_polynomial_document, point_base_document)
 
 
@@ -86,6 +86,15 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 1
         assert "broken" in err
+
+    @pytest.mark.parametrize("case, doc, error, message", PINNED_LOAD_FAILURES,
+                             ids=[case for case, *_ in PINNED_LOAD_FAILURES])
+    def test_load_failure_exit_code_and_wording(self, capsys, tmp_path, case, doc, error,
+                                                message):
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        kind, code = {"ValidationError": ("validation", 1), "ParseError": ("parse", 2)}[error]
+        assert run(capsys, "validate", str(path)) == (code, "", f"{kind} error: {message}\n")
 
     def test_oversized_polynomial_exits_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(SymMultiMap, "key_tuples", staticmethod(no_enumeration))

@@ -7,7 +7,11 @@
   used in that module.  ``__init__.py`` is exempt: its imports are the
   package's API;
 - every private name bound at module level is referenced by some other
-  top-level statement of the package.
+  top-level statement of the package;
+- every public name in a module's ``__all__`` is read by some statement of
+  the package other than its own definition, or by a demo or a perfbench
+  script, unless it is on the short list of public features that only tests
+  call today.
 """
 
 import ast
@@ -16,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "liechar"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "liechar"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
 
 
@@ -58,8 +63,8 @@ def test_every_relative_import_is_used(name):
     assert unused == []
 
 
-def private_definitions(module_tree):
-    """(name, statement) for each private name a module-level statement binds."""
+def definitions(module_tree):
+    """(name, statement) for each name a module-level statement binds."""
     for node in module_tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -69,8 +74,7 @@ def private_definitions(module_tree):
         else:
             names = []
         for name in names:
-            if name.startswith("_") and not name.endswith("__"):
-                yield name, node
+            yield name, node
 
 
 def references(node):
@@ -91,6 +95,43 @@ def test_every_private_module_name_is_used_elsewhere():
                   for module_tree in trees.values() for node in module_tree.body]
     dead = [f"{name}.{private}"
             for name, module_tree in trees.items()
-            for private, definition in private_definitions(module_tree)
-            if not any(private in refs for node, refs in statements if node is not definition)]
+            for private, definition in definitions(module_tree)
+            if private.startswith("_") and not private.endswith("__")
+            and not any(private in refs for node, refs in statements if node is not definition)]
     assert dead == []
+
+
+# Public features that nothing outside the tests reads today.  A public name
+# that only tests call is either listed here on purpose, moved to the tests,
+# or deleted.
+TEST_ONLY_PUBLIC = [
+    "cochains.wedge",
+    "cochains.covariant_derivative",
+    "cochains.curvature",
+    "workspace.cochain_from_json",
+]
+
+
+def public_names(module_tree):
+    for node in module_tree.body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets == ["__all__"]:
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    trees = {name: tree(name) for name in MODULES}
+    scripts = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    script_refs = {ref for path in scripts
+                   for ref in references(ast.parse(path.read_text(encoding="utf-8")))}
+    statements = [(node, set(references(node)))
+                  for module_tree in trees.values() for node in module_tree.body]
+    unread = []
+    for name, module_tree in trees.items():
+        defined = dict(definitions(module_tree))
+        for public in public_names(module_tree):
+            if public not in script_refs and not any(
+                    public in refs for node, refs in statements if node is not defined[public]):
+                unread.append(f"{name}.{public}")
+    assert unread == TEST_ONLY_PUBLIC

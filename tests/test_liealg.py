@@ -1,5 +1,10 @@
+import ast
+import inspect
 import random
+import re
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +17,8 @@ from liechar import (LieAlgebra, MultiPoly, Representation, abelian,
 
 from helpers import (SMALL_ALGEBRAS, ad_matrix, conjugate_algebra, rand_fraction, rand_matrix,
                      rand_vector, random_algebra, random_module, reference_bracket,
-                     reference_check_representation, reference_is_derivation,
+                     reference_check_jacobi, reference_check_representation,
+                     reference_is_derivation,
                      reference_semidirect_product)
 
 ROTATION = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
@@ -27,8 +33,10 @@ class TestCheckJacobi:
 
     def test_corrupted_heisenberg_reports_triple(self):
         # adding [q,z] = q breaks Jacobi: the cyclic sum on (p,q,z) is -z
-        bad = algebra_from_brackets(
-            ("p", "q", "z"), {(0, 1): {2: 1}, (1, 2): {1: 1}}, validate=False)
+        table = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+        for i, j, k in ((0, 1, 2), (1, 2, 1)):
+            table[i][j][k], table[j][i][k] = Fraction(1), Fraction(-1)
+        bad = LieAlgebra._of(("p", "q", "z"), table)
         violations = check_jacobi(bad)
         assert len(violations) == 1
         i, j, k, defect = violations[0]
@@ -166,7 +174,8 @@ class TestRepresentations:
     def test_detects_violation(self):
         # rho(p), rho(q) with nonzero commutator but rho([p,q]) = rho(z) = 0
         mats = [[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]]
-        rep = Representation(heisenberg3(), 2, mats, validate=False)
+        rep = Representation._of(heisenberg3(), 2,
+                                 [[[Fraction(c) for c in row] for row in mat] for mat in mats])
         bad = check_representation(rep)
         assert [(i, j) for i, j, _ in bad] == [(0, 1)]
         with pytest.raises(ValueError, match="representation"):
@@ -193,11 +202,10 @@ def _representations(rng, alg):
     yield trivial_representation(alg, 2)
     yield adjoint_representation(alg)
     yield random_module(rng, alg)
-    yield Representation(alg, 2, [rand_matrix(rng, 2, 2) for _ in range(alg.dim)],
-                         validate=False)
+    yield Representation._of(alg, 2, [rand_matrix(rng, 2, 2) for _ in range(alg.dim)])
     ad = [[list(row) for row in mat] for mat in adjoint_representation(alg).matrices]
     ad[rng.randrange(alg.dim)][rng.randrange(alg.dim)][rng.randrange(alg.dim)] += 1
-    yield Representation(alg, alg.dim, ad, validate=False)
+    yield Representation._of(alg, alg.dim, ad)
 
 
 def _outcome(fn, *args):
@@ -282,6 +290,28 @@ class TestAgainstReferenceLoops:
                 assert got == want
                 assert [type(c) for c in got] == [type(c) for c in want]
 
+    def test_bracket_tests_zero_factors_without_polynomial_equality(self, monkeypatch):
+        rng = random.Random(88)
+
+        def poly():
+            if rng.random() < 0.3:
+                return MultiPoly(2, {})
+            return MultiPoly(2, {(rng.randint(0, 2), rng.randint(0, 1)): rand_fraction(rng)})
+
+        def refuse(self, other):
+            raise AssertionError("MultiPoly.__eq__ called")
+
+        for alg in _algebras(rng):
+            d = alg.dim
+            x = [poly() if rng.random() < 0.7 else Fraction(0) for _ in range(d)]
+            y = [poly() if rng.random() < 0.7 else Fraction(0) for _ in range(d)]
+            want = reference_bracket(alg, x, y)
+            with monkeypatch.context() as patch:
+                patch.setattr(MultiPoly, "__eq__", refuse)
+                got = bracket(alg, x, y)
+            assert got == want
+            assert [type(c) for c in got] == [type(c) for c in want]
+
 
 class TestOneDefect:
     """Both bracket identities on matrices, and semidirect products, share one check."""
@@ -319,3 +349,100 @@ class TestOneDefect:
                 assert mat == ad_matrix(alg, identity(alg.dim)[i])
                 assert all(mat[k][j] == alg.structure[i][j][k]
                            for j in range(alg.dim) for k in range(alg.dim))
+
+
+class TestValidByConstruction:
+    """The public constructors always check; only the trusted ``_of`` skips the checks."""
+
+    NONABELIAN_3D_AND_UP = {"heisenberg3", "sl2", "filiform4"}
+
+    @pytest.mark.parametrize("build", [LieAlgebra, algebra_from_brackets, Representation])
+    def test_constructors_take_no_validate_flag(self, build):
+        assert "validate" not in inspect.signature(build).parameters
+
+    def test_corrupted_bracket_fails_jacobi_in_both_constructors(self):
+        # One changed coefficient never breaks Jacobi in dimension 2 or on an
+        # abelian table; every other entry must fail in both bases.
+        rng = random.Random(86)
+        for name in sorted(SMALL_ALGEBRAS):
+            standard = SMALL_ALGEBRAS[name]()
+            for alg in (standard, conjugate_algebra(rng, standard)):
+                d, names = alg.dim, alg.basis_names
+                failed = False
+                for _ in range(4):
+                    table = [[list(row) for row in plane] for plane in alg.structure]
+                    i, j = sorted(rng.sample(range(d), 2))
+                    k = rng.randrange(d)
+                    delta = rand_fraction(rng) or Fraction(1)
+                    table[i][j][k] += delta
+                    table[j][i][k] -= delta
+                    brackets = {(a, b): dict(enumerate(table[a][b]))
+                                for a, b in combinations(range(d), 2)}
+                    want = reference_check_jacobi(LieAlgebra._of(names, table))
+                    assert check_jacobi(LieAlgebra._of(names, table)) == want
+                    if not want:
+                        assert LieAlgebra(names, table) == algebra_from_brackets(names, brackets)
+                        continue
+                    failed = True
+                    a, b, c, defect = want[0]
+                    message = re.escape(f"Jacobi identity fails at ({names[a]},{names[b]},"
+                                        f"{names[c]}) with defect {[str(x) for x in defect]}")
+                    with pytest.raises(ValueError, match=f"^{message}$"):
+                        LieAlgebra(names, table)
+                    with pytest.raises(ValueError, match=f"^{message}$"):
+                        algebra_from_brackets(names, brackets)
+                assert failed == (name in self.NONABELIAN_3D_AND_UP), alg.basis_names
+
+    def test_perturbed_adjoint_matrix_fails_the_representation_property(self):
+        # One changed entry among zero matrices is still a representation of an
+        # abelian algebra; every other algebra must fail in both bases.
+        rng = random.Random(87)
+        for alg in _algebras(rng):
+            d, names = alg.dim, alg.basis_names
+            failed = False
+            for _ in range(3):
+                ad = [[list(row) for row in mat] for mat in adjoint_representation(alg).matrices]
+                ad[rng.randrange(d)][rng.randrange(d)][rng.randrange(d)] += rand_fraction(rng) or 1
+                want = reference_check_representation(Representation._of(alg, d, ad))
+                if not want:
+                    assert Representation(alg, d, ad).matrices == ad
+                    continue
+                i, j, _ = want[0]
+                message = re.escape(f"representation property fails on ({names[i]},{names[j]})")
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    Representation(alg, d, ad)
+                failed = True
+            assert failed == any(c for plane in alg.structure for row in plane for c in row)
+
+    def test_constructions_on_the_trusted_path_reject_bad_sizes(self):
+        with pytest.raises(ValueError, match="dim basis names"):
+            abelian(2, ("w",))
+        with pytest.raises(ValueError, match="unique"):
+            abelian(2, ("w", "w"))
+        with pytest.raises(ValueError, match="non-negative"):
+            trivial_representation(heisenberg3(), -1)
+
+    def test_trusted_constructors_only_build_valid_objects(self):
+        # _of skips every check, so only constructions that are valid by
+        # themselves may call it: the zero table, the trivial and adjoint
+        # modules, checked actions, and algebra_from_brackets, which checks
+        # Jacobi on the result.
+        package = Path(liealg.__file__).parent
+        callers = set()
+        for path in sorted(package.glob("*.py")):
+            module_tree = ast.parse(path.read_text(encoding="utf-8"))
+            for func in ast.walk(module_tree):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.Attribute) and node.attr == "_of"
+                            and isinstance(node.value, ast.Name)
+                            and node.value.id in ("LieAlgebra", "Representation")):
+                        callers.add(f"{path.stem}.{func.name}:{node.value.id}")
+        assert callers == {
+            "liealg.algebra_from_brackets:LieAlgebra",
+            "liealg.abelian:LieAlgebra",
+            "liealg.semidirect_product:Representation",
+            "liealg.trivial_representation:Representation",
+            "liealg.adjoint_representation:Representation",
+        }

@@ -11,7 +11,7 @@ from liechar import (Cochain, MultiPoly, ParseError, SymMultiMap, ValidationErro
 from liechar.catalog import (filiform_workspace, heisenberg_workspace,
                              oscillator_workspace)
 
-from helpers import (BOOLEAN_FIELDS, boolean_document, no_enumeration,
+from helpers import (BOOLEAN_FIELDS, PINNED_LOAD_FAILURES, boolean_document, no_enumeration,
                      oversized_polynomial_document)
 
 
@@ -96,6 +96,24 @@ class TestParseErrors:
         with pytest.raises(ParseError, match=r"representations\.r\.matrices\[0\]\[0\]\[0\]"):
             parse_workspace(json.dumps(doc))
 
+
+    def test_polynomial_entry_without_tuple_rejected(self):
+        doc = {"algebras": {"a": {"dim": 1, "basis": ["x"]}},
+               "polynomials": {"f": {"degree": 0, "source": "a", "target_dim": 1,
+                                     "entries": [{"tuple": [], "value": ["2"]}]}}}
+        assert parse_workspace(json.dumps(doc)).polynomials["f"].entry(()) == (2,)
+        del doc["polynomials"]["f"]["entries"][0]["tuple"]
+        with pytest.raises(ParseError,
+                           match=r"^polynomials\.f\.entries\[0\]: entry 0 must be for tuple \[\]$"):
+            parse_workspace(json.dumps(doc))
+
+    def test_cochain_entry_without_tuple_rejected(self):
+        obj = {"degree": 0, "entries": [{"tuple": [], "value": ["2"]}]}
+        assert cochain_from_json(obj, heisenberg3(), 1).entry(()) == (2,)
+        del obj["entries"][0]["tuple"]
+        with pytest.raises(ParseError,
+                           match=r"^cochain\.entries\[0\]: entry 0 must be for tuple \[\]$"):
+            cochain_from_json(obj, heisenberg3(), 1)
 
     def test_polynomial_entry_tuple_must_be_a_list(self, fixtures_dir):
         doc = json.loads((fixtures_dir / "oscillator.json").read_text(encoding="utf-8"))
@@ -185,6 +203,14 @@ class TestValidationErrors:
                          {"i": 1, "j": 2, "coeffs": {"1": "1"}}]}}}
         with pytest.raises(ValidationError, match=r"broken.*Jacobi.*\(p,q,z\)"):
             parse_workspace(json.dumps(doc))
+
+    @pytest.mark.parametrize("case, doc, error, message", PINNED_LOAD_FAILURES,
+                             ids=[case for case, *_ in PINNED_LOAD_FAILURES])
+    def test_load_failure_type_and_wording(self, case, doc, error, message):
+        with pytest.raises((ParseError, ValidationError)) as info:
+            parse_workspace(json.dumps(doc))
+        assert type(info.value).__name__ == error
+        assert str(info.value) == message
 
     def test_dangling_reference(self):
         doc = {"sections": {"s": {"extension": "nope", "matrix": []}}}

@@ -2,22 +2,24 @@
 
 An extension carries the three algebras plus the inclusion matrix iota
 (dim g^ x dim n) and the projection matrix q (dim g x dim g^); no adapted
-basis is assumed.  Values lying in the image of iota are converted to kernel
-coordinates by an exact linear solve; ExactnessViolation signals a value that
-escapes the kernel, which only happens on corrupted input.
+basis is assumed.  At construction it runs one elimination of the rows of
+iota, each bracket [e_x, iota e_j] carried along as an extra column.  Other
+values in the image of iota are converted to kernel coordinates by an exact
+linear solve; ExactnessViolation signals a value that escapes the kernel,
+which only happens on corrupted input.
 
 A section is any linear right inverse of q.  Its curvature
 R(x,y) = [sigma x, sigma y] - sigma([x,y]) lands in the kernel; it is the
 curvature formula of cochains, applied with the bracket of the total algebra
-and followed by kernel coordinates.  One helper builds ad(v) restricted to the
-kernel, in kernel coordinates: S(x) = ad(sigma x)|n for the section policy,
-ad(e_x)|n over the total basis for the strict one.  Invariance of a symmetric
-map f, x.f(key) = sum over slots s and kernel indices r of
-S(x)[r][key_s] f(key with key_s replaced by r) for every non-decreasing key,
-is read straight off the table of f.  Families sigma_t interpolating
-n+1 sections over the simplex (t_0 eliminated as 1 - t_1 - ... - t_n) have
-polynomial entries, and their curvature R_t flows through the same code with
-MultiPoly scalars.
+and followed by kernel coordinates.  One helper reads ad(v) restricted to the
+kernel, in kernel coordinates, off the echelon: S(x) = ad(sigma x)|n for the
+section policy, ad(e_x)|n over the total basis for the strict one.
+Invariance of a symmetric map f, x.f(key) = sum over slots s and kernel
+indices r of S(x)[r][key_s] f(key with key_s replaced by r) for every
+non-decreasing key, is read straight off the table of f and the nonzero
+entries of S(x).  Families sigma_t interpolating n+1 sections over the
+simplex (t_0 eliminated as 1 - t_1 - ... - t_n) have polynomial entries, and
+their curvature R_t flows through the same code with MultiPoly scalars.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .cochains import (Cochain, LinearAction, _coerce_scalar, _curvature_values,
-                       nondecreasing_tuples)
+from .cochains import Cochain, LinearAction, _coerce_scalar, _curvature_values
 from .liealg import LieAlgebra, Representation, bracket
 from .linalg import (identity, mat_mul, mat_vec, rank, solve_linear, sparse_rref, transpose,
                      vec_sub)
@@ -65,7 +66,7 @@ class InvarianceWarning(UserWarning):
 class Extension:
     """Short exact sequence data: total, base, kernel, inclusion and projection."""
 
-    __slots__ = ("total", "base", "kernel", "iota", "proj")
+    __slots__ = ("total", "base", "kernel", "iota", "proj", "_echelon")
 
     def __init__(self, total: LieAlgebra, base: LieAlgebra, kernel: LieAlgebra,
                  iota, proj):
@@ -80,6 +81,20 @@ class Extension:
         self.kernel = kernel
         self.iota = iota
         self.proj = proj
+        # the rows of iota, with [e_x, iota e_j] carried as column dn + x dn + j
+        dn = kernel.dim
+        iota_rows = [{j: a for j, a in enumerate(row) if a} for row in iota]
+        rows = [dict(row) for row in iota_rows]
+        for x, plane in enumerate(total.structure):
+            for k, iota_k in enumerate(iota_rows):
+                if not iota_k:
+                    continue
+                terms = [(l, c) for l, c in enumerate(plane[k]) if c]
+                for j, a in iota_k.items():
+                    col = dn + x * dn + j
+                    for l, c in terms:
+                        rows[l][col] = rows[l].get(col, 0) + a * c
+        self._echelon = sparse_rref(rows, dn)
 
     def __repr__(self):
         return (f"Extension(0 -> {self.kernel.dim} -> {self.total.dim} "
@@ -89,32 +104,22 @@ class Extension:
 def validate_extension(ext: Extension):
     """Every violated exactness/homomorphism invariant, as messages; empty = ok.
 
-    One elimination of the rows of iota decides both injectivity and the
-    ideal property.  The brackets [e_x, iota e_j] ride along as carried
-    columns past dim(kernel).  The rows whose kernel columns cancel are a
-    basis of the linear forms vanishing on the image of iota, evaluated on
-    every bracket, so a bracket escapes the image exactly when its carried
-    column is nonzero in one of the rows sparse_rref returns as inconsistent.
+    The elimination of the rows of iota that the extension ran at
+    construction decides both injectivity and the ideal property.  The
+    brackets [e_x, iota e_j] ride along as carried columns past dim(kernel).
+    The rows whose kernel columns cancel are a basis of the linear forms
+    vanishing on the image of iota, evaluated on every bracket, so a bracket
+    escapes the image exactly when its carried column is nonzero in one of
+    the rows sparse_rref returns as inconsistent.
     """
     failures = []
     dn, dg, dt = ext.kernel.dim, ext.base.dim, ext.total.dim
     if dn + dg != dt:
         failures.append(
             f"dimension count fails: dim kernel {dn} + dim base {dg} != dim total {dt}")
-    iota_rows = [{j: a for j, a in enumerate(row) if a} for row in ext.iota]
-    rows = [dict(row) for row in iota_rows]
-    for x, plane in enumerate(ext.total.structure):
-        for k, iota_k in enumerate(iota_rows):
-            if not iota_k:
-                continue
-            terms = [(l, c) for l, c in enumerate(plane[k]) if c]
-            for j, a in iota_k.items():
-                col = dn + x * dn + j
-                for l, c in terms:
-                    rows[l][col] = rows[l].get(col, 0) + a * c
-    echelon = sparse_rref(rows, dn)
-    escapes = {col - dn for p, row in echelon if p == dn for col, v in row.items() if v}
-    if sum(p < dn for p, _ in echelon) != dn:
+    escapes = {col - dn for p, row in ext._echelon if p == dn
+               for col, v in row.items() if v}
+    if sum(p < dn for p, _ in ext._echelon) != dn:
         failures.append("iota is not injective")
     if rank(ext.proj) != dg:
         failures.append("q is not surjective")
@@ -191,9 +196,29 @@ def section_curvature(ext: Extension, sec: Section) -> Cochain:
 
 
 def _kernel_action(ext: Extension, v):
-    """ad(v) restricted to the kernel, as a matrix in kernel coordinates."""
-    return transpose([kernel_coords(ext, bracket(ext.total, v, col))
-                      for col in transpose(ext.iota)])
+    """ad(v) restricted to the kernel, as a matrix in kernel coordinates.
+
+    [v, iota e_j] = sum_x v_x [e_x, iota e_j], so a pivot row's combination of
+    its carried columns is a kernel coordinate and an inconsistent row's is
+    nonzero exactly when the bracket escapes; non-pivot coordinates read 0.
+    Carried entries that cancelled still take part, so entry kinds are those
+    of kernel_coords on the bracket.
+    """
+    dn = ext.kernel.dim
+    if len(v) != ext.total.dim:
+        raise ValueError("dimension mismatch")
+    support = [(dn + x * dn, c) for x, c in enumerate(v) if c]
+    mat = [[Fraction(0)] * dn for _ in range(dn)]
+    for p, row in ext._echelon:
+        out = mat[p] if p < dn else [Fraction(0)] * dn
+        for offset, c in support:
+            for j in range(dn):
+                e = row.get(offset + j)
+                if e is not None:
+                    out[j] = out[j] + c * e
+        if p == dn and any(out):
+            raise ExactnessViolation("value does not lie in the image of iota")
+    return mat
 
 
 def s_from_section(ext: Extension, sec: Section) -> LinearAction:
@@ -240,16 +265,20 @@ def is_invariant(f, ext: Extension, rep: Representation, mode: str = "section",
         act_mats = [[[sum(c * mat[r][s] for c, mat in zip(qx, rep.matrices))
                       for s in range(m)] for r in range(m)]
                     for qx in q_cols]
+    values = f.values
     for s_mat, act in zip(s_mats, act_mats):
-        for key in nondecreasing_tuples(dn, f.degree):
+        cols = [[(r, row[k]) for r, row in enumerate(s_mat) if row[k]] for k in range(dn)]
+        for key, val in values.items():
             rhs = [Fraction(0)] * f.target_dim
             for slot, k in enumerate(key):
+                if slot and key[slot - 1] == k:
+                    continue
                 rest = key[:slot] + key[slot + 1:]
-                for r in range(dn):
-                    if s_mat[r][k]:
-                        val = f.entry(sorted(rest + (r,)))
-                        rhs = [a + s_mat[r][k] * b for a, b in zip(rhs, val)]
-            if mat_vec(act, list(f.entry(key))) != rhs:
+                times = key.count(k)
+                for r, c in cols[k]:
+                    c = c * times
+                    rhs = [a + c * b for a, b in zip(rhs, values[tuple(sorted(rest + (r,)))])]
+            if mat_vec(act, list(val)) != rhs:
                 return False
     return True
 
@@ -274,17 +303,18 @@ def param_section(ext: Extension, sections) -> Section:
 def _interpolate(ext: Extension, sections) -> Section:
     """param_section on rational sections that are already validated."""
     n = len(sections) - 1
-    base = sections[0].matrix
+    constant = (0,) * n
+    units = [tuple(int(i == v) for v in range(n)) for i in range(n)]
     matrix = []
-    for r in range(ext.total.dim):
+    for r, base_row in enumerate(sections[0].matrix):
         row = []
-        for c in range(ext.base.dim):
-            entry = MultiPoly.constant(n, base[r][c])
-            for i in range(1, n + 1):
-                diff = sections[i].matrix[r][c] - base[r][c]
+        for c, b in enumerate(base_row):
+            terms = {constant: b} if b else {}
+            for unit, sec in zip(units, sections[1:]):
+                diff = sec.matrix[r][c] - b
                 if diff:
-                    entry = entry + MultiPoly.variable(n, i - 1) * diff
-            row.append(entry)
+                    terms[unit] = diff
+            row.append(MultiPoly._of(n, terms))
         matrix.append(row)
     return Section(ext, matrix)
 

@@ -406,6 +406,18 @@ def reference_delta_f(ext, f, sections):
     return integrand.map_values(lambda s: integrate_poly_simplex(as_poly(s, n)))
 
 
+def reference_kernel_action(ext, v):
+    """ad(v) on the kernel in kernel coordinates: one solve per bracket [v, iota e_j].
+
+    Column j is kernel_coords of reference_bracket(total, v, iota e_j), so it
+    shares neither the bracket loop nor the stored echelon with the library.
+    """
+    dn, dt = ext.kernel.dim, ext.total.dim
+    iota_cols = [[ext.iota[r][j] for r in range(dt)] for j in range(dn)]
+    cols = [kernel_coords(ext, reference_bracket(ext.total, v, col)) for col in iota_cols]
+    return [[cols[j][r] for j in range(dn)] for r in range(dn)]
+
+
 def reference_is_invariant(f, ext, rep, mode, sigma=None):
     """Reference invariance check on basis data, through unit vectors and evaluate:
 
@@ -416,20 +428,15 @@ def reference_is_invariant(f, ext, rep, mode, sigma=None):
     action pulled back along q (mode "strict").
     """
     dn, dt = ext.kernel.dim, ext.total.dim
-    iota_cols = [[ext.iota[r][j] for r in range(dt)] for j in range(dn)]
 
     def unit(d, i):
         return [Fraction(1) if r == i else Fraction(0) for r in range(d)]
 
-    def ad_on_kernel(v):
-        cols = [kernel_coords(ext, bracket(ext.total, v, col)) for col in iota_cols]
-        return [[cols[j][r] for j in range(dn)] for r in range(dn)]
-
     if mode == "section":
-        s_mats = [ad_on_kernel(sigma.column(i)) for i in range(ext.base.dim)]
+        s_mats = [reference_kernel_action(ext, sigma.column(i)) for i in range(ext.base.dim)]
         act_mats = rep.matrices
     else:
-        s_mats = [ad_on_kernel(unit(dt, x)) for x in range(dt)]
+        s_mats = [reference_kernel_action(ext, unit(dt, x)) for x in range(dt)]
         act_mats = []
         for x in range(dt):
             qx = mat_vec(ext.proj, unit(dt, x))

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from liechar import (ExactnessViolation, Extension, InvalidSection, NotInvariant, Section,
-                     SymMultiMap, abelian, adjoint_representation, chern_weil,
+from liechar import (ExactnessViolation, Extension, InvalidSection, MultiPoly, NotInvariant,
+                     Section, SymMultiMap, abelian, adjoint_representation, chern_weil,
                      algebra_from_brackets, as_poly, covariant_derivative,
-                     heisenberg3, is_invariant, param_curvature,
+                     heisenberg3, identity, is_invariant, param_curvature,
                      param_section, parse_workspace, s_from_section,
                      section_curvature, section_difference, trivial_representation,
                      validate_extension, validate_section)
@@ -20,8 +20,8 @@ from helpers import (conjugate_extension, direct_sum_extension, euclidean_extens
                      fixture_extensions, kernel_functional, point_base_extension,
                      poly_diff, poly_eval_at, poly_total_degree, rand_fraction,
                      rand_section, rand_symmap, random_invariant_symmap, reference_is_invariant,
-                     reference_section_curvature, reference_validate_extension, section_pool,
-                     to_poly)
+                     reference_kernel_action, reference_section_curvature,
+                     reference_validate_extension, section_pool, to_poly)
 
 ROTATION = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
 
@@ -186,6 +186,8 @@ class TestValidateAgainstReference:
                         "q is not a homomorphism"}
 
     def test_one_elimination_whatever_the_size(self, monkeypatch):
+        """One sparse_rref per extension covers its construction, its validation,
+        the induced actions of three sections and the strict actions."""
         calls = []
         original = extensions_module.sparse_rref
 
@@ -194,19 +196,100 @@ class TestValidateAgainstReference:
             return original(rows, ncols)
 
         def no_solve(a, b):
-            raise AssertionError("validate_extension must not solve per pair")
+            raise AssertionError("validation and kernel actions must not solve per value")
 
+        rng = random.Random(94)
+        plain = direct_sum_extension()
         monkeypatch.setattr(extensions_module, "sparse_rref", counting)
         monkeypatch.setattr(extensions_module, "solve_linear", no_solve)
-        small = heisenberg_central_extension()
-        large = conjugate_extension(random.Random(94), direct_sum_extension())
-        counts = []
-        for ext in (small, large):
+        counts, built = [], []
+        for build in (heisenberg_central_extension, lambda: conjugate_extension(rng, plain)):
             calls.clear()
+            ext = build()
             assert validate_extension(ext) == []
+            for _ in range(3):
+                s_from_section(ext, rand_section(rng, ext))
+            triv = trivial_representation(ext.base, 1)
+            is_invariant(rand_symmap(rng, ext.kernel, 2), ext, triv, "strict")
             counts.append(len(calls))
+            built.append(ext)
+        small, large = built
         assert counts == [1, 1]
         assert large.total.dim * large.kernel.dim == 24 > small.total.dim * small.kernel.dim
+
+
+def _same_entries(got, want):
+    """Equal matrices whose entries also agree in kind (Fraction or MultiPoly)."""
+    assert got == want
+    assert [[type(c) for c in row] for row in got] == [[type(c) for c in row] for row in want]
+
+
+def _action_or_escape(action, ext, v):
+    try:
+        return action(ext, v)
+    except ExactnessViolation:
+        return "escapes"
+
+
+class TestKernelActionAgainstReference:
+    """The kernel actions read off the stored echelon agree with one
+    kernel_coords solve of reference_bracket per column (reference_kernel_action)."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(95)
+        for name, ext in fixture_extensions().items():
+            for copy in (ext, conjugate_extension(rng, ext)):
+                sections = [rand_section(rng, copy) for _ in range(3)]
+                if copy is ext:
+                    sections += section_pool(rng, name, ext, 3)
+                families = [param_section(copy, sections[:2]), param_section(copy, sections[:3]),
+                            param_section(copy, [sections[0], sections[0]])]
+                yield name, copy, sections + families
+
+    def test_induced_actions_match(self):
+        kinds = set()
+        for name, ext, sections in self.cases():
+            for sec in sections:
+                got = s_from_section(ext, sec).matrices
+                for i, mat in enumerate(got):
+                    _same_entries(mat, reference_kernel_action(ext, sec.column(i)))
+                    kinds.update(type(c) for row in mat for c in row)
+        assert kinds == {Fraction, MultiPoly}
+
+    def test_strict_actions_match(self):
+        for name, ext, _ in self.cases():
+            for v in identity(ext.total.dim):
+                _same_entries(extensions_module._kernel_action(ext, v),
+                              reference_kernel_action(ext, v))
+
+    def test_corrupted_extensions_escape_as_the_reference_does(self):
+        rng = random.Random(96)
+        non_ideal = escaped = 0
+        for ext in validation_cases():
+            dt, dg = ext.total.dim, ext.base.dim
+            sec = Section(ext, [[rand_fraction(rng) for _ in range(dg)] for _ in range(dt)])
+            want = [_action_or_escape(reference_kernel_action, ext, sec.column(i))
+                    for i in range(dg)]
+            if "escapes" in want:
+                escaped += 1
+                with pytest.raises(ExactnessViolation):
+                    s_from_section(ext, sec)
+            else:
+                for mat, ref in zip(s_from_section(ext, sec).matrices, want):
+                    _same_entries(mat, ref)
+            if any("ideal" in failure for failure in validate_extension(ext)):
+                non_ideal += 1
+                with pytest.raises(ExactnessViolation):
+                    is_invariant(SymMultiMap.zero(ext.kernel, 1, 1), ext,
+                                 trivial_representation(ext.base, 1), "strict")
+        assert non_ideal >= 50 and escaped >= 50
+
+    def test_wrong_length_is_refused(self):
+        ext = oscillator_extension()
+        for length in (ext.total.dim - 1, ext.total.dim + 1):
+            with pytest.raises(ValueError, match="^dimension mismatch$"):
+                extensions_module._kernel_action(ext, [Fraction(1)] * length)
 
 
 class TestSections:
@@ -325,6 +408,20 @@ class TestInvariance:
         assert is_invariant(f, ext, triv, "section", rand_section(rng, ext))
 
 
+    def test_repeated_indices_count_with_their_multiplicity(self):
+        # (x^2 + y^2)^k on the euclidean plane: at the key (0, 0, 0, 1) the three
+        # copies of index 0 must balance the one copy of index 1
+        rng = random.Random(75)
+        ext = euclidean_extension()
+        triv = trivial_representation(ext.base, 1)
+        for degree in (4, 6):
+            f = random_invariant_symmap(rng, "euclidean", ext, degree)
+            sec = rand_section(rng, ext)
+            for mode in ("section", "strict"):
+                assert reference_is_invariant(f, ext, triv, mode, sec)
+                assert is_invariant(f, ext, triv, mode, sec)
+
+
 class TestZeroDimensionalBase:
     """0 -> h3 -> h3 -> 0 -> 0: q has no rows but still dim(total) columns."""
 
@@ -410,6 +507,29 @@ class TestParamFamily:
         broken = Section(ext, [[0]] * 4)
         with pytest.raises(InvalidSection):
             param_section(ext, [s0, broken])
+
+    def test_entries_keep_the_multipoly_invariants(self):
+        """Each entry equals b + sum_i t_i (s_i - b) in public MultiPoly arithmetic,
+        stores only nonzero Fraction coefficients and keys of nvars ints."""
+        rng = random.Random(86)
+        zero_bases = 0
+        for name, ext in fixture_extensions().items():
+            sections = [rand_section(rng, ext) for _ in range(3)]
+            for chosen in (sections[:2], sections, [sections[1]] * 3):
+                n = len(chosen) - 1
+                for r, row in enumerate(param_section(ext, chosen).matrix):
+                    for c, entry in enumerate(row):
+                        b = chosen[0].matrix[r][c]
+                        want = MultiPoly.constant(n, b)
+                        for i, sec in enumerate(chosen[1:]):
+                            want = want + MultiPoly.variable(n, i) * (sec.matrix[r][c] - b)
+                        assert type(entry) is MultiPoly and entry.nvars == want.nvars == n
+                        assert entry.terms == want.terms, (name, r, c)
+                        assert all(type(x) is Fraction and x for x in entry.terms.values())
+                        assert all(type(key) is tuple and len(key) == n
+                                   and all(type(e) is int for e in key) for key in entry.terms)
+                        zero_bases += not b
+        assert zero_bases >= 10
 
     def test_vertex_specialization_matches_sections(self):
         rng = random.Random(82)

@@ -9,17 +9,27 @@ must either succeed or raise ParseError/ValidationError, and the CLI must
 return 0, 1 or 2 on the mutated file.  Integers are drawn from a small range:
 there is no size guard yet, and a degree or dimension in the millions would
 ask for an unbounded table instead of failing.
+
+Most mutations stop at the parse, so a second strategy draws valid documents
+that reach the computations: a catalog workspace with seeded rational
+sections (the lift s0 plus kernel shifts through iota) and a seeded symmetric
+map of degree 1 to 3.  On the oscillator the draw may keep to its rotation
+invariants (shifts along z, maps a z^k + b z^(k-2) (p^2 + q^2)), so that the
+section-policy classes are computed rather than refused.
 """
 
 import contextlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from liechar import ParseError, ValidationError, parse_workspace
+from liechar import (ParseError, Section, SymMultiMap, ValidationError, catalog,
+                     parse_workspace, serialize_workspace)
 from liechar.cli import run_command
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -138,3 +148,63 @@ def test_cli_keeps_its_exit_code_contract(tmp_path_factory, case):
                 contextlib.redirect_stderr(io.StringIO()):
             code = run_command([argv[0], str(path), *argv[1:]])
         assert code in (0, 1, 2), argv
+
+
+RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def seeded_documents(draw):
+    """(fixture, section names, serialized workspace, output format); the map is g."""
+    name = draw(st.sampled_from(sorted(DOCS)))
+    ws = getattr(catalog, f"{name}_workspace")()
+    ext = ws.extensions[NAMES[name][0]]
+    lift = ws.sections["s0"].matrix
+    invariant = name == "oscillator" and draw(st.booleans())
+    shifted = [2] if invariant else range(ext.kernel.dim)
+    names = [f"t{i}" for i in range(draw(st.integers(2, 3)))]
+    for sec_name in names:
+        shift = [[draw(RATIONALS) if j in shifted else 0 for j in range(ext.kernel.dim)]
+                 for _ in range(ext.base.dim)]
+        ws.sections[sec_name] = Section(ext, [
+            [lift[r][c] + sum(x * y for x, y in zip(ext.iota[r], shift[c]))
+             for c in range(ext.base.dim)] for r in range(ext.total.dim)])
+    degree = draw(st.integers(1, 3))
+    a, b = draw(RATIONALS), draw(RATIONALS)
+
+    def value(key):
+        if not invariant:
+            return [draw(RATIONALS)]
+        zs = key.count(2)
+        if zs == degree:
+            return [a]
+        return [b if zs == degree - 2 and (key.count(0) == 2 or key.count(1) == 2) else 0]
+
+    ws.polynomials["g"] = SymMultiMap.from_function(ext.kernel, degree, 1, value)
+    output = draw(st.sampled_from(["text", "json"]))
+    return name, names, serialize_workspace(ws), output
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=seeded_documents())
+@pytest.mark.filterwarnings("ignore::liechar.InvarianceWarning")
+def test_valid_documents_reach_the_computations(tmp_path_factory, case):
+    name, sections, text, output = case
+    path = tmp_path_factory.mktemp("seeded") / f"{name}.json"
+    path.write_text(text, encoding="utf-8")
+    ext = NAMES[name][0]
+    runs = [["curvature", "--extension", ext, "--section", sections[0]]]
+    for mode in ("section", "strict"):
+        common = ["--extension", ext, "--poly", "g", "--invariance", mode]
+        runs += [["chern-weil", *common, "--section", sections[0]],
+                 ["secondary", *common, "--sections", ",".join(sections[:2])],
+                 ["verify-theorem", *common, "--sections", ",".join(sections)]]
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command([argv[0], str(path), *argv[1:], "--output", output])
+        assert code in (0, 1), (argv, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+        if output == "json" and code == 0:
+            json.loads(out.getvalue())

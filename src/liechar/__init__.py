@@ -3,25 +3,25 @@ algebra extensions, over the rationals.
 
 Everything is computed in exact arithmetic: scalars are Fraction or, for
 simplex-parametrized section families, sparse rational-coefficient
-polynomials.  The package covers the cochain calculus (wedge products,
-differentials, covariant derivatives, curvature), extensions with linear
-sections, cohomology spaces with deterministic bases, primary (Chern-Weil)
-and secondary (Bott-Lecomte) characteristic classes, and a checker for the
-boundary identity relating the relative cochains of section tuples.
+polynomials.  The package covers cochains and symmetric maps, the
+Chevalley-Eilenberg differential, the composition of a symmetric map with
+cochains, extensions with linear sections and their curvature, cohomology
+spaces with deterministic bases, primary (Chern-Weil) and secondary
+(Bott-Lecomte) characteristic classes, and a checker for the boundary identity
+relating the relative cochains of section tuples.
 """
 
 from .scalars import (MultiPoly, as_poly, integrate_monomial_simplex,
-                      integrate_poly_simplex, poly_from_json, poly_to_json,
-                      rational_from_str, rational_to_str)
+                      integrate_poly_simplex, poly_to_json, rational_from_str,
+                      rational_to_str)
 from .linalg import identity, mat_mul, mat_vec, rank, solve_linear, transpose
 from .liealg import (LieAlgebra, Representation, abelian, adjoint_representation,
                      algebra_from_brackets, bracket, check_jacobi,
                      check_representation, heisenberg, heisenberg3,
                      is_derivation, oscillator, semidirect_product,
                      trivial_representation)
-from .cochains import (BilinearProduct, Cochain, LinearAction, SymMultiMap,
-                       ce_differential, compose_sym, covariant_derivative,
-                       curvature, increasing_tuples, nondecreasing_tuples, wedge)
+from .cochains import (Cochain, SymMultiMap, ce_differential, compose_sym,
+                       increasing_tuples, nondecreasing_tuples)
 from .extensions import (ExactnessViolation, Extension, InvalidSection,
                          InvarianceWarning, Section, is_invariant,
                          kernel_coords, param_curvature, param_section,
@@ -34,8 +34,8 @@ from .characteristic import (CharacteristicClass, CohomologySpace, DegreeError,
                              classes_equal, cohomology_space, delta_f,
                              secondary_class, verify_main_theorem)
 from .workspace import (ParseError, ValidationError, Workspace,
-                        canonical_dumps, cochain_from_json, cochain_to_json,
-                        parse_workspace, serialize_workspace)
+                        canonical_dumps, cochain_to_json, parse_workspace,
+                        serialize_workspace)
 from . import catalog
 
 __version__ = "0.1.0"

@@ -7,6 +7,7 @@ kernel coordinates by exact solves either way.
 
 from __future__ import annotations
 
+from .cochains import SymMultiMap
 from .extensions import Extension, Section
 from .liealg import (abelian, algebra_from_brackets, heisenberg,
                      heisenberg3, oscillator, semidirect_product,
@@ -96,8 +97,6 @@ def oscillator_workspace() -> Workspace:
     s0 lifts the line to (0,0,0,1); sz shifts the lift by the central z, the
     linear map r -> (0,0,r,r).  fz is the functional on h3 dual to z.
     """
-    from .cochains import SymMultiMap
-
     ext = oscillator_extension()
     fz = SymMultiMap(ext.kernel, 1, 1, {(0,): [0], (1,): [0], (2,): [1]})
     return _workspace_for(
@@ -113,8 +112,6 @@ def oscillator_workspace() -> Workspace:
 
 def heisenberg_workspace() -> Workspace:
     """The central extension of the plane by h3, three sections, f of degree 1 and 2."""
-    from .cochains import SymMultiMap
-
     ext = heisenberg_central_extension()
     f1 = SymMultiMap(ext.kernel, 1, 1, {(0,): [1]})
     f2 = SymMultiMap(ext.kernel, 2, 1, {(0, 0): [1]})
@@ -132,8 +129,6 @@ def heisenberg_workspace() -> Workspace:
 
 def filiform_workspace() -> Workspace:
     """The filiform central extension over h3 with shifted sections."""
-    from .cochains import SymMultiMap
-
     ext = filiform_extension()
     f1 = SymMultiMap(ext.kernel, 1, 1, {(0,): [1]})
     f2 = SymMultiMap(ext.kernel, 2, 1, {(0, 0): [1]})

@@ -17,33 +17,26 @@ already holds a complete table of exact entries (the basis cochains of a
 cohomology space) builds it through the trusted constructor _of, which
 skips those checks.
 
-The wedge product and the composition of a symmetric map with cochains are
-signed shuffle sums over one enumerator of ordered partitions; the wedge
-product is the (p,q)-shuffle sum
+The composition of a symmetric map f with cochains a_1..a_p is a signed
+shuffle sum over the ordered partitions of the output positions into
+increasing blocks, one block per argument,
 
-    (a ^_m b)(x_1..x_{p+q}) = sum over shuffles s of
-                              sign(s) * m(a(x_s(1)..x_s(p)), b(x_s(p+1)..)),
+    f~(a_1..a_p)(x_1..x_N) = sum over partitions B_1..B_p of
+                             sign(B) * f(a_1(x_B_1), .., a_p(x_B_p)),
 
-which is division free and equals the normalized alternation
-Alt(a ._m b) / (p! q!); the test suite exercises that equality exhaustively
-in low degree.  The Lie bracket and every bilinear product contract their
-coefficient table in one loop.  The differential twisted by endomorphisms
-S(e_i) is
+so the iterated wedge into symmetric tensors is never built.  The
+Chevalley-Eilenberg differential with module action rho is
 
-    (d_S w)(x_0..x_p) = sum_j (-1)^j S(x_j) . w(.., x_j omitted, ..)
-                      + sum_{i<j} (-1)^{i+j} w([x_i,x_j], .., x_i, x_j omitted, ..);
+    (d w)(x_0..x_p) = sum_j (-1)^j rho(x_j) . w(.., x_j omitted, ..)
+                    + sum_{i<j} (-1)^{i+j} w([x_i,x_j], .., x_i, x_j omitted, ..);
 
-the Chevalley-Eilenberg differential is the case S = rho for a module action
-rho, and the covariant derivative is the case of an arbitrary linear S.  Both
-apply the sparse rows of d_S to the flattened cochain.  One builder emits
+it applies the sparse rows of d to the flattened cochain.  One builder emits
 those rows straight from the nonzero structure constants and the nonzero
-entries of the S(e_t): a block sign * S(e_t) per position of the key (none
-when S(e_t) is zero, as for a trivial module) and a block coeff * I per
-nonzero c_ab^k of a pair of positions.  The matrix of d and the cohomology
-spaces in characteristic use the same rows, so the formula exists once.
-The curvature of a 1-cochain sigma into a Lie algebra is
-R(x,y) = [sigma x, sigma y] - sigma([x,y]); the curvature of a section in
-extensions applies the same formula with the bracket of the total algebra.
+entries of the rho(e_t): a block sign * rho(e_t) per position of the key
+(none when rho(e_t) is zero, as for a trivial module) and a block coeff * I
+per nonzero c_ab^k of a pair of positions.  The matrix of d and the
+cohomology spaces in characteristic use the same rows, so the formula exists
+once.
 """
 
 from __future__ import annotations
@@ -54,21 +47,16 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
-from .liealg import LieAlgebra, Representation, _contract
+from .liealg import LieAlgebra, Representation
 from .linalg import _zero
 from .scalars import MultiPoly, _fraction
 
 __all__ = [
     "Cochain",
     "SymMultiMap",
-    "BilinearProduct",
-    "LinearAction",
     "increasing_tuples",
     "nondecreasing_tuples",
-    "wedge",
     "ce_differential",
-    "covariant_derivative",
-    "curvature",
     "compose_sym",
 ]
 
@@ -156,9 +144,9 @@ class _Table:
                    {key: fn(key) for key in cls.key_tuples(source.dim, degree)})
 
     @classmethod
-    def zero(cls, source, degree, target_dim, nvars=None):
-        z = Fraction(0) if nvars is None else MultiPoly.zero(nvars)
-        return cls.from_function(source, degree, target_dim, lambda key: [z] * target_dim)
+    def zero(cls, source, degree, target_dim):
+        return cls.from_function(source, degree, target_dim,
+                                 lambda key: [Fraction(0)] * target_dim)
 
     def entry(self, key):
         return self.values[tuple(key)]
@@ -250,67 +238,9 @@ class SymMultiMap(_Table):
         return _contraction(self, lambda j, key: args[j])([()] * self.degree)
 
 
-class BilinearProduct:
-    """Bilinear map V1 x V2 -> V3 given by coefficients m[i][j][k]."""
-
-    __slots__ = ("left_dim", "right_dim", "out_dim", "coeffs")
-
-    def __init__(self, left_dim, right_dim, out_dim, coeffs):
-        table = tuple(
-            tuple(tuple(Fraction(c) for c in row) for row in plane)
-            for plane in coeffs
-        )
-        if len(table) != left_dim or any(
-            len(plane) != right_dim or any(len(row) != out_dim for row in plane)
-            for plane in table
-        ):
-            raise ValueError("bilinear product table must be left x right x out")
-        self.left_dim = left_dim
-        self.right_dim = right_dim
-        self.out_dim = out_dim
-        self.coeffs = table
-
-    def apply(self, u, v):
-        if len(u) != self.left_dim or len(v) != self.right_dim:
-            raise ValueError("dimension mismatch")
-        return _contract(self.coeffs, u, v, self.out_dim)
-
-
-class LinearAction:
-    """A linear map x -> S(x) into endomorphisms of a target space."""
-
-    __slots__ = ("source", "matrices", "space_dim")
-
-    def __init__(self, source: LieAlgebra, matrices):
-        mats = [[list(row) for row in mat] for mat in matrices]
-        if len(mats) != source.dim:
-            raise ValueError("need one matrix per basis element")
-        m = len(mats[0]) if mats else 0
-        if any(len(mat) != m or any(len(row) != m for row in mat) for mat in mats):
-            raise ValueError("action matrices must be square and equal-sized")
-        self.source = source
-        self.matrices = mats
-        self.space_dim = m
-
-
-def wedge(a: Cochain, b: Cochain, m: BilinearProduct) -> Cochain:
-    """Shuffle-sum wedge product a ^_m b of degree a.degree + b.degree."""
-    if a.source.dim != b.source.dim:
-        raise ValueError("source algebra mismatch")
-    if a.target_dim != m.left_dim or b.target_dim != m.right_dim:
-        raise ValueError("dimension mismatch")
-    sizes = (a.degree, b.degree)
-
-    def term(keys):
-        return m.apply(a.entry(keys[0]), b.entry(keys[1]))
-
-    return Cochain.from_function(a.source, sum(sizes), m.out_dim,
-                                 _shuffle_sum(sizes, m.out_dim, term))
-
-
 def _differential_rows(algebra: LieAlgebra, mats, m: int, degree: int):
-    """Sparse rows {column: nonzero entry} of d_S: C^degree -> C^{degree+1} in the
-    flattened tuple-major bases, m the dimension the S(e_t) act on."""
+    """Sparse rows {column: nonzero entry} of d: C^degree -> C^{degree+1} in the
+    flattened tuple-major bases, mats the action matrices on R^m."""
     if degree + 1 > algebra.dim:
         return []
     structure = [[[(k, c) for k, c in enumerate(vec) if c] for vec in plane]
@@ -340,59 +270,26 @@ def _differential_rows(algebra: LieAlgebra, mats, m: int, degree: int):
     return rows
 
 
-def _twisted_differential(w: Cochain, source_dim: int, m: int, mats) -> Cochain:
-    """The rows of d_S applied to w; each entry starts from the zero of the
-    inputs' kind (a MultiPoly zero when w or S holds one, else Fraction(0))."""
-    if w.source.dim != source_dim or w.target_dim != m:
+def ce_differential(w: Cochain, rep: Representation) -> Cochain:
+    """Chevalley-Eilenberg differential of w with module action rep: the rows of
+    d applied to w; each entry starts from the zero of w's kind (a MultiPoly
+    zero when w holds one, else Fraction(0))."""
+    m = rep.space_dim
+    if w.source.dim != rep.algebra.dim or w.target_dim != m:
         raise ValueError("dimension mismatch")
     flat = _flatten(w)
-    zero = _zero(flat + [x for mat in mats for row in mat for x in row])
+    zero = _zero(flat)
     out = []
-    for row in _differential_rows(w.source, mats, m, w.degree):
+    for row in _differential_rows(w.source, rep.matrices, m, w.degree):
         acc = zero
         for c, x in row.items():
             y = flat[c]
             if y:
                 acc = acc + x * y
         out.append(acc)
-    keys = increasing_tuples(source_dim, w.degree + 1)
+    keys = increasing_tuples(w.source.dim, w.degree + 1)
     return Cochain._of(w.source, w.degree + 1, m,
                        {key: tuple(out[i * m:(i + 1) * m]) for i, key in enumerate(keys)})
-
-
-def ce_differential(w: Cochain, rep: Representation) -> Cochain:
-    """Chevalley-Eilenberg differential of w with module action rep."""
-    return _twisted_differential(w, rep.algebra.dim, rep.space_dim, rep.matrices)
-
-
-def covariant_derivative(w: Cochain, action: LinearAction) -> Cochain:
-    """Differential twisted by the linear action S (trivial module underneath)."""
-    return _twisted_differential(w, action.source.dim, action.space_dim, action.matrices)
-
-
-def _curvature_values(source: LieAlgebra, sigma, br):
-    """{(i, j): br(sigma(i), sigma(j)) - sum_k c_ij^k sigma(k)} over i < j.
-
-    sigma(k) is the image of the basis vector e_k, br the bracket of the target.
-    """
-    values = {}
-    for i, j in increasing_tuples(source.dim, 2):
-        val = br(sigma(i), sigma(j))
-        for k, c in enumerate(source.bracket_basis(i, j)):
-            if c:
-                val = [v - c * x for v, x in zip(val, sigma(k))]
-        values[(i, j)] = val
-    return values
-
-
-def curvature(sigma: Cochain, br: BilinearProduct) -> Cochain:
-    """R(x,y) = [sigma x, sigma y] - sigma([x,y]) for a 1-cochain into a Lie algebra."""
-    if sigma.degree != 1:
-        raise ValueError("curvature needs a 1-cochain")
-    if not (br.left_dim == br.right_dim == br.out_dim == sigma.target_dim):
-        raise ValueError("dimension mismatch")
-    return Cochain(sigma.source, 2, sigma.target_dim,
-                   _curvature_values(sigma.source, lambda k: sigma.entry((k,)), br.apply))
 
 
 def _ordered_partitions(positions, sizes):

@@ -9,11 +9,12 @@ linear solve; ExactnessViolation signals a value that escapes the kernel,
 which only happens on corrupted input.
 
 A section is any linear right inverse of q.  Its curvature
-R(x,y) = [sigma x, sigma y] - sigma([x,y]) lands in the kernel; it is the
-curvature formula of cochains, applied with the bracket of the total algebra
-and followed by kernel coordinates.  One helper reads ad(v) restricted to the
-kernel, in kernel coordinates, off the echelon: S(x) = ad(sigma x)|n for the
-section policy, ad(e_x)|n over the total basis for the strict one.
+R(x,y) = [sigma x, sigma y] - sigma([x,y]) lands in the kernel; it is taken
+with the bracket of the total algebra and read in kernel coordinates, and
+section_curvature is the package's one curvature loop.  One helper reads ad(v)
+restricted to the kernel, in kernel coordinates, off the echelon: the list of
+matrices S(e_i) = ad(sigma e_i)|n for the section policy, ad(e_x)|n over the
+total basis for the strict one.
 Invariance of a symmetric map f, x.f(key) = sum over slots s and kernel
 indices r of S(x)[r][key_s] f(key with key_s replaced by r) for every
 non-decreasing key, is read straight off the table of f and the nonzero
@@ -27,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .cochains import Cochain, LinearAction, _coerce_scalar, _curvature_values
+from .cochains import Cochain, _coerce_scalar, increasing_tuples
 from .liealg import LieAlgebra, Representation, bracket
 from .linalg import (identity, mat_mul, mat_vec, rank, solve_linear, sparse_rref, transpose,
                      vec_sub)
@@ -189,10 +190,15 @@ def kernel_coords(ext: Extension, vec):
 
 def section_curvature(ext: Extension, sec: Section) -> Cochain:
     """R(x,y) = [sigma x, sigma y] - sigma([x,y]) in kernel coordinates."""
-    values = _curvature_values(ext.base, transpose(sec.matrix).__getitem__,
-                               lambda u, v: bracket(ext.total, u, v))
-    return Cochain(ext.base, 2, ext.kernel.dim,
-                   {key: kernel_coords(ext, val) for key, val in values.items()})
+    cols = transpose(sec.matrix)
+    values = {}
+    for i, j in increasing_tuples(ext.base.dim, 2):
+        val = bracket(ext.total, cols[i], cols[j])
+        for k, c in enumerate(ext.base.structure[i][j]):
+            if c:
+                val = [v - c * x for v, x in zip(val, cols[k])]
+        values[(i, j)] = kernel_coords(ext, val)
+    return Cochain(ext.base, 2, ext.kernel.dim, values)
 
 
 def _kernel_action(ext: Extension, v):
@@ -221,9 +227,10 @@ def _kernel_action(ext: Extension, v):
     return mat
 
 
-def s_from_section(ext: Extension, sec: Section) -> LinearAction:
-    """S(x) = ad(sigma x) restricted to the kernel, in kernel coordinates."""
-    return LinearAction(ext.base, [_kernel_action(ext, col) for col in transpose(sec.matrix)])
+def s_from_section(ext: Extension, sec: Section):
+    """The matrices S(e_i) = ad(sigma e_i) restricted to the kernel, in kernel
+    coordinates, one per base vector."""
+    return [_kernel_action(ext, col) for col in transpose(sec.matrix)]
 
 
 def section_difference(ext: Extension, sec_a: Section, sec_b: Section) -> Cochain:
@@ -256,7 +263,7 @@ def is_invariant(f, ext: Extension, rep: Representation, mode: str = "section",
     if mode == "section":
         if sigma is None:
             raise ValueError("section mode needs a section")
-        s_mats = s_from_section(ext, sigma).matrices
+        s_mats = s_from_section(ext, sigma)
         act_mats = rep.matrices
     else:
         s_mats = [_kernel_action(ext, v) for v in identity(ext.total.dim)]

@@ -79,10 +79,6 @@ class LieAlgebra:
         alg.dim, alg.basis_names, alg.structure = len(names), names, table
         return alg
 
-    def bracket_basis(self, i: int, j: int):
-        """[e_i, e_j] as a coefficient tuple."""
-        return self.structure[i][j]
-
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
             return NotImplemented
@@ -156,17 +152,13 @@ def check_jacobi(alg: LieAlgebra):
 
 
 def bracket(alg: LieAlgebra, x, y):
-    """Bilinear extension of the structure constants to coefficient vectors."""
+    """Bilinear extension of the structure constants to coefficient vectors,
+    summed over nonzero factors only."""
     d = alg.dim
     if len(x) != d or len(y) != d:
         raise ValueError("dimension mismatch")
-    return _contract(alg.structure, x, y, d)
-
-
-def _contract(table, x, y, out_dim):
-    """sum of x_i y_j table[i][j][k] e_k over nonzero factors: the one bilinear loop."""
-    out = [Fraction(0)] * out_dim
-    for xi, plane in zip(x, table):
+    out = [Fraction(0)] * d
+    for xi, plane in zip(x, alg.structure):
         if not xi:
             continue
         for yj, row in zip(y, plane):

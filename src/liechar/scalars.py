@@ -39,7 +39,6 @@ __all__ = [
     "as_poly",
     "rational_from_str",
     "rational_to_str",
-    "poly_from_json",
     "poly_to_json",
     "integrate_monomial_simplex",
     "integrate_poly_simplex",
@@ -112,22 +111,10 @@ class MultiPoly:
     def zero(cls, nvars: int) -> "MultiPoly":
         return cls(nvars, {})
 
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "MultiPoly":
-        """The polynomial t_{index+1} (indices are 0-based)."""
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range for {nvars} variables")
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
-
     # -- queries ----------------------------------------------------------
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
@@ -136,9 +123,6 @@ class MultiPoly:
         if not self.is_constant():
             raise ValueError(f"{self!r} is not a constant polynomial")
         return self.terms.get((0,) * self.nvars, Fraction(0))
-
-    def coefficient(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
 
     def sorted_terms(self):
         """Terms in graded-lexicographic order (total degree, then lex)."""
@@ -255,19 +239,6 @@ def poly_to_json(p: MultiPoly):
         {"exponents": list(e), "coeff": rational_to_str(c)}
         for e, c in p.sorted_terms()
     ]
-
-
-def poly_from_json(obj, nvars: int) -> MultiPoly:
-    """Read a poly_to_json term list; ValueError on any other shape."""
-    terms = {}
-    for item in obj if isinstance(obj, list) else [None]:  # a non-list fails as a bad term
-        exps = item.get("exponents") if isinstance(item, dict) and len(item) == 2 else None
-        if not (isinstance(exps, list) and len(exps) == nvars and "coeff" in item
-                and all(type(e) is int and e >= 0 for e in exps)):
-            raise ValueError("expected a list of {exponents, coeff} terms with "
-                             f"{nvars} non-negative integer exponents")
-        terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + rational_from_str(item["coeff"])
-    return MultiPoly(nvars, terms)
 
 
 def integrate_monomial_simplex(n: int, exponents) -> Fraction:

@@ -21,6 +21,9 @@ Schemas:
                     "entries": [{"tuple": [..], "value": [..]}]}
                    over non-decreasing tuples in lexicographic order
 
+Every value read is a rational string; no schema holds polynomial values.
+Cochains are written (cochain_to_json, for command output) and never read.
+
 Dimensions, degrees and indices are JSON integers; true and false are not
 read as 1 and 0 there, although Python's bool is a subclass of int.
 
@@ -38,8 +41,7 @@ from .characteristic import CharacteristicClass
 from .cochains import Cochain, SymMultiMap
 from .extensions import Extension, Section, validate_extension, validate_section
 from .liealg import LieAlgebra, Representation, algebra_from_brackets
-from .scalars import (MultiPoly, poly_from_json, poly_to_json, rational_from_str,
-                      rational_to_str)
+from .scalars import MultiPoly, poly_to_json, rational_from_str, rational_to_str
 
 __all__ = [
     "ParseError",
@@ -50,7 +52,6 @@ __all__ = [
     "canonical_dumps",
     "algebra_to_json",
     "cochain_to_json",
-    "cochain_from_json",
     "class_to_json",
 ]
 
@@ -86,14 +87,14 @@ def _expect(cond, message, location):
         raise ParseError(message, location)
 
 
-def _rational(s, location, nvars=None):
-    """A rational string; with nvars, a polynomial term list instead."""
+def _rational(s, location):
+    """A rational string."""
     if isinstance(s, float):
         raise ParseError("floats are not accepted; use rational strings", location)
-    if nvars is None and not isinstance(s, str):
+    if not isinstance(s, str):
         raise ParseError(f"expected a rational string, got {type(s).__name__}", location)
     try:
-        return rational_from_str(s) if nvars is None else poly_from_json(s, nvars)
+        return rational_from_str(s)
     except ValueError as exc:
         raise ParseError(str(exc), location) from None
 
@@ -268,8 +269,7 @@ def _symmap_from_json(name, obj, algebras, location):
     _expect(type(degree) is int and degree >= 0, "degree must be a non-negative integer", location)
     _expect(type(target_dim) is int and target_dim >= 1,
             "target_dim must be a positive integer", location)
-    return _table_from_json(SymMultiMap, obj.get("entries"), algebras[ref], degree,
-                            target_dim, location)
+    return _table_from_json(obj.get("entries"), algebras[ref], degree, target_dim, location)
 
 
 def _symmap_to_json(name, f, algebras):
@@ -280,17 +280,17 @@ def _symmap_to_json(name, f, algebras):
             "entries": _table_entries_to_json(f)}
 
 
-def _table_from_json(cls, entries, alg, degree, target_dim, location, nvars=None):
-    """A Cochain or SymMultiMap from its entry list in canonical tuple order.
+def _table_from_json(entries, alg, degree, target_dim, location):
+    """A SymMultiMap from its entry list in canonical tuple order.
 
     The entry count is checked against the number of canonical tuples before
     any tuple is enumerated, so the work is bounded by the document's size.
     """
-    count = cls.key_count(alg.dim, degree)
+    count = SymMultiMap.key_count(alg.dim, degree)
     _expect(isinstance(entries, list) and len(entries) == count,
             f"expected {count} entries", location)
     values = {}
-    for idx, (item, expected) in enumerate(zip(entries, cls.key_tuples(alg.dim, degree))):
+    for idx, (item, expected) in enumerate(zip(entries, SymMultiMap.key_tuples(alg.dim, degree))):
         loc = f"{location}.entries[{idx}]"
         _expect(isinstance(item, dict) and set(item) <= {"tuple", "value"},
                 "entry must have keys tuple, value", loc)
@@ -301,9 +301,8 @@ def _table_from_json(cls, entries, alg, degree, target_dim, location, nvars=None
         val = item.get("value")
         _expect(isinstance(val, list) and len(val) == target_dim,
                 f"value must have length {target_dim}", loc)
-        values[expected] = tuple(_rational(v, f"{loc}.value[{i}]", nvars)
-                                 for i, v in enumerate(val))
-    return cls._of(alg, degree, target_dim, values)
+        values[expected] = tuple(_rational(v, f"{loc}.value[{i}]") for i, v in enumerate(val))
+    return SymMultiMap._of(alg, degree, target_dim, values)
 
 
 def _table_entries_to_json(table):
@@ -386,16 +385,6 @@ def _scalar_to_json(x):
 def cochain_to_json(w: Cochain):
     """Dense entry list over increasing tuples in lexicographic order."""
     return {"degree": w.degree, "entries": _table_entries_to_json(w)}
-
-
-def cochain_from_json(obj, source: LieAlgebra, target_dim: int, nvars=None) -> Cochain:
-    """Inverse of cochain_to_json; with nvars, values are polynomial term lists."""
-    _expect(isinstance(obj, dict), "cochain must be an object", "cochain")
-    degree = obj.get("degree")
-    _expect(type(degree) is int and degree >= 0,
-            "degree must be a non-negative integer", "cochain")
-    return _table_from_json(Cochain, obj.get("entries"), source, degree, target_dim,
-                            "cochain", nvars)
 
 
 def class_to_json(cls: CharacteristicClass):

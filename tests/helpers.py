@@ -8,13 +8,12 @@ from math import comb, prod
 from types import SimpleNamespace
 
 from liechar import (
-    BilinearProduct, Cochain, Extension, LieAlgebra, MultiPoly, Representation, Section,
-    SymMultiMap,
+    Cochain, Extension, LieAlgebra, MultiPoly, Representation, Section, SymMultiMap,
     abelian, adjoint_representation, algebra_from_brackets, as_poly, bracket,
     compose_sym, heisenberg, heisenberg3, identity, increasing_tuples,
     integrate_poly_simplex, kernel_coords, mat_mul, mat_vec, nondecreasing_tuples,
-    param_curvature, param_section, rank, section_curvature, section_difference,
-    semidirect_product, solve_linear, transpose, trivial_representation,
+    param_curvature, param_section, rank, rational_from_str, section_curvature,
+    section_difference, semidirect_product, solve_linear, transpose, trivial_representation,
 )
 from liechar.linalg import zeros
 from liechar.catalog import (
@@ -283,7 +282,7 @@ def reference_twisted_differential(w, mats):
             sgn = -1 if j % 2 else 1
             out = [o + sgn * x for o, x in zip(out, av)]
         for ai, bi in combinations(range(p + 1), 2):
-            u = src.bracket_basis(key[ai], key[bi])
+            u = src.structure[key[ai]][key[bi]]
             if all(c == 0 for c in u):
                 continue
             rest = tuple(key[x] for x in range(p + 1) if x not in (ai, bi))
@@ -355,7 +354,7 @@ def reference_section_curvature(ext, sec):
     def fn(key):
         i, j = key
         val = bracket(ext.total, sec.column(i), sec.column(j))
-        for k, c in enumerate(g.bracket_basis(i, j)):
+        for k, c in enumerate(g.structure[i][j]):
             if c == 0:
                 continue
             val = [v - c * x for v, x in zip(val, sec.column(k))]
@@ -367,6 +366,17 @@ def reference_section_curvature(ext, sec):
 def to_poly(table, nvars):
     """The same table with every entry promoted to a MultiPoly in nvars variables."""
     return table.map_values(lambda x: as_poly(x, nvars))
+
+
+def poly_variable(nvars, index):
+    """The MultiPoly t_{index+1} in nvars variables (indices are 0-based)."""
+    return MultiPoly(nvars, {tuple(int(i == index) for i in range(nvars)): 1})
+
+
+def poly_from_json(obj, nvars):
+    """The inverse of poly_to_json on its output: a MultiPoly from its term list."""
+    return MultiPoly(nvars, {tuple(term["exponents"]): rational_from_str(term["coeff"])
+                             for term in obj})
 
 
 def poly_diff(p, index):
@@ -497,6 +507,18 @@ def random_representation(rng, algebra):
     return adjoint_representation(algebra)
 
 
+class BilinearProduct:
+    """Bilinear map V1 x V2 -> V3 given by coefficients coeffs[i][j][k], the data
+    reference_wedge and sym_product contract through _reference_apply."""
+
+    def __init__(self, left_dim, right_dim, out_dim, coeffs):
+        self.left_dim, self.right_dim, self.out_dim = left_dim, right_dim, out_dim
+        self.coeffs = coeffs
+
+    def apply(self, u, v):
+        return _reference_apply(self, u, v)
+
+
 def lie_bracket_product(alg) -> BilinearProduct:
     """The bracket of alg as a bilinear product V x V -> V."""
     return BilinearProduct(alg.dim, alg.dim, alg.dim, alg.structure)
@@ -556,7 +578,7 @@ def fixture_extensions():
 def direct_sum_extension() -> Extension:
     """h_5 + R^3 -> h_5 with the abelian summand (k1, k2, k3) as kernel."""
     base = heisenberg(2)
-    brackets = {(i, j): {k: c for k, c in enumerate(base.bracket_basis(i, j)) if c}
+    brackets = {(i, j): {k: c for k, c in enumerate(base.structure[i][j]) if c}
                 for i, j in combinations(range(5), 2)}
     total = algebra_from_brackets(base.basis_names + ("k1", "k2", "k3"), brackets)
     iota = [[int(r == 5 + c) for c in range(3)] for r in range(8)]
@@ -800,7 +822,7 @@ def alt(source, degree, target_dim, table):
 # Reference loops for the identities the library computes through one shared
 # path each: the representation and derivation checks on dense scratch
 # matrices, the bracket's own triple loop, and a separate partition enumeration
-# per product.  None of them goes through _defect, _contract or _shuffle_sum.
+# per product.  None of them goes through _defect, bracket or _shuffle_sum.
 
 def _reference_unit(d, i):
     v = [Fraction(0)] * d
@@ -810,6 +832,22 @@ def _reference_unit(d, i):
 
 def _reference_mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def reference_curvature(sigma, target):
+    """R(x,y) = [sigma x, sigma y] - sigma([x,y]) of a 1-cochain sigma into the Lie
+    algebra target, over reference_bracket."""
+    src = sigma.source
+
+    def fn(key):
+        i, j = key
+        val = reference_bracket(target, sigma.entry((i,)), sigma.entry((j,)))
+        for k, c in enumerate(src.structure[i][j]):
+            if c:
+                val = [v - c * x for v, x in zip(val, sigma.entry((k,)))]
+        return val
+
+    return Cochain.from_function(src, 2, sigma.target_dim, fn)
 
 
 def reference_bracket(alg, x, y):
@@ -842,7 +880,7 @@ def reference_is_derivation(alg, mat) -> bool:
     cols = [[mat[r][j] for r in range(d)] for j in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            lhs = mat_vec(mat, alg.bracket_basis(i, j))
+            lhs = mat_vec(mat, alg.structure[i][j])
             rhs = [a + b for a, b in zip(reference_bracket(alg, cols[i], _reference_unit(d, j)),
                                          reference_bracket(alg, _reference_unit(d, i), cols[j]))]
             if any(a - b != 0 for a, b in zip(lhs, rhs)):

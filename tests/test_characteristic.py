@@ -14,7 +14,7 @@ from liechar import (Cochain, DegreeError, InvalidSection, InvarianceWarning,
                      delta_f, heisenberg, heisenberg3,
                      increasing_tuples, param_section, rank, secondary_class,
                      section_curvature, section_difference,
-                     trivial_representation, verify_main_theorem, wedge)
+                     trivial_representation, verify_main_theorem)
 from liechar.catalog import (filiform_extension, heisenberg_central_extension,
                              oscillator_extension)
 
@@ -23,7 +23,7 @@ from helpers import (SMALL_ALGEBRAS, conjugate_algebra, dense_cohomology,
                      greedy_cohomology, rand_cochain, rand_fraction, rand_section,
                      rand_symmap, random_algebra, random_invariant_symmap, random_module,
                      random_representation, raise_everywhere, reference_delta_f,
-                     scalar_multiplication, section_pool, sym_product)
+                     reference_wedge, scalar_multiplication, section_pool, sym_product)
 
 
 def oscillator_setup():
@@ -514,7 +514,7 @@ class TestProductHomomorphism:
         sec = section_pool(rng, "heisenberg5", ext, 1)[0]
         r = section_curvature(ext, sec)
         lhs = compose_sym(fg, [r, r]).scale(Fraction(1, 2))
-        rhs = wedge(compose_sym(f, [r]), compose_sym(g, [r]), mult)
+        rhs = reference_wedge(compose_sym(f, [r]), compose_sym(g, [r]), mult)
         assert lhs == rhs
         assert not lhs.is_zero()
 
@@ -535,8 +535,8 @@ class TestProductHomomorphism:
         # with negative shuffle sign), so the coordinate is f(z) g(z) (-2)
         assert cls.coordinates == (Fraction(2, 3) * Fraction(-5, 2) * -2,)
         parts = [chern_weil(ext, h, sec, triv) for h in (f, g)]
-        product = wedge(parts[0].representative, parts[1].representative,
-                        scalar_multiplication(1))
+        product = reference_wedge(parts[0].representative, parts[1].representative,
+                                  scalar_multiplication(1))
         assert classes_equal(cls.representative, product, cls.h_space)
 
 

@@ -10,8 +10,7 @@
   top-level statement of the package;
 - every public name in a module's ``__all__`` is read by some statement of
   the package other than its own definition, or by a demo or a perfbench
-  script, unless it is on the short list of public features that only tests
-  call today.
+  script; a name that only tests read moves to the tests or is deleted.
 """
 
 import ast
@@ -101,17 +100,6 @@ def test_every_private_module_name_is_used_elsewhere():
     assert dead == []
 
 
-# Public features that nothing outside the tests reads today.  A public name
-# that only tests call is either listed here on purpose, moved to the tests,
-# or deleted.
-TEST_ONLY_PUBLIC = [
-    "cochains.wedge",
-    "cochains.covariant_derivative",
-    "cochains.curvature",
-    "workspace.cochain_from_json",
-]
-
-
 def public_names(module_tree):
     for node in module_tree.body:
         targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
@@ -134,4 +122,4 @@ def test_every_public_name_has_a_reader_outside_the_tests():
             if public not in script_refs and not any(
                     public in refs for node, refs in statements if node is not defined[public]):
                 unread.append(f"{name}.{public}")
-    assert unread == TEST_ONLY_PUBLIC
+    assert unread == []

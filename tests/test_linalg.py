@@ -10,7 +10,7 @@ from liechar import MultiPoly, mat_mul, mat_vec, rank, solve_linear
 from liechar.linalg import echelon_nullspace, sparse_rref, sparse_transpose, to_dense
 
 from helpers import (dense_kernel, dense_mat_mul, dense_mat_vec, dense_rref, dense_solve,
-                     rand_fraction, rand_matrix)
+                     poly_variable, rand_fraction, rand_matrix)
 
 
 def F(x):  # noqa: N802 - terse literal helper
@@ -64,7 +64,7 @@ class TestSolve:
         assert mat_vec(a, x) == [5]
 
     def test_polynomial_right_hand_side(self):
-        t = MultiPoly.variable(1, 0)
+        t = poly_variable(1, 0)
         a = fmat([[2, 0], [0, 1], [2, 1]])
         b = [t * 2, MultiPoly.constant(1, 3), t * 2 + 3]
         x = solve_linear(a, b)
@@ -235,7 +235,7 @@ class TestAgainstDenseLoop:
 
     def test_solve_linear_polynomial_rhs_matches_dense_loop(self):
         rng = random.Random(76)
-        t = [MultiPoly.variable(2, i) for i in range(2)]
+        t = [poly_variable(2, i) for i in range(2)]
 
         def rand_poly():
             return t[0] * rand_fraction(rng) + t[1] * t[0] * rand_fraction(rng) + rand_fraction(rng)
@@ -267,7 +267,7 @@ class TestProductsAgainstDenseSum:
         """A sparse scalar: zero half the time, a Fraction or a MultiPoly by kind."""
         if kind == "fraction" or rng.random() < 0.3:
             return rand_fraction(rng) if rng.random() < 0.5 else F(0)
-        t = MultiPoly.variable(2, rng.randrange(2))
+        t = poly_variable(2, rng.randrange(2))
         if rng.random() < 0.2:
             return MultiPoly.zero(2)
         return t * rand_fraction(rng) + rand_fraction(rng)
@@ -301,7 +301,7 @@ class TestProductsAgainstDenseSum:
 
     def test_zero_factors_keep_the_polynomial_kind(self):
         zero_poly = MultiPoly.zero(1)
-        t = MultiPoly.variable(1, 0)
+        t = poly_variable(1, 0)
         assert [type(v) for v in mat_vec(fmat([[1, 0], [0, 0]]), [zero_poly, F(0)])] == \
             [MultiPoly, MultiPoly]
         assert [type(v) for v in mat_vec([[t, F(0)], [F(0), F(0)]], fmat([[0, 1]])[0])] == \

@@ -119,13 +119,13 @@ class CohomologySpace:
         m = rep.space_dim
         dim_c = comb(algebra.dim, degree) * m
         zvecs = echelon_nullspace(
-            sparse_rref(_differential_rows(algebra, rep.matrices, m, degree), dim_c), dim_c)
+            sparse_rref(_differential_rows(algebra, rep, degree), dim_c), dim_c)
         bvecs = []
         if degree and dim_c:
             below = comb(algebra.dim, degree - 1) * m
             bvecs = [row for _, row in sparse_rref(
-                sparse_transpose(_differential_rows(algebra, rep.matrices, m, degree - 1),
-                                 below), dim_c)]
+                sparse_transpose(_differential_rows(algebra, rep, degree - 1), below),
+                dim_c)]
         nb = len(bvecs)
         echelon = sparse_rref(sparse_transpose(bvecs + zvecs, dim_c), nb + len(zvecs))
         h_rows = echelon[nb:]

@@ -31,12 +31,11 @@ Chevalley-Eilenberg differential with module action rho is
                     + sum_{i<j} (-1)^{i+j} w([x_i,x_j], .., x_i, x_j omitted, ..);
 
 it applies the sparse rows of d to the flattened cochain.  One builder emits
-those rows straight from the nonzero structure constants and the nonzero
-entries of the rho(e_t): a block sign * rho(e_t) per position of the key
-(none when rho(e_t) is zero, as for a trivial module) and a block coeff * I
-per nonzero c_ab^k of a pair of positions.  The matrix of d and the
-cohomology spaces in characteristic use the same rows, so the formula exists
-once.
+those rows from the sparse tables the algebra and the module fill at
+construction: a block sign * rho(e_t) per position of the key (none when
+rho(e_t) is zero, as for a trivial module) and a block coeff * I per nonzero
+c_ab^k of a pair of positions.  The matrix of d and the cohomology spaces in
+characteristic use the same rows, so the formula exists once.
 """
 
 from __future__ import annotations
@@ -238,34 +237,36 @@ class SymMultiMap(_Table):
         return _contraction(self, lambda j, key: args[j])([()] * self.degree)
 
 
-def _differential_rows(algebra: LieAlgebra, mats, m: int, degree: int):
-    """Sparse rows {column: nonzero entry} of d: C^degree -> C^{degree+1} in the
-    flattened tuple-major bases, mats the action matrices on R^m."""
+def _differential_rows(algebra: LieAlgebra, rep: Representation, degree: int):
+    """Sparse rows {column: nonzero entry} of d: C^degree -> C^{degree+1} with
+    values in the module rep, in the flattened tuple-major bases."""
     if degree + 1 > algebra.dim:
         return []
-    structure = [[[(k, c) for k, c in enumerate(vec) if c] for vec in plane]
-                 for plane in algebra.structure]
-    action = [[[(c, x) for c, x in enumerate(row) if x] for row in mat]
-              if any(map(any, mat)) else None for mat in mats]
+    m = rep.space_dim
+    structure = algebra.sparse
+    action = rep.sparse
     col_of = {key: i * m for i, key in enumerate(increasing_tuples(algebra.dim, degree))}
+    pairs = list(combinations(range(degree + 1), 2))
     rows = []
     for key in increasing_tuples(algebra.dim, degree + 1):
         block = [{} for _ in range(m)]
         for j, t in enumerate(key):
-            if action[t]:
-                sgn = -1 if j % 2 else 1
+            if action[t]:  # each position omits another key: fresh columns
                 base = col_of[key[:j] + key[j + 1:]]
                 for row, action_row in zip(block, action[t]):
                     for c, x in action_row:
-                        row[base + c] = row.get(base + c, 0) + sgn * x
-        for ai, bi in combinations(range(degree + 1), 2):
+                        row[base + c] = -x if j % 2 else x
+        for ai, bi in pairs:
+            terms = structure[key[ai]][key[bi]]
+            if not terms:
+                continue
             rest = key[:ai] + key[ai + 1:bi] + key[bi + 1:]
-            for k, c in structure[key[ai]][key[bi]]:
+            for k, c in terms:
                 if k not in rest:
                     pos = bisect(rest, k)
                     coeff = -c if (ai + bi + pos) % 2 else c
                     for i, row in enumerate(block, col_of[rest[:pos] + (k,) + rest[pos:]]):
-                        row[i] = row.get(i, 0) + coeff
+                        row[i] = row[i] + coeff if i in row else coeff
         rows.extend({c: x for c, x in row.items() if x} for row in block)
     return rows
 
@@ -280,7 +281,7 @@ def ce_differential(w: Cochain, rep: Representation) -> Cochain:
     flat = _flatten(w)
     zero = _zero(flat)
     out = []
-    for row in _differential_rows(w.source, rep.matrices, m, w.degree):
+    for row in _differential_rows(w.source, rep, w.degree):
         acc = zero
         for c, x in row.items():
             y = flat[c]

@@ -86,11 +86,8 @@ class Extension:
         dn = kernel.dim
         iota_rows = [{j: a for j, a in enumerate(row) if a} for row in iota]
         rows = [dict(row) for row in iota_rows]
-        for x, plane in enumerate(total.structure):
-            for k, iota_k in enumerate(iota_rows):
-                if not iota_k:
-                    continue
-                terms = [(l, c) for l, c in enumerate(plane[k]) if c]
+        for x, plane in enumerate(total.sparse):
+            for terms, iota_k in zip(plane, iota_rows):
                 for j, a in iota_k.items():
                     col = dn + x * dn + j
                     for l, c in terms:
@@ -194,9 +191,8 @@ def section_curvature(ext: Extension, sec: Section) -> Cochain:
     values = {}
     for i, j in increasing_tuples(ext.base.dim, 2):
         val = bracket(ext.total, cols[i], cols[j])
-        for k, c in enumerate(ext.base.structure[i][j]):
-            if c:
-                val = [v - c * x for v, x in zip(val, cols[k])]
+        for k, c in ext.base.sparse[i][j]:
+            val = [v - c * x for v, x in zip(val, cols[k])]
         values[(i, j)] = kernel_coords(ext, val)
     return Cochain(ext.base, 2, ext.kernel.dim, values)
 

@@ -1,6 +1,9 @@
 """Finite-dimensional Lie algebras by structure constants.
 
-An algebra stores ``structure[i][j][k]``, the e_k-coefficient of [e_i, e_j].
+An algebra stores ``structure[i][j][k]``, the e_k-coefficient of [e_i, e_j],
+and a representation its matrices rho(e_t).  Both constructors of each class
+also fill a sparse table of the nonzero entries, and every loop of the
+package over nonzero structure constants or module entries reads it.
 The public constructors check antisymmetry, the Jacobi identity and the
 representation property, so downstream operators may assume validity.  Only
 objects that are valid by construction (abelian algebras, trivial and adjoint
@@ -12,7 +15,8 @@ h_{2m+1}, semidirect products h x| a by derivations, and the oscillator
 algebra h_3 x| R with the rotation derivation.
 
 The representation and derivation checks share one matrix defect; Jacobi
-keeps its own loop, which never forms the matrices ad(e_i) of a large table.
+keeps its own loop over the sparse table, which never forms the matrices
+ad(e_i) of a large table.
 """
 
 from __future__ import annotations
@@ -44,9 +48,10 @@ _ZERO = Fraction(0)
 
 
 class LieAlgebra:
-    """Lie algebra with a named basis and rational structure constants."""
+    """Lie algebra with a named basis and rational structure constants;
+    ``sparse[i][j]`` holds the pairs (k, c) of the nonzero structure[i][j][k]."""
 
-    __slots__ = ("dim", "basis_names", "structure")
+    __slots__ = ("dim", "basis_names", "structure", "sparse")
 
     def __init__(self, basis_names, structure):
         names = _basis_names(basis_names)
@@ -68,7 +73,7 @@ class LieAlgebra:
                             f"structure constants not antisymmetric at "
                             f"({names[i]},{names[j]},{names[k]})"
                         )
-        self.dim, self.basis_names, self.structure = d, names, table
+        self._fill(names, table)
         _require_jacobi(self)
 
     @classmethod
@@ -76,8 +81,16 @@ class LieAlgebra:
         """Trusted constructor: ``names`` must be unique strings and ``table``
         an antisymmetric dim x dim x dim tuple of Fractions satisfying Jacobi."""
         alg = object.__new__(cls)
-        alg.dim, alg.basis_names, alg.structure = len(names), names, table
+        alg._fill(names, table)
         return alg
+
+    def _fill(self, names, table):
+        self.dim, self.basis_names, self.structure = len(names), names, table
+        # algebra_from_brackets and abelian fill their tables with one shared
+        # zero; testing for it first skips the Python-level Fraction.__bool__
+        self.sparse = tuple(
+            tuple([tuple([(k, c) for k, c in enumerate(vec) if c is not _ZERO and c])
+                   for vec in plane]) for plane in table)
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
@@ -135,17 +148,14 @@ def check_jacobi(alg: LieAlgebra):
     an empty report means the table is a Lie algebra.
     """
     d = alg.dim
-    c = alg.structure
+    c = alg.sparse
     violations = []
     for i, j, k in combinations(range(d), 3):
-        defect = [Fraction(0)] * d
+        defect = [_ZERO] * d
         for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
-            for l in range(d):
-                cab = c[a][b][l]
-                if cab:
-                    for m in range(d):
-                        if c[l][z][m]:
-                            defect[m] += cab * c[l][z][m]
+            for l, cab in c[a][b]:
+                for m, clz in c[l][z]:
+                    defect[m] += cab * clz
         if not vec_is_zero(defect):
             violations.append((i, j, k, tuple(defect)))
     return violations
@@ -158,15 +168,14 @@ def bracket(alg: LieAlgebra, x, y):
     if len(x) != d or len(y) != d:
         raise ValueError("dimension mismatch")
     out = [Fraction(0)] * d
-    for xi, plane in zip(x, alg.structure):
+    for xi, plane in zip(x, alg.sparse):
         if not xi:
             continue
-        for yj, row in zip(y, plane):
+        for yj, terms in zip(y, plane):
             if not yj:
                 continue
-            for k, c in enumerate(row):
-                if c:
-                    out[k] = out[k] + xi * yj * c
+            for k, c in terms:
+                out[k] = out[k] + xi * yj * c
     return out
 
 
@@ -175,13 +184,14 @@ def _ad_basis(alg: LieAlgebra):
     return [transpose(plane) for plane in alg.structure]
 
 
-def _defect(a, b, coeffs, mats):
-    """ab - ba - sum_k coeffs[k] mats[k], the defect of either bracket identity on
-    matrices: rho([e_i, e_j]) = [rho e_i, rho e_j] and [D, ad e_i] = ad(D e_i)."""
+def _defect(a, b, terms, mats):
+    """ab - ba - sum of c mats[k] over the pairs (k, c) of terms, the defect of either
+    bracket identity on matrices: rho([e_i, e_j]) = [rho e_i, rho e_j] and
+    [D, ad e_i] = ad(D e_i)."""
     out = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(mat_mul(a, b), mat_mul(b, a))]
-    for c, mat in zip(coeffs, mats):
+    for k, c in terms:
         if c:
-            for row, mrow in zip(out, mat):
+            for row, mrow in zip(out, mats[k]):
                 for s, x in enumerate(mrow):
                     if x:
                         row[s] = row[s] - c * x
@@ -198,7 +208,7 @@ def is_derivation(alg: LieAlgebra, mat) -> bool:
     if len(mat) != d or any(len(row) != d for row in mat):
         raise ValueError("dimension mismatch")
     ads = _ad_basis(alg)
-    return all(_is_zero_matrix(_defect(mat, ad_i, [row[i] for row in mat], ads))
+    return all(_is_zero_matrix(_defect(mat, ad_i, enumerate(row[i] for row in mat), ads))
                for i, ad_i in enumerate(ads))
 
 
@@ -229,8 +239,7 @@ def semidirect_product(h: LieAlgebra, a: LieAlgebra, action) -> LieAlgebra:
     brackets = {}
     for off, alg in ((0, h), (dh, a)):
         for i, j in combinations(range(alg.dim), 2):
-            brackets[off + i, off + j] = {off + k: c for k, c in enumerate(alg.structure[i][j])
-                                          if c}
+            brackets[off + i, off + j] = {off + k: c for k, c in alg.sparse[i][j]}
     for j, mat in enumerate(action):
         for i in range(dh):  # [x_i, w_j] = -D_j x_i
             brackets[i, dh + j] = {k: -row[i] for k, row in enumerate(mat) if row[i]}
@@ -269,9 +278,11 @@ def oscillator() -> LieAlgebra:
 
 
 class Representation:
-    """Linear action of an algebra: one space_dim x space_dim matrix per basis element."""
+    """Linear action of an algebra: one space_dim x space_dim matrix per basis
+    element; ``sparse[t]`` is None when rho(e_t) is zero, else the pairs
+    (column, entry) of the nonzero entries of each of its rows."""
 
-    __slots__ = ("algebra", "space_dim", "matrices")
+    __slots__ = ("algebra", "space_dim", "matrices", "sparse")
 
     def __init__(self, algebra: LieAlgebra, space_dim: int, matrices):
         mats = [[[_fraction(c) for c in row] for row in mat] for mat in matrices]
@@ -280,7 +291,7 @@ class Representation:
             for mat in mats
         ):
             raise ValueError("representation needs one space_dim x space_dim matrix per basis element")
-        self.algebra, self.space_dim, self.matrices = algebra, space_dim, mats
+        self._fill(algebra, space_dim, mats)
         bad = check_representation(self)
         if bad:
             i, j, _ = bad[0]
@@ -292,8 +303,14 @@ class Representation:
         """Trusted constructor: ``matrices`` must be algebra.dim lists of
         space_dim x space_dim Fraction lists; the representation property is not checked."""
         rep = object.__new__(cls)
-        rep.algebra, rep.space_dim, rep.matrices = algebra, space_dim, matrices
+        rep._fill(algebra, space_dim, matrices)
         return rep
+
+    def _fill(self, algebra, space_dim, matrices):
+        self.algebra, self.space_dim, self.matrices = algebra, space_dim, matrices
+        self.sparse = tuple(
+            tuple([tuple([(c, x) for c, x in enumerate(row) if x]) for row in mat])
+            if any(map(any, mat)) else None for mat in matrices)
 
     def __repr__(self):
         return f"Representation(dim={self.algebra.dim} -> gl({self.space_dim}))"
@@ -304,7 +321,7 @@ def check_representation(rep: Representation):
     alg, mats = rep.algebra, rep.matrices
     violations = []
     for i, j in combinations(range(alg.dim), 2):
-        defect = _defect(mats[i], mats[j], alg.structure[i][j], mats)
+        defect = _defect(mats[i], mats[j], alg.sparse[i][j], mats)
         if not _is_zero_matrix(defect):
             violations.append((i, j, defect))
     return violations

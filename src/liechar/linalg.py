@@ -1,24 +1,32 @@
-"""Exact Gauss-Jordan elimination over the rationals on sparse rows.
+"""Exact fraction-free elimination over the rationals on sparse rows.
 
 One loop, sparse_rref, does all elimination.  Its rows are {column: entry}
 dicts of nonzero entries; it adds them one at a time, reducing each new row
 against the pivot rows found so far, taking its lowest remaining column as a
-new pivot and clearing that column from the older pivot rows.  The result is
-the reduced row echelon form, which is unique (the row space determines it),
-so it does not depend on the row order or on which row supplies a pivot, and
-it equals the form reached by scanning columns left to right.  Echelon forms,
-ranks, nullspace bases and solutions are therefore reproducible.
+new pivot and clearing that column from the older pivot rows.  The loop runs
+on integers, Bareiss style (E. H. Bareiss, Math. Comp. 22, 1968): a row is
+scaled by the lcm of its denominators, each reduction is
+row = a row - b prow with a and b the two entries of the pivot column divided
+by their gcd, and the row is then divided by the gcd of its entries, so it
+stays primitive.  Each pivot row is divided by its pivot once, at the end.
+The result is the reduced row echelon form over Fraction, which is unique
+(the row space determines it), so it does not depend on the row order or on
+which row supplies a pivot, and it equals the form reached by scanning
+columns left to right.  Echelon forms, ranks, nullspace bases and solutions
+are therefore reproducible.
 
 Pivots come only from the first ncols columns.  Later columns are carried
-along and may hold MultiPoly entries; solve_linear puts its right-hand side
-there, which is how curvature values of polynomial section families are
-expressed in kernel coordinates.  rank and solve_linear take dense lists of
-Fraction rows; each converts at the boundary and calls the one sparse loop.
+along, scaled and divided with their row, and may hold MultiPoly entries;
+solve_linear puts its right-hand side there, which is how curvature values of
+polynomial section families are expressed in kernel coordinates.  rank and
+solve_linear take dense lists of Fraction rows; each converts at the boundary
+and calls the one sparse loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .scalars import MultiPoly
 
@@ -30,6 +38,7 @@ __all__ = [
 ]
 
 _FRACTION_ZERO = Fraction(0)
+_FRACTION_ONE = Fraction(1)
 
 
 def vec_sub(u, v):
@@ -94,47 +103,84 @@ def _dots(rows, x):
     return out
 
 
-def _subtract(row, f, prow, ncols):
-    """row -= f * prow, dropping entries that cancel in the first ncols columns."""
+def _combine(row, a, b, prow, ncols):
+    """row = (a * row - b * prow) / g in place, g the gcd of the integer entries in
+    the first ncols columns (those that cancel are dropped; carried entries
+    stay even when zero)."""
+    if a != 1:
+        for k, x in row.items():
+            row[k] = a * x
     for k, y in prow.items():
-        v = row.get(k, 0) - f * y
+        v = row.get(k, 0) - b * y
         if v or k >= ncols:
             row[k] = v
         else:
             del row[k]
+    g = gcd(*[x for k, x in row.items() if k < ncols])
+    if g > 1:
+        for k, x in row.items():
+            row[k] = x // g if k < ncols else x / g
 
 
 def sparse_rref(rows, ncols):
     """Reduced row echelon form of sparse rows: [(pivot column, row)] by pivot.
 
     The rows are {column: entry} dicts with no zero entry in the first ncols
-    columns; they are not modified.  Each pivot row has entry 1 at its pivot
-    and no entry at any other pivot.
-    Entries past ncols are never pivots and are kept even when zero.  A row
-    whose first ncols entries cancel while a later entry does not is an
-    inconsistent equation for solve_linear; it is returned as it stands,
-    after the pivot rows, under the pivot ncols.
+    columns; they are not modified.  Each pivot row has entry Fraction(1) at
+    its pivot, Fraction entries elsewhere in the first ncols columns, and no
+    entry at any other pivot.
+    Entries past ncols are never pivots and are kept even when zero; they are
+    scaled with their row and keep their kind.  A row whose first ncols
+    entries cancel while a later entry does not is an inconsistent equation
+    for solve_linear; it is returned, after the pivot rows, under the pivot
+    ncols, as a nonzero rational multiple of the row that Gauss-Jordan
+    elimination over Fraction would leave.  Callers only test its carried
+    entries for zero.
     """
     pivots = {}
     inconsistent = []
     for row in rows:
-        row = dict(row)
-        for c in [c for c in row if c in pivots]:
-            _subtract(row, row[c], pivots[c], ncols)
         lead = [c for c in row if c < ncols]
+        if lead:  # the integer row, reduced against the pivot rows
+            den = lcm(*[row[c].denominator for c in lead])
+            if den == 1:
+                row = {c: x.numerator if c < ncols else x for c, x in row.items()}
+            else:
+                row = {c: x.numerator * (den // x.denominator) if c < ncols else x * den
+                       for c, x in row.items()}
+            hits = [c for c in lead if c in pivots]
+            for c in hits:
+                prow = pivots[c]
+                g = gcd(prow[c], row[c])
+                _combine(row, prow[c] // g, row[c] // g, prow, ncols)
+            if hits:
+                lead = [c for c in row if c < ncols]
         if not lead:
             if any(row.values()):
-                inconsistent.append((ncols, row))
+                inconsistent.append((ncols, dict(row)))
             continue
         c = min(lead)
-        if row[c] != 1:
-            inv = Fraction(1) / row[c]
-            row = {k: x * inv for k, x in row.items()}
         for prow in pivots.values():
             if c in prow:
-                _subtract(prow, prow[c], row, ncols)
+                g = gcd(row[c], prow[c])
+                _combine(prow, row[c] // g, prow[c] // g, row, ncols)
         pivots[c] = row
-    return sorted(pivots.items()) + inconsistent
+    made = {}  # one Fraction per (entry, pivot) pair: building one takes a microsecond
+    echelon = []
+    for c, row in sorted(pivots.items()):
+        p = row[c]
+        out = {}
+        for k, x in row.items():
+            if k >= ncols:
+                out[k] = x if p == 1 else x / p
+            elif k == c:
+                out[k] = _FRACTION_ONE
+            elif (x, p) in made:
+                out[k] = made[x, p]
+            else:
+                out[k] = made[x, p] = Fraction(x, p)
+        echelon.append((c, out))
+    return echelon + inconsistent
 
 
 def sparse_transpose(rows, ncols):

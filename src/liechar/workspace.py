@@ -152,10 +152,7 @@ def algebra_to_json(alg: LieAlgebra):
     brackets = []
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            coeffs = {
-                str(k): rational_to_str(c)
-                for k, c in enumerate(alg.structure[i][j]) if c
-            }
+            coeffs = {str(k): rational_to_str(c) for k, c in alg.sparse[i][j]}
             if coeffs:
                 brackets.append({"i": i, "j": j, "coeffs": coeffs})
     return {"dim": alg.dim, "basis": list(alg.basis_names), "brackets": brackets}

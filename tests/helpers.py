@@ -190,6 +190,63 @@ def dense_rref(a, ncols=None):
     return m, pivots
 
 
+def fraction_sparse_rref(rows, ncols):
+    """Reference sparse Gauss-Jordan elimination over Fraction, row by row.
+
+    This is the loop linalg ran before it went fraction-free: each new row is
+    reduced against the pivot rows found so far, divided by its lowest
+    remaining entry, and cleared from the older pivot rows.  Same output
+    shape as sparse_rref; an inconsistent row is left as the reduction leaves
+    it.
+    """
+    def subtract(row, f, prow):
+        for k, y in prow.items():
+            v = row.get(k, 0) - f * y
+            if v or k >= ncols:
+                row[k] = v
+            else:
+                del row[k]
+
+    pivots = {}
+    inconsistent = []
+    for row in rows:
+        row = dict(row)
+        for c in [c for c in row if c in pivots]:
+            subtract(row, row[c], pivots[c])
+        lead = [c for c in row if c < ncols]
+        if not lead:
+            if any(row.values()):
+                inconsistent.append((ncols, row))
+            continue
+        c = min(lead)
+        if row[c] != 1:
+            inv = Fraction(1) / row[c]
+            row = {k: x * inv for k, x in row.items()}
+        for prow in pivots.values():
+            if c in prow:
+                subtract(prow, prow[c], row)
+        pivots[c] = row
+    return sorted(pivots.items()) + inconsistent
+
+
+def rational_multiple(row, ref):
+    """True iff row == lam * ref over the same keys for one nonzero rational lam;
+    entries may be Fraction or MultiPoly."""
+    if row.keys() != ref.keys():
+        return False
+    k = next((k for k in ref if ref[k]), None)
+    if k is None:
+        return False
+    x, y = row[k], ref[k]
+    if isinstance(y, MultiPoly):  # read lam off one coefficient
+        e, c = next(iter(y.terms.items()))
+        if not isinstance(x, MultiPoly) or e not in x.terms:
+            return False
+        x, y = x.terms[e], c
+    lam = x / y
+    return lam != 0 and all(row[k] == ref[k] * lam for k in ref)
+
+
 def dense_kernel(a, ncols):
     """Kernel basis of a dense matrix with ncols columns, from dense_rref: for
     each free column, 1 there and minus the echelon entry at each pivot."""

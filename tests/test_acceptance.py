@@ -316,7 +316,7 @@ def santharoubane_betti(m):
 def test_criterion_12_heisenberg_betti_and_whitehead(capsys):
     budget = Budget(20.0)
     rng = random.Random(20240212)
-    for m in range(1, 6):
+    for m in range(1, 7):
         std = heisenberg(m)
         betti = santharoubane_betti(m)
         assert len(betti) == 2 * m + 2
@@ -331,7 +331,7 @@ def test_criterion_12_heisenberg_betti_and_whitehead(capsys):
         assert [cohomology_space(alg, triv, p).h_dim for p in range(4)] == [1, 0, 0, 1]
         assert [cohomology_space(alg, adj, p).h_dim for p in range(4)] == [0, 0, 0, 0]
     with capsys.disabled():
-        budget.done("criterion 12: Betti numbers of h_3..h_11 (two bases) and Whitehead for sl_2")
+        budget.done("criterion 12: Betti numbers of h_3..h_13 (two bases) and Whitehead for sl_2")
 
 
 def test_criterion_13_h9_degree_four(capsys):

@@ -279,8 +279,11 @@ class TestDifferential:
         class Bare:  # an algebra with a dimension and nothing else
             dim = 2
 
-        assert cochains._differential_rows(Bare(), [[[1]], [[1]]], 1, 2) == []
-        assert cochains._differential_rows(Bare(), [[[1]], [[1]]], 1, 5) == []
+        class BareModule:  # a module with nothing at all
+            pass
+
+        assert cochains._differential_rows(Bare(), BareModule(), 2) == []
+        assert cochains._differential_rows(Bare(), BareModule(), 5) == []
 
 
 class TestOneDifferential:
@@ -302,7 +305,7 @@ class TestOneDifferential:
         rng = random.Random(24)
         for alg, rep in self.cases(rng):
             for p in range(alg.dim + 2):
-                got = to_dense(cochains._differential_rows(alg, rep.matrices, rep.space_dim, p),
+                got = to_dense(cochains._differential_rows(alg, rep, p),
                                comb(alg.dim, p) * rep.space_dim)
                 assert got == dense_differential_matrix(alg, rep, p), (alg.basis_names, p)
                 assert all(type(x) is Fraction for row in got for x in row)
@@ -493,11 +496,11 @@ class TestOneCodePath:
         for name in sorted(SMALL_ALGEBRAS):
             alg = conjugate_algebra(rng, SMALL_ALGEBRAS[name]())
             for m in (1, 2, 3):
-                mats = trivial_representation(alg, m).matrices
+                triv = trivial_representation(alg, m)
                 for p in range(alg.dim + 1):
-                    rows = cochains._differential_rows(alg, mats, m, p)
+                    rows = cochains._differential_rows(alg, triv, p)
                     scalar = cochains._differential_rows(
-                        alg, trivial_representation(alg, 1).matrices, 1, p)
+                        alg, trivial_representation(alg, 1), p)
                     # d on V = R^m is d on R tensored with the identity of R^m
                     assert rows == [{c * m + r: x for c, x in row.items()}
                                     for row in scalar for r in range(m)]

@@ -10,16 +10,18 @@ from liechar import (ExactnessViolation, Extension, InvalidSection, MultiPoly, N
                      algebra_from_brackets, as_poly,
                      heisenberg3, identity, is_invariant, param_curvature,
                      param_section, parse_workspace, s_from_section,
-                     section_curvature, section_difference, trivial_representation,
-                     validate_extension, validate_section)
+                     section_curvature, section_difference, solve_linear,
+                     trivial_representation, validate_extension, validate_section)
 from liechar import extensions as extensions_module
 from liechar.catalog import (affine_split_extension, filiform_extension,
                              heisenberg_central_extension, oscillator_extension)
 
-from helpers import (conjugate_extension, direct_sum_extension, euclidean_extension,
-                     fixture_extensions, kernel_functional, point_base_extension,
+from helpers import (conjugate_extension, dense_solve, direct_sum_extension,
+                     euclidean_extension, fixture_extensions, fraction_sparse_rref,
+                     kernel_functional, point_base_extension,
                      poly_diff, poly_eval_at, poly_total_degree, poly_variable, rand_fraction,
-                     rand_section, rand_symmap, random_invariant_symmap, reference_is_invariant,
+                     rand_section, rand_symmap, random_invariant_symmap, rational_multiple,
+                     reference_bracket, reference_is_invariant,
                      reference_kernel_action, reference_section_curvature,
                      reference_twisted_differential, reference_validate_extension, section_pool,
                      to_poly)
@@ -291,6 +293,64 @@ class TestKernelActionAgainstReference:
         for length in (ext.total.dim - 1, ext.total.dim + 1):
             with pytest.raises(ValueError, match="^dimension mismatch$"):
                 extensions_module._kernel_action(ext, [Fraction(1)] * length)
+
+
+class TestScaledInconsistentRows:
+    """sparse_rref returns an inconsistent row as a nonzero rational multiple of
+    the row the Fraction loop leaves.  Every reader of the stored echelon only
+    tests such a row's carried entries for zero, so each decides as before."""
+
+    @staticmethod
+    def escaping():
+        # h_3 + R w with iota e_0 = 2/3 p + 1/4 w and iota e_1 = 5/6 w: of all
+        # brackets [e_x, iota e_j] only [q, iota e_0] = -2/3 z leaves the image
+        total = algebra_from_brackets(("p", "q", "z", "w"), {(0, 1): {2: 1}})
+        iota = [[Fraction(2, 3), 0], [0, 0], [0, 0], [Fraction(1, 4), Fraction(5, 6)]]
+        return Extension(total, abelian(2), abelian(2), iota, [[0, 1, 0, 0], [0, 0, 1, 0]])
+
+    def test_escapes_match_the_dense_oracle_in_every_basis(self, monkeypatch):
+        rng = random.Random(97)
+        plain = self.escaping()
+        captured = []
+        original = extensions_module.sparse_rref
+
+        def capture(rows, ncols):
+            captured.append(([dict(row) for row in rows], ncols))
+            return original(rows, ncols)
+
+        monkeypatch.setattr(extensions_module, "sparse_rref", capture)
+        scaled = 0
+        for copy in [plain] + [conjugate_extension(rng, plain) for _ in range(6)]:
+            captured.clear()
+            ext = Extension(copy.total, copy.base, copy.kernel, copy.iota, copy.proj)
+            dn, dt = ext.kernel.dim, ext.total.dim
+            units = identity(dt)
+            iota_cols = [[row[j] for row in ext.iota] for j in range(dn)]
+            brackets = {(x, j): reference_bracket(ext.total, units[x], iota_cols[j])
+                        for x in range(dt) for j in range(dn)}
+            want = {pair for pair, v in brackets.items() if dense_solve(ext.iota, v) is None}
+            assert (0 < len(want) <= dn * dt) and (copy is not plain or want == {(1, 0)})
+            named = [f for f in validate_extension(ext) if "ideal" in f]
+            assert named == [f"iota image is not an ideal: [e_{x}, iota e_{j}] escapes"
+                             for x, j in sorted(want)]
+            for (x, j), v in brackets.items():
+                assert (solve_linear(ext.iota, v) is None) == ((x, j) in want)
+            for x in range(dt):
+                if any(pair[0] == x for pair in want):
+                    with pytest.raises(ExactnessViolation):
+                        extensions_module._kernel_action(ext, units[x])
+                else:
+                    extensions_module._kernel_action(ext, units[x])
+            # the stored echelon against the Fraction loop on the same rows
+            (rows, ncols), = captured
+            ref = fraction_sparse_rref(rows, ncols)
+            npiv = sum(p < ncols for p, _ in ref)
+            assert ext._echelon[:npiv] == ref[:npiv]
+            assert len(ext._echelon) == len(ref)
+            for (p, row), (_, ref_row) in zip(ext._echelon[npiv:], ref[npiv:]):
+                assert p == ncols and rational_multiple(row, ref_row)
+                scaled += row != ref_row
+        assert scaled > 0
 
 
 class TestSections:

@@ -10,7 +10,10 @@
   top-level statement of the package;
 - every public name in a module's ``__all__`` is read by some statement of
   the package other than its own definition, or by a demo or a perfbench
-  script; a name that only tests read moves to the tests or is deleted.
+  script; a name that only tests read moves to the tests or is deleted;
+- no module but ``liealg`` scans ``.structure`` or ``.matrices`` with
+  ``enumerate`` for nonzero entries: the sparse tables of ``LieAlgebra`` and
+  ``Representation`` are the one reader.
 """
 
 import ast
@@ -123,3 +126,111 @@ def test_every_public_name_has_a_reader_outside_the_tests():
                     public in refs for node, refs in statements if node is not defined[public]):
                 unread.append(f"{name}.{public}")
     assert unread == []
+
+
+DENSE_TABLES = {"structure", "matrices"}
+
+
+class _TableScans(ast.NodeVisitor):
+    """Collects the enumerate(...) calls whose argument reads .structure or
+    .matrices, directly or through a name bound to (part of) them by a loop, a
+    comprehension or a plain assignment.  Names are followed in order, per
+    function and per comprehension; zip and enumerate targets element by
+    element."""
+
+    def __init__(self):
+        self.tainted = set()
+        self.lines = []
+
+    def reads(self, node):
+        return any(isinstance(sub, ast.Attribute) and sub.attr in DENSE_TABLES
+                   or isinstance(sub, ast.Name) and sub.id in self.tainted
+                   for sub in ast.walk(node))
+
+    def bind(self, target, source):
+        """Mark the names target binds as reading a table or not; source None
+        reads none."""
+        if (isinstance(source, ast.Call) and isinstance(source.func, ast.Name)
+                and source.func.id in ("zip", "enumerate") and isinstance(target, ast.Tuple)):
+            sources = source.args if source.func.id == "zip" else [None, *source.args]
+            for elt, src in zip(target.elts, sources):
+                self.bind(elt, src)
+            return
+        names = {sub.id for sub in ast.walk(target) if isinstance(sub, ast.Name)}
+        if source is not None and self.reads(source):
+            self.tainted |= names
+        else:
+            self.tainted -= names
+
+    def scoped(self, visit):
+        saved = set(self.tainted)
+        visit()
+        self.tainted = saved
+
+    def visit_FunctionDef(self, node):
+        self.scoped(lambda: self.generic_visit(node))
+
+    visit_Lambda = visit_FunctionDef
+
+    def visit_For(self, node):
+        self.visit(node.iter)
+        self.bind(node.target, node.iter)
+        for stmt in node.body + node.orelse:
+            self.visit(stmt)
+
+    def visit_Assign(self, node):
+        self.visit(node.value)
+        plain = isinstance(node.value, (ast.Name, ast.Attribute, ast.Subscript))
+        for target in node.targets:
+            self.bind(target, node.value if plain else None)
+
+    def visit_comprehension_node(self, node):
+        def visit():
+            for gen in node.generators:
+                self.visit(gen.iter)
+                self.bind(gen.target, gen.iter)
+                for cond in gen.ifs:
+                    self.visit(cond)
+            for part in ("elt", "key", "value"):
+                if hasattr(node, part):
+                    self.visit(getattr(node, part))
+        self.scoped(visit)
+
+    visit_ListComp = visit_SetComp = visit_DictComp = visit_GeneratorExp = \
+        visit_comprehension_node
+
+    def visit_Call(self, node):
+        if (isinstance(node.func, ast.Name) and node.func.id == "enumerate" and node.args
+                and self.reads(node.args[0])):
+            self.lines.append(node.lineno)
+        self.generic_visit(node)
+
+
+def dense_table_scans(module_tree):
+    """Sorted line numbers of the enumerate(...) scans of the dense tables."""
+    scans = _TableScans()
+    scans.visit(module_tree)
+    return sorted(scans.lines)
+
+
+def test_dense_table_scans_are_detected():
+    source = '''
+def rows(algebra, rep, i, j):
+    table = [[[(k, c) for k, c in enumerate(vec) if c] for vec in plane]
+             for plane in algebra.structure]
+    for k, c in enumerate(algebra.structure[i][j]):
+        pass
+    mats = rep.matrices
+    for mat, other in zip(mats, table):
+        nonzero = [(c, x) for row in mat for c, x in enumerate(row) if x]
+        fine = [(c, x) for row in other for c, x in enumerate(row) if x]
+    sizes = [len(row) for row in enumerate(rep.sparse)]
+'''
+    assert dense_table_scans(ast.parse(source)) == [3, 5, 9]
+
+
+@pytest.mark.parametrize("name", [name for name in MODULES if name != "liealg"])
+def test_only_liealg_scans_the_dense_tables(name):
+    """Loops over nonzero structure constants or module entries read the sparse
+    tables that LieAlgebra and Representation fill at construction."""
+    assert dense_table_scans(tree(name)) == []

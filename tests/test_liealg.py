@@ -14,6 +14,8 @@ from liechar import (LieAlgebra, MultiPoly, Representation, abelian,
                      check_jacobi, check_representation, heisenberg,
                      heisenberg3, identity, is_derivation, oscillator,
                      semidirect_product, trivial_representation)
+from liechar.catalog import (affine_split_extension, filiform_extension,
+                             heisenberg_central_extension, oscillator_extension)
 
 from helpers import (SMALL_ALGEBRAS, ad_matrix, conjugate_algebra, rand_fraction, rand_matrix,
                      rand_vector, random_algebra, random_module, reference_bracket,
@@ -446,3 +448,60 @@ class TestValidByConstruction:
             "liealg.trivial_representation:Representation",
             "liealg.adjoint_representation:Representation",
         }
+
+
+def scanned_table(alg):
+    """The nonzero (k, c) of every structure[i][j], by a scan of the dense table."""
+    return tuple(tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in plane)
+                 for plane in alg.structure)
+
+
+def scanned_matrices(rep):
+    """Per rho(e_t): None when zero, else each row's nonzero (column, entry)."""
+    return tuple(None if not any(x for row in mat for x in row)
+                 else tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in mat)
+                 for mat in rep.matrices)
+
+
+class TestSparseTables:
+    """Both constructors of algebras and modules fill the sparse tables that the
+    package's loops over nonzero structure constants and module entries read."""
+
+    @staticmethod
+    def algebras():
+        rng = random.Random(171)
+        built = [SMALL_ALGEBRAS[name]() for name in sorted(SMALL_ALGEBRAS)]
+        for build in (heisenberg_central_extension, oscillator_extension, filiform_extension,
+                      affine_split_extension):
+            ext = build()
+            built += [ext.total, ext.base, ext.kernel]
+        built += [heisenberg(3), oscillator(), abelian(4), abelian(0),
+                  semidirect_product(heisenberg3(), abelian(1, ("w",)), [ROTATION]),
+                  algebra_from_brackets(("a", "b", "c"), {(0, 1): {1: Fraction(2, 3)},
+                                                          (0, 2): {2: Fraction(-5, 7)}})]
+        for alg in list(built):
+            yield alg
+            if alg.dim:
+                yield conjugate_algebra(rng, alg)
+
+    def test_algebra_tables_equal_a_scan(self):
+        for alg in self.algebras():
+            assert alg.sparse == scanned_table(alg), alg.basis_names
+            rebuilt = LieAlgebra._of(alg.basis_names, alg.structure)
+            assert rebuilt.sparse == alg.sparse
+            checked = LieAlgebra(alg.basis_names, alg.structure)
+            assert checked.sparse == alg.sparse
+            assert all(type(c) is Fraction for plane in alg.sparse for terms in plane
+                       for _, c in terms)
+
+    def test_module_tables_equal_a_scan(self):
+        rng = random.Random(172)
+        zero_modules = nonzero_modules = 0
+        for alg in self.algebras():
+            for rep in (trivial_representation(alg, 1), trivial_representation(alg, 3),
+                        adjoint_representation(alg), random_module(rng, alg),
+                        Representation(alg, alg.dim, adjoint_representation(alg).matrices)):
+                assert rep.sparse == scanned_matrices(rep), (alg.basis_names, rep)
+                zero_modules += rep.sparse.count(None)
+                nonzero_modules += len(rep.sparse) - rep.sparse.count(None)
+        assert zero_modules > 100 and nonzero_modules > 100

@@ -10,7 +10,8 @@ from liechar import MultiPoly, mat_mul, mat_vec, rank, solve_linear
 from liechar.linalg import echelon_nullspace, sparse_rref, sparse_transpose, to_dense
 
 from helpers import (dense_kernel, dense_mat_mul, dense_mat_vec, dense_rref, dense_solve,
-                     poly_variable, rand_fraction, rand_matrix)
+                     fraction_sparse_rref, poly_variable, rand_fraction, rand_matrix,
+                     rational_multiple)
 
 
 def F(x):  # noqa: N802 - terse literal helper
@@ -257,6 +258,119 @@ class TestAgainstDenseLoop:
                     solvable += 1
                     assert [type(x) for x in got] == [type(x) for x in expected]
         assert solvable > 100 and inconsistent > 50
+
+
+def scaled_matrices(rng, count):
+    """Rational matrices whose rows carry non-unit denominators and signs, with
+    rows that are zero (empty when sparse) and rows that repeat a multiple of
+    an earlier one, so pivots come out negative and non-unit."""
+    for _ in range(count):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 6)
+        a = []
+        for _ in range(rows):
+            kind = rng.randrange(5)
+            if kind == 0 or not a and kind == 1:
+                a.append([F(0)] * cols)
+            elif kind == 1:
+                c = Fraction(rng.choice([-3, -2, 2, 5]), rng.choice([1, 3, 7]))
+                a.append([c * x for x in rng.choice(a)])
+            else:
+                den = rng.choice([2, 3, 4, 6, 35])
+                a.append([Fraction(rng.randint(-9, 9), den * rng.randint(1, 3))
+                          if rng.random() < 0.6 else F(0) for _ in range(cols)])
+        yield a
+
+
+class TestFractionFree:
+    """sparse_rref eliminates on integer rows; its output is still the reduced
+    echelon form over Fraction, checked against the dense and the Fraction
+    reference loops."""
+
+    def test_matches_dense_rref_on_scaled_rows(self):
+        rng = random.Random(171)
+        negative = fractional = 0
+        for a in scaled_matrices(rng, 400):
+            ncols = len(a[0])
+            rows, pivots = dense_rref(a)
+            given = sparse_rows(a)
+            echelon = sparse_rref(given, ncols)
+            assert given == sparse_rows(a)
+            assert [p for p, _ in echelon] == pivots
+            assert [row for _, row in echelon] == sparse_rows(rows[:len(pivots)])
+            assert all(type(x) is Fraction for _, row in echelon for x in row.values())
+            assert all(row[p] == 1 for p, row in echelon)
+            firsts = [row[min(row)] for row in given if row]
+            negative += any(x < 0 for x in firsts)
+            fractional += any(x.denominator > 1 for x in firsts)
+        assert negative > 200 and fractional > 300
+
+    @staticmethod
+    def carried(rng, kind):
+        if kind == "fraction" or rng.random() < 0.3:
+            return rand_fraction(rng, span=5, max_den=6)
+        t = poly_variable(2, rng.randrange(2))
+        return t * rand_fraction(rng) + rand_fraction(rng)
+
+    def test_carried_columns_keep_their_kind(self):
+        rng = random.Random(172)
+        seen = {"fraction": 0, "poly": 0, "inconsistent": 0}
+        for a in scaled_matrices(rng, 300):
+            ncols = len(a[0])
+            kind = rng.choice(["fraction", "poly"])
+            extra = rng.randint(1, 2)
+            rows = sparse_rows(a)
+            for row in rows:
+                for k in range(ncols, ncols + extra):
+                    if rng.random() < 0.8:
+                        row[k] = self.carried(rng, kind)
+            got = sparse_rref(rows, ncols)
+            want = fraction_sparse_rref(rows, ncols)
+            npiv = sum(p < ncols for p, _ in want)
+            # pivot rows: equal entry for entry, and of the same kind
+            assert got[:npiv] == want[:npiv]
+            for (_, row), (_, ref) in zip(got[:npiv], want[:npiv]):
+                assert [type(row[k]) for k in ref] == [type(x) for x in ref.values()]
+                assert all(type(x) is Fraction for k, x in row.items() if k < ncols)
+            # inconsistent rows: a nonzero rational multiple of the Fraction loop's
+            assert [p for p, _ in got[npiv:]] == [p for p, _ in want[npiv:]]
+            for (_, row), (_, ref) in zip(got[npiv:], want[npiv:]):
+                assert min(row) >= ncols and rational_multiple(row, ref)
+                assert [type(row[k]) for k in ref] == [type(x) for x in ref.values()]
+                seen["inconsistent"] += 1
+            if len(want) == npiv:
+                dense, pivots = dense_rref(to_dense(rows, ncols + extra), ncols)
+                assert to_dense([row for _, row in got], ncols + extra) == dense[:len(pivots)]
+            seen[kind] += 1
+        assert min(seen.values()) > 50
+
+    def test_solutions_match_dense_solve_on_scaled_rows(self):
+        rng = random.Random(173)
+        t = poly_variable(1, 0)
+        for a in scaled_matrices(rng, 200):
+            ncols = len(a[0])
+            x = [rand_fraction(rng, span=4, max_den=5) for _ in range(ncols)]
+            for b in (mat_vec(a, x), [rand_fraction(rng) for _ in a],
+                      [t * y + 1 for y in mat_vec(a, x)]):
+                expected = dense_solve(a, b)
+                got = solve_linear(a, b)
+                assert got == expected
+                if expected is not None:
+                    assert [type(v) for v in got] == [type(v) for v in expected]
+
+    def test_small_worked_example(self):
+        # rows (-2/3, 1/2 | 1) and (4/5, 0 | t): the integer rows are
+        # (-4, 3 | 6) and (4, 0 | 5t); the echelon form is over Fraction again
+        t = poly_variable(1, 0)
+        rows = [{0: Fraction(-2, 3), 1: F(1) / 2, 2: F(1)}, {0: Fraction(4, 5), 2: t}]
+        (p0, r0), (p1, r1) = sparse_rref(rows, 2)
+        assert (p0, p1) == (0, 1)
+        assert r0 == {0: 1, 2: t * Fraction(5, 4)}
+        assert r1 == {1: 1, 2: t * Fraction(5, 3) + 2}
+        assert [type(r0[0]), type(r0[2]), type(r1[1]), type(r1[2])] == \
+            [Fraction, MultiPoly, Fraction, MultiPoly]
+        # a repeated equation with another right-hand side is inconsistent
+        bad = sparse_rref(rows + [{0: Fraction(-4, 3), 1: F(1), 2: F(3)}], 2)
+        assert bad[-1][0] == 2 and min(bad[-1][1]) == 2 and bad[-1][1][2]
 
 
 class TestProductsAgainstDenseSum:

@@ -102,8 +102,8 @@ def _flatten(table):
 class _Table:
     """One value vector per canonical index tuple, extended multilinearly.
 
-    A subclass names its canonical tuples (``key_tuples``) and their number
-    (``key_count``, without enumerating them), and evaluates its extension.
+    A subclass names its canonical tuples (``key_tuples``) and evaluates its
+    extension.
     """
 
     __slots__ = ("source", "degree", "target_dim", "values")
@@ -205,7 +205,6 @@ class Cochain(_Table):
     __slots__ = ()
     _kind = "cochain"
     key_tuples = staticmethod(increasing_tuples)
-    key_count = staticmethod(comb)
 
     def evaluate(self, args):
         """Alternating multilinear extension to arbitrary coefficient vectors."""
@@ -224,7 +223,8 @@ class Cochain(_Table):
 
 
 class SymMultiMap(_Table):
-    """Symmetric multilinear map n^p -> V on a table of non-decreasing tuples."""
+    """Symmetric multilinear map n^p -> V on a table of non-decreasing tuples;
+    ``key_count`` counts them without enumerating them."""
 
     __slots__ = ()
     _kind = "symmetric-map"

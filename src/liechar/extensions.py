@@ -17,8 +17,12 @@ matrices S(e_i) = ad(sigma e_i)|n for the section policy, ad(e_x)|n over the
 total basis for the strict one.
 Invariance of a symmetric map f, x.f(key) = sum over slots s and kernel
 indices r of S(x)[r][key_s] f(key with key_s replaced by r) for every
-non-decreasing key, is read straight off the table of f and the nonzero
-entries of S(x).  Families sigma_t interpolating n+1 sections over the
+non-decreasing key, is read off the nonzero entries of the table of f, of
+S(x) and of the module action rho(x).  That action comes from rep.sparse,
+pulled back along q in the strict mode; a basis element with S(x) = 0 and
+rho(x) = 0 is skipped, since both sides are 0 there.  validate_section sums
+q . sigma over the nonzero entries of q, listed per row at construction, and
+of sigma.  Families sigma_t interpolating n+1 sections over the
 simplex (t_0 eliminated as 1 - t_1 - ... - t_n) have polynomial entries, and
 their curvature R_t flows through the same code with MultiPoly scalars.
 """
@@ -67,7 +71,7 @@ class InvarianceWarning(UserWarning):
 class Extension:
     """Short exact sequence data: total, base, kernel, inclusion and projection."""
 
-    __slots__ = ("total", "base", "kernel", "iota", "proj", "_echelon")
+    __slots__ = ("total", "base", "kernel", "iota", "proj", "_proj_rows", "_echelon")
 
     def __init__(self, total: LieAlgebra, base: LieAlgebra, kernel: LieAlgebra,
                  iota, proj):
@@ -82,6 +86,7 @@ class Extension:
         self.kernel = kernel
         self.iota = iota
         self.proj = proj
+        self._proj_rows = [[(x, a) for x, a in enumerate(row) if a] for row in proj]
         # the rows of iota, with [e_x, iota e_j] carried as column dn + x dn + j
         dn = kernel.dim
         iota_rows = [{j: a for j, a in enumerate(row) if a} for row in iota]
@@ -169,12 +174,18 @@ def validate_section(ext: Extension, sec: Section) -> bool:
     """True iff q . sigma is exactly the identity (as polynomials if applicable)."""
     if len(sec.matrix) != ext.total.dim:
         raise ValueError("dimension mismatch")
-    prod = mat_mul(ext.proj, sec.matrix)
-    ident = identity(ext.base.dim)
-    return all(
-        prod[i][j] == ident[i][j]
-        for i in range(ext.base.dim) for j in range(ext.base.dim)
-    )
+    sigma = sec.matrix
+    for i, terms in enumerate(ext._proj_rows):
+        for j in range(ext.base.dim):
+            acc = 0
+            for x, a in terms:
+                c = sigma[x][j]
+                if c:
+                    c = c if a == 1 else a * c
+                    acc = acc + c if acc else c
+            if acc != (1 if i == j else 0):
+                return False
+    return True
 
 
 def kernel_coords(ext: Extension, vec):
@@ -255,35 +266,52 @@ def is_invariant(f, ext: Extension, rep: Representation, mode: str = "section",
     if (f.source.dim != ext.kernel.dim or f.target_dim != rep.space_dim
             or rep.algebra.dim != ext.base.dim):
         raise ValueError("dimension mismatch")
-    dn = ext.kernel.dim
+    dn, m = ext.kernel.dim, rep.space_dim
     if mode == "section":
         if sigma is None:
             raise ValueError("section mode needs a section")
         s_mats = s_from_section(ext, sigma)
-        act_mats = rep.matrices
+        actions = rep.sparse
     else:
         s_mats = [_kernel_action(ext, v) for v in identity(ext.total.dim)]
-        m = rep.space_dim
-        q_cols = [[row[x] for row in ext.proj] for x in range(ext.total.dim)]
-        act_mats = [[[sum(c * mat[r][s] for c, mat in zip(qx, rep.matrices))
-                      for s in range(m)] for r in range(m)]
-                    for qx in q_cols]
+        actions = _pullback(ext, rep)
     values = f.values
-    for s_mat, act in zip(s_mats, act_mats):
+    zero = [Fraction(0)] * m
+    for s_mat, act in zip(s_mats, actions):
         cols = [[(r, row[k]) for r, row in enumerate(s_mat) if row[k]] for k in range(dn)]
+        if act is None and not any(cols):
+            continue
         for key, val in values.items():
-            rhs = [Fraction(0)] * f.target_dim
+            lhs = zero if act is None else [
+                sum((e * val[s] for s, e in terms if val[s]), Fraction(0)) for terms in act]
+            rhs = list(zero)
             for slot, k in enumerate(key):
-                if slot and key[slot - 1] == k:
+                if not cols[k] or slot and key[slot - 1] == k:
                     continue
                 rest = key[:slot] + key[slot + 1:]
                 times = key.count(k)
                 for r, c in cols[k]:
                     c = c * times
-                    rhs = [a + c * b for a, b in zip(rhs, values[tuple(sorted(rest + (r,)))])]
-            if mat_vec(act, list(val)) != rhs:
+                    for i, b in enumerate(values[tuple(sorted(rest + (r,)))]):
+                        if b:
+                            rhs[i] = rhs[i] + c * b
+            if lhs != rhs:
                 return False
     return True
+
+
+def _pullback(ext: Extension, rep: Representation):
+    """The module action rho(q e_x) for each total basis vector e_x, as the
+    nonzero (column, entry) pairs of each row; None where it is zero."""
+    pulled = [[{} for _ in range(rep.space_dim)] for _ in range(ext.total.dim)]
+    for rows, terms in zip(rep.sparse, ext._proj_rows):
+        if rows is not None:
+            for x, a in terms:
+                for acc, row in zip(pulled[x], rows):
+                    for s, e in row:
+                        acc[s] = acc.get(s, 0) + a * e
+    pulled = [[[(s, e) for s, e in acc.items() if e] for acc in act] for act in pulled]
+    return [rows if any(rows) else None for rows in pulled]
 
 
 def param_section(ext: Extension, sections) -> Section:

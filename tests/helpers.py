@@ -802,6 +802,14 @@ def dense_mat_vec(a, x):
     return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
 
 
+def reference_validate_section(ext, sec):
+    """validate_section through the dense product q . sigma, compared entry by
+    entry with the identity matrix."""
+    prod = dense_mat_mul(ext.proj, sec.matrix)
+    dg = ext.base.dim
+    return all(prod[i][j] == (1 if i == j else 0) for i in range(dg) for j in range(dg))
+
+
 def reference_validate_extension(ext):
     """validate_extension with dense products and one solve per ideal pair."""
     failures = []

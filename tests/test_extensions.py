@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from liechar import (ExactnessViolation, Extension, InvalidSection, MultiPoly, NotInvariant,
-                     Section, SymMultiMap, abelian, adjoint_representation, chern_weil,
-                     algebra_from_brackets, as_poly,
+                     Representation, Section, SymMultiMap, abelian, adjoint_representation,
+                     chern_weil, algebra_from_brackets, as_poly,
                      heisenberg3, identity, is_invariant, param_curvature,
                      param_section, parse_workspace, s_from_section,
                      section_curvature, section_difference, solve_linear,
@@ -23,10 +23,11 @@ from helpers import (conjugate_extension, dense_solve, direct_sum_extension,
                      rand_section, rand_symmap, random_invariant_symmap, rational_multiple,
                      reference_bracket, reference_is_invariant,
                      reference_kernel_action, reference_section_curvature,
-                     reference_twisted_differential, reference_validate_extension, section_pool,
-                     to_poly)
+                     reference_twisted_differential, reference_validate_extension,
+                     reference_validate_section, section_pool, to_poly)
 
 ROTATION = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
+ROTATION2 = [[0, -1], [1, 0]]
 
 
 def oscillator_sections():
@@ -538,6 +539,134 @@ class TestAgainstReference:
                             name, rep.space_dim, degree)
                         outcomes.append(got)
         assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
+
+
+def central_values(f, dim):
+    """f with each value c placed on the last basis vector of a dim-dimensional module."""
+    return SymMultiMap(f.source, f.degree, dim,
+                       {key: [0] * (dim - 1) + list(val) for key, val in f.values.items()})
+
+
+def perturbed(rng, sec):
+    """sec with one entry moved by a nonzero rational."""
+    matrix = [list(row) for row in sec.matrix]
+    r, c = rng.randrange(len(matrix)), rng.randrange(len(matrix[0]))
+    matrix[r][c] = matrix[r][c] + (rand_fraction(rng) or 1)
+    return Section(sec.extension, matrix)
+
+
+class TestSparseInvariance:
+    """is_invariant against the unit-vector oracle where S(x) or rho(x) vanish,
+    where q has non-unit entries, and on polynomial sections."""
+
+    @pytest.mark.parametrize("mode", ["section", "strict"])
+    def test_direct_sum_kernel(self, mode):
+        # every S(x) is zero; the adjoint module of h5 still acts, so only maps
+        # into its centre z are invariant there
+        rng = random.Random(93)
+        ext = direct_sum_extension()
+        outcomes = {1: [], 2: [], 5: []}
+        for rep, degree in product([trivial_representation(ext.base, 1),
+                                    trivial_representation(ext.base, 2),
+                                    adjoint_representation(ext.base)], range(4)):
+            f = rand_symmap(rng, ext.kernel, degree, rep.space_dim)
+            maps = [f, central_values(rand_symmap(rng, ext.kernel, degree), rep.space_dim)]
+            for f, sec in product(maps, [rand_section(rng, ext) for _ in range(2)]):
+                got = is_invariant(f, ext, rep, mode, sec)
+                assert got == reference_is_invariant(f, ext, rep, mode, sec), (
+                    rep.space_dim, degree)
+                outcomes[rep.space_dim].append(got)
+        assert all(outcomes[1]) and all(outcomes[2])
+        assert True in outcomes[5] and False in outcomes[5]
+
+    @pytest.mark.parametrize("mode", ["section", "strict"])
+    def test_conjugated_extensions(self, mode):
+        rng = random.Random(94)
+        outcomes = []
+        for name, plain in fixture_extensions().items():
+            ext = conjugate_extension(rng, plain)
+            assert any(a not in (0, 1) for row in ext.proj for a in row), name
+            for rep, degree in product([trivial_representation(ext.base, 1),
+                                        adjoint_representation(ext.base)], range(4)):
+                maps = [rand_symmap(rng, ext.kernel, degree, rep.space_dim)]
+                if rep.space_dim == 1:
+                    maps.append(random_invariant_symmap(rng, name, ext, degree))
+                for f in filter(None, maps):
+                    sec = rand_section(rng, ext)
+                    got = is_invariant(f, ext, rep, mode, sec)
+                    assert got == reference_is_invariant(f, ext, rep, mode, sec), (
+                        name, rep.space_dim, degree)
+                    outcomes.append(got)
+        assert True in outcomes and False in outcomes
+
+    @pytest.mark.parametrize("mode", ["section", "strict"])
+    def test_equivariant_map_into_the_rotation_module(self, mode):
+        # on e(2) the rotation acts on the translations as it acts on its module
+        # R^2, so c * identity balances x.f(k) against f(S(x) k) term by term;
+        # the conjugated copies scale q, S(x) and the pulled-back action alike
+        rng = random.Random(98)
+        plain = euclidean_extension()
+        exts = [plain] + [conjugate_extension(rng, plain) for _ in range(3)]
+        assert any(a not in (0, 1) for ext in exts for row in ext.proj for a in row)
+        for ext in exts:
+            rep = Representation(ext.base, 2, [ROTATION2])
+            c = rand_fraction(rng) or 1
+            f = SymMultiMap(ext.kernel, 1, 2, {(0,): [c, 0], (1,): [0, c]})
+            g = SymMultiMap(ext.kernel, 1, 2, {(0,): [c, 0], (1,): [0, 2 * c]})
+            sec = rand_section(rng, ext)
+            assert is_invariant(f, ext, rep, mode, sec) is True
+            assert is_invariant(g, ext, rep, mode, sec) is False
+            for h in (f, g):
+                assert (is_invariant(h, ext, rep, mode, sec)
+                        == reference_is_invariant(h, ext, rep, mode, sec))
+
+    def test_polynomial_sections(self):
+        rng = random.Random(95)
+        outcomes = []
+        for name, ext in fixture_extensions().items():
+            sec_t = param_section(ext, [rand_section(rng, ext) for _ in range(2)])
+            assert sec_t.is_polynomial
+            for rep, degree in product([trivial_representation(ext.base, 1),
+                                        adjoint_representation(ext.base)], range(1, 3)):
+                maps = [rand_symmap(rng, ext.kernel, degree, rep.space_dim)]
+                if rep.space_dim == 1:
+                    maps.append(random_invariant_symmap(rng, name, ext, degree))
+                for f in filter(None, maps):
+                    got = is_invariant(f, ext, rep, "section", sec_t)
+                    assert got == reference_is_invariant(f, ext, rep, "section", sec_t), (
+                        name, rep.space_dim, degree)
+                    outcomes.append(got)
+        assert True in outcomes and False in outcomes
+
+
+class TestValidateSectionAgainstReference:
+    """validate_section against the dense product q . sigma."""
+
+    def test_sections_perturbations_and_families(self):
+        rng = random.Random(96)
+        exts = dict(fixture_extensions())
+        exts.update({f"conjugated {name}": conjugate_extension(rng, ext)
+                     for name, ext in fixture_extensions().items()})
+        outcomes = []
+        for name, ext in exts.items():
+            sections = [rand_section(rng, ext) for _ in range(3)]
+            families = [param_section(ext, sections[:2]), param_section(ext, sections)]
+            candidates = (sections + families
+                          + [perturbed(rng, sec) for sec in sections + sections + families])
+            for sec in candidates:
+                got = validate_section(ext, sec)
+                assert got == reference_validate_section(ext, sec), name
+                outcomes.append(got)
+        assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
+
+    def test_zero_dimensional_base(self):
+        # q has no rows, so every map total <- base (the empty matrix) is a section
+        rng = random.Random(97)
+        ext = point_base_extension()
+        sections = [rand_section(rng, ext) for _ in range(2)]
+        for sec in sections + [param_section(ext, sections)]:
+            assert sec.matrix == [[], [], []]
+            assert validate_section(ext, sec) is reference_validate_section(ext, sec) is True
 
 
 class TestParamFamily:

@@ -267,7 +267,7 @@ class TestSizeBound:
         with pytest.raises(ParseError, match=f"expected {comb(49, 30)} entries"):
             parse_workspace(text)
 
-    @pytest.mark.parametrize("cls", [Cochain, SymMultiMap])
+    @pytest.mark.parametrize("cls", [SymMultiMap])
     def test_key_count_matches_enumeration(self, cls):
         for dim in range(6):
             for degree in range(8):

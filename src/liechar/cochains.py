@@ -47,7 +47,6 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 from .liealg import LieAlgebra, Representation
-from .linalg import _zero
 from .scalars import MultiPoly, _fraction
 
 __all__ = [
@@ -269,6 +268,13 @@ def _differential_rows(algebra: LieAlgebra, rep: Representation, degree: int):
                         row[i] = row[i] + coeff if i in row else coeff
         rows.extend({c: x for c, x in row.items() if x} for row in block)
     return rows
+
+
+def _zero(entries):
+    """The zero of the entries' kind: a MultiPoly zero if one is a MultiPoly."""
+    if MultiPoly in map(type, entries):
+        return next(c for c in entries if type(c) is MultiPoly) * 0
+    return Fraction(0)
 
 
 def ce_differential(w: Cochain, rep: Representation) -> Cochain:

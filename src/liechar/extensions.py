@@ -3,10 +3,12 @@
 An extension carries the three algebras plus the inclusion matrix iota
 (dim g^ x dim n) and the projection matrix q (dim g x dim g^); no adapted
 basis is assumed.  At construction it runs one elimination of the rows of
-iota, each bracket [e_x, iota e_j] carried along as an extra column.  Other
-values in the image of iota are converted to kernel coordinates by an exact
-linear solve; ExactnessViolation signals a value that escapes the kernel,
-which only happens on corrupted input.
+iota, each bracket [e_x, iota e_j] carried along as an extra column, and
+lists the nonzero entries of each row of iota and of q, which validation
+reads with the sparse structure constants.  Other values in the image of
+iota are converted to kernel coordinates by an exact linear solve;
+ExactnessViolation signals a value that escapes the kernel, which only
+happens on corrupted input.
 
 A section is any linear right inverse of q.  Its curvature
 R(x,y) = [sigma x, sigma y] - sigma([x,y]) lands in the kernel; it is taken
@@ -34,8 +36,7 @@ from itertools import combinations
 
 from .cochains import Cochain, _coerce_scalar, increasing_tuples
 from .liealg import LieAlgebra, Representation, bracket
-from .linalg import (identity, mat_mul, mat_vec, rank, solve_linear, sparse_rref, transpose,
-                     vec_sub)
+from .linalg import identity, rank, solve_linear, sparse_rref, transpose, vec_sub
 from .scalars import MultiPoly, _fraction, as_poly
 
 __all__ = [
@@ -71,7 +72,8 @@ class InvarianceWarning(UserWarning):
 class Extension:
     """Short exact sequence data: total, base, kernel, inclusion and projection."""
 
-    __slots__ = ("total", "base", "kernel", "iota", "proj", "_proj_rows", "_echelon")
+    __slots__ = ("total", "base", "kernel", "iota", "proj", "_iota_rows", "_proj_rows",
+                 "_echelon")
 
     def __init__(self, total: LieAlgebra, base: LieAlgebra, kernel: LieAlgebra,
                  iota, proj):
@@ -86,13 +88,13 @@ class Extension:
         self.kernel = kernel
         self.iota = iota
         self.proj = proj
+        self._iota_rows = [{j: a for j, a in enumerate(row) if a} for row in iota]
         self._proj_rows = [[(x, a) for x, a in enumerate(row) if a] for row in proj]
         # the rows of iota, with [e_x, iota e_j] carried as column dn + x dn + j
         dn = kernel.dim
-        iota_rows = [{j: a for j, a in enumerate(row) if a} for row in iota]
-        rows = [dict(row) for row in iota_rows]
+        rows = [dict(row) for row in self._iota_rows]
         for x, plane in enumerate(total.sparse):
-            for terms, iota_k in zip(plane, iota_rows):
+            for terms, iota_k in zip(plane, self._iota_rows):
                 for j, a in iota_k.items():
                     col = dn + x * dn + j
                     for l, c in terms:
@@ -126,22 +128,30 @@ def validate_extension(ext: Extension):
         failures.append("iota is not injective")
     if rank(ext.proj) != dg:
         failures.append("q is not surjective")
-    if any(c != 0 for row in mat_mul(ext.proj, ext.iota) for c in row):
+    if any(sum(a * ext._iota_rows[x][j] for x, a in terms if j in ext._iota_rows[x])
+           for terms in ext._proj_rows for j in range(dn)):
         failures.append("q . iota is not zero")
     iota_cols = [[row[j] for row in ext.iota] for j in range(dn)]
     for i, j in combinations(range(dn), 2):
-        if mat_vec(ext.iota, ext.kernel.structure[i][j]) != bracket(
-                ext.total, iota_cols[i], iota_cols[j]):
+        if not _preserves_bracket(iota_cols, ext.kernel, ext.total, i, j):
             failures.append(f"iota is not a homomorphism on kernel pair ({i},{j})")
     for pair in sorted(escapes):
         x, j = divmod(pair, dn)
         failures.append(f"iota image is not an ideal: [e_{x}, iota e_{j}] escapes")
     q_cols = [[row[i] for row in ext.proj] for i in range(dt)]
     for i, j in combinations(range(dt), 2):
-        if mat_vec(ext.proj, ext.total.structure[i][j]) != bracket(
-                ext.base, q_cols[i], q_cols[j]):
+        if not _preserves_bracket(q_cols, ext.total, ext.base, i, j):
             failures.append(f"q is not a homomorphism on pair ({i},{j})")
     return failures
+
+
+def _preserves_bracket(cols, source, target, i, j):
+    """True iff the map with the given dense columns, one per source basis
+    vector, takes [e_i, e_j] of source to the bracket of the images."""
+    out = bracket(target, cols[i], cols[j])
+    for k, c in source.sparse[i][j]:
+        out = [v - c * a if a else v for v, a in zip(out, cols[k])]
+    return not any(out)
 
 
 class Section:
@@ -356,4 +366,7 @@ def param_curvature(ext: Extension, sec_t: Section) -> Cochain:
                  None)
     if nvars is None:
         raise ValueError("expected a polynomial section from param_section")
-    return section_curvature(ext, sec_t).map_values(lambda s: as_poly(s, nvars))
+    curv = section_curvature(ext, sec_t)
+    return Cochain._of(ext.base, 2, ext.kernel.dim,
+                       {key: tuple(as_poly(x, nvars) for x in val)
+                        for key, val in curv.values.items()})

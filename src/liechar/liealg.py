@@ -14,17 +14,20 @@ Constructions used throughout: abelian algebras, the Heisenberg algebras
 h_{2m+1}, semidirect products h x| a by derivations, and the oscillator
 algebra h_3 x| R with the rotation derivation.
 
-The representation and derivation checks share one matrix defect; Jacobi
-keeps its own loop over the sparse table, which never forms the matrices
-ad(e_i) of a large table.
+The representation and derivation checks share one matrix defect, summed
+over the nonzero entries of the sparse module tables; check_representation
+skips a pair whose defect is 0 by the zero pattern alone.  Jacobi keeps its
+own loop over the sparse table, which never forms the matrices ad(e_i) of a
+large table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import add, sub
 
-from .linalg import mat_mul, transpose, vec_is_zero, zeros
+from .linalg import transpose, zeros
 from .scalars import _fraction
 
 __all__ = [
@@ -156,7 +159,7 @@ def check_jacobi(alg: LieAlgebra):
             for l, cab in c[a][b]:
                 for m, clz in c[l][z]:
                     defect[m] += cab * clz
-        if not vec_is_zero(defect):
+        if any(defect):
             violations.append((i, j, k, tuple(defect)))
     return violations
 
@@ -179,27 +182,29 @@ def bracket(alg: LieAlgebra, x, y):
     return out
 
 
-def _ad_basis(alg: LieAlgebra):
-    """The matrices ad(e_i), read off the table: ad(e_i)[k][j] = c_ij^k."""
-    return [transpose(plane) for plane in alg.structure]
-
-
 def _defect(a, b, terms, mats):
     """ab - ba - sum of c mats[k] over the pairs (k, c) of terms, the defect of either
     bracket identity on matrices: rho([e_i, e_j]) = [rho e_i, rho e_j] and
-    [D, ad e_i] = ad(D e_i)."""
-    out = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(mat_mul(a, b), mat_mul(b, a))]
+    [D, ad e_i] = ad(D e_i), over matrices given as in Representation.sparse: a dict
+    of the entries (r, s) some nonzero product reached, 0 when all its values are."""
+    out = {}
+    if a is not None and b is not None:
+        for x, y, op in ((a, b, add), (b, a, sub)):
+            for r, row in enumerate(x):
+                for k, u in row:
+                    for s, v in y[k]:
+                        out[r, s] = op(out.get((r, s), _ZERO), u * v)
     for k, c in terms:
-        if c:
-            for row, mrow in zip(out, mats[k]):
-                for s, x in enumerate(mrow):
-                    if x:
-                        row[s] = row[s] - c * x
+        for r, row in enumerate(mats[k] or ()):
+            for s, x in row:
+                out[r, s] = out.get((r, s), _ZERO) - c * x
     return out
 
 
-def _is_zero_matrix(mat) -> bool:
-    return not any(any(row) for row in mat)
+def _sparse_rows(mat):
+    """The pairs (column, entry) of the nonzero entries of each row; None when all are 0."""
+    rows = tuple([tuple([(c, x) for c, x in enumerate(row) if x]) for row in mat])
+    return rows if any(rows) else None
 
 
 def is_derivation(alg: LieAlgebra, mat) -> bool:
@@ -207,9 +212,11 @@ def is_derivation(alg: LieAlgebra, mat) -> bool:
     d = alg.dim
     if len(mat) != d or any(len(row) != d for row in mat):
         raise ValueError("dimension mismatch")
-    ads = _ad_basis(alg)
-    return all(_is_zero_matrix(_defect(mat, ad_i, enumerate(row[i] for row in mat), ads))
-               for i, ad_i in enumerate(ads))
+    ads = adjoint_representation(alg).sparse
+    rows = _sparse_rows(mat)
+    return not any(any(_defect(rows, ad_i, [(k, row[i]) for k, row in enumerate(mat) if row[i]],
+                               ads).values())
+                   for i, ad_i in enumerate(ads))
 
 
 def semidirect_product(h: LieAlgebra, a: LieAlgebra, action) -> LieAlgebra:
@@ -308,22 +315,28 @@ class Representation:
 
     def _fill(self, algebra, space_dim, matrices):
         self.algebra, self.space_dim, self.matrices = algebra, space_dim, matrices
-        self.sparse = tuple(
-            tuple([tuple([(c, x) for c, x in enumerate(row) if x]) for row in mat])
-            if any(map(any, mat)) else None for mat in matrices)
+        self.sparse = tuple(map(_sparse_rows, matrices))
 
     def __repr__(self):
         return f"Representation(dim={self.algebra.dim} -> gl({self.space_dim}))"
 
 
 def check_representation(rep: Representation):
-    """Pairs i<j where rho([e_i,e_j]) != [rho(e_i), rho(e_j)], with defects."""
-    alg, mats = rep.algebra, rep.matrices
+    """Pairs i<j where rho([e_i,e_j]) != [rho(e_i), rho(e_j)], with dense defects.
+
+    A pair whose commutator has a zero factor and whose bracket has nonzero
+    coefficients only on zero matrices has defect 0 and is skipped."""
+    alg, sparse, m = rep.algebra, rep.sparse, rep.space_dim
     violations = []
     for i, j in combinations(range(alg.dim), 2):
-        defect = _defect(mats[i], mats[j], alg.sparse[i][j], mats)
-        if not _is_zero_matrix(defect):
-            violations.append((i, j, defect))
+        terms = alg.sparse[i][j]
+        if (sparse[i] is None or sparse[j] is None) and all(
+                sparse[k] is None for k, _ in terms):
+            continue
+        defect = _defect(sparse[i], sparse[j], terms, sparse)
+        if any(defect.values()):
+            violations.append((i, j, [[defect.get((r, s), _ZERO) for s in range(m)]
+                                      for r in range(m)]))
     return violations
 
 
@@ -335,4 +348,6 @@ def trivial_representation(algebra: LieAlgebra, space_dim: int = 1) -> Represent
 
 
 def adjoint_representation(algebra: LieAlgebra) -> Representation:
-    return Representation._of(algebra, algebra.dim, _ad_basis(algebra))
+    """ad(e_i), read off the table: ad(e_i)[k][j] = c_ij^k."""
+    return Representation._of(algebra, algebra.dim,
+                              [transpose(plane) for plane in algebra.structure])

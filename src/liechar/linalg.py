@@ -28,25 +28,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import MultiPoly
-
 __all__ = [
-    "vec_sub", "vec_is_zero",
-    "zeros", "identity", "transpose", "mat_mul", "mat_vec",
+    "vec_sub",
+    "zeros", "identity", "transpose",
     "sparse_rref", "sparse_transpose", "echelon_nullspace", "to_dense",
     "rank", "solve_linear",
 ]
 
-_FRACTION_ZERO = Fraction(0)
 _FRACTION_ONE = Fraction(1)
 
 
 def vec_sub(u, v):
     return [a - b for a, b in zip(u, v)]
-
-
-def vec_is_zero(u):
-    return not any(u)
 
 
 def zeros(r, c):
@@ -59,48 +52,6 @@ def identity(n):
 
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
-
-
-def mat_mul(a, b):
-    """a b over the products of two nonzero factors; entry types as in mat_vec."""
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("matrix dimension mismatch")
-    cols = list(zip(*b))
-    return [_dots(cols, row) for row in a]
-
-
-def mat_vec(a, x):
-    """a x over the products of two nonzero factors.
-
-    Each entry starts from the zero of its factors' kind, a MultiPoly zero
-    when the row or x holds a MultiPoly and Fraction(0) otherwise, so the
-    result types are those of the dense sum over every column.
-    """
-    if a and len(a[0]) != len(x):
-        raise ValueError("matrix dimension mismatch")
-    return _dots(a, x)
-
-
-def _zero(entries):
-    """The zero of the entries' kind: a MultiPoly zero if one is a MultiPoly."""
-    if MultiPoly in map(type, entries):
-        return next(c for c in entries if type(c) is MultiPoly) * 0
-    return _FRACTION_ZERO
-
-
-def _dots(rows, x):
-    """[sum over k of row[k] * x[k] for each row], over nonzero factors only."""
-    support = [(k, y) for k, y in enumerate(x) if y]
-    zero_x = _zero(x)
-    out = []
-    for row in rows:
-        acc = zero_x if type(zero_x) is MultiPoly else _zero(row)
-        for k, y in support:
-            c = row[k]
-            if c:
-                acc = acc + c * y
-        out.append(acc)
-    return out
 
 
 def _combine(row, a, b, prow, ncols):

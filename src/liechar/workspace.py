@@ -22,7 +22,9 @@ Schemas:
                    over non-decreasing tuples in lexicographic order
 
 Every value read is a rational string; no schema holds polynomial values.
-Cochains are written (cochain_to_json, for command output) and never read.
+Each distinct literal is parsed once per parse_workspace call, and its
+location is formatted only if it is rejected; the module and extension checks
+read the sparse tables.  Cochains are written (cochain_to_json) and never read.
 
 Dimensions, degrees and indices are JSON integers; true and false are not
 read as 1 and 0 there, although Python's bool is a subclass of int.
@@ -82,34 +84,41 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _expect(cond, message, location):
+def _expect(cond, message, location, *args):
+    """ParseError unless cond; with args, message is a template formatted only then."""
     if not cond:
-        raise ParseError(message, location)
+        raise ParseError(message.format(*args) if args else message, location)
 
 
-def _rational(s, location):
-    """A rational string."""
+def _rational(s, memo, where, *args):
+    """A rational string, parsed once per document (``memo`` holds each literal that
+    parsed); its location ``where.format(*args)`` is formatted only to reject it."""
     if isinstance(s, float):
-        raise ParseError("floats are not accepted; use rational strings", location)
+        raise ParseError("floats are not accepted; use rational strings", where.format(*args))
     if not isinstance(s, str):
-        raise ParseError(f"expected a rational string, got {type(s).__name__}", location)
-    try:
-        return rational_from_str(s)
-    except ValueError as exc:
-        raise ParseError(str(exc), location) from None
+        raise ParseError(f"expected a rational string, got {type(s).__name__}",
+                         where.format(*args))
+    x = memo.get(s)
+    if x is None:
+        try:
+            x = memo[s] = rational_from_str(s)
+        except ValueError as exc:
+            raise ParseError(str(exc), where.format(*args)) from None
+    return x
 
 
-def _matrix(obj, rows, cols, location):
-    _expect(isinstance(obj, list) and len(obj) == rows, f"expected {rows} rows", location)
+def _matrix(obj, rows, cols, location, memo):
+    _expect(isinstance(obj, list) and len(obj) == rows, "expected {} rows", location, rows)
     out = []
     for r, row in enumerate(obj):
         _expect(isinstance(row, list) and len(row) == cols,
-                f"expected {cols} columns in row {r}", location)
-        out.append([_rational(c, f"{location}[{r}][{j}]") for j, c in enumerate(row)])
+                "expected {} columns in row {}", location, cols, r)
+        out.append([_rational(c, memo, "{}[{}][{}]", location, r, j)
+                    for j, c in enumerate(row)])
     return out
 
 
-def _algebra_from_json(name, obj, location):
+def _algebra_from_json(name, obj, location, memo):
     _expect(isinstance(obj, dict), "algebra must be an object", location)
     _expect(set(obj) <= {"dim", "basis", "brackets"},
             "unknown keys in algebra object", location)
@@ -138,9 +147,9 @@ def _algebra_from_json(name, obj, location):
                 ki = None
             _expect(ki is not None and k == str(ki),
                     "coefficient keys must be basis indices in canonical form", loc)
-            _expect(0 <= ki < dim, f"coefficient index {ki} out of range", loc)
-            coeffs[ki] = _rational(c, f"{loc}.coeffs[{k}]")
-        _expect((i, j) not in brackets, f"duplicate bracket entry ({i},{j})", loc)
+            _expect(0 <= ki < dim, "coefficient index {} out of range", loc, ki)
+            coeffs[ki] = _rational(c, memo, "{}.coeffs[{}]", loc, k)
+        _expect((i, j) not in brackets, "duplicate bracket entry ({},{})", loc, i, j)
         brackets[(i, j)] = coeffs
     try:
         return algebra_from_brackets(basis, brackets)
@@ -158,7 +167,7 @@ def algebra_to_json(alg: LieAlgebra):
     return {"dim": alg.dim, "basis": list(alg.basis_names), "brackets": brackets}
 
 
-def _rep_from_json(name, obj, algebras, location):
+def _rep_from_json(name, obj, algebras, location, memo):
     _expect(isinstance(obj, dict) and set(obj) <= {"algebra", "space_dim", "matrices"},
             "representation must have keys algebra, space_dim, matrices", location)
     ref = obj.get("algebra")
@@ -171,7 +180,7 @@ def _rep_from_json(name, obj, algebras, location):
     mats = obj.get("matrices")
     _expect(isinstance(mats, list) and len(mats) == alg.dim,
             "need one matrix per basis element", location)
-    matrices = [_matrix(mat, m, m, f"{location}.matrices[{i}]")
+    matrices = [_matrix(mat, m, m, f"{location}.matrices[{i}]", memo)
                 for i, mat in enumerate(mats)]
     try:
         return Representation(alg, m, matrices)
@@ -191,22 +200,22 @@ def _rep_to_json(name, rep, algebras):
     }
 
 
-def _resolve_algebra(ref, algebras, location):
+def _resolve_algebra(ref, algebras, location, memo):
     if isinstance(ref, str):
         if ref not in algebras:
             raise ValidationError(f"{location}: unknown algebra '{ref}'")
         return algebras[ref]
-    return _algebra_from_json(location, ref, location)
+    return _algebra_from_json(location, ref, location, memo)
 
 
-def _extension_from_json(name, obj, algebras, location):
+def _extension_from_json(name, obj, algebras, location, memo):
     _expect(isinstance(obj, dict) and set(obj) <= {"total", "base", "kernel", "iota", "q"},
             "extension must have keys total, base, kernel, iota, q", location)
-    total = _resolve_algebra(obj.get("total"), algebras, f"extension '{name}' (total)")
-    base = _resolve_algebra(obj.get("base"), algebras, f"extension '{name}' (base)")
-    kernel = _resolve_algebra(obj.get("kernel"), algebras, f"extension '{name}' (kernel)")
-    iota = _matrix(obj.get("iota"), total.dim, kernel.dim, f"{location}.iota")
-    proj = _matrix(obj.get("q"), base.dim, total.dim, f"{location}.q")
+    total, base, kernel = (
+        _resolve_algebra(obj.get(part), algebras, f"extension '{name}' ({part})", memo)
+        for part in ("total", "base", "kernel"))
+    iota = _matrix(obj.get("iota"), total.dim, kernel.dim, f"{location}.iota", memo)
+    proj = _matrix(obj.get("q"), base.dim, total.dim, f"{location}.q", memo)
     ext = Extension(total, base, kernel, iota, proj)
     failures = validate_extension(ext)
     if failures:
@@ -228,7 +237,7 @@ def _extension_to_json(name, ext, algebras):
     }
 
 
-def _section_from_json(name, obj, extensions, location):
+def _section_from_json(name, obj, extensions, location, memo):
     _expect(isinstance(obj, dict) and set(obj) <= {"extension", "matrix"},
             "section must have keys extension, matrix", location)
     ref = obj.get("extension")
@@ -236,7 +245,8 @@ def _section_from_json(name, obj, extensions, location):
     if ref not in extensions:
         raise ValidationError(f"section '{name}': unknown extension '{ref}'")
     ext = extensions[ref]
-    matrix = _matrix(obj.get("matrix"), ext.total.dim, ext.base.dim, f"{location}.matrix")
+    matrix = _matrix(obj.get("matrix"), ext.total.dim, ext.base.dim, f"{location}.matrix",
+                     memo)
     sec = Section(ext, matrix)
     if not validate_section(ext, sec):
         raise ValidationError(f"section '{name}': q . sigma is not the identity")
@@ -253,7 +263,7 @@ def _section_to_json(name, sec, extensions):
     }
 
 
-def _symmap_from_json(name, obj, algebras, location):
+def _symmap_from_json(name, obj, algebras, location, memo):
     _expect(isinstance(obj, dict)
             and set(obj) <= {"degree", "source", "target_dim", "entries"},
             "polynomial must have keys degree, source, target_dim, entries", location)
@@ -266,7 +276,8 @@ def _symmap_from_json(name, obj, algebras, location):
     _expect(type(degree) is int and degree >= 0, "degree must be a non-negative integer", location)
     _expect(type(target_dim) is int and target_dim >= 1,
             "target_dim must be a positive integer", location)
-    return _table_from_json(obj.get("entries"), algebras[ref], degree, target_dim, location)
+    return _table_from_json(obj.get("entries"), algebras[ref], degree, target_dim, location,
+                            memo)
 
 
 def _symmap_to_json(name, f, algebras):
@@ -277,7 +288,7 @@ def _symmap_to_json(name, f, algebras):
             "entries": _table_entries_to_json(f)}
 
 
-def _table_from_json(entries, alg, degree, target_dim, location):
+def _table_from_json(entries, alg, degree, target_dim, location, memo):
     """A SymMultiMap from its entry list in canonical tuple order.
 
     The entry count is checked against the number of canonical tuples before
@@ -294,11 +305,12 @@ def _table_from_json(entries, alg, degree, target_dim, location):
         key = item.get("tuple")
         _expect(isinstance(key, list) and all(type(k) is int for k in key)
                 and tuple(key) == expected,
-                f"entry {idx} must be for tuple {list(expected)}", loc)
+                "entry {} must be for tuple {}", loc, idx, list(expected))
         val = item.get("value")
         _expect(isinstance(val, list) and len(val) == target_dim,
-                f"value must have length {target_dim}", loc)
-        values[expected] = tuple(_rational(v, f"{loc}.value[{i}]") for i, v in enumerate(val))
+                "value must have length {}", loc, target_dim)
+        values[expected] = tuple(_rational(v, memo, "{}.value[{}]", loc, i)
+                                 for i, v in enumerate(val))
     return SymMultiMap._of(alg, degree, target_dim, values)
 
 
@@ -328,20 +340,21 @@ def parse_workspace(text: str) -> Workspace:
         section = doc.get(key, {})
         _expect(isinstance(section, dict), f"'{key}' must map names to objects", key)
     ws = Workspace()
+    memo = {}  # each distinct rational literal of this document, parsed once
     for name, obj in doc.get("algebras", {}).items():
-        ws.algebras[name] = _algebra_from_json(name, obj, f"algebras.{name}")
+        ws.algebras[name] = _algebra_from_json(name, obj, f"algebras.{name}", memo)
     for name, obj in doc.get("representations", {}).items():
         ws.representations[name] = _rep_from_json(name, obj, ws.algebras,
-                                                  f"representations.{name}")
+                                                  f"representations.{name}", memo)
     for name, obj in doc.get("extensions", {}).items():
         ws.extensions[name] = _extension_from_json(name, obj, ws.algebras,
-                                                   f"extensions.{name}")
+                                                   f"extensions.{name}", memo)
     for name, obj in doc.get("sections", {}).items():
         ws.sections[name] = _section_from_json(name, obj, ws.extensions,
-                                               f"sections.{name}")
+                                               f"sections.{name}", memo)
     for name, obj in doc.get("polynomials", {}).items():
         ws.polynomials[name] = _symmap_from_json(name, obj, ws.algebras,
-                                                 f"polynomials.{name}")
+                                                 f"polynomials.{name}", memo)
     return ws
 
 

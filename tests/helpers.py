@@ -11,7 +11,7 @@ from liechar import (
     Cochain, Extension, LieAlgebra, MultiPoly, Representation, Section, SymMultiMap,
     abelian, adjoint_representation, algebra_from_brackets, as_poly, bracket,
     compose_sym, heisenberg, heisenberg3, identity, increasing_tuples,
-    integrate_poly_simplex, kernel_coords, mat_mul, mat_vec, nondecreasing_tuples,
+    integrate_poly_simplex, kernel_coords, nondecreasing_tuples,
     param_curvature, param_section, rank, rational_from_str, section_curvature,
     section_difference, semidirect_product, solve_linear, transpose, trivial_representation,
 )
@@ -105,7 +105,7 @@ def conjugate_extension(rng, ext):
                  for i in range(d)]
     total = LieAlgebra(tuple(f"b{i + 1}" for i in range(d)), structure)
     iota = transpose([solve_linear(pm, col) for col in transpose(ext.iota)])
-    proj = mat_mul(ext.proj, pm)
+    proj = dense_mat_mul(ext.proj, pm)
     return Extension(total, ext.base, ext.kernel, iota, proj)
 
 
@@ -335,7 +335,7 @@ def reference_twisted_differential(w, mats):
     def fn(key):
         out = [Fraction(0)] * w.target_dim
         for j, tj in enumerate(key):
-            av = mat_vec(mats[tj], list(w.entry(key[:j] + key[j + 1:])))
+            av = dense_mat_vec(mats[tj], list(w.entry(key[:j] + key[j + 1:])))
             sgn = -1 if j % 2 else 1
             out = [o + sgn * x for o, x in zip(out, av)]
         for ai, bi in combinations(range(p + 1), 2):
@@ -506,12 +506,12 @@ def reference_is_invariant(f, ext, rep, mode, sigma=None):
         s_mats = [reference_kernel_action(ext, unit(dt, x)) for x in range(dt)]
         act_mats = []
         for x in range(dt):
-            qx = mat_vec(ext.proj, unit(dt, x))
+            qx = dense_mat_vec(ext.proj, unit(dt, x))
             act_mats.append([[sum(qx[b] * rep.matrices[b][r][s] for b in range(ext.base.dim))
                               for s in range(rep.space_dim)] for r in range(rep.space_dim)])
     for s_mat, act in zip(s_mats, act_mats):
         for key in nondecreasing_tuples(dn, f.degree):
-            lhs = mat_vec(act, list(f.entry(key)))
+            lhs = dense_mat_vec(act, list(f.entry(key)))
             rhs = [Fraction(0)] * f.target_dim
             for slot in range(f.degree):
                 moved = [s_mat[r][key[slot]] for r in range(dn)]
@@ -551,7 +551,7 @@ def random_module(rng, algebra):
     mats = []
     for mat in adjoint_representation(algebra).matrices:
         block = [[*row, Fraction(0)] for row in mat] + [[Fraction(0)] * d]
-        mats.append(mat_mul(mat_mul(pm, block), inv))
+        mats.append(dense_mat_mul(dense_mat_mul(pm, block), inv))
     return Representation(algebra, d, mats)
 
 
@@ -945,7 +945,7 @@ def reference_is_derivation(alg, mat) -> bool:
     cols = [[mat[r][j] for r in range(d)] for j in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            lhs = mat_vec(mat, alg.structure[i][j])
+            lhs = dense_mat_vec(mat, alg.structure[i][j])
             rhs = [a + b for a, b in zip(reference_bracket(alg, cols[i], _reference_unit(d, j)),
                                          reference_bracket(alg, _reference_unit(d, i), cols[j]))]
             if any(a - b != 0 for a, b in zip(lhs, rhs)):
@@ -972,7 +972,8 @@ def reference_check_representation(rep):
     violations = []
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            comm = _reference_mat_sub(mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i]))
+            comm = _reference_mat_sub(dense_mat_mul(mats[i], mats[j]),
+                                      dense_mat_mul(mats[j], mats[i]))
             expect = zeros(rep.space_dim, rep.space_dim)
             for k in range(alg.dim):
                 c = alg.structure[i][j][k]

@@ -189,6 +189,22 @@ class TestValidateAgainstReference:
                         "iota is not a homomorphism", "iota image is not an ideal",
                         "q is not a homomorphism"}
 
+    @pytest.mark.parametrize("case", sorted(BROKEN_EXTENSIONS))
+    def test_conjugated_broken_extensions(self, case):
+        # a seeded basis of the total algebra makes iota and q dense; every
+        # failure kind survives it, at pairs of the new basis
+        rng = random.Random(96)
+        build, expected = BROKEN_EXTENSIONS[case]
+        kinds = {f.split(":")[0].split(" on ")[0] for f in expected}
+        dense = 0
+        for _ in range(6):
+            ext = conjugate_extension(rng, build())
+            failures = validate_extension(ext)
+            assert failures == reference_validate_extension(ext)
+            assert {f.split(":")[0].split(" on ")[0] for f in failures} == kinds
+            dense += any(c not in (0, 1) for row in ext.iota + ext.proj for c in row)
+        assert dense >= 4
+
     def test_one_elimination_whatever_the_size(self, monkeypatch):
         """One sparse_rref per extension covers its construction, its validation,
         the induced actions of three sections and the strict actions."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liechar import MultiPoly, mat_mul, mat_vec, rank, solve_linear
+from liechar import MultiPoly, rank, solve_linear
 from liechar.linalg import echelon_nullspace, sparse_rref, sparse_transpose, to_dense
 
 from helpers import (dense_kernel, dense_mat_mul, dense_mat_vec, dense_rref, dense_solve,
@@ -62,7 +62,7 @@ class TestSolve:
     def test_underdetermined_returns_some_solution(self):
         a = fmat([[1, 1, 0]])
         x = solve_linear(a, [F(5)])
-        assert mat_vec(a, x) == [5]
+        assert dense_mat_vec(a, x) == [5]
 
     def test_polynomial_right_hand_side(self):
         t = poly_variable(1, 0)
@@ -102,7 +102,7 @@ class TestRankNullspace:
         for _ in range(50):
             a = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
             for v in nullspace(a):
-                assert all(x == 0 for x in mat_vec(a, v))
+                assert all(x == 0 for x in dense_mat_vec(a, v))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 16))
@@ -137,12 +137,6 @@ class TestRref:
         assert pivots == [0, 1]
         assert r[0][0] == 1 and r[1][1] == 1
 
-    def test_product_shapes(self):
-        rng = random.Random(3)
-        a = rand_matrix(rng, 3, 2)
-        b = rand_matrix(rng, 2, 4)
-        assert len(mat_mul(a, b)) == 3 and len(mat_mul(a, b)[0]) == 4
-
 
 def seeded_matrices(rng, count):
     """Random rational matrices, with zero, rank-deficient and empty ones among them."""
@@ -156,7 +150,7 @@ def seeded_matrices(rng, count):
             yield [[F(0)] * cols for _ in range(rows)]
         elif kind == 1:
             inner = rng.randint(1, max(1, min(rows, cols) - 1))
-            yield mat_mul(rand_matrix(rng, rows, inner), rand_matrix(rng, inner, cols))
+            yield dense_mat_mul(rand_matrix(rng, rows, inner), rand_matrix(rng, inner, cols))
         elif kind == 2:
             # sparse: most entries zero
             yield [[rand_fraction(rng) if rng.random() < 0.3 else F(0) for _ in range(cols)]
@@ -215,7 +209,7 @@ class TestAgainstDenseLoop:
             kernel = echelon_nullspace(sparse_rref(sparse_rows(a), ncols), ncols)
             for v in kernel:
                 dense = [v.get(j, F(0)) for j in range(ncols)]
-                assert all(x == 0 for x in mat_vec(a, dense))
+                assert all(x == 0 for x in dense_mat_vec(a, dense))
             assert len(kernel) == ncols - rank(a)
             assert sparse_transpose(sparse_rows(a), ncols) == sparse_rows(
                 [list(col) for col in zip(*a)] if ncols else [])
@@ -227,7 +221,7 @@ class TestAgainstDenseLoop:
                 continue
             ncols = len(a[0])
             for b in ([rand_fraction(rng) for _ in a],
-                      mat_vec(a, [rand_fraction(rng) for _ in range(ncols)])):
+                      dense_mat_vec(a, [rand_fraction(rng) for _ in range(ncols)])):
                 expected = dense_solve(a, b)
                 got = solve_linear(a, b)
                 assert got == expected
@@ -247,7 +241,7 @@ class TestAgainstDenseLoop:
                 continue
             ncols = len(a[0])
             for b in ([rand_poly() for _ in a],
-                      mat_vec(a, [rand_poly() for _ in range(ncols)])):
+                      dense_mat_vec(a, [rand_poly() for _ in range(ncols)])):
                 b = [x if isinstance(x, MultiPoly) else MultiPoly.constant(2, x) for x in b]
                 expected = dense_solve(a, b)
                 got = solve_linear(a, b)
@@ -349,8 +343,8 @@ class TestFractionFree:
         for a in scaled_matrices(rng, 200):
             ncols = len(a[0])
             x = [rand_fraction(rng, span=4, max_den=5) for _ in range(ncols)]
-            for b in (mat_vec(a, x), [rand_fraction(rng) for _ in a],
-                      [t * y + 1 for y in mat_vec(a, x)]):
+            for b in (dense_mat_vec(a, x), [rand_fraction(rng) for _ in a],
+                      [t * y + 1 for y in dense_mat_vec(a, x)]):
                 expected = dense_solve(a, b)
                 got = solve_linear(a, b)
                 assert got == expected
@@ -371,61 +365,3 @@ class TestFractionFree:
         # a repeated equation with another right-hand side is inconsistent
         bad = sparse_rref(rows + [{0: Fraction(-4, 3), 1: F(1), 2: F(3)}], 2)
         assert bad[-1][0] == 2 and min(bad[-1][1]) == 2 and bad[-1][1][2]
-
-
-class TestProductsAgainstDenseSum:
-    """mat_mul and mat_vec skip zero factors but keep the dense sum's values and types."""
-
-    @staticmethod
-    def entry(rng, kind):
-        """A sparse scalar: zero half the time, a Fraction or a MultiPoly by kind."""
-        if kind == "fraction" or rng.random() < 0.3:
-            return rand_fraction(rng) if rng.random() < 0.5 else F(0)
-        t = poly_variable(2, rng.randrange(2))
-        if rng.random() < 0.2:
-            return MultiPoly.zero(2)
-        return t * rand_fraction(rng) + rand_fraction(rng)
-
-    def operands(self, rng):
-        """300 triples (a, b, x) with a, b and x each all Fraction or partly MultiPoly."""
-        for _ in range(300):
-            rows, inner, cols = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 4)
-            a_kind, b_kind, x_kind = (rng.choice(["fraction", "poly"]) for _ in range(3))
-            a = [[self.entry(rng, a_kind) for _ in range(inner)] for _ in range(rows)]
-            b = [[self.entry(rng, b_kind) for _ in range(cols)] for _ in range(inner)]
-            yield a, b, [self.entry(rng, x_kind) for _ in range(inner)]
-
-    def test_mat_mul_matches_dense_sum(self):
-        polys = 0
-        for a, b, _ in self.operands(random.Random(77)):
-            got, want = mat_mul(a, b), dense_mat_mul(a, b)
-            assert got == want
-            assert kinds(got) == kinds(want)
-            polys += sum(t is MultiPoly for row in kinds(want) for t in row)
-        assert polys > 500
-
-    def test_mat_vec_matches_dense_sum(self):
-        polys = 0
-        for a, _, x in self.operands(random.Random(78)):
-            got, want = mat_vec(a, x), dense_mat_vec(a, x)
-            assert got == want
-            assert [type(v) for v in got] == [type(v) for v in want]
-            polys += sum(type(v) is MultiPoly for v in want)
-        assert polys > 200
-
-    def test_zero_factors_keep_the_polynomial_kind(self):
-        zero_poly = MultiPoly.zero(1)
-        t = poly_variable(1, 0)
-        assert [type(v) for v in mat_vec(fmat([[1, 0], [0, 0]]), [zero_poly, F(0)])] == \
-            [MultiPoly, MultiPoly]
-        assert [type(v) for v in mat_vec([[t, F(0)], [F(0), F(0)]], fmat([[0, 1]])[0])] == \
-            [MultiPoly, Fraction]
-        assert kinds(mat_mul(fmat([[0, 0]]), [[t], [F(0)]])) == [[MultiPoly]]
-
-    def test_shape_errors_and_empty_operands(self):
-        with pytest.raises(ValueError):
-            mat_mul(fmat([[1, 2]]), fmat([[1, 2]]))
-        with pytest.raises(ValueError):
-            mat_vec(fmat([[1, 2]]), [F(1)])
-        assert mat_mul([], fmat([[1]])) == [] and mat_mul(fmat([[1]]), [[]]) == [[]]
-        assert mat_vec([], []) == []

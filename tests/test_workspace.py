@@ -188,6 +188,64 @@ class TestRationalsAreStrings:
             parse_workspace(map_document(obj))
 
 
+# Each schema position that reads rationals, as the first and the last literal
+# one object of the oscillator fixture holds there, with the reported location.
+LITERAL_POSITIONS = {
+    "bracket_coefficient": (
+        (("algebras", "oscillator", "brackets", 0, "coeffs", "2"),
+         "algebras.oscillator.brackets[0].coeffs[2]"),
+        (("algebras", "oscillator", "brackets", 2, "coeffs", "0"),
+         "algebras.oscillator.brackets[2].coeffs[0]")),
+    "representation_matrix": (
+        (("representations", "triv_total", "matrices", 0, 0, 0),
+         "representations.triv_total.matrices[0][0][0]"),
+        (("representations", "triv_total", "matrices", 3, 0, 0),
+         "representations.triv_total.matrices[3][0][0]")),
+    "iota": ((("extensions", "osc", "iota", 0, 0), "extensions.osc.iota[0][0]"),
+             (("extensions", "osc", "iota", 3, 2), "extensions.osc.iota[3][2]")),
+    "q": ((("extensions", "osc", "q", 0, 0), "extensions.osc.q[0][0]"),
+          (("extensions", "osc", "q", 0, 3), "extensions.osc.q[0][3]")),
+    "section_matrix": ((("sections", "sz", "matrix", 0, 0), "sections.sz.matrix[0][0]"),
+                       (("sections", "sz", "matrix", 3, 0), "sections.sz.matrix[3][0]")),
+    "polynomial_value": (
+        (("polynomials", "fz", "entries", 0, "value", 0), "polynomials.fz.entries[0].value[0]"),
+        (("polynomials", "fz", "entries", 2, "value", 0), "polynomials.fz.entries[2].value[0]")),
+}
+
+# A rejected literal, a valid literal written like it, and the message.
+BAD_LITERALS = [
+    ("1.5", "3/2", "invalid rational literal '1.5'"),
+    ("01", "1", "invalid rational literal '01'"),
+    ("-0", "0", "invalid rational literal '-0'"),
+    ("2/4", "1/2", "invalid rational literal '2/4'"),
+    (7, "7", "expected a rational string, got int"),
+    (1.5, "3/2", "floats are not accepted; use rational strings"),
+    (True, "1", "expected a rational string, got bool"),
+    ([1], "1", "expected a rational string, got list"),
+]
+
+
+class TestRejectedLiteralsStayPut:
+    """Each literal is parsed once per document, so a rejected literal must be
+    reported with its message and location whether or not a valid literal
+    written like it was parsed before it in the same object."""
+
+    @pytest.mark.parametrize("order", ["bad_first", "bad_after_valid"])
+    @pytest.mark.parametrize("position", sorted(LITERAL_POSITIONS))
+    def test_message_and_location(self, fixtures_dir, position, order):
+        text = (fixtures_dir / "oscillator.json").read_text(encoding="utf-8")
+        first, last = LITERAL_POSITIONS[position]
+        bad_at, valid_at = (first, last) if order == "bad_first" else (last, first)
+        for bad, valid, message in BAD_LITERALS:
+            doc = json.loads(text)
+            _set_path(doc, valid_at[0], valid)
+            _set_path(doc, bad_at[0], bad)
+            with pytest.raises(ParseError) as caught:
+                parse_workspace(json.dumps(doc))
+            assert caught.value.location == bad_at[1]
+            assert str(caught.value) == f"{bad_at[1]}: {message}"
+
+
 class TestBooleansAreNotIntegers:
     @pytest.mark.parametrize("field, value, message", BOOLEAN_FIELDS,
                              ids=[field for field, _, _ in BOOLEAN_FIELDS])

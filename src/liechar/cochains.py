@@ -60,10 +60,13 @@ __all__ = [
 
 
 def increasing_tuples(dim: int, degree: int):
-    return list(combinations(range(dim), degree))
+    # where no tuple exists, itertools would still allocate degree indices
+    return [] if degree > dim else list(combinations(range(dim), degree))
 
 
 def nondecreasing_tuples(dim: int, degree: int):
+    if degree > 0 and not dim:  # none exist, as in increasing_tuples
+        return []
     return list(combinations_with_replacement(range(dim), degree))
 
 

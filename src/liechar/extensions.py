@@ -4,10 +4,10 @@ An extension carries the three algebras plus the inclusion matrix iota
 (dim g^ x dim n) and the projection matrix q (dim g x dim g^); no adapted
 basis is assumed.  At construction it runs one elimination of the rows of
 iota, each bracket [e_x, iota e_j] carried along as an extra column, and
-lists the nonzero entries of each row of iota and of q, which validation
-reads with the sparse structure constants.  Other values in the image of
-iota are converted to kernel coordinates by an exact linear solve;
-ExactnessViolation signals a value that escapes the kernel, which only
+lists the nonzero entries of each row of iota and of q; validation reads the
+columns of both off them, with the sparse structure constants.  Other values
+in the image of iota are converted to kernel coordinates by an exact linear
+solve; ExactnessViolation signals a value that escapes the kernel, which only
 happens on corrupted input.
 
 A section is any linear right inverse of q.  Its curvature
@@ -31,11 +31,12 @@ their curvature R_t flows through the same code with MultiPoly scalars.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 
 from .cochains import Cochain, _coerce_scalar, increasing_tuples
-from .liealg import LieAlgebra, Representation, bracket
+from .liealg import LieAlgebra, Representation, _bracket_into, bracket
 from .linalg import identity, rank, solve_linear, sparse_rref, transpose, vec_sub
 from .scalars import MultiPoly, _fraction, as_poly
 
@@ -131,27 +132,39 @@ def validate_extension(ext: Extension):
     if any(sum(a * ext._iota_rows[x][j] for x, a in terms if j in ext._iota_rows[x])
            for terms in ext._proj_rows for j in range(dn)):
         failures.append("q . iota is not zero")
-    iota_cols = [[row[j] for row in ext.iota] for j in range(dn)]
+    iota_cols = _columns([row.items() for row in ext._iota_rows], dn)
     for i, j in combinations(range(dn), 2):
         if not _preserves_bracket(iota_cols, ext.kernel, ext.total, i, j):
             failures.append(f"iota is not a homomorphism on kernel pair ({i},{j})")
     for pair in sorted(escapes):
         x, j = divmod(pair, dn)
         failures.append(f"iota image is not an ideal: [e_{x}, iota e_{j}] escapes")
-    q_cols = [[row[i] for row in ext.proj] for i in range(dt)]
+    q_cols = _columns(ext._proj_rows, dt)
     for i, j in combinations(range(dt), 2):
         if not _preserves_bracket(q_cols, ext.total, ext.base, i, j):
             failures.append(f"q is not a homomorphism on pair ({i},{j})")
     return failures
 
 
+def _columns(rows, n):
+    """The pairs (row, entry) of the nonzero entries of each of n columns, from
+    the pairs (column, entry) of the nonzero entries of each row."""
+    cols = [[] for _ in range(n)]
+    for r, row in enumerate(rows):
+        for c, a in row:
+            cols[c].append((r, a))
+    return cols
+
+
 def _preserves_bracket(cols, source, target, i, j):
-    """True iff the map with the given dense columns, one per source basis
-    vector, takes [e_i, e_j] of source to the bracket of the images."""
-    out = bracket(target, cols[i], cols[j])
+    """True iff the map whose columns, one per source basis vector, have the
+    given nonzero (row, entry) pairs takes [e_i, e_j] of source to the bracket
+    of the images."""
+    out = _bracket_into(defaultdict(int), target, cols[i], cols[j])
     for k, c in source.sparse[i][j]:
-        out = [v - c * a if a else v for v, a in zip(out, cols[k])]
-    return not any(out)
+        for r, a in cols[k]:
+            out[r] -= c * a
+    return not any(out.values())
 
 
 class Section:

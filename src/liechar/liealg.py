@@ -3,9 +3,12 @@
 An algebra stores ``structure[i][j][k]``, the e_k-coefficient of [e_i, e_j],
 and a representation its matrices rho(e_t).  Both constructors of each class
 also fill a sparse table of the nonzero entries, and every loop of the
-package over nonzero structure constants or module entries reads it.
-The public constructors check antisymmetry, the Jacobi identity and the
-representation property, so downstream operators may assume validity.  Only
+package over nonzero structure constants or module entries reads it;
+algebra_from_brackets reads the sparse table off its bracket data and fills
+the dense one from it.  The bracket of two vectors is the package's one
+bilinear loop, over the nonzero entries of both.  The public constructors
+check antisymmetry, the Jacobi identity and the representation property, so
+downstream operators may assume validity.  Only
 objects that are valid by construction (abelian algebras, trivial and adjoint
 modules, actions that semidirect_product checks itself) skip the checks
 through the trusted constructors ``_of``.
@@ -80,20 +83,19 @@ class LieAlgebra:
         _require_jacobi(self)
 
     @classmethod
-    def _of(cls, names, table) -> "LieAlgebra":
+    def _of(cls, names, table, sparse=None) -> "LieAlgebra":
         """Trusted constructor: ``names`` must be unique strings and ``table``
-        an antisymmetric dim x dim x dim tuple of Fractions satisfying Jacobi."""
+        an antisymmetric dim x dim x dim tuple of Fractions satisfying Jacobi;
+        ``sparse``, when given, must be its sparse table, else the table is scanned."""
         alg = object.__new__(cls)
-        alg._fill(names, table)
+        alg._fill(names, table, sparse)
         return alg
 
-    def _fill(self, names, table):
+    def _fill(self, names, table, sparse=None):
         self.dim, self.basis_names, self.structure = len(names), names, table
-        # algebra_from_brackets and abelian fill their tables with one shared
-        # zero; testing for it first skips the Python-level Fraction.__bool__
-        self.sparse = tuple(
-            tuple([tuple([(k, c) for k, c in enumerate(vec) if c is not _ZERO and c])
-                   for vec in plane]) for plane in table)
+        self.sparse = sparse if sparse is not None else tuple(
+            tuple([tuple([(k, c) for k, c in enumerate(vec) if c]) for vec in plane])
+            for plane in table)
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
@@ -108,22 +110,29 @@ class LieAlgebra:
 
 
 def algebra_from_brackets(basis_names, brackets) -> LieAlgebra:
-    """Build an algebra from sparse data {(i, j): {k: coeff}} for i < j."""
+    """Build an algebra from sparse data {(i, j): {k: coeff}} for i < j.
+
+    The sparse table is read off the data (zero coefficients dropped, each
+    (i, j) negated for (j, i)), and the dense one is filled from it."""
     names = tuple(basis_names)
     d = len(names)
-    structure = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
+    sparse = [[()] * d for _ in range(d)]
     for (i, j), coeffs in brackets.items():
         if not 0 <= i < j < d:
             raise ValueError(f"bracket indices ({i},{j}) must satisfy 0 <= i < j < dim")
+        vec = {}
         for k, c in coeffs.items():
             k = int(k)
             if not 0 <= k < d:
                 raise ValueError(f"bracket coefficient index {k} out of range")
-            c = _fraction(c)
-            structure[i][j][k] = c
-            structure[j][i][k] = -c
-    table = tuple(tuple(map(tuple, plane)) for plane in structure)
-    return _require_jacobi(LieAlgebra._of(_basis_names(names), table))
+            vec[k] = _fraction(c)
+        terms = sparse[i][j] = tuple(sorted((k, c) for k, c in vec.items() if c))
+        sparse[j][i] = tuple((k, -c) for k, c in terms)
+    zero = (_ZERO,) * d  # each dense vector: dict(terms).get(k, _ZERO) over k < d
+    table = tuple(tuple(tuple(map(dict(terms).get, range(d), zero)) if terms else zero
+                        for terms in plane) for plane in sparse)
+    return _require_jacobi(LieAlgebra._of(_basis_names(names), table,
+                                          tuple(map(tuple, sparse))))
 
 
 def _basis_names(basis_names):
@@ -170,14 +179,18 @@ def bracket(alg: LieAlgebra, x, y):
     d = alg.dim
     if len(x) != d or len(y) != d:
         raise ValueError("dimension mismatch")
-    out = [Fraction(0)] * d
-    for xi, plane in zip(x, alg.sparse):
-        if not xi:
-            continue
-        for yj, terms in zip(y, plane):
-            if not yj:
-                continue
-            for k, c in terms:
+    return _bracket_into([Fraction(0)] * d, alg, [(i, a) for i, a in enumerate(x) if a],
+                         [(j, b) for j, b in enumerate(y) if b])
+
+
+def _bracket_into(out, alg: LieAlgebra, xs, ys):
+    """out with the bracket added of the vectors whose nonzero entries are the
+    pairs (index, value) of xs and of ys: the package's one bilinear loop."""
+    planes = alg.sparse
+    for i, xi in xs:
+        plane = planes[i]
+        for j, yj in ys:
+            for k, c in plane[j]:
                 out[k] = out[k] + xi * yj * c
     return out
 
@@ -257,7 +270,7 @@ def abelian(dim: int, names=None) -> LieAlgebra:
     names = _basis_names(names if names is not None else [f"e{i + 1}" for i in range(dim)])
     if len(names) != dim:
         raise ValueError("abelian(dim, names) needs dim basis names")
-    return LieAlgebra._of(names, (((_ZERO,) * dim,) * dim,) * dim)
+    return LieAlgebra._of(names, (((_ZERO,) * dim,) * dim,) * dim, (((),) * dim,) * dim)
 
 
 def heisenberg(m: int) -> LieAlgebra:

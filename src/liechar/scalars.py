@@ -55,7 +55,7 @@ def _fraction(x) -> Fraction:
 
 def rational_to_str(x: Fraction) -> str:
     """Format as ``p/q`` in lowest terms, or ``p`` when the denominator is 1."""
-    return str(Fraction(x))
+    return str(x) if type(x) is Fraction else str(Fraction(x))
 
 
 def rational_from_str(s: str) -> Fraction:

@@ -24,7 +24,13 @@ Schemas:
 Every value read is a rational string; no schema holds polynomial values.
 Each distinct literal is parsed once per parse_workspace call, and its
 location is formatted only if it is rejected; the module and extension checks
-read the sparse tables.  Cochains are written (cochain_to_json) and never read.
+read the sparse tables.  A polynomial's entry count is checked against the
+number of its tuples, and each entry's tuple length against its degree,
+before any tuple is enumerated, so the tuples enumerated are as many as the
+document's entries and as long as its first tuple.  Cochains are written
+(cochain_to_json) and never read.  The canonical text comes from a small
+recursive writer rather than json.dumps with an indent, which runs the
+standard library's pure-Python encoder; the bytes are the same.
 
 Dimensions, degrees and indices are JSON integers; true and false are not
 read as 1 and 0 there, although Python's bool is a subclass of int.
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from .characteristic import CharacteristicClass
 from .cochains import Cochain, SymMultiMap
@@ -81,7 +88,47 @@ _TOP_KEYS = ("algebras", "representations", "extensions", "sections", "polynomia
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) + "\n", written directly.
+
+    _canonical writes lists, tuples, dicts with string keys, strings, integers,
+    booleans and None, quoting strings with the C function json.dumps uses;
+    anything else (a float, a key of another type, a cycle) goes to json.dumps.
+    """
+    try:
+        return _canonical(obj, "\n") + "\n"
+    except (TypeError, RecursionError):
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _canonical(obj, indent):
+    """obj as json.dumps writes it, each nested line starting with indent."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        items = []
+        for x in obj:  # strings, the entries of every matrix, take no call
+            items.append(_quote(x) if type(x) is str else _canonical(x, inner))
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key, x in sorted(obj.items()):  # _quote raises TypeError on other keys
+            items.append(f"{_quote(key)}: {_quote(x) if type(x) is str else _canonical(x, inner)}")
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"{type(obj).__name__} is left to json.dumps")
 
 
 def _expect(cond, message, location, *args):
@@ -291,20 +338,27 @@ def _symmap_to_json(name, f, algebras):
 def _table_from_json(entries, alg, degree, target_dim, location, memo):
     """A SymMultiMap from its entry list in canonical tuple order.
 
-    The entry count is checked against the number of canonical tuples before
-    any tuple is enumerated, so the work is bounded by the document's size.
+    The entry count is checked against the number of canonical tuples, and
+    each entry's tuple length against the degree before the entry is compared
+    with the enumeration, which therefore holds as many tuples as the document
+    holds entries, each as long as the first entry's tuple.
     """
     count = SymMultiMap.key_count(alg.dim, degree)
     _expect(isinstance(entries, list) and len(entries) == count,
             f"expected {count} entries", location)
     values = {}
-    for idx, (item, expected) in enumerate(zip(entries, SymMultiMap.key_tuples(alg.dim, degree))):
+    keys = None
+    for idx, item in enumerate(entries):
         loc = f"{location}.entries[{idx}]"
         _expect(isinstance(item, dict) and set(item) <= {"tuple", "value"},
                 "entry must have keys tuple, value", loc)
         key = item.get("tuple")
-        _expect(isinstance(key, list) and all(type(k) is int for k in key)
-                and tuple(key) == expected,
+        _expect(isinstance(key, list) and len(key) == degree,
+                "entry {} must be for a tuple of length {}", loc, idx, degree)
+        if keys is None:
+            keys = iter(SymMultiMap.key_tuples(alg.dim, degree))
+        expected = next(keys)
+        _expect(all(type(k) is int for k in key) and tuple(key) == expected,
                 "entry {} must be for tuple {}", loc, idx, list(expected))
         val = item.get("value")
         _expect(isinstance(val, list) and len(val) == target_dim,

@@ -810,8 +810,27 @@ def reference_validate_section(ext, sec):
     return all(prod[i][j] == (1 if i == j else 0) for i in range(dg) for j in range(dg))
 
 
+def dense_algebra_from_brackets(basis_names, brackets):
+    """algebra_from_brackets through a dense dim^3 table: every coefficient and
+    its negation written into the table, which the checking constructor scans."""
+    names = tuple(basis_names)
+    d = len(names)
+    structure = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    for (i, j), coeffs in brackets.items():
+        if not 0 <= i < j < d:
+            raise ValueError(f"bracket indices ({i},{j}) must satisfy 0 <= i < j < dim")
+        for k, c in coeffs.items():
+            k = int(k)
+            if not 0 <= k < d:
+                raise ValueError(f"bracket coefficient index {k} out of range")
+            structure[i][j][k] = Fraction(c)
+            structure[j][i][k] = -Fraction(c)
+    return LieAlgebra(names, structure)
+
+
 def reference_validate_extension(ext):
-    """validate_extension with dense products and one solve per ideal pair."""
+    """validate_extension with dense products, the triple loop of the bracket
+    and one solve per ideal pair."""
     failures = []
     dn, dg, dt = ext.kernel.dim, ext.base.dim, ext.total.dim
     if dn + dg != dt:
@@ -825,7 +844,7 @@ def reference_validate_extension(ext):
         failures.append("q . iota is not zero")
     iota_cols = transpose(ext.iota)
     for i, j in combinations(range(dn), 2):
-        if dense_mat_vec(ext.iota, ext.kernel.structure[i][j]) != bracket(
+        if dense_mat_vec(ext.iota, ext.kernel.structure[i][j]) != reference_bracket(
                 ext.total, iota_cols[i], iota_cols[j]):
             failures.append(f"iota is not a homomorphism on kernel pair ({i},{j})")
     for x, plane in enumerate(ext.total.structure):
@@ -836,7 +855,7 @@ def reference_validate_extension(ext):
                     f"iota image is not an ideal: [e_{x}, iota e_{j}] escapes")
     q_cols = transpose(ext.proj)
     for i, j in combinations(range(dt), 2):
-        if dense_mat_vec(ext.proj, ext.total.structure[i][j]) != bracket(
+        if dense_mat_vec(ext.proj, ext.total.structure[i][j]) != reference_bracket(
                 ext.base, q_cols[i], q_cols[j]):
             failures.append(f"q is not a homomorphism on pair ({i},{j})")
     return failures

@@ -104,6 +104,18 @@ class TestValidate:
         assert code == 2
         assert "polynomials.f: expected" in err
 
+    @pytest.mark.parametrize("degree", [10**6, 2**63])
+    def test_long_polynomial_over_a_line_exits_2(self, capsys, tmp_path, degree):
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({
+            "algebras": {"a": {"dim": 1, "basis": ["x"]}},
+            "polynomials": {"f": {"degree": degree, "source": "a", "target_dim": 1,
+                                  "entries": [{"tuple": [0], "value": ["1"]}]}}}),
+            encoding="utf-8")
+        assert run(capsys, "validate", str(path)) == (
+            2, "", f"parse error: polynomials.f.entries[0]: "
+                   f"entry 0 must be for a tuple of length {degree}\n")
+
     def test_usage_error_exits_2(self, capsys):
         assert run_command(["frobnicate", "x.json"]) == 2
         capsys.readouterr()
@@ -193,6 +205,19 @@ class TestComputations:
             "--algebra", "h3", "--rep", "triv_total", "--degree", "-1")
         assert (code, out) == (1, "")
         assert err == "validation error: cohomology degree must be non-negative\n"
+
+    @pytest.mark.parametrize("degree", [2**63 - 1, 2**63])
+    def test_degree_past_the_dimension_has_zero_cohomology(self, capsys, fixtures_dir, degree):
+        # C^p = 0 for p > dim h3 = 3, however large p is
+        argv = ["cohomology", str(fixtures_dir / "heisenberg.json"),
+                "--algebra", "h3", "--rep", "triv_total", "--degree", str(degree)]
+        assert run(capsys, *argv) == (
+            0, f"degree {degree} cohomology of 'h3' with coefficients in 'triv_total': "
+               f"dim Z = 0, dim B = 0, dim H = 0\n", "")
+        code, out, err = run(capsys, *argv, "--output", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"algebra": "h3", "b_dim": 0, "degree": degree, "h_dim": 0,
+                                   "rep": "triv_total", "z_dim": 0}
 
     def test_rep_not_over_base_exits_1(self, capsys, fixtures_dir):
         code, out, err = run(

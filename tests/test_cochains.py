@@ -18,7 +18,7 @@ from liechar import cochains, liealg
 from liechar.linalg import to_dense
 from liechar import (Cochain, MultiPoly, Section, SymMultiMap, abelian,
                      adjoint_representation, ce_differential, cohomology_space, compose_sym,
-                     heisenberg3, nondecreasing_tuples, section_curvature,
+                     heisenberg3, increasing_tuples, nondecreasing_tuples, section_curvature,
                      trivial_representation, validate_extension)
 from liechar.catalog import heisenberg_central_extension
 
@@ -124,6 +124,23 @@ class TestTables:
             cls(g, 1, 2, {key: [1] for key in keys})
         with pytest.raises(ValueError):
             cls(g, 1, 2, {key: ["x", 1] for key in keys})
+
+    @pytest.mark.parametrize("degree", [4, 2**63 - 1, 2**63])
+    def test_no_tuples_where_none_exist(self, monkeypatch, degree):
+        # past the dimension, or over dim 0, itertools is not asked at all
+        def refuse(*args):
+            raise AssertionError("itertools called")
+
+        monkeypatch.setattr(cochains, "combinations", refuse)
+        monkeypatch.setattr(cochains, "combinations_with_replacement", refuse)
+        assert increasing_tuples(3, degree) == [] == nondecreasing_tuples(0, degree)
+        assert Cochain.zero(heisenberg3(), degree, 1).values == {}
+        assert SymMultiMap.zero(abelian(0), degree, 1).values == {}
+
+    def test_tuples_at_the_edges(self):
+        assert increasing_tuples(0, 0) == [()] == nondecreasing_tuples(0, 0)
+        assert increasing_tuples(3, 3) == [(0, 1, 2)]
+        assert nondecreasing_tuples(1, 3) == [(0, 0, 0)]
 
     def test_kinds_never_mix(self):
         g = abelian(2)
@@ -475,13 +492,13 @@ class TestOneCodePath:
                 call()
 
     def test_bracket_and_bilinear_products_share_one_contraction(self, monkeypatch):
-        # bracket is the package's one bilinear loop: curvatures and the
-        # homomorphism checks of an extension reach it
+        # the loop behind bracket is the package's one bilinear loop: curvatures
+        # (through bracket) and the homomorphism checks of an extension reach it
         ext = heisenberg_central_extension()
         sec = Section(ext, [[1, 0], [0, 1], [0, 0]])
-        raise_everywhere(monkeypatch, liealg, "bracket")
+        raise_everywhere(monkeypatch, liealg, "_bracket_into")
         for call in (lambda: section_curvature(ext, sec), lambda: validate_extension(ext)):
-            with pytest.raises(AssertionError, match="bracket"):
+            with pytest.raises(AssertionError, match="_bracket_into"):
                 call()
 
     def test_products_share_one_shuffle_enumerator(self, monkeypatch):

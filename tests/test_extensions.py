@@ -205,6 +205,31 @@ class TestValidateAgainstReference:
             dense += any(c not in (0, 1) for row in ext.iota + ext.proj for c in row)
         assert dense >= 4
 
+    def test_non_unit_entries_that_break_the_bracket(self):
+        # in a seeded basis, one entry of iota or q that is neither 0 nor +-1
+        # is scaled: the homomorphism checks must read it off the sparse columns
+        rng = random.Random(97)
+        valid = list(fixture_extensions().values()) + [
+            heisenberg_central_extension(2), direct_sum_extension()]
+        seen = {"iota is not a homomorphism": 0, "q is not a homomorphism": 0}
+        for ext in valid * 8:
+            ext = conjugate_extension(rng, ext)
+            for part in ("iota", "proj"):
+                mat = [list(row) for row in getattr(ext, part)]
+                spots = [(r, c) for r, row in enumerate(mat) for c, x in enumerate(row)
+                         if x not in (0, 1, -1)]
+                if not spots:
+                    continue
+                r, c = rng.choice(spots)
+                mat[r][c] *= 3 if mat[r][c] in (Fraction(1, 2), Fraction(-1, 2)) else 2
+                iota, proj = (mat, ext.proj) if part == "iota" else (ext.iota, mat)
+                broken = Extension(ext.total, ext.base, ext.kernel, iota, proj)
+                failures = validate_extension(broken)
+                assert failures == reference_validate_extension(broken)
+                for kind in seen:
+                    seen[kind] += any(f.startswith(kind) for f in failures)
+        assert min(seen.values()) >= 8, seen
+
     def test_one_elimination_whatever_the_size(self, monkeypatch):
         """One sparse_rref per extension covers its construction, its validation,
         the induced actions of three sections and the strict actions."""

@@ -6,9 +6,10 @@ small random JSON value, delete a key or list item, insert one, or re-point a
 reference (an algebra named by source, algebra, total, base or kernel, an
 extension named by extension) to another name of the same kind.  Parsing
 must either succeed or raise ParseError/ValidationError, and the CLI must
-return 0, 1 or 2 on the mutated file.  Integers are drawn from a small range:
-there is no size guard yet, and a degree or dimension in the millions would
-ask for an unbounded table instead of failing.
+return 0, 1 or 2 on the mutated file.  Integers are drawn from a small range
+and from 10**6 and 2**63: a dimension, degree or index that large must be
+rejected by the size of the document that names it, before any table or
+tuple of that size is built.
 
 Most mutations stop at the parse, so a second strategy draws valid documents
 that reach the computations: a catalog workspace with seeded rational
@@ -47,7 +48,7 @@ KEYS = ("algebras", "sections", "dim", "basis", "brackets", "i", "j", "coeffs",
         "matrix", "entries", "tuple", "value", "degree", "x")
 
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 6)
+    st.none() | st.booleans() | st.integers(-2, 6) | st.sampled_from([10**6, 2**63])
     | st.sampled_from([0.5, "0", "1", "-1", "1/2", "2/4", "1e5", "x", ""]),
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=3)),

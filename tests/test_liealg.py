@@ -17,8 +17,9 @@ from liechar import (LieAlgebra, MultiPoly, Representation, abelian,
 from liechar.catalog import (affine_split_extension, filiform_extension,
                              heisenberg_central_extension, oscillator_extension)
 
-from helpers import (SMALL_ALGEBRAS, ad_matrix, conjugate_algebra, rand_fraction, rand_matrix,
-                     rand_vector, random_algebra, random_module, reference_bracket,
+from helpers import (SMALL_ALGEBRAS, ad_matrix, conjugate_algebra, dense_algebra_from_brackets,
+                     rand_fraction, rand_matrix, rand_vector, random_algebra, random_module,
+                     reference_bracket,
                      reference_check_jacobi, reference_check_representation,
                      reference_is_derivation,
                      reference_semidirect_product)
@@ -537,3 +538,70 @@ class TestSparseTables:
                 zero_modules += rep.sparse.count(None)
                 nonzero_modules += len(rep.sparse) - rep.sparse.count(None)
         assert zero_modules > 100 and nonzero_modules > 100
+
+
+class TestBracketsAgainstTheDenseConstruction:
+    """algebra_from_brackets reads its sparse table off the bracket data; a
+    dense table filled from the same data and scanned gives the same algebra."""
+
+    @staticmethod
+    def bracket_data():
+        """(names, brackets) of the catalog, conjugated and semidirect algebras,
+        as int-keyed Fractions and as strings in shuffled order with every zero
+        coefficient written out as "0"."""
+        rng = random.Random(173)
+        algebras = list(TestSparseTables.algebras())
+        algebras += [semidirect_product(alg, abelian(1, ("t",)), [ad_matrix(alg, x)])
+                     for alg in algebras if alg.dim
+                     for x in (rand_vector(rng, alg.dim), identity(alg.dim)[0])]
+        for alg in algebras:
+            plain = {(i, j): dict(alg.sparse[i][j]) for i, j in combinations(range(alg.dim), 2)}
+            written = {}
+            for (i, j), coeffs in plain.items():
+                order = list(range(alg.dim))
+                rng.shuffle(order)
+                written[i, j] = {str(k): str(coeffs.get(k, 0)) for k in order}
+            yield alg.basis_names, plain
+            yield alg.basis_names, written
+        # an int and a string key for the same index: the later one is kept
+        yield ("a", "b", "c"), {(0, 1): {2: 1, "2": "0"}, (0, 2): {"2": "0", 2: Fraction(1, 2)}}
+
+    def test_same_algebra(self):
+        count = 0
+        for names, brackets in self.bracket_data():
+            got = algebra_from_brackets(names, brackets)
+            want = dense_algebra_from_brackets(names, brackets)
+            assert got == want
+            assert got.structure == want.structure
+            assert got.sparse == want.sparse
+            assert type(got.structure) is type(got.sparse) is tuple
+            assert all(type(vec) is tuple for plane in got.sparse for vec in plane)
+            assert all(type(c) is Fraction for plane in got.structure for vec in plane
+                       for c in vec)
+            count += 1
+        assert count > 100
+
+    def test_same_errors(self):
+        rng = random.Random(174)
+        cases = [(("a", "b", "c"), brackets) for brackets in (
+            {(0, 1): {3: 1}}, {(0, 1): {-1: 1}}, {(0, 1): {"7": "1"}}, {(1, 0): {2: 1}},
+            {(0, 3): {}}, {(2, 2): {0: 1}}, {(0, 1): {2: 1}, (1, 2): {5: 1}})]
+        for name in sorted(TestValidByConstruction.NONABELIAN_3D_AND_UP):
+            for alg in (SMALL_ALGEBRAS[name](), conjugate_algebra(rng, SMALL_ALGEBRAS[name]())):
+                for _ in range(4):
+                    brackets = {(i, j): dict(alg.sparse[i][j])
+                                for i, j in combinations(range(alg.dim), 2)}
+                    i, j = sorted(rng.sample(range(alg.dim), 2))
+                    k = rng.randrange(alg.dim)
+                    brackets[i, j][k] = brackets[i, j].get(k, 0) + (rand_fraction(rng) or 1)
+                    cases.append((alg.basis_names, brackets))
+        messages = []
+        for names, brackets in cases:
+            got = _outcome(algebra_from_brackets, names, brackets)
+            assert got[0] == "error" or got[1] == dense_algebra_from_brackets(names, brackets)
+            if got[0] == "error":
+                assert got == _outcome(dense_algebra_from_brackets, names, brackets)
+                messages.append(got[1])
+        assert sum("out of range" in m for m in messages) == 4
+        assert sum("must satisfy" in m for m in messages) == 3
+        assert sum(m.startswith("Jacobi identity fails at") for m in messages) > 10

@@ -1,11 +1,15 @@
 import json
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liechar import (Cochain, MultiPoly, ParseError, SymMultiMap, ValidationError, abelian,
-                     cochain_to_json, heisenberg3, param_curvature, param_section,
+                     canonical_dumps, cochain_to_json, heisenberg3, param_curvature,
+                     param_section,
                      parse_workspace, rational_from_str, serialize_workspace)
 from liechar.catalog import (filiform_workspace, heisenberg_workspace,
                              oscillator_workspace)
@@ -119,8 +123,10 @@ class TestParseErrors:
                                      "entries": [{"tuple": [], "value": ["2"]}]}}}
         assert parse_workspace(json.dumps(doc)).polynomials["f"].entry(()) == (2,)
         del doc["polynomials"]["f"]["entries"][0]["tuple"]
-        with pytest.raises(ParseError,
-                           match=r"^polynomials\.f\.entries\[0\]: entry 0 must be for tuple \[\]$"):
+        # a tuple that is missing has no length; naming the expected tuple
+        # would enumerate it, which a large degree over dim 1 cannot afford
+        with pytest.raises(ParseError, match=r"^polynomials\.f\.entries\[0\]: "
+                                             r"entry 0 must be for a tuple of length 0$"):
             parse_workspace(json.dumps(doc))
 
     def test_polynomial_entry_tuple_must_be_a_list(self, fixtures_dir):
@@ -330,6 +336,103 @@ class TestSizeBound:
         for dim in range(6):
             for degree in range(8):
                 assert cls.key_count(dim, degree) == len(cls.key_tuples(dim, degree))
+
+
+def polynomial_document(dim, degree, entries):
+    return json.dumps({
+        "algebras": {"a": {"dim": dim, "basis": [f"x{i}" for i in range(dim)]}},
+        "polynomials": {"f": {"degree": degree, "source": "a", "target_dim": 1,
+                              "entries": entries}}})
+
+
+class TestSizeBoundAtDimensionsZeroAndOne:
+    """Over dim <= 1 every degree has at most one tuple, so the entry count
+    bounds nothing: each entry's tuple length is checked before any tuple is
+    enumerated, and the message does not spell the expected tuple out."""
+
+    @pytest.mark.parametrize("degree", [2, 10**6, 2**63])
+    @pytest.mark.parametrize("key", [[0], [], "missing", 0])
+    def test_tuple_of_another_length_rejected(self, monkeypatch, degree, key):
+        monkeypatch.setattr(SymMultiMap, "key_tuples", staticmethod(no_enumeration))
+        entry = {"value": ["1"]} if key == "missing" else {"tuple": key, "value": ["1"]}
+        with pytest.raises(ParseError) as info:
+            parse_workspace(polynomial_document(1, degree, [entry]))
+        assert str(info.value) == (f"polynomials.f.entries[0]: "
+                                   f"entry 0 must be for a tuple of length {degree}")
+
+    def test_tuple_of_the_right_length_is_read(self):
+        ws = parse_workspace(polynomial_document(1, 3, [{"tuple": [0, 0, 0], "value": ["2"]}]))
+        assert ws.polynomials["f"].entry((0, 0, 0)) == (2,)
+        with pytest.raises(ParseError, match=r"^polynomials\.f\.entries\[0\]: "
+                                             r"entry 0 must be for tuple \[0, 0, 0\]$"):
+            parse_workspace(polynomial_document(1, 3, [{"tuple": [0, 1, 0], "value": ["2"]}]))
+
+    @pytest.mark.parametrize("degree", [1, 10**6, 2**63])
+    def test_positive_degree_over_dim_0_has_no_entries(self, degree):
+        text = polynomial_document(0, degree, [])
+        ws = parse_workspace(text)
+        assert ws.polynomials["f"].values == {}
+        assert parse_workspace(serialize_workspace(ws)).polynomials["f"].degree == degree
+        with pytest.raises(ParseError, match=r"^polynomials\.f: expected 0 entries$"):
+            parse_workspace(polynomial_document(0, degree, [{"tuple": [], "value": ["1"]}]))
+
+
+JSON_CHARACTERS = st.characters() | st.sampled_from(
+    ['"', "\\", "/", "\x00", "\n", "\t", "\x1f", "\x7f", "\u00e9", "\u2028", "\ud800",
+     "\U0001f600"])
+JSON_TEXT = st.text(JSON_CHARACTERS, max_size=6)
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(max_value=-2**63) | JSON_TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+def golden_json_outputs():
+    """The standard output of each command in the JSON CLI goldens."""
+    for path in sorted((Path(__file__).parent / "golden" / "cli").glob("*.json.txt")):
+        for block in path.read_text(encoding="utf-8").split("$ liechar ")[1:]:
+            out = block.split("\n", 2)[2]
+            if out:
+                yield out
+
+
+class TestCanonicalDumps:
+    """canonical_dumps writes exactly what json.dumps(indent=2, sort_keys=True) writes."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(JSON_TREES)
+    @example([])
+    @example(())
+    @example({})
+    @example({"": [[], {}, [[]], {"": {}}], "a": (None, True, False, -10**40)})
+    def test_same_text_as_json_dumps(self, obj):
+        assert canonical_dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    def test_fixtures_and_cli_goldens_byte_for_byte(self, fixtures_dir):
+        texts = [(fixtures_dir / f"{name}.json").read_text(encoding="utf-8")
+                 for name in ("oscillator", "heisenberg", "filiform")]
+        texts += list(golden_json_outputs())
+        assert len(texts) > 50
+        for text in texts:
+            assert canonical_dumps(json.loads(text)) == text
+
+    @pytest.mark.parametrize("obj", [1.5, [0.25, "x"], {"a": float("inf")}, {1: "x", 2: [True]},
+                                     {None: 1, True: 2}, {"a": 1, 2: 3}, {"a": object()}])
+    def test_other_objects_go_to_json_dumps(self, obj):
+        try:
+            want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        except TypeError as exc:
+            with pytest.raises(TypeError, match=str(exc)):
+                canonical_dumps(obj)
+        else:
+            assert canonical_dumps(obj) == want
+
+    def test_cycles_raise_as_in_json_dumps(self):
+        loop = []
+        loop.append({"a": loop})
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            canonical_dumps(loop)
 
 
 class TestCochainJson:

@@ -65,9 +65,15 @@ def increasing_tuples(dim: int, degree: int):
 
 
 def nondecreasing_tuples(dim: int, degree: int):
+    return list(_nondecreasing_walk(dim, degree))
+
+
+def _nondecreasing_walk(dim: int, degree: int):
+    """The non-decreasing tuples in lexicographic order, one at a time: the
+    canonical order of symmetric tables, which the workspace reader walks."""
     if degree > 0 and not dim:  # none exist, as in increasing_tuples
-        return []
-    return list(combinations_with_replacement(range(dim), degree))
+        return iter(())
+    return combinations_with_replacement(range(dim), degree)
 
 
 def _count_nondecreasing(dim: int, degree: int) -> int:

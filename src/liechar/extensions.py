@@ -14,13 +14,13 @@ A section is any linear right inverse of q.  Its curvature
 R(x,y) = [sigma x, sigma y] - sigma([x,y]) lands in the kernel; it is taken
 with the bracket of the total algebra and read in kernel coordinates, and
 section_curvature is the package's one curvature loop.  One helper reads ad(v)
-restricted to the kernel, in kernel coordinates, off the echelon: the list of
-matrices S(e_i) = ad(sigma e_i)|n for the section policy, ad(e_x)|n over the
-total basis for the strict one.
+restricted to the kernel, in kernel coordinates, off the echelon, as the
+nonzero entries of each column: of S(e_i) = ad(sigma e_i)|n for the section
+policy, of ad(e_x)|n over the total basis for the strict one.
 Invariance of a symmetric map f, x.f(key) = sum over slots s and kernel
 indices r of S(x)[r][key_s] f(key with key_s replaced by r) for every
-non-decreasing key, is read off the nonzero entries of the table of f, of
-S(x) and of the module action rho(x).  That action comes from rep.sparse,
+non-decreasing key, is read off those columns and the nonzero entries of the
+table of f and of the module action rho(x).  That action comes from rep.sparse,
 pulled back along q in the strict mode; a basis element with S(x) = 0 and
 rho(x) = 0 is skipped, since both sides are 0 there.  validate_section sums
 q . sigma over the nonzero entries of q, listed per row at construction, and
@@ -37,7 +37,7 @@ from itertools import combinations
 
 from .cochains import Cochain, _coerce_scalar, increasing_tuples
 from .liealg import LieAlgebra, Representation, _bracket_into, bracket
-from .linalg import identity, rank, solve_linear, sparse_rref, transpose, vec_sub
+from .linalg import rank, solve_linear, sparse_rref, transpose, vec_sub
 from .scalars import MultiPoly, _fraction, as_poly
 
 __all__ = [
@@ -232,35 +232,39 @@ def section_curvature(ext: Extension, sec: Section) -> Cochain:
 
 
 def _kernel_action(ext: Extension, v):
-    """ad(v) restricted to the kernel, as a matrix in kernel coordinates.
+    """ad(v) restricted to the kernel, in kernel coordinates, for v given as the
+    pairs (index, value) of its nonzero entries: for each kernel basis vector
+    j, the pairs (r, entry) of the nonzero entries of column j, by r.
 
     [v, iota e_j] = sum_x v_x [e_x, iota e_j], so a pivot row's combination of
     its carried columns is a kernel coordinate and an inconsistent row's is
     nonzero exactly when the bracket escapes; non-pivot coordinates read 0.
-    Carried entries that cancelled still take part, so entry kinds are those
-    of kernel_coords on the bracket.
+    Entry kinds are those of kernel_coords on the bracket.
     """
     dn = ext.kernel.dim
-    if len(v) != ext.total.dim:
-        raise ValueError("dimension mismatch")
-    support = [(dn + x * dn, c) for x, c in enumerate(v) if c]
-    mat = [[Fraction(0)] * dn for _ in range(dn)]
+    cols = [[] for _ in range(dn)]
     for p, row in ext._echelon:
-        out = mat[p] if p < dn else [Fraction(0)] * dn
-        for offset, c in support:
+        out = {}
+        for x, c in v:
+            offset = dn + x * dn
             for j in range(dn):
                 e = row.get(offset + j)
                 if e is not None:
-                    out[j] = out[j] + c * e
-        if p == dn and any(out):
+                    out[j] = out[j] + c * e if j in out else c * e
+        if p == dn and any(out.values()):
             raise ExactnessViolation("value does not lie in the image of iota")
-    return mat
+        for j, e in out.items():  # all 0 on an inconsistent row that got here
+            if e:
+                cols[j].append((p, e))
+    return cols
 
 
 def s_from_section(ext: Extension, sec: Section):
-    """The matrices S(e_i) = ad(sigma e_i) restricted to the kernel, in kernel
-    coordinates, one per base vector."""
-    return [_kernel_action(ext, col) for col in transpose(sec.matrix)]
+    """S(e_i) = ad(sigma e_i) restricted to the kernel, in kernel coordinates,
+    one per base vector: for each kernel basis vector j, the pairs (r, entry)
+    of the nonzero entries of column j of S(e_i)."""
+    return [_kernel_action(ext, [(x, c) for x, c in enumerate(col) if c])
+            for col in transpose(sec.matrix)]
 
 
 def section_difference(ext: Extension, sec_a: Section, sec_b: Section) -> Cochain:
@@ -289,19 +293,18 @@ def is_invariant(f, ext: Extension, rep: Representation, mode: str = "section",
     if (f.source.dim != ext.kernel.dim or f.target_dim != rep.space_dim
             or rep.algebra.dim != ext.base.dim):
         raise ValueError("dimension mismatch")
-    dn, m = ext.kernel.dim, rep.space_dim
+    m = rep.space_dim
     if mode == "section":
         if sigma is None:
             raise ValueError("section mode needs a section")
-        s_mats = s_from_section(ext, sigma)
+        s_cols = s_from_section(ext, sigma)
         actions = rep.sparse
     else:
-        s_mats = [_kernel_action(ext, v) for v in identity(ext.total.dim)]
+        s_cols = [_kernel_action(ext, [(x, 1)]) for x in range(ext.total.dim)]
         actions = _pullback(ext, rep)
     values = f.values
     zero = [Fraction(0)] * m
-    for s_mat, act in zip(s_mats, actions):
-        cols = [[(r, row[k]) for r, row in enumerate(s_mat) if row[k]] for k in range(dn)]
+    for cols, act in zip(s_cols, actions):
         if act is None and not any(cols):
             continue
         for key, val in values.items():

@@ -1,17 +1,17 @@
 """Finite-dimensional Lie algebras by structure constants.
 
-An algebra stores ``structure[i][j][k]``, the e_k-coefficient of [e_i, e_j],
-and a representation its matrices rho(e_t).  Both constructors of each class
-also fill a sparse table of the nonzero entries, and every loop of the
-package over nonzero structure constants or module entries reads it;
-algebra_from_brackets reads the sparse table off its bracket data and fills
-the dense one from it.  The bracket of two vectors is the package's one
-bilinear loop, over the nonzero entries of both.  The public constructors
-check antisymmetry, the Jacobi identity and the representation property, so
-downstream operators may assume validity.  Only
-objects that are valid by construction (abelian algebras, trivial and adjoint
-modules, actions that semidirect_product checks itself) skip the checks
-through the trusted constructors ``_of``.
+An algebra stores ``sparse[i][j]``, the pairs (k, c) of the nonzero
+e_k-coefficients of [e_i, e_j], and a representation the nonzero entries of
+each row of each rho(e_t); no dense copy is kept.  The checking constructors
+take dense tables and keep their nonzero entries, algebra_from_brackets reads
+the table off its bracket data, and the adjoint module reads ad(e_i) off the
+table.  The bracket of two vectors is the package's one bilinear loop, over
+the nonzero entries of both.  The public constructors check antisymmetry,
+the Jacobi identity and the representation property, so downstream
+operators may assume validity.  Only objects that are valid by construction
+(abelian algebras, trivial and adjoint modules, actions that
+semidirect_product checks itself) skip the checks through the trusted
+constructors ``_of``.
 
 Constructions used throughout: abelian algebras, the Heisenberg algebras
 h_{2m+1}, semidirect products h x| a by derivations, and the oscillator
@@ -30,7 +30,6 @@ from fractions import Fraction
 from itertools import combinations
 from operator import add, sub
 
-from .linalg import transpose, zeros
 from .scalars import _fraction
 
 __all__ = [
@@ -55,9 +54,9 @@ _ZERO = Fraction(0)
 
 class LieAlgebra:
     """Lie algebra with a named basis and rational structure constants;
-    ``sparse[i][j]`` holds the pairs (k, c) of the nonzero structure[i][j][k]."""
+    ``sparse[i][j]`` holds the pairs (k, c), by k, of the nonzero [e_i, e_j]_k."""
 
-    __slots__ = ("dim", "basis_names", "structure", "sparse")
+    __slots__ = ("dim", "basis_names", "sparse")
 
     def __init__(self, basis_names, structure):
         names = _basis_names(basis_names)
@@ -67,10 +66,7 @@ class LieAlgebra:
             for plane in structure
         ):
             raise ValueError("structure constants must be dim x dim x dim")
-        table = tuple(
-            tuple(tuple(_fraction(c) for c in row) for row in plane)
-            for plane in structure
-        )
+        table = [[[_fraction(c) for c in row] for row in plane] for plane in structure]
         for i in range(d):
             for j in range(i, d):
                 for k, (a, b) in enumerate(zip(table[i][j], table[j][i])):
@@ -79,29 +75,24 @@ class LieAlgebra:
                             f"structure constants not antisymmetric at "
                             f"({names[i]},{names[j]},{names[k]})"
                         )
-        self._fill(names, table)
+        self.dim, self.basis_names = d, names
+        self.sparse = tuple(
+            tuple([tuple([(k, c) for k, c in enumerate(vec) if c]) for vec in plane])
+            for plane in table)
         _require_jacobi(self)
 
     @classmethod
-    def _of(cls, names, table, sparse=None) -> "LieAlgebra":
-        """Trusted constructor: ``names`` must be unique strings and ``table``
-        an antisymmetric dim x dim x dim tuple of Fractions satisfying Jacobi;
-        ``sparse``, when given, must be its sparse table, else the table is scanned."""
+    def _of(cls, names, sparse) -> "LieAlgebra":
+        """Trusted constructor: ``names`` must be unique strings and ``sparse`` the
+        sparse table, as tuples, of an antisymmetric table satisfying Jacobi."""
         alg = object.__new__(cls)
-        alg._fill(names, table, sparse)
+        alg.dim, alg.basis_names, alg.sparse = len(names), names, sparse
         return alg
-
-    def _fill(self, names, table, sparse=None):
-        self.dim, self.basis_names, self.structure = len(names), names, table
-        self.sparse = sparse if sparse is not None else tuple(
-            tuple([tuple([(k, c) for k, c in enumerate(vec) if c]) for vec in plane])
-            for plane in table)
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
             return NotImplemented
-        return (self.basis_names == other.basis_names
-                and self.structure == other.structure)
+        return self.basis_names == other.basis_names and self.sparse == other.sparse
 
     __hash__ = None
 
@@ -112,8 +103,8 @@ class LieAlgebra:
 def algebra_from_brackets(basis_names, brackets) -> LieAlgebra:
     """Build an algebra from sparse data {(i, j): {k: coeff}} for i < j.
 
-    The sparse table is read off the data (zero coefficients dropped, each
-    (i, j) negated for (j, i)), and the dense one is filled from it."""
+    The sparse table is read off the data: zero coefficients dropped, each
+    (i, j) negated for (j, i)."""
     names = tuple(basis_names)
     d = len(names)
     sparse = [[()] * d for _ in range(d)]
@@ -128,11 +119,7 @@ def algebra_from_brackets(basis_names, brackets) -> LieAlgebra:
             vec[k] = _fraction(c)
         terms = sparse[i][j] = tuple(sorted((k, c) for k, c in vec.items() if c))
         sparse[j][i] = tuple((k, -c) for k, c in terms)
-    zero = (_ZERO,) * d  # each dense vector: dict(terms).get(k, _ZERO) over k < d
-    table = tuple(tuple(tuple(map(dict(terms).get, range(d), zero)) if terms else zero
-                        for terms in plane) for plane in sparse)
-    return _require_jacobi(LieAlgebra._of(_basis_names(names), table,
-                                          tuple(map(tuple, sparse))))
+    return _require_jacobi(LieAlgebra._of(_basis_names(names), tuple(map(tuple, sparse))))
 
 
 def _basis_names(basis_names):
@@ -249,7 +236,7 @@ def semidirect_product(h: LieAlgebra, a: LieAlgebra, action) -> LieAlgebra:
     for j, mat in enumerate(action):
         if not is_derivation(h, mat):
             raise ValueError(f"action matrix for {a.basis_names[j]} is not a derivation of h")
-    bad = check_representation(Representation._of(a, dh, action))
+    bad = check_representation(Representation._of(a, dh, tuple(map(_sparse_rows, action))))
     if bad:
         i, j, _ = bad[0]
         raise ValueError(
@@ -270,7 +257,7 @@ def abelian(dim: int, names=None) -> LieAlgebra:
     names = _basis_names(names if names is not None else [f"e{i + 1}" for i in range(dim)])
     if len(names) != dim:
         raise ValueError("abelian(dim, names) needs dim basis names")
-    return LieAlgebra._of(names, (((_ZERO,) * dim,) * dim,) * dim, (((),) * dim,) * dim)
+    return LieAlgebra._of(names, (((),) * dim,) * dim)
 
 
 def heisenberg(m: int) -> LieAlgebra:
@@ -298,11 +285,11 @@ def oscillator() -> LieAlgebra:
 
 
 class Representation:
-    """Linear action of an algebra: one space_dim x space_dim matrix per basis
-    element; ``sparse[t]`` is None when rho(e_t) is zero, else the pairs
+    """Linear action of an algebra: one space_dim x space_dim matrix rho(e_t) per
+    basis element; ``sparse[t]`` is None when rho(e_t) is zero, else the pairs
     (column, entry) of the nonzero entries of each of its rows."""
 
-    __slots__ = ("algebra", "space_dim", "matrices", "sparse")
+    __slots__ = ("algebra", "space_dim", "sparse")
 
     def __init__(self, algebra: LieAlgebra, space_dim: int, matrices):
         mats = [[[_fraction(c) for c in row] for row in mat] for mat in matrices]
@@ -311,7 +298,8 @@ class Representation:
             for mat in mats
         ):
             raise ValueError("representation needs one space_dim x space_dim matrix per basis element")
-        self._fill(algebra, space_dim, mats)
+        self.algebra, self.space_dim = algebra, space_dim
+        self.sparse = tuple(map(_sparse_rows, mats))
         bad = check_representation(self)
         if bad:
             i, j, _ = bad[0]
@@ -319,16 +307,12 @@ class Representation:
             raise ValueError(f"representation property fails on ({names[i]},{names[j]})")
 
     @classmethod
-    def _of(cls, algebra: LieAlgebra, space_dim: int, matrices) -> "Representation":
-        """Trusted constructor: ``matrices`` must be algebra.dim lists of
-        space_dim x space_dim Fraction lists; the representation property is not checked."""
+    def _of(cls, algebra: LieAlgebra, space_dim: int, sparse) -> "Representation":
+        """Trusted constructor: ``sparse`` must hold one matrix per basis element, as
+        the attribute does; the representation property is not checked."""
         rep = object.__new__(cls)
-        rep._fill(algebra, space_dim, matrices)
+        rep.algebra, rep.space_dim, rep.sparse = algebra, space_dim, sparse
         return rep
-
-    def _fill(self, algebra, space_dim, matrices):
-        self.algebra, self.space_dim, self.matrices = algebra, space_dim, matrices
-        self.sparse = tuple(map(_sparse_rows, matrices))
 
     def __repr__(self):
         return f"Representation(dim={self.algebra.dim} -> gl({self.space_dim}))"
@@ -356,11 +340,18 @@ def check_representation(rep: Representation):
 def trivial_representation(algebra: LieAlgebra, space_dim: int = 1) -> Representation:
     if space_dim < 0:
         raise ValueError("space_dim must be non-negative")
-    return Representation._of(
-        algebra, space_dim, [zeros(space_dim, space_dim) for _ in range(algebra.dim)])
+    return Representation._of(algebra, space_dim, (None,) * algebra.dim)
 
 
 def adjoint_representation(algebra: LieAlgebra) -> Representation:
-    """ad(e_i), read off the table: ad(e_i)[k][j] = c_ij^k."""
-    return Representation._of(algebra, algebra.dim,
-                              [transpose(plane) for plane in algebra.structure])
+    """ad(e_i), read off the sparse table: row k of ad(e_i) holds (j, c) for
+    each (k, c) in sparse[i][j]."""
+    d = algebra.dim
+    mats = []
+    for plane in algebra.sparse:
+        rows = [[] for _ in range(d)]
+        for j, terms in enumerate(plane):
+            for k, c in terms:
+                rows[k].append((j, c))
+        mats.append(tuple(map(tuple, rows)) if any(rows) else None)
+    return Representation._of(algebra, d, tuple(mats))

@@ -19,8 +19,9 @@ Pivots come only from the first ncols columns.  Later columns are carried
 along, scaled and divided with their row, and may hold MultiPoly entries;
 solve_linear puts its right-hand side there, which is how curvature values of
 polynomial section families are expressed in kernel coordinates.  rank and
-solve_linear take dense lists of Fraction rows; each converts at the boundary
-and calls the one sparse loop.
+solve_linear take dense lists of rows, as the package keeps iota, q and
+section matrices; each converts at the boundary and calls the one sparse
+loop.  No other dense matrix is built here.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from math import gcd, lcm
 
 __all__ = [
     "vec_sub",
-    "zeros", "identity", "transpose",
+    "transpose",
     "sparse_rref", "sparse_transpose", "echelon_nullspace", "to_dense",
     "rank", "solve_linear",
 ]
@@ -40,14 +41,6 @@ _FRACTION_ONE = Fraction(1)
 
 def vec_sub(u, v):
     return [a - b for a, b in zip(u, v)]
-
-
-def zeros(r, c):
-    return [[Fraction(0)] * c for _ in range(r)]
-
-
-def identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
 def transpose(a):

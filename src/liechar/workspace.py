@@ -26,11 +26,13 @@ Each distinct literal is parsed once per parse_workspace call, and its
 location is formatted only if it is rejected; the module and extension checks
 read the sparse tables.  A polynomial's entry count is checked against the
 number of its tuples, and each entry's tuple length against its degree,
-before any tuple is enumerated, so the tuples enumerated are as many as the
-document's entries and as long as its first tuple.  Cochains are written
-(cochain_to_json) and never read.  The canonical text comes from a small
-recursive writer rather than json.dumps with an indent, which runs the
-standard library's pure-Python encoder; the bytes are the same.
+before any tuple is enumerated; the canonical tuples are then walked one at
+a time, so the reader holds no more of them than the document has accepted
+entries.  Cochains are written (cochain_to_json) and never read.  Module
+matrices are stored sparse and expanded to dense rows of strings only by the
+writer.  The canonical text comes from a small recursive writer rather than
+json.dumps with an indent, which runs the standard library's pure-Python
+encoder; the bytes are the same.
 
 Dimensions, degrees and indices are JSON integers; true and false are not
 read as 1 and 0 there, although Python's bool is a subclass of int.
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from .characteristic import CharacteristicClass
-from .cochains import Cochain, SymMultiMap
+from .cochains import Cochain, SymMultiMap, _nondecreasing_walk
 from .extensions import Extension, Section, validate_extension, validate_section
 from .liealg import LieAlgebra, Representation, algebra_from_brackets
 from .scalars import MultiPoly, poly_to_json, rational_from_str, rational_to_str
@@ -239,11 +241,12 @@ def _rep_to_json(name, rep, algebras):
     ref = _find_name(algebras, rep.algebra)
     if ref is None:
         raise ValueError(f"representation '{name}' refers to an unregistered algebra")
+    m = rep.space_dim
     return {
         "algebra": ref,
-        "space_dim": rep.space_dim,
-        "matrices": [[[rational_to_str(c) for c in row] for row in mat]
-                     for mat in rep.matrices],
+        "space_dim": m,
+        "matrices": [[[rational_to_str(row[s]) if s in row else "0" for s in range(m)]
+                      for row in map(dict, rows or ((),) * m)] for rows in rep.sparse],
     }
 
 
@@ -340,8 +343,8 @@ def _table_from_json(entries, alg, degree, target_dim, location, memo):
 
     The entry count is checked against the number of canonical tuples, and
     each entry's tuple length against the degree before the entry is compared
-    with the enumeration, which therefore holds as many tuples as the document
-    holds entries, each as long as the first entry's tuple.
+    with the next canonical tuple.  The tuples are walked one at a time, from
+    the first entry that passes, so only those of accepted entries are kept.
     """
     count = SymMultiMap.key_count(alg.dim, degree)
     _expect(isinstance(entries, list) and len(entries) == count,
@@ -356,7 +359,7 @@ def _table_from_json(entries, alg, degree, target_dim, location, memo):
         _expect(isinstance(key, list) and len(key) == degree,
                 "entry {} must be for a tuple of length {}", loc, idx, degree)
         if keys is None:
-            keys = iter(SymMultiMap.key_tuples(alg.dim, degree))
+            keys = _nondecreasing_walk(alg.dim, degree)
         expected = next(keys)
         _expect(all(type(k) is int for k in key) and tuple(key) == expected,
                 "entry {} must be for tuple {}", loc, idx, list(expected))

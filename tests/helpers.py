@@ -1,6 +1,7 @@
 """Seeded random generators and shared fixture pools for the test suite."""
 
 import json
+import random
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -10,16 +11,74 @@ from types import SimpleNamespace
 from liechar import (
     Cochain, Extension, LieAlgebra, MultiPoly, Representation, Section, SymMultiMap,
     abelian, adjoint_representation, algebra_from_brackets, as_poly, bracket,
-    compose_sym, heisenberg, heisenberg3, identity, increasing_tuples,
+    compose_sym, heisenberg, heisenberg3, increasing_tuples, oscillator,
     integrate_poly_simplex, kernel_coords, nondecreasing_tuples,
     param_curvature, param_section, rank, rational_from_str, section_curvature,
     section_difference, semidirect_product, solve_linear, transpose, trivial_representation,
 )
-from liechar.linalg import zeros
 from liechar.catalog import (
     affine_split_extension, filiform_extension, heisenberg_central_extension,
     oscillator_extension,
 )
+
+
+def zeros(r, c):
+    return [[Fraction(0)] * c for _ in range(r)]
+
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def dense_structure(alg):
+    """The dense table structure[i][j][k], the e_k-coefficient of [e_i, e_j], as
+    tuples of Fractions, read off alg.sparse."""
+    zero = (Fraction(0),) * alg.dim
+    return tuple(tuple(tuple(map(dict(terms).get, range(alg.dim), zero)) for terms in plane)
+                 for plane in alg.sparse)
+
+
+def dense_matrices(rep):
+    """The matrices rho(e_t) as fresh lists of Fraction rows, read off rep.sparse."""
+    m = rep.space_dim
+    mats = []
+    for rows in rep.sparse:
+        mat = zeros(m, m)
+        for dense, row in zip(mat, rows or ()):
+            for s, x in row:
+                dense[s] = x
+        mats.append(mat)
+    return mats
+
+
+def sparse_table(structure):
+    """The table LieAlgebra.sparse holds for a dense table: the pairs (k, c) of the
+    nonzero structure[i][j][k], as tuples of Fractions."""
+    return tuple(tuple(tuple((k, Fraction(c)) for k, c in enumerate(vec) if c) for vec in plane)
+                 for plane in structure)
+
+
+def sparse_matrices(mats):
+    """The table Representation.sparse holds for dense matrices: None for a zero
+    matrix, else the pairs (column, entry) of the nonzero entries of each row."""
+    rows = [tuple(tuple((c, Fraction(x)) for c, x in enumerate(row) if x) for row in mat)
+            for mat in mats]
+    return tuple(mat if any(mat) else None for mat in rows)
+
+
+def dense_kernel_action(cols):
+    """The square matrix of a kernel action given, as s_from_section gives it, by
+    the nonzero (row, entry) pairs of each column; its other entries are Fraction(0)."""
+    mat = zeros(len(cols), len(cols))
+    for j, col in enumerate(cols):
+        for r, e in col:
+            mat[r][j] = e
+    return mat
+
+
+def kernel_action_columns(mat):
+    """The nonzero (row, entry) pairs of each column of a square matrix."""
+    return [[(r, row[j]) for r, row in enumerate(mat) if row[j]] for j in range(len(mat))]
 
 
 def raise_everywhere(monkeypatch, module, name):
@@ -331,6 +390,7 @@ def reference_twisted_differential(w, mats):
     """
     src = w.source
     p = w.degree
+    structure = dense_structure(src)
 
     def fn(key):
         out = [Fraction(0)] * w.target_dim
@@ -339,7 +399,7 @@ def reference_twisted_differential(w, mats):
             sgn = -1 if j % 2 else 1
             out = [o + sgn * x for o, x in zip(out, av)]
         for ai, bi in combinations(range(p + 1), 2):
-            u = src.structure[key[ai]][key[bi]]
+            u = structure[key[ai]][key[bi]]
             if all(c == 0 for c in u):
                 continue
             rest = tuple(key[x] for x in range(p + 1) if x not in (ai, bi))
@@ -355,13 +415,13 @@ def dense_differential_matrix(algebra, rep, degree):
     """Reference matrix of d: C^degree -> C^{degree+1}, one column per unit cochain."""
     keys = increasing_tuples(algebra.dim, degree)
     m = rep.space_dim
+    mats = dense_matrices(rep)
     cols = []
     for key in keys:
         for c in range(m):
             values = {k: [Fraction(0)] * m for k in keys}
             values[key] = [Fraction(int(i == c)) for i in range(m)]
-            d = reference_twisted_differential(Cochain(algebra, degree, m, values),
-                                               rep.matrices)
+            d = reference_twisted_differential(Cochain(algebra, degree, m, values), mats)
             cols.append([x for val in d.values.values() for x in val])
     nrows = comb(algebra.dim, degree + 1) * m
     return [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
@@ -407,11 +467,12 @@ def dense_symmap_evaluate(f, args):
 def reference_section_curvature(ext, sec):
     """Reference R(x,y) = [sigma x, sigma y] - sigma([x,y]) in kernel coordinates."""
     g = ext.base
+    structure = dense_structure(g)
 
     def fn(key):
         i, j = key
         val = bracket(ext.total, sec.column(i), sec.column(j))
-        for k, c in enumerate(g.structure[i][j]):
+        for k, c in enumerate(structure[i][j]):
             if c == 0:
                 continue
             val = [v - c * x for v, x in zip(val, sec.column(k))]
@@ -501,13 +562,14 @@ def reference_is_invariant(f, ext, rep, mode, sigma=None):
 
     if mode == "section":
         s_mats = [reference_kernel_action(ext, sigma.column(i)) for i in range(ext.base.dim)]
-        act_mats = rep.matrices
+        act_mats = dense_matrices(rep)
     else:
         s_mats = [reference_kernel_action(ext, unit(dt, x)) for x in range(dt)]
         act_mats = []
+        mats = dense_matrices(rep)
         for x in range(dt):
             qx = dense_mat_vec(ext.proj, unit(dt, x))
-            act_mats.append([[sum(qx[b] * rep.matrices[b][r][s] for b in range(ext.base.dim))
+            act_mats.append([[sum(qx[b] * mats[b][r][s] for b in range(ext.base.dim))
                               for s in range(rep.space_dim)] for r in range(rep.space_dim)])
     for s_mat, act in zip(s_mats, act_mats):
         for key in nondecreasing_tuples(dn, f.degree):
@@ -534,6 +596,27 @@ SMALL_ALGEBRAS = {
 }
 
 
+def algebra_pool():
+    """SMALL_ALGEBRAS, the algebras of the catalog extensions, larger Heisenberg,
+    abelian and semidirect algebras, each but abelian(0) also in a seeded basis."""
+    rng = random.Random(171)
+    built = [SMALL_ALGEBRAS[name]() for name in sorted(SMALL_ALGEBRAS)]
+    for build in (heisenberg_central_extension, oscillator_extension, filiform_extension,
+                  affine_split_extension):
+        ext = build()
+        built += [ext.total, ext.base, ext.kernel]
+    built += [heisenberg(3), oscillator(), abelian(4), abelian(0),
+              semidirect_product(heisenberg3(), abelian(1, ("w",)),
+                                 [[[0, -1, 0], [1, 0, 0], [0, 0, 0]]]),
+              algebra_from_brackets(("a", "b", "c"), {(0, 1): {1: Fraction(2, 3)},
+                                                      (0, 2): {2: Fraction(-5, 7)}}),
+              abelian(1)]
+    for alg in built:
+        yield alg
+        if alg.dim:
+            yield conjugate_algebra(rng, alg)
+
+
 def random_algebra(rng):
     name = rng.choice(sorted(SMALL_ALGEBRAS))
     alg = SMALL_ALGEBRAS[name]()
@@ -549,7 +632,7 @@ def random_module(rng, algebra):
     inv = transpose([solve_linear(pm, [Fraction(int(i == j)) for i in range(d)])
                      for j in range(d)])
     mats = []
-    for mat in adjoint_representation(algebra).matrices:
+    for mat in dense_matrices(adjoint_representation(algebra)):
         block = [[*row, Fraction(0)] for row in mat] + [[Fraction(0)] * d]
         mats.append(dense_mat_mul(dense_mat_mul(pm, block), inv))
     return Representation(algebra, d, mats)
@@ -578,7 +661,7 @@ class BilinearProduct:
 
 def lie_bracket_product(alg) -> BilinearProduct:
     """The bracket of alg as a bilinear product V x V -> V."""
-    return BilinearProduct(alg.dim, alg.dim, alg.dim, alg.structure)
+    return BilinearProduct(alg.dim, alg.dim, alg.dim, dense_structure(alg))
 
 
 def scalar_multiplication(dim=1) -> BilinearProduct:
@@ -635,7 +718,7 @@ def fixture_extensions():
 def direct_sum_extension() -> Extension:
     """h_5 + R^3 -> h_5 with the abelian summand (k1, k2, k3) as kernel."""
     base = heisenberg(2)
-    brackets = {(i, j): {k: c for k, c in enumerate(base.structure[i][j]) if c}
+    brackets = {(i, j): {k: c for k, c in enumerate(dense_structure(base)[i][j]) if c}
                 for i, j in combinations(range(5), 2)}
     total = algebra_from_brackets(base.basis_names + ("k1", "k2", "k3"), brackets)
     iota = [[int(r == 5 + c) for c in range(3)] for r in range(8)]
@@ -843,11 +926,12 @@ def reference_validate_extension(ext):
     if any(c != 0 for row in dense_mat_mul(ext.proj, ext.iota) for c in row):
         failures.append("q . iota is not zero")
     iota_cols = transpose(ext.iota)
+    kernel, total = dense_structure(ext.kernel), dense_structure(ext.total)
     for i, j in combinations(range(dn), 2):
-        if dense_mat_vec(ext.iota, ext.kernel.structure[i][j]) != reference_bracket(
+        if dense_mat_vec(ext.iota, kernel[i][j]) != reference_bracket(
                 ext.total, iota_cols[i], iota_cols[j]):
             failures.append(f"iota is not a homomorphism on kernel pair ({i},{j})")
-    for x, plane in enumerate(ext.total.structure):
+    for x, plane in enumerate(total):
         ad_x = transpose(plane)
         for j, col in enumerate(iota_cols):
             if solve_linear(ext.iota, dense_mat_vec(ad_x, col)) is None:
@@ -855,7 +939,7 @@ def reference_validate_extension(ext):
                     f"iota image is not an ideal: [e_{x}, iota e_{j}] escapes")
     q_cols = transpose(ext.proj)
     for i, j in combinations(range(dt), 2):
-        if dense_mat_vec(ext.proj, ext.total.structure[i][j]) != reference_bracket(
+        if dense_mat_vec(ext.proj, total[i][j]) != reference_bracket(
                 ext.base, q_cols[i], q_cols[j]):
             failures.append(f"q is not a homomorphism on pair ({i},{j})")
     return failures
@@ -870,10 +954,6 @@ def oversized_polynomial_document():
         "algebras": {"g": {"dim": 20, "basis": [f"e{i}" for i in range(20)]}},
         "polynomials": {"f": {"degree": 30, "source": "g", "target_dim": 1,
                               "entries": []}}})
-
-
-def no_enumeration(dim, degree):
-    raise AssertionError(f"enumerated the tuples of degree {degree} over dim {dim}")
 
 
 def _inversion_sign(seq) -> int:
@@ -922,11 +1002,12 @@ def reference_curvature(sigma, target):
     """R(x,y) = [sigma x, sigma y] - sigma([x,y]) of a 1-cochain sigma into the Lie
     algebra target, over reference_bracket."""
     src = sigma.source
+    structure = dense_structure(src)
 
     def fn(key):
         i, j = key
         val = reference_bracket(target, sigma.entry((i,)), sigma.entry((j,)))
-        for k, c in enumerate(src.structure[i][j]):
+        for k, c in enumerate(structure[i][j]):
             if c:
                 val = [v - c * x for v, x in zip(val, sigma.entry((k,)))]
         return val
@@ -940,7 +1021,7 @@ def reference_bracket(alg, x, y):
     if len(x) != d or len(y) != d:
         raise ValueError("dimension mismatch")
     out = [Fraction(0)] * d
-    c = alg.structure
+    c = dense_structure(alg)
     for i in range(d):
         xi = x[i]
         if xi == 0:
@@ -962,9 +1043,10 @@ def reference_is_derivation(alg, mat) -> bool:
     if len(mat) != d or any(len(row) != d for row in mat):
         raise ValueError("dimension mismatch")
     cols = [[mat[r][j] for r in range(d)] for j in range(d)]
+    structure = dense_structure(alg)
     for i in range(d):
         for j in range(i + 1, d):
-            lhs = dense_mat_vec(mat, alg.structure[i][j])
+            lhs = dense_mat_vec(mat, structure[i][j])
             rhs = [a + b for a, b in zip(reference_bracket(alg, cols[i], _reference_unit(d, j)),
                                          reference_bracket(alg, _reference_unit(d, i), cols[j]))]
             if any(a - b != 0 for a, b in zip(lhs, rhs)):
@@ -987,7 +1069,8 @@ def reference_check_jacobi(alg):
 
 def reference_check_representation(rep):
     """Pairs i<j with defect [rho(e_i), rho(e_j)] - rho([e_i,e_j]) != 0, on dense scratch."""
-    alg, mats = rep.algebra, rep.matrices
+    alg, mats = rep.algebra, dense_matrices(rep)
+    structure = dense_structure(alg)
     violations = []
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
@@ -995,7 +1078,7 @@ def reference_check_representation(rep):
                                       dense_mat_mul(mats[j], mats[i]))
             expect = zeros(rep.space_dim, rep.space_dim)
             for k in range(alg.dim):
-                c = alg.structure[i][j][k]
+                c = structure[i][j][k]
                 if c:
                     for r in range(rep.space_dim):
                         for s in range(rep.space_dim):
@@ -1009,6 +1092,7 @@ def reference_check_representation(rep):
 def reference_semidirect_product(h, a, action):
     """h x| a with the derivation and representation checks written out inline."""
     dh, da = h.dim, a.dim
+    h_table, a_table = dense_structure(h), dense_structure(a)
     action = [[[Fraction(c) for c in row] for row in mat] for mat in action]
     if len(action) != da or any(
         len(mat) != dh or any(len(row) != dh for row in mat) for mat in action
@@ -1024,7 +1108,7 @@ def reference_semidirect_product(h, a, action):
                      for s in range(dh)] for r in range(dh)]
             expect = zeros(dh, dh)
             for k in range(da):
-                ck = a.structure[i][j][k]
+                ck = a_table[i][j][k]
                 if ck:
                     for r in range(dh):
                         for s in range(dh):
@@ -1040,11 +1124,11 @@ def reference_semidirect_product(h, a, action):
     for i in range(dh):
         for j in range(dh):
             for k in range(dh):
-                structure[i][j][k] = h.structure[i][j][k]
+                structure[i][j][k] = h_table[i][j][k]
     for i in range(da):
         for j in range(da):
             for k in range(da):
-                structure[dh + i][dh + j][dh + k] = a.structure[i][j][k]
+                structure[dh + i][dh + j][dh + k] = a_table[i][j][k]
     for j in range(da):
         for i in range(dh):
             for k in range(dh):

@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from liechar import SymMultiMap, serialize_workspace
+from liechar import cochains, serialize_workspace
 from liechar.catalog import filiform_workspace, heisenberg_workspace
 from liechar.cli import run_command
 
-from helpers import (BOOLEAN_FIELDS, PINNED_LOAD_FAILURES, boolean_document, no_enumeration,
-                     oversized_polynomial_document, point_base_document)
+from helpers import (BOOLEAN_FIELDS, PINNED_LOAD_FAILURES, boolean_document,
+                     oversized_polynomial_document, point_base_document, raise_everywhere)
 
 
 def run(capsys, *argv):
@@ -97,7 +97,7 @@ class TestValidate:
         assert run(capsys, "validate", str(path)) == (code, "", f"{kind} error: {message}\n")
 
     def test_oversized_polynomial_exits_2(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(SymMultiMap, "key_tuples", staticmethod(no_enumeration))
+        raise_everywhere(monkeypatch, cochains, "_nondecreasing_walk")
         path = tmp_path / "big.json"
         path.write_text(oversized_polynomial_document(), encoding="utf-8")
         code, _, err = run(capsys, "validate", str(path))

@@ -23,7 +23,7 @@ from liechar import (Cochain, MultiPoly, Section, SymMultiMap, abelian,
 from liechar.catalog import heisenberg_central_extension
 
 from helpers import (SMALL_ALGEBRAS, ad_matrix, alt, conjugate_algebra, dense_cochain_evaluate,
-                     dense_differential_matrix, dense_symmap_evaluate, evaluation_product,
+                     dense_differential_matrix, dense_matrices, dense_symmap_evaluate, evaluation_product,
                      lie_bracket_product, rand_cochain, rand_fraction, rand_symmap,
                      rand_vector, random_algebra, random_representation, raise_everywhere,
                      reference_compose_sym, reference_curvature,
@@ -334,7 +334,7 @@ class TestOneDifferential:
                 w = rand_cochain(rng, alg, p, rep.space_dim)
                 for cochain in (w, w.map_values(lambda x: x * rand_poly(rng))):
                     got = ce_differential(cochain, rep)
-                    want = reference_twisted_differential(cochain, rep.matrices)
+                    want = reference_twisted_differential(cochain, dense_matrices(rep))
                     assert got == want
                     assert [type(x) for v in got.values.values() for x in v] == \
                         [type(x) for v in want.values.values() for x in v]

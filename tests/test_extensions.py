@@ -8,7 +8,7 @@ import pytest
 from liechar import (ExactnessViolation, Extension, InvalidSection, MultiPoly, NotInvariant,
                      Representation, Section, SymMultiMap, abelian, adjoint_representation,
                      chern_weil, algebra_from_brackets, as_poly,
-                     heisenberg3, identity, is_invariant, param_curvature,
+                     heisenberg3, is_invariant, param_curvature,
                      param_section, parse_workspace, s_from_section,
                      section_curvature, section_difference, solve_linear,
                      trivial_representation, validate_extension, validate_section)
@@ -16,9 +16,9 @@ from liechar import extensions as extensions_module
 from liechar.catalog import (affine_split_extension, filiform_extension,
                              heisenberg_central_extension, oscillator_extension)
 
-from helpers import (conjugate_extension, dense_solve, direct_sum_extension,
-                     euclidean_extension, fixture_extensions, fraction_sparse_rref,
-                     kernel_functional, point_base_extension,
+from helpers import (conjugate_extension, dense_kernel_action, dense_solve, direct_sum_extension,
+                     euclidean_extension, fixture_extensions, fraction_sparse_rref, identity,
+                     kernel_action_columns, kernel_functional, point_base_extension,
                      poly_diff, poly_eval_at, poly_total_degree, poly_variable, rand_fraction,
                      rand_section, rand_symmap, random_invariant_symmap, rational_multiple,
                      reference_bracket, reference_is_invariant,
@@ -264,14 +264,15 @@ class TestValidateAgainstReference:
 
 
 def _same_entries(got, want):
-    """Equal matrices whose entries also agree in kind (Fraction or MultiPoly)."""
+    """Equal column lists whose entries also agree in kind (Fraction or MultiPoly)."""
     assert got == want
-    assert [[type(c) for c in row] for row in got] == [[type(c) for c in row] for row in want]
+    assert [[type(c) for _, c in col] for col in got] == [[type(c) for _, c in col] for col in want]
 
 
-def _action_or_escape(action, ext, v):
+def _reference_columns(ext, v):
+    """The nonzero entries of each column of the reference kernel action."""
     try:
-        return action(ext, v)
+        return kernel_action_columns(reference_kernel_action(ext, v))
     except ExactnessViolation:
         return "escapes"
 
@@ -297,16 +298,16 @@ class TestKernelActionAgainstReference:
         for name, ext, sections in self.cases():
             for sec in sections:
                 got = s_from_section(ext, sec)
-                for i, mat in enumerate(got):
-                    _same_entries(mat, reference_kernel_action(ext, sec.column(i)))
-                    kinds.update(type(c) for row in mat for c in row)
+                for i, cols in enumerate(got):
+                    _same_entries(cols, _reference_columns(ext, sec.column(i)))
+                    kinds.update(type(c) for col in cols for _, c in col)
         assert kinds == {Fraction, MultiPoly}
 
     def test_strict_actions_match(self):
         for name, ext, _ in self.cases():
-            for v in identity(ext.total.dim):
-                _same_entries(extensions_module._kernel_action(ext, v),
-                              reference_kernel_action(ext, v))
+            for x, v in enumerate(identity(ext.total.dim)):
+                _same_entries(extensions_module._kernel_action(ext, [(x, 1)]),
+                              _reference_columns(ext, v))
 
     def test_corrupted_extensions_escape_as_the_reference_does(self):
         rng = random.Random(96)
@@ -314,15 +315,14 @@ class TestKernelActionAgainstReference:
         for ext in validation_cases():
             dt, dg = ext.total.dim, ext.base.dim
             sec = Section(ext, [[rand_fraction(rng) for _ in range(dg)] for _ in range(dt)])
-            want = [_action_or_escape(reference_kernel_action, ext, sec.column(i))
-                    for i in range(dg)]
+            want = [_reference_columns(ext, sec.column(i)) for i in range(dg)]
             if "escapes" in want:
                 escaped += 1
                 with pytest.raises(ExactnessViolation):
                     s_from_section(ext, sec)
             else:
-                for mat, ref in zip(s_from_section(ext, sec), want):
-                    _same_entries(mat, ref)
+                for cols, ref in zip(s_from_section(ext, sec), want):
+                    _same_entries(cols, ref)
             if any("ideal" in failure for failure in validate_extension(ext)):
                 non_ideal += 1
                 with pytest.raises(ExactnessViolation):
@@ -330,11 +330,41 @@ class TestKernelActionAgainstReference:
                                  trivial_representation(ext.base, 1), "strict")
         assert non_ideal >= 50 and escaped >= 50
 
-    def test_wrong_length_is_refused(self):
-        ext = oscillator_extension()
-        for length in (ext.total.dim - 1, ext.total.dim + 1):
-            with pytest.raises(ValueError, match="^dimension mismatch$"):
-                extensions_module._kernel_action(ext, [Fraction(1)] * length)
+
+    def test_columns_are_the_nonzero_entries_of_the_reference(self):
+        # both modes, rational and polynomial sections: each column lists its
+        # nonzero entries by increasing row, and filling them into a zero
+        # matrix gives the reference matrix
+        kinds = set()
+        for name, ext, sections in self.cases():
+            pairs = [(sec.column(i), cols) for sec in sections
+                     for i, cols in enumerate(s_from_section(ext, sec))]
+            pairs += [(v, extensions_module._kernel_action(ext, [(x, 1)]))
+                      for x, v in enumerate(identity(ext.total.dim))]
+            for v, cols in pairs:
+                assert len(cols) == ext.kernel.dim
+                for col in cols:
+                    rows = [r for r, _ in col]
+                    assert rows == sorted(set(rows)) and all(e for _, e in col)
+                    kinds.update(type(e) for _, e in col)
+                assert dense_kernel_action(cols) == reference_kernel_action(ext, v), name
+        assert kinds == {Fraction, MultiPoly}
+
+    def test_escaping_bracket_raises_in_both_modes(self):
+        # only [q, iota e_0] = -2/3 z leaves the image of iota
+        ext = TestScaledInconsistentRows.escaping()
+        with pytest.raises(ExactnessViolation):
+            extensions_module._kernel_action(ext, [(1, 1)])
+        for x in (0, 2, 3):
+            assert not any(extensions_module._kernel_action(ext, [(x, 1)]))
+        sec = Section(ext, [[0, 0], [1, 0], [0, 1], [0, 0]])
+        other = Section(ext, [[0, 0], [1, 0], [0, 1], [1, 0]])
+        for escaping in (sec, param_section(ext, [sec, other])):
+            with pytest.raises(ExactnessViolation):
+                s_from_section(ext, escaping)
+        with pytest.raises(ExactnessViolation):
+            is_invariant(SymMultiMap.zero(ext.kernel, 1, 1), ext,
+                         trivial_representation(ext.base, 1), "strict")
 
 
 class TestScaledInconsistentRows:
@@ -380,9 +410,9 @@ class TestScaledInconsistentRows:
             for x in range(dt):
                 if any(pair[0] == x for pair in want):
                     with pytest.raises(ExactnessViolation):
-                        extensions_module._kernel_action(ext, units[x])
+                        extensions_module._kernel_action(ext, [(x, 1)])
                 else:
-                    extensions_module._kernel_action(ext, units[x])
+                    extensions_module._kernel_action(ext, [(x, 1)])
             # the stored echelon against the Fraction loop on the same rows
             (rows, ncols), = captured
             ref = fraction_sparse_rref(rows, ncols)
@@ -443,15 +473,15 @@ class TestSectionCurvature:
 class TestInducedAction:
     def test_oscillator_standard_lift_gives_rotation(self):
         ext, s0, _ = oscillator_sections()
-        assert s_from_section(ext, s0) == [[[Fraction(c) for c in row] for row in ROTATION]]
+        (cols,) = s_from_section(ext, s0)
+        assert dense_kernel_action(cols) == [[Fraction(c) for c in row] for row in ROTATION]
 
     def test_central_kernel_gives_zero_action(self):
         rng = random.Random(72)
         for name in ("heisenberg", "filiform", "affine"):
             ext = fixture_extensions()[name]
             for _ in range(3):
-                mats = s_from_section(ext, rand_section(rng, ext))
-                assert all(all(c == 0 for row in mat for c in row) for mat in mats), name
+                assert not any(map(any, s_from_section(ext, rand_section(rng, ext)))), name
 
     def test_abelian_split_extension_action_is_zero(self):
         from liechar import abelian, semidirect_product
@@ -461,8 +491,7 @@ class TestInducedAction:
         ext = Extension(total, abelian(1, ("t",)), plane,
                         [[1, 0], [0, 1], [0, 0]], [[0, 0, 1]])
         sec = Section(ext, [[0], [0], [1]])
-        mats = s_from_section(ext, sec)
-        assert all(c == 0 for mat in mats for row in mat for c in row)
+        assert not any(map(any, s_from_section(ext, sec)))
 
 
 class TestInvariance:
@@ -797,7 +826,7 @@ class TestParamFamily:
             sections = section_pool(rng, name, ext, 3)
             st = param_section(ext, sections)
             rt = param_curvature(ext, st)
-            st_mats = s_from_section(ext, st)
+            st_mats = [dense_kernel_action(cols) for cols in s_from_section(ext, st)]
             for i in (1, 2):
                 alpha = to_poly(section_difference(ext, sections[i], sections[0]), 2)
                 lhs = reference_twisted_differential(alpha, st_mats)

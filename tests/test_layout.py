@@ -13,7 +13,9 @@
   script; a name that only tests read moves to the tests or is deleted;
 - no module but ``liealg`` scans ``.structure`` or ``.matrices`` with
   ``enumerate`` for nonzero entries: the sparse tables of ``LieAlgebra`` and
-  ``Representation`` are the one reader.
+  ``Representation`` are the one reader;
+- ``LieAlgebra`` and ``Representation`` store their sparse table and no dense
+  copy of it.
 """
 
 import ast
@@ -234,3 +236,16 @@ def test_only_liealg_scans_the_dense_tables(name):
     """Loops over nonzero structure constants or module entries read the sparse
     tables that LieAlgebra and Representation fill at construction."""
     assert dense_table_scans(tree(name)) == []
+
+
+@pytest.mark.parametrize("cls, slots", [
+    ("LieAlgebra", ("dim", "basis_names", "sparse")),
+    ("Representation", ("algebra", "space_dim", "sparse")),
+])
+def test_tables_are_stored_sparse_only(cls, slots):
+    """Instances have no __dict__, so a dense shadow of the sparse table would
+    need a slot of its own."""
+    cls = getattr(importlib.import_module("liechar.liealg"), cls)
+    assert cls.__slots__ == slots
+    assert not DENSE_TABLES & set(cls.__slots__)
+    assert not hasattr(object.__new__(cls), "__dict__")

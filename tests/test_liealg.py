@@ -12,17 +12,18 @@ from liechar import liealg
 from liechar import (LieAlgebra, MultiPoly, Representation, abelian,
                      adjoint_representation, algebra_from_brackets, bracket,
                      check_jacobi, check_representation, heisenberg,
-                     heisenberg3, identity, is_derivation, oscillator,
+                     heisenberg3, is_derivation, oscillator,
                      semidirect_product, trivial_representation)
 from liechar.catalog import (affine_split_extension, filiform_extension,
                              heisenberg_central_extension, oscillator_extension)
 
-from helpers import (SMALL_ALGEBRAS, ad_matrix, conjugate_algebra, dense_algebra_from_brackets,
+from helpers import (SMALL_ALGEBRAS, ad_matrix, algebra_pool, conjugate_algebra,
+                     dense_algebra_from_brackets, dense_matrices, dense_structure, identity,
                      rand_fraction, rand_matrix, rand_vector, random_algebra, random_module,
                      reference_bracket,
                      reference_check_jacobi, reference_check_representation,
                      reference_is_derivation,
-                     reference_semidirect_product)
+                     reference_semidirect_product, sparse_matrices, sparse_table)
 
 ROTATION = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
 
@@ -39,7 +40,7 @@ class TestCheckJacobi:
         table = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
         for i, j, k in ((0, 1, 2), (1, 2, 1)):
             table[i][j][k], table[j][i][k] = Fraction(1), Fraction(-1)
-        bad = LieAlgebra._of(("p", "q", "z"), table)
+        bad = LieAlgebra._of(("p", "q", "z"), sparse_table(table))
         violations = check_jacobi(bad)
         assert len(violations) == 1
         i, j, k, defect = violations[0]
@@ -141,14 +142,14 @@ class TestSemidirect:
 class TestStandardAlgebras:
     def test_abelian_all_zero(self):
         alg = abelian(2)
-        assert all(c == 0 for plane in alg.structure for row in plane for c in row)
+        assert all(c == 0 for plane in dense_structure(alg) for row in plane for c in row)
 
     def test_heisenberg_structure(self):
-        h3 = heisenberg3()
+        table = dense_structure(heisenberg3())
         nonzero = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)
-                   if h3.structure[i][j][k] != 0]
+                   if table[i][j][k] != 0]
         assert nonzero == [(0, 1, 2), (1, 0, 2)]
-        assert h3.structure[0][1][2] == 1
+        assert table[0][1][2] == 1
 
     def test_oscillator_validates(self):
         assert check_jacobi(oscillator()) == []
@@ -177,8 +178,7 @@ class TestRepresentations:
     def test_detects_violation(self):
         # rho(p), rho(q) with nonzero commutator but rho([p,q]) = rho(z) = 0
         mats = [[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]]
-        rep = Representation._of(heisenberg3(), 2,
-                                 [[[Fraction(c) for c in row] for row in mat] for mat in mats])
+        rep = Representation._of(heisenberg3(), 2, sparse_matrices(mats))
         bad = check_representation(rep)
         assert [(i, j) for i, j, _ in bad] == [(0, 1)]
         with pytest.raises(ValueError, match="representation"):
@@ -212,28 +212,28 @@ def _representations(rng, alg):
     yield trivial_representation(alg, 2)
     yield adjoint_representation(alg)
     yield random_module(rng, alg)
-    yield Representation._of(alg, 2, [rand_matrix(rng, 2, 2) for _ in range(alg.dim)])
-    ad = [[list(row) for row in mat] for mat in adjoint_representation(alg).matrices]
+    yield Representation._of(
+        alg, 2, sparse_matrices([rand_matrix(rng, 2, 2) for _ in range(alg.dim)]))
+    ad = dense_matrices(adjoint_representation(alg))
     ad[rng.randrange(alg.dim)][rng.randrange(alg.dim)][rng.randrange(alg.dim)] += 1
-    yield Representation._of(alg, alg.dim, ad)
+    yield Representation._of(alg, alg.dim, sparse_matrices(ad))
     d = alg.dim
     for rep in (adjoint_representation(alg), random_module(rng, alg)):
         m = rep.space_dim
-        zeroed, perturbed, dropped = ([[list(row) for row in mat] for mat in rep.matrices]
-                                      for _ in range(3))
+        zeroed, perturbed, dropped = (dense_matrices(rep) for _ in range(3))
         for t in rng.sample(range(d), rng.randint(1, d)):
             zeroed[t] = [[Fraction(0)] * m for _ in range(m)]
         perturbed[rng.randrange(d)][rng.randrange(m)][rng.randrange(m)] += rand_fraction(rng) or 1
-        nonzero = [(t, r, c) for t, mat in enumerate(rep.matrices)
+        nonzero = [(t, r, c) for t, mat in enumerate(dense_matrices(rep))
                    for r, row in enumerate(mat) for c, x in enumerate(row) if x]
         if nonzero:
             t, r, c = rng.choice(nonzero)
             dropped[t][r][c] = Fraction(0)
         for mats in (zeroed, perturbed, dropped):
-            yield Representation._of(alg, m, mats)
+            yield Representation._of(alg, m, sparse_matrices(mats))
     lone = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(d)]
     lone[rng.randrange(d)][rng.randrange(2)][rng.randrange(2)] = Fraction(1)
-    yield Representation._of(alg, 2, lone)
+    yield Representation._of(alg, 2, sparse_matrices(lone))
 
 
 def _outcome(fn, *args):
@@ -379,10 +379,11 @@ class TestOneDefect:
     def test_adjoint_matrices_read_off_the_table(self):
         rng = random.Random(85)
         for alg in _algebras(rng):
-            mats = adjoint_representation(alg).matrices
+            mats = dense_matrices(adjoint_representation(alg))
+            table = dense_structure(alg)
             for i, mat in enumerate(mats):
                 assert mat == ad_matrix(alg, identity(alg.dim)[i])
-                assert all(mat[k][j] == alg.structure[i][j][k]
+                assert all(mat[k][j] == table[i][j][k]
                            for j in range(alg.dim) for k in range(alg.dim))
 
 
@@ -405,7 +406,7 @@ class TestValidByConstruction:
                 d, names = alg.dim, alg.basis_names
                 failed = False
                 for _ in range(4):
-                    table = [[list(row) for row in plane] for plane in alg.structure]
+                    table = [[list(row) for row in plane] for plane in dense_structure(alg)]
                     i, j = sorted(rng.sample(range(d), 2))
                     k = rng.randrange(d)
                     delta = rand_fraction(rng) or Fraction(1)
@@ -413,8 +414,8 @@ class TestValidByConstruction:
                     table[j][i][k] -= delta
                     brackets = {(a, b): dict(enumerate(table[a][b]))
                                 for a, b in combinations(range(d), 2)}
-                    want = reference_check_jacobi(LieAlgebra._of(names, table))
-                    assert check_jacobi(LieAlgebra._of(names, table)) == want
+                    want = reference_check_jacobi(LieAlgebra._of(names, sparse_table(table)))
+                    assert check_jacobi(LieAlgebra._of(names, sparse_table(table))) == want
                     if not want:
                         assert LieAlgebra(names, table) == algebra_from_brackets(names, brackets)
                         continue
@@ -436,18 +437,19 @@ class TestValidByConstruction:
             d, names = alg.dim, alg.basis_names
             failed = False
             for _ in range(3):
-                ad = [[list(row) for row in mat] for mat in adjoint_representation(alg).matrices]
+                ad = dense_matrices(adjoint_representation(alg))
                 ad[rng.randrange(d)][rng.randrange(d)][rng.randrange(d)] += rand_fraction(rng) or 1
-                want = reference_check_representation(Representation._of(alg, d, ad))
+                want = reference_check_representation(
+                    Representation._of(alg, d, sparse_matrices(ad)))
                 if not want:
-                    assert Representation(alg, d, ad).matrices == ad
+                    assert dense_matrices(Representation(alg, d, ad)) == ad
                     continue
                 i, j, _ = want[0]
                 message = re.escape(f"representation property fails on ({names[i]},{names[j]})")
                 with pytest.raises(ValueError, match=f"^{message}$"):
                     Representation(alg, d, ad)
                 failed = True
-            assert failed == any(c for plane in alg.structure for row in plane for c in row)
+            assert failed == any(terms for plane in alg.sparse for terms in plane)
 
     def test_constructions_on_the_trusted_path_reject_bad_sizes(self):
         with pytest.raises(ValueError, match="dim basis names"):
@@ -483,46 +485,19 @@ class TestValidByConstruction:
         }
 
 
-def scanned_table(alg):
-    """The nonzero (k, c) of every structure[i][j], by a scan of the dense table."""
-    return tuple(tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in plane)
-                 for plane in alg.structure)
-
-
-def scanned_matrices(rep):
-    """Per rho(e_t): None when zero, else each row's nonzero (column, entry)."""
-    return tuple(None if not any(x for row in mat for x in row)
-                 else tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in mat)
-                 for mat in rep.matrices)
-
-
 class TestSparseTables:
-    """Both constructors of algebras and modules fill the sparse tables that the
-    package's loops over nonzero structure constants and module entries read."""
+    """Every constructor of algebras and modules stores the sparse table a scan
+    of the dense one gives, whether it reads bracket data, a dense table or the
+    table of the algebra."""
 
-    @staticmethod
-    def algebras():
-        rng = random.Random(171)
-        built = [SMALL_ALGEBRAS[name]() for name in sorted(SMALL_ALGEBRAS)]
-        for build in (heisenberg_central_extension, oscillator_extension, filiform_extension,
-                      affine_split_extension):
-            ext = build()
-            built += [ext.total, ext.base, ext.kernel]
-        built += [heisenberg(3), oscillator(), abelian(4), abelian(0),
-                  semidirect_product(heisenberg3(), abelian(1, ("w",)), [ROTATION]),
-                  algebra_from_brackets(("a", "b", "c"), {(0, 1): {1: Fraction(2, 3)},
-                                                          (0, 2): {2: Fraction(-5, 7)}})]
-        for alg in list(built):
-            yield alg
-            if alg.dim:
-                yield conjugate_algebra(rng, alg)
+    algebras = staticmethod(algebra_pool)
 
     def test_algebra_tables_equal_a_scan(self):
         for alg in self.algebras():
-            assert alg.sparse == scanned_table(alg), alg.basis_names
-            rebuilt = LieAlgebra._of(alg.basis_names, alg.structure)
-            assert rebuilt.sparse == alg.sparse
-            checked = LieAlgebra(alg.basis_names, alg.structure)
+            table = dense_structure(alg)
+            assert alg.sparse == sparse_table(table), alg.basis_names
+            assert LieAlgebra._of(alg.basis_names, sparse_table(table)) == alg
+            checked = LieAlgebra(alg.basis_names, table)
             assert checked.sparse == alg.sparse
             assert all(type(c) is Fraction for plane in alg.sparse for terms in plane
                        for _, c in terms)
@@ -533,11 +508,44 @@ class TestSparseTables:
         for alg in self.algebras():
             for rep in (trivial_representation(alg, 1), trivial_representation(alg, 3),
                         adjoint_representation(alg), random_module(rng, alg),
-                        Representation(alg, alg.dim, adjoint_representation(alg).matrices)):
-                assert rep.sparse == scanned_matrices(rep), (alg.basis_names, rep)
+                        Representation(alg, alg.dim, dense_matrices(adjoint_representation(alg)))):
+                assert rep.sparse == sparse_matrices(dense_matrices(rep)), (alg.basis_names, rep)
                 zero_modules += rep.sparse.count(None)
                 nonzero_modules += len(rep.sparse) - rep.sparse.count(None)
         assert zero_modules > 100 and nonzero_modules > 100
+
+
+class TestModulesReadOffTheTable:
+    """The trivial and adjoint modules are built as sparse tables only; each
+    equals the scan of its dense reference: zero matrices, and ad(e_i) with
+    ad(e_i)[k][j] = [e_i, e_j]_k from reference_bracket on unit vectors."""
+
+    @staticmethod
+    def algebras():
+        yield from algebra_pool()
+        yield from (abelian(d) for d in range(4))
+        sl2 = SMALL_ALGEBRAS["sl2"]()
+        yield semidirect_product(sl2, abelian(1, ("t",)), [ad_matrix(sl2, [1, 2, 3])])
+
+    def test_adjoint_tables(self):
+        for alg in self.algebras():
+            d = alg.dim
+            units = identity(d)
+            dense = [[[reference_bracket(alg, units[i], units[j])[k] for j in range(d)]
+                      for k in range(d)] for i in range(d)]
+            rep = adjoint_representation(alg)
+            assert (rep.algebra, rep.space_dim) == (alg, d)
+            assert rep.sparse == sparse_matrices(dense), alg.basis_names
+            assert type(rep.sparse) is tuple
+            assert all(type(row) is tuple for mat in rep.sparse if mat for row in mat)
+            assert check_representation(rep) == []
+
+    def test_trivial_tables(self):
+        for alg in self.algebras():
+            for m in range(4):
+                rep = trivial_representation(alg, m)
+                assert rep.sparse == sparse_matrices([[[0] * m] * m] * alg.dim) == (None,) * alg.dim
+                assert check_representation(rep) == []
 
 
 class TestBracketsAgainstTheDenseConstruction:
@@ -572,12 +580,12 @@ class TestBracketsAgainstTheDenseConstruction:
             got = algebra_from_brackets(names, brackets)
             want = dense_algebra_from_brackets(names, brackets)
             assert got == want
-            assert got.structure == want.structure
             assert got.sparse == want.sparse
-            assert type(got.structure) is type(got.sparse) is tuple
+            assert type(got.sparse) is tuple
+            assert all(type(plane) is tuple for plane in got.sparse)
             assert all(type(vec) is tuple for plane in got.sparse for vec in plane)
-            assert all(type(c) is Fraction for plane in got.structure for vec in plane
-                       for c in vec)
+            assert all(type(c) is Fraction for plane in got.sparse for vec in plane
+                       for _, c in vec)
             count += 1
         assert count > 100
 

@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -7,15 +9,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liechar import (Cochain, MultiPoly, ParseError, SymMultiMap, ValidationError, abelian,
-                     canonical_dumps, cochain_to_json, heisenberg3, param_curvature,
-                     param_section,
-                     parse_workspace, rational_from_str, serialize_workspace)
+from liechar import cochains
+from liechar import (Cochain, MultiPoly, ParseError, Representation, SymMultiMap,
+                     ValidationError, Workspace, abelian, adjoint_representation,
+                     canonical_dumps, cochain_to_json, heisenberg3, nondecreasing_tuples,
+                     param_curvature, param_section, parse_workspace, rational_from_str,
+                     rational_to_str, serialize_workspace, trivial_representation)
 from liechar.catalog import (filiform_workspace, heisenberg_workspace,
                              oscillator_workspace)
 
-from helpers import (BOOLEAN_FIELDS, PINNED_LOAD_FAILURES, boolean_document, no_enumeration,
-                     oversized_polynomial_document, poly_from_json)
+from helpers import (BOOLEAN_FIELDS, PINNED_LOAD_FAILURES, algebra_pool, boolean_document,
+                     dense_matrices, dense_structure, oversized_polynomial_document,
+                     poly_from_json, rand_matrix, random_module, raise_everywhere,
+                     sparse_matrices, zeros)
 
 _H3 = {"dim": 3, "basis": ["p", "q", "z"], "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}}]}
 
@@ -63,6 +69,39 @@ class TestRoundTrips:
         assert ws.extensions["osc"].kernel is ws.algebras["h3"]
         assert ws.sections["sz"].matrix[2][0] == 1
         assert ws.polynomials["fz"].entry((2,)) == (1,)
+
+
+class TestModuleWriter:
+    """Modules are stored sparse; the writer expands each matrix to dense rows of
+    rational strings, as the dense matrices of the module would be written."""
+
+    @staticmethod
+    def workspaces():
+        rng = random.Random(211)
+        for alg in algebra_pool():
+            ws = Workspace(algebras={"g": alg})
+            ws.representations["zero"] = trivial_representation(alg, 2)
+            ws.representations["ad"] = adjoint_representation(alg)
+            ws.representations["module"] = random_module(rng, alg)
+            mats = [rand_matrix(rng, 3, 3) if rng.random() < 0.7 else zeros(3, 3)
+                    for _ in range(alg.dim)]
+            ws.representations["random"] = Representation._of(alg, 3, sparse_matrices(mats))
+            yield ws
+
+    def test_matrices_written_as_the_dense_ones(self):
+        for ws in self.workspaces():
+            text = serialize_workspace(ws)
+            doc = json.loads(text)
+            doc["representations"] = {
+                name: {"algebra": "g", "space_dim": rep.space_dim,
+                       "matrices": [[[rational_to_str(c) for c in row] for row in mat]
+                                    for mat in dense_matrices(rep)]}
+                for name, rep in ws.representations.items()}
+            assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            del ws.representations["random"]  # not a representation in general
+            if ws.algebras["g"].dim:  # space_dim 0 is not a valid document
+                assert serialize_workspace(parse_workspace(serialize_workspace(ws))) == \
+                    serialize_workspace(ws)
 
 
 class TestParseErrors:
@@ -141,7 +180,7 @@ class TestCoefficientKeys:
     def test_non_canonical_key_rejected(self, key):
         doc = {"algebras": {"a": {"dim": 2, "basis": ["x", "y"], "brackets": [
             {"i": 0, "j": 1, "coeffs": {"1": "1"}}]}}}
-        assert parse_workspace(json.dumps(doc)).algebras["a"].structure[0][1] == (0, 1)
+        assert dense_structure(parse_workspace(json.dumps(doc)).algebras["a"])[0][1] == (0, 1)
         doc["algebras"]["a"]["brackets"][0]["coeffs"] = {key: "1"}
         with pytest.raises(ParseError, match=r"^algebras\.a\.brackets\[0\]: coefficient keys"):
             parse_workspace(json.dumps(doc))
@@ -325,7 +364,7 @@ class TestSizeBound:
     """The entry count is compared with the number of tuples before enumerating them."""
 
     def test_oversized_polynomial_rejected_without_enumeration(self, monkeypatch):
-        monkeypatch.setattr(SymMultiMap, "key_tuples", staticmethod(no_enumeration))
+        raise_everywhere(monkeypatch, cochains, "_nondecreasing_walk")
         text = oversized_polynomial_document()
         assert len(text) < 300
         with pytest.raises(ParseError, match=f"expected {comb(49, 30)} entries"):
@@ -353,7 +392,7 @@ class TestSizeBoundAtDimensionsZeroAndOne:
     @pytest.mark.parametrize("degree", [2, 10**6, 2**63])
     @pytest.mark.parametrize("key", [[0], [], "missing", 0])
     def test_tuple_of_another_length_rejected(self, monkeypatch, degree, key):
-        monkeypatch.setattr(SymMultiMap, "key_tuples", staticmethod(no_enumeration))
+        raise_everywhere(monkeypatch, cochains, "_nondecreasing_walk")
         entry = {"value": ["1"]} if key == "missing" else {"tuple": key, "value": ["1"]}
         with pytest.raises(ParseError) as info:
             parse_workspace(polynomial_document(1, degree, [entry]))
@@ -375,6 +414,40 @@ class TestSizeBoundAtDimensionsZeroAndOne:
         assert parse_workspace(serialize_workspace(ws)).polynomials["f"].degree == degree
         with pytest.raises(ParseError, match=r"^polynomials\.f: expected 0 entries$"):
             parse_workspace(polynomial_document(0, degree, [{"tuple": [], "value": ["1"]}]))
+
+
+class TestLongTuples:
+    """The canonical tuples are walked one at a time, so a rejected document
+    costs memory in proportion to its own size, not to entries x degree."""
+
+    def test_rejected_long_polynomial_stays_below_a_mebibyte(self):
+        # a valid first entry of degree 3000 over a plane, then 3000 empty objects
+        degree = 3000
+        text = polynomial_document(2, degree, [{"tuple": [0] * degree, "value": ["1"]}]
+                                   + [{}] * degree)
+        assert len(text) < 22_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as info:
+                parse_workspace(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (f"polynomials.f.entries[1]: "
+                                   f"entry 1 must be for a tuple of length {degree}")
+        assert peak < 2**20
+
+    def test_long_tuples_in_canonical_order_are_read(self):
+        degree = 200
+        entries = [{"tuple": list(key), "value": [str(sum(key))]}
+                   for key in nondecreasing_tuples(2, degree)]
+        f = parse_workspace(polynomial_document(2, degree, entries)).polynomials["f"]
+        assert list(f.values) == nondecreasing_tuples(2, degree)
+        assert f.entry((1,) * degree) == (degree,)
+        entries[5], entries[6] = entries[6], entries[5]
+        with pytest.raises(ParseError, match=r"^polynomials\.f\.entries\[5\]: entry 5 must "
+                                             r"be for tuple \[0, "):
+            parse_workspace(polynomial_document(2, degree, entries))
 
 
 JSON_CHARACTERS = st.characters() | st.sampled_from(

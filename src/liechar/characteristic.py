@@ -95,15 +95,17 @@ class NotInvariant(ValueError):
 
 
 def _unflatten(vec, keys, zero: Cochain) -> Cochain:
-    """The cochain of a sparse Fraction vector in the tuple-major basis over keys,
-    built from the zero cochain of the same shape without re-checking entries."""
+    """The cochain of a sparse Fraction vector in the tuple-major basis over keys:
+    a copy of the zero cochain's table (same shape) with each block vec touches
+    padded from the shared zero tuple its key holds; no entry is re-checked."""
     m = zero.target_dim
+    values = zero.values.copy()
     blocks = {}
     for i, x in vec.items():
-        blocks.setdefault(i // m, [Fraction(0)] * m)[i % m] = x
-    values = zero.values.copy()
-    for k, block in blocks.items():
-        values[keys[k]] = tuple(block)
+        key = keys[i // m]
+        blocks.setdefault(key, list(values[key]))[i % m] = x
+    for key, block in blocks.items():
+        values[key] = tuple(block)
     return Cochain._of(zero.source, zero.degree, m, values)
 
 

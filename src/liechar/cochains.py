@@ -152,8 +152,10 @@ class _Table:
 
     @classmethod
     def zero(cls, source, degree, target_dim):
-        return cls.from_function(source, degree, target_dim,
-                                 lambda key: [Fraction(0)] * target_dim)
+        """The zero table: every key holds one shared tuple of Fraction(0)."""
+        return cls._of(source, degree, target_dim,
+                       dict.fromkeys(cls.key_tuples(source.dim, degree),
+                                     (Fraction(0),) * target_dim))
 
     def entry(self, key):
         return self.values[tuple(key)]

@@ -143,7 +143,7 @@ def echelon_nullspace(echelon, ncols):
     at each pivot; the vectors come in free-column order.
     """
     pivset = {p for p, _ in echelon}
-    vecs = {free: {free: Fraction(1)} for free in range(ncols) if free not in pivset}
+    vecs = {free: {free: _FRACTION_ONE} for free in range(ncols) if free not in pivset}
     for p, row in echelon:
         for k, x in row.items():
             if k in vecs:

@@ -11,7 +11,7 @@ from liechar import (Cochain, DegreeError, InvalidSection, InvarianceWarning,
                      Representation, Section, SymMultiMap, abelian,
                      adjoint_representation, ce_differential,
                      chern_weil, classes_equal, cohomology_space, compose_sym,
-                     delta_f, heisenberg, heisenberg3,
+                     delta_f, heisenberg, heisenberg3, oscillator,
                      increasing_tuples, param_section, rank, secondary_class,
                      section_curvature, section_difference,
                      trivial_representation, verify_main_theorem)
@@ -73,6 +73,27 @@ class TestCohomologySpace:
         space = cohomology_space(h3, triv, 2)
         for w in space.coboundary_basis:
             assert ce_differential(w, triv).is_zero()
+
+    @pytest.mark.parametrize("build, module", [(lambda: heisenberg(2), "trivial"),
+                                               (heisenberg3, "adjoint"),
+                                               (oscillator, "adjoint")],
+                             ids=["h5-trivial", "h3-adjoint", "oscillator-adjoint"])
+    def test_projection_holds_coordinates_of_the_cocycle_basis(self, build, module):
+        # column j of class_projection is the class of cocycle_basis[j]; coboundaries are 0
+        rng = random.Random(17)
+        std = build()
+        for alg in (std, conjugate_algebra(rng, std)):
+            rep = (trivial_representation(alg, 1) if module == "trivial"
+                   else adjoint_representation(alg))
+            for degree in range(alg.dim + 2):
+                space = cohomology_space(alg, rep, degree)
+                projection = space.class_projection
+                assert len(projection) == space.h_dim
+                assert all(len(row) == len(space.cocycle_basis) for row in projection)
+                for j, z in enumerate(space.cocycle_basis):
+                    assert space.coordinates_of(z) == tuple(row[j] for row in projection)
+                for w in space.coboundary_basis:
+                    assert space.coordinates_of(w) == (Fraction(0),) * space.h_dim
 
     def test_beyond_top_degree_is_zero_space(self):
         h3 = heisenberg3()

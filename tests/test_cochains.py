@@ -125,6 +125,29 @@ class TestTables:
         with pytest.raises(ValueError):
             cls(g, 1, 2, {key: ["x", 1] for key in keys})
 
+    @pytest.mark.parametrize("cls", [Cochain, SymMultiMap])
+    def test_zero_equals_the_checked_zero_table(self, cls):
+        # zero skips the checking constructor; it must build the table that does check
+        for dim in range(5):
+            g = abelian(dim)
+            for degree in range(dim + 2):
+                for m in range(3):
+                    zero = cls.zero(g, degree, m)
+                    assert zero == cls.from_function(g, degree, m, lambda key: [0] * m)
+                    assert list(zero.values) == cls.key_tuples(dim, degree)
+                    assert all(type(x) is Fraction for v in zero.values.values() for x in v)
+                    assert cls.zero(g, degree, m).values is not zero.values
+
+    def test_basis_cochains_own_their_tables(self):
+        rng = random.Random(23)
+        h3 = heisenberg3()
+        for alg in (h3, conjugate_algebra(rng, h3)):
+            rep = adjoint_representation(alg)
+            for degree in range(alg.dim + 1):
+                space = cohomology_space(alg, rep, degree)
+                tables = [w.values for w in space.cocycle_basis + space.coboundary_basis]
+                assert len({id(t) for t in tables}) == len(tables)
+
     @pytest.mark.parametrize("degree", [4, 2**63 - 1, 2**63])
     def test_no_tuples_where_none_exist(self, monkeypatch, degree):
         # past the dimension, or over dim 0, itertools is not asked at all

@@ -6,14 +6,17 @@ no entries from a zero rho(e_t)).  d is very sparse (on h_11 in degree 5 it
 is 462 x 462 with 350 nonzeros), so its rows hold only nonzero entries and
 never pass through dense form.  The cocycle space Z is the nullspace of the
 echelon form of d on degree p; the coboundary space B is spanned by the
-echelon rows of the transpose of d on degree p-1 (zero for p = 0).  One
-sparse elimination of the rows of [B | Z], whose columns are the B vectors
-followed by the Z vectors, gives the rest.  A column is a pivot exactly when
-it lies outside the span of the columns before it, so the pivot columns past
-B are a greedy choice H of cocycles completing B to a basis of Z.  The rows
-of those H pivots, restricted to the Z columns, hold the H-coordinates of
-each cocycle basis vector (class_projection).  Reduced row echelon forms are
-unique, so bases and coordinates of classes are reproducible.
+echelon rows of the transpose of d on degree p-1 (zero for p = 0).  The
+rest is the reduced echelon form of [B | Z], whose columns are the B vectors
+followed by the Z vectors: its pivot columns past B are a greedy choice H of
+cocycles completing B to a basis of Z, and its H rows, restricted to the Z
+columns, hold the H-coordinates of each cocycle basis vector
+(class_projection).  Each Z vector is 1 at its own free column of d_p and 0
+at the others, so restricting [B | Z] to those columns keeps its row space,
+and one elimination of B there gives that form: with the columns in reversed
+order, the nullspace vectors of its echelon, read back, are the reduced H
+rows, led by the H columns, and h = dim Z - dim B.  Reduced row echelon
+forms are unique, so bases and coordinates of classes are reproducible.
 
 For an extension with kernel n and an invariant symmetric map f of degree p,
 the relative cochain of n+1 sections is the simplex integral
@@ -128,17 +131,20 @@ class CohomologySpace:
             bvecs = [row for _, row in sparse_rref(
                 sparse_transpose(_differential_rows(algebra, rep, degree - 1), below),
                 dim_c)]
-        nb = len(bvecs)
-        echelon = sparse_rref(sparse_transpose(bvecs + zvecs, dim_c), nb + len(zvecs))
-        h_rows = echelon[nb:]
+        nz = len(zvecs)
+        # Cocycle k is 1 at the k-th free column of d_p (its largest index) and 0 at
+        # the others.  B on those columns, numbered nz - 1 - k: the nullspace of its
+        # echelon, read back in reverse, is the class projection in reduced form.
+        rev = {max(z): nz - 1 - k for k, z in enumerate(zvecs)}
+        h_rows = echelon_nullspace(sparse_rref(
+            [{rev[c]: x for c, x in b.items() if c in rev} for b in bvecs], nz), nz)[::-1]
         self.h_dim = len(h_rows)
         zero = Cochain.zero(algebra, degree, m)
         keys = list(zero.values)
         self.cocycle_basis = [_unflatten(v, keys, zero) for v in zvecs]
         self.coboundary_basis = [_unflatten(v, keys, zero) for v in bvecs]
-        self._basis = bvecs + [zvecs[c - nb] for c, _ in h_rows]
-        self.class_projection = [
-            row[nb:] for row in to_dense([row for _, row in h_rows], nb + len(zvecs))]
+        self._basis = bvecs + [zvecs[nz - 1 - max(row)] for row in h_rows]
+        self.class_projection = [row[::-1] for row in to_dense(h_rows, nz)]
 
     def coordinates_of(self, w: Cochain):
         """H-coordinates of a cocycle; NotACocycle if d w != 0.

@@ -248,8 +248,9 @@ class SymMultiMap(_Table):
 
 
 def _differential_rows(algebra: LieAlgebra, rep: Representation, degree: int):
-    """Sparse rows {column: nonzero entry} of d: C^degree -> C^{degree+1} with
-    values in the module rep, in the flattened tuple-major bases."""
+    """Sparse rows {column: entry} of d: C^degree -> C^{degree+1} with values in
+    the module rep, in the flattened tuple-major bases; no zero entries (an entry
+    whose contributions cancel is deleted where it happens)."""
     if degree + 1 > algebra.dim:
         return []
     m = rep.space_dim
@@ -276,8 +277,12 @@ def _differential_rows(algebra: LieAlgebra, rep: Representation, degree: int):
                     pos = bisect(rest, k)
                     coeff = -c if (ai + bi + pos) % 2 else c
                     for i, row in enumerate(block, col_of[rest[:pos] + (k,) + rest[pos:]]):
-                        row[i] = row[i] + coeff if i in row else coeff
-        rows.extend({c: x for c, x in row.items() if x} for row in block)
+                        v = row[i] + coeff if i in row else coeff
+                        if v:
+                            row[i] = v
+                        else:
+                            del row[i]
+        rows.extend(block)
     return rows
 
 

@@ -161,6 +161,56 @@ class TestAgainstDensePath:
                         assert all(type(x) is Fraction for x in coords)
 
 
+class TestClassStepEdgeShapes:
+    """The H step on its edge shapes, against both references: no coboundaries
+    (degree 0), B = Z with B nonzero (sl_2 adjoint), the top degree, and an
+    empty cochain space past it."""
+
+    @staticmethod
+    def assert_reduced(projection):
+        leads = [next(j for j, x in enumerate(row) if x) for row in projection]
+        assert leads == sorted(set(leads))
+        for row, lead in zip(projection, leads):
+            assert [row[j] for j in leads] == [int(j == lead) for j in leads]
+
+    @pytest.mark.parametrize("name, module, degree, shape", [
+        ("heisenberg3", "trivial", 0, "no B"),
+        ("filiform4", "adjoint", 0, "no B"),
+        ("sl2", "adjoint", 1, "B = Z"),
+        ("sl2", "adjoint", 2, "B = Z"),
+        ("sl2", "adjoint", 3, "B = Z"),
+        ("filiform4", "trivial", 4, "top"),
+        ("heisenberg3", "adjoint", 3, "top"),
+        ("heisenberg3", "trivial", 4, "empty"),
+        ("sl2", "adjoint", 5, "empty"),
+    ])
+    def test_edge_shape(self, name, module, degree, shape):
+        rng = random.Random(sorted(SMALL_ALGEBRAS).index(name) + 10 * degree + 4300)
+        std = SMALL_ALGEBRAS[name]()
+        for alg in (std, conjugate_algebra(rng, std)):
+            rep = (trivial_representation(alg, 1) if module == "trivial"
+                   else adjoint_representation(alg))
+            space = cohomology_space(alg, rep, degree)
+            nz, nb = len(space.cocycle_basis), len(space.coboundary_basis)
+            assert {"no B": nb == 0 < nz, "B = Z": nz == nb > 0,
+                    "top": degree == alg.dim and nz > 0,
+                    "empty": nz == 0 and degree > alg.dim}[shape]
+            assert space.h_dim == nz - nb
+            ref = dense_cohomology(alg, rep, degree)
+            h_dim, projection, coords = greedy_cohomology(alg, rep, degree)
+            assert space.h_dim == ref.h_dim == h_dim
+            assert space.cocycle_basis == ref.cocycle_basis
+            assert space.coboundary_basis == ref.coboundary_basis
+            assert space.class_projection == ref.class_projection == projection
+            assert len(space.class_projection) == space.h_dim
+            assert all(len(row) == nz for row in space.class_projection)
+            self.assert_reduced(space.class_projection)
+            w = Cochain.zero(alg, degree, rep.space_dim)
+            for z in space.cocycle_basis:
+                w = w + z.scale(rand_fraction(rng))
+            assert space.coordinates_of(w) == ref.coordinates_of(w) == coords(w)
+
+
 class TestNonCocycles:
     """coordinates_of rejects a cochain with d w != 0 through its own solve."""
 

@@ -16,7 +16,7 @@ import pytest
 
 from liechar import cochains, liealg
 from liechar.linalg import to_dense
-from liechar import (Cochain, MultiPoly, Section, SymMultiMap, abelian,
+from liechar import (Cochain, MultiPoly, Representation, Section, SymMultiMap, abelian,
                      adjoint_representation, ce_differential, cohomology_space, compose_sym,
                      heisenberg3, increasing_tuples, nondecreasing_tuples, section_curvature,
                      trivial_representation, validate_extension)
@@ -25,7 +25,8 @@ from liechar.catalog import heisenberg_central_extension
 from helpers import (SMALL_ALGEBRAS, ad_matrix, alt, conjugate_algebra, dense_cochain_evaluate,
                      dense_differential_matrix, dense_matrices, dense_symmap_evaluate, evaluation_product,
                      lie_bracket_product, rand_cochain, rand_fraction, rand_symmap,
-                     rand_vector, random_algebra, random_representation, raise_everywhere,
+                     rand_vector, random_algebra, random_module, random_representation,
+                     raise_everywhere,
                      reference_compose_sym, reference_curvature,
                      reference_twisted_differential, reference_wedge,
                      scalar_multiplication, sym_tensor_product, to_poly)
@@ -349,6 +350,33 @@ class TestOneDifferential:
                                comb(alg.dim, p) * rep.space_dim)
                 assert got == dense_differential_matrix(alg, rep, p), (alg.basis_names, p)
                 assert all(type(x) is Fraction for row in got for x in row)
+
+    def test_rows_hold_no_zero_entry(self):
+        # the input contract of sparse_rref: every stored entry is nonzero
+        rng = random.Random(26)
+        for name in sorted(SMALL_ALGEBRAS):
+            std = SMALL_ALGEBRAS[name]()
+            for alg in (std, conjugate_algebra(rng, std)):
+                for rep in (trivial_representation(alg, 1), trivial_representation(alg, 2),
+                            adjoint_representation(alg), random_module(rng, alg)):
+                    for p in range(alg.dim + 2):
+                        rows = cochains._differential_rows(alg, rep, p)
+                        assert all(x for row in rows for x in row.values()), (name, p)
+
+    def test_cancelling_contributions_leave_no_entry(self):
+        # aff1, [a, b] = b, on the line with S(a) = 1, S(b) = 0: in
+        # (d w)(a, b) = S(a) w(b) - S(b) w(a) - w([a, b]) the action term and
+        # the bracket term at column b are +1 and -1
+        aff1 = SMALL_ALGEBRAS["aff1"]()
+        weight = [[[1]], [[0]]]
+        bracket_only = cochains._differential_rows(aff1, trivial_representation(aff1, 1), 1)
+        plane = abelian(2)
+        action_only = cochains._differential_rows(plane, Representation(plane, 1, weight), 1)
+        assert (bracket_only, action_only) == ([{1: -1}], [{1: 1}])
+        rep = Representation(aff1, 1, weight)
+        rows = cochains._differential_rows(aff1, rep, 1)
+        assert rows == [{}]
+        assert to_dense(rows, 2) == dense_differential_matrix(aff1, rep, 1) == [[0, 0]]
 
     def test_ce_differential_matches_reference(self):
         rng = random.Random(25)

@@ -16,7 +16,7 @@ from .characteristic import (DegreeError, NotACocycle, NotAdmissible, NotClosed,
                              secondary_class, verify_main_theorem)
 from .extensions import (ExactnessViolation, InvalidSection, section_curvature)
 from .liealg import trivial_representation
-from .workspace import (ParseError, ValidationError, canonical_dumps,
+from .workspace import (ParseError, ValidationError, _lookup, canonical_dumps,
                         class_to_json, cochain_to_json, parse_workspace)
 
 _FAILURES = (ValidationError, NotAdmissible, NotInvariant, NotACocycle,
@@ -69,12 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--invariance", choices=("section", "strict"), default="section")
 
     return parser
-
-
-def _lookup(registry, name, kind):
-    if name not in registry:
-        raise ValidationError(f"unknown {kind} '{name}'")
-    return registry[name]
 
 
 def _resolve_rep(ws, args, ext):

@@ -4,11 +4,11 @@ An extension carries the three algebras plus the inclusion matrix iota
 (dim g^ x dim n) and the projection matrix q (dim g x dim g^); no adapted
 basis is assumed.  At construction it runs one elimination of the rows of
 iota, each bracket [e_x, iota e_j] carried along as an extra column, and
-lists the nonzero entries of each row of iota and of q; validation reads the
-columns of both off them, with the sparse structure constants.  Other values
-in the image of iota are converted to kernel coordinates by an exact linear
-solve; ExactnessViolation signals a value that escapes the kernel, which only
-happens on corrupted input.
+keeps each row of iota and of q as a {column: entry} dict of its nonzero
+entries; validation transposes both, with the sparse structure constants.
+Other values in the image of iota are converted to kernel coordinates by an
+exact linear solve; ExactnessViolation signals a value that escapes the
+kernel, which only happens on corrupted input.
 
 A section is any linear right inverse of q.  Its curvature
 R(x,y) = [sigma x, sigma y] - sigma([x,y]) lands in the kernel; it is taken
@@ -37,7 +37,7 @@ from itertools import combinations
 
 from .cochains import Cochain, _coerce_scalar, increasing_tuples
 from .liealg import LieAlgebra, Representation, _bracket_into, bracket
-from .linalg import rank, solve_linear, sparse_rref, transpose, vec_sub
+from .linalg import rank, solve_linear, sparse_rref, sparse_transpose, transpose, vec_sub
 from .scalars import MultiPoly, _fraction, as_poly
 
 __all__ = [
@@ -90,7 +90,7 @@ class Extension:
         self.iota = iota
         self.proj = proj
         self._iota_rows = [{j: a for j, a in enumerate(row) if a} for row in iota]
-        self._proj_rows = [[(x, a) for x, a in enumerate(row) if a] for row in proj]
+        self._proj_rows = [{x: a for x, a in enumerate(row) if a} for row in proj]
         # the rows of iota, with [e_x, iota e_j] carried as column dn + x dn + j
         dn = kernel.dim
         rows = [dict(row) for row in self._iota_rows]
@@ -129,40 +129,30 @@ def validate_extension(ext: Extension):
         failures.append("iota is not injective")
     if rank(ext.proj) != dg:
         failures.append("q is not surjective")
-    if any(sum(a * ext._iota_rows[x][j] for x, a in terms if j in ext._iota_rows[x])
+    if any(sum(a * ext._iota_rows[x][j] for x, a in terms.items() if j in ext._iota_rows[x])
            for terms in ext._proj_rows for j in range(dn)):
         failures.append("q . iota is not zero")
-    iota_cols = _columns([row.items() for row in ext._iota_rows], dn)
+    iota_cols = sparse_transpose(ext._iota_rows, dn)
     for i, j in combinations(range(dn), 2):
         if not _preserves_bracket(iota_cols, ext.kernel, ext.total, i, j):
             failures.append(f"iota is not a homomorphism on kernel pair ({i},{j})")
     for pair in sorted(escapes):
         x, j = divmod(pair, dn)
         failures.append(f"iota image is not an ideal: [e_{x}, iota e_{j}] escapes")
-    q_cols = _columns(ext._proj_rows, dt)
+    q_cols = sparse_transpose(ext._proj_rows, dt)
     for i, j in combinations(range(dt), 2):
         if not _preserves_bracket(q_cols, ext.total, ext.base, i, j):
             failures.append(f"q is not a homomorphism on pair ({i},{j})")
     return failures
 
 
-def _columns(rows, n):
-    """The pairs (row, entry) of the nonzero entries of each of n columns, from
-    the pairs (column, entry) of the nonzero entries of each row."""
-    cols = [[] for _ in range(n)]
-    for r, row in enumerate(rows):
-        for c, a in row:
-            cols[c].append((r, a))
-    return cols
-
-
 def _preserves_bracket(cols, source, target, i, j):
-    """True iff the map whose columns, one per source basis vector, have the
-    given nonzero (row, entry) pairs takes [e_i, e_j] of source to the bracket
-    of the images."""
-    out = _bracket_into(defaultdict(int), target, cols[i], cols[j])
+    """True iff the map whose columns, one per source basis vector, are the
+    given {row: entry} dicts of nonzero entries takes [e_i, e_j] of source to
+    the bracket of the images."""
+    out = _bracket_into(defaultdict(int), target, cols[i].items(), cols[j].items())
     for k, c in source.sparse[i][j]:
-        for r, a in cols[k]:
+        for r, a in cols[k].items():
             out[r] -= c * a
     return not any(out.values())
 
@@ -201,7 +191,7 @@ def validate_section(ext: Extension, sec: Section) -> bool:
     for i, terms in enumerate(ext._proj_rows):
         for j in range(ext.base.dim):
             acc = 0
-            for x, a in terms:
+            for x, a in terms.items():
                 c = sigma[x][j]
                 if c:
                     c = c if a == 1 else a * c
@@ -332,7 +322,7 @@ def _pullback(ext: Extension, rep: Representation):
     pulled = [[{} for _ in range(rep.space_dim)] for _ in range(ext.total.dim)]
     for rows, terms in zip(rep.sparse, ext._proj_rows):
         if rows is not None:
-            for x, a in terms:
+            for x, a in terms.items():
                 for acc, row in zip(pulled[x], rows):
                     for s, e in row:
                         acc[s] = acc.get(s, 0) + a * e

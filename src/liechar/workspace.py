@@ -1,7 +1,10 @@
 """JSON workspace files: parsing, validation, canonical serialization.
 
-A workspace document has the top-level keys "algebras", "representations",
-"extensions", "sections" and "polynomials", each mapping names to objects.
+A workspace document maps top-level keys to named objects of one kind each.
+The table _KINDS is the one place that defines the five kinds: their keys,
+their order ("algebras", "representations", "extensions", "sections",
+"polynomials", the order of dependence, in which any document is read), their
+reader and writer, and the registry that a kind's references name.
 All rationals are strings ("p/q" in lowest terms, "p" for integers); bare
 JSON numbers are rejected there, and floats never appear.  Canonical form is
 two-space-indented JSON with sorted keys and a trailing newline, so parse and
@@ -86,9 +89,6 @@ class Workspace:
     polynomials: dict = field(default_factory=dict)
 
 
-_TOP_KEYS = ("algebras", "representations", "extensions", "sections", "polynomials")
-
-
 def canonical_dumps(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) + "\n", written directly.
 
@@ -167,7 +167,7 @@ def _matrix(obj, rows, cols, location, memo):
     return out
 
 
-def _algebra_from_json(name, obj, location, memo):
+def _algebra_from_json(name, obj, _registry, location, memo):
     _expect(isinstance(obj, dict), "algebra must be an object", location)
     _expect(set(obj) <= {"dim", "basis", "brackets"},
             "unknown keys in algebra object", location)
@@ -216,14 +216,34 @@ def algebra_to_json(alg: LieAlgebra):
     return {"dim": alg.dim, "basis": list(alg.basis_names), "brackets": brackets}
 
 
+def _lookup(registry, name, kind, prefix=""):
+    """registry[name]; ValidationError "<prefix>unknown <kind> '<name>'" if absent."""
+    if name not in registry:
+        raise ValidationError(f"{prefix}unknown {kind} '{name}'")
+    return registry[name]
+
+
+def _referent(kind, name, obj, keys, ref_key, registry, target, location):
+    """The entry of registry that obj, the kind object called name, names under
+    ref_key; obj must be an object with no keys but keys, and that a name."""
+    if not (isinstance(obj, dict) and set(obj).issubset(keys)):
+        raise ParseError(f"{kind} must have keys {', '.join(keys)}", location)
+    ref = obj.get(ref_key)
+    _expect(isinstance(ref, str), "{} must be a name", location, ref_key)
+    return _lookup(registry, ref, target, f"{kind} '{name}': ")
+
+
+def _name_of(registry, obj, owner, kind):
+    """The name obj is registered under; ValueError, naming owner, if none."""
+    name = _find_name(registry, obj)
+    if name is None:
+        raise ValueError(f"{owner} refers to an unregistered {kind}")
+    return name
+
+
 def _rep_from_json(name, obj, algebras, location, memo):
-    _expect(isinstance(obj, dict) and set(obj) <= {"algebra", "space_dim", "matrices"},
-            "representation must have keys algebra, space_dim, matrices", location)
-    ref = obj.get("algebra")
-    _expect(isinstance(ref, str), "algebra must be a name", location)
-    if ref not in algebras:
-        raise ValidationError(f"representation '{name}': unknown algebra '{ref}'")
-    alg = algebras[ref]
+    alg = _referent("representation", name, obj, ("algebra", "space_dim", "matrices"),
+                    "algebra", algebras, "algebra", location)
     m = obj.get("space_dim")
     _expect(type(m) is int and m >= 1, "space_dim must be a positive integer", location)
     mats = obj.get("matrices")
@@ -238,12 +258,9 @@ def _rep_from_json(name, obj, algebras, location, memo):
 
 
 def _rep_to_json(name, rep, algebras):
-    ref = _find_name(algebras, rep.algebra)
-    if ref is None:
-        raise ValueError(f"representation '{name}' refers to an unregistered algebra")
     m = rep.space_dim
     return {
-        "algebra": ref,
+        "algebra": _name_of(algebras, rep.algebra, f"representation '{name}'", "algebra"),
         "space_dim": m,
         "matrices": [[[rational_to_str(row[s]) if s in row else "0" for s in range(m)]
                       for row in map(dict, rows or ((),) * m)] for rows in rep.sparse],
@@ -252,10 +269,8 @@ def _rep_to_json(name, rep, algebras):
 
 def _resolve_algebra(ref, algebras, location, memo):
     if isinstance(ref, str):
-        if ref not in algebras:
-            raise ValidationError(f"{location}: unknown algebra '{ref}'")
-        return algebras[ref]
-    return _algebra_from_json(location, ref, location, memo)
+        return _lookup(algebras, ref, "algebra", f"{location}: ")
+    return _algebra_from_json(location, ref, None, location, memo)
 
 
 def _extension_from_json(name, obj, algebras, location, memo):
@@ -288,13 +303,8 @@ def _extension_to_json(name, ext, algebras):
 
 
 def _section_from_json(name, obj, extensions, location, memo):
-    _expect(isinstance(obj, dict) and set(obj) <= {"extension", "matrix"},
-            "section must have keys extension, matrix", location)
-    ref = obj.get("extension")
-    _expect(isinstance(ref, str), "extension must be a name", location)
-    if ref not in extensions:
-        raise ValidationError(f"section '{name}': unknown extension '{ref}'")
-    ext = extensions[ref]
+    ext = _referent("section", name, obj, ("extension", "matrix"), "extension", extensions,
+                    "extension", location)
     matrix = _matrix(obj.get("matrix"), ext.total.dim, ext.base.dim, f"{location}.matrix",
                      memo)
     sec = Section(ext, matrix)
@@ -304,38 +314,27 @@ def _section_from_json(name, obj, extensions, location, memo):
 
 
 def _section_to_json(name, sec, extensions):
-    ref = _find_name(extensions, sec.extension)
-    if ref is None:
-        raise ValueError(f"section '{name}' refers to an unregistered extension")
     return {
-        "extension": ref,
+        "extension": _name_of(extensions, sec.extension, f"section '{name}'", "extension"),
         "matrix": [[rational_to_str(c) for c in row] for row in sec.matrix],
     }
 
 
 def _symmap_from_json(name, obj, algebras, location, memo):
-    _expect(isinstance(obj, dict)
-            and set(obj) <= {"degree", "source", "target_dim", "entries"},
-            "polynomial must have keys degree, source, target_dim, entries", location)
-    ref = obj.get("source")
-    _expect(isinstance(ref, str), "source must be a name", location)
-    if ref not in algebras:
-        raise ValidationError(f"polynomial '{name}': unknown algebra '{ref}'")
+    alg = _referent("polynomial", name, obj, ("degree", "source", "target_dim", "entries"),
+                    "source", algebras, "algebra", location)
     degree = obj.get("degree")
     target_dim = obj.get("target_dim")
     _expect(type(degree) is int and degree >= 0, "degree must be a non-negative integer", location)
     _expect(type(target_dim) is int and target_dim >= 1,
             "target_dim must be a positive integer", location)
-    return _table_from_json(obj.get("entries"), algebras[ref], degree, target_dim, location,
-                            memo)
+    return _table_from_json(obj.get("entries"), alg, degree, target_dim, location, memo)
 
 
 def _symmap_to_json(name, f, algebras):
-    ref = _find_name(algebras, f.source)
-    if ref is None:
-        raise ValueError(f"polynomial '{name}' refers to an unregistered algebra")
-    return {"degree": f.degree, "source": ref, "target_dim": f.target_dim,
-            "entries": _table_entries_to_json(f)}
+    return {"degree": f.degree,
+            "source": _name_of(algebras, f.source, f"polynomial '{name}'", "algebra"),
+            "target_dim": f.target_dim, "entries": _table_entries_to_json(f)}
 
 
 def _table_from_json(entries, alg, degree, target_dim, location, memo):
@@ -383,6 +382,17 @@ def _find_name(registry, obj):
     return None
 
 
+# The five kinds in dependency order: key -> (reader(name, obj, registry, location,
+# memo), writer(name, obj, registry), key of the registry their references name).
+_KINDS = {
+    "algebras": (_algebra_from_json, lambda name, alg, _: algebra_to_json(alg), None),
+    "representations": (_rep_from_json, _rep_to_json, "algebras"),
+    "extensions": (_extension_from_json, _extension_to_json, "algebras"),
+    "sections": (_section_from_json, _section_to_json, "extensions"),
+    "polynomials": (_symmap_from_json, _symmap_to_json, "algebras"),
+}
+
+
 def parse_workspace(text: str) -> Workspace:
     """Parse and fully validate a workspace document."""
     try:
@@ -392,55 +402,24 @@ def parse_workspace(text: str) -> Workspace:
                          f"line {exc.lineno} column {exc.colno}") from None
     _expect(isinstance(doc, dict), "top level must be an object", "document")
     for key in doc:
-        _expect(key in _TOP_KEYS, f"unknown top-level key {key!r}", "document")
-    for key in _TOP_KEYS:
-        section = doc.get(key, {})
-        _expect(isinstance(section, dict), f"'{key}' must map names to objects", key)
+        _expect(key in _KINDS, "unknown top-level key {!r}", "document", key)
+    for key in _KINDS:
+        _expect(isinstance(doc.get(key, {}), dict), "'{}' must map names to objects", key, key)
     ws = Workspace()
     memo = {}  # each distinct rational literal of this document, parsed once
-    for name, obj in doc.get("algebras", {}).items():
-        ws.algebras[name] = _algebra_from_json(name, obj, f"algebras.{name}", memo)
-    for name, obj in doc.get("representations", {}).items():
-        ws.representations[name] = _rep_from_json(name, obj, ws.algebras,
-                                                  f"representations.{name}", memo)
-    for name, obj in doc.get("extensions", {}).items():
-        ws.extensions[name] = _extension_from_json(name, obj, ws.algebras,
-                                                   f"extensions.{name}", memo)
-    for name, obj in doc.get("sections", {}).items():
-        ws.sections[name] = _section_from_json(name, obj, ws.extensions,
-                                               f"sections.{name}", memo)
-    for name, obj in doc.get("polynomials", {}).items():
-        ws.polynomials[name] = _symmap_from_json(name, obj, ws.algebras,
-                                                 f"polynomials.{name}", memo)
+    for key, (read, _, refs) in _KINDS.items():
+        registry, targets = getattr(ws, key), refs and getattr(ws, refs)
+        for name, obj in doc.get(key, {}).items():
+            registry[name] = read(name, obj, targets, f"{key}.{name}", memo)
     return ws
 
 
 def serialize_workspace(ws: Workspace) -> str:
     """Canonical-form document for the workspace (sorted keys, LF, trailing newline)."""
-    doc = {}
-    if ws.algebras:
-        doc["algebras"] = {name: algebra_to_json(a) for name, a in ws.algebras.items()}
-    if ws.representations:
-        doc["representations"] = {
-            name: _rep_to_json(name, r, ws.algebras)
-            for name, r in ws.representations.items()
-        }
-    if ws.extensions:
-        doc["extensions"] = {
-            name: _extension_to_json(name, e, ws.algebras)
-            for name, e in ws.extensions.items()
-        }
-    if ws.sections:
-        doc["sections"] = {
-            name: _section_to_json(name, s, ws.extensions)
-            for name, s in ws.sections.items()
-        }
-    if ws.polynomials:
-        doc["polynomials"] = {
-            name: _symmap_to_json(name, f, ws.algebras)
-            for name, f in ws.polynomials.items()
-        }
-    return canonical_dumps(doc)
+    return canonical_dumps({
+        key: {name: write(name, obj, refs and getattr(ws, refs))
+              for name, obj in getattr(ws, key).items()}
+        for key, (_, write, refs) in _KINDS.items() if getattr(ws, key)})
 
 
 def _scalar_to_json(x):

@@ -192,6 +192,26 @@ class TestComputations:
         assert code == 1
         assert "missing" in err
 
+    @pytest.mark.parametrize("argv, kind", [
+        (["cohomology", "--algebra", "x", "--rep", "triv", "--degree", "1"], "algebra"),
+        (["cohomology", "--algebra", "h3", "--rep", "x", "--degree", "1"], "representation"),
+        (["curvature", "--extension", "x", "--section", "s0"], "extension"),
+        (["curvature", "--extension", "heis", "--section", "x"], "section"),
+        (["secondary", "--extension", "heis", "--poly", "f1", "--sections", "s0,x"],
+         "section"),
+        (["verify-theorem", "--extension", "heis", "--poly", "f1", "--sections", "s0,s1,x"],
+         "section"),
+        (["chern-weil", "--extension", "heis", "--poly", "x", "--section", "s0"],
+         "polynomial"),
+        (["chern-weil", "--extension", "heis", "--poly", "f1", "--section", "s1",
+          "--rep", "x"], "representation"),
+    ], ids=["algebra", "rep", "extension", "section", "sections-2", "sections-3", "poly",
+            "rep-of-base"])
+    def test_unknown_name_message(self, capsys, fixtures_dir, argv, kind):
+        path = str(fixtures_dir / "heisenberg.json")
+        assert run(capsys, argv[0], path, *argv[1:]) == (
+            1, "", f"validation error: unknown {kind} 'x'\n")
+
     def test_not_admissible_exits_1(self, capsys, fixtures_dir):
         code, _, err = run(
             capsys, "secondary", str(fixtures_dir / "heisenberg.json"),

@@ -62,6 +62,20 @@ class TestRoundTrips:
         assert ws.algebras == {} and ws.sections == {}
         assert serialize_workspace(ws) == "{}\n"
 
+    @pytest.mark.parametrize("name", ["oscillator", "heisenberg", "filiform"])
+    def test_top_level_key_order_does_not_matter(self, fixtures_dir, name):
+        # kinds are read in the order of their dependence, not of the document;
+        # the writer refuses a reference to an object that is not registered
+        text = (fixtures_dir / f"{name}.json").read_text(encoding="utf-8")
+        doc = json.loads(text)
+        order = ("sections", "representations", "polynomials", "extensions", "algebras")
+        ws = parse_workspace(json.dumps({key: doc[key] for key in order}))
+        want = parse_workspace(text)
+        assert serialize_workspace(ws) == text
+        assert ws.algebras == want.algebras
+        for kind in order:
+            assert list(getattr(ws, kind)) == list(getattr(want, kind)), kind
+
     def test_value_round_trip_through_objects(self, fixtures_dir):
         text = (fixtures_dir / "oscillator.json").read_text(encoding="utf-8")
         ws = parse_workspace(text)
@@ -358,6 +372,80 @@ class TestInlineAlgebras:
         # anonymous algebras serialize back inline
         again = parse_workspace(serialize_workspace(ws))
         assert again.extensions["inline"].total == ws.extensions["inline"].total
+
+
+# Each kind that refers to another by name, as an object of the Heisenberg
+# fixture: (top-level key, name, kind, key of the reference, kind it names, keys).
+REFERENCES = [
+    ("representations", "triv", "representation", "algebra", "algebra",
+     "algebra, space_dim, matrices"),
+    ("sections", "s0", "section", "extension", "extension", "extension, matrix"),
+    ("polynomials", "f1", "polynomial", "source", "algebra",
+     "degree, source, target_dim, entries"),
+]
+
+
+class TestReferenceMessages:
+    """The message and location of each way a named reference can be wrong."""
+
+    @pytest.fixture
+    def doc(self, fixtures_dir):
+        return json.loads((fixtures_dir / "heisenberg.json").read_text(encoding="utf-8"))
+
+    @staticmethod
+    def parse_error(doc):
+        with pytest.raises(ParseError) as caught:
+            parse_workspace(json.dumps(doc))
+        return caught.value.location, str(caught.value)
+
+    @pytest.mark.parametrize("key, name, kind, ref, target, keys", REFERENCES,
+                             ids=[kind for _, _, kind, *_ in REFERENCES])
+    def test_own_keys(self, doc, key, name, kind, ref, target, keys):
+        where = f"{key}.{name}"
+        message = f"{where}: {kind} must have keys {keys}"
+        doc[key][name]["extra"] = "1"
+        assert self.parse_error(doc) == (where, message)
+        doc[key][name] = [doc[key][name]]
+        assert self.parse_error(doc) == (where, message)
+
+    @pytest.mark.parametrize("value", [None, 1, ["h3"], {"dim": 0}],
+                             ids=["missing", "integer", "list", "object"])
+    @pytest.mark.parametrize("key, name, kind, ref, target, keys", REFERENCES,
+                             ids=[kind for _, _, kind, *_ in REFERENCES])
+    def test_reference_must_be_a_name(self, doc, key, name, kind, ref, target, keys, value):
+        where = f"{key}.{name}"
+        doc[key][name][ref] = value
+        if value is None:
+            del doc[key][name][ref]
+        assert self.parse_error(doc) == (where, f"{where}: {ref} must be a name")
+
+    @pytest.mark.parametrize("key, name, kind, ref, target, keys", REFERENCES,
+                             ids=[kind for _, _, kind, *_ in REFERENCES])
+    def test_reference_must_be_registered(self, doc, key, name, kind, ref, target, keys):
+        doc[key][name][ref] = "x"
+        with pytest.raises(ValidationError) as caught:
+            parse_workspace(json.dumps(doc))
+        assert type(caught.value) is ValidationError
+        assert str(caught.value) == f"{kind} '{name}': unknown {target} 'x'"
+
+    @pytest.mark.parametrize("part", ["total", "base", "kernel"])
+    def test_extension_part_must_be_registered(self, doc, part):
+        doc["extensions"]["heis"][part] = "x"
+        with pytest.raises(ValidationError) as caught:
+            parse_workspace(json.dumps(doc))
+        assert str(caught.value) == f"extension 'heis' ({part}): unknown algebra 'x'"
+
+    @pytest.mark.parametrize("key, name, kind, target", [
+        ("representations", "triv", "representation", "algebra"),
+        ("sections", "s0", "section", "extension"),
+        ("polynomials", "f1", "polynomial", "algebra"),
+    ], ids=["representation", "section", "polynomial"])
+    def test_writer_refuses_an_unregistered_referent(self, key, name, kind, target):
+        obj = getattr(heisenberg_workspace(), key)[name]
+        with pytest.raises(ValueError) as caught:
+            serialize_workspace(Workspace(**{key: {name: obj}}))
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"{kind} '{name}' refers to an unregistered {target}"
 
 
 class TestSizeBound:

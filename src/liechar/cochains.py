@@ -25,6 +25,13 @@ increasing blocks, one block per argument,
                              sign(B) * f(a_1(x_B_1), .., a_p(x_B_p)),
 
 so the iterated wedge into symmetric tensors is never built.  The
+partitions are enumerated once per call, into one table of (weight, blocks)
+shared by every output key, and not at all when the output has no key.  A
+run of r consecutive arguments that are one cochain of even degree (the p - n
+copies of a curvature in Delta_f) keeps only the partitions whose blocks in
+the run start in increasing order, weighted by r!: reordering even-size
+blocks is an even permutation and f is symmetric, so all r! orderings give
+the same term.  Odd-degree repeats are summed in full.  The
 Chevalley-Eilenberg differential with module action rho is
 
     (d w)(x_0..x_p) = sum_j (-1)^j rho(x_j) . w(.., x_j omitted, ..)
@@ -315,32 +322,48 @@ def ce_differential(w: Cochain, rep: Representation) -> Cochain:
                        {key: tuple(out[i * m:(i + 1) * m]) for i, key in enumerate(keys)})
 
 
-def _ordered_partitions(positions, sizes):
+def _ordered_partitions(positions, sizes, tied, floor=-1):
+    """The ordered partitions of positions into increasing blocks of the given
+    sizes; a block j with tied[j] starts after the start of block j - 1
+    (floor, the start of the previous block)."""
     if not sizes:
         yield []
         return
-    for block in combinations(positions, sizes[0]):
+    free = [p for p in positions if p > floor] if tied[0] else positions
+    for block in combinations(free, sizes[0]):
         chosen = set(block)
         remaining = tuple(p for p in positions if p not in chosen)
-        for tail in _ordered_partitions(remaining, sizes[1:]):
+        for tail in _ordered_partitions(remaining, sizes[1:], tied[1:], block[0] if block else -1):
             yield [block] + tail
 
 
-def _shuffle_sum(sizes, out_dim, fn):
-    """key -> sum of sign * fn(key restricted to each block) over the ordered
-    partitions of the positions of key into increasing blocks of the given
-    sizes; the sign is that of the permutation the blocks spell."""
-    positions = tuple(range(sum(sizes)))
-
-    def total(key):
+def _shuffle_sum(args, keys, out_dim, fn):
+    """{key: sum of weight * fn(key restricted to each block)} over the ordered
+    partitions of the positions of key into increasing blocks, one per
+    argument and of its degree, weighted by the sign of the permutation the
+    blocks spell.  One table of (weight, blocks) serves every key, and none is
+    built without a key; a run of one cochain of even degree > 0 keeps the
+    partitions whose blocks in the run start in increasing order, weighted r!
+    (see the module docstring)."""
+    if not keys:
+        return {}
+    sizes = [a.degree for a in args]
+    tied = [j > 0 and a is args[j - 1] and a.degree > 0 and a.degree % 2 == 0
+            for j, a in enumerate(args)]
+    weight = run = 1
+    for t in tied:
+        run = run + 1 if t else 1
+        weight *= run
+    table = [(weight * _perm_sign([pos for block in blocks for pos in block]), blocks)
+             for blocks in _ordered_partitions(tuple(range(sum(sizes))), sizes, tied)]
+    values = {}
+    for key in keys:
         out = [Fraction(0)] * out_dim
-        for blocks in _ordered_partitions(positions, sizes):
-            sgn = _perm_sign([pos for block in blocks for pos in block])
+        for w, blocks in table:
             val = fn([tuple(key[pos] for pos in block) for block in blocks])
-            out = [o + sgn * x for o, x in zip(out, val)]
-        return out
-
-    return total
+            out = [o + w * x for o, x in zip(out, val)]
+        values[key] = tuple(out)
+    return values
 
 
 def _contraction(f: SymMultiMap, vector):
@@ -380,7 +403,9 @@ def compose_sym(f: SymMultiMap, args) -> Cochain:
     of f, so len(args) must equal f.degree.  Computed as the signed sum over
     ordered partitions of the output positions into per-argument increasing
     blocks, which avoids building symmetric tensor spaces explicitly.  The
-    terms share the partial sums of one contraction of f.
+    terms share the partial sums of one contraction of f and one table of
+    partitions, in which a repeated even-degree argument counts once per set
+    of blocks.
     """
     if len(args) != f.degree:
         raise ValueError(
@@ -393,7 +418,7 @@ def compose_sym(f: SymMultiMap, args) -> Cochain:
             raise ValueError("source algebra mismatch")
         if a.target_dim != f.source.dim:
             raise ValueError("dimension mismatch")
-    degrees = [a.degree for a in args]
+    degree = sum(a.degree for a in args)
     term = _contraction(f, lambda j, key: args[j].values[key])
-    return Cochain.from_function(src, sum(degrees), f.target_dim,
-                                 _shuffle_sum(degrees, f.target_dim, term))
+    return Cochain._of(src, degree, f.target_dim,
+                       _shuffle_sum(args, increasing_tuples(src.dim, degree), f.target_dim, term))

@@ -10,23 +10,31 @@ Other values in the image of iota are converted to kernel coordinates by an
 exact linear solve; ExactnessViolation signals a value that escapes the
 kernel, which only happens on corrupted input.
 
-A section is any linear right inverse of q.  Its curvature
+A section is any linear right inverse of q.  Besides its dense matrix (for
+the writer and the API) it keeps, at construction, the nonzero entries
+{row: entry} of each column sigma e_i, and every reader goes through them:
+the curvature, the difference of two sections, the interpolated families,
+S(e_i) and validate_section.  The curvature
 R(x,y) = [sigma x, sigma y] - sigma([x,y]) lands in the kernel; it is taken
-with the bracket of the total algebra and read in kernel coordinates, and
-section_curvature is the package's one curvature loop.  One helper reads ad(v)
-restricted to the kernel, in kernel coordinates, off the echelon, as the
-nonzero entries of each column: of S(e_i) = ad(sigma e_i)|n for the section
-policy, of ad(e_x)|n over the total basis for the strict one.
+with the bracket of the total algebra on the supports of the columns and read
+in kernel coordinates, and section_curvature is the package's one curvature
+loop.  One helper reads ad(v) restricted to the kernel, in kernel
+coordinates, off the echelon, as the nonzero entries of each column: of
+S(e_i) = ad(sigma e_i)|n for the section policy, of ad(e_x)|n over the total
+basis for the strict one.
 Invariance of a symmetric map f, x.f(key) = sum over slots s and kernel
 indices r of S(x)[r][key_s] f(key with key_s replaced by r) for every
 non-decreasing key, is read off those columns and the nonzero entries of the
 table of f and of the module action rho(x).  That action comes from rep.sparse,
 pulled back along q in the strict mode; a basis element with S(x) = 0 and
 rho(x) = 0 is skipped, since both sides are 0 there.  validate_section sums
-q . sigma over the nonzero entries of q, listed per row at construction, and
-of sigma.  Families sigma_t interpolating n+1 sections over the
-simplex (t_0 eliminated as 1 - t_1 - ... - t_n) have polynomial entries, and
-their curvature R_t flows through the same code with MultiPoly scalars.
+q . sigma over the nonzero entries of the columns of sigma and of the rows of
+q.  Families sigma_t interpolating n+1 sections over the simplex (t_0
+eliminated as 1 - t_1 - ... - t_n) hold one MultiPoly per entry, with terms
+only where some section is nonzero, and their curvature R_t flows through
+the same code with MultiPoly scalars.  Where a dense formula would subtract
+a zero of the section's kind, the sparse loops start from that zero, so
+entry kinds are those of the dense formulas.
 """
 
 from __future__ import annotations
@@ -35,9 +43,9 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 
-from .cochains import Cochain, _coerce_scalar, increasing_tuples
-from .liealg import LieAlgebra, Representation, _bracket_into, bracket
-from .linalg import rank, solve_linear, sparse_rref, sparse_transpose, transpose, vec_sub
+from .cochains import Cochain, _coerce_scalar, _zero, increasing_tuples
+from .liealg import LieAlgebra, Representation, _bracket_into
+from .linalg import rank, solve_linear, sparse_rref, sparse_transpose
 from .scalars import MultiPoly, _fraction, as_poly
 
 __all__ = [
@@ -158,9 +166,10 @@ def _preserves_bracket(cols, source, target, i, j):
 
 
 class Section:
-    """Linear right inverse of the projection, as a dim(total) x dim(base) matrix."""
+    """Linear right inverse of the projection, as a dim(total) x dim(base) matrix;
+    ``_cols[i]`` holds the nonzero entries {row: entry} of sigma e_i."""
 
-    __slots__ = ("extension", "matrix")
+    __slots__ = ("extension", "matrix", "_cols")
 
     def __init__(self, extension: Extension, matrix):
         mat = [[_coerce_scalar(c) for c in row] for row in matrix]
@@ -170,13 +179,12 @@ class Section:
             raise ValueError("section matrix must be dim(total) x dim(base)")
         self.extension = extension
         self.matrix = mat
+        self._cols = [{r: row[i] for r, row in enumerate(mat) if row[i]}
+                      for i in range(extension.base.dim)]
 
     @property
     def is_polynomial(self) -> bool:
         return any(isinstance(c, MultiPoly) for row in self.matrix for c in row)
-
-    def column(self, j):
-        return [row[j] for row in self.matrix]
 
     def __repr__(self):
         kind = "polynomial" if self.is_polynomial else "rational"
@@ -187,13 +195,13 @@ def validate_section(ext: Extension, sec: Section) -> bool:
     """True iff q . sigma is exactly the identity (as polynomials if applicable)."""
     if len(sec.matrix) != ext.total.dim:
         raise ValueError("dimension mismatch")
-    sigma = sec.matrix
-    for i, terms in enumerate(ext._proj_rows):
-        for j in range(ext.base.dim):
+    for j in range(ext.base.dim):
+        col = sec._cols[j]
+        for i, terms in enumerate(ext._proj_rows):
             acc = 0
-            for x, a in terms.items():
-                c = sigma[x][j]
-                if c:
+            for x, c in col.items():
+                a = terms.get(x)
+                if a is not None:
                     c = c if a == 1 else a * c
                     acc = acc + c if acc else c
             if acc != (1 if i == j else 0):
@@ -210,15 +218,22 @@ def kernel_coords(ext: Extension, vec):
 
 
 def section_curvature(ext: Extension, sec: Section) -> Cochain:
-    """R(x,y) = [sigma x, sigma y] - sigma([x,y]) in kernel coordinates."""
-    cols = transpose(sec.matrix)
+    """R(x,y) = [sigma x, sigma y] - sigma([x,y]) in kernel coordinates, over the
+    nonzero entries of the columns of sigma.  Where sigma([x,y]) is subtracted,
+    every entry starts from the zero of the section's kind, so entry kinds are
+    those of the dense formula."""
+    cols = sec._cols
+    zero = _zero([c for row in sec.matrix for c in row])
     values = {}
     for i, j in increasing_tuples(ext.base.dim, 2):
-        val = bracket(ext.total, cols[i], cols[j])
-        for k, c in ext.base.sparse[i][j]:
-            val = [v - c * x for v, x in zip(val, cols[k])]
-        values[(i, j)] = kernel_coords(ext, val)
-    return Cochain(ext.base, 2, ext.kernel.dim, values)
+        terms = ext.base.sparse[i][j]
+        val = _bracket_into([zero if terms else Fraction(0)] * ext.total.dim, ext.total,
+                            cols[i].items(), cols[j].items())
+        for k, c in terms:
+            for r, x in cols[k].items():
+                val[r] = val[r] - c * x
+        values[(i, j)] = tuple(kernel_coords(ext, val))
+    return Cochain._of(ext.base, 2, ext.kernel.dim, values)
 
 
 def _kernel_action(ext: Extension, v):
@@ -253,17 +268,23 @@ def s_from_section(ext: Extension, sec: Section):
     """S(e_i) = ad(sigma e_i) restricted to the kernel, in kernel coordinates,
     one per base vector: for each kernel basis vector j, the pairs (r, entry)
     of the nonzero entries of column j of S(e_i)."""
-    return [_kernel_action(ext, [(x, c) for x, c in enumerate(col) if c])
-            for col in transpose(sec.matrix)]
+    return [_kernel_action(ext, col.items()) for col in sec._cols]
 
 
 def section_difference(ext: Extension, sec_a: Section, sec_b: Section) -> Cochain:
-    """The kernel-valued 1-cochain x -> sigma_a(x) - sigma_b(x)."""
-    def fn(key):
-        (i,) = key
-        return kernel_coords(ext, vec_sub(sec_a.column(i), sec_b.column(i)))
-
-    return Cochain.from_function(ext.base, 1, ext.kernel.dim, fn)
+    """The kernel-valued 1-cochain x -> sigma_a(x) - sigma_b(x), over the union
+    of the supports of the two columns; every entry starts from the zero of
+    the sections' kind (a MultiPoly zero when either holds one)."""
+    zero = _zero([c for sec in (sec_a, sec_b) for row in sec.matrix for c in row])
+    values = {}
+    for i in range(ext.base.dim):
+        diff = [zero] * ext.total.dim
+        for r, a in sec_a._cols[i].items():
+            diff[r] = zero + a
+        for r, b in sec_b._cols[i].items():
+            diff[r] = diff[r] - b
+        values[(i,)] = tuple(kernel_coords(ext, diff))
+    return Cochain._of(ext.base, 1, ext.kernel.dim, values)
 
 
 _MODES = ("section", "strict")
@@ -350,20 +371,19 @@ def param_section(ext: Extension, sections) -> Section:
 def _interpolate(ext: Extension, sections) -> Section:
     """param_section on rational sections that are already validated."""
     n = len(sections) - 1
-    constant = (0,) * n
-    units = [tuple(int(i == v) for v in range(n)) for i in range(n)]
-    matrix = []
-    for r, base_row in enumerate(sections[0].matrix):
-        row = []
-        for c, b in enumerate(base_row):
-            terms = {constant: b} if b else {}
-            for unit, sec in zip(units, sections[1:]):
-                diff = sec.matrix[r][c] - b
+    units = [(0,) * n] + [tuple(int(i == v) for v in range(n)) for i in range(n)]
+    base = sections[0]._cols
+    terms = [[{} for _ in range(ext.base.dim)] for _ in range(ext.total.dim)]
+    for c, col in enumerate(base):
+        for r, b in col.items():
+            terms[r][c][units[0]] = b
+    for unit, sec in zip(units[1:], sections[1:]):
+        for c, (col, col_0) in enumerate(zip(sec._cols, base)):
+            for r in col.keys() | col_0.keys():
+                diff = col.get(r, 0) - col_0.get(r, 0)
                 if diff:
-                    terms[unit] = diff
-            row.append(MultiPoly._of(n, terms))
-        matrix.append(row)
-    return Section(ext, matrix)
+                    terms[r][c][unit] = diff
+    return Section(ext, [[MultiPoly._of(n, t) for t in row] for row in terms])
 
 
 def param_curvature(ext: Extension, sec_t: Section) -> Cochain:

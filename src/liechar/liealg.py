@@ -5,13 +5,13 @@ e_k-coefficients of [e_i, e_j], and a representation the nonzero entries of
 each row of each rho(e_t); no dense copy is kept.  The checking constructors
 take dense tables and keep their nonzero entries, algebra_from_brackets reads
 the table off its bracket data, and the adjoint module reads ad(e_i) off the
-table.  The bracket of two vectors is the package's one bilinear loop, over
-the nonzero entries of both.  The public constructors check antisymmetry,
-the Jacobi identity and the representation property, so downstream
-operators may assume validity.  Only objects that are valid by construction
-(abelian algebras, trivial and adjoint modules, actions that
-semidirect_product checks itself) skip the checks through the trusted
-constructors ``_of``.
+table.  The bracket of two vectors, given as the (index, value) pairs of
+their nonzero entries, is the package's one bilinear loop.  The public
+constructors check antisymmetry, the Jacobi identity and the representation
+property, so downstream operators may assume validity.  Only objects that
+are valid by construction (abelian algebras, trivial and adjoint modules,
+actions that semidirect_product checks itself) skip the checks through the
+trusted constructors ``_of``.
 
 Constructions used throughout: abelian algebras, the Heisenberg algebras
 h_{2m+1}, semidirect products h x| a by derivations, and the oscillator
@@ -37,7 +37,6 @@ __all__ = [
     "Representation",
     "algebra_from_brackets",
     "check_jacobi",
-    "bracket",
     "is_derivation",
     "semidirect_product",
     "abelian",
@@ -158,16 +157,6 @@ def check_jacobi(alg: LieAlgebra):
         if any(defect):
             violations.append((i, j, k, tuple(defect)))
     return violations
-
-
-def bracket(alg: LieAlgebra, x, y):
-    """Bilinear extension of the structure constants to coefficient vectors,
-    summed over nonzero factors only."""
-    d = alg.dim
-    if len(x) != d or len(y) != d:
-        raise ValueError("dimension mismatch")
-    return _bracket_into([Fraction(0)] * d, alg, [(i, a) for i, a in enumerate(x) if a],
-                         [(j, b) for j, b in enumerate(y) if b])
 
 
 def _bracket_into(out, alg: LieAlgebra, xs, ys):

@@ -30,21 +30,11 @@ from fractions import Fraction
 from math import gcd, lcm
 
 __all__ = [
-    "vec_sub",
-    "transpose",
     "sparse_rref", "sparse_transpose", "echelon_nullspace", "to_dense",
     "rank", "solve_linear",
 ]
 
 _FRACTION_ONE = Fraction(1)
-
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def _combine(row, a, b, prow, ncols):

@@ -10,16 +10,17 @@ from types import SimpleNamespace
 
 from liechar import (
     Cochain, Extension, LieAlgebra, MultiPoly, Representation, Section, SymMultiMap,
-    abelian, adjoint_representation, algebra_from_brackets, as_poly, bracket,
+    abelian, adjoint_representation, algebra_from_brackets, as_poly,
     compose_sym, heisenberg, heisenberg3, increasing_tuples, oscillator,
     integrate_poly_simplex, kernel_coords, nondecreasing_tuples,
     param_curvature, param_section, rank, rational_from_str, section_curvature,
-    section_difference, semidirect_product, solve_linear, transpose, trivial_representation,
+    section_difference, semidirect_product, solve_linear, trivial_representation,
 )
 from liechar.catalog import (
     affine_split_extension, filiform_extension, heisenberg_central_extension,
     oscillator_extension,
 )
+from liechar.liealg import _bracket_into
 
 
 def zeros(r, c):
@@ -28,6 +29,25 @@ def zeros(r, c):
 
 def identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)] if a else []
+
+
+def column(sec, j):
+    """Column j of a section's matrix: sigma e_j as a dense vector."""
+    return [row[j] for row in sec.matrix]
+
+
+def bracket(alg, x, y):
+    """Bilinear extension of the structure constants to coefficient vectors,
+    through the package's one bilinear loop over their nonzero entries."""
+    d = alg.dim
+    if len(x) != d or len(y) != d:
+        raise ValueError("dimension mismatch")
+    return _bracket_into([Fraction(0)] * d, alg, [(i, a) for i, a in enumerate(x) if a],
+                         [(j, b) for j, b in enumerate(y) if b])
 
 
 def dense_structure(alg):
@@ -471,14 +491,37 @@ def reference_section_curvature(ext, sec):
 
     def fn(key):
         i, j = key
-        val = bracket(ext.total, sec.column(i), sec.column(j))
+        val = bracket(ext.total, column(sec, i), column(sec, j))
         for k, c in enumerate(structure[i][j]):
             if c == 0:
                 continue
-            val = [v - c * x for v, x in zip(val, sec.column(k))]
+            val = [v - c * x for v, x in zip(val, column(sec, k))]
         return kernel_coords(ext, val)
 
     return Cochain.from_function(g, 2, ext.kernel.dim, fn)
+
+
+def reference_section_difference(ext, sec_a, sec_b):
+    """Reference x -> sigma_a(x) - sigma_b(x): kernel_coords of the dense
+    difference of each pair of columns, zero entries included."""
+    return Cochain.from_function(ext.base, 1, ext.kernel.dim, lambda key: kernel_coords(
+        ext, [a - b for a, b in zip(column(sec_a, key[0]), column(sec_b, key[0]))]))
+
+
+def reference_param_section(ext, sections):
+    """Reference sigma_t: every entry b + sum_i t_i (s_i - b) in public MultiPoly
+    arithmetic, b the entry of the first section."""
+    n = len(sections) - 1
+    return Section(ext, [
+        [sum((poly_variable(n, i) * (sec.matrix[r][c] - b) for i, sec in enumerate(sections[1:])),
+             MultiPoly.constant(n, b)) for c, b in enumerate(row)]
+        for r, row in enumerate(sections[0].matrix)])
+
+
+def reference_param_curvature(ext, sec_t):
+    """Reference R_t: the dense curvature of sigma_t with every entry a MultiPoly."""
+    nvars = next(c.nvars for row in sec_t.matrix for c in row)
+    return to_poly(reference_section_curvature(ext, sec_t), nvars)
 
 
 def to_poly(table, nvars):
@@ -561,7 +604,7 @@ def reference_is_invariant(f, ext, rep, mode, sigma=None):
         return [Fraction(1) if r == i else Fraction(0) for r in range(d)]
 
     if mode == "section":
-        s_mats = [reference_kernel_action(ext, sigma.column(i)) for i in range(ext.base.dim)]
+        s_mats = [reference_kernel_action(ext, column(sigma, i)) for i in range(ext.base.dim)]
         act_mats = dense_matrices(rep)
     else:
         s_mats = [reference_kernel_action(ext, unit(dt, x)) for x in range(dt)]

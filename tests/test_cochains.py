@@ -7,6 +7,7 @@ arbitrary linear map and the curvature of a bare 1-cochain exist only as
 references in helpers; their identities are checked here on those references.
 """
 
+import copy
 import random
 from fractions import Fraction
 from itertools import product as iproduct
@@ -544,7 +545,8 @@ class TestOneCodePath:
 
     def test_bracket_and_bilinear_products_share_one_contraction(self, monkeypatch):
         # the loop behind bracket is the package's one bilinear loop: curvatures
-        # (through bracket) and the homomorphism checks of an extension reach it
+        # (on the section's sparse columns) and the homomorphism checks of an
+        # extension reach it
         ext = heisenberg_central_extension()
         sec = Section(ext, [[1, 0], [0, 1], [0, 0]])
         raise_everywhere(monkeypatch, liealg, "_bracket_into")
@@ -632,3 +634,82 @@ class TestAgainstReferenceProducts:
         self._same(compose_sym(f, args), reference_compose_sym(f, args))
         args[-1] = self._promote(rng, args[-1])
         self._same(compose_sym(f, args), reference_compose_sym(f, args))
+
+
+class TestShuffleTable:
+    """compose_sym builds one table of shuffle terms per call, and none when the
+    output has no key.  A run of one even-degree cochain keeps the terms whose
+    blocks start in increasing order, weighted r!; so repeating one object
+    must give, in value and entry kind, what distinct copies give."""
+
+    _same = staticmethod(TestAgainstReferenceProducts._same)
+
+    @staticmethod
+    def _copies(w, r):
+        out = [w] + [copy.copy(w) for _ in range(r - 1)]
+        assert len({id(a) for a in out}) == r
+        return out
+
+    @pytest.mark.parametrize("entry", [rand_fraction, rand_poly])
+    @pytest.mark.parametrize("degree, r", [(2, 2), (2, 3), (2, 4), (4, 2),
+                                           (1, 2), (1, 3), (1, 4), (3, 2)])
+    def test_one_repeated_cochain_matches_distinct_copies(self, degree, r, entry):
+        rng = random.Random(99 + 10 * degree + r)
+        g = abelian(degree * r + (degree * r < 8))
+        f = rand_symmap(rng, abelian(3), r, 2)
+        w = TestAgainstReferenceProducts._sparse_cochain(rng, g, degree, 3, entry)
+        got = compose_sym(f, [w] * r)
+        self._same(got, compose_sym(f, self._copies(w, r)))
+        if degree * r <= 6:
+            self._same(got, reference_compose_sym(f, [w] * r))
+        # swapping two blocks of odd size is odd, so the terms cancel in pairs
+        assert got.is_zero() == (degree % 2 == 1)
+
+    def test_runs_among_other_arguments(self):
+        rng = random.Random(100)
+        g = abelian(6)
+        for entry in (rand_fraction, rand_poly):
+            a, b = (TestAgainstReferenceProducts._sparse_cochain(rng, g, p, 3, entry)
+                    for p in (2, 1))
+            c = rand_cochain(rng, g, 0, 3)
+            for args in ([a, a, b], [b, a, a], [a, b, a], [a, a, b, b], [c, c, a, a],
+                         [c, a, a, a]):
+                f = rand_symmap(rng, abelian(3), len(args), 2)
+                got = compose_sym(f, args)
+                distinct = [copy.copy(x) for x in args]
+                self._same(got, compose_sym(f, distinct))
+                self._same(got, reference_compose_sym(f, args))
+
+    @staticmethod
+    def _count_partition_calls(monkeypatch):
+        calls = []
+        original = cochains._ordered_partitions
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cochains, "_ordered_partitions", counting)
+        return calls
+
+    def test_no_output_key_enumerates_no_partition(self, monkeypatch):
+        # Delta_f for p = 4, n = 0 on a base of dimension 5: degree 8, no key
+        rng = random.Random(101)
+        curv = rand_cochain(rng, abelian(5), 2, 3)
+        f = rand_symmap(rng, abelian(3), 4)
+        calls = self._count_partition_calls(monkeypatch)
+        for args in ([curv] * 4, self._copies(curv, 4)):
+            out = compose_sym(f, args)
+            assert (out.degree, out.values) == (8, {})
+        assert calls == []
+
+    def test_one_enumeration_per_call_whatever_the_key_count(self, monkeypatch):
+        rng = random.Random(102)
+        f = rand_symmap(rng, abelian(3), 3, 2)
+        counts = []
+        for dim in (4, 7):  # 1 and 35 output keys
+            args = [rand_cochain(rng, abelian(dim), p, 3) for p in (1, 1, 2)]
+            calls = self._count_partition_calls(monkeypatch)
+            assert len(compose_sym(f, args).values) == comb(dim, 4)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0

@@ -16,15 +16,18 @@ from liechar import extensions as extensions_module
 from liechar.catalog import (affine_split_extension, filiform_extension,
                              heisenberg_central_extension, oscillator_extension)
 
-from helpers import (conjugate_extension, dense_kernel_action, dense_solve, direct_sum_extension,
-                     euclidean_extension, fixture_extensions, fraction_sparse_rref, identity,
-                     kernel_action_columns, kernel_functional, point_base_extension,
-                     poly_diff, poly_eval_at, poly_total_degree, poly_variable, rand_fraction,
-                     rand_section, rand_symmap, random_invariant_symmap, rational_multiple,
-                     reference_bracket, reference_is_invariant,
-                     reference_kernel_action, reference_section_curvature,
-                     reference_twisted_differential, reference_validate_extension,
-                     reference_validate_section, section_pool, to_poly)
+from helpers import (column, conjugate_extension, transpose, dense_kernel_action, dense_solve,
+                     direct_sum_extension, euclidean_extension, fixture_extensions,
+                     fraction_sparse_rref, identity, kernel_action_columns, kernel_functional,
+                     point_base_extension, poly_diff, poly_eval_at, poly_total_degree,
+                     poly_variable, rand_fraction, rand_section, rand_symmap,
+                     random_invariant_symmap, rational_multiple, reference_bracket,
+                     reference_is_invariant, reference_kernel_action,
+                     reference_param_curvature, reference_param_section,
+                     reference_section_curvature, reference_section_difference,
+                     reference_twisted_differential,
+                     reference_validate_extension, reference_validate_section, section_pool,
+                     to_poly)
 
 ROTATION = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
 ROTATION2 = [[0, -1], [1, 0]]
@@ -299,7 +302,7 @@ class TestKernelActionAgainstReference:
             for sec in sections:
                 got = s_from_section(ext, sec)
                 for i, cols in enumerate(got):
-                    _same_entries(cols, _reference_columns(ext, sec.column(i)))
+                    _same_entries(cols, _reference_columns(ext, column(sec, i)))
                     kinds.update(type(c) for col in cols for _, c in col)
         assert kinds == {Fraction, MultiPoly}
 
@@ -315,7 +318,7 @@ class TestKernelActionAgainstReference:
         for ext in validation_cases():
             dt, dg = ext.total.dim, ext.base.dim
             sec = Section(ext, [[rand_fraction(rng) for _ in range(dg)] for _ in range(dt)])
-            want = [_reference_columns(ext, sec.column(i)) for i in range(dg)]
+            want = [_reference_columns(ext, column(sec, i)) for i in range(dg)]
             if "escapes" in want:
                 escaped += 1
                 with pytest.raises(ExactnessViolation):
@@ -337,7 +340,7 @@ class TestKernelActionAgainstReference:
         # matrix gives the reference matrix
         kinds = set()
         for name, ext, sections in self.cases():
-            pairs = [(sec.column(i), cols) for sec in sections
+            pairs = [(column(sec, i), cols) for sec in sections
                      for i, cols in enumerate(s_from_section(ext, sec))]
             pairs += [(v, extensions_module._kernel_action(ext, [(x, 1)]))
                       for x, v in enumerate(identity(ext.total.dim))]
@@ -737,6 +740,79 @@ class TestValidateSectionAgainstReference:
         for sec in sections + [param_section(ext, sections)]:
             assert sec.matrix == [[], [], []]
             assert validate_section(ext, sec) is reference_validate_section(ext, sec) is True
+
+
+def _kinds(table):
+    return [[type(x) for x in val] for val in table.values.values()]
+
+
+def _same_table(got, want):
+    """Equal cochains whose entries also agree in kind (Fraction or MultiPoly)."""
+    assert got == want
+    assert _kinds(got) == _kinds(want)
+
+
+class TestSparseSections:
+    """A section keeps the nonzero entries of its columns; the curvature,
+    difference, interpolation and section check read them and agree, in
+    value and entry kind, with the dense references in helpers."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(98)
+        for name, ext in fixture_extensions().items():
+            for copy in (ext, conjugate_extension(rng, ext)):
+                # the particular solutions of q x = e_i, with no kernel shift,
+                # leave zero entries that random sections do not
+                dg = copy.base.dim
+                lift = Section(copy, transpose(
+                    [solve_linear(copy.proj, [int(r == i) for r in range(dg)]) for i in range(dg)]))
+                sections = [lift] + [rand_section(rng, copy) for _ in range(3)]
+                if copy is ext:
+                    sections += section_pool(rng, name, ext, 2)
+                families = [param_section(copy, sections[:2]), param_section(copy, sections[:3]),
+                            param_section(copy, [lift, lift]),
+                            param_section(copy, [sections[1], lift])]
+                yield name, copy, sections, families
+
+    def test_columns_are_the_nonzero_entries_of_the_matrix(self):
+        polynomial = 0
+        for name, ext, sections, families in self.cases():
+            for sec in sections + families:
+                entries = {(r, i): x for i, col in enumerate(sec._cols) for r, x in col.items()}
+                want = {(r, i): x for r, row in enumerate(sec.matrix)
+                        for i, x in enumerate(row) if x}
+                assert entries == want, name
+                assert all(x is sec.matrix[r][i] for (r, i), x in entries.items())
+                assert len(sec._cols) == ext.base.dim
+                polynomial += any(type(x) is MultiPoly for x in entries.values())
+        assert polynomial >= 20
+
+    def test_curvature_difference_and_families_match_the_dense_references(self):
+        for name, ext, sections, families in self.cases():
+            for sec in sections + families:
+                _same_table(section_curvature(ext, sec), reference_section_curvature(ext, sec))
+            for a, b in product(sections + families[:1] + families[3:], repeat=2):
+                _same_table(section_difference(ext, a, b),
+                            reference_section_difference(ext, a, b))
+            for chosen in (sections[:2], sections[:3], [sections[0], sections[0]]):
+                got, want = param_section(ext, chosen), reference_param_section(ext, chosen)
+                assert got.matrix == want.matrix, name
+                assert ([[type(x) for x in row] for row in got.matrix]
+                        == [[type(x) for x in row] for row in want.matrix])
+                _same_table(param_curvature(ext, got), reference_param_curvature(ext, want))
+
+    def test_validate_section_matches_the_dense_product(self):
+        outcomes = []
+        for name, ext, sections, families in self.cases():
+            for sec in sections + families:
+                broken = Section(ext, [[x + (r == c) for c, x in enumerate(row)]
+                                       for r, row in enumerate(sec.matrix)])
+                for candidate in (sec, broken):
+                    got = validate_section(ext, candidate)
+                    assert got == reference_validate_section(ext, candidate), name
+                    outcomes.append(got)
+        assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
 
 
 class TestParamFamily:

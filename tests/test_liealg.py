@@ -10,14 +10,14 @@ import pytest
 
 from liechar import liealg
 from liechar import (LieAlgebra, MultiPoly, Representation, abelian,
-                     adjoint_representation, algebra_from_brackets, bracket,
+                     adjoint_representation, algebra_from_brackets,
                      check_jacobi, check_representation, heisenberg,
                      heisenberg3, is_derivation, oscillator,
                      semidirect_product, trivial_representation)
 from liechar.catalog import (affine_split_extension, filiform_extension,
                              heisenberg_central_extension, oscillator_extension)
 
-from helpers import (SMALL_ALGEBRAS, ad_matrix, algebra_pool, conjugate_algebra,
+from helpers import (SMALL_ALGEBRAS, ad_matrix, bracket, algebra_pool, conjugate_algebra,
                      dense_algebra_from_brackets, dense_matrices, dense_structure, identity,
                      rand_fraction, rand_matrix, rand_vector, random_algebra, random_module,
                      reference_bracket,

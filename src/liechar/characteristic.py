@@ -17,6 +17,8 @@ and one elimination of B there gives that form: with the columns in reversed
 order, the nullspace vectors of its echelon, read back, are the reduced H
 rows, led by the H columns, and h = dim Z - dim B.  Reduced row echelon
 forms are unique, so bases and coordinates of classes are reproducible.
+Basis cochains store only the blocks their sparse vectors touch, and the H
+rows stay sparse until class_projection is read.
 
 For an extension with kernel n and an invariant symmetric map f of degree p,
 the relative cochain of n+1 sections is the simplex integral
@@ -49,8 +51,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .cochains import (Cochain, SymMultiMap, _differential_rows, _flatten,
-                       ce_differential, compose_sym)
+from .cochains import (Cochain, SymMultiMap, _ZERO, _differential_rows, _flatten,
+                       ce_differential, compose_sym, increasing_tuples)
 from .extensions import (Extension, InvalidSection, InvarianceWarning, Section,
                          _interpolate, is_invariant, param_curvature,
                          section_curvature, section_difference, validate_section)
@@ -97,19 +99,14 @@ class NotInvariant(ValueError):
     """The symmetric map fails the configured invariance policy."""
 
 
-def _unflatten(vec, keys, zero: Cochain) -> Cochain:
-    """The cochain of a sparse Fraction vector in the tuple-major basis over keys:
-    a copy of the zero cochain's table (same shape) with each block vec touches
-    padded from the shared zero tuple its key holds; no entry is re-checked."""
-    m = zero.target_dim
-    values = zero.values.copy()
+def _unflatten(vec, keys, algebra: LieAlgebra, degree: int, m: int) -> Cochain:
+    """The cochain of a sparse vector of nonzero Fractions in the tuple-major
+    basis over keys: the blocks it touches, padded with Fraction(0)."""
     blocks = {}
     for i, x in vec.items():
-        key = keys[i // m]
-        blocks.setdefault(key, list(values[key]))[i % m] = x
-    for key, block in blocks.items():
-        values[key] = tuple(block)
-    return Cochain._of(zero.source, zero.degree, m, values)
+        blocks.setdefault(keys[i // m], [_ZERO] * m)[i % m] = x
+    return Cochain._of(algebra, degree, m,
+                       {key: tuple(block) for key, block in blocks.items()})
 
 
 class CohomologySpace:
@@ -139,12 +136,16 @@ class CohomologySpace:
         h_rows = echelon_nullspace(sparse_rref(
             [{rev[c]: x for c, x in b.items() if c in rev} for b in bvecs], nz), nz)[::-1]
         self.h_dim = len(h_rows)
-        zero = Cochain.zero(algebra, degree, m)
-        keys = list(zero.values)
-        self.cocycle_basis = [_unflatten(v, keys, zero) for v in zvecs]
-        self.coboundary_basis = [_unflatten(v, keys, zero) for v in bvecs]
+        keys = increasing_tuples(algebra.dim, degree)
+        self.cocycle_basis = [_unflatten(v, keys, algebra, degree, m) for v in zvecs]
+        self.coboundary_basis = [_unflatten(v, keys, algebra, degree, m) for v in bvecs]
         self._basis = bvecs + [zvecs[nz - 1 - max(row)] for row in h_rows]
-        self.class_projection = [row[::-1] for row in to_dense(h_rows, nz)]
+        self._h_rows = h_rows
+
+    @property
+    def class_projection(self):
+        """The h x z matrix of the H-coordinates of the cocycle basis, built on read."""
+        return [row[::-1] for row in to_dense(self._h_rows, len(self.cocycle_basis))]
 
     def coordinates_of(self, w: Cochain):
         """H-coordinates of a cocycle; NotACocycle if d w != 0.

@@ -47,26 +47,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extension", required=True)
     p.add_argument("--section", required=True)
 
-    p = add("chern-weil", help="primary characteristic class of an invariant map")
-    p.add_argument("--extension", required=True)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--section", required=True)
-    p.add_argument("--rep")
-    p.add_argument("--invariance", choices=("section", "strict"), default="section")
-
-    p = add("secondary", help="secondary characteristic class of two sections")
-    p.add_argument("--extension", required=True)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--sections", required=True, help="two comma-separated section names")
-    p.add_argument("--rep")
-    p.add_argument("--invariance", choices=("section", "strict"), default="section")
-
-    p = add("verify-theorem", help="check the boundary identity for n+1 sections")
-    p.add_argument("--extension", required=True)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--sections", required=True, help="comma-separated section names")
-    p.add_argument("--rep")
-    p.add_argument("--invariance", choices=("section", "strict"), default="section")
+    for name, help_text, sections, sections_help in (
+            ("chern-weil", "primary characteristic class of an invariant map", "--section",
+             None),
+            ("secondary", "secondary characteristic class of two sections", "--sections",
+             "two comma-separated section names"),
+            ("verify-theorem", "check the boundary identity for n+1 sections", "--sections",
+             "comma-separated section names")):
+        p = add(name, help=help_text)
+        p.add_argument("--extension", required=True)
+        p.add_argument("--poly", required=True)
+        p.add_argument(sections, required=True, help=sections_help)
+        p.add_argument("--rep")
+        p.add_argument("--invariance", choices=("section", "strict"), default="section")
 
     return parser
 
@@ -111,15 +104,12 @@ def _resolve_extension(ws, args, section_names):
 
 
 def _print_cochain(w, indent=""):
+    """One line per stored (nonzero) value, in key order; "zero" when none is."""
     names = w.source.basis_names
-    printed = False
-    for key, val in w.values.items():
-        if all(v == 0 for v in val):
-            continue
+    for key in sorted(w.nonzero):
         arg = ",".join(names[i] for i in key) if key else "()"
-        print(f"{indent}({arg}) -> ({', '.join(str(v) for v in val)})")
-        printed = True
-    if not printed:
+        print(f"{indent}({arg}) -> ({', '.join(str(v) for v in w.nonzero[key])})")
+    if not w.nonzero:
         print(f"{indent}zero")
 
 

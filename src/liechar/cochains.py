@@ -6,16 +6,19 @@ on arbitrary arguments is the alternating multilinear extension.  A symmetric
 p-linear map stores one value per non-decreasing tuple and extends
 symmetrically.  Both are thin subclasses of one keyed-table base, which
 validates and stores the table, adds, scales and compares tables; each
-subclass names its canonical tuples and evaluates its extension.  A cochain
-sums over the product of the arguments' supports (their nonzero
-coordinates), so the cost is the product of the support sizes rather than
-d^p; a symmetric map is contracted slot by slot, last argument outermost,
-and terms that share a partial sum compute it once.  Scalar entries are
-Fraction or MultiPoly; every operator here is generic over the two kinds.
-The public constructors check and coerce every entry; package code that
-already holds a complete table of exact entries (the basis cochains of a
-cohomology space) builds it through the trusted constructor _of, which
-skips those checks.
+subclass names its canonical tuples and evaluates its extension.  A table
+stores only the tuples whose vector is not all zero (``nonzero``), which the
+operators read; ``values`` is a read-only view of the full table, zeros
+included, which the writers walk.  A cochain sums over the product of the
+arguments' supports (their nonzero coordinates), so the cost is the product
+of the support sizes rather than d^p; a symmetric map is contracted slot by
+slot, last argument outermost, and terms that share a partial sum compute it
+once.  Scalar entries are Fraction or MultiPoly; every operator here is
+generic over the two kinds.
+The public constructors check and coerce every entry of a full table;
+package code that already holds the nonzero vectors of exact entries (the
+basis cochains of a cohomology space, the operators here) builds the table
+through the trusted constructor _of, which skips those checks.
 
 The composition of a symmetric map f with cochains a_1..a_p is a signed
 shuffle sum over the ordered partitions of the output positions into
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
@@ -64,6 +68,8 @@ __all__ = [
     "ce_differential",
     "compose_sym",
 ]
+
+_ZERO = Fraction(0)
 
 
 def increasing_tuples(dim: int, degree: int):
@@ -96,32 +102,52 @@ def _perm_sign(seq) -> int:
     return -1 if inv % 2 else 1
 
 
-def _sort_with_sign(seq):
-    """(sorted tuple, sign) for distinct indices; (None, 0) on repeats."""
-    if len(set(seq)) != len(seq):
-        return None, 0
-    return tuple(sorted(seq)), _perm_sign(seq)
-
-
 def _coerce_scalar(x):
-    if isinstance(x, MultiPoly):
-        return x
-    return _fraction(x)
+    return x if isinstance(x, MultiPoly) else _fraction(x)
+
+
+def _nonzero(pairs):
+    """{key: vector} for the (key, vector) pairs whose vector is not all zero."""
+    return {key: val for key, val in pairs if any(val)}
 
 
 def _flatten(table):
-    """The entries of a table in the tuple-major basis (tables are in key order)."""
-    return [x for val in table.values.values() for x in val]
+    """The entries of a table in the tuple-major basis over all its canonical tuples."""
+    zeros = (_ZERO,) * table.target_dim
+    return [x for key in table.key_tuples(table.source.dim, table.degree)
+            for x in table.nonzero.get(key, zeros)]
+
+
+class _FullTable(Mapping):
+    """Read-only view of a table over all its canonical tuples, in key order."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table):
+        self._table = table
+
+    def __getitem__(self, key):
+        return self._table.entry(key)
+
+    def __iter__(self):
+        return iter(self._table.key_tuples(self._table.source.dim, self._table.degree))
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+    def __contains__(self, key):
+        return key in self._table.key_tuples(self._table.source.dim, self._table.degree)
 
 
 class _Table:
     """One value vector per canonical index tuple, extended multilinearly.
 
-    A subclass names its canonical tuples (``key_tuples``) and evaluates its
-    extension.
+    ``nonzero`` maps each canonical tuple whose vector is not all zero to that
+    vector.  A subclass names its canonical tuples (``key_tuples``) and
+    evaluates its extension.
     """
 
-    __slots__ = ("source", "degree", "target_dim", "values")
+    __slots__ = ("source", "degree", "target_dim", "nonzero")
 
     def __init__(self, source: LieAlgebra, degree: int, target_dim: int, values):
         keys = self.key_tuples(source.dim, degree)
@@ -132,24 +158,24 @@ class _Table:
             val = tuple(_coerce_scalar(x) for x in values[key])
             if len(val) != target_dim:
                 raise ValueError(f"{self._kind} value at {key} has wrong length")
-            table[key] = val
+            if any(val):
+                table[key] = val
         if len(values) != len(keys):
             raise ValueError(f"{self._kind} table has extra entries")
         self.source = source
         self.degree = degree
         self.target_dim = target_dim
-        self.values = table
+        self.nonzero = table
 
     @classmethod
-    def _of(cls, source: LieAlgebra, degree: int, target_dim: int, table: dict):
-        """Trusted constructor: ``table`` must map every canonical tuple, in key
-        order and nothing else, to a tuple of target_dim Fraction or MultiPoly
-        entries."""
+    def _of(cls, source: LieAlgebra, degree: int, target_dim: int, nonzero: dict):
+        """Trusted constructor: ``nonzero`` must map canonical tuples to tuples of
+        target_dim Fraction or MultiPoly entries, none of them all zero."""
         obj = object.__new__(cls)
         obj.source = source
         obj.degree = degree
         obj.target_dim = target_dim
-        obj.values = table
+        obj.nonzero = nonzero
         return obj
 
     @classmethod
@@ -159,20 +185,24 @@ class _Table:
 
     @classmethod
     def zero(cls, source, degree, target_dim):
-        """The zero table: every key holds one shared tuple of Fraction(0)."""
-        return cls._of(source, degree, target_dim,
-                       dict.fromkeys(cls.key_tuples(source.dim, degree),
-                                     (Fraction(0),) * target_dim))
+        return cls._of(source, degree, target_dim, {})
+
+    values = property(_FullTable)  # the full table, zeros included
 
     def entry(self, key):
-        return self.values[tuple(key)]
+        """The vector at a tuple; one not stored (canonical or not) reads as zeros
+        of the stored entries' kind (MultiPoly if the first stored vector has one)."""
+        val = self.nonzero.get(tuple(key))
+        return val or (_zero(next(iter(self.nonzero.values()), ())),) * self.target_dim
 
     def is_zero(self) -> bool:
-        return not any(any(val) for val in self.values.values())
+        return not self.nonzero
 
     def map_values(self, fn):
-        return type(self)(self.source, self.degree, self.target_dim,
-                          {k: [fn(x) for x in v] for k, v in self.values.items()})
+        """fn applied to every entry; fn must take zero to zero, as the tuples
+        the table does not store are not passed to it."""
+        return self._of(self.source, self.degree, self.target_dim, _nonzero(
+            (key, tuple(_coerce_scalar(fn(x)) for x in val)) for key, val in self.nonzero.items()))
 
     def scale(self, c):
         return self.map_values(lambda x: c * x)
@@ -182,9 +212,10 @@ class _Table:
                 or other.target_dim != self.target_dim
                 or other.source.dim != self.source.dim):
             raise ValueError(f"{self._kind} shape mismatch")
-        return type(self)(self.source, self.degree, self.target_dim,
-                          {k: [op(a, b) for a, b in zip(v, other.values[k])]
-                           for k, v in self.values.items()})
+        a, b = self.nonzero, other.nonzero
+        zeros = (_ZERO,) * self.target_dim
+        return self._of(self.source, self.degree, self.target_dim, _nonzero(
+            (k, tuple(map(op, a.get(k, zeros), b.get(k, zeros)))) for k in a.keys() | b.keys()))
 
     def __add__(self, other):
         return self._combine(other, operator.add)
@@ -201,7 +232,7 @@ class _Table:
         return (self.degree == other.degree
                 and self.target_dim == other.target_dim
                 and self.source.dim == other.source.dim
-                and self.values == other.values)
+                and self.nonzero == other.nonzero)
 
     __hash__ = None
 
@@ -227,21 +258,21 @@ class Cochain(_Table):
         """Alternating multilinear extension to arbitrary coefficient vectors."""
         self._check_arguments(args)
         supports = [[(i, x) for i, x in enumerate(vec) if x] for vec in args]
-        out = [Fraction(0)] * self.target_dim
+        out = zeros = [_ZERO] * self.target_dim
         for terms in product(*supports):
-            key, sgn = _sort_with_sign(tuple(i for i, _ in terms))
-            if sgn == 0:
+            seq = tuple(i for i, _ in terms)
+            if len(set(seq)) != len(seq):  # a repeated index: the term is 0
                 continue
-            coeff = Fraction(sgn)
+            coeff = Fraction(_perm_sign(seq))
             for _, x in terms:
                 coeff = coeff * x
-            out = [o + coeff * x for o, x in zip(out, self.values[key])]
+            val = self.nonzero.get(tuple(sorted(seq)), zeros)
+            out = [o + coeff * x for o, x in zip(out, val)]
         return out
 
 
 class SymMultiMap(_Table):
-    """Symmetric multilinear map n^p -> V on a table of non-decreasing tuples;
-    ``key_count`` counts them without enumerating them."""
+    """Symmetric multilinear map n^p -> V on a table of non-decreasing tuples."""
 
     __slots__ = ()
     _kind = "symmetric-map"
@@ -297,13 +328,13 @@ def _zero(entries):
     """The zero of the entries' kind: a MultiPoly zero if one is a MultiPoly."""
     if MultiPoly in map(type, entries):
         return next(c for c in entries if type(c) is MultiPoly) * 0
-    return Fraction(0)
+    return _ZERO
 
 
 def ce_differential(w: Cochain, rep: Representation) -> Cochain:
     """Chevalley-Eilenberg differential of w with module action rep: the rows of
     d applied to w; each entry starts from the zero of w's kind (a MultiPoly
-    zero when w holds one, else Fraction(0))."""
+    zero when w holds one, else Fraction(0)); an all-zero block is not stored."""
     m = rep.space_dim
     if w.source.dim != rep.algebra.dim or w.target_dim != m:
         raise ValueError("dimension mismatch")
@@ -319,7 +350,7 @@ def ce_differential(w: Cochain, rep: Representation) -> Cochain:
         out.append(acc)
     keys = increasing_tuples(w.source.dim, w.degree + 1)
     return Cochain._of(w.source, w.degree + 1, m,
-                       {key: tuple(out[i * m:(i + 1) * m]) for i, key in enumerate(keys)})
+                       _nonzero((key, tuple(out[i * m:i * m + m])) for i, key in enumerate(keys)))
 
 
 def _ordered_partitions(positions, sizes, tied, floor=-1):
@@ -338,15 +369,15 @@ def _ordered_partitions(positions, sizes, tied, floor=-1):
 
 
 def _shuffle_sum(args, keys, out_dim, fn):
-    """{key: sum of weight * fn(key restricted to each block)} over the ordered
-    partitions of the positions of key into increasing blocks, one per
-    argument and of its degree, weighted by the sign of the permutation the
+    """(key, sum of weight * fn(key restricted to each block)) for each key, over
+    the ordered partitions of the positions of key into increasing blocks, one
+    per argument and of its degree, weighted by the sign of the permutation the
     blocks spell.  One table of (weight, blocks) serves every key, and none is
     built without a key; a run of one cochain of even degree > 0 keeps the
     partitions whose blocks in the run start in increasing order, weighted r!
     (see the module docstring)."""
     if not keys:
-        return {}
+        return
     sizes = [a.degree for a in args]
     tied = [j > 0 and a is args[j - 1] and a.degree > 0 and a.degree % 2 == 0
             for j, a in enumerate(args)]
@@ -356,14 +387,12 @@ def _shuffle_sum(args, keys, out_dim, fn):
         weight *= run
     table = [(weight * _perm_sign([pos for block in blocks for pos in block]), blocks)
              for blocks in _ordered_partitions(tuple(range(sum(sizes))), sizes, tied)]
-    values = {}
     for key in keys:
-        out = [Fraction(0)] * out_dim
+        out = [_ZERO] * out_dim
         for w, blocks in table:
             val = fn([tuple(key[pos] for pos in block) for block in blocks])
             out = [o + w * x for o, x in zip(out, val)]
-        values[key] = tuple(out)
-    return values
+        yield key, tuple(out)
 
 
 def _contraction(f: SymMultiMap, vector):
@@ -374,10 +403,11 @@ def _contraction(f: SymMultiMap, vector):
     (not a zero of either kind) when such a slot is zero; memoised below the
     top, where no two calls share their keys."""
     memo = {}
+    zeros = (_ZERO,) * f.target_dim
 
     def inner(prefix, chosen):
         if not prefix:
-            return f.values[chosen]
+            return f.nonzero.get(chosen, zeros)
         if (prefix, chosen) in memo:
             return memo[prefix, chosen]
         out = None
@@ -393,7 +423,7 @@ def _contraction(f: SymMultiMap, vector):
             memo[prefix, chosen] = out
         return out
 
-    return lambda keys: list(inner(tuple(keys), ()) or [Fraction(0)] * f.target_dim)
+    return lambda keys: list(inner(tuple(keys), ()) or [_ZERO] * f.target_dim)
 
 
 def compose_sym(f: SymMultiMap, args) -> Cochain:
@@ -419,6 +449,7 @@ def compose_sym(f: SymMultiMap, args) -> Cochain:
         if a.target_dim != f.source.dim:
             raise ValueError("dimension mismatch")
     degree = sum(a.degree for a in args)
-    term = _contraction(f, lambda j, key: args[j].values[key])
-    return Cochain._of(src, degree, f.target_dim,
-                       _shuffle_sum(args, increasing_tuples(src.dim, degree), f.target_dim, term))
+    zeros = (_ZERO,) * f.source.dim
+    term = _contraction(f, lambda j, key: args[j].nonzero.get(key, zeros))
+    return Cochain._of(src, degree, f.target_dim, _nonzero(
+        _shuffle_sum(args, increasing_tuples(src.dim, degree), f.target_dim, term)))

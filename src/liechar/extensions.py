@@ -43,7 +43,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 
-from .cochains import Cochain, _coerce_scalar, _zero, increasing_tuples
+from .cochains import Cochain, _coerce_scalar, _nonzero, _zero, increasing_tuples
 from .liealg import LieAlgebra, Representation, _bracket_into
 from .linalg import rank, solve_linear, sparse_rref, sparse_transpose
 from .scalars import MultiPoly, _fraction, as_poly
@@ -233,7 +233,7 @@ def section_curvature(ext: Extension, sec: Section) -> Cochain:
             for r, x in cols[k].items():
                 val[r] = val[r] - c * x
         values[(i, j)] = tuple(kernel_coords(ext, val))
-    return Cochain._of(ext.base, 2, ext.kernel.dim, values)
+    return Cochain._of(ext.base, 2, ext.kernel.dim, _nonzero(values.items()))
 
 
 def _kernel_action(ext: Extension, v):
@@ -284,7 +284,7 @@ def section_difference(ext: Extension, sec_a: Section, sec_b: Section) -> Cochai
         for r, b in sec_b._cols[i].items():
             diff[r] = diff[r] - b
         values[(i,)] = tuple(kernel_coords(ext, diff))
-    return Cochain._of(ext.base, 1, ext.kernel.dim, values)
+    return Cochain._of(ext.base, 1, ext.kernel.dim, _nonzero(values.items()))
 
 
 _MODES = ("section", "strict")
@@ -313,12 +313,14 @@ def is_invariant(f, ext: Extension, rep: Representation, mode: str = "section",
     else:
         s_cols = [_kernel_action(ext, [(x, 1)]) for x in range(ext.total.dim)]
         actions = _pullback(ext, rep)
-    values = f.values
+    keys = f.key_tuples(f.source.dim, f.degree)
+    values = f.nonzero
     zero = [Fraction(0)] * m
     for cols, act in zip(s_cols, actions):
         if act is None and not any(cols):
             continue
-        for key, val in values.items():
+        for key in keys:
+            val = values.get(key, zero)
             lhs = zero if act is None else [
                 sum((e * val[s] for s, e in terms if val[s]), Fraction(0)) for terms in act]
             rhs = list(zero)
@@ -329,7 +331,7 @@ def is_invariant(f, ext: Extension, rep: Representation, mode: str = "section",
                 times = key.count(k)
                 for r, c in cols[k]:
                     c = c * times
-                    for i, b in enumerate(values[tuple(sorted(rest + (r,)))]):
+                    for i, b in enumerate(values.get(tuple(sorted(rest + (r,))), zero)):
                         if b:
                             rhs[i] = rhs[i] + c * b
             if lhs != rhs:
@@ -395,4 +397,4 @@ def param_curvature(ext: Extension, sec_t: Section) -> Cochain:
     curv = section_curvature(ext, sec_t)
     return Cochain._of(ext.base, 2, ext.kernel.dim,
                        {key: tuple(as_poly(x, nvars) for x in val)
-                        for key, val in curv.values.items()})
+                        for key, val in curv.nonzero.items()})

@@ -2,16 +2,17 @@
 
 An algebra stores ``sparse[i][j]``, the pairs (k, c) of the nonzero
 e_k-coefficients of [e_i, e_j], and a representation the nonzero entries of
-each row of each rho(e_t); no dense copy is kept.  The checking constructors
-take dense tables and keep their nonzero entries, algebra_from_brackets reads
-the table off its bracket data, and the adjoint module reads ad(e_i) off the
-table.  The bracket of two vectors, given as the (index, value) pairs of
-their nonzero entries, is the package's one bilinear loop.  The public
-constructors check antisymmetry, the Jacobi identity and the representation
-property, so downstream operators may assume validity.  Only objects that
-are valid by construction (abelian algebras, trivial and adjoint modules,
-actions that semidirect_product checks itself) skip the checks through the
-trusted constructors ``_of``.
+each row of each rho(e_t); no dense copy is kept.  algebra_from_brackets
+reads the table off bracket data for i < j, which is antisymmetric by
+construction, the Representation constructor takes dense matrices and keeps
+their nonzero entries, and the adjoint module reads ad(e_i) off the table.
+The bracket of two vectors, given as the (index, value) pairs of their
+nonzero entries, is the package's one bilinear loop.  The public
+constructors check the Jacobi identity and the representation property, so
+downstream operators may assume validity.  Only objects that are valid by
+construction (abelian algebras, trivial and adjoint modules, actions that
+semidirect_product checks itself) skip the checks through the trusted
+constructors ``_of``.
 
 Constructions used throughout: abelian algebras, the Heisenberg algebras
 h_{2m+1}, semidirect products h x| a by derivations, and the oscillator
@@ -53,32 +54,10 @@ _ZERO = Fraction(0)
 
 class LieAlgebra:
     """Lie algebra with a named basis and rational structure constants;
-    ``sparse[i][j]`` holds the pairs (k, c), by k, of the nonzero [e_i, e_j]_k."""
+    ``sparse[i][j]`` holds the pairs (k, c), by k, of the nonzero [e_i, e_j]_k.
+    Built by algebra_from_brackets, or by _of when valid by construction."""
 
     __slots__ = ("dim", "basis_names", "sparse")
-
-    def __init__(self, basis_names, structure):
-        names = _basis_names(basis_names)
-        d = len(names)
-        if len(structure) != d or any(
-            len(plane) != d or any(len(row) != d for row in plane)
-            for plane in structure
-        ):
-            raise ValueError("structure constants must be dim x dim x dim")
-        table = [[[_fraction(c) for c in row] for row in plane] for plane in structure]
-        for i in range(d):
-            for j in range(i, d):
-                for k, (a, b) in enumerate(zip(table[i][j], table[j][i])):
-                    if (a or b) and a != -b:
-                        raise ValueError(
-                            f"structure constants not antisymmetric at "
-                            f"({names[i]},{names[j]},{names[k]})"
-                        )
-        self.dim, self.basis_names = d, names
-        self.sparse = tuple(
-            tuple([tuple([(k, c) for k, c in enumerate(vec) if c]) for vec in plane])
-            for plane in table)
-        _require_jacobi(self)
 
     @classmethod
     def _of(cls, names, sparse) -> "LieAlgebra":

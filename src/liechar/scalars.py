@@ -107,10 +107,6 @@ class MultiPoly:
     def constant(cls, nvars: int, value) -> "MultiPoly":
         return cls(nvars, {(0,) * nvars: Fraction(value)})
 
-    @classmethod
-    def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars, {})
-
     # -- queries ----------------------------------------------------------
 
     def __bool__(self) -> bool:

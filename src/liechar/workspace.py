@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from .characteristic import CharacteristicClass
-from .cochains import Cochain, SymMultiMap, _nondecreasing_walk
+from .cochains import Cochain, SymMultiMap, _nondecreasing_walk, _nonzero
 from .extensions import Extension, Section, validate_extension, validate_section
 from .liealg import LieAlgebra, Representation, algebra_from_brackets
 from .scalars import MultiPoly, poly_to_json, rational_from_str, rational_to_str
@@ -367,7 +367,7 @@ def _table_from_json(entries, alg, degree, target_dim, location, memo):
                 "value must have length {}", loc, target_dim)
         values[expected] = tuple(_rational(v, memo, "{}.value[{}]", loc, i)
                                  for i, v in enumerate(val))
-    return SymMultiMap._of(alg, degree, target_dim, values)
+    return SymMultiMap._of(alg, degree, target_dim, _nonzero(values.items()))
 
 
 def _table_entries_to_json(table):

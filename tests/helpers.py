@@ -20,7 +20,7 @@ from liechar.catalog import (
     affine_split_extension, filiform_extension, heisenberg_central_extension,
     oscillator_extension,
 )
-from liechar.liealg import _bracket_into
+from liechar.liealg import _bracket_into, _require_jacobi
 
 
 def zeros(r, c):
@@ -69,6 +69,19 @@ def dense_matrices(rep):
                 dense[s] = x
         mats.append(mat)
     return mats
+
+
+def algebra_from_table(names, structure):
+    """The algebra of a dense table structure[i][j][k], the e_k-coefficient of
+    [e_i, e_j]: the table must be dim x dim x dim and antisymmetric, and its
+    entries above the diagonal go to algebra_from_brackets, which checks Jacobi."""
+    d = len(names)
+    assert len(structure) == d and all(
+        len(plane) == d and all(len(row) == d for row in plane) for plane in structure)
+    assert all(structure[i][j][k] == -structure[j][i][k]
+               for i in range(d) for j in range(d) for k in range(d))
+    return algebra_from_brackets(names, {(i, j): dict(enumerate(structure[i][j]))
+                                         for i, j in combinations(range(d), 2)})
 
 
 def sparse_table(structure):
@@ -169,7 +182,7 @@ def conjugate_algebra(rng, algebra):
             plane.append(solve_linear(pm, w))
         structure.append(plane)
     names = tuple(f"b{i + 1}" for i in range(d))
-    return LieAlgebra(names, structure)
+    return algebra_from_table(names, structure)
 
 
 def conjugate_extension(rng, ext):
@@ -182,7 +195,7 @@ def conjugate_extension(rng, ext):
     cols = [[pm[r][i] for r in range(d)] for i in range(d)]
     structure = [[solve_linear(pm, bracket(ext.total, cols[i], cols[j])) for j in range(d)]
                  for i in range(d)]
-    total = LieAlgebra(tuple(f"b{i + 1}" for i in range(d)), structure)
+    total = algebra_from_table(tuple(f"b{i + 1}" for i in range(d)), structure)
     iota = transpose([solve_linear(pm, col) for col in transpose(ext.iota)])
     proj = dense_mat_mul(ext.proj, pm)
     return Extension(total, ext.base, ext.kernel, iota, proj)
@@ -938,7 +951,7 @@ def reference_validate_section(ext, sec):
 
 def dense_algebra_from_brackets(basis_names, brackets):
     """algebra_from_brackets through a dense dim^3 table: every coefficient and
-    its negation written into the table, which the checking constructor scans."""
+    its negation written into the table, whose scan is checked for Jacobi."""
     names = tuple(basis_names)
     d = len(names)
     structure = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
@@ -951,7 +964,7 @@ def dense_algebra_from_brackets(basis_names, brackets):
                 raise ValueError(f"bracket coefficient index {k} out of range")
             structure[i][j][k] = Fraction(c)
             structure[j][i][k] = -Fraction(c)
-    return LieAlgebra(names, structure)
+    return _require_jacobi(LieAlgebra._of(names, sparse_table(structure)))
 
 
 def reference_validate_extension(ext):
@@ -1178,7 +1191,7 @@ def reference_semidirect_product(h, a, action):
                 c = action[j][k][i]
                 structure[dh + j][i][k] = c
                 structure[i][dh + j][k] = -c
-    return LieAlgebra(names, structure)
+    return algebra_from_table(names, structure)
 
 
 def _reference_apply(m, u, v):

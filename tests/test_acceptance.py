@@ -7,7 +7,10 @@ see the lines as they go by.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import comb, factorial
@@ -375,3 +378,39 @@ def test_criterion_14_compose_sym_shares_partial_sums(capsys):
     with capsys.disabled():
         budget.done("criterion 14b: sparse compose_sym, unit arguments on a dim-24 kernel")
     assert sparse == reference_compose_sym(f, args)
+
+
+H15_SCRIPT = """
+import json, resource
+from liechar import cohomology_space, heisenberg, trivial_representation
+alg = heisenberg(7)
+triv = trivial_representation(alg, 1)
+betti = [cohomology_space(alg, triv, p).h_dim for p in range(alg.dim + 1)]
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    with open("/proc/self/status") as status:
+        peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    pass
+print(json.dumps([betti, peak]))
+"""
+
+
+def test_criterion_15_h15_every_degree_in_tens_of_mib(capsys):
+    # A fresh interpreter, so that its peak RSS is this computation's.  Linux
+    # carries ru_maxrss over from the process that spawns it (here the test
+    # runner), so the child reads its own high-water mark, VmHWM, where the
+    # kernel reports it; both are in KiB.  Python 3.11.7 on a 2-core Intel Xeon:
+    # 1.8-3.4 s at 22 MiB, where basis cochains holding every canonical tuple
+    # took 5.8 s at 2210 MiB for H^8 alone.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    budget = Budget(12.0)
+    run = subprocess.run([sys.executable, "-c", H15_SCRIPT], env=env, capture_output=True,
+                         text=True, check=True)
+    betti, peak_kib = json.loads(run.stdout)
+    assert betti == santharoubane_betti(7)
+    assert peak_kib < 64 * 1024, f"peak RSS {peak_kib / 1024:.1f} MiB"
+    with capsys.disabled():
+        budget.done(f"criterion 15: H^*(h_15), every degree, peak RSS {peak_kib / 1024:.0f} MiB")

@@ -8,9 +8,12 @@ references in helpers; their identities are checked here on those references.
 """
 
 import copy
+import hashlib
+import json
 import random
+import warnings
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 from math import comb, factorial
 
 import pytest
@@ -18,10 +21,13 @@ import pytest
 from liechar import cochains, liealg
 from liechar.linalg import to_dense
 from liechar import (Cochain, MultiPoly, Representation, Section, SymMultiMap, abelian,
-                     adjoint_representation, ce_differential, cohomology_space, compose_sym,
-                     heisenberg3, increasing_tuples, nondecreasing_tuples, section_curvature,
-                     trivial_representation, validate_extension)
-from liechar.catalog import heisenberg_central_extension
+                     adjoint_representation, ce_differential, chern_weil, cohomology_space,
+                     compose_sym, delta_f, heisenberg3, increasing_tuples, nondecreasing_tuples,
+                     param_curvature, param_section, parse_workspace, section_curvature,
+                     section_difference, serialize_workspace, trivial_representation,
+                     validate_extension, verify_main_theorem)
+from liechar.catalog import (filiform_workspace, heisenberg_central_extension,
+                             heisenberg_workspace, oscillator_workspace)
 
 from helpers import (SMALL_ALGEBRAS, ad_matrix, alt, conjugate_algebra, dense_cochain_evaluate,
                      dense_differential_matrix, dense_matrices, dense_symmap_evaluate, evaluation_product,
@@ -138,7 +144,7 @@ class TestTables:
                     assert zero == cls.from_function(g, degree, m, lambda key: [0] * m)
                     assert list(zero.values) == cls.key_tuples(dim, degree)
                     assert all(type(x) is Fraction for v in zero.values.values() for x in v)
-                    assert cls.zero(g, degree, m).values is not zero.values
+                    assert cls.zero(g, degree, m).nonzero is not zero.nonzero
 
     def test_basis_cochains_own_their_tables(self):
         rng = random.Random(23)
@@ -147,7 +153,7 @@ class TestTables:
             rep = adjoint_representation(alg)
             for degree in range(alg.dim + 1):
                 space = cohomology_space(alg, rep, degree)
-                tables = [w.values for w in space.cocycle_basis + space.coboundary_basis]
+                tables = [w.nonzero for w in space.cocycle_basis + space.coboundary_basis]
                 assert len({id(t) for t in tables}) == len(tables)
 
     @pytest.mark.parametrize("degree", [4, 2**63 - 1, 2**63])
@@ -188,6 +194,170 @@ class TestTables:
         assert poly.values == f.values
         assert all(isinstance(x, MultiPoly) for v in poly.values.values() for x in v)
         assert repr(f) == "SymMultiMap(degree=2, source_dim=3, target_dim=1)"
+
+
+def _sparse_entry(rng, poly):
+    """Zero (of the requested kind) half the time, else a random nonzero entry."""
+    if rng.random() < 0.5:
+        return MultiPoly(2, {}) if poly else Fraction(0)
+    c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    return MultiPoly(2, {(rng.randint(0, 2), rng.randint(0, 1)): c}) if poly else c
+
+
+def _sparse_table(rng, cls, alg, degree, m, poly=False):
+    return cls.from_function(alg, degree, m,
+                             lambda key: [_sparse_entry(rng, poly) for _ in range(m)])
+
+
+def storage_corpus():
+    """(label, table) for every producer of tables: the parsed maps, curvatures,
+    section differences, curvature families, Delta_f, both sides of the
+    boundary identity and Chern-Weil representatives of the catalog
+    workspaces, the basis cochains of their algebras, and seeded rational and
+    MultiPoly tables with the operators applied to them.  The first word of a
+    label names the producer."""
+    for ws_name, build in (("oscillator", oscillator_workspace),
+                           ("heisenberg", heisenberg_workspace),
+                           ("filiform", filiform_workspace)):
+        ws = parse_workspace(serialize_workspace(build()))
+        ext = next(iter(ws.extensions.values()))
+        triv = ws.representations["triv"]
+        names = sorted(ws.sections)
+        secs = [ws.sections[n] for n in names]
+        for name, f in sorted(ws.polynomials.items()):
+            yield f"parsed {ws_name}.{name}", f
+        for name, sec in zip(names, secs):
+            yield f"section_curvature {ws_name}.{name}", section_curvature(ext, sec)
+        for a, b in permutations(range(len(secs)), 2):
+            yield (f"section_difference {ws_name}.{a}{b}",
+                   section_difference(ext, secs[a], secs[b]))
+            yield (f"param_curvature {ws_name}.{a}{b}",
+                   param_curvature(ext, param_section(ext, [secs[a], secs[b]])))
+        for name, f in sorted(ws.polynomials.items()):
+            for n in range(min(f.degree, len(secs) - 1) + 1):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    yield f"delta_f {ws_name}.{name}.{n}", delta_f(ext, f, secs[:n + 1], triv)
+                    if n:
+                        report = verify_main_theorem(ext, f, secs[:n + 1], triv)
+                        yield f"lhs {ws_name}.{name}.{n}", report.lhs
+                        yield f"rhs {ws_name}.{name}.{n}", report.rhs
+            yield (f"chern_weil {ws_name}.{name}",
+                   chern_weil(ext, f, secs[0], triv).representative)
+        for alg_name, alg in (("base", ext.base), ("total", ext.total)):
+            for rep_name, rep in (("triv", trivial_representation(alg, 1)),
+                                  ("ad", adjoint_representation(alg))):
+                for p in range(alg.dim + 1):
+                    space = cohomology_space(alg, rep, p)
+                    for k, w in enumerate(space.cocycle_basis + space.coboundary_basis):
+                        yield f"basis {ws_name}.{alg_name}.{rep_name}.{p}.{k}", w
+    for cls in (Cochain, SymMultiMap):
+        yield f"zero {cls.__name__}", cls.zero(heisenberg3(), 2, 2)
+    rng = random.Random(2611)
+    for alg in (heisenberg3(), liealg.heisenberg(2)):
+        for rep in (trivial_representation(alg, 1), adjoint_representation(alg)):
+            m = rep.space_dim
+            for p in range(alg.dim + 1):
+                label = f"h{alg.dim}.{m}.{p}"
+                for kind, poly in (("q", False), ("poly", True)):
+                    w = _sparse_table(rng, Cochain, alg, p, m, poly)
+                    v = _sparse_table(rng, Cochain, alg, p, m, poly)
+                    yield f"checked {label}.{kind}", w
+                    yield f"ce_differential {label}.{kind}", ce_differential(w, rep)
+                    yield f"add {label}.{kind}", w + v
+                    yield f"sub {label}.{kind}", w - v
+                    yield f"neg {label}.{kind}", -w
+                    yield f"scale {label}.{kind}", w.scale(Fraction(-2, 3))
+                    yield f"map_values {label}.{kind}", w.map_values(lambda x: x * x)
+    for kind, poly in (("q", False), ("poly", True)):
+        for degrees in ((1,), (2,), (1, 1), (2, 1), (1, 1, 1), (2, 2)):
+            f = _sparse_table(rng, SymMultiMap, abelian(3), len(degrees), 2)
+            args = [_sparse_table(rng, Cochain, abelian(5), p, 3, poly) for p in degrees]
+            yield f"checked {kind}.{degrees}", f
+            yield f"compose_sym {kind}.{degrees}", compose_sym(f, args)
+            yield f"compose_sym {kind}.{degrees}.repeat", compose_sym(f, [args[0]] * len(degrees))
+
+
+def table_digest(tables):
+    """sha256 prefix of the full table of each (label, table), values with their
+    kinds, read through ``values``; a table that stores nothing counts as zero
+    whatever the kind of its zeros."""
+    h = hashlib.sha256()
+    for label, t in tables:
+        rows = "zero" if t.is_zero() else [
+            [list(key), [[type(x).__name__, str(x)] for x in t.values[key]]] for key in t.values]
+        h.update(json.dumps([label, type(t).__name__, t.degree, t.target_dim, rows]).encode())
+    return h.hexdigest()[:16]
+
+
+class TestSparseStorage:
+    """A table stores exactly its nonzero vectors, and its full table reads as
+    it did when tables held every canonical tuple."""
+
+    PRODUCERS = {"parsed", "section_curvature", "section_difference", "param_curvature",
+                 "delta_f", "lhs", "rhs", "chern_weil", "basis", "zero", "checked",
+                 "ce_differential", "add", "sub", "neg", "scale", "map_values", "compose_sym"}
+
+    def test_every_producer_stores_only_nonzero_vectors(self):
+        seen = set()
+        for label, t in storage_corpus():
+            seen.add(label.split()[0])
+            keys = set(t.key_tuples(t.source.dim, t.degree))
+            assert set(t.nonzero) <= keys, label
+            assert all(type(v) is tuple and len(v) == t.target_dim and any(v)
+                       for v in t.nonzero.values()), label
+            assert t.nonzero == {k: v for k, v in t.values.items() if any(v)}, label
+            assert t.is_zero() == (not any(any(v) for v in t.values.values())), label
+        assert seen == self.PRODUCERS
+
+    def test_full_tables_match_the_digest_of_full_storage(self):
+        # recorded when every table held a vector, zero or not, for each
+        # canonical tuple: values and entry kinds read the same through values
+        assert table_digest(storage_corpus()) == "eeee3292ac27ed89"
+
+    def test_producers_drop_the_zero_vectors_they_make(self):
+        rng = random.Random(2612)
+        h3 = heisenberg3()
+        w = _sparse_table(rng, Cochain, h3, 1, 2)
+        half = Cochain(h3, 1, 2, {(0,): [1, 0], (1,): [0, 0], (2,): ["0", "1/2"]})
+        assert half.nonzero == {(0,): (1, 0), (2,): (0, Fraction(1, 2))}
+        assert (w - w).nonzero == w.scale(0).nonzero == {}
+        assert (half + half.scale(-1)).nonzero == {}
+        assert half.map_values(lambda x: x * 0).nonzero == {}
+        triv = trivial_representation(h3, 1)
+        zdual = Cochain(h3, 1, 1, {(0,): [0], (1,): [0], (2,): [1]})
+        assert ce_differential(zdual, triv).nonzero == {(0, 1): (-1,)}
+        assert ce_differential(ce_differential(zdual, triv), triv).nonzero == {}
+        f = SymMultiMap(abelian(2), 2, 1, {(0, 0): [0], (0, 1): [1], (1, 1): [0]})
+        unit = Cochain(h3, 1, 2, {(0,): [1, 0], (1,): [1, 0], (2,): [0, 0]})
+        assert compose_sym(f, [unit, unit]).nonzero == {}
+        ws = oscillator_workspace()
+        ext = ws.extensions["osc"]
+        assert section_curvature(ext, ws.sections["s0"]).nonzero == {}
+        assert section_difference(ext, ws.sections["sz"], ws.sections["sz"]).nonzero == {}
+        parsed = parse_workspace(serialize_workspace(ws)).polynomials["fz"]
+        assert parsed.nonzero == {(2,): (1,)}
+
+    def test_an_unstored_tuple_reads_the_zero_of_the_stored_kind(self):
+        h3 = heisenberg3()
+        poly = MultiPoly(2, {(1, 0): 3})
+        empty = Cochain.zero(h3, 2, 2)
+        rational = Cochain(h3, 2, 2, {(0, 1): [1, 0], (0, 2): [0, 0], (1, 2): [0, 0]})
+        polynomial = rational.map_values(lambda x: x * poly)
+        for table, kind in ((empty, Fraction), (rational, Fraction), (polynomial, MultiPoly)):
+            val = table.entry((1, 2))
+            assert val == table.values[(1, 2)] == (0, 0)
+            assert [type(x) for x in val] == [kind, kind]
+        assert all(x.nvars == 2 for x in polynomial.entry((0, 2)))
+        assert type(polynomial.entry((0, 1))[1]) is MultiPoly  # stored zero keeps its kind
+        # an all-zero MultiPoly table stores nothing, so its zeros read as Fraction
+        assert [type(x) for x in polynomial.scale(0).entry((0, 1))] == [Fraction, Fraction]
+        view = rational.values
+        assert len(view) == 3 and list(view) == increasing_tuples(3, 2)
+        assert (1, 2) in view and (2, 1) not in view and (0, 3) not in view
+        assert dict(view) == {(0, 1): (1, 0), (0, 2): (0, 0), (1, 2): (0, 0)}
+        with pytest.raises(TypeError):
+            view[(0, 1)] = (2, 2)
 
 
 class TestAlt:

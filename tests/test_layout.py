@@ -14,8 +14,8 @@
 - no module but ``liealg`` scans ``.structure`` or ``.matrices`` with
   ``enumerate`` for nonzero entries: the sparse tables of ``LieAlgebra`` and
   ``Representation`` are the one reader;
-- ``LieAlgebra`` and ``Representation`` store their sparse table and no dense
-  copy of it.
+- ``LieAlgebra``, ``Representation``, ``Cochain`` and ``SymMultiMap`` store
+  their sparse table and no dense or full-table copy of it.
 """
 
 import ast
@@ -241,11 +241,15 @@ def test_only_liealg_scans_the_dense_tables(name):
 @pytest.mark.parametrize("cls, slots", [
     ("LieAlgebra", ("dim", "basis_names", "sparse")),
     ("Representation", ("algebra", "space_dim", "sparse")),
+    ("Cochain", ("source", "degree", "target_dim", "nonzero")),
+    ("SymMultiMap", ("source", "degree", "target_dim", "nonzero")),
 ])
 def test_tables_are_stored_sparse_only(cls, slots):
-    """Instances have no __dict__, so a dense shadow of the sparse table would
-    need a slot of its own."""
-    cls = getattr(importlib.import_module("liechar.liealg"), cls)
-    assert cls.__slots__ == slots
-    assert not DENSE_TABLES & set(cls.__slots__)
+    """Instances have no __dict__, so a dense shadow of the sparse table (or a
+    full table of a cochain or symmetric map, whose ``values`` is a view read
+    through ``nonzero``) would need a slot of its own."""
+    cls = getattr(importlib.import_module("liechar"), cls)
+    held = tuple(s for base in reversed(cls.__mro__) for s in vars(base).get("__slots__", ()))
+    assert held == slots
+    assert not (DENSE_TABLES | {"values"}) & set(held)
     assert not hasattr(object.__new__(cls), "__dict__")

@@ -28,7 +28,7 @@ def _antiderivative(p: MultiPoly, var: int) -> MultiPoly:
 
 
 def _substitute(p: MultiPoly, var: int, replacement: MultiPoly) -> MultiPoly:
-    out = MultiPoly.zero(p.nvars)
+    out = MultiPoly(p.nvars, {})
     powers = {0: MultiPoly.constant(p.nvars, 1)}
 
     def power(k):

@@ -6,13 +6,16 @@ basis is assumed.  At construction it runs one elimination of the rows of
 iota, each bracket [e_x, iota e_j] carried along as an extra column, and
 keeps each row of iota and of q as a {column: entry} dict of its nonzero
 entries; validation transposes both, with the sparse structure constants.
-Other values in the image of iota are converted to kernel coordinates by an
-exact linear solve; ExactnessViolation signals a value that escapes the
+The values of a kernel-valued cochain (a curvature, a section difference) are
+converted to kernel coordinates together, by one exact solve on iota with
+one right-hand side per value: one elimination per cochain, several
+right-hand sides.  ExactnessViolation signals a value that escapes the
 kernel, which only happens on corrupted input.
 
 A section is any linear right inverse of q.  Besides its dense matrix (for
-the writer and the API) it keeps, at construction, the nonzero entries
-{row: entry} of each column sigma e_i, and every reader goes through them:
+the writer and the API) it keeps, at construction, the zero of its entry
+kind and the nonzero entries {row: entry} of each column sigma e_i, and
+every reader goes through them:
 the curvature, the difference of two sections, the interpolated families,
 S(e_i) and validate_section.  The curvature
 R(x,y) = [sigma x, sigma y] - sigma([x,y]) lands in the kernel; it is taken
@@ -167,9 +170,11 @@ def _preserves_bracket(cols, source, target, i, j):
 
 class Section:
     """Linear right inverse of the projection, as a dim(total) x dim(base) matrix;
-    ``_cols[i]`` holds the nonzero entries {row: entry} of sigma e_i."""
+    ``_cols[i]`` holds the nonzero entries {row: entry} of sigma e_i and
+    ``_kind_zero`` the zero of its entry kind: the MultiPoly zero of its first
+    polynomial entry, else Fraction(0)."""
 
-    __slots__ = ("extension", "matrix", "_cols")
+    __slots__ = ("extension", "matrix", "_cols", "_kind_zero")
 
     def __init__(self, extension: Extension, matrix):
         mat = [[_coerce_scalar(c) for c in row] for row in matrix]
@@ -181,10 +186,11 @@ class Section:
         self.matrix = mat
         self._cols = [{r: row[i] for r, row in enumerate(mat) if row[i]}
                       for i in range(extension.base.dim)]
+        self._kind_zero = _zero([c for row in mat for c in row])
 
     @property
     def is_polynomial(self) -> bool:
-        return any(isinstance(c, MultiPoly) for row in self.matrix for c in row)
+        return isinstance(self._kind_zero, MultiPoly)
 
     def __repr__(self):
         kind = "polynomial" if self.is_polynomial else "rational"
@@ -209,31 +215,41 @@ def validate_section(ext: Extension, sec: Section) -> bool:
     return True
 
 
-def kernel_coords(ext: Extension, vec):
-    """Coordinates w with iota w = vec; ExactnessViolation when unsolvable."""
-    w = solve_linear(ext.iota, vec)
+def kernel_coords(ext: Extension, *vecs):
+    """The coordinates w with iota w = vec of each vector, one tuple per vector,
+    from one elimination of iota with the vectors as its right-hand sides;
+    ExactnessViolation when any of them is unsolvable.  With no vector it
+    returns [] and eliminates nothing."""
+    if not vecs:
+        return []
+    if any(len(vec) != ext.total.dim for vec in vecs):
+        raise ValueError("matrix dimension mismatch")
+    w = solve_linear(ext.iota, list(zip(*vecs)))
     if w is None:
         raise ExactnessViolation("value does not lie in the image of iota")
-    return w
+    return [tuple(row[n] for row in w) for n in range(len(vecs))]
 
 
 def section_curvature(ext: Extension, sec: Section) -> Cochain:
     """R(x,y) = [sigma x, sigma y] - sigma([x,y]) in kernel coordinates, over the
-    nonzero entries of the columns of sigma.  Where sigma([x,y]) is subtracted,
-    every entry starts from the zero of the section's kind, so entry kinds are
-    those of the dense formula."""
+    nonzero entries of the columns of sigma, all read in kernel coordinates by
+    one kernel_coords call.  Where sigma([x,y]) is subtracted, every entry
+    starts from the zero of the section's kind, so entry kinds are those of
+    the dense formula."""
     cols = sec._cols
-    zero = _zero([c for row in sec.matrix for c in row])
-    values = {}
-    for i, j in increasing_tuples(ext.base.dim, 2):
+    zero = sec._kind_zero
+    keys = list(increasing_tuples(ext.base.dim, 2))
+    vals = []
+    for i, j in keys:
         terms = ext.base.sparse[i][j]
         val = _bracket_into([zero if terms else Fraction(0)] * ext.total.dim, ext.total,
                             cols[i].items(), cols[j].items())
         for k, c in terms:
             for r, x in cols[k].items():
                 val[r] = val[r] - c * x
-        values[(i, j)] = tuple(kernel_coords(ext, val))
-    return Cochain._of(ext.base, 2, ext.kernel.dim, _nonzero(values.items()))
+        vals.append(val)
+    return Cochain._of(ext.base, 2, ext.kernel.dim,
+                       _nonzero(zip(keys, kernel_coords(ext, *vals))))
 
 
 def _kernel_action(ext: Extension, v):
@@ -273,18 +289,21 @@ def s_from_section(ext: Extension, sec: Section):
 
 def section_difference(ext: Extension, sec_a: Section, sec_b: Section) -> Cochain:
     """The kernel-valued 1-cochain x -> sigma_a(x) - sigma_b(x), over the union
-    of the supports of the two columns; every entry starts from the zero of
-    the sections' kind (a MultiPoly zero when either holds one)."""
-    zero = _zero([c for sec in (sec_a, sec_b) for row in sec.matrix for c in row])
-    values = {}
-    for i in range(ext.base.dim):
+    of the supports of the two columns, all read in kernel coordinates by one
+    kernel_coords call; every entry starts from the zero of the sections'
+    kind (a MultiPoly zero when either holds one)."""
+    zero = _zero([sec_a._kind_zero, sec_b._kind_zero])
+    diffs = []
+    for col_a, col_b in zip(sec_a._cols, sec_b._cols):
         diff = [zero] * ext.total.dim
-        for r, a in sec_a._cols[i].items():
+        for r, a in col_a.items():
             diff[r] = zero + a
-        for r, b in sec_b._cols[i].items():
+        for r, b in col_b.items():
             diff[r] = diff[r] - b
-        values[(i,)] = tuple(kernel_coords(ext, diff))
-    return Cochain._of(ext.base, 1, ext.kernel.dim, _nonzero(values.items()))
+        diffs.append(diff)
+    coords = kernel_coords(ext, *diffs)
+    return Cochain._of(ext.base, 1, ext.kernel.dim,
+                       _nonzero(((i,), w) for i, w in enumerate(coords)))
 
 
 _MODES = ("section", "strict")
@@ -390,10 +409,9 @@ def _interpolate(ext: Extension, sections) -> Section:
 
 def param_curvature(ext: Extension, sec_t: Section) -> Cochain:
     """Curvature of an interpolating section, with MultiPoly entries throughout."""
-    nvars = next((c.nvars for row in sec_t.matrix for c in row if isinstance(c, MultiPoly)),
-                 None)
-    if nvars is None:
+    if not sec_t.is_polynomial:
         raise ValueError("expected a polynomial section from param_section")
+    nvars = sec_t._kind_zero.nvars
     curv = section_curvature(ext, sec_t)
     return Cochain._of(ext.base, 2, ext.kernel.dim,
                        {key: tuple(as_poly(x, nvars) for x in val)

@@ -17,11 +17,14 @@ are therefore reproducible.
 
 Pivots come only from the first ncols columns.  Later columns are carried
 along, scaled and divided with their row, and may hold MultiPoly entries;
-solve_linear puts its right-hand side there, which is how curvature values of
-polynomial section families are expressed in kernel coordinates.  rank and
-solve_linear take dense lists of rows, as the package keeps iota, q and
-section matrices; each converts at the boundary and calls the one sparse
-loop.  No other dense matrix is built here.
+solve_linear puts its right-hand sides there, one column each, so several
+right-hand sides share one elimination.  That is how a whole cochain of
+curvature values or section differences, of polynomial section families
+too, is expressed in kernel coordinates: one elimination per cochain,
+several right-hand sides.  rank and solve_linear take dense lists of rows,
+as the package keeps iota, q and section matrices; each converts at the
+boundary and calls the one sparse loop.  No other dense matrix is built
+here.
 """
 
 from __future__ import annotations
@@ -163,19 +166,29 @@ def rank(a) -> int:
 def solve_linear(a, b):
     """One exact solution of a x = b, or None if inconsistent.
 
-    Free variables are set to zero.  Entries of b may be MultiPoly; row
-    operations then mix Fraction coefficients into the polynomial entries.
+    b is either one right-hand side, len(a) entries, or k of them as len(a)
+    rows of k entries (numpy's (M, K) convention).  The k systems share one
+    elimination, their right-hand sides carried as k columns; the result is
+    then ncols rows of k entries, and None if any of the systems is
+    inconsistent.  Free variables are set to zero.  Entries of b may be
+    MultiPoly; row operations then mix Fraction coefficients into the
+    polynomial entries.
     """
     if len(b) != len(a):
         raise ValueError("matrix dimension mismatch")
+    many = bool(b) and isinstance(b[0], (list, tuple))
+    rhs = b if many else [(y,) for y in b]
+    k = len(rhs[0]) if rhs else 1
+    if any(len(ys) != k for ys in rhs):
+        raise ValueError("right-hand sides of different lengths")
     ncols = len(a[0]) if a else 0
     rows = _sparse(a)
-    for row, y in zip(rows, b):
-        row[ncols] = y
+    for row, ys in zip(rows, rhs):
+        row.update(enumerate(ys, ncols))
     echelon = sparse_rref(rows, ncols)
     if echelon and echelon[-1][0] == ncols:
         return None
-    x = [Fraction(0)] * ncols
+    x = [[Fraction(0)] * k for _ in range(ncols)]
     for p, row in echelon:
-        x[p] = row[ncols]
-    return x
+        x[p] = [row[c] for c in range(ncols, ncols + k)]
+    return x if many else [xs[0] for xs in x]

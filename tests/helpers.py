@@ -509,7 +509,7 @@ def reference_section_curvature(ext, sec):
             if c == 0:
                 continue
             val = [v - c * x for v, x in zip(val, column(sec, k))]
-        return kernel_coords(ext, val)
+        return kernel_coords(ext, val)[0]
 
     return Cochain.from_function(g, 2, ext.kernel.dim, fn)
 
@@ -518,7 +518,7 @@ def reference_section_difference(ext, sec_a, sec_b):
     """Reference x -> sigma_a(x) - sigma_b(x): kernel_coords of the dense
     difference of each pair of columns, zero entries included."""
     return Cochain.from_function(ext.base, 1, ext.kernel.dim, lambda key: kernel_coords(
-        ext, [a - b for a, b in zip(column(sec_a, key[0]), column(sec_b, key[0]))]))
+        ext, [a - b for a, b in zip(column(sec_a, key[0]), column(sec_b, key[0]))])[0])
 
 
 def reference_param_section(ext, sections):
@@ -598,7 +598,7 @@ def reference_kernel_action(ext, v):
     """
     dn, dt = ext.kernel.dim, ext.total.dim
     iota_cols = [[ext.iota[r][j] for r in range(dt)] for j in range(dn)]
-    cols = [kernel_coords(ext, reference_bracket(ext.total, v, col)) for col in iota_cols]
+    cols = [kernel_coords(ext, reference_bracket(ext.total, v, col))[0] for col in iota_cols]
     return [[cols[j][r] for j in range(dn)] for r in range(dn)]
 
 

@@ -10,14 +10,14 @@ from liechar import (ExactnessViolation, Extension, InvalidSection, MultiPoly, N
                      chern_weil, algebra_from_brackets, as_poly,
                      heisenberg3, is_invariant, param_curvature,
                      param_section, parse_workspace, s_from_section,
-                     section_curvature, section_difference, solve_linear,
+                     kernel_coords, section_curvature, section_difference, solve_linear,
                      trivial_representation, validate_extension, validate_section)
 from liechar import extensions as extensions_module
 from liechar.catalog import (affine_split_extension, filiform_extension,
                              heisenberg_central_extension, oscillator_extension)
 
-from helpers import (column, conjugate_extension, transpose, dense_kernel_action, dense_solve,
-                     direct_sum_extension, euclidean_extension, fixture_extensions,
+from helpers import (column, conjugate_extension, transpose, dense_kernel_action, dense_mat_vec,
+                     dense_solve, direct_sum_extension, euclidean_extension, fixture_extensions,
                      fraction_sparse_rref, identity, kernel_action_columns, kernel_functional,
                      point_base_extension, poly_diff, poly_eval_at, poly_total_degree,
                      poly_variable, rand_fraction, rand_section, rand_symmap,
@@ -913,9 +913,82 @@ class TestParamFamily:
 class TestKernelCoordinates:
     def test_escaping_value_raises(self):
         ext = heisenberg_central_extension()
-        from liechar import kernel_coords
         with pytest.raises(ExactnessViolation):
             kernel_coords(ext, [Fraction(1), Fraction(0), Fraction(0)])
+
+    @staticmethod
+    def cases():
+        """(extension, vector factory) over the fixtures and seeded conjugates;
+        each vector is iota w for a random w of Fraction or MultiPoly entries."""
+        rng = random.Random(86)
+        t = poly_variable(2, 0)
+
+        def image(ext):
+            w = [rand_fraction(rng) for _ in range(ext.kernel.dim)]
+            if rng.random() < 0.5:
+                w = [t * x + rand_fraction(rng) for x in w]
+            return dense_mat_vec(ext.iota, w)
+
+        for ext in fixture_extensions().values():
+            for copy in (ext, conjugate_extension(rng, ext)):
+                yield rng, copy, image
+
+    def test_batch_matches_one_vector_calls(self):
+        batches = 0
+        for rng, ext, image in self.cases():
+            for count in range(1, 5):
+                vecs = [image(ext) for _ in range(count)]
+                got = kernel_coords(ext, *vecs)
+                singles = [kernel_coords(ext, vec)[0] for vec in vecs]
+                assert got == singles
+                assert [list(w) for w in got] == [dense_solve(ext.iota, vec) for vec in vecs]
+                assert [[type(x) for x in w] for w in got] == \
+                    [[type(x) for x in w] for w in singles]
+                batches += 1
+        assert batches == 48
+
+    def test_an_escaping_vector_at_any_position_raises(self):
+        for rng, ext, image in self.cases():
+            escape = [rand_fraction(rng) for _ in range(ext.total.dim)]
+            while dense_solve(ext.iota, escape) is not None:
+                escape = [rand_fraction(rng) for _ in range(ext.total.dim)]
+            good = [image(ext) for _ in range(3)]
+            assert len(kernel_coords(ext, *good)) == 3
+            for pos in range(4):
+                with pytest.raises(ExactnessViolation):
+                    kernel_coords(ext, *good[:pos], escape, *good[pos:])
+
+    def test_no_vector_runs_no_elimination(self, monkeypatch):
+        def no_solve(a, b):
+            raise AssertionError("kernel_coords() must not eliminate")
+
+        monkeypatch.setattr(extensions_module, "solve_linear", no_solve)
+        for ext in fixture_extensions().values():
+            assert kernel_coords(ext) == []
+
+    def test_one_solve_per_curvature_and_difference(self, monkeypatch):
+        """section_curvature and section_difference read all their values with at
+        most one solve_linear call, whose right-hand sides are those values."""
+        calls = []
+        original = extensions_module.solve_linear
+
+        def counting(a, b):
+            calls.append(len(b[0]))
+            return original(a, b)
+
+        monkeypatch.setattr(extensions_module, "solve_linear", counting)
+        rng = random.Random(87)
+        exts = {**fixture_extensions(), "point": point_base_extension()}
+        for name, ext in exts.items():
+            sections = section_pool(rng, name, ext, 2)
+            dg = ext.base.dim
+            for sec in sections + [param_section(ext, sections)]:
+                calls.clear()
+                section_curvature(ext, sec)
+                assert calls == ([dg * (dg - 1) // 2] if dg > 1 else []), name
+            calls.clear()
+            section_difference(ext, *sections)
+            assert calls == ([dg] if dg else []), name
 
     def test_section_difference_lands_in_kernel(self):
         rng = random.Random(85)

@@ -253,6 +253,72 @@ class TestAgainstDenseLoop:
                     assert [type(x) for x in got] == [type(x) for x in expected]
         assert solvable > 100 and inconsistent > 50
 
+    @staticmethod
+    def rhs_entries(rng):
+        """Random Fraction and MultiPoly entries, by kind."""
+        t = [poly_variable(2, i) for i in range(2)]
+        return {"fraction": lambda: rand_fraction(rng),
+                "poly": lambda: t[0] * rand_fraction(rng) + t[1] * rand_fraction(rng)
+                + rand_fraction(rng)}
+
+    def test_several_rhs_match_one_solve_each(self):
+        """k right-hand sides, as len(a) rows of k entries, give the k one-vector
+        solutions as ncols rows of k entries, of the same kinds."""
+        rng = random.Random(77)
+        entries = self.rhs_entries(rng)
+        deficient = solvable = 0
+        for a in seeded_matrices(rng, 200):
+            if not a or not a[0]:
+                continue
+            ncols = len(a[0])
+            deficient += rank(a) < min(len(a), ncols)
+            for kind, entry in entries.items():
+                k = rng.randint(1, 4)
+                cols = [dense_mat_vec(a, [entry() for _ in range(ncols)]) for _ in range(k)]
+                if rng.random() < 0.5:  # a column that may well be inconsistent
+                    cols.insert(rng.randrange(k + 1), [entry() for _ in a])
+                singles = [solve_linear(a, b) for b in cols]
+                assert singles == [dense_solve(a, b) for b in cols]
+                got = solve_linear(a, [list(row) for row in zip(*cols)])
+                if None in singles:
+                    assert got is None
+                    continue
+                solvable += 1
+                assert got == [list(row) for row in zip(*singles)]
+                assert kinds(got) == [[type(x) for x in row] for row in zip(*singles)]
+        assert deficient > 50 and solvable > 200
+
+    def test_one_inconsistent_rhs_gives_none(self):
+        """The result is None when exactly one of the right-hand sides, at any
+        position, is inconsistent and the others are solvable."""
+        rng = random.Random(78)
+        entries = self.rhs_entries(rng)
+        seen = dict.fromkeys(entries, 0)
+        for a in seeded_matrices(rng, 300):
+            if not a or not a[0]:
+                continue
+            ncols = len(a[0])
+            for kind, entry in entries.items():
+                bad = [entry() for _ in a]
+                if dense_solve(a, bad) is not None:
+                    continue
+                k = rng.randint(1, 3)
+                good = [dense_mat_vec(a, [entry() for _ in range(ncols)]) for _ in range(k)]
+                assert solve_linear(a, [list(row) for row in zip(*good)]) is not None
+                for pos in range(k + 1):
+                    cols = good[:pos] + [bad] + good[pos:]
+                    assert solve_linear(a, [list(row) for row in zip(*cols)]) is None
+                seen[kind] += 1
+        assert min(seen.values()) > 50
+
+    def test_several_rhs_shapes(self):
+        a = fmat([[1, 0], [0, 2], [1, 1]])
+        assert solve_linear(a, [[F(1), F(0)], [F(2), F(4)], [F(2), F(2)]]) == [[1, 0], [1, 2]]
+        assert solve_linear(a, [(F(1),), (F(2),), (F(2),)]) == [[1], [1]]
+        assert solve_linear([], []) == []
+        with pytest.raises(ValueError):
+            solve_linear(a, [[F(1), F(0)], [F(2)], [F(2), F(2)]])
+
 
 def scaled_matrices(rng, count):
     """Rational matrices whose rows carry non-unit denominators and signs, with

@@ -14,7 +14,7 @@ relating the relative cochains of section tuples.
 from .scalars import (MultiPoly, as_poly, integrate_monomial_simplex,
                       integrate_poly_simplex, poly_to_json, rational_from_str,
                       rational_to_str)
-from .linalg import rank, solve_linear
+from .linalg import solve_linear
 from .liealg import (LieAlgebra, Representation, abelian, adjoint_representation,
                      algebra_from_brackets, check_jacobi,
                      check_representation, heisenberg, heisenberg3,

@@ -57,8 +57,7 @@ from .extensions import (Extension, InvalidSection, InvarianceWarning, Section,
                          _interpolate, is_invariant, param_curvature,
                          section_curvature, section_difference, validate_section)
 from .liealg import LieAlgebra, Representation
-from .linalg import (echelon_nullspace, solve_linear, sparse_rref, sparse_transpose,
-                     to_dense)
+from .linalg import echelon_nullspace, solve_linear, sparse_rref, sparse_transpose
 from .scalars import as_poly, integrate_poly_simplex
 
 __all__ = [
@@ -145,7 +144,8 @@ class CohomologySpace:
     @property
     def class_projection(self):
         """The h x z matrix of the H-coordinates of the cocycle basis, built on read."""
-        return [row[::-1] for row in to_dense(self._h_rows, len(self.cocycle_basis))]
+        return [[row.get(j, _ZERO) for j in reversed(range(len(self.cocycle_basis)))]
+                for row in self._h_rows]
 
     def coordinates_of(self, w: Cochain):
         """H-coordinates of a cocycle; NotACocycle if d w != 0.
@@ -156,8 +156,7 @@ class CohomologySpace:
                 or w.source.dim != self.algebra.dim):
             raise ValueError("cochain shape does not match this cohomology space")
         vec = _flatten(w)
-        matrix = to_dense(sparse_transpose(self._basis, len(vec)), len(self._basis))
-        x = solve_linear(matrix, vec)
+        x = solve_linear(sparse_transpose(self._basis, len(vec)), vec, len(self._basis))
         if x is None:
             raise NotACocycle("differential of the cochain is nonzero")
         return tuple(x[len(x) - self.h_dim:])

@@ -183,10 +183,6 @@ class _Table:
         return cls(source, degree, target_dim,
                    {key: fn(key) for key in cls.key_tuples(source.dim, degree)})
 
-    @classmethod
-    def zero(cls, source, degree, target_dim):
-        return cls._of(source, degree, target_dim, {})
-
     values = property(_FullTable)  # the full table, zeros included
 
     def entry(self, key):

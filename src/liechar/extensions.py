@@ -12,12 +12,13 @@ one right-hand side per value: one elimination per cochain, several
 right-hand sides.  ExactnessViolation signals a value that escapes the
 kernel, which only happens on corrupted input.
 
-A section is any linear right inverse of q.  Besides its dense matrix (for
-the writer and the API) it keeps, at construction, the zero of its entry
-kind and the nonzero entries {row: entry} of each column sigma e_i, and
-every reader goes through them:
-the curvature, the difference of two sections, the interpolated families,
-S(e_i) and validate_section.  The curvature
+A section is any linear right inverse of q.  It keeps, at construction, only
+the zero of its entry kind and the nonzero entries {row: entry} of each
+column sigma e_i; its matrix, for the writer and the API, is built on read.
+Every reader goes through the columns: the curvature, the difference of two
+sections, the interpolated families, S(e_i) and validate_section, each of
+which first checks that the section's extension has the shape of the one
+it is given.  The curvature
 R(x,y) = [sigma x, sigma y] - sigma([x,y]) lands in the kernel; it is taken
 with the bracket of the total algebra on the supports of the columns and read
 in kernel coordinates, and section_curvature is the package's one curvature
@@ -48,7 +49,7 @@ from itertools import combinations
 
 from .cochains import Cochain, _coerce_scalar, _nonzero, _zero, increasing_tuples
 from .liealg import LieAlgebra, Representation, _bracket_into
-from .linalg import rank, solve_linear, sparse_rref, sparse_transpose
+from .linalg import solve_linear, sparse_rref, sparse_transpose
 from .scalars import MultiPoly, _fraction, as_poly
 
 __all__ = [
@@ -138,7 +139,7 @@ def validate_extension(ext: Extension):
                for col, v in row.items() if v}
     if sum(p < dn for p, _ in ext._echelon) != dn:
         failures.append("iota is not injective")
-    if rank(ext.proj) != dg:
+    if len(sparse_rref(ext._proj_rows, dt)) != dg:
         failures.append("q is not surjective")
     if any(sum(a * ext._iota_rows[x][j] for x, a in terms.items() if j in ext._iota_rows[x])
            for terms in ext._proj_rows for j in range(dn)):
@@ -169,12 +170,12 @@ def _preserves_bracket(cols, source, target, i, j):
 
 
 class Section:
-    """Linear right inverse of the projection, as a dim(total) x dim(base) matrix;
-    ``_cols[i]`` holds the nonzero entries {row: entry} of sigma e_i and
-    ``_kind_zero`` the zero of its entry kind: the MultiPoly zero of its first
-    polynomial entry, else Fraction(0)."""
+    """Linear right inverse of the projection, given as a dim(total) x dim(base)
+    matrix; ``_cols[i]`` holds the nonzero entries {row: entry} of sigma e_i
+    and ``_kind_zero`` the zero of its entry kind: the MultiPoly zero of its
+    first polynomial entry, else Fraction(0)."""
 
-    __slots__ = ("extension", "matrix", "_cols", "_kind_zero")
+    __slots__ = ("extension", "_cols", "_kind_zero")
 
     def __init__(self, extension: Extension, matrix):
         mat = [[_coerce_scalar(c) for c in row] for row in matrix]
@@ -183,10 +184,17 @@ class Section:
         ):
             raise ValueError("section matrix must be dim(total) x dim(base)")
         self.extension = extension
-        self.matrix = mat
         self._cols = [{r: row[i] for r, row in enumerate(mat) if row[i]}
                       for i in range(extension.base.dim)]
         self._kind_zero = _zero([c for row in mat for c in row])
+
+    @property
+    def matrix(self):
+        """The dim(total) x dim(base) matrix, built on read; an entry that is
+        not stored reads as the zero of the section's kind."""
+        zero = self._kind_zero
+        return [[col.get(r, zero) for col in self._cols]
+                for r in range(self.extension.total.dim)]
 
     @property
     def is_polynomial(self) -> bool:
@@ -197,10 +205,17 @@ class Section:
         return f"Section({kind}, {self.extension!r})"
 
 
+def _check_shape(ext: Extension, *sections):
+    """ValueError unless each section's extension has the total and base
+    dimensions of ext."""
+    if any(sec.extension.total.dim != ext.total.dim or sec.extension.base.dim != ext.base.dim
+           for sec in sections):
+        raise ValueError("dimension mismatch")
+
+
 def validate_section(ext: Extension, sec: Section) -> bool:
     """True iff q . sigma is exactly the identity (as polynomials if applicable)."""
-    if len(sec.matrix) != ext.total.dim:
-        raise ValueError("dimension mismatch")
+    _check_shape(ext, sec)
     for j in range(ext.base.dim):
         col = sec._cols[j]
         for i, terms in enumerate(ext._proj_rows):
@@ -224,7 +239,7 @@ def kernel_coords(ext: Extension, *vecs):
         return []
     if any(len(vec) != ext.total.dim for vec in vecs):
         raise ValueError("matrix dimension mismatch")
-    w = solve_linear(ext.iota, list(zip(*vecs)))
+    w = solve_linear(ext._iota_rows, list(zip(*vecs)), ext.kernel.dim)
     if w is None:
         raise ExactnessViolation("value does not lie in the image of iota")
     return [tuple(row[n] for row in w) for n in range(len(vecs))]
@@ -236,6 +251,7 @@ def section_curvature(ext: Extension, sec: Section) -> Cochain:
     one kernel_coords call.  Where sigma([x,y]) is subtracted, every entry
     starts from the zero of the section's kind, so entry kinds are those of
     the dense formula."""
+    _check_shape(ext, sec)
     cols = sec._cols
     zero = sec._kind_zero
     keys = list(increasing_tuples(ext.base.dim, 2))
@@ -284,6 +300,7 @@ def s_from_section(ext: Extension, sec: Section):
     """S(e_i) = ad(sigma e_i) restricted to the kernel, in kernel coordinates,
     one per base vector: for each kernel basis vector j, the pairs (r, entry)
     of the nonzero entries of column j of S(e_i)."""
+    _check_shape(ext, sec)
     return [_kernel_action(ext, col.items()) for col in sec._cols]
 
 
@@ -292,6 +309,7 @@ def section_difference(ext: Extension, sec_a: Section, sec_b: Section) -> Cochai
     of the supports of the two columns, all read in kernel coordinates by one
     kernel_coords call; every entry starts from the zero of the sections'
     kind (a MultiPoly zero when either holds one)."""
+    _check_shape(ext, sec_a, sec_b)
     zero = _zero([sec_a._kind_zero, sec_b._kind_zero])
     diffs = []
     for col_a, col_b in zip(sec_a._cols, sec_b._cols):

@@ -21,10 +21,8 @@ solve_linear puts its right-hand sides there, one column each, so several
 right-hand sides share one elimination.  That is how a whole cochain of
 curvature values or section differences, of polynomial section families
 too, is expressed in kernel coordinates: one elimination per cochain,
-several right-hand sides.  rank and solve_linear take dense lists of rows,
-as the package keeps iota, q and section matrices; each converts at the
-boundary and calls the one sparse loop.  No other dense matrix is built
-here.
+several right-hand sides.  Every entry point takes sparse rows; no dense
+matrix is built here.
 """
 
 from __future__ import annotations
@@ -32,10 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = [
-    "sparse_rref", "sparse_transpose", "echelon_nullspace", "to_dense",
-    "rank", "solve_linear",
-]
+__all__ = ["sparse_rref", "sparse_transpose", "echelon_nullspace", "solve_linear"]
 
 _FRACTION_ONE = Fraction(1)
 
@@ -144,48 +139,27 @@ def echelon_nullspace(echelon, ncols):
     return list(vecs.values())
 
 
-def _sparse(a):
-    return [{j: x for j, x in enumerate(row) if x} for row in a]
+def solve_linear(rows, b, ncols):
+    """One exact solution of a x = b, or None if inconsistent, for the matrix a
+    of ncols columns given by its sparse rows.
 
-
-def to_dense(rows, ncols):
-    """Dense Fraction rows of length ncols from sparse rows."""
-    out = []
-    for row in rows:
-        dense = [Fraction(0)] * ncols
-        for j, x in row.items():
-            dense[j] = x
-        out.append(dense)
-    return out
-
-
-def rank(a) -> int:
-    return len(sparse_rref(_sparse(a), len(a[0]) if a else 0))
-
-
-def solve_linear(a, b):
-    """One exact solution of a x = b, or None if inconsistent.
-
-    b is either one right-hand side, len(a) entries, or k of them as len(a)
-    rows of k entries (numpy's (M, K) convention).  The k systems share one
-    elimination, their right-hand sides carried as k columns; the result is
-    then ncols rows of k entries, and None if any of the systems is
+    b is either one right-hand side, len(rows) entries, or k of them as
+    len(rows) rows of k entries (numpy's (M, K) convention).  The k systems
+    share one elimination, their right-hand sides carried as k columns; the
+    result is then ncols rows of k entries, and None if any of the systems is
     inconsistent.  Free variables are set to zero.  Entries of b may be
     MultiPoly; row operations then mix Fraction coefficients into the
     polynomial entries.
     """
-    if len(b) != len(a):
+    if len(b) != len(rows):
         raise ValueError("matrix dimension mismatch")
     many = bool(b) and isinstance(b[0], (list, tuple))
     rhs = b if many else [(y,) for y in b]
     k = len(rhs[0]) if rhs else 1
     if any(len(ys) != k for ys in rhs):
         raise ValueError("right-hand sides of different lengths")
-    ncols = len(a[0]) if a else 0
-    rows = _sparse(a)
-    for row, ys in zip(rows, rhs):
-        row.update(enumerate(ys, ncols))
-    echelon = sparse_rref(rows, ncols)
+    echelon = sparse_rref([{**row, **dict(enumerate(ys, ncols))}
+                           for row, ys in zip(rows, rhs)], ncols)
     if echelon and echelon[-1][0] == ncols:
         return None
     x = [[Fraction(0)] * k for _ in range(ncols)]

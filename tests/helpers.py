@@ -13,14 +13,15 @@ from liechar import (
     abelian, adjoint_representation, algebra_from_brackets, as_poly,
     compose_sym, heisenberg, heisenberg3, increasing_tuples, oscillator,
     integrate_poly_simplex, kernel_coords, nondecreasing_tuples,
-    param_curvature, param_section, rank, rational_from_str, section_curvature,
-    section_difference, semidirect_product, solve_linear, trivial_representation,
+    param_curvature, param_section, rational_from_str, section_curvature,
+    section_difference, semidirect_product, trivial_representation,
 )
 from liechar.catalog import (
     affine_split_extension, filiform_extension, heisenberg_central_extension,
     oscillator_extension,
 )
 from liechar.liealg import _bracket_into, _require_jacobi
+from liechar.linalg import sparse_rref
 
 
 def zeros(r, c):
@@ -33,6 +34,26 @@ def identity(n):
 
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
+
+
+def sparse_rows(a):
+    """The {column: entry} dicts of the nonzero entries of each row of a."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def to_dense(rows, ncols):
+    """Dense Fraction rows of length ncols from sparse rows."""
+    return [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
+
+
+def rank(a):
+    """Rank of a dense matrix, through the package's one elimination."""
+    return len(sparse_rref(sparse_rows(a), len(a[0]) if a else 0))
+
+
+def zero_table(cls, source, degree, target_dim):
+    """The zero Cochain or SymMultiMap: no tuple stored."""
+    return cls._of(source, degree, target_dim, {})
 
 
 def column(sec, j):
@@ -179,7 +200,7 @@ def conjugate_algebra(rng, algebra):
         plane = []
         for j in range(d):
             w = bracket(algebra, cols[i], cols[j])
-            plane.append(solve_linear(pm, w))
+            plane.append(dense_solve(pm, w))
         structure.append(plane)
     names = tuple(f"b{i + 1}" for i in range(d))
     return algebra_from_table(names, structure)
@@ -193,10 +214,10 @@ def conjugate_extension(rng, ext):
     d = ext.total.dim
     pm = random_invertible(rng, d)
     cols = [[pm[r][i] for r in range(d)] for i in range(d)]
-    structure = [[solve_linear(pm, bracket(ext.total, cols[i], cols[j])) for j in range(d)]
+    structure = [[dense_solve(pm, bracket(ext.total, cols[i], cols[j])) for j in range(d)]
                  for i in range(d)]
     total = algebra_from_table(tuple(f"b{i + 1}" for i in range(d)), structure)
-    iota = transpose([solve_linear(pm, col) for col in transpose(ext.iota)])
+    iota = transpose([dense_solve(pm, col) for col in transpose(ext.iota)])
     proj = dense_mat_mul(ext.proj, pm)
     return Extension(total, ext.base, ext.kernel, iota, proj)
 
@@ -685,7 +706,7 @@ def random_module(rng, algebra):
     """The adjoint module plus a trivial line, in a random basis P: P rho P^-1."""
     d = algebra.dim + 1
     pm = random_invertible(rng, d)
-    inv = transpose([solve_linear(pm, [Fraction(int(i == j)) for i in range(d)])
+    inv = transpose([dense_solve(pm, [Fraction(int(i == j)) for i in range(d)])
                      for j in range(d)])
     mats = []
     for mat in dense_matrices(adjoint_representation(algebra)):
@@ -788,7 +809,7 @@ def rand_section(rng, ext: Extension) -> Section:
     cols = []
     for i in range(dg):
         unit = [Fraction(1) if r == i else Fraction(0) for r in range(dg)]
-        part = solve_linear(ext.proj, unit)
+        part = dense_solve(ext.proj, unit)
         shift = rand_vector(rng, dn)
         full = [part[r] + sum(ext.iota[r][j] * shift[j] for j in range(dn))
                 for r in range(dt)]
@@ -990,7 +1011,7 @@ def reference_validate_extension(ext):
     for x, plane in enumerate(total):
         ad_x = transpose(plane)
         for j, col in enumerate(iota_cols):
-            if solve_linear(ext.iota, dense_mat_vec(ad_x, col)) is None:
+            if dense_solve(ext.iota, dense_mat_vec(ad_x, col)) is None:
                 failures.append(
                     f"iota image is not an ideal: [e_{x}, iota e_{j}] escapes")
     q_cols = transpose(ext.proj)

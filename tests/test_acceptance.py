@@ -20,7 +20,7 @@ from liechar import (Cochain, MultiPoly, SymMultiMap,
                      algebra_from_brackets, ce_differential, chern_weil,
                      classes_equal, cohomology_space, compose_sym,
                      delta_f, heisenberg, heisenberg3,
-                     integrate_poly_simplex, parse_workspace, rank,
+                     integrate_poly_simplex, parse_workspace,
                      s_from_section, secondary_class, section_curvature,
                      serialize_workspace, trivial_representation,
                      verify_main_theorem)
@@ -30,7 +30,7 @@ from liechar.cli import run_command
 from helpers import (BilinearProduct, ad_matrix, alt, conjugate_algebra, dense_kernel_action,
                      dense_differential_matrix, fixture_extensions, lie_bracket_product,
                      rand_cochain, rand_fraction, rand_section, rand_symmap, rand_vector,
-                     random_algebra, random_invariant_symmap, random_representation,
+                     random_algebra, random_invariant_symmap, random_representation, rank,
                      reference_compose_sym, reference_twisted_differential, reference_wedge,
                      scalar_multiplication, section_pool)
 from test_cochains import raw_product_table

@@ -12,7 +12,7 @@ from liechar import (Cochain, DegreeError, InvalidSection, InvarianceWarning,
                      adjoint_representation, ce_differential,
                      chern_weil, classes_equal, cohomology_space, compose_sym,
                      delta_f, heisenberg, heisenberg3, oscillator,
-                     increasing_tuples, param_section, rank, secondary_class,
+                     increasing_tuples, param_section, secondary_class,
                      section_curvature, section_difference,
                      trivial_representation, verify_main_theorem)
 from liechar.catalog import (filiform_extension, heisenberg_central_extension,
@@ -22,8 +22,9 @@ from helpers import (SMALL_ALGEBRAS, conjugate_algebra, dense_cohomology,
                      dense_differential_matrix, direct_sum_extension, fixture_extensions,
                      greedy_cohomology, rand_cochain, rand_fraction, rand_section,
                      rand_symmap, random_algebra, random_invariant_symmap, random_module,
-                     random_representation, raise_everywhere, reference_delta_f,
-                     reference_wedge, scalar_multiplication, section_pool, sym_product)
+                     random_representation, raise_everywhere, rank, reference_delta_f,
+                     reference_wedge, scalar_multiplication, section_pool, sym_product,
+                     zero_table)
 
 
 def oscillator_setup():
@@ -111,7 +112,7 @@ class TestAgainstGreedyReference:
             assert space.h_dim == h_dim
             assert space.class_projection == projection
             for _ in range(3):
-                w = Cochain.zero(alg, degree, rep.space_dim)
+                w = zero_table(Cochain, alg, degree, rep.space_dim)
                 for z in space.cocycle_basis:
                     w = w + z.scale(rand_fraction(rng))
                 assert space.coordinates_of(w) == coords(w)
@@ -153,7 +154,7 @@ class TestAgainstDensePath:
                               + [x for row in space.class_projection for x in row])
                     assert all(type(x) is Fraction for x in values)
                     for _ in range(3):
-                        w = Cochain.zero(alg, degree, rep.space_dim)
+                        w = zero_table(Cochain, alg, degree, rep.space_dim)
                         for z in space.cocycle_basis + space.coboundary_basis:
                             w = w + z.scale(rand_fraction(rng))
                         coords = space.coordinates_of(w)
@@ -205,7 +206,7 @@ class TestClassStepEdgeShapes:
             assert len(space.class_projection) == space.h_dim
             assert all(len(row) == nz for row in space.class_projection)
             self.assert_reduced(space.class_projection)
-            w = Cochain.zero(alg, degree, rep.space_dim)
+            w = zero_table(Cochain, alg, degree, rep.space_dim)
             for z in space.cocycle_basis:
                 w = w + z.scale(rand_fraction(rng))
             assert space.coordinates_of(w) == ref.coordinates_of(w) == coords(w)
@@ -272,7 +273,7 @@ class TestClassesEqual:
         triv = trivial_representation(plane, 1)
         space = cohomology_space(plane, triv, 2)
         area = Cochain(plane, 2, 1, {(0, 1): [1]})
-        zero = Cochain.zero(plane, 2, 1)
+        zero = zero_table(Cochain, plane, 2, 1)
         assert not classes_equal(area, zero, space)
 
     def test_rejects_non_cocycles(self):

@@ -27,7 +27,7 @@ from helpers import (column, conjugate_extension, transpose, dense_kernel_action
                      reference_section_curvature, reference_section_difference,
                      reference_twisted_differential,
                      reference_validate_extension, reference_validate_section, section_pool,
-                     to_poly)
+                     to_poly, zero_table)
 
 ROTATION = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
 ROTATION2 = [[0, -1], [1, 0]]
@@ -234,8 +234,10 @@ class TestValidateAgainstReference:
         assert min(seen.values()) >= 8, seen
 
     def test_one_elimination_whatever_the_size(self, monkeypatch):
-        """One sparse_rref per extension covers its construction, its validation,
-        the induced actions of three sections and the strict actions."""
+        """Two sparse_rref calls per extension, whatever its size: the one at
+        construction covers injectivity, the ideal property, the induced
+        actions of three sections and the strict actions; validation adds the
+        rank of q."""
         calls = []
         original = extensions_module.sparse_rref
 
@@ -243,7 +245,7 @@ class TestValidateAgainstReference:
             calls.append(ncols)
             return original(rows, ncols)
 
-        def no_solve(a, b):
+        def no_solve(rows, b, ncols):
             raise AssertionError("validation and kernel actions must not solve per value")
 
         rng = random.Random(94)
@@ -262,7 +264,7 @@ class TestValidateAgainstReference:
             counts.append(len(calls))
             built.append(ext)
         small, large = built
-        assert counts == [1, 1]
+        assert counts == [2, 2]
         assert large.total.dim * large.kernel.dim == 24 > small.total.dim * small.kernel.dim
 
 
@@ -329,7 +331,7 @@ class TestKernelActionAgainstReference:
             if any("ideal" in failure for failure in validate_extension(ext)):
                 non_ideal += 1
                 with pytest.raises(ExactnessViolation):
-                    is_invariant(SymMultiMap.zero(ext.kernel, 1, 1), ext,
+                    is_invariant(zero_table(SymMultiMap, ext.kernel, 1, 1), ext,
                                  trivial_representation(ext.base, 1), "strict")
         assert non_ideal >= 50 and escaped >= 50
 
@@ -366,7 +368,7 @@ class TestKernelActionAgainstReference:
             with pytest.raises(ExactnessViolation):
                 s_from_section(ext, escaping)
         with pytest.raises(ExactnessViolation):
-            is_invariant(SymMultiMap.zero(ext.kernel, 1, 1), ext,
+            is_invariant(zero_table(SymMultiMap, ext.kernel, 1, 1), ext,
                          trivial_representation(ext.base, 1), "strict")
 
 
@@ -409,15 +411,17 @@ class TestScaledInconsistentRows:
             assert named == [f"iota image is not an ideal: [e_{x}, iota e_{j}] escapes"
                              for x, j in sorted(want)]
             for (x, j), v in brackets.items():
-                assert (solve_linear(ext.iota, v) is None) == ((x, j) in want)
+                assert (solve_linear(ext._iota_rows, v, dn) is None) == ((x, j) in want)
             for x in range(dt):
                 if any(pair[0] == x for pair in want):
                     with pytest.raises(ExactnessViolation):
                         extensions_module._kernel_action(ext, [(x, 1)])
                 else:
                     extensions_module._kernel_action(ext, [(x, 1)])
-            # the stored echelon against the Fraction loop on the same rows
-            (rows, ncols), = captured
+            # the stored echelon against the Fraction loop on the rows eliminated at
+            # construction; validation eliminated the rows of q after them
+            assert [ncols for _, ncols in captured] == [dn, dt]
+            rows, ncols = captured[0]
             ref = fraction_sparse_rref(rows, ncols)
             npiv = sum(p < ncols for p, _ in ref)
             assert ext._echelon[:npiv] == ref[:npiv]
@@ -444,6 +448,30 @@ class TestSections:
         for name, ext in fixture_extensions().items():
             for sec in section_pool(rng, name, ext, 5):
                 assert validate_section(ext, sec), name
+
+    def test_a_section_of_another_shape_is_refused(self):
+        """Every reader of a section refuses one whose extension has another
+        total or base dimension, with the one message of the shape check."""
+        rng = random.Random(73)
+        readers = {
+            "validate_section": lambda ext, own, sec: validate_section(ext, sec),
+            "section_curvature": lambda ext, own, sec: section_curvature(ext, sec),
+            "s_from_section": lambda ext, own, sec: s_from_section(ext, sec),
+            "section_difference": lambda ext, own, sec: section_difference(ext, own, sec),
+            "section_difference, first": lambda ext, own, sec: section_difference(ext, sec, own),
+        }
+        # the oscillator (4 -> 1) against the filiform (4 -> 3) and h_5 (5 -> 4)
+        exts = [oscillator_extension(), filiform_extension(), heisenberg_central_extension(2)]
+        for ext, other in product(exts, repeat=2):
+            own, sec = rand_section(rng, ext), rand_section(rng, other)
+            for name, read in readers.items():
+                if ext is other:
+                    read(ext, own, sec)
+                    continue
+                with pytest.raises(ValueError) as err:
+                    read(ext, own, sec)
+                assert type(err.value) is ValueError, name
+                assert str(err.value) == "dimension mismatch", name
 
 
 class TestSectionCurvature:
@@ -566,7 +594,7 @@ class TestZeroDimensionalBase:
         ext = point_base_extension()
         triv = trivial_representation(ext.base, 1)
         assert not is_invariant(kernel_functional(ext.kernel, 2), ext, triv, "strict")
-        zero = SymMultiMap.zero(ext.kernel, 1, 1)
+        zero = zero_table(SymMultiMap, ext.kernel, 1, 1)
         assert is_invariant(zero, ext, triv, "strict")
 
     def test_strict_chern_weil_refuses_z_star(self):
@@ -766,7 +794,7 @@ class TestSparseSections:
                 # leave zero entries that random sections do not
                 dg = copy.base.dim
                 lift = Section(copy, transpose(
-                    [solve_linear(copy.proj, [int(r == i) for r in range(dg)]) for i in range(dg)]))
+                    [dense_solve(copy.proj, [int(r == i) for r in range(dg)]) for i in range(dg)]))
                 sections = [lift] + [rand_section(rng, copy) for _ in range(3)]
                 if copy is ext:
                     sections += section_pool(rng, name, ext, 2)
@@ -787,6 +815,26 @@ class TestSparseSections:
                 assert len(sec._cols) == ext.base.dim
                 polynomial += any(type(x) is MultiPoly for x in entries.values())
         assert polynomial >= 20
+
+    def test_matrix_reads_back_the_input(self):
+        """The matrix, built on read from the columns, equals the given one in
+        value and entry kind: a zero reads as the zero of the section's kind."""
+        t = poly_variable(1, 0)
+        for name, ext, sections, families in self.cases():
+            for sec in sections + families:
+                given = sec.matrix
+                cases = [(given, given)]
+                if not sec.is_polynomial:
+                    cases += [([[int(x) if x.denominator == 1 else x for x in row]
+                                for row in given], given),
+                              ([[x * t + x for x in row] for row in given],) * 2]
+                for matrix, want in cases:
+                    got = Section(ext, matrix).matrix
+                    assert got == want, name
+                    assert ([[type(x) for x in row] for row in got]
+                            == [[type(x) for x in row] for row in want]), name
+        point = point_base_extension()
+        assert Section(point, [[]] * point.total.dim).matrix == [[]] * point.total.dim
 
     def test_curvature_difference_and_families_match_the_dense_references(self):
         for name, ext, sections, families in self.cases():
@@ -959,7 +1007,7 @@ class TestKernelCoordinates:
                     kernel_coords(ext, *good[:pos], escape, *good[pos:])
 
     def test_no_vector_runs_no_elimination(self, monkeypatch):
-        def no_solve(a, b):
+        def no_solve(rows, b, ncols):
             raise AssertionError("kernel_coords() must not eliminate")
 
         monkeypatch.setattr(extensions_module, "solve_linear", no_solve)
@@ -972,9 +1020,9 @@ class TestKernelCoordinates:
         calls = []
         original = extensions_module.solve_linear
 
-        def counting(a, b):
+        def counting(rows, b, ncols):
             calls.append(len(b[0]))
-            return original(a, b)
+            return original(rows, b, ncols)
 
         monkeypatch.setattr(extensions_module, "solve_linear", counting)
         rng = random.Random(87)

@@ -14,8 +14,8 @@
 - no module but ``liealg`` scans ``.structure`` or ``.matrices`` with
   ``enumerate`` for nonzero entries: the sparse tables of ``LieAlgebra`` and
   ``Representation`` are the one reader;
-- ``LieAlgebra``, ``Representation``, ``Cochain`` and ``SymMultiMap`` store
-  their sparse table and no dense or full-table copy of it.
+- ``LieAlgebra``, ``Representation``, ``Cochain``, ``SymMultiMap`` and
+  ``Section`` store their sparse table and no dense or full-table copy of it.
 """
 
 import ast
@@ -243,6 +243,7 @@ def test_only_liealg_scans_the_dense_tables(name):
     ("Representation", ("algebra", "space_dim", "sparse")),
     ("Cochain", ("source", "degree", "target_dim", "nonzero")),
     ("SymMultiMap", ("source", "degree", "target_dim", "nonzero")),
+    ("Section", ("extension", "_cols", "_kind_zero")),
 ])
 def test_tables_are_stored_sparse_only(cls, slots):
     """Instances have no __dict__, so a dense shadow of the sparse table (or a

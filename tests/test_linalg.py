@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liechar import MultiPoly, rank, solve_linear
-from liechar.linalg import echelon_nullspace, sparse_rref, sparse_transpose, to_dense
+import liechar
+from liechar import MultiPoly, linalg, solve_linear
+from liechar.linalg import echelon_nullspace, sparse_rref, sparse_transpose
 
 from helpers import (dense_kernel, dense_mat_mul, dense_mat_vec, dense_rref, dense_solve,
-                     fraction_sparse_rref, poly_variable, rand_fraction, rand_matrix,
-                     rational_multiple)
+                     fraction_sparse_rref, poly_variable, rand_fraction, rand_matrix, rank,
+                     rational_multiple, sparse_rows, to_dense)
 
 
 def F(x):  # noqa: N802 - terse literal helper
@@ -20,10 +21,6 @@ def F(x):  # noqa: N802 - terse literal helper
 
 def fmat(rows):
     return [[Fraction(x) for x in row] for row in rows]
-
-
-def sparse_rows(a):
-    return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
 # Dense views of the sparse results, for literal matrices in the tests below.
@@ -42,36 +39,52 @@ def nullspace(a):
     return to_dense(echelon_nullspace(sparse_rref(sparse_rows(a), ncols), ncols), ncols)
 
 
+def solve(a, b):
+    """solve_linear on the sparse rows of a dense matrix, which it leaves as they are."""
+    rows = sparse_rows(a)
+    x = solve_linear(rows, b, len(a[0]) if a else 0)
+    assert rows == sparse_rows(a)
+    return x
+
+
 def column_space_basis(a):
     """The echelon rows of the sparse transpose: a basis of the column space."""
     cols = sparse_transpose(sparse_rows(a), len(a[0]) if a else 0)
     return to_dense([row for _, row in sparse_rref(cols, len(a))], len(a))
 
 
+def test_every_entry_point_takes_sparse_rows():
+    """The dense rank and to_dense live in the tests; nothing re-sparsifies."""
+    assert linalg.__all__ == ["sparse_rref", "sparse_transpose", "echelon_nullspace",
+                              "solve_linear"]
+    assert not any(hasattr(linalg, name) for name in ("rank", "to_dense", "_sparse"))
+    assert not hasattr(liechar, "rank")
+
+
 class TestSolve:
     def test_identity(self):
-        assert solve_linear(fmat([[1, 0], [0, 1]]), [F(3), F(5)]) == [3, 5]
+        assert solve(fmat([[1, 0], [0, 1]]), [F(3), F(5)]) == [3, 5]
 
     def test_inconsistent_rows(self):
-        assert solve_linear(fmat([[1, 1], [2, 2]]), [F(1), F(3)]) is None
+        assert solve(fmat([[1, 1], [2, 2]]), [F(1), F(3)]) is None
 
     def test_diagonal_back_substitution(self):
-        assert solve_linear(fmat([[2, 0], [0, 4]]), [F(1), F(1)]) == \
+        assert solve(fmat([[2, 0], [0, 4]]), [F(1), F(1)]) == \
             [Fraction(1, 2), Fraction(1, 4)]
 
     def test_underdetermined_returns_some_solution(self):
         a = fmat([[1, 1, 0]])
-        x = solve_linear(a, [F(5)])
+        x = solve(a, [F(5)])
         assert dense_mat_vec(a, x) == [5]
 
     def test_polynomial_right_hand_side(self):
         t = poly_variable(1, 0)
         a = fmat([[2, 0], [0, 1], [2, 1]])
         b = [t * 2, MultiPoly.constant(1, 3), t * 2 + 3]
-        x = solve_linear(a, b)
+        x = solve(a, b)
         assert x[0] == t
         assert x[1] == 3
-        assert solve_linear(a, [t, t, t]) is None
+        assert solve(a, [t, t, t]) is None
 
 
 class TestRankNullspace:
@@ -124,7 +137,7 @@ class TestColumnSpace:
                 mat = [[col[i] for col in basis] for i in range(len(a))]
                 for j in range(len(a[0])):
                     col = [a[i][j] for i in range(len(a))]
-                    assert solve_linear(mat, col) is not None
+                    assert solve(mat, col) is not None
 
     def test_deterministic(self):
         a = fmat([[1, 2], [2, 4], [0, 1]])
@@ -223,7 +236,7 @@ class TestAgainstDenseLoop:
             for b in ([rand_fraction(rng) for _ in a],
                       dense_mat_vec(a, [rand_fraction(rng) for _ in range(ncols)])):
                 expected = dense_solve(a, b)
-                got = solve_linear(a, b)
+                got = solve(a, b)
                 assert got == expected
                 if expected is not None:
                     assert [type(x) for x in got] == [Fraction] * ncols
@@ -244,7 +257,7 @@ class TestAgainstDenseLoop:
                       dense_mat_vec(a, [rand_poly() for _ in range(ncols)])):
                 b = [x if isinstance(x, MultiPoly) else MultiPoly.constant(2, x) for x in b]
                 expected = dense_solve(a, b)
-                got = solve_linear(a, b)
+                got = solve(a, b)
                 assert got == expected
                 if expected is None:
                     inconsistent += 1
@@ -277,9 +290,9 @@ class TestAgainstDenseLoop:
                 cols = [dense_mat_vec(a, [entry() for _ in range(ncols)]) for _ in range(k)]
                 if rng.random() < 0.5:  # a column that may well be inconsistent
                     cols.insert(rng.randrange(k + 1), [entry() for _ in a])
-                singles = [solve_linear(a, b) for b in cols]
+                singles = [solve(a, b) for b in cols]
                 assert singles == [dense_solve(a, b) for b in cols]
-                got = solve_linear(a, [list(row) for row in zip(*cols)])
+                got = solve(a, [list(row) for row in zip(*cols)])
                 if None in singles:
                     assert got is None
                     continue
@@ -304,20 +317,20 @@ class TestAgainstDenseLoop:
                     continue
                 k = rng.randint(1, 3)
                 good = [dense_mat_vec(a, [entry() for _ in range(ncols)]) for _ in range(k)]
-                assert solve_linear(a, [list(row) for row in zip(*good)]) is not None
+                assert solve(a, [list(row) for row in zip(*good)]) is not None
                 for pos in range(k + 1):
                     cols = good[:pos] + [bad] + good[pos:]
-                    assert solve_linear(a, [list(row) for row in zip(*cols)]) is None
+                    assert solve(a, [list(row) for row in zip(*cols)]) is None
                 seen[kind] += 1
         assert min(seen.values()) > 50
 
     def test_several_rhs_shapes(self):
         a = fmat([[1, 0], [0, 2], [1, 1]])
-        assert solve_linear(a, [[F(1), F(0)], [F(2), F(4)], [F(2), F(2)]]) == [[1, 0], [1, 2]]
-        assert solve_linear(a, [(F(1),), (F(2),), (F(2),)]) == [[1], [1]]
-        assert solve_linear([], []) == []
+        assert solve(a, [[F(1), F(0)], [F(2), F(4)], [F(2), F(2)]]) == [[1, 0], [1, 2]]
+        assert solve(a, [(F(1),), (F(2),), (F(2),)]) == [[1], [1]]
+        assert solve_linear([], [], 0) == []
         with pytest.raises(ValueError):
-            solve_linear(a, [[F(1), F(0)], [F(2)], [F(2), F(2)]])
+            solve(a, [[F(1), F(0)], [F(2)], [F(2), F(2)]])
 
 
 def scaled_matrices(rng, count):
@@ -412,7 +425,7 @@ class TestFractionFree:
             for b in (dense_mat_vec(a, x), [rand_fraction(rng) for _ in a],
                       [t * y + 1 for y in dense_mat_vec(a, x)]):
                 expected = dense_solve(a, b)
-                got = solve_linear(a, b)
+                got = solve(a, b)
                 assert got == expected
                 if expected is not None:
                     assert [type(v) for v in got] == [type(v) for v in expected]

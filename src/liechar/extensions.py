@@ -34,9 +34,9 @@ pulled back along q in the strict mode; a basis element with S(x) = 0 and
 rho(x) = 0 is skipped, since both sides are 0 there.  validate_section sums
 q . sigma over the nonzero entries of the columns of sigma and of the rows of
 q.  Families sigma_t interpolating n+1 sections over the simplex (t_0
-eliminated as 1 - t_1 - ... - t_n) hold one MultiPoly per entry, with terms
-only where some section is nonzero, and their curvature R_t flows through
-the same code with MultiPoly scalars.  Where a dense formula would subtract
+eliminated as 1 - t_1 - ... - t_n) are built from the sections' columns with
+their polynomial kind stated, and their curvature R_t flows through the same
+code with MultiPoly scalars.  Where a dense formula would subtract
 a zero of the section's kind, the sparse loops start from that zero, so
 entry kinds are those of the dense formulas.
 """
@@ -173,9 +173,16 @@ class Section:
     """Linear right inverse of the projection, given as a dim(total) x dim(base)
     matrix; ``_cols[i]`` holds the nonzero entries {row: entry} of sigma e_i
     and ``_kind_zero`` the zero of its entry kind: the MultiPoly zero of its
-    first polynomial entry, else Fraction(0)."""
+    first polynomial entry, else Fraction(0), unless _of is given the kind."""
 
     __slots__ = ("extension", "_cols", "_kind_zero")
+
+    @classmethod
+    def _of(cls, extension: Extension, cols, kind_zero) -> "Section":
+        """Trusted constructor: ``cols`` and ``kind_zero`` as stored, unchecked."""
+        sec = object.__new__(cls)
+        sec.extension, sec._cols, sec._kind_zero = extension, cols, kind_zero
+        return sec
 
     def __init__(self, extension: Extension, matrix):
         mat = [[_coerce_scalar(c) for c in row] for row in matrix]
@@ -408,21 +415,22 @@ def param_section(ext: Extension, sections) -> Section:
 
 
 def _interpolate(ext: Extension, sections) -> Section:
-    """param_section on rational sections that are already validated."""
+    """param_section on validated rational sections, built from their columns:
+    a MultiPoly per row where some section is nonzero, and a polynomial kind
+    stated, not read off the entries, so a family that stores none has it."""
     n = len(sections) - 1
-    units = [(0,) * n] + [tuple(int(i == v) for v in range(n)) for i in range(n)]
-    base = sections[0]._cols
-    terms = [[{} for _ in range(ext.base.dim)] for _ in range(ext.total.dim)]
-    for c, col in enumerate(base):
-        for r, b in col.items():
-            terms[r][c][units[0]] = b
-    for unit, sec in zip(units[1:], sections[1:]):
-        for c, (col, col_0) in enumerate(zip(sec._cols, base)):
+    units = [tuple(int(i == v) for v in range(n)) for i in range(n)]
+    cols = []
+    for c, col_0 in enumerate(sections[0]._cols):
+        terms = {r: {(0,) * n: b} for r, b in col_0.items()}
+        for unit, sec in zip(units, sections[1:]):
+            col = sec._cols[c]
             for r in col.keys() | col_0.keys():
                 diff = col.get(r, 0) - col_0.get(r, 0)
                 if diff:
-                    terms[r][c][unit] = diff
-    return Section(ext, [[MultiPoly._of(n, t) for t in row] for row in terms])
+                    terms.setdefault(r, {})[unit] = diff
+        cols.append({r: MultiPoly._of(n, terms[r]) for r in sorted(terms)})
+    return Section._of(ext, cols, MultiPoly._of(n, {}))
 
 
 def param_curvature(ext: Extension, sec_t: Section) -> Cochain:
@@ -430,7 +438,4 @@ def param_curvature(ext: Extension, sec_t: Section) -> Cochain:
     if not sec_t.is_polynomial:
         raise ValueError("expected a polynomial section from param_section")
     nvars = sec_t._kind_zero.nvars
-    curv = section_curvature(ext, sec_t)
-    return Cochain._of(ext.base, 2, ext.kernel.dim,
-                       {key: tuple(as_poly(x, nvars) for x in val)
-                        for key, val in curv.nonzero.items()})
+    return section_curvature(ext, sec_t).map_values(lambda x: as_poly(x, nvars))

@@ -20,11 +20,11 @@ from liechar.catalog import (filiform_extension, heisenberg_central_extension,
 
 from helpers import (SMALL_ALGEBRAS, conjugate_algebra, dense_cohomology,
                      dense_differential_matrix, direct_sum_extension, fixture_extensions,
-                     greedy_cohomology, rand_cochain, rand_fraction, rand_section,
-                     rand_symmap, random_algebra, random_invariant_symmap, random_module,
-                     random_representation, raise_everywhere, rank, reference_delta_f,
-                     reference_wedge, scalar_multiplication, section_pool, sym_product,
-                     zero_table)
+                     greedy_cohomology, point_base_extension, rand_cochain, rand_fraction,
+                     rand_section, rand_symmap, random_algebra, random_invariant_symmap,
+                     random_module, random_representation, raise_everywhere, rank,
+                     reference_delta_f, reference_wedge, scalar_multiplication,
+                     section_pool, sym_product, zero_table)
 
 
 def oscillator_setup():
@@ -567,7 +567,11 @@ class TestInputChecks:
         zero = SymMultiMap(ext.kernel, 1, 1, {(0,): [0]})
         other = Section(ext, [[1, 0], [0, 1], [1, 0]])
         not_closed = Cochain(ext.base, 1, 1, {(0,): [0], (1,): [1]})
-        monkeypatch.setattr(characteristic, "_delta_f", lambda *args: not_closed)
+        real_delta_f = characteristic._delta_f
+        # the one-section admissibility tests still run through the real _delta_f
+        monkeypatch.setattr(
+            characteristic, "_delta_f", lambda ext, f, sections: not_closed
+            if len(sections) == 2 else real_delta_f(ext, f, sections))
         with pytest.raises(NotClosed, match="admissible map is not closed"):
             secondary_class(ext, zero, sec, other, rep)
 
@@ -672,6 +676,34 @@ class TestSecondaryClass:
         assert primary.representative.is_zero()
         secondary = secondary_class(ext, fz, s0, sz, triv)
         assert secondary.coordinates == (1,)
+
+
+class TestZeroDimensionalBase:
+    """0 -> h3 -> h3 -> 0 -> 0 with the degree-2 map z*^2: every cochain
+    over the 0-dimensional base of positive degree is zero."""
+
+    @staticmethod
+    def inputs():
+        ext = point_base_extension()
+        f = SymMultiMap(ext.kernel, 2, 1, {key: [int(key == (2, 2))]
+                                           for key in SymMultiMap.key_tuples(3, 2)})
+        sec = Section(ext, [[], [], []])
+        return ext, f, sec, trivial_representation(ext.base, 1)
+
+    def test_delta_f_of_two_sections_is_zero(self):
+        ext, f, sec, triv = self.inputs()
+        got = delta_f(ext, f, [sec, sec], triv)
+        assert got.degree == 3 and got.is_zero()
+
+    def test_main_theorem_sides_vanish(self):
+        ext, f, sec, triv = self.inputs()
+        report = verify_main_theorem(ext, f, [sec, sec], triv)
+        assert report.equal and report.sign == 0
+
+    def test_secondary_class_is_zero_dimensional(self):
+        ext, f, sec, triv = self.inputs()
+        cls = secondary_class(ext, f, sec, sec, triv)
+        assert (cls.degree, cls.h_space.h_dim, cls.coordinates) == (3, 0, ())
 
 
 class TestMainTheorem:

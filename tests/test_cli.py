@@ -362,6 +362,30 @@ class TestZeroDimensionalBase:
         assert code == 0
         assert out.startswith("primary class: degree 2, H-dimension 0")
 
+    @pytest.fixture
+    def square_path(self, tmp_path):
+        """The point-base document with the degree-2 map zstar^2 added."""
+        doc = json.loads(point_base_document())
+        doc["polynomials"]["zsq"] = {
+            "degree": 2, "source": "h3", "target_dim": 1,
+            "entries": [{"tuple": [a, b], "value": [str(int(a == b == 2))]}
+                        for a in range(3) for b in range(a, 3)]}
+        path = tmp_path / "point_square.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def test_secondary_of_degree_2_map_exits_0(self, capsys, square_path):
+        code, out, err = run(capsys, "secondary", square_path, "--extension", "e",
+                             "--poly", "zsq", "--sections", "s,s")
+        assert (code, err) == (0, "")
+        assert out.startswith("secondary class: degree 3, H-dimension 0, coordinates []\n")
+
+    def test_verify_theorem_of_degree_2_map_exits_0(self, capsys, square_path):
+        code, out, err = run(capsys, "verify-theorem", square_path, "--extension", "e",
+                             "--poly", "zsq", "--sections", "s,s")
+        assert (code, err) == (0, "")
+        assert out == "equal: true\nsign: 0 (both sides vanish)\n"
+
 
 class TestSharedParser:
     """run_command reuses one parser; a failed call leaves nothing for the next."""

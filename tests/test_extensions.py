@@ -604,6 +604,15 @@ class TestZeroDimensionalBase:
         with pytest.raises(NotInvariant):
             chern_weil(ext, kernel_functional(ext.kernel, 2), sec, triv, mode="strict")
 
+    def test_family_is_polynomial_with_empty_curvature(self):
+        # the family stores no entry, yet its kind is polynomial
+        ext = point_base_extension()
+        sections = [Section(ext, [[], [], []]) for _ in range(2)]
+        family = param_section(ext, sections)
+        assert family.is_polynomial
+        curv = param_curvature(ext, family)
+        assert (curv.degree, curv.target_dim, curv.nonzero) == (2, ext.kernel.dim, {})
+
     def test_zero_dimensional_total_reports_its_failures(self):
         ext = Extension(abelian(0), abelian(0), abelian(2), [], [])
         assert validate_extension(ext) == [

@@ -15,7 +15,9 @@
   ``enumerate`` for nonzero entries: the sparse tables of ``LieAlgebra`` and
   ``Representation`` are the one reader;
 - ``LieAlgebra``, ``Representation``, ``Cochain``, ``SymMultiMap`` and
-  ``Section`` store their sparse table and no dense or full-table copy of it.
+  ``Section`` store their sparse table and no dense or full-table copy of it;
+- outside ``cochains``, only ``characteristic._delta_f`` calls ``compose_sym``,
+  so Delta_f, f applied to section curvatures and differences, is written once.
 """
 
 import ast
@@ -254,3 +256,18 @@ def test_tables_are_stored_sparse_only(cls, slots):
     assert held == slots
     assert not (DENSE_TABLES | {"values"}) & set(held)
     assert not hasattr(object.__new__(cls), "__dict__")
+
+
+def compose_sym_callers(name):
+    """module.function for each top-level definition of a module that calls
+    compose_sym, by name or as an attribute."""
+    return sorted({f"{name}.{node.name}" for node in tree(name).body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   for sub in ast.walk(node)
+                   if isinstance(sub, ast.Call) and "compose_sym" in (
+                       getattr(sub.func, "id", None), getattr(sub.func, "attr", None))})
+
+
+def test_only_delta_f_composes_outside_cochains():
+    callers = [c for name in MODULES if name != "cochains" for c in compose_sym_callers(name)]
+    assert callers == ["characteristic._delta_f"]

@@ -156,10 +156,10 @@ class CohomologySpace:
                 or w.source.dim != self.algebra.dim):
             raise ValueError("cochain shape does not match this cohomology space")
         vec = _flatten(w)
-        x = solve_linear(sparse_transpose(self._basis, len(vec)), vec, len(self._basis))
+        x = solve_linear(sparse_transpose(self._basis, len(vec)), [vec], len(self._basis))
         if x is None:
             raise NotACocycle("differential of the cochain is nonzero")
-        return tuple(x[len(x) - self.h_dim:])
+        return x[0][len(self._basis) - self.h_dim:]
 
     def __repr__(self):
         return (f"CohomologySpace(degree={self.degree}, z={len(self.cocycle_basis)}, "

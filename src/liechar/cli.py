@@ -114,19 +114,11 @@ def _print_cochain(w, indent=""):
 
 
 def _cmd_validate(ws, args):
-    payload = {
-        "ok": True,
-        "algebras": len(ws.algebras),
-        "representations": len(ws.representations),
-        "extensions": len(ws.extensions),
-        "sections": len(ws.sections),
-        "polynomials": len(ws.polynomials),
-    }
+    counts = {key: len(registry) for key, registry in vars(ws).items()}
     if args.output == "json":
-        print(canonical_dumps(payload), end="")
+        print(canonical_dumps({"ok": True, **counts}), end="")
     else:
-        counts = ", ".join(f"{v} {k}" for k, v in payload.items() if k != "ok")
-        print(f"ok: {counts}")
+        print("ok: " + ", ".join(f"{n} {key}" for key, n in counts.items()))
     return 0
 
 

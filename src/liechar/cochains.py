@@ -58,7 +58,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 from .liealg import LieAlgebra, Representation
-from .scalars import MultiPoly, _fraction
+from .scalars import MultiPoly, _coerce_scalar
 
 __all__ = [
     "Cochain",
@@ -100,10 +100,6 @@ def _perm_sign(seq) -> int:
             if seq[i] > seq[j]:
                 inv += 1
     return -1 if inv % 2 else 1
-
-
-def _coerce_scalar(x):
-    return x if isinstance(x, MultiPoly) else _fraction(x)
 
 
 def _nonzero(pairs):

@@ -47,10 +47,10 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 
-from .cochains import Cochain, _coerce_scalar, _nonzero, _zero, increasing_tuples
+from .cochains import Cochain, _nonzero, _zero, increasing_tuples
 from .liealg import LieAlgebra, Representation, _bracket_into
 from .linalg import solve_linear, sparse_rref, sparse_transpose
-from .scalars import MultiPoly, _fraction, as_poly
+from .scalars import MultiPoly, _coerce_scalar, _fraction, as_poly
 
 __all__ = [
     "Extension",
@@ -238,18 +238,16 @@ def validate_section(ext: Extension, sec: Section) -> bool:
 
 
 def kernel_coords(ext: Extension, *vecs):
-    """The coordinates w with iota w = vec of each vector, one tuple per vector,
-    from one elimination of iota with the vectors as its right-hand sides;
-    ExactnessViolation when any of them is unsolvable.  With no vector it
-    returns [] and eliminates nothing."""
+    """The exact coordinates w with iota w = vec of each vector, one tuple per
+    vector, from one solve_linear call on the rows of iota with the vectors as
+    its right-hand sides; ExactnessViolation when any of them is unsolvable.
+    With no vector it returns [] and eliminates nothing."""
     if not vecs:
         return []
-    if any(len(vec) != ext.total.dim for vec in vecs):
-        raise ValueError("matrix dimension mismatch")
-    w = solve_linear(ext._iota_rows, list(zip(*vecs)), ext.kernel.dim)
+    w = solve_linear(ext._iota_rows, vecs, ext.kernel.dim)
     if w is None:
         raise ExactnessViolation("value does not lie in the image of iota")
-    return [tuple(row[n] for row in w) for n in range(len(vecs))]
+    return w
 
 
 def section_curvature(ext: Extension, sec: Section) -> Cochain:

@@ -16,12 +16,13 @@ columns left to right.  Echelon forms, ranks, nullspace bases and solutions
 are therefore reproducible.
 
 Pivots come only from the first ncols columns.  Later columns are carried
-along, scaled and divided with their row, and may hold MultiPoly entries;
-solve_linear puts its right-hand sides there, one column each, so several
-right-hand sides share one elimination.  That is how a whole cochain of
-curvature values or section differences, of polynomial section families
-too, is expressed in kernel coordinates: one elimination per cochain,
-several right-hand sides.  Every entry point takes sparse rows; no dense
+along, scaled and divided with their row; each carried entry is made a
+Fraction, or kept as a MultiPoly, when its row is turned into integers, so
+every division on it is exact.  solve_linear puts its right-hand sides there,
+one column each, so a list of right-hand sides shares one elimination.  That
+is how a whole cochain of curvature values or section differences, of
+polynomial section families too, is expressed in kernel coordinates: one
+elimination per cochain.  Every entry point takes sparse rows; no dense
 matrix is built here.
 """
 
@@ -29,6 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from .scalars import _coerce_scalar
 
 __all__ = ["sparse_rref", "sparse_transpose", "echelon_nullspace", "solve_linear"]
 
@@ -76,9 +79,10 @@ def sparse_rref(rows, ncols):
         if lead:  # the integer row, reduced against the pivot rows
             den = lcm(*[row[c].denominator for c in lead])
             if den == 1:
-                row = {c: x.numerator if c < ncols else x for c, x in row.items()}
+                row = {c: x.numerator if c < ncols else _coerce_scalar(x) for c, x in row.items()}
             else:
-                row = {c: x.numerator * (den // x.denominator) if c < ncols else x * den
+                row = {c: x.numerator * (den // x.denominator) if c < ncols
+                       else _coerce_scalar(x) * den
                        for c, x in row.items()}
             hits = [c for c in lead if c in pivots]
             for c in hits:
@@ -139,30 +143,24 @@ def echelon_nullspace(echelon, ncols):
     return list(vecs.values())
 
 
-def solve_linear(rows, b, ncols):
-    """One exact solution of a x = b, or None if inconsistent, for the matrix a
-    of ncols columns given by its sparse rows.
+def solve_linear(rows, rhs, ncols):
+    """One exact solution x of a x = b for each right-hand side b in rhs, as a
+    tuple of ncols entries, or None if any of the systems is inconsistent;
+    a is the matrix of ncols columns given by its sparse rows.
 
-    b is either one right-hand side, len(rows) entries, or k of them as
-    len(rows) rows of k entries (numpy's (M, K) convention).  The k systems
-    share one elimination, their right-hand sides carried as k columns; the
-    result is then ncols rows of k entries, and None if any of the systems is
-    inconsistent.  Free variables are set to zero.  Entries of b may be
-    MultiPoly; row operations then mix Fraction coefficients into the
-    polynomial entries.
+    Each b has len(rows) entries, Fraction, int or MultiPoly.  The systems
+    share one elimination, their right-hand sides carried as len(rhs)
+    columns, so every solution entry is a Fraction or a MultiPoly.  Free
+    variables are set to zero.
     """
-    if len(b) != len(rows):
+    if any(len(b) != len(rows) for b in rhs):
         raise ValueError("matrix dimension mismatch")
-    many = bool(b) and isinstance(b[0], (list, tuple))
-    rhs = b if many else [(y,) for y in b]
-    k = len(rhs[0]) if rhs else 1
-    if any(len(ys) != k for ys in rhs):
-        raise ValueError("right-hand sides of different lengths")
-    echelon = sparse_rref([{**row, **dict(enumerate(ys, ncols))}
-                           for row, ys in zip(rows, rhs)], ncols)
+    echelon = sparse_rref([{**row, **{ncols + n: b[i] for n, b in enumerate(rhs)}}
+                           for i, row in enumerate(rows)], ncols)
     if echelon and echelon[-1][0] == ncols:
         return None
-    x = [[Fraction(0)] * k for _ in range(ncols)]
+    x = [[Fraction(0)] * ncols for _ in rhs]
     for p, row in echelon:
-        x[p] = [row[c] for c in range(ncols, ncols + k)]
-    return x if many else [xs[0] for xs in x]
+        for n, xs in enumerate(x):
+            xs[p] = row[ncols + n]
+    return [tuple(xs) for xs in x]

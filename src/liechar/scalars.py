@@ -53,6 +53,11 @@ def _fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
+def _coerce_scalar(x):
+    """x itself when it is a MultiPoly, else x as a Fraction."""
+    return x if isinstance(x, MultiPoly) else _fraction(x)
+
+
 def rational_to_str(x: Fraction) -> str:
     """Format as ``p/q`` in lowest terms, or ``p`` when the denominator is 1."""
     return str(x) if type(x) is Fraction else str(Fraction(x))

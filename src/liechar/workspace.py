@@ -33,9 +33,10 @@ before any tuple is enumerated; the canonical tuples are then walked one at
 a time, so the reader holds no more of them than the document has accepted
 entries.  Cochains are written (cochain_to_json) and never read.  Module
 matrices are stored sparse and expanded to dense rows of strings only by the
-writer.  The canonical text comes from a small recursive writer rather than
-json.dumps with an indent, which runs the standard library's pure-Python
-encoder; the bytes are the same.
+writer.  The canonical text comes from a small recursive writer whose bytes
+are those of json.dumps with an indent and sorted keys; it writes only the
+JSON types a document holds and raises TypeError on any other object, a float
+or a non-string key among them.
 
 Dimensions, degrees and indices are JSON integers; true and false are not
 read as 1 and 0 there, although Python's bool is a subclass of int.
@@ -92,14 +93,13 @@ class Workspace:
 def canonical_dumps(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) + "\n", written directly.
 
-    _canonical writes lists, tuples, dicts with string keys, strings, integers,
-    booleans and None, quoting strings with the C function json.dumps uses;
-    anything else (a float, a key of another type, a cycle) goes to json.dumps.
+    Only lists, tuples, dicts with string keys, strings, integers, booleans
+    and None are written, strings quoted with the C function json.dumps uses.
+    Anything else (a float, a key of another type) raises TypeError, and a
+    cycle RecursionError, so no document is written that parse_workspace
+    would refuse.
     """
-    try:
-        return _canonical(obj, "\n") + "\n"
-    except (TypeError, RecursionError):
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _canonical(obj, "\n") + "\n"
 
 
 def _canonical(obj, indent):
@@ -130,7 +130,7 @@ def _canonical(obj, indent):
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    raise TypeError(f"{type(obj).__name__} is left to json.dumps")
+    raise TypeError(f"cannot write {type(obj).__name__} as canonical JSON")
 
 
 def _expect(cond, message, location, *args):

@@ -2,11 +2,12 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from liechar import cochains, serialize_workspace
+from liechar import Workspace, cochains, parse_workspace, serialize_workspace, workspace
 from liechar.catalog import filiform_workspace, heisenberg_workspace
 from liechar.cli import run_command
 
@@ -25,6 +26,16 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", str(fixtures_dir / "oscillator.json"))
         assert code == 0
         assert out.startswith("ok:")
+
+    def test_counts_follow_the_kinds_table(self, capsys, fixtures_dir):
+        """validate names no kind itself: its counts come from the workspace,
+        whose fields are the kinds of workspace._KINDS in the same order."""
+        assert [f.name for f in fields(Workspace)] == list(workspace._KINDS)
+        ws = parse_workspace((fixtures_dir / "oscillator.json").read_text(encoding="utf-8"))
+        code, out, _ = run(capsys, "validate", str(fixtures_dir / "oscillator.json"))
+        assert code == 0
+        assert out == "ok: " + ", ".join(
+            f"{len(getattr(ws, key))} {key}" for key in workspace._KINDS) + "\n"
 
     def test_malformed_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

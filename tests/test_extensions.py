@@ -245,7 +245,7 @@ class TestValidateAgainstReference:
             calls.append(ncols)
             return original(rows, ncols)
 
-        def no_solve(rows, b, ncols):
+        def no_solve(rows, rhs, ncols):
             raise AssertionError("validation and kernel actions must not solve per value")
 
         rng = random.Random(94)
@@ -411,7 +411,7 @@ class TestScaledInconsistentRows:
             assert named == [f"iota image is not an ideal: [e_{x}, iota e_{j}] escapes"
                              for x, j in sorted(want)]
             for (x, j), v in brackets.items():
-                assert (solve_linear(ext._iota_rows, v, dn) is None) == ((x, j) in want)
+                assert (solve_linear(ext._iota_rows, [v], dn) is None) == ((x, j) in want)
             for x in range(dt):
                 if any(pair[0] == x for pair in want):
                     with pytest.raises(ExactnessViolation):
@@ -1015,8 +1015,19 @@ class TestKernelCoordinates:
                 with pytest.raises(ExactnessViolation):
                     kernel_coords(ext, *good[:pos], escape, *good[pos:])
 
+    def test_halves_stay_exact(self):
+        """0 -> Rz -> h3 -> R^2 -> 0 with iota = 2z: an int vector gets Fraction
+        coordinates, never a float."""
+        ext = Extension(heisenberg3(), abelian(2), abelian(1), [[0], [0], [2]],
+                        [[1, 0, 0], [0, 1, 0]])
+        (w,) = kernel_coords(ext, [0, 0, 1])
+        assert w == (Fraction(1, 2),) and type(w[0]) is Fraction
+        got = kernel_coords(ext, [0, 0, 3], [Fraction(0), Fraction(0), Fraction(-1, 3)])
+        assert got == [(Fraction(3, 2),), (Fraction(-1, 6),)]
+        assert all(type(x) is Fraction for w in got for x in w)
+
     def test_no_vector_runs_no_elimination(self, monkeypatch):
-        def no_solve(rows, b, ncols):
+        def no_solve(rows, rhs, ncols):
             raise AssertionError("kernel_coords() must not eliminate")
 
         monkeypatch.setattr(extensions_module, "solve_linear", no_solve)
@@ -1029,9 +1040,9 @@ class TestKernelCoordinates:
         calls = []
         original = extensions_module.solve_linear
 
-        def counting(rows, b, ncols):
-            calls.append(len(b[0]))
-            return original(rows, b, ncols)
+        def counting(rows, rhs, ncols):
+            calls.append(len(rhs))
+            return original(rows, rhs, ncols)
 
         monkeypatch.setattr(extensions_module, "solve_linear", counting)
         rng = random.Random(87)

@@ -39,12 +39,23 @@ def nullspace(a):
     return to_dense(echelon_nullspace(sparse_rref(sparse_rows(a), ncols), ncols), ncols)
 
 
-def solve(a, b):
-    """solve_linear on the sparse rows of a dense matrix, which it leaves as they are."""
+def solve_all(a, rhs):
+    """solve_linear on the sparse rows of a dense matrix, which it leaves as they
+    are, with the right-hand sides rhs: one tuple per right-hand side, or None."""
     rows = sparse_rows(a)
-    x = solve_linear(rows, b, len(a[0]) if a else 0)
+    ncols = len(a[0]) if a else 0
+    x = solve_linear(rows, rhs, ncols)
     assert rows == sparse_rows(a)
+    if x is not None:
+        assert len(x) == len(rhs) and all(type(xs) is tuple and len(xs) == ncols for xs in x)
     return x
+
+
+def solve(a, b):
+    """The solution of a x = b, as a list, from a solve_linear call with b as
+    its one right-hand side; None if inconsistent."""
+    x = solve_all(a, [b])
+    return None if x is None else list(x[0])
 
 
 def column_space_basis(a):
@@ -275,8 +286,8 @@ class TestAgainstDenseLoop:
                 + rand_fraction(rng)}
 
     def test_several_rhs_match_one_solve_each(self):
-        """k right-hand sides, as len(a) rows of k entries, give the k one-vector
-        solutions as ncols rows of k entries, of the same kinds."""
+        """k right-hand sides give the k one-vector solutions, one tuple each, of
+        the same kinds."""
         rng = random.Random(77)
         entries = self.rhs_entries(rng)
         deficient = solvable = 0
@@ -292,13 +303,13 @@ class TestAgainstDenseLoop:
                     cols.insert(rng.randrange(k + 1), [entry() for _ in a])
                 singles = [solve(a, b) for b in cols]
                 assert singles == [dense_solve(a, b) for b in cols]
-                got = solve(a, [list(row) for row in zip(*cols)])
+                got = solve_all(a, cols)
                 if None in singles:
                     assert got is None
                     continue
                 solvable += 1
-                assert got == [list(row) for row in zip(*singles)]
-                assert kinds(got) == [[type(x) for x in row] for row in zip(*singles)]
+                assert got == [tuple(x) for x in singles]
+                assert kinds(got) == kinds(singles)
         assert deficient > 50 and solvable > 200
 
     def test_one_inconsistent_rhs_gives_none(self):
@@ -317,20 +328,61 @@ class TestAgainstDenseLoop:
                     continue
                 k = rng.randint(1, 3)
                 good = [dense_mat_vec(a, [entry() for _ in range(ncols)]) for _ in range(k)]
-                assert solve(a, [list(row) for row in zip(*good)]) is not None
+                assert solve_all(a, good) is not None
                 for pos in range(k + 1):
-                    cols = good[:pos] + [bad] + good[pos:]
-                    assert solve(a, [list(row) for row in zip(*cols)]) is None
+                    assert solve_all(a, good[:pos] + [bad] + good[pos:]) is None
                 seen[kind] += 1
         assert min(seen.values()) > 50
 
     def test_several_rhs_shapes(self):
         a = fmat([[1, 0], [0, 2], [1, 1]])
-        assert solve(a, [[F(1), F(0)], [F(2), F(4)], [F(2), F(2)]]) == [[1, 0], [1, 2]]
-        assert solve(a, [(F(1),), (F(2),), (F(2),)]) == [[1], [1]]
+        assert solve_all(a, [[F(1), F(2), F(2)], [F(0), F(4), F(2)]]) == [(1, 1), (0, 2)]
+        assert solve_all(a, [(F(1), F(2), F(2))]) == [(1, 1)]
+        assert solve_all(a, []) == []
         assert solve_linear([], [], 0) == []
-        with pytest.raises(ValueError):
-            solve(a, [[F(1), F(0)], [F(2)], [F(2), F(2)]])
+        assert solve_linear([], [[]], 0) == [()]
+        with pytest.raises(ValueError, match="matrix dimension mismatch"):
+            solve_all(a, [[F(1), F(2), F(2)], [F(0), F(4)]])
+        with pytest.raises(ValueError, match="matrix dimension mismatch"):
+            solve_all(a, [[F(1), F(2), F(2), F(0)]])
+
+
+class TestExactCarriedEntries:
+    """Carried entries are made exact before any division, so int and Fraction
+    input never comes back as a float."""
+
+    def test_one_half(self):
+        x = solve_linear([{0: Fraction(2)}], [[1]], 1)
+        assert x == [(Fraction(1, 2),)] and type(x[0][0]) is Fraction
+
+    def test_sparse_rref_carries_fractions(self):
+        ((p, row),) = sparse_rref([{0: Fraction(2), 1: 3}], 1)
+        assert (p, row) == (0, {0: 1, 1: Fraction(3, 2)})
+        assert type(row[1]) is Fraction
+        ((_, row),) = sparse_rref([{0: 1, 1: 3}], 1)
+        assert type(row[1]) is Fraction
+
+    def test_integer_systems_with_several_rhs_match_dense_solve(self):
+        rng = random.Random(79)
+        solvable = inconsistent = 0
+        for _ in range(200):
+            rows, ncols, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
+            a = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+                 for _ in range(rows)]
+            rhs = [[rng.randint(-5, 5) for _ in range(rows)] for _ in range(k)]
+            if rng.random() < 0.5:  # every system consistent
+                rhs = [[sum(r * y for r, y in zip(row, ys)) for row in a]
+                       for ys in ([rng.randint(-3, 3) for _ in range(ncols)] for _ in range(k))]
+            expected = [dense_solve(a, b) for b in rhs]
+            got = solve_linear(sparse_rows(a), rhs, ncols)
+            if None in expected:
+                assert got is None
+                inconsistent += 1
+                continue
+            solvable += 1
+            assert got == [tuple(x) for x in expected]
+            assert all(type(x) is Fraction for xs in got for x in xs)
+        assert solvable > 50 and inconsistent > 50
 
 
 def scaled_matrices(rng, count):

@@ -323,18 +323,16 @@ def verify_main_theorem(ext: Extension, f: SymMultiMap, sections,
         raise ValueError("the identity needs at least two sections")
     full = delta_f(ext, f, sections, rep, mode)
     lhs = ce_differential(full, rep).scale(Fraction(f.degree - n + 1))
-    rhs = None
-    for i in range(n + 1):
+    rhs = _delta_f(ext, f, sections[1:])
+    for i in range(1, n + 1):
         term = _delta_f(ext, f, sections[:i] + sections[i + 1:])
-        if i % 2:
-            term = -term
-        rhs = term if rhs is None else rhs + term
+        rhs = rhs - term if i % 2 else rhs + term
     equal = lhs == rhs
     if lhs.is_zero() and rhs.is_zero():
         sign = 0
     elif equal:
         sign = 1
-    elif lhs == rhs.scale(Fraction(-1)):
+    elif lhs == -rhs:
         sign = -1
     else:
         sign = None

@@ -64,14 +64,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_rep(ws, args, ext):
-    if not getattr(args, "rep", None):
-        return trivial_representation(ext.base, 1)
-    rep = _lookup(ws.representations, args.rep, "representation")
-    if rep.algebra != ext.base:
-        raise ValidationError(
-            f"representation '{args.rep}' is not over the base of extension "
-            f"'{args.extension}'")
+def _representation(ws, name, algebra, over):
+    """The representation called name, over an algebra equal to algebra (an
+    extension may inline its base, so structure is compared, not identity);
+    over names that algebra in the error.  No name: the trivial module R."""
+    if not name:
+        return trivial_representation(algebra, 1)
+    rep = _lookup(ws.representations, name, "representation")
+    if rep.algebra != algebra:
+        raise ValidationError(f"representation '{name}' is not over {over}")
     return rep
 
 
@@ -91,7 +92,8 @@ def _resolve_extension(ws, args, section_names):
     if not hasattr(args, "poly"):
         return ext, sections, None, None
     f = _lookup(ws.polynomials, args.poly, "polynomial")
-    rep = _resolve_rep(ws, args, ext)
+    rep = _representation(ws, args.rep, ext.base,
+                          f"the base of extension '{args.extension}'")
     if f.source.dim != ext.kernel.dim:
         raise ValidationError(
             f"polynomial '{args.poly}' is not defined on the kernel of extension "
@@ -103,14 +105,14 @@ def _resolve_extension(ws, args, section_names):
     return ext, sections, f, rep
 
 
-def _print_cochain(w, indent=""):
-    """One line per stored (nonzero) value, in key order; "zero" when none is."""
+def _print_cochain(w):
+    """An indented line per stored (nonzero) value, in key order; "zero" if none is."""
     names = w.source.basis_names
     for key in sorted(w.nonzero):
         arg = ",".join(names[i] for i in key) if key else "()"
-        print(f"{indent}({arg}) -> ({', '.join(str(v) for v in w.nonzero[key])})")
+        print(f"  ({arg}) -> ({', '.join(str(v) for v in w.nonzero[key])})")
     if not w.nonzero:
-        print(f"{indent}zero")
+        print("  zero")
 
 
 def _cmd_validate(ws, args):
@@ -124,10 +126,7 @@ def _cmd_validate(ws, args):
 
 def _cmd_cohomology(ws, args):
     alg = _lookup(ws.algebras, args.algebra, "algebra")
-    rep = _lookup(ws.representations, args.rep, "representation")
-    if rep.algebra is not alg:
-        raise ValidationError(
-            f"representation '{args.rep}' is not over algebra '{args.algebra}'")
+    rep = _representation(ws, args.rep, alg, f"algebra '{args.algebra}'")
     space = cohomology_space(alg, rep, args.degree)
     payload = {
         "algebra": args.algebra,
@@ -158,7 +157,7 @@ def _cmd_curvature(ws, args):
         print(canonical_dumps(payload), end="")
     else:
         print(f"curvature of '{args.section}' (values in kernel coordinates):")
-        _print_cochain(curv, indent="  ")
+        _print_cochain(curv)
     return 0
 
 
@@ -170,7 +169,7 @@ def _print_class(label, cls, output):
     print(f"{label}: degree {cls.degree}, H-dimension {cls.h_space.h_dim}, "
           f"coordinates [{coords}]")
     print("representative:")
-    _print_cochain(cls.representative, indent="  ")
+    _print_cochain(cls.representative)
 
 
 def _cmd_chern_weil(ws, args):
@@ -211,7 +210,7 @@ def _cmd_verify_theorem(ws, args):
             print("sign: 0 (both sides vanish)")
         elif report.sign is None:
             print("sign: none (sides differ beyond sign); difference:")
-            _print_cochain(report.difference, indent="  ")
+            _print_cochain(report.difference)
         else:
             print(f"sign: {sign}")
     return 0

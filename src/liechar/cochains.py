@@ -89,10 +89,6 @@ def _nondecreasing_walk(dim: int, degree: int):
     return combinations_with_replacement(range(dim), degree)
 
 
-def _count_nondecreasing(dim: int, degree: int) -> int:
-    return comb(dim + degree - 1, degree) if dim else int(degree == 0)
-
-
 def _perm_sign(seq) -> int:
     inv = 0
     for i in range(len(seq)):
@@ -269,7 +265,10 @@ class SymMultiMap(_Table):
     __slots__ = ()
     _kind = "symmetric-map"
     key_tuples = staticmethod(nondecreasing_tuples)
-    key_count = staticmethod(_count_nondecreasing)
+
+    @staticmethod
+    def key_count(dim: int, degree: int) -> int:
+        return comb(dim + degree - 1, degree) if dim else int(degree == 0)
 
     def evaluate(self, args):
         """Symmetric multilinear extension to arbitrary coefficient vectors."""

@@ -194,10 +194,7 @@ class MultiPoly:
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, MultiPoly):
-            if self.nvars != other.nvars:
-                return (self.is_constant() and other.is_constant()
-                        and self.constant_value() == other.constant_value())
+        if isinstance(other, MultiPoly):  # keys have nvars entries: only zeros match
             return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == Fraction(other)

@@ -328,23 +328,11 @@ def _symmap_from_json(name, obj, algebras, location, memo):
     _expect(type(degree) is int and degree >= 0, "degree must be a non-negative integer", location)
     _expect(type(target_dim) is int and target_dim >= 1,
             "target_dim must be a positive integer", location)
-    return _table_from_json(obj.get("entries"), alg, degree, target_dim, location, memo)
-
-
-def _symmap_to_json(name, f, algebras):
-    return {"degree": f.degree,
-            "source": _name_of(algebras, f.source, f"polynomial '{name}'", "algebra"),
-            "target_dim": f.target_dim, "entries": _table_entries_to_json(f)}
-
-
-def _table_from_json(entries, alg, degree, target_dim, location, memo):
-    """A SymMultiMap from its entry list in canonical tuple order.
-
-    The entry count is checked against the number of canonical tuples, and
-    each entry's tuple length against the degree before the entry is compared
-    with the next canonical tuple.  The tuples are walked one at a time, from
-    the first entry that passes, so only those of accepted entries are kept.
-    """
+    # The entry count is checked against the number of canonical tuples, and each
+    # entry's tuple length against the degree before the entry is compared with the
+    # next canonical tuple.  The tuples are walked one at a time, from the first
+    # entry that passes, so only those of accepted entries are kept.
+    entries = obj.get("entries")
     count = SymMultiMap.key_count(alg.dim, degree)
     _expect(isinstance(entries, list) and len(entries) == count,
             f"expected {count} entries", location)
@@ -370,8 +358,16 @@ def _table_from_json(entries, alg, degree, target_dim, location, memo):
     return SymMultiMap._of(alg, degree, target_dim, _nonzero(values.items()))
 
 
+def _symmap_to_json(name, f, algebras):
+    return {"degree": f.degree,
+            "source": _name_of(algebras, f.source, f"polynomial '{name}'", "algebra"),
+            "target_dim": f.target_dim, "entries": _table_entries_to_json(f)}
+
+
 def _table_entries_to_json(table):
-    return [{"tuple": list(key), "value": [_scalar_to_json(v) for v in val]}
+    return [{"tuple": list(key),
+             "value": [poly_to_json(v) if isinstance(v, MultiPoly) else rational_to_str(v)
+                       for v in val]}
             for key, val in table.values.items()]
 
 
@@ -420,12 +416,6 @@ def serialize_workspace(ws: Workspace) -> str:
         key: {name: write(name, obj, refs and getattr(ws, refs))
               for name, obj in getattr(ws, key).items()}
         for key, (_, write, refs) in _KINDS.items() if getattr(ws, key)})
-
-
-def _scalar_to_json(x):
-    if isinstance(x, MultiPoly):
-        return poly_to_json(x)
-    return rational_to_str(x)
 
 
 def cochain_to_json(w: Cochain):

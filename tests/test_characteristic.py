@@ -810,3 +810,38 @@ class TestCorollaries:
         sections = section_pool(rng, "oscillator", ext, 2)
         out = delta_f(ext, fz, sections, triv)
         assert ce_differential(out, triv).is_zero()
+
+
+class TestMainTheoremSignsBesidesPlus:
+    """The report of sides that agree only up to -1, or not at all; in both
+    cases difference holds lhs - rhs."""
+
+    def test_sign_minus_one(self, monkeypatch):
+        import liechar.characteristic as characteristic
+
+        ext = filiform_extension()
+        triv = trivial_representation(ext.base, 1)
+        f = SymMultiMap(ext.kernel, 1, 1, {(0,): [1]})
+        s0 = Section(ext, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        s1 = Section(ext, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [Fraction(1, 2), 0, 3]])
+        real = characteristic.ce_differential
+        monkeypatch.setattr(characteristic, "ce_differential", lambda w, rep: -real(w, rep))
+        report = verify_main_theorem(ext, f, [s0, s1], triv)
+        assert (report.equal, report.sign) == (False, -1)
+        assert report.lhs == -report.rhs and not report.lhs.is_zero()
+        assert report.difference == report.lhs - report.rhs
+        assert report.difference.entry((0, 1)) == (6,)
+
+    def test_sign_none_for_a_map_that_is_not_invariant(self):
+        ext = heisenberg_central_extension()
+        # e1 of the base acts on R by 1: f(z) = z is no longer invariant
+        rep = Representation(ext.base, 1, [[[1]], [[0]]])
+        f = SymMultiMap(ext.kernel, 1, 1, {(0,): [1]})
+        s0 = Section(ext, [[1, 0], [0, 1], [0, 0]])
+        s1 = Section(ext, [[1, 0], [0, 1], [0, 2]])
+        with pytest.warns(InvarianceWarning):
+            report = verify_main_theorem(ext, f, [s0, s1], rep)
+        assert (report.equal, report.sign) == (False, None)
+        assert report.rhs.is_zero()
+        assert report.lhs.nonzero == {(0, 1): (2,)}
+        assert report.difference == report.lhs - report.rhs

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from liechar import Workspace, cochains, parse_workspace, serialize_workspace, workspace
+from liechar import InvarianceWarning
 from liechar.catalog import filiform_workspace, heisenberg_workspace
 from liechar.cli import run_command
 
@@ -432,3 +433,86 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("ok:")
+
+
+def heisenberg_with_module(fixtures_dir, tmp_path):
+    """The Heisenberg fixture with two additions: the algebra 'plane_again',
+    equal to 'plane' but registered apart, and 'chi', the module R of 'plane'
+    on which e1 acts by 1 and e2 by 0, so that f1 is not invariant into it."""
+    doc = json.loads((fixtures_dir / "heisenberg.json").read_text(encoding="utf-8"))
+    doc["algebras"]["plane_again"] = dict(doc["algebras"]["plane"])
+    doc["representations"]["chi"] = {"algebra": "plane", "space_dim": 1,
+                                     "matrices": [[["1"]], [["0"]]]}
+    path = tmp_path / "heisenberg_chi.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestRepresentationPolicy:
+    """Every command takes a named module whose algebra equals the named one
+    (compared by structure), and refuses any other with its own message."""
+
+    def test_cohomology_over_an_equal_algebra_registered_apart(self, capsys, fixtures_dir,
+                                                               tmp_path):
+        path = heisenberg_with_module(fixtures_dir, tmp_path)
+        code, out, err = run(capsys, "cohomology", path, "--algebra", "plane_again",
+                             "--rep", "triv", "--degree", "1")
+        assert (code, err) == (0, "")
+        assert out == ("degree 1 cohomology of 'plane_again' with coefficients in 'triv': "
+                       "dim Z = 2, dim B = 0, dim H = 2\n")
+
+    def test_cohomology_over_another_algebra_exits_1(self, capsys, fixtures_dir, tmp_path):
+        path = heisenberg_with_module(fixtures_dir, tmp_path)
+        code, out, err = run(capsys, "cohomology", path, "--algebra", "h3",
+                             "--rep", "triv", "--degree", "1")
+        assert (code, out) == (1, "")
+        assert err == "validation error: representation 'triv' is not over algebra 'h3'\n"
+
+    def test_class_commands_over_another_algebra_exit_1(self, capsys, fixtures_dir):
+        path = str(fixtures_dir / "heisenberg.json")
+        for argv in _class_commands("heis", "f2", "s0", "s1"):
+            code, out, err = run(capsys, argv[0], path, *argv[1:], "--rep", "triv_total")
+            assert (code, out) == (1, ""), argv
+            assert err == ("validation error: representation 'triv_total' is not "
+                           "over the base of extension 'heis'\n"), argv
+
+
+class TestSectionCount:
+    @pytest.mark.parametrize("command, sections, message", [
+        ("secondary", "s0", "secondary needs exactly two section names"),
+        ("secondary", "s0,s1,s2", "secondary needs exactly two section names"),
+        ("verify-theorem", "s0", "verify-theorem needs at least two section names")])
+    def test_wrong_number_of_sections_exits_1(self, capsys, fixtures_dir, command, sections,
+                                              message):
+        code, out, err = run(capsys, command, str(fixtures_dir / "heisenberg.json"),
+                             "--extension", "heis", "--poly", "f1", "--sections", sections)
+        assert (code, out) == (1, "")
+        assert err == f"validation error: {message}\n"
+
+
+class TestTheoremSidesDiffer:
+    """A map that is not invariant into the module: d(Delta_f(s0, s2)) is
+    nonzero while Delta_f(s2) - Delta_f(s0) vanishes, so no sign matches."""
+
+    ARGV = ("--extension", "heis", "--poly", "f1", "--sections", "s0,s2", "--rep", "chi")
+
+    def test_text(self, capsys, fixtures_dir, tmp_path):
+        path = heisenberg_with_module(fixtures_dir, tmp_path)
+        with pytest.warns(InvarianceWarning):
+            code, out, err = run(capsys, "verify-theorem", path, *self.ARGV)
+        assert (code, err) == (0, "")
+        assert out == ("equal: false\n"
+                       "sign: none (sides differ beyond sign); difference:\n"
+                       "  (e1,e2) -> (1)\n")
+
+    def test_json(self, capsys, fixtures_dir, tmp_path):
+        path = heisenberg_with_module(fixtures_dir, tmp_path)
+        with pytest.warns(InvarianceWarning):
+            code, out, err = run(capsys, "verify-theorem", path, *self.ARGV,
+                                 "--output", "json")
+        assert (code, err) == (0, "")
+        assert '"sign": null' in out
+        payload = json.loads(out)
+        assert payload["equal"] is False and payload["sign"] is None
+        assert payload["lhs"]["entries"] == [{"tuple": [0, 1], "value": ["1"]}]
+        assert payload["rhs"]["entries"] == [{"tuple": [0, 1], "value": ["0"]}]

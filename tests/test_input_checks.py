@@ -1,0 +1,180 @@
+"""Each check on the arguments of a public entry point raises its exception
+type with its exact message."""
+
+import pytest
+
+from liechar import (Cochain, DegreeError, Extension, InvalidSection, MultiPoly,
+                     Representation, Section, SymMultiMap, abelian, as_poly,
+                     ce_differential, cohomology_space, compose_sym, delta_f, heisenberg,
+                     heisenberg3, integrate_monomial_simplex, is_invariant,
+                     param_curvature, param_section, secondary_class,
+                     trivial_representation, verify_main_theorem)
+from liechar.catalog import oscillator_extension
+
+from helpers import zero_table
+
+
+def oscillator_inputs():
+    """The oscillator extension (total dim 4, kernel h3, base a line), its
+    sections s0 and sz, a degree-1 map on the kernel and the trivial module."""
+    ext = oscillator_extension()
+    s0 = Section(ext, [[0], [0], [0], [1]])
+    sz = Section(ext, [[0], [0], [1], [1]])
+    fz = SymMultiMap(ext.kernel, 1, 1, {(0,): [0], (1,): [0], (2,): [1]})
+    return ext, s0, sz, fz, trivial_representation(ext.base, 1)
+
+
+def compose_degree_zero():
+    compose_sym(SymMultiMap(heisenberg3(), 0, 1, {(): [1]}), [])
+
+
+def compose_source_mismatch():
+    compose_sym(zero_table(SymMultiMap, heisenberg3(), 2, 1),
+                [zero_table(Cochain, heisenberg3(), 1, 3), zero_table(Cochain, abelian(2), 1, 3)])
+
+
+def compose_dimension_mismatch():
+    compose_sym(zero_table(SymMultiMap, heisenberg3(), 1, 1),
+                [zero_table(Cochain, abelian(2), 1, 2)])
+
+
+def differential_shape_mismatch():
+    ce_differential(zero_table(Cochain, heisenberg3(), 1, 1),
+                    trivial_representation(abelian(2), 1))
+
+
+def coordinates_shape_mismatch():
+    h3 = heisenberg3()
+    space = cohomology_space(h3, trivial_representation(h3, 1), 1)
+    space.coordinates_of(zero_table(Cochain, h3, 2, 1))
+
+
+def cohomology_other_algebra():
+    cohomology_space(heisenberg3(), trivial_representation(abelian(2), 1), 1)
+
+
+def delta_f_no_section():
+    ext, _, _, fz, triv = oscillator_inputs()
+    delta_f(ext, fz, [], triv)
+
+
+def delta_f_off_kernel():
+    ext, s0, _, _, triv = oscillator_inputs()
+    delta_f(ext, SymMultiMap(abelian(2), 1, 1, {(0,): [1], (1,): [0]}), [s0], triv)
+
+
+def delta_f_off_module():
+    ext, s0, _, _, triv = oscillator_inputs()
+    f = SymMultiMap(ext.kernel, 1, 2, {(0,): [0, 0], (1,): [0, 0], (2,): [1, 0]})
+    delta_f(ext, f, [s0], triv)
+
+
+def theorem_single_section():
+    ext, s0, _, fz, triv = oscillator_inputs()
+    verify_main_theorem(ext, fz, [s0], triv)
+
+
+def secondary_degree_zero():
+    ext, s0, sz, _, triv = oscillator_inputs()
+    secondary_class(ext, SymMultiMap(ext.kernel, 0, 1, {(): [1]}), s0, sz, triv)
+
+
+def extension_iota_shape():
+    ext = oscillator_extension()
+    Extension(ext.total, ext.base, ext.kernel, ext.iota[:3], ext.proj)
+
+
+def extension_q_shape():
+    ext = oscillator_extension()
+    Extension(ext.total, ext.base, ext.kernel, ext.iota, [row[:3] for row in ext.proj])
+
+
+def section_shape():
+    Section(oscillator_extension(), [[0], [0], [1]])
+
+
+def invariance_unknown_mode():
+    ext, s0, _, fz, triv = oscillator_inputs()
+    is_invariant(fz, ext, triv, "loose", s0)
+
+
+def invariance_section_mode_without_section():
+    ext, _, _, fz, triv = oscillator_inputs()
+    is_invariant(fz, ext, triv, "section")
+
+
+def interpolate_one_section():
+    ext, s0, _, _, _ = oscillator_inputs()
+    param_section(ext, [s0])
+
+
+def interpolate_polynomial_section():
+    ext, s0, sz, _, _ = oscillator_inputs()
+    param_section(ext, [s0, param_section(ext, [s0, sz])])
+
+
+def curvature_of_rational_section():
+    ext, s0, _, _, _ = oscillator_inputs()
+    param_curvature(ext, s0)
+
+
+def representation_shape():
+    Representation(abelian(2), 1, [[[0]], [[0, 0]]])
+
+
+# (name, call, exception type, exact message)
+CHECKS = [
+    ("compose_sym degree 0", compose_degree_zero, ValueError,
+     "need at least one argument cochain"),
+    ("compose_sym source", compose_source_mismatch, ValueError, "source algebra mismatch"),
+    ("compose_sym dimension", compose_dimension_mismatch, ValueError, "dimension mismatch"),
+    ("ce_differential shape", differential_shape_mismatch, ValueError, "dimension mismatch"),
+    ("coordinates_of shape", coordinates_shape_mismatch, ValueError,
+     "cochain shape does not match this cohomology space"),
+    ("cohomology_space module", cohomology_other_algebra, ValueError,
+     "representation is over a different algebra"),
+    ("delta_f no section", delta_f_no_section, ValueError, "need at least one section"),
+    ("delta_f kernel", delta_f_off_kernel, ValueError,
+     "dimension mismatch: f is not defined on the kernel"),
+    ("delta_f module", delta_f_off_module, ValueError,
+     "dimension mismatch: f does not map into the module"),
+    ("verify_main_theorem one section", theorem_single_section, ValueError,
+     "the identity needs at least two sections"),
+    ("secondary_class degree 0", secondary_degree_zero, DegreeError,
+     "secondary classes need a map of degree at least 1"),
+    ("Extension iota", extension_iota_shape, ValueError,
+     "iota must be dim(total) x dim(kernel)"),
+    ("Extension q", extension_q_shape, ValueError, "q must be dim(base) x dim(total)"),
+    ("Section shape", section_shape, ValueError,
+     "section matrix must be dim(total) x dim(base)"),
+    ("is_invariant mode", invariance_unknown_mode, ValueError,
+     "unknown invariance mode 'loose'"),
+    ("is_invariant section", invariance_section_mode_without_section, ValueError,
+     "section mode needs a section"),
+    ("param_section one", interpolate_one_section, ValueError,
+     "need at least two sections to interpolate"),
+    ("param_section polynomial", interpolate_polynomial_section, InvalidSection,
+     "input section 1 must be rational"),
+    ("param_curvature rational", curvature_of_rational_section, ValueError,
+     "expected a polynomial section from param_section"),
+    ("heisenberg(0)", lambda: heisenberg(0), ValueError, "heisenberg(m) needs m >= 1"),
+    ("Representation shape", representation_shape, ValueError,
+     "representation needs one space_dim x space_dim matrix per basis element"),
+    ("MultiPoly product", lambda: MultiPoly(1, {(1,): 1}) * MultiPoly(2, {(0, 1): 1}),
+     ValueError, "polynomial variable counts differ"),
+    ("as_poly", lambda: as_poly(MultiPoly(1, {(1,): 1}), 2), ValueError,
+     "polynomial variable counts differ"),
+    ("constant_value", lambda: MultiPoly(1, {(1,): 2}).constant_value(), ValueError,
+     "2*t1 is not a constant polynomial"),
+    ("integrate_monomial_simplex", lambda: integrate_monomial_simplex(2, [1]), ValueError,
+     "bad exponent vector [1] for D_2"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [case[1:] for case in CHECKS],
+                         ids=[case[0] for case in CHECKS])
+def test_check_raises_its_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

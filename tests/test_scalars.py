@@ -291,3 +291,18 @@ class TestSimplexIntegration:
         lhs = integrate_poly_simplex(p * c + q)
         rhs = c * integrate_poly_simplex(p) + integrate_poly_simplex(q)
         assert lhs == rhs
+
+
+class TestEqualityAcrossVariableCounts:
+    """Polynomials in different numbers of variables are equal only when both
+    are zero; a constant compares with a scalar whatever its variable count."""
+
+    @pytest.mark.parametrize("value", [1, Fraction(-2, 3)])
+    def test_nonzero_constants_differ(self, value):
+        a, b = MultiPoly.constant(1, value), MultiPoly.constant(2, value)
+        assert a != b and b != a
+        assert a == value and b == value
+
+    def test_zero_polynomials_are_equal(self):
+        assert MultiPoly(1) == MultiPoly(3)
+        assert MultiPoly.constant(0, 0) == MultiPoly(2, {(1, 0): 0})

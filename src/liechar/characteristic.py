@@ -167,7 +167,7 @@ class CohomologySpace:
 
 
 def cohomology_space(algebra: LieAlgebra, rep: Representation, degree: int) -> CohomologySpace:
-    if algebra.dim != rep.algebra.dim:
+    if rep.algebra is not algebra and rep.algebra != algebra:
         raise ValueError("representation is over a different algebra")
     return CohomologySpace(algebra, rep, degree)
 

@@ -2,10 +2,13 @@
 
 An extension carries the three algebras plus the inclusion matrix iota
 (dim g^ x dim n) and the projection matrix q (dim g x dim g^); no adapted
-basis is assumed.  At construction it runs one elimination of the rows of
-iota, each bracket [e_x, iota e_j] carried along as an extra column, and
-keeps each row of iota and of q as a {column: entry} dict of its nonzero
-entries; validation transposes both, with the sparse structure constants.
+basis is assumed.  It keeps each row of iota and of q as a {column: entry}
+dict of its nonzero entries, and one set-up builds everything else from
+those rows: the dense matrices, and one elimination of the rows of iota,
+each bracket [e_x, iota e_j] carried along as an extra column.  The public
+constructor reaches it after coercing its dense input; the workspace reader,
+through the trusted Extension._of, with the rows it read.  Validation
+transposes both row forms, with the sparse structure constants.
 The values of a kernel-valued cochain (a curvature, a section difference) are
 converted to kernel coordinates together, by one exact solve on iota with
 one right-hand side per value: one elimination per cochain, several
@@ -15,6 +18,8 @@ kernel, which only happens on corrupted input.
 A section is any linear right inverse of q.  It keeps, at construction, only
 the zero of its entry kind and the nonzero entries {row: entry} of each
 column sigma e_i; its matrix, for the writer and the API, is built on read.
+The workspace reader builds a section through the trusted Section._of from
+the columns of the rows it read, then runs validate_section.
 Every reader goes through the columns: the curvature, the difference of two
 sections, the interpolated families, S(e_i) and validate_section, each of
 which first checks that the section's extension has the shape of the one
@@ -47,7 +52,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 
-from .cochains import Cochain, _nonzero, _zero, increasing_tuples
+from .cochains import Cochain, _ZERO, _nonzero, _zero, increasing_tuples
 from .liealg import LieAlgebra, Representation, _bracket_into
 from .linalg import solve_linear, sparse_rref, sparse_transpose
 from .scalars import MultiPoly, _coerce_scalar, _fraction, as_poly
@@ -96,18 +101,36 @@ class Extension:
             raise ValueError("iota must be dim(total) x dim(kernel)")
         if len(proj) != base.dim or any(len(row) != total.dim for row in proj):
             raise ValueError("q must be dim(base) x dim(total)")
+        self._store(total, base, kernel,
+                    [{j: a for j, a in enumerate(row) if a} for row in iota],
+                    [{x: a for x, a in enumerate(row) if a} for row in proj])
+
+    @classmethod
+    def _of(cls, total: LieAlgebra, base: LieAlgebra, kernel: LieAlgebra, iota_rows,
+            proj_rows) -> "Extension":
+        """Trusted constructor from the rows as stored: the {column: entry} dicts of
+        the nonzero Fraction entries of each row of iota (dim(total) rows of
+        dim(kernel) columns) and of q (dim(base) rows of dim(total) columns).
+        Shapes are not checked, nor exactness; callers run validate_extension."""
+        ext = object.__new__(cls)
+        ext._store(total, base, kernel, iota_rows, proj_rows)
+        return ext
+
+    def _store(self, total, base, kernel, iota_rows, proj_rows):
+        """Keep the algebras and the rows, the dense matrices the rows hold, and
+        the elimination of the rows of iota with [e_x, iota e_j] carried as
+        column dn + x dn + j."""
         self.total = total
         self.base = base
         self.kernel = kernel
-        self.iota = iota
-        self.proj = proj
-        self._iota_rows = [{j: a for j, a in enumerate(row) if a} for row in iota]
-        self._proj_rows = [{x: a for x, a in enumerate(row) if a} for row in proj]
-        # the rows of iota, with [e_x, iota e_j] carried as column dn + x dn + j
+        self._iota_rows = iota_rows
+        self._proj_rows = proj_rows
+        self.iota = [[row.get(j, _ZERO) for j in range(kernel.dim)] for row in iota_rows]
+        self.proj = [[row.get(x, _ZERO) for x in range(total.dim)] for row in proj_rows]
         dn = kernel.dim
-        rows = [dict(row) for row in self._iota_rows]
+        rows = [dict(row) for row in iota_rows]
         for x, plane in enumerate(total.sparse):
-            for terms, iota_k in zip(plane, self._iota_rows):
+            for terms, iota_k in zip(plane, iota_rows):
                 for j, a in iota_k.items():
                     col = dn + x * dn + j
                     for l, c in terms:

@@ -9,7 +9,10 @@ their nonzero entries, and the adjoint module reads ad(e_i) off the table.
 The bracket of two vectors, given as the (index, value) pairs of their
 nonzero entries, is the package's one bilinear loop.  The public
 constructors check the Jacobi identity and the representation property, so
-downstream operators may assume validity.  Only objects that are valid by
+downstream operators may assume validity.  The representation property has
+one checked path from sparse matrices, _require_representation, which the
+constructor runs after it reads its dense matrices and the workspace reader
+runs on the sparse rows it reads.  Only objects that are valid by
 construction (abelian algebras, trivial and adjoint modules, actions that
 semidirect_product checks itself) skip the checks through the trusted
 constructors ``_of``.
@@ -268,11 +271,7 @@ class Representation:
             raise ValueError("representation needs one space_dim x space_dim matrix per basis element")
         self.algebra, self.space_dim = algebra, space_dim
         self.sparse = tuple(map(_sparse_rows, mats))
-        bad = check_representation(self)
-        if bad:
-            i, j, _ = bad[0]
-            names = algebra.basis_names
-            raise ValueError(f"representation property fails on ({names[i]},{names[j]})")
+        _require_representation(self)
 
     @classmethod
     def _of(cls, algebra: LieAlgebra, space_dim: int, sparse) -> "Representation":
@@ -284,6 +283,18 @@ class Representation:
 
     def __repr__(self):
         return f"Representation(dim={self.algebra.dim} -> gl({self.space_dim}))"
+
+
+def _require_representation(rep: Representation) -> Representation:
+    """``rep`` itself, or a ValueError naming the first pair where the
+    representation property fails: the one check of a module given by its
+    sparse matrices, whether the constructor or the workspace reader read them."""
+    bad = check_representation(rep)
+    if bad:
+        i, j, _ = bad[0]
+        names = rep.algebra.basis_names
+        raise ValueError(f"representation property fails on ({names[i]},{names[j]})")
+    return rep
 
 
 def check_representation(rep: Representation):

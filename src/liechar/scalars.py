@@ -240,11 +240,15 @@ def poly_to_json(p: MultiPoly):
 
 
 def integrate_monomial_simplex(n: int, exponents) -> Fraction:
-    """Integral of t_1^a_1 ... t_n^a_n over D_n: prod(a_i!) / (n + sum a_i)!."""
+    """Integral of t_1^a_1 ... t_n^a_n over D_n: prod(a_i!) / (n + sum a_i)!.
+
+    Each exponent must be a non-negative int; any other value (a float, a
+    string, a bool) is refused, not truncated, and the message names the
+    vector as given."""
     if n < 1:
         raise ValueError("simplex dimension must be at least 1")
-    exponents = [int(a) for a in exponents]
-    if len(exponents) != n or any(a < 0 for a in exponents):
+    exponents = list(exponents)
+    if len(exponents) != n or any(type(a) is not int or a < 0 for a in exponents):
         raise ValueError(f"bad exponent vector {exponents!r} for D_{n}")
     return Fraction(prod(factorial(a) for a in exponents),
                     factorial(n + sum(exponents)))

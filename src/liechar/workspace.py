@@ -26,17 +26,27 @@ Schemas:
 
 Every value read is a rational string; no schema holds polynomial values.
 Each distinct literal is parsed once per parse_workspace call, and its
-location is formatted only if it is rejected; the module and extension checks
-read the sparse tables.  A polynomial's entry count is checked against the
-number of its tuples, and each entry's tuple length against its degree,
-before any tuple is enumerated; the canonical tuples are then walked one at
-a time, so the reader holds no more of them than the document has accepted
-entries.  Cochains are written (cochain_to_json) and never read.  Module
-matrices are stored sparse and expanded to dense rows of strings only by the
-writer.  The canonical text comes from a small recursive writer whose bytes
-are those of json.dumps with an indent and sorted keys; it writes only the
-JSON types a document holds and raises TypeError on any other object, a float
-or a non-string key among them.
+location is formatted only if it is rejected.  Module matrices, iota, q and
+section matrices go through one matrix reader, which checks the shape and
+every literal and returns the {column: Fraction} dict of each row's nonzero
+entries: the literal "0", the only zero literal rational_from_str accepts, is
+skipped without a Fraction, and a literal already parsed is read from the
+memo.  Modules, extensions and sections are built from those rows through the
+trusted constructors, and each is then checked as its public constructor
+would check it (_require_representation, validate_extension,
+validate_section), so no entry is coerced or scanned for zeros twice.
+Algebras are built through algebra_from_brackets.
+
+A polynomial's entry count is checked against the number of its tuples, and
+each entry's tuple length against its degree, before any tuple is
+enumerated; the canonical tuples are then walked one at a time, so the reader
+holds no more of them than the document has accepted entries.  Cochains are
+written (cochain_to_json) and never read.  Module matrices are stored sparse
+and expanded to dense rows of strings only by the writer.  The canonical
+text comes from a small recursive writer whose bytes are those of json.dumps
+with an indent and sorted keys; it writes only the JSON types a document
+holds and raises TypeError on any other object, a float or a non-string key
+among them.
 
 Dimensions, degrees and indices are JSON integers; true and false are not
 read as 1 and 0 there, although Python's bool is a subclass of int.
@@ -53,9 +63,11 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from .characteristic import CharacteristicClass
-from .cochains import Cochain, SymMultiMap, _nondecreasing_walk, _nonzero
+from .cochains import Cochain, SymMultiMap, _ZERO, _nondecreasing_walk, _nonzero
 from .extensions import Extension, Section, validate_extension, validate_section
-from .liealg import LieAlgebra, Representation, algebra_from_brackets
+from .liealg import (LieAlgebra, Representation, _require_representation,
+                     algebra_from_brackets)
+from .linalg import sparse_transpose
 from .scalars import MultiPoly, poly_to_json, rational_from_str, rational_to_str
 
 __all__ = [
@@ -156,14 +168,24 @@ def _rational(s, memo, where, *args):
     return x
 
 
-def _matrix(obj, rows, cols, location, memo):
+def _rows(obj, rows, cols, location, memo):
+    """The {column: Fraction} dicts of the nonzero entries of each row of a rows x
+    cols matrix of rational strings.  Every literal is checked; "0", the one zero
+    literal rational_from_str accepts, is skipped without a Fraction, and a literal
+    the memo holds is read there."""
     _expect(isinstance(obj, list) and len(obj) == rows, "expected {} rows", location, rows)
     out = []
     for r, row in enumerate(obj):
         _expect(isinstance(row, list) and len(row) == cols,
                 "expected {} columns in row {}", location, cols, r)
-        out.append([_rational(c, memo, "{}[{}][{}]", location, r, j)
-                    for j, c in enumerate(row)])
+        entries = {}
+        for j, c in enumerate(row):
+            if c == "0":
+                continue
+            x = memo.get(c) if type(c) is str else None
+            entries[j] = x if x is not None else _rational(c, memo, "{}[{}][{}]",
+                                                           location, r, j)
+        out.append(entries)
     return out
 
 
@@ -249,10 +271,13 @@ def _rep_from_json(name, obj, algebras, location, memo):
     mats = obj.get("matrices")
     _expect(isinstance(mats, list) and len(mats) == alg.dim,
             "need one matrix per basis element", location)
-    matrices = [_matrix(mat, m, m, f"{location}.matrices[{i}]", memo)
-                for i, mat in enumerate(mats)]
+    sparse = []
+    for i, mat in enumerate(mats):
+        rows = tuple([tuple(row.items()) for row in
+                      _rows(mat, m, m, f"{location}.matrices[{i}]", memo)])
+        sparse.append(rows if any(rows) else None)
     try:
-        return Representation(alg, m, matrices)
+        return _require_representation(Representation._of(alg, m, tuple(sparse)))
     except ValueError as exc:
         raise ValidationError(f"representation '{name}': {exc}") from None
 
@@ -279,9 +304,9 @@ def _extension_from_json(name, obj, algebras, location, memo):
     total, base, kernel = (
         _resolve_algebra(obj.get(part), algebras, f"extension '{name}' ({part})", memo)
         for part in ("total", "base", "kernel"))
-    iota = _matrix(obj.get("iota"), total.dim, kernel.dim, f"{location}.iota", memo)
-    proj = _matrix(obj.get("q"), base.dim, total.dim, f"{location}.q", memo)
-    ext = Extension(total, base, kernel, iota, proj)
+    iota = _rows(obj.get("iota"), total.dim, kernel.dim, f"{location}.iota", memo)
+    proj = _rows(obj.get("q"), base.dim, total.dim, f"{location}.q", memo)
+    ext = Extension._of(total, base, kernel, iota, proj)
     failures = validate_extension(ext)
     if failures:
         raise ValidationError(f"extension '{name}': " + "; ".join(failures))
@@ -305,9 +330,8 @@ def _extension_to_json(name, ext, algebras):
 def _section_from_json(name, obj, extensions, location, memo):
     ext = _referent("section", name, obj, ("extension", "matrix"), "extension", extensions,
                     "extension", location)
-    matrix = _matrix(obj.get("matrix"), ext.total.dim, ext.base.dim, f"{location}.matrix",
-                     memo)
-    sec = Section(ext, matrix)
+    rows = _rows(obj.get("matrix"), ext.total.dim, ext.base.dim, f"{location}.matrix", memo)
+    sec = Section._of(ext, sparse_transpose(rows, ext.base.dim), _ZERO)
     if not validate_section(ext, sec):
         raise ValidationError(f"section '{name}': q . sigma is not the identity")
     return sec

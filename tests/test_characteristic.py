@@ -96,6 +96,16 @@ class TestCohomologySpace:
                 for w in space.coboundary_basis:
                     assert space.coordinates_of(w) == (Fraction(0),) * space.h_dim
 
+    def test_module_over_an_equal_algebra_object_is_accepted(self):
+        # the module's algebra is compared by structure, not by identity
+        h3, twin = heisenberg3(), heisenberg3()
+        assert twin is not h3
+        for p in range(4):
+            space = cohomology_space(h3, adjoint_representation(twin), p)
+            same = cohomology_space(h3, adjoint_representation(h3), p)
+            assert space.h_dim == same.h_dim
+            assert space.coboundary_basis == same.coboundary_basis
+
     def test_beyond_top_degree_is_zero_space(self):
         h3 = heisenberg3()
         space = cohomology_space(h3, trivial_representation(h3, 1), 4)

@@ -4,10 +4,10 @@ type with its exact message."""
 import pytest
 
 from liechar import (Cochain, DegreeError, Extension, InvalidSection, MultiPoly,
-                     Representation, Section, SymMultiMap, abelian, as_poly,
-                     ce_differential, cohomology_space, compose_sym, delta_f, heisenberg,
-                     heisenberg3, integrate_monomial_simplex, is_invariant,
-                     param_curvature, param_section, secondary_class,
+                     Representation, Section, SymMultiMap, abelian, adjoint_representation,
+                     as_poly, ce_differential, cohomology_space, compose_sym, delta_f,
+                     heisenberg, heisenberg3, integrate_monomial_simplex, is_invariant,
+                     oscillator, param_curvature, param_section, secondary_class,
                      trivial_representation, verify_main_theorem)
 from liechar.catalog import oscillator_extension
 
@@ -133,6 +133,9 @@ CHECKS = [
      "cochain shape does not match this cohomology space"),
     ("cohomology_space module", cohomology_other_algebra, ValueError,
      "representation is over a different algebra"),
+    *((f"cohomology_space module of another algebra of the same dimension, p={p}",
+       lambda p=p: cohomology_space(abelian(4), adjoint_representation(oscillator()), p),
+       ValueError, "representation is over a different algebra") for p in (1, 2, 3)),
     ("delta_f no section", delta_f_no_section, ValueError, "need at least one section"),
     ("delta_f kernel", delta_f_off_kernel, ValueError,
      "dimension mismatch: f is not defined on the kernel"),
@@ -168,6 +171,14 @@ CHECKS = [
      "2*t1 is not a constant polynomial"),
     ("integrate_monomial_simplex", lambda: integrate_monomial_simplex(2, [1]), ValueError,
      "bad exponent vector [1] for D_2"),
+    ("integrate_monomial_simplex float", lambda: integrate_monomial_simplex(1, [1.5]),
+     ValueError, "bad exponent vector [1.5] for D_1"),
+    ("integrate_monomial_simplex string", lambda: integrate_monomial_simplex(1, ["2"]),
+     ValueError, "bad exponent vector ['2'] for D_1"),
+    ("integrate_monomial_simplex bool", lambda: integrate_monomial_simplex(1, [True]),
+     ValueError, "bad exponent vector [True] for D_1"),
+    ("integrate_monomial_simplex float D_2", lambda: integrate_monomial_simplex(2, [1.5]),
+     ValueError, "bad exponent vector [1.5] for D_2"),
 ]
 
 

@@ -455,29 +455,73 @@ class TestValidByConstruction:
         with pytest.raises(ValueError, match="non-negative"):
             trivial_representation(heisenberg3(), -1)
 
-    def test_trusted_constructors_only_build_valid_objects(self):
-        # _of skips every check, so only constructions that are valid by
-        # themselves may call it: the zero table, the trivial and adjoint
-        # modules, checked actions, and algebra_from_brackets, which checks
-        # Jacobi on the result.
+    # Each reference to a trusted constructor _of in the package, as
+    # "module.function:class", with the check that must run on what it builds
+    # in the same function, or None for constructions valid by themselves: the
+    # zero table, the trivial and adjoint modules, and the interpolated family,
+    # built from sections its callers validated.  The workspace reader builds
+    # modules, extensions and sections from the sparse rows it reads, so each
+    # of those is checked as the public constructor would check it.
+    TRUSTED = {
+        "liealg.algebra_from_brackets:LieAlgebra": "_require_jacobi",
+        "liealg.abelian:LieAlgebra": None,
+        "liealg.semidirect_product:Representation": "check_representation",
+        "liealg.trivial_representation:Representation": None,
+        "liealg.adjoint_representation:Representation": None,
+        "workspace._rep_from_json:Representation": "_require_representation",
+        "workspace._extension_from_json:Extension": "validate_extension",
+        "workspace._section_from_json:Section": "validate_section",
+        "extensions._interpolate:Section": None,
+    }
+
+    @staticmethod
+    def package_functions():
+        """(module stem, function node) for every function of the package."""
         package = Path(liealg.__file__).parent
-        callers = set()
         for path in sorted(package.glob("*.py")):
-            module_tree = ast.parse(path.read_text(encoding="utf-8"))
-            for func in ast.walk(module_tree):
-                if not isinstance(func, ast.FunctionDef):
+            for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(func, ast.FunctionDef):
+                    yield path.stem, func
+
+    @staticmethod
+    def called_name(call):
+        func = call.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    def test_trusted_constructors_only_build_valid_objects(self):
+        # _of skips every check, so each caller is fixed, and a caller that
+        # builds from data must call the check on what _of returns: around the
+        # _of call, or after it in the same function.
+        callers = {}
+        for module, func in self.package_functions():
+            calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)]
+            for node in ast.walk(func):
+                if not (isinstance(node, ast.Attribute) and node.attr == "_of"
+                        and isinstance(node.value, ast.Name) and node.value.id
+                        in ("LieAlgebra", "Representation", "Extension", "Section")):
                     continue
-                for node in ast.walk(func):
-                    if (isinstance(node, ast.Attribute) and node.attr == "_of"
-                            and isinstance(node.value, ast.Name)
-                            and node.value.id in ("LieAlgebra", "Representation")):
-                        callers.add(f"{path.stem}.{func.name}:{node.value.id}")
+                at = (node.lineno, node.col_offset)
+                callers[f"{module}.{func.name}:{node.value.id}"] = {
+                    self.called_name(call) for call in calls
+                    if (call.lineno, call.col_offset) > at
+                    or node in ast.walk(call) and call.func is not node}
+        assert set(callers) == set(self.TRUSTED)
+        for caller, check in self.TRUSTED.items():
+            assert check is None or check in callers[caller], caller
+
+    def test_checked_sparse_paths_have_fixed_callers(self):
+        # The representation check from sparse matrices and the extension set-up
+        # from sparse rows (the elimination of iota) exist once: the public
+        # constructors reach them after reading dense matrices, the workspace
+        # reader and Extension._of from the rows they are given.
+        callers = {"_require_representation": set(), "_store": set()}
+        for module, func in self.package_functions():
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and self.called_name(node) in callers:
+                    callers[self.called_name(node)].add(f"{module}.{func.name}")
         assert callers == {
-            "liealg.algebra_from_brackets:LieAlgebra",
-            "liealg.abelian:LieAlgebra",
-            "liealg.semidirect_product:Representation",
-            "liealg.trivial_representation:Representation",
-            "liealg.adjoint_representation:Representation",
+            "_require_representation": {"liealg.__init__", "workspace._rep_from_json"},
+            "_store": {"extensions.__init__", "extensions._of"},
         }
 
 

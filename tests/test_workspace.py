@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liechar import cochains
-from liechar import (Cochain, MultiPoly, ParseError, Representation, SymMultiMap,
-                     ValidationError, Workspace, abelian, adjoint_representation,
+from liechar import (Cochain, Extension, MultiPoly, ParseError, Representation, Section,
+                     SymMultiMap, ValidationError, Workspace, abelian, adjoint_representation,
                      canonical_dumps, cochain_to_json, heisenberg3, nondecreasing_tuples,
                      param_curvature, param_section, parse_workspace, rational_from_str,
                      rational_to_str, serialize_workspace, trivial_representation)
@@ -303,6 +303,117 @@ class TestRejectedLiteralsStayPut:
                 parse_workspace(json.dumps(doc))
             assert caught.value.location == bad_at[1]
             assert str(caught.value) == f"{bad_at[1]}: {message}"
+
+
+# Each matrix the reader reads, in the oscillator fixture: the path to it, the
+# location it is reported under and its shape.
+MATRIX_POSITIONS = {
+    "module_matrix": (("representations", "triv_total", "matrices", 3),
+                      "representations.triv_total.matrices[3]", 1, 1),
+    "iota": (("extensions", "osc", "iota"), "extensions.osc.iota", 4, 3),
+    "q": (("extensions", "osc", "q"), "extensions.osc.q", 1, 4),
+    "section_matrix": (("sections", "sz", "matrix"), "sections.sz.matrix", 4, 1),
+}
+
+
+def _malformed_matrices(rows, cols):
+    """(name, change to a rows x cols matrix of literals, (suffix of the location,
+    message)) for each way a matrix can be malformed."""
+    last = cols - 1
+    return [
+        ("too_few_rows", lambda m: m[:-1], ("", f"expected {rows} rows")),
+        ("too_many_rows", lambda m: m + [m[0]], ("", f"expected {rows} rows")),
+        ("not_a_list", lambda m: {"rows": m}, ("", f"expected {rows} rows")),
+        ("short_row", lambda m: [m[0][:-1]] + m[1:], ("", f"expected {cols} columns in row 0")),
+        ("long_last_row", lambda m: m[:-1] + [m[-1] + ["0"]],
+         ("", f"expected {cols} columns in row {rows - 1}")),
+        ("row_not_a_list", lambda m: m[:-1] + ["0" * cols],
+         ("", f"expected {cols} columns in row {rows - 1}")),
+        ("float", lambda m: m[:-1] + [m[-1][:-1] + [0.0]],
+         (f"[{rows - 1}][{last}]", "floats are not accepted; use rational strings")),
+        ("bare_int", lambda m: [[0] + m[0][1:]] + m[1:],
+         ("[0][0]", "expected a rational string, got int")),
+        *((f"literal_{bad}", lambda m, bad=bad: m[:-1] + [m[-1][:-1] + [bad]],
+           (f"[{rows - 1}][{last}]", f"invalid rational literal {bad!r}"))
+          for bad in ("01", "-0", "2/4", "1/1")),
+    ]
+
+
+class TestSparseReader:
+    """The reader builds the stored sparse forms of modules, extensions and
+    sections from the rows it reads: it refuses each malformed matrix with the
+    message and location of the dense reader it replaced, and every object it
+    builds stores exactly what the public constructors store."""
+
+    @pytest.mark.parametrize("position", sorted(MATRIX_POSITIONS))
+    def test_malformed_matrix_message_and_location(self, fixtures_dir, position):
+        text = (fixtures_dir / "oscillator.json").read_text(encoding="utf-8")
+        path, where, rows, cols = MATRIX_POSITIONS[position]
+        doc = json.loads(text)
+        matrix = doc
+        for step in path:
+            matrix = matrix[step]
+        assert len(matrix) == rows and all(len(row) == cols for row in matrix)
+        for name, change, (suffix, message) in _malformed_matrices(rows, cols):
+            doc = json.loads(text)
+            _set_path(doc, path, change(json.loads(json.dumps(matrix))))
+            with pytest.raises(ParseError) as caught:
+                parse_workspace(json.dumps(doc))
+            assert caught.value.location == where + suffix, name
+            assert str(caught.value) == f"{where}{suffix}: {message}", name
+
+    FIELDS = {Representation: ("space_dim", "sparse"),
+              Extension: ("iota", "proj", "_iota_rows", "_proj_rows", "_echelon"),
+              Section: ("_cols", "_kind_zero")}
+
+    def assert_same_fields(self, got, want):
+        assert type(got) is type(want)
+        for name in self.FIELDS[type(got)]:
+            assert getattr(got, name) == getattr(want, name), name
+        if type(got) is Representation:
+            stored = [c for mat in got.sparse if mat for row in mat for _, c in row]
+        elif type(got) is Extension:
+            stored = [c for row in got._iota_rows + got._proj_rows for c in row.values()]
+            assert all(type(c) is Fraction for row in got.iota + got.proj for c in row)
+        else:
+            stored = [c for col in got._cols for c in col.values()]
+            assert type(got._kind_zero) is Fraction
+        assert all(type(c) is Fraction and c for c in stored)
+
+    def test_fixtures_equal_the_public_constructors(self, fixtures_dir):
+        # each object rebuilt through its public constructor from the dense
+        # matrices of the document, over the objects the reader built
+        def dense(matrix):
+            return [[rational_from_str(c) for c in row] for row in matrix]
+
+        for path in sorted(fixtures_dir.glob("*.json")):
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            ws = parse_workspace(json.dumps(doc))
+            for name, rep in ws.representations.items():
+                obj = doc["representations"][name]
+                assert rep.algebra is ws.algebras[obj["algebra"]]
+                self.assert_same_fields(rep, Representation(
+                    rep.algebra, obj["space_dim"], [dense(m) for m in obj["matrices"]]))
+            for name, ext in ws.extensions.items():
+                obj = doc["extensions"][name]
+                self.assert_same_fields(ext, Extension(ext.total, ext.base, ext.kernel,
+                                                       dense(obj["iota"]), dense(obj["q"])))
+            for name, sec in ws.sections.items():
+                obj = doc["sections"][name]
+                assert sec.extension is ws.extensions[obj["extension"]]
+                self.assert_same_fields(sec, Section(sec.extension, dense(obj["matrix"])))
+            assert ws.representations and ws.extensions and ws.sections, path.name
+
+    @pytest.mark.parametrize("build", [oscillator_workspace, heisenberg_workspace,
+                                       filiform_workspace])
+    def test_catalog_workspaces_read_back_field_for_field(self, build):
+        ws = build()
+        back = parse_workspace(serialize_workspace(ws))
+        for kind in ("representations", "extensions", "sections"):
+            built, read = getattr(ws, kind), getattr(back, kind)
+            assert list(read) == list(built), kind
+            for name, obj in built.items():
+                self.assert_same_fields(read[name], obj)
 
 
 class TestBooleansAreNotIntegers:

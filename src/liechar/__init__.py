@@ -26,8 +26,7 @@ from .extensions import (ExactnessViolation, Extension, InvalidSection,
                          InvarianceWarning, Section, is_invariant,
                          kernel_coords, param_curvature, param_section,
                          s_from_section, section_curvature,
-                         section_difference, validate_extension,
-                         validate_section)
+                         validate_extension, validate_section)
 from .characteristic import (CharacteristicClass, CohomologySpace, DegreeError,
                              NotACocycle, NotAdmissible, NotClosed,
                              NotInvariant, TheoremReport, chern_weil,

@@ -27,12 +27,21 @@ the relative cochain of n+1 sections is the simplex integral
                         (a_1 ^ ... ^ a_n ^ R_t ^ ... ^ R_t)  dt,
 
 with a_i = s_i - s_0, R_t the curvature of the interpolating section, and
-p - n copies of R_t; the result has degree 2p - n.  For n = 0 no integration
-happens and Delta_f(s) is f applied to p copies of the section curvature.
-For p = n >= 1 the integrand has no curvature slot and is constant, so
-Delta_f = f(a_1 ^ ... ^ a_n) / n!, since D_n has volume 1/n!.  The section
-differences a_i stay rational in every case; only the curvature R_t is a
-MultiPoly, and the integrand is a polynomial only through it.
+p - n copies of R_t; the result has degree 2p - n.  R_t is exactly quadratic
+in t (Chern-Simons; Bott),
+
+    R_t = R_0 + sum_i t_i (R_i - R_0 - Q_ii) + sum_{i,j} t_i t_j Q_ij,
+    Q_ij(x, y) = [a_i x, a_j y],
+
+so Delta_f reads the rational data of the vertices (the curvatures R_i of the
+sections, the differences a_i and the cross terms Q_ij), all put in kernel
+coordinates by one kernel_coords call, and assembles R_t from it, one
+MultiPoly per entry.  For n = 0 no integration happens and Delta_f(s) is f
+applied to p copies of the section curvature.  For p = n >= 1 the integrand
+has no curvature slot and is constant, so Delta_f = f(a_1 ^ ... ^ a_n) / n!,
+since D_n has volume 1/n!, and no curvature is computed.  The section
+differences a_i stay rational in every case; only R_t is a MultiPoly, and
+the integrand is a polynomial only through it.
 The primary (Chern-Weil) class of f is (1/p!) [Delta_f(s)], independent of
 the section; the secondary class of an admissible f (Delta_f(s_a) and
 Delta_f(s_b) vanish) is [Delta_f(s_a, s_b)] in degree 2p - 1.
@@ -41,7 +50,11 @@ verify_main_theorem checks the simplex-face boundary identity
 
     (k - n + 1) d(Delta_f(s_0..s_n)) = sum_i (-1)^i Delta_f(.. s_i omitted ..)
 
-exactly, and reports which global sign makes both sides agree.
+exactly, and reports which global sign makes both sides agree.  It builds the
+data of the full tuple once and derives each face's: dropping s_i (i >= 1)
+drops index i; dropping s_0 makes s_1 the base point, with differences
+a_j - a_1 and Q'_ij = Q_ij - Q_i1 - Q_1j + Q_11.  secondary_class reads its
+two admissibility checks off the faces of its pair in the same way.
 """
 
 from __future__ import annotations
@@ -54,8 +67,7 @@ from math import comb, factorial
 from .cochains import (Cochain, SymMultiMap, _ZERO, _differential_rows, _flatten,
                        ce_differential, compose_sym, increasing_tuples)
 from .extensions import (Extension, InvalidSection, InvarianceWarning, Section,
-                         _interpolate, is_invariant, param_curvature,
-                         section_curvature, section_difference, validate_section)
+                         _family_curvature, _Vertices, is_invariant, validate_section)
 from .liealg import LieAlgebra, Representation
 from .linalg import echelon_nullspace, solve_linear, sparse_rref, sparse_transpose
 from .scalars import as_poly, integrate_poly_simplex
@@ -193,6 +205,8 @@ def _check_delta_inputs(ext, f, sections, rep, mode, names) -> bool:
     ``names`` labels the sections in InvalidSection messages.
     """
     for name, sec in zip(names, sections):
+        if not isinstance(sec, Section):
+            raise TypeError(f"{name} must be a Section, not {type(sec).__name__}")
         if len(sections) > 1 and sec.is_polynomial:
             raise InvalidSection(f"{name} must be rational")
         if not validate_section(ext, sec):
@@ -211,32 +225,23 @@ def _check_delta_inputs(ext, f, sections, rep, mode, names) -> bool:
     return is_invariant(f, ext, rep, mode)
 
 
-def _delta_f(ext: Extension, f: SymMultiMap, sections) -> Cochain:
-    """delta_f on inputs that _check_delta_inputs accepted."""
+def _delta_f(f: SymMultiMap, vertices: _Vertices) -> Cochain:
+    """delta_f on the data of sections that _check_delta_inputs accepted."""
     p = f.degree
-    n = len(sections) - 1
+    n = len(vertices.differences)
     if n == 0:
         if p == 0:
-            return Cochain(ext.base, 0, f.target_dim, {(): f.entry(())})
-        curv = section_curvature(ext, sections[0])
-        return compose_sym(f, [curv] * p)
-    args = [section_difference(ext, sections[i], sections[0]) for i in range(1, n + 1)]
+            return Cochain(vertices.base, 0, f.target_dim, {(): f.entry(())})
+        return compose_sym(f, [vertices.curvatures[0]] * p)
     if p == n:
-        return compose_sym(f, args).scale(Fraction(1, factorial(n)))
-    curv_t = param_curvature(ext, _interpolate(ext, sections))
-    integrand = compose_sym(f, args + [curv_t] * (p - n))
+        return compose_sym(f, vertices.differences).scale(Fraction(1, factorial(n)))
+    integrand = compose_sym(f, vertices.differences + [_family_curvature(vertices)] * (p - n))
     return integrand.map_values(lambda s: integrate_poly_simplex(as_poly(s, n)))
 
 
-def delta_f(ext: Extension, f: SymMultiMap, sections, rep: Representation,
-            mode: str = "section") -> Cochain:
-    """The relative cochain of n+1 sections: degree 2p - n, exact rational values.
-
-    Emits InvarianceWarning (and proceeds) when f fails the configured
-    invariance policy; raises DegreeError when f has fewer slots than there
-    are section differences, and InvalidSection on a bad section (or on a
-    polynomial one, when there are two or more).
-    """
+def _checked_sections(ext, f, sections, rep, mode):
+    """The sections as a list, after the checks of delta_f; InvarianceWarning
+    (and proceed) when f fails the configured invariance policy."""
     sections = list(sections)
     if not sections:
         raise ValueError("need at least one section")
@@ -245,7 +250,21 @@ def delta_f(ext: Extension, f: SymMultiMap, sections, rep: Representation,
         warnings.warn(InvarianceWarning(
             "symmetric map fails the configured invariance condition; "
             "the computed cochain need not be closed"))
-    return _delta_f(ext, f, sections)
+    return sections
+
+
+def delta_f(ext: Extension, f: SymMultiMap, sections, rep: Representation,
+            mode: str = "section") -> Cochain:
+    """The relative cochain of n+1 sections: degree 2p - n, exact rational values.
+
+    Emits InvarianceWarning (and proceeds) when f fails the configured
+    invariance policy; raises DegreeError when f has fewer slots than there
+    are section differences, InvalidSection on a bad section (or on a
+    polynomial one, when there are two or more), and TypeError on an entry
+    that is not a Section.
+    """
+    sections = _checked_sections(ext, f, sections, rep, mode)
+    return _delta_f(f, _Vertices.of(ext, sections, f.degree > len(sections) - 1))
 
 
 def _characteristic_class(ext, rep, representative, message) -> CharacteristicClass:
@@ -267,7 +286,8 @@ def chern_weil(ext: Extension, f: SymMultiMap, sec: Section, rep: Representation
     """
     if not _check_delta_inputs(ext, f, [sec], rep, mode, ["section 0"]):
         raise NotInvariant("symmetric map fails the configured invariance condition")
-    representative = _delta_f(ext, f, [sec]).scale(Fraction(1, factorial(f.degree)))
+    vertices = _Vertices.of(ext, [sec], f.degree > 0)
+    representative = _delta_f(f, vertices).scale(Fraction(1, factorial(f.degree)))
     return _characteristic_class(ext, rep, representative, "representative is not closed")
 
 
@@ -284,13 +304,14 @@ def secondary_class(ext: Extension, f: SymMultiMap, sec_a: Section, sec_b: Secti
     sections = [sec_a, sec_b]
     invariant = _check_delta_inputs(ext, f, sections, rep, mode,
                                     ["first section", "second section"])
-    for name, sec in zip(("first", "second"), sections):
-        if not _delta_f(ext, f, [sec]).is_zero():
+    vertices = _Vertices.of(ext, sections, True)
+    for name, dropped in (("first", 1), ("second", 0)):
+        if not _delta_f(f, vertices.face(dropped)).is_zero():
             raise NotAdmissible(
                 f"f applied to the {name} section curvature is nonzero")
     if not invariant:
         raise NotInvariant("symmetric map fails the configured invariance condition")
-    return _characteristic_class(ext, rep, _delta_f(ext, f, sections),
+    return _characteristic_class(ext, rep, _delta_f(f, vertices),
                                  "relative cochain of an admissible map is not closed")
 
 
@@ -315,17 +336,18 @@ def verify_main_theorem(ext: Extension, f: SymMultiMap, sections,
     """Compare (k-n+1) d(Delta_f(all sections)) with the alternating sum of
     the Delta_f over each omitted section, exactly.
 
-    The inputs are checked once, by delta_f on the full tuple; the faces reuse
-    those checks."""
+    The inputs are checked once, as delta_f checks them, and the data of the
+    full tuple is built once; each face's data is derived from it."""
     sections = list(sections)
     n = len(sections) - 1
     if n < 1:
         raise ValueError("the identity needs at least two sections")
-    full = delta_f(ext, f, sections, rep, mode)
-    lhs = ce_differential(full, rep).scale(Fraction(f.degree - n + 1))
-    rhs = _delta_f(ext, f, sections[1:])
+    sections = _checked_sections(ext, f, sections, rep, mode)
+    vertices = _Vertices.of(ext, sections, True)
+    lhs = ce_differential(_delta_f(f, vertices), rep).scale(Fraction(f.degree - n + 1))
+    rhs = _delta_f(f, vertices.face(0))
     for i in range(1, n + 1):
-        term = _delta_f(ext, f, sections[:i] + sections[i + 1:])
+        term = _delta_f(f, vertices.face(i))
         rhs = rhs - term if i % 2 else rhs + term
     equal = lhs == rhs
     if lhs.is_zero() and rhs.is_zero():

@@ -12,7 +12,8 @@ transposes both row forms, with the sparse structure constants.
 The values of a kernel-valued cochain (a curvature, a section difference) are
 converted to kernel coordinates together, by one exact solve on iota with
 one right-hand side per value: one elimination per cochain, several
-right-hand sides.  ExactnessViolation signals a value that escapes the
+right-hand sides; the data of a tuple of sections below takes one solve for
+all its cochains.  ExactnessViolation signals a value that escapes the
 kernel, which only happens on corrupted input.
 
 A section is any linear right inverse of q.  It keeps, at construction, only
@@ -25,9 +26,9 @@ sections, the interpolated families, S(e_i) and validate_section, each of
 which first checks that the section's extension has the shape of the one
 it is given.  The curvature
 R(x,y) = [sigma x, sigma y] - sigma([x,y]) lands in the kernel; it is taken
-with the bracket of the total algebra on the supports of the columns and read
-in kernel coordinates, and section_curvature is the package's one curvature
-loop.  One helper reads ad(v) restricted to the kernel, in kernel
+with the bracket of the total algebra on the supports of the columns, by the
+package's one curvature loop, which section_curvature reads in kernel
+coordinates.  One helper reads ad(v) restricted to the kernel, in kernel
 coordinates, off the echelon, as the nonzero entries of each column: of
 S(e_i) = ad(sigma e_i)|n for the section policy, of ad(e_x)|n over the total
 basis for the strict one.
@@ -40,10 +41,15 @@ rho(x) = 0 is skipped, since both sides are 0 there.  validate_section sums
 q . sigma over the nonzero entries of the columns of sigma and of the rows of
 q.  Families sigma_t interpolating n+1 sections over the simplex (t_0
 eliminated as 1 - t_1 - ... - t_n) are built from the sections' columns with
-their polynomial kind stated, and their curvature R_t flows through the same
-code with MultiPoly scalars.  Where a dense formula would subtract
-a zero of the section's kind, the sparse loops start from that zero, so
-entry kinds are those of the dense formulas.
+their polynomial kind stated, and param_curvature runs their curvature R_t
+through the same loop with MultiPoly scalars.  Delta_f reads R_t another way:
+it is exactly quadratic in t, so it follows from rational data at the
+vertices (each section's curvature, the differences D_i = sigma_i - sigma_0
+and the cross brackets [D_i x, D_j y], all read by one kernel_coords call),
+assembled into one MultiPoly per entry, and the data of each face of the
+simplex follows from the tuple's without a solve.  Where a dense formula would
+subtract a zero of the section's kind, the sparse loops start from that zero,
+so entry kinds are those of the dense formulas.
 """
 
 from __future__ import annotations
@@ -68,7 +74,6 @@ __all__ = [
     "kernel_coords",
     "section_curvature",
     "s_from_section",
-    "section_difference",
     "is_invariant",
     "param_section",
     "param_curvature",
@@ -273,18 +278,17 @@ def kernel_coords(ext: Extension, *vecs):
     return w
 
 
-def section_curvature(ext: Extension, sec: Section) -> Cochain:
-    """R(x,y) = [sigma x, sigma y] - sigma([x,y]) in kernel coordinates, over the
-    nonzero entries of the columns of sigma, all read in kernel coordinates by
-    one kernel_coords call.  Where sigma([x,y]) is subtracted, every entry
-    starts from the zero of the section's kind, so entry kinds are those of
-    the dense formula."""
+def _curvature_values(ext: Extension, sec: Section):
+    """R(x,y) = [sigma x, sigma y] - sigma([x,y]) in total coordinates, one dense
+    vector per increasing pair, over the nonzero entries of the columns of
+    sigma: the package's one curvature loop.  Where sigma([x,y]) is
+    subtracted, every entry starts from the zero of the section's kind, so
+    entry kinds are those of the dense formula."""
     _check_shape(ext, sec)
     cols = sec._cols
     zero = sec._kind_zero
-    keys = list(increasing_tuples(ext.base.dim, 2))
     vals = []
-    for i, j in keys:
+    for i, j in increasing_tuples(ext.base.dim, 2):
         terms = ext.base.sparse[i][j]
         val = _bracket_into([zero if terms else Fraction(0)] * ext.total.dim, ext.total,
                             cols[i].items(), cols[j].items())
@@ -292,8 +296,20 @@ def section_curvature(ext: Extension, sec: Section) -> Cochain:
             for r, x in cols[k].items():
                 val[r] = val[r] - c * x
         vals.append(val)
-    return Cochain._of(ext.base, 2, ext.kernel.dim,
-                       _nonzero(zip(keys, kernel_coords(ext, *vals))))
+    return vals
+
+
+def _kernel_cochain(ext: Extension, degree: int, coords) -> Cochain:
+    """The kernel-valued cochain of the given degree on the base whose values,
+    in key order, are the kernel coordinates coords."""
+    return Cochain._of(ext.base, degree, ext.kernel.dim,
+                       _nonzero(zip(increasing_tuples(ext.base.dim, degree), coords)))
+
+
+def section_curvature(ext: Extension, sec: Section) -> Cochain:
+    """The curvature of sec in kernel coordinates, all its values read by one
+    kernel_coords call."""
+    return _kernel_cochain(ext, 2, kernel_coords(ext, *_curvature_values(ext, sec)))
 
 
 def _kernel_action(ext: Extension, v):
@@ -332,24 +348,128 @@ def s_from_section(ext: Extension, sec: Section):
     return [_kernel_action(ext, col.items()) for col in sec._cols]
 
 
-def section_difference(ext: Extension, sec_a: Section, sec_b: Section) -> Cochain:
-    """The kernel-valued 1-cochain x -> sigma_a(x) - sigma_b(x), over the union
-    of the supports of the two columns, all read in kernel coordinates by one
-    kernel_coords call; every entry starts from the zero of the sections'
-    kind (a MultiPoly zero when either holds one)."""
+def _difference_values(ext: Extension, sec_a: Section, sec_b: Section):
+    """sigma_a(e_i) - sigma_b(e_i) in total coordinates, one dense vector per
+    base vector, over the union of the supports of the two columns; every
+    entry starts from the zero of the sections' kind (a MultiPoly zero when
+    either holds one)."""
     _check_shape(ext, sec_a, sec_b)
     zero = _zero([sec_a._kind_zero, sec_b._kind_zero])
+    poly = type(zero) is MultiPoly
     diffs = []
     for col_a, col_b in zip(sec_a._cols, sec_b._cols):
         diff = [zero] * ext.total.dim
         for r, a in col_a.items():
-            diff[r] = zero + a
+            diff[r] = zero + a if poly else a
         for r, b in col_b.items():
             diff[r] = diff[r] - b
         diffs.append(diff)
-    coords = kernel_coords(ext, *diffs)
-    return Cochain._of(ext.base, 1, ext.kernel.dim,
-                       _nonzero(((i,), w) for i, w in enumerate(coords)))
+    return diffs
+
+
+class _Vertices:
+    """What Delta_f reads of sections s_0..s_n, in kernel coordinates: the
+    family sigma_t = sigma_0 + sum_i t_i D_i, D_i = sigma_i - sigma_0, has
+    the curvature
+
+        R_t = R_0 + sum_i t_i (R_i - R_0 - Q_ii) + sum_{i,j} t_i t_j Q_ij,
+
+    Q_ij(x,y) = [D_i x, D_j y], exactly quadratic in t.  ``curvatures[i]`` is
+    R_i, the curvature of s_i; ``differences[i - 1]`` is D_i; ``cross[i, j]``,
+    1 <= i <= j <= n, is the coefficient of t_i t_j: Q_ii, or Q_ij + Q_ji.
+    All are Cochains on the base; curvatures and cross are None when they
+    were not built.  A face (one section dropped) is derived, not solved."""
+
+    __slots__ = ("base", "curvatures", "differences", "cross")
+
+    def __init__(self, base, curvatures, differences, cross):
+        self.base = base
+        self.curvatures = curvatures
+        self.differences = differences
+        self.cross = cross
+
+    @classmethod
+    def of(cls, ext: Extension, sections, curved: bool) -> "_Vertices":
+        """The data of the sections: the differences always, the curvatures and
+        the cross terms when curved, every value read in kernel coordinates by
+        one kernel_coords call.  The cross brackets are taken in the total
+        algebra, so a value that escapes the kernel raises ExactnessViolation."""
+        n = len(sections) - 1
+        keys = increasing_tuples(ext.base.dim, 2)
+        diffs = [_difference_values(ext, sec, sections[0]) for sec in sections[1:]]
+        vals = [v for diff in diffs for v in diff]
+        pairs = []
+        if curved:
+            vals += [v for sec in sections for v in _curvature_values(ext, sec)]
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+            supports = [[[(r, x) for r, x in enumerate(col) if x] for col in diff]
+                        for diff in diffs]
+        for i, j in pairs:
+            d_i, d_j = supports[i - 1], supports[j - 1]
+            for a, b in keys:
+                val = _bracket_into([_ZERO] * ext.total.dim, ext.total, d_i[a], d_j[b])
+                if i != j:
+                    _bracket_into(val, ext.total, d_j[a], d_i[b])
+                vals.append(val)
+        coords = iter(kernel_coords(ext, *vals))
+
+        def take(degree, count):
+            return _kernel_cochain(ext, degree, [next(coords) for _ in range(count)])
+
+        differences = [take(1, ext.base.dim) for _ in diffs]
+        if not curved:
+            return cls(ext.base, None, differences, None)
+        curvs = [take(2, len(keys)) for _ in sections]
+        return cls(ext.base, curvs, differences, {pair: take(2, len(keys)) for pair in pairs})
+
+    def face(self, i: int) -> "_Vertices":
+        """The data of the sections without s_i.  For i >= 1 index i is dropped;
+        without s_0, s_1 is the new base point: D'_j = D_j - D_1 and
+        Q'_ij = Q_ij - Q_i1 - Q_1j + Q_11."""
+        curvs, cross = self.curvatures, self.cross
+        if i:
+            differences = self.differences[:i - 1] + self.differences[i:]
+        else:
+            d_1 = self.differences[0]
+            differences = [d - d_1 for d in self.differences[1:]]
+        if curvs is None:
+            return _Vertices(self.base, None, differences, None)
+        if i:
+            cross = {(a - (a > i), b - (b > i)): c for (a, b), c in cross.items()
+                     if i not in (a, b)}
+        else:
+            q_11 = cross[1, 1]
+            cross = {(a - 1, b - 1): (c - cross[1, a] + q_11 if a == b else
+                                      c - cross[1, a] - cross[1, b] + q_11.scale(2))
+                     for (a, b), c in cross.items() if a > 1}
+        return _Vertices(self.base, curvs[:i] + curvs[i + 1:], differences, cross)
+
+
+def _family_curvature(vertices: _Vertices) -> Cochain:
+    """R_t of the family through the vertices, assembled from their curvatures
+    and cross terms: every entry a MultiPoly in t_1..t_n, as param_curvature
+    gives it."""
+    n = len(vertices.differences)
+    curvs, cross = vertices.curvatures, vertices.cross
+
+    def monomial(*indices):
+        return tuple(indices.count(v) for v in range(1, n + 1))
+
+    coefficients = [(monomial(), curvs[0])]
+    coefficients += [(monomial(i), curvs[i] - curvs[0] - cross[i, i]) for i in range(1, n + 1)]
+    coefficients += [(monomial(i, j), q) for (i, j), q in cross.items()]
+    dn = curvs[0].target_dim
+    entries = {}
+    for exps, coefficient in coefficients:
+        for key, val in coefficient.nonzero.items():
+            terms = entries.get(key)
+            if terms is None:
+                terms = entries[key] = [{} for _ in range(dn)]
+            for t, x in zip(terms, val):
+                if x:
+                    t[exps] = x
+    return Cochain._of(vertices.base, 2, dn, {
+        key: tuple(MultiPoly._of(n, t) for t in terms) for key, terms in entries.items()})
 
 
 _MODES = ("section", "strict")

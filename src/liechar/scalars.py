@@ -1,7 +1,7 @@
 """Exact scalars: rationals, simplex-parameter polynomials, closed-form integration.
 
 Every number in this library is exact.  Plain scalars are
-``fractions.Fraction``.  Quantities that vary over a simplex of section
+``fractions.Fraction``, and every coercion to one refuses a float.  Quantities that vary over a simplex of section
 parameters (interpolated sections and their curvatures) are ``MultiPoly``
 values: sparse polynomials with Fraction coefficients in the coordinates
 ``t_1 .. t_n`` of the projected simplex
@@ -49,8 +49,14 @@ _RATIONAL = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 
 
 def _fraction(x) -> Fraction:
-    """x itself when it is already a Fraction, else Fraction(x)."""
-    return x if type(x) is Fraction else Fraction(x)
+    """x itself when it is already a Fraction, else Fraction(x); TypeError on a
+    float, whose binary value is not the decimal it was written as."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} is not an exact scalar; use an int, a Fraction "
+                        "or a 'p/q' string")
+    return Fraction(x)
 
 
 def _coerce_scalar(x):
@@ -60,7 +66,7 @@ def _coerce_scalar(x):
 
 def rational_to_str(x: Fraction) -> str:
     """Format as ``p/q`` in lowest terms, or ``p`` when the denominator is 1."""
-    return str(x) if type(x) is Fraction else str(Fraction(x))
+    return str(_fraction(x))
 
 
 def rational_from_str(s: str) -> Fraction:
@@ -95,7 +101,7 @@ class MultiPoly:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps!r} for {nvars} variables")
-            coeff = Fraction(coeff)
+            coeff = _fraction(coeff)
             if coeff:
                 clean[exps] = coeff
         self.terms = clean
@@ -110,7 +116,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     # -- queries ----------------------------------------------------------
 

@@ -14,8 +14,9 @@ from liechar import (
     compose_sym, heisenberg, heisenberg3, increasing_tuples, oscillator,
     integrate_poly_simplex, kernel_coords, nondecreasing_tuples,
     param_curvature, param_section, rational_from_str, section_curvature,
-    section_difference, semidirect_product, trivial_representation,
+    semidirect_product, trivial_representation,
 )
+from liechar import extensions as extensions_module
 from liechar.catalog import (
     affine_split_extension, filiform_extension, heisenberg_central_extension,
     oscillator_extension,
@@ -533,6 +534,15 @@ def reference_section_curvature(ext, sec):
         return kernel_coords(ext, val)[0]
 
     return Cochain.from_function(g, 2, ext.kernel.dim, fn)
+
+
+def section_difference(ext, sec_a, sec_b):
+    """The kernel-valued 1-cochain x -> sigma_a(x) - sigma_b(x): the package's
+    difference values, read in kernel coordinates by one kernel_coords call.
+    Delta_f reads section differences only through the data of a section
+    tuple, so a lone difference lives here, beside its reference."""
+    values = extensions_module._difference_values(ext, sec_a, sec_b)
+    return extensions_module._kernel_cochain(ext, 1, extensions_module.kernel_coords(ext, *values))
 
 
 def reference_section_difference(ext, sec_a, sec_b):

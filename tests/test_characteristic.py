@@ -13,8 +13,7 @@ from liechar import (Cochain, DegreeError, InvalidSection, InvarianceWarning,
                      chern_weil, classes_equal, cohomology_space, compose_sym,
                      delta_f, heisenberg, heisenberg3, oscillator,
                      increasing_tuples, param_section, secondary_class,
-                     section_curvature, section_difference,
-                     trivial_representation, verify_main_theorem)
+                     section_curvature, trivial_representation, verify_main_theorem)
 from liechar.catalog import (filiform_extension, heisenberg_central_extension,
                              oscillator_extension)
 
@@ -24,7 +23,7 @@ from helpers import (SMALL_ALGEBRAS, conjugate_algebra, dense_cohomology,
                      rand_section, rand_symmap, random_algebra, random_invariant_symmap,
                      random_module, random_representation, raise_everywhere, rank,
                      reference_delta_f, reference_wedge, scalar_multiplication,
-                     section_pool, sym_product, zero_table)
+                     section_difference, section_pool, sym_product, zero_table)
 
 
 def oscillator_setup():
@@ -374,9 +373,10 @@ class TestDeltaFAgainstReference:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_constant_integrand_at_p_equal_n(self, monkeypatch, n):
         # no curvature, no polynomial, no integration: f(a_1..a_n) / n!
-        from liechar import characteristic
-        for name in ("param_curvature", "integrate_poly_simplex"):
+        from liechar import characteristic, extensions
+        for name in ("_family_curvature", "integrate_poly_simplex"):
             monkeypatch.setattr(characteristic, name, None)
+        monkeypatch.setattr(extensions, "_curvature_values", None)
         rng = random.Random(1100 + n)
         for name, ext in self.extensions().items():
             triv = trivial_representation(ext.base, 1)
@@ -406,6 +406,48 @@ class TestDeltaFAgainstReference:
                     ref = -ref if i % 2 else ref
                     rhs = ref if rhs is None else rhs + ref
                 self.assert_same(report.rhs, rhs)
+
+
+class TestOneKernelSolve:
+    """delta_f with n >= 1, secondary_class and verify_main_theorem read every
+    value they need in kernel coordinates (vertex curvatures, differences, cross
+    brackets; every face of the identity included) with one kernel_coords call."""
+
+    def test_one_kernel_coords_call_per_public_call(self, monkeypatch):
+        from liechar import extensions
+        calls = []
+        original = extensions.kernel_coords
+
+        def counting(ext, *vecs):
+            calls.append(len(vecs))
+            return original(ext, *vecs)
+
+        monkeypatch.setattr(extensions, "kernel_coords", counting)
+        rng = random.Random(1500)
+        quiet = TestDeltaFAgainstReference.quiet
+        for name, ext in TestDeltaFAgainstReference.extensions().items():
+            triv = trivial_representation(ext.base, 1)
+            for n in (1, 2, 3):
+                for p in range(n, 4):
+                    f = rand_symmap(rng, ext.kernel, p)
+                    sections = section_pool(rng, name, ext, n + 1)
+                    calls.clear()
+                    quiet(lambda: delta_f(ext, f, sections, triv))
+                    assert len(calls) == 1, (name, n, p)
+                    calls.clear()
+                    quiet(lambda: verify_main_theorem(ext, f, sections, triv))
+                    assert len(calls) == 1, (name, n, p)
+                    if n == 1:
+                        calls.clear()
+                        try:
+                            secondary_class(ext, f, *sections, triv)
+                        except (NotAdmissible, NotInvariant):
+                            pass
+                        assert len(calls) == 1, (name, p)
+        ext, s0, sz, fz, triv = oscillator_setup()
+        calls.clear()
+        assert secondary_class(ext, fz, s0, sz, triv).coordinates == (1,)
+        assert len(calls) == 1
 
 
 class TestChernWeil:
@@ -580,8 +622,8 @@ class TestInputChecks:
         real_delta_f = characteristic._delta_f
         # the one-section admissibility tests still run through the real _delta_f
         monkeypatch.setattr(
-            characteristic, "_delta_f", lambda ext, f, sections: not_closed
-            if len(sections) == 2 else real_delta_f(ext, f, sections))
+            characteristic, "_delta_f", lambda f, vertices: not_closed
+            if len(vertices.differences) == 1 else real_delta_f(f, vertices))
         with pytest.raises(NotClosed, match="admissible map is not closed"):
             secondary_class(ext, zero, sec, other, rep)
 

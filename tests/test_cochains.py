@@ -23,7 +23,7 @@ from liechar import (Cochain, MultiPoly, Representation, Section, SymMultiMap, a
                      adjoint_representation, ce_differential, chern_weil, cohomology_space,
                      compose_sym, delta_f, heisenberg3, increasing_tuples, nondecreasing_tuples,
                      param_curvature, param_section, parse_workspace, section_curvature,
-                     section_difference, serialize_workspace, trivial_representation,
+                     serialize_workspace, trivial_representation,
                      validate_extension, verify_main_theorem)
 from liechar.catalog import (filiform_workspace, heisenberg_central_extension,
                              heisenberg_workspace, oscillator_workspace)
@@ -35,8 +35,8 @@ from helpers import (SMALL_ALGEBRAS, ad_matrix, alt, conjugate_algebra, dense_co
                      raise_everywhere,
                      reference_compose_sym, reference_curvature,
                      reference_twisted_differential, reference_wedge,
-                     scalar_multiplication, sym_tensor_product, to_dense, to_poly,
-                     zero_table)
+                     scalar_multiplication, section_difference, sym_tensor_product,
+                     to_dense, to_poly, zero_table)
 
 
 def unit(d, i):

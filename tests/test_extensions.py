@@ -7,10 +7,11 @@ import pytest
 
 from liechar import (ExactnessViolation, Extension, InvalidSection, MultiPoly, NotInvariant,
                      Representation, Section, SymMultiMap, abelian, adjoint_representation,
-                     chern_weil, algebra_from_brackets, as_poly,
+                     chern_weil, algebra_from_brackets, as_poly, delta_f, secondary_class,
+                     verify_main_theorem,
                      heisenberg3, is_invariant, param_curvature,
                      param_section, parse_workspace, s_from_section,
-                     kernel_coords, section_curvature, section_difference, solve_linear,
+                     kernel_coords, section_curvature, solve_linear,
                      trivial_representation, validate_extension, validate_section)
 from liechar import extensions as extensions_module
 from liechar.catalog import (affine_split_extension, filiform_extension,
@@ -26,7 +27,8 @@ from helpers import (column, conjugate_extension, transpose, dense_kernel_action
                      reference_param_curvature, reference_param_section,
                      reference_section_curvature, reference_section_difference,
                      reference_twisted_differential,
-                     reference_validate_extension, reference_validate_section, section_pool,
+                     reference_validate_extension, reference_validate_section,
+                     section_difference, section_pool,
                      to_poly, zero_table)
 
 ROTATION = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
@@ -430,6 +432,51 @@ class TestScaledInconsistentRows:
                 assert p == ncols and rational_multiple(row, ref_row)
                 scaled += row != ref_row
         assert scaled > 0
+
+
+    def test_relative_cochains_raise_where_a_vertex_curvature_escapes(self, monkeypatch):
+        """R(e_0, e_1) of a section here is -c z, c the p-entry of sigma e_1, and z
+        is not in the image of iota; section differences and the brackets
+        [D_i x, D_j y] stay in span(p, w).  Every public call first meets the
+        escaping [q, iota e_0] in the invariance check.  Past that check, each
+        raises ExactnessViolation exactly when it reads a curvature with c != 0:
+        Delta_f for p > n, both admissibility checks and every face of the
+        boundary identity."""
+        from liechar import characteristic
+
+        ext = self.escaping()
+        triv = trivial_representation(ext.base, 1)
+        rng = random.Random(613)
+
+        def section(c):
+            return Section(ext, [[rand_fraction(rng), c], [1, 0], [0, 1],
+                                 [rand_fraction(rng), rand_fraction(rng)]])
+
+        def raises(call):
+            try:
+                call()
+            except ExactnessViolation:
+                return True
+            return False
+
+        f1 = rand_symmap(rng, ext.kernel, 1)
+        assert raises(lambda: delta_f(ext, f1, [section(0)], triv))
+        monkeypatch.setattr(characteristic, "is_invariant", lambda *args: True)
+        for n in range(4):
+            for cs in product((0, Fraction(2, 3)), repeat=n + 1):
+                escapes = any(cs)
+                for p in range(n, 4):
+                    f = rand_symmap(rng, ext.kernel, p)
+                    sections = [section(c) for c in cs]
+                    assert raises(lambda: delta_f(ext, f, sections, triv)) == (
+                        p > n and escapes), (n, cs, p)
+                    if n == 0 and p:
+                        assert raises(lambda: chern_weil(ext, f, sections[0], triv)) == escapes
+                    if n == 1 and p:
+                        assert raises(lambda: secondary_class(ext, f, *sections, triv)) == escapes
+                    if n:
+                        assert raises(
+                            lambda: verify_main_theorem(ext, f, sections, triv)) == escapes
 
 
 class TestSections:
@@ -1064,3 +1111,68 @@ class TestKernelCoordinates:
             a, b = section_pool(rng, name, ext, 2)
             diff = section_difference(ext, a, b)
             assert diff.degree == 1 and diff.target_dim == ext.kernel.dim
+
+
+class TestVertexData:
+    """The data of a section tuple: R_t assembled from the vertex curvatures and
+    the cross brackets [D_i x, D_j y] is the curvature of the interpolated
+    family, value for value and kind for kind, and the data of each face,
+    derived from the tuple's, is the data built from the face's sections."""
+
+    @staticmethod
+    def standard_section(ext):
+        """The section that lifts each base vector by the solution of q x = e_i
+        the dense solve picks, with no kernel shift."""
+        dg = ext.base.dim
+        cols = [dense_solve(ext.proj, [Fraction(int(r == i)) for r in range(dg)])
+                for i in range(dg)]
+        return Section(ext, [[col[r] for col in cols] for r in range(ext.total.dim)])
+
+    def cases(self):
+        """(label, extension, sections) over every catalog extension and the
+        suite's others, each also in a seeded basis, with n = 1..3: seeded
+        sections, and the standard section followed by seeded ones."""
+        rng = random.Random(3303)
+        exts = {**fixture_extensions(), "direct_sum": direct_sum_extension(),
+                "point": point_base_extension()}
+        for name, ext in exts.items():
+            for basis, copy in (("standard", ext), ("seeded", conjugate_extension(rng, ext))):
+                standard = self.standard_section(copy)
+                for n in (1, 2, 3):
+                    seeded = [rand_section(rng, copy) for _ in range(n + 1)]
+                    yield f"{name}/{basis}/n{n}", copy, seeded
+                    yield f"{name}/{basis}/n{n}/standard", copy, [standard] + seeded[:n]
+
+    def test_assembled_family_curvature_is_param_curvature(self):
+        for label, ext, sections in self.cases():
+            n = len(sections) - 1
+            vertices = extensions_module._Vertices.of(ext, sections, True)
+            got = extensions_module._family_curvature(vertices)
+            want = param_curvature(ext, param_section(ext, sections))
+            _same_table(got, want)
+            assert (got.degree, got.target_dim) == (want.degree, want.target_dim), label
+            assert all(type(x) is MultiPoly and x.nvars == n
+                       for val in got.values.values() for x in val), label
+
+    def test_faces_are_the_data_of_the_face_sections(self):
+        for label, ext, sections in self.cases():
+            vertices = extensions_module._Vertices.of(ext, sections, True)
+            for i in range(len(sections)):
+                face = vertices.face(i)
+                built = extensions_module._Vertices.of(ext, sections[:i] + sections[i + 1:], True)
+                assert face.curvatures == built.curvatures, (label, i)
+                assert face.differences == built.differences, (label, i)
+                assert face.cross == built.cross, (label, i)
+                if len(sections) > 2:
+                    _same_table(extensions_module._family_curvature(face),
+                                extensions_module._family_curvature(built))
+
+    def test_parts_not_asked_for_are_not_built(self, monkeypatch):
+        ext = filiform_extension()
+        rng = random.Random(3304)
+        sections = [rand_section(rng, ext) for _ in range(3)]
+        monkeypatch.setattr(extensions_module, "_curvature_values", None)
+        bare = extensions_module._Vertices.of(ext, sections, False)
+        assert bare.curvatures is None and bare.cross is None
+        assert len(bare.differences) == 2
+        assert bare.face(0).differences == [bare.differences[1] - bare.differences[0]]

@@ -5,10 +5,11 @@ import pytest
 
 from liechar import (Cochain, DegreeError, Extension, InvalidSection, MultiPoly,
                      Representation, Section, SymMultiMap, abelian, adjoint_representation,
-                     as_poly, ce_differential, cohomology_space, compose_sym, delta_f,
-                     heisenberg, heisenberg3, integrate_monomial_simplex, is_invariant,
-                     oscillator, param_curvature, param_section, secondary_class,
-                     trivial_representation, verify_main_theorem)
+                     algebra_from_brackets, as_poly, ce_differential, chern_weil,
+                     cohomology_space, compose_sym, delta_f, heisenberg, heisenberg3,
+                     integrate_monomial_simplex, is_invariant, oscillator, param_curvature,
+                     param_section, rational_to_str, secondary_class, trivial_representation,
+                     verify_main_theorem)
 from liechar.catalog import oscillator_extension
 
 from helpers import zero_table
@@ -122,6 +123,22 @@ def representation_shape():
     Representation(abelian(2), 1, [[[0]], [[0, 0]]])
 
 
+def float_message(x):
+    return f"float {x!r} is not an exact scalar; use an int, a Fraction or a 'p/q' string"
+
+
+def not_a_section(call, position):
+    """call with the section at the given position replaced by an int."""
+    ext, s0, sz, fz, triv = oscillator_inputs()
+    sections = [s0, sz]
+    sections[position] = 7
+    if call is chern_weil:
+        return chern_weil(ext, fz, sections[position], triv)
+    if call is secondary_class:
+        return secondary_class(ext, fz, *sections, triv)
+    return call(ext, fz, sections, triv)
+
+
 # (name, call, exception type, exact message)
 CHECKS = [
     ("compose_sym degree 0", compose_degree_zero, ValueError,
@@ -179,6 +196,30 @@ CHECKS = [
      ValueError, "bad exponent vector [True] for D_1"),
     ("integrate_monomial_simplex float D_2", lambda: integrate_monomial_simplex(2, [1.5]),
      ValueError, "bad exponent vector [1.5] for D_2"),
+    # floats are not exact: every coercion to a scalar refuses them
+    ("Section float", lambda: Section(oscillator_extension(), [[0], [0], [0.1], [1]]),
+     TypeError, float_message(0.1)),
+    ("algebra_from_brackets float", lambda: algebra_from_brackets(
+        ("x", "y", "z"), {(0, 1): {2: 0.5}}), TypeError, float_message(0.5)),
+    ("Extension float", lambda: Extension(
+        abelian(2), abelian(1), abelian(1), [[0.5], [0]], [[0, 1]]), TypeError, float_message(0.5)),
+    ("Representation float", lambda: Representation(abelian(1), 1, [[[0.25]]]), TypeError,
+     float_message(0.25)),
+    ("Cochain float", lambda: Cochain(abelian(1), 1, 1, {(0,): [1.0]}), TypeError,
+     float_message(1.0)),
+    ("MultiPoly float", lambda: MultiPoly(1, {(1,): 0.1}), TypeError, float_message(0.1)),
+    ("MultiPoly.constant float", lambda: MultiPoly.constant(2, 0.5), TypeError,
+     float_message(0.5)),
+    ("as_poly float", lambda: as_poly(0.5, 1), TypeError, float_message(0.5)),
+    ("rational_to_str float", lambda: rational_to_str(0.5), TypeError, float_message(0.5)),
+    # a tuple entry that is not a Section is named by its type
+    *((f"{call.__name__} non-section {position}", lambda call=call, position=position:
+       not_a_section(call, position), TypeError, f"{label} must be a Section, not int")
+      for call, position, label in (
+          (delta_f, 0, "section 0"), (delta_f, 1, "section 1"),
+          (chern_weil, 0, "section 0"), (secondary_class, 0, "first section"),
+          (secondary_class, 1, "second section"), (verify_main_theorem, 0, "section 0"),
+          (verify_main_theorem, 1, "section 1"))),
 ]
 
 

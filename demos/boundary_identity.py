@@ -17,8 +17,7 @@ nonzero sides and pins the sign of the identity.
 from fractions import Fraction
 
 from liechar import (
-    Section, delta_f, integrate_poly_simplex, param_curvature, param_section,
-    verify_main_theorem,
+    Section, delta_f, integrate_poly_simplex, param_curvature, verify_main_theorem,
 )
 from liechar.catalog import filiform_workspace
 
@@ -47,8 +46,7 @@ def main():
                        [Fraction(1, 2), 0, 3]])
 
     print("interpolated curvature of the pair (s0, s1):")
-    family = param_section(ext, [s0, s1])
-    curv_t = param_curvature(ext, family)
+    curv_t = param_curvature(ext, [s0, s1])
     for key, val in curv_t.values.items():
         args = ",".join(names[i] for i in key)
         print(f"  R_t({args}) = {val[0]}")

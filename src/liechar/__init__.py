@@ -2,8 +2,8 @@
 algebra extensions, over the rationals.
 
 Everything is computed in exact arithmetic: scalars are Fraction or, for
-simplex-parametrized section families, sparse rational-coefficient
-polynomials.  The package covers cochains and symmetric maps, the
+the curvature of a simplex-parametrized section family, sparse
+rational-coefficient polynomials.  The package covers cochains and symmetric maps, the
 Chevalley-Eilenberg differential, the composition of a symmetric map with
 cochains, extensions with linear sections and their curvature, cohomology
 spaces with deterministic bases, primary (Chern-Weil) and secondary
@@ -24,9 +24,9 @@ from .cochains import (Cochain, SymMultiMap, ce_differential, compose_sym,
                        increasing_tuples, nondecreasing_tuples)
 from .extensions import (ExactnessViolation, Extension, InvalidSection,
                          InvarianceWarning, Section, is_invariant,
-                         kernel_coords, param_curvature, param_section,
-                         s_from_section, section_curvature,
-                         validate_extension, validate_section)
+                         kernel_coords, param_curvature, s_from_section,
+                         section_curvature, validate_extension,
+                         validate_section)
 from .characteristic import (CharacteristicClass, CohomologySpace, DegreeError,
                              NotACocycle, NotAdmissible, NotClosed,
                              NotInvariant, TheoremReport, chern_weil,

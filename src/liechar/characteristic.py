@@ -66,8 +66,8 @@ from math import comb, factorial
 
 from .cochains import (Cochain, SymMultiMap, _ZERO, _differential_rows, _flatten,
                        ce_differential, compose_sym, increasing_tuples)
-from .extensions import (Extension, InvalidSection, InvarianceWarning, Section,
-                         _family_curvature, _Vertices, is_invariant, validate_section)
+from .extensions import (Extension, InvarianceWarning, Section, _check_sections,
+                         _family_curvature, _Vertices, is_invariant)
 from .liealg import LieAlgebra, Representation
 from .linalg import echelon_nullspace, solve_linear, sparse_rref, sparse_transpose
 from .scalars import as_poly, integrate_poly_simplex
@@ -199,18 +199,12 @@ class CharacteristicClass:
     h_space: CohomologySpace
 
 
-def _check_delta_inputs(ext, f, sections, rep, mode, names) -> bool:
+def _check_delta_inputs(ext, f, sections, rep, mode, names=None) -> bool:
     """Raise on inputs delta_f cannot use; True when f passes the invariance policy.
 
-    ``names`` labels the sections in InvalidSection messages.
+    ``names`` labels the sections in the messages of the section check.
     """
-    for name, sec in zip(names, sections):
-        if not isinstance(sec, Section):
-            raise TypeError(f"{name} must be a Section, not {type(sec).__name__}")
-        if len(sections) > 1 and sec.is_polynomial:
-            raise InvalidSection(f"{name} must be rational")
-        if not validate_section(ext, sec):
-            raise InvalidSection(f"{name} fails q . sigma = id")
+    _check_sections(ext, sections, names)
     if f.source.dim != ext.kernel.dim:
         raise ValueError("dimension mismatch: f is not defined on the kernel")
     if f.target_dim != rep.space_dim:
@@ -245,8 +239,7 @@ def _checked_sections(ext, f, sections, rep, mode):
     sections = list(sections)
     if not sections:
         raise ValueError("need at least one section")
-    names = [f"section {idx}" for idx in range(len(sections))]
-    if not _check_delta_inputs(ext, f, sections, rep, mode, names):
+    if not _check_delta_inputs(ext, f, sections, rep, mode):
         warnings.warn(InvarianceWarning(
             "symmetric map fails the configured invariance condition; "
             "the computed cochain need not be closed"))
@@ -284,7 +277,7 @@ def chern_weil(ext: Extension, f: SymMultiMap, sec: Section, rep: Representation
     Requires f invariant under the configured policy; the representative is
     verified closed (NotClosed signals corrupt input).
     """
-    if not _check_delta_inputs(ext, f, [sec], rep, mode, ["section 0"]):
+    if not _check_delta_inputs(ext, f, [sec], rep, mode):
         raise NotInvariant("symmetric map fails the configured invariance condition")
     vertices = _Vertices.of(ext, [sec], f.degree > 0)
     representative = _delta_f(f, vertices).scale(Fraction(1, factorial(f.degree)))

@@ -19,12 +19,11 @@ kernel, which only happens on corrupted input.
 A section is any linear right inverse of q.  It keeps, at construction, only
 the zero of its entry kind and the nonzero entries {row: entry} of each
 column sigma e_i; its matrix, for the writer and the API, is built on read.
-The workspace reader builds a section through the trusted Section._of from
-the columns of the rows it read, then runs validate_section.
+The workspace reader builds a rational section through the trusted
+Section._of from the columns of the rows it read, then runs validate_section.
 Every reader goes through the columns: the curvature, the difference of two
-sections, the interpolated families, S(e_i) and validate_section, each of
-which first checks that the section's extension has the shape of the one
-it is given.  The curvature
+sections, S(e_i) and validate_section, each of which first checks that the
+section's extension has the shape of the one it is given.  The curvature
 R(x,y) = [sigma x, sigma y] - sigma([x,y]) lands in the kernel; it is taken
 with the bracket of the total algebra on the supports of the columns, by the
 package's one curvature loop, which section_curvature reads in kernel
@@ -39,17 +38,17 @@ table of f and of the module action rho(x).  That action comes from rep.sparse,
 pulled back along q in the strict mode; a basis element with S(x) = 0 and
 rho(x) = 0 is skipped, since both sides are 0 there.  validate_section sums
 q . sigma over the nonzero entries of the columns of sigma and of the rows of
-q.  Families sigma_t interpolating n+1 sections over the simplex (t_0
-eliminated as 1 - t_1 - ... - t_n) are built from the sections' columns with
-their polynomial kind stated, and param_curvature runs their curvature R_t
-through the same loop with MultiPoly scalars.  Delta_f reads R_t another way:
-it is exactly quadratic in t, so it follows from rational data at the
-vertices (each section's curvature, the differences D_i = sigma_i - sigma_0
-and the cross brackets [D_i x, D_j y], all read by one kernel_coords call),
-assembled into one MultiPoly per entry, and the data of each face of the
-simplex follows from the tuple's without a solve.  Where a dense formula would
-subtract a zero of the section's kind, the sparse loops start from that zero,
-so entry kinds are those of the dense formulas.
+q.  The family sigma_t = sigma_0 + sum_i t_i (sigma_i - sigma_0) through n+1
+rational sections (t_0 eliminated as 1 - t_1 - ... - t_n) is never built:
+its curvature R_t is exactly quadratic in t, so it follows from rational
+data at the vertices (each section's curvature, the differences D_i and the
+cross brackets [D_i x, D_j y], all read by one kernel_coords call),
+assembled into one MultiPoly per entry.  param_curvature and Delta_f both
+read R_t that way, after one check of the tuple of sections, and the data
+of each face of the simplex follows from the tuple's without a solve.
+Where a dense formula would subtract a zero of the section's kind, the
+sparse loops start from that zero, so entry kinds are those of the dense
+formulas.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from itertools import combinations
 from .cochains import Cochain, _ZERO, _nonzero, _zero, increasing_tuples
 from .liealg import LieAlgebra, Representation, _bracket_into
 from .linalg import solve_linear, sparse_rref, sparse_transpose
-from .scalars import MultiPoly, _coerce_scalar, _fraction, as_poly
+from .scalars import MultiPoly, _coerce_scalar, _fraction
 
 __all__ = [
     "Extension",
@@ -75,7 +74,6 @@ __all__ = [
     "section_curvature",
     "s_from_section",
     "is_invariant",
-    "param_section",
     "param_curvature",
 ]
 
@@ -201,15 +199,15 @@ class Section:
     """Linear right inverse of the projection, given as a dim(total) x dim(base)
     matrix; ``_cols[i]`` holds the nonzero entries {row: entry} of sigma e_i
     and ``_kind_zero`` the zero of its entry kind: the MultiPoly zero of its
-    first polynomial entry, else Fraction(0), unless _of is given the kind."""
+    first polynomial entry, else Fraction(0)."""
 
     __slots__ = ("extension", "_cols", "_kind_zero")
 
     @classmethod
-    def _of(cls, extension: Extension, cols, kind_zero) -> "Section":
-        """Trusted constructor: ``cols`` and ``kind_zero`` as stored, unchecked."""
+    def _of(cls, extension: Extension, cols) -> "Section":
+        """Trusted constructor of a rational section: ``cols`` as stored, unchecked."""
         sec = object.__new__(cls)
-        sec.extension, sec._cols, sec._kind_zero = extension, cols, kind_zero
+        sec.extension, sec._cols, sec._kind_zero = extension, cols, _ZERO
         return sec
 
     def __init__(self, extension: Extension, matrix):
@@ -263,6 +261,23 @@ def validate_section(ext: Extension, sec: Section) -> bool:
             if acc != (1 if i == j else 0):
                 return False
     return True
+
+
+def _check_sections(ext: Extension, sections, names=None):
+    """Raise on an entry of a tuple of sections that is not a valid section of
+    ext: TypeError on one that is not a Section, InvalidSection on a
+    polynomial one when there are two or more, and on one that fails
+    q . sigma = id.  ``names`` labels the sections in the messages, by
+    default "section {idx}"."""
+    if names is None:
+        names = [f"section {idx}" for idx in range(len(sections))]
+    for name, sec in zip(names, sections):
+        if not isinstance(sec, Section):
+            raise TypeError(f"{name} must be a Section, not {type(sec).__name__}")
+        if len(sections) > 1 and sec.is_polynomial:
+            raise InvalidSection(f"{name} must be rational")
+        if not validate_section(ext, sec):
+            raise InvalidSection(f"{name} fails q . sigma = id")
 
 
 def kernel_coords(ext: Extension, *vecs):
@@ -447,8 +462,7 @@ class _Vertices:
 
 def _family_curvature(vertices: _Vertices) -> Cochain:
     """R_t of the family through the vertices, assembled from their curvatures
-    and cross terms: every entry a MultiPoly in t_1..t_n, as param_curvature
-    gives it."""
+    and cross terms: every entry a MultiPoly in t_1..t_n."""
     n = len(vertices.differences)
     curvs, cross = vertices.curvatures, vertices.cross
 
@@ -538,45 +552,13 @@ def _pullback(ext: Extension, rep: Representation):
     return [rows if any(rows) else None for rows in pulled]
 
 
-def param_section(ext: Extension, sections) -> Section:
-    """Interpolating section sigma_t = sigma_0 + sum_i t_i (sigma_i - sigma_0).
-
-    Given n+1 valid rational sections, returns a section with MultiPoly
-    entries in t_1..t_n; the barycentric t_0 is eliminated at construction.
-    """
+def param_curvature(ext: Extension, sections) -> Cochain:
+    """R_t of the family sigma_t = sigma_0 + sum_i t_i (sigma_i - sigma_0)
+    through n+1 valid rational sections, every entry a MultiPoly in
+    t_1..t_n (the barycentric t_0 eliminated), assembled from the data of
+    the sections, all read by one kernel_coords call."""
     sections = list(sections)
     if len(sections) < 2:
         raise ValueError("need at least two sections to interpolate")
-    for idx, sec in enumerate(sections):
-        if sec.is_polynomial:
-            raise InvalidSection(f"input section {idx} must be rational")
-        if not validate_section(ext, sec):
-            raise InvalidSection(f"input section {idx} fails q . sigma = id")
-    return _interpolate(ext, sections)
-
-
-def _interpolate(ext: Extension, sections) -> Section:
-    """param_section on validated rational sections, built from their columns:
-    a MultiPoly per row where some section is nonzero, and a polynomial kind
-    stated, not read off the entries, so a family that stores none has it."""
-    n = len(sections) - 1
-    units = [tuple(int(i == v) for v in range(n)) for i in range(n)]
-    cols = []
-    for c, col_0 in enumerate(sections[0]._cols):
-        terms = {r: {(0,) * n: b} for r, b in col_0.items()}
-        for unit, sec in zip(units, sections[1:]):
-            col = sec._cols[c]
-            for r in col.keys() | col_0.keys():
-                diff = col.get(r, 0) - col_0.get(r, 0)
-                if diff:
-                    terms.setdefault(r, {})[unit] = diff
-        cols.append({r: MultiPoly._of(n, terms[r]) for r in sorted(terms)})
-    return Section._of(ext, cols, MultiPoly._of(n, {}))
-
-
-def param_curvature(ext: Extension, sec_t: Section) -> Cochain:
-    """Curvature of an interpolating section, with MultiPoly entries throughout."""
-    if not sec_t.is_polynomial:
-        raise ValueError("expected a polynomial section from param_section")
-    nvars = sec_t._kind_zero.nvars
-    return section_curvature(ext, sec_t).map_values(lambda x: as_poly(x, nvars))
+    _check_sections(ext, sections)
+    return _family_curvature(_Vertices.of(ext, sections, True))

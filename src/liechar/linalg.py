@@ -20,9 +20,9 @@ along, scaled and divided with their row; each carried entry is made a
 Fraction, or kept as a MultiPoly, when its row is turned into integers, so
 every division on it is exact.  solve_linear puts its right-hand sides there,
 one column each, so a list of right-hand sides shares one elimination.  That
-is how a whole cochain of curvature values or section differences, of
-polynomial section families too, is expressed in kernel coordinates: one
-elimination per cochain.  Every entry point takes sparse rows; no dense
+is how a whole cochain of curvature values or section differences, of a
+polynomial section too, is expressed in kernel coordinates: one elimination
+per cochain.  Every entry point takes sparse rows; no dense
 matrix is built here.
 """
 

@@ -1,22 +1,24 @@
 """Exact scalars: rationals, simplex-parameter polynomials, closed-form integration.
 
 Every number in this library is exact.  Plain scalars are
-``fractions.Fraction``, and every coercion to one refuses a float.  Quantities that vary over a simplex of section
-parameters (interpolated sections and their curvatures) are ``MultiPoly``
-values: sparse polynomials with Fraction coefficients in the coordinates
-``t_1 .. t_n`` of the projected simplex
+``fractions.Fraction``, and every coercion to one refuses a float.
+Quantities that vary over a simplex of section parameters (the curvature of
+a section family and what it enters) are ``MultiPoly`` values: sparse
+polynomials with Fraction coefficients in the coordinates ``t_1 .. t_n`` of
+the projected simplex
 
     D_n = { t in R^n : t_i >= 0  and  t_1 + ... + t_n <= 1 }.
 
 A polynomial stores a map from exponent tuples to nonzero coefficients; the
 zero polynomial is the empty map.  Every instance keeps three invariants:
 each coefficient is a nonzero Fraction, and each key is a tuple of nvars
-non-negative ints.  The public constructor checks and coerces its input into
-that form; the arithmetic methods build their results through the trusted
-constructor ``_of``, which skips those checks, so each of them drops the zero
-coefficients it produces itself and combines only terms that already hold
-the invariants.  Terms are ordered graded-lexicographically
-for serialization, so equal polynomials serialize to identical bytes.
+non-negative ints.  The public constructor refuses an exponent that is not
+an int and coerces each coefficient into that form; the arithmetic methods
+build their results through the trusted constructor ``_of``, which skips
+those checks, so each of them drops the zero coefficients it produces itself
+and combines only terms that already hold the invariants.  Terms are ordered
+graded-lexicographically for serialization, so equal polynomials serialize
+to identical bytes.
 
 Integration over D_n with Lebesgue measure is closed form on monomials,
 
@@ -97,10 +99,10 @@ class MultiPoly:
             raise ValueError("variable count must be non-negative")
         self.nvars = nvars
         clean = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps!r} for {nvars} variables")
+        for key, coeff in (terms or {}).items():
+            exps = tuple(key)
+            if len(exps) != nvars or any(type(e) is not int or e < 0 for e in exps):
+                raise ValueError(f"bad exponent vector {key!r} for {nvars} variables")
             coeff = _fraction(coeff)
             if coeff:
                 clean[exps] = coeff

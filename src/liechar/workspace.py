@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from .characteristic import CharacteristicClass
-from .cochains import Cochain, SymMultiMap, _ZERO, _nondecreasing_walk, _nonzero
+from .cochains import Cochain, SymMultiMap, _nondecreasing_walk, _nonzero
 from .extensions import Extension, Section, validate_extension, validate_section
 from .liealg import (LieAlgebra, Representation, _require_representation,
                      algebra_from_brackets)
@@ -331,13 +331,16 @@ def _section_from_json(name, obj, extensions, location, memo):
     ext = _referent("section", name, obj, ("extension", "matrix"), "extension", extensions,
                     "extension", location)
     rows = _rows(obj.get("matrix"), ext.total.dim, ext.base.dim, f"{location}.matrix", memo)
-    sec = Section._of(ext, sparse_transpose(rows, ext.base.dim), _ZERO)
+    sec = Section._of(ext, sparse_transpose(rows, ext.base.dim))
     if not validate_section(ext, sec):
         raise ValidationError(f"section '{name}': q . sigma is not the identity")
     return sec
 
 
 def _section_to_json(name, sec, extensions):
+    if sec.is_polynomial:
+        raise ValueError(f"section '{name}' has polynomial entries; "
+                         "a workspace holds rational sections only")
     return {
         "extension": _name_of(extensions, sec.extension, f"section '{name}'", "extension"),
         "matrix": [[rational_to_str(c) for c in row] for row in sec.matrix],

@@ -13,7 +13,7 @@ from liechar import (
     abelian, adjoint_representation, algebra_from_brackets, as_poly,
     compose_sym, heisenberg, heisenberg3, increasing_tuples, oscillator,
     integrate_poly_simplex, kernel_coords, nondecreasing_tuples,
-    param_curvature, param_section, rational_from_str, section_curvature,
+    rational_from_str,
     semidirect_product, trivial_representation,
 )
 from liechar import extensions as extensions_module
@@ -563,8 +563,9 @@ def reference_param_section(ext, sections):
 
 
 def reference_param_curvature(ext, sec_t):
-    """Reference R_t: the dense curvature of sigma_t with every entry a MultiPoly."""
-    nvars = next(c.nvars for row in sec_t.matrix for c in row)
+    """Reference R_t: the dense curvature of sigma_t with every entry a MultiPoly
+    (over a zero-dimensional base sigma_t has no entry, and R_t no value)."""
+    nvars = next((c.nvars for row in sec_t.matrix for c in row), 0)
     return to_poly(reference_section_curvature(ext, sec_t), nvars)
 
 
@@ -606,17 +607,20 @@ def poly_total_degree(p):
 
 
 def reference_delta_f(ext, f, sections):
-    """Reference Delta_f: every argument a MultiPoly, every entry integrated over D_n."""
+    """Reference Delta_f: every argument a MultiPoly, every entry integrated over D_n.
+    The arguments come from the reference builders only, so the oracle shares
+    no code with the vertex data of the library."""
     p = f.degree
     n = len(sections) - 1
     if n == 0:
         if p == 0:
             return Cochain(ext.base, 0, f.target_dim, {(): f.entry(())})
-        return compose_sym(f, [section_curvature(ext, sections[0])] * p)
-    args = [to_poly(section_difference(ext, sections[i], sections[0]), n)
+        return compose_sym(f, [reference_section_curvature(ext, sections[0])] * p)
+    args = [to_poly(reference_section_difference(ext, sections[i], sections[0]), n)
             for i in range(1, n + 1)]
     if p > n:
-        args.extend([param_curvature(ext, param_section(ext, sections))] * (p - n))
+        args.extend([reference_param_curvature(
+            ext, reference_param_section(ext, sections))] * (p - n))
     integrand = compose_sym(f, args)
     return integrand.map_values(lambda s: integrate_poly_simplex(as_poly(s, n)))
 

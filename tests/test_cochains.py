@@ -22,7 +22,7 @@ from liechar import cochains, liealg
 from liechar import (Cochain, MultiPoly, Representation, Section, SymMultiMap, abelian,
                      adjoint_representation, ce_differential, chern_weil, cohomology_space,
                      compose_sym, delta_f, heisenberg3, increasing_tuples, nondecreasing_tuples,
-                     param_curvature, param_section, parse_workspace, section_curvature,
+                     param_curvature, parse_workspace, section_curvature,
                      serialize_workspace, trivial_representation,
                      validate_extension, verify_main_theorem)
 from liechar.catalog import (filiform_workspace, heisenberg_central_extension,
@@ -232,7 +232,7 @@ def storage_corpus():
             yield (f"section_difference {ws_name}.{a}{b}",
                    section_difference(ext, secs[a], secs[b]))
             yield (f"param_curvature {ws_name}.{a}{b}",
-                   param_curvature(ext, param_section(ext, [secs[a], secs[b]])))
+                   param_curvature(ext, [secs[a], secs[b]]))
         for name, f in sorted(ws.polynomials.items()):
             for n in range(min(f.degree, len(secs) - 1) + 1):
                 with warnings.catch_warnings():

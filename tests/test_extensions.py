@@ -10,7 +10,7 @@ from liechar import (ExactnessViolation, Extension, InvalidSection, MultiPoly, N
                      chern_weil, algebra_from_brackets, as_poly, delta_f, secondary_class,
                      verify_main_theorem,
                      heisenberg3, is_invariant, param_curvature,
-                     param_section, parse_workspace, s_from_section,
+                     parse_workspace, s_from_section,
                      kernel_coords, section_curvature, solve_linear,
                      trivial_representation, validate_extension, validate_section)
 from liechar import extensions as extensions_module
@@ -296,8 +296,9 @@ class TestKernelActionAgainstReference:
                 sections = [rand_section(rng, copy) for _ in range(3)]
                 if copy is ext:
                     sections += section_pool(rng, name, ext, 3)
-                families = [param_section(copy, sections[:2]), param_section(copy, sections[:3]),
-                            param_section(copy, [sections[0], sections[0]])]
+                families = [reference_param_section(copy, sections[:2]),
+                            reference_param_section(copy, sections[:3]),
+                            reference_param_section(copy, [sections[0], sections[0]])]
                 yield name, copy, sections + families
 
     def test_induced_actions_match(self):
@@ -366,7 +367,7 @@ class TestKernelActionAgainstReference:
             assert not any(extensions_module._kernel_action(ext, [(x, 1)]))
         sec = Section(ext, [[0, 0], [1, 0], [0, 1], [0, 0]])
         other = Section(ext, [[0, 0], [1, 0], [0, 1], [1, 0]])
-        for escaping in (sec, param_section(ext, [sec, other])):
+        for escaping in (sec, reference_param_section(ext, [sec, other])):
             with pytest.raises(ExactnessViolation):
                 s_from_section(ext, escaping)
         with pytest.raises(ExactnessViolation):
@@ -652,12 +653,11 @@ class TestZeroDimensionalBase:
             chern_weil(ext, kernel_functional(ext.kernel, 2), sec, triv, mode="strict")
 
     def test_family_is_polynomial_with_empty_curvature(self):
-        # the family stores no entry, yet its kind is polynomial
+        # over a zero-dimensional base R_t has no value, yet its shape is that
+        # of a kernel-valued 2-cochain
         ext = point_base_extension()
         sections = [Section(ext, [[], [], []]) for _ in range(2)]
-        family = param_section(ext, sections)
-        assert family.is_polynomial
-        curv = param_curvature(ext, family)
+        curv = param_curvature(ext, sections)
         assert (curv.degree, curv.target_dim, curv.nonzero) == (2, ext.kernel.dim, {})
 
     def test_zero_dimensional_total_reports_its_failures(self):
@@ -674,7 +674,7 @@ class TestAgainstReference:
         rng = random.Random(91)
         for name, ext in fixture_extensions().items():
             sections = section_pool(rng, name, ext, 2) + [rand_section(rng, ext)]
-            for sec in sections + [param_section(ext, sections)]:
+            for sec in sections + [reference_param_section(ext, sections)]:
                 assert (section_curvature(ext, sec)
                         == reference_section_curvature(ext, sec)), name
 
@@ -781,7 +781,7 @@ class TestSparseInvariance:
         rng = random.Random(95)
         outcomes = []
         for name, ext in fixture_extensions().items():
-            sec_t = param_section(ext, [rand_section(rng, ext) for _ in range(2)])
+            sec_t = reference_param_section(ext, [rand_section(rng, ext) for _ in range(2)])
             assert sec_t.is_polynomial
             for rep, degree in product([trivial_representation(ext.base, 1),
                                         adjoint_representation(ext.base)], range(1, 3)):
@@ -807,7 +807,8 @@ class TestValidateSectionAgainstReference:
         outcomes = []
         for name, ext in exts.items():
             sections = [rand_section(rng, ext) for _ in range(3)]
-            families = [param_section(ext, sections[:2]), param_section(ext, sections)]
+            families = [reference_param_section(ext, sections[:2]),
+                        reference_param_section(ext, sections)]
             candidates = (sections + families
                           + [perturbed(rng, sec) for sec in sections + sections + families])
             for sec in candidates:
@@ -821,7 +822,7 @@ class TestValidateSectionAgainstReference:
         rng = random.Random(97)
         ext = point_base_extension()
         sections = [rand_section(rng, ext) for _ in range(2)]
-        for sec in sections + [param_section(ext, sections)]:
+        for sec in sections + [reference_param_section(ext, sections)]:
             assert sec.matrix == [[], [], []]
             assert validate_section(ext, sec) is reference_validate_section(ext, sec) is True
 
@@ -838,7 +839,7 @@ def _same_table(got, want):
 
 class TestSparseSections:
     """A section keeps the nonzero entries of its columns; the curvature,
-    difference, interpolation and section check read them and agree, in
+    difference, family curvature and section check read them and agree, in
     value and entry kind, with the dense references in helpers."""
 
     @staticmethod
@@ -854,9 +855,8 @@ class TestSparseSections:
                 sections = [lift] + [rand_section(rng, copy) for _ in range(3)]
                 if copy is ext:
                     sections += section_pool(rng, name, ext, 2)
-                families = [param_section(copy, sections[:2]), param_section(copy, sections[:3]),
-                            param_section(copy, [lift, lift]),
-                            param_section(copy, [sections[1], lift])]
+                families = [reference_param_section(copy, chosen) for chosen in (
+                    sections[:2], sections[:3], [lift, lift], [sections[1], lift])]
                 yield name, copy, sections, families
 
     def test_columns_are_the_nonzero_entries_of_the_matrix(self):
@@ -900,11 +900,8 @@ class TestSparseSections:
                 _same_table(section_difference(ext, a, b),
                             reference_section_difference(ext, a, b))
             for chosen in (sections[:2], sections[:3], [sections[0], sections[0]]):
-                got, want = param_section(ext, chosen), reference_param_section(ext, chosen)
-                assert got.matrix == want.matrix, name
-                assert ([[type(x) for x in row] for row in got.matrix]
-                        == [[type(x) for x in row] for row in want.matrix])
-                _same_table(param_curvature(ext, got), reference_param_curvature(ext, want))
+                _same_table(param_curvature(ext, chosen),
+                            reference_param_curvature(ext, reference_param_section(ext, chosen)))
 
     def test_validate_section_matches_the_dense_product(self):
         outcomes = []
@@ -920,62 +917,56 @@ class TestSparseSections:
 
 
 class TestParamFamily:
-    def test_equal_sections_give_constant_family(self):
-        ext, s0, _ = oscillator_sections()
-        st = param_section(ext, [s0, s0])
-        assert st.is_polynomial
-        for r in range(4):
-            assert as_poly(st.matrix[r][0], 1).is_constant()
+    """R_t of the family through rational sections, from param_curvature."""
 
-    def test_oscillator_affine_combination(self):
-        ext, s0, sz = oscillator_sections()
-        st = param_section(ext, [s0, sz])
-        assert st.matrix[2][0].terms.get((1,), 0) == 1
-        assert st.matrix[3][0] == 1
+    def test_equal_sections_give_constant_family(self):
+        rng = random.Random(80)
+        for name, ext in fixture_extensions().items():
+            sec = rand_section(rng, ext)
+            rt = param_curvature(ext, [sec, sec])
+            assert rt == to_poly(section_curvature(ext, sec), 1), name
+            assert all(x.is_constant() for val in rt.nonzero.values() for x in val), name
 
     def test_projection_composes_to_identity_as_polynomials(self):
         rng = random.Random(81)
         ext = filiform_extension()
         sections = [rand_section(rng, ext) for _ in range(3)]
-        st = param_section(ext, sections)
+        st = reference_param_section(ext, sections)
         assert validate_section(ext, st)
 
     def test_rejects_invalid_input_section(self):
         ext, s0, _ = oscillator_sections()
         broken = Section(ext, [[0]] * 4)
-        with pytest.raises(InvalidSection):
-            param_section(ext, [s0, broken])
+        with pytest.raises(InvalidSection, match="^section 1 fails q . sigma = id$"):
+            param_curvature(ext, [s0, broken])
 
     def test_entries_keep_the_multipoly_invariants(self):
-        """Each entry equals b + sum_i t_i (s_i - b) in public MultiPoly arithmetic,
-        stores only nonzero Fraction coefficients and keys of nvars ints."""
+        """Each entry of R_t is the reference entry, a MultiPoly in n variables
+        that stores only nonzero Fraction coefficients and keys of n ints."""
         rng = random.Random(86)
-        zero_bases = 0
+        varying = 0
         for name, ext in fixture_extensions().items():
             sections = [rand_section(rng, ext) for _ in range(3)]
             for chosen in (sections[:2], sections, [sections[1]] * 3):
                 n = len(chosen) - 1
-                for r, row in enumerate(param_section(ext, chosen).matrix):
-                    for c, entry in enumerate(row):
-                        b = chosen[0].matrix[r][c]
-                        want = MultiPoly.constant(n, b)
-                        for i, sec in enumerate(chosen[1:]):
-                            want = want + poly_variable(n, i) * (sec.matrix[r][c] - b)
-                        assert type(entry) is MultiPoly and entry.nvars == want.nvars == n
-                        assert entry.terms == want.terms, (name, r, c)
+                rt = param_curvature(ext, chosen)
+                want = reference_param_curvature(ext, reference_param_section(ext, chosen))
+                for key, val in rt.nonzero.items():
+                    for entry, expected in zip(val, want.entry(key)):
+                        assert type(entry) is MultiPoly and entry.nvars == expected.nvars == n
+                        assert entry.terms == expected.terms, (name, key)
                         assert all(type(x) is Fraction and x for x in entry.terms.values())
-                        assert all(type(key) is tuple and len(key) == n
-                                   and all(type(e) is int for e in key) for key in entry.terms)
-                        zero_bases += not b
-        assert zero_bases >= 10
+                        assert all(type(k) is tuple and len(k) == n
+                                   and all(type(e) is int for e in k) for k in entry.terms)
+                        varying += not entry.is_constant()
+        assert varying  # some entries depend on t
 
     def test_vertex_specialization_matches_sections(self):
         rng = random.Random(82)
         for name in ("heisenberg", "filiform", "affine", "euclidean"):
             ext = fixture_extensions()[name]
             sections = [rand_section(rng, ext) for _ in range(3)]
-            st = param_section(ext, sections)
-            rt = param_curvature(ext, st)
+            rt = param_curvature(ext, sections)
             n = 2
             for i, sec in enumerate(sections):
                 point = [Fraction(0)] * n
@@ -988,7 +979,7 @@ class TestParamFamily:
         rng = random.Random(83)
         ext = heisenberg_central_extension(2)
         sections = [rand_section(rng, ext) for _ in range(3)]
-        rt = param_curvature(ext, param_section(ext, sections))
+        rt = param_curvature(ext, sections)
         assert all(poly_total_degree(v) <= 2
                    for val in rt.values.values() for v in val)
 
@@ -996,7 +987,7 @@ class TestParamFamily:
         ext = heisenberg_central_extension()
         s0 = Section(ext, [[1, 0], [0, 1], [0, 0]])
         s1 = Section(ext, [[1, 0], [0, 1], [1, 0]])
-        rt = param_curvature(ext, param_section(ext, [s0, s1]))
+        rt = param_curvature(ext, [s0, s1])
         assert rt.entry((0, 1))[0] == 1  # constant polynomial z-coefficient
 
     def test_family_derivative_is_twisted_derivative_of_difference(self):
@@ -1004,8 +995,8 @@ class TestParamFamily:
         for name in ("heisenberg", "filiform", "affine", "oscillator"):
             ext = fixture_extensions()[name]
             sections = section_pool(rng, name, ext, 3)
-            st = param_section(ext, sections)
-            rt = param_curvature(ext, st)
+            st = reference_param_section(ext, sections)
+            rt = param_curvature(ext, sections)
             st_mats = [dense_kernel_action(cols) for cols in s_from_section(ext, st)]
             for i in (1, 2):
                 alpha = to_poly(section_difference(ext, sections[i], sections[0]), 2)
@@ -1097,7 +1088,7 @@ class TestKernelCoordinates:
         for name, ext in exts.items():
             sections = section_pool(rng, name, ext, 2)
             dg = ext.base.dim
-            for sec in sections + [param_section(ext, sections)]:
+            for sec in sections + [reference_param_section(ext, sections)]:
                 calls.clear()
                 section_curvature(ext, sec)
                 assert calls == ([dg * (dg - 1) // 2] if dg > 1 else []), name
@@ -1115,9 +1106,10 @@ class TestKernelCoordinates:
 
 class TestVertexData:
     """The data of a section tuple: R_t assembled from the vertex curvatures and
-    the cross brackets [D_i x, D_j y] is the curvature of the interpolated
-    family, value for value and kind for kind, and the data of each face,
-    derived from the tuple's, is the data built from the face's sections."""
+    the cross brackets [D_i x, D_j y] is the dense curvature of the reference
+    interpolated family, value for value and kind for kind, and the data of
+    each face, derived from the tuple's, is the data built from the face's
+    sections."""
 
     @staticmethod
     def standard_section(ext):
@@ -1146,13 +1138,27 @@ class TestVertexData:
     def test_assembled_family_curvature_is_param_curvature(self):
         for label, ext, sections in self.cases():
             n = len(sections) - 1
-            vertices = extensions_module._Vertices.of(ext, sections, True)
-            got = extensions_module._family_curvature(vertices)
-            want = param_curvature(ext, param_section(ext, sections))
+            got = param_curvature(ext, sections)
+            want = reference_param_curvature(ext, reference_param_section(ext, sections))
             _same_table(got, want)
             assert (got.degree, got.target_dim) == (want.degree, want.target_dim), label
             assert all(type(x) is MultiPoly and x.nvars == n
                        for val in got.values.values() for x in val), label
+
+    def test_param_curvature_reads_rational_values_by_one_solve(self, monkeypatch):
+        calls = []
+        original = extensions_module.kernel_coords
+
+        def counting(ext, *vecs):
+            calls.append(vecs)
+            return original(ext, *vecs)
+
+        monkeypatch.setattr(extensions_module, "kernel_coords", counting)
+        for label, ext, sections in self.cases():
+            calls.clear()
+            param_curvature(ext, sections)
+            assert len(calls) == 1, label
+            assert not any(type(x) is MultiPoly for vec in calls[0] for x in vec), label
 
     def test_faces_are_the_data_of_the_face_sections(self):
         for label, ext, sections in self.cases():

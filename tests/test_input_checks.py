@@ -8,7 +8,7 @@ from liechar import (Cochain, DegreeError, Extension, InvalidSection, MultiPoly,
                      algebra_from_brackets, as_poly, ce_differential, chern_weil,
                      cohomology_space, compose_sym, delta_f, heisenberg, heisenberg3,
                      integrate_monomial_simplex, is_invariant, oscillator, param_curvature,
-                     param_section, rational_to_str, secondary_class, trivial_representation,
+                     rational_to_str, secondary_class, trivial_representation,
                      verify_main_theorem)
 from liechar.catalog import oscillator_extension
 
@@ -104,19 +104,19 @@ def invariance_section_mode_without_section():
     is_invariant(fz, ext, triv, "section")
 
 
-def interpolate_one_section():
+def family_of_one_section():
     ext, s0, _, _, _ = oscillator_inputs()
-    param_section(ext, [s0])
+    param_curvature(ext, [s0])
 
 
-def interpolate_polynomial_section():
-    ext, s0, sz, _, _ = oscillator_inputs()
-    param_section(ext, [s0, param_section(ext, [s0, sz])])
-
-
-def curvature_of_rational_section():
+def family_through_a_polynomial_section():
     ext, s0, _, _, _ = oscillator_inputs()
-    param_curvature(ext, s0)
+    param_curvature(ext, [s0, Section(ext, [[0], [0], [MultiPoly(1, {(1,): 1})], [1]])])
+
+
+def family_through_an_invalid_section():
+    ext, s0, _, _, _ = oscillator_inputs()
+    param_curvature(ext, [Section(ext, [[0]] * 4), s0])
 
 
 def representation_shape():
@@ -136,6 +136,8 @@ def not_a_section(call, position):
         return chern_weil(ext, fz, sections[position], triv)
     if call is secondary_class:
         return secondary_class(ext, fz, *sections, triv)
+    if call is param_curvature:
+        return param_curvature(ext, sections)
     return call(ext, fz, sections, triv)
 
 
@@ -171,17 +173,24 @@ CHECKS = [
      "unknown invariance mode 'loose'"),
     ("is_invariant section", invariance_section_mode_without_section, ValueError,
      "section mode needs a section"),
-    ("param_section one", interpolate_one_section, ValueError,
+    ("param_curvature one", family_of_one_section, ValueError,
      "need at least two sections to interpolate"),
-    ("param_section polynomial", interpolate_polynomial_section, InvalidSection,
-     "input section 1 must be rational"),
-    ("param_curvature rational", curvature_of_rational_section, ValueError,
-     "expected a polynomial section from param_section"),
+    ("param_curvature polynomial", family_through_a_polynomial_section, InvalidSection,
+     "section 1 must be rational"),
+    ("param_curvature invalid", family_through_an_invalid_section, InvalidSection,
+     "section 0 fails q . sigma = id"),
     ("heisenberg(0)", lambda: heisenberg(0), ValueError, "heisenberg(m) needs m >= 1"),
     ("Representation shape", representation_shape, ValueError,
      "representation needs one space_dim x space_dim matrix per basis element"),
     ("MultiPoly product", lambda: MultiPoly(1, {(1,): 1}) * MultiPoly(2, {(0, 1): 1}),
      ValueError, "polynomial variable counts differ"),
+    # an exponent is an int: any other value is refused, not truncated
+    ("MultiPoly float exponent", lambda: MultiPoly(2, {(1.5, 0): 3}), ValueError,
+     "bad exponent vector (1.5, 0) for 2 variables"),
+    ("MultiPoly bool exponent", lambda: MultiPoly(2, {(True, 0): 3}), ValueError,
+     "bad exponent vector (True, 0) for 2 variables"),
+    ("MultiPoly string exponent", lambda: MultiPoly(1, {("2",): 3}), ValueError,
+     "bad exponent vector ('2',) for 1 variables"),
     ("as_poly", lambda: as_poly(MultiPoly(1, {(1,): 1}), 2), ValueError,
      "polynomial variable counts differ"),
     ("constant_value", lambda: MultiPoly(1, {(1,): 2}).constant_value(), ValueError,
@@ -219,7 +228,8 @@ CHECKS = [
           (delta_f, 0, "section 0"), (delta_f, 1, "section 1"),
           (chern_weil, 0, "section 0"), (secondary_class, 0, "first section"),
           (secondary_class, 1, "second section"), (verify_main_theorem, 0, "section 0"),
-          (verify_main_theorem, 1, "section 1"))),
+          (verify_main_theorem, 1, "section 1"), (param_curvature, 0, "section 0"),
+          (param_curvature, 1, "section 1"))),
 ]
 
 

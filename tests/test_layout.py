@@ -17,7 +17,11 @@
 - ``LieAlgebra``, ``Representation``, ``Cochain``, ``SymMultiMap`` and
   ``Section`` store their sparse table and no dense or full-table copy of it;
 - outside ``cochains``, only ``characteristic._delta_f`` calls ``compose_sym``,
-  so Delta_f, f applied to section curvatures and differences, is written once.
+  so Delta_f, f applied to section curvatures and differences, is written once;
+- only ``characteristic._delta_f`` and ``extensions.param_curvature`` call
+  ``_family_curvature``, so R_t of a section family is built one way, and
+  only ``section_curvature`` and ``_Vertices.of`` run the curvature loop
+  ``_curvature_values``.
 """
 
 import ast
@@ -258,16 +262,37 @@ def test_tables_are_stored_sparse_only(cls, slots):
     assert not hasattr(object.__new__(cls), "__dict__")
 
 
-def compose_sym_callers(name):
-    """module.function for each top-level definition of a module that calls
-    compose_sym, by name or as an attribute."""
-    return sorted({f"{name}.{node.name}" for node in tree(name).body
-                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+def functions(name):
+    """(module.function or module.Class.method, node) for each top-level
+    function of a module and each method of its top-level classes."""
+    for node in tree(name).body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{name}.{node.name}", node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{name}.{node.name}.{sub.name}", sub
+
+
+def callers(target, modules=MODULES):
+    """The definitions of the given modules that call target, by name or as an
+    attribute."""
+    return sorted({qualified for name in modules for qualified, node in functions(name)
                    for sub in ast.walk(node)
-                   if isinstance(sub, ast.Call) and "compose_sym" in (
+                   if isinstance(sub, ast.Call) and target in (
                        getattr(sub.func, "id", None), getattr(sub.func, "attr", None))})
 
 
 def test_only_delta_f_composes_outside_cochains():
-    callers = [c for name in MODULES if name != "cochains" for c in compose_sym_callers(name)]
-    assert callers == ["characteristic._delta_f"]
+    assert callers("compose_sym", [n for n in MODULES if n != "cochains"]) == [
+        "characteristic._delta_f"]
+
+
+def test_family_curvature_has_two_callers():
+    assert callers("_family_curvature") == [
+        "characteristic._delta_f", "extensions.param_curvature"]
+
+
+def test_curvature_loop_has_two_callers():
+    assert callers("_curvature_values") == [
+        "extensions._Vertices.of", "extensions.section_curvature"]

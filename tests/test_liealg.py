@@ -458,8 +458,7 @@ class TestValidByConstruction:
     # Each reference to a trusted constructor _of in the package, as
     # "module.function:class", with the check that must run on what it builds
     # in the same function, or None for constructions valid by themselves: the
-    # zero table, the trivial and adjoint modules, and the interpolated family,
-    # built from sections its callers validated.  The workspace reader builds
+    # zero table and the trivial and adjoint modules.  The workspace reader builds
     # modules, extensions and sections from the sparse rows it reads, so each
     # of those is checked as the public constructor would check it.
     TRUSTED = {
@@ -471,7 +470,6 @@ class TestValidByConstruction:
         "workspace._rep_from_json:Representation": "_require_representation",
         "workspace._extension_from_json:Extension": "validate_extension",
         "workspace._section_from_json:Section": "validate_section",
-        "extensions._interpolate:Section": None,
     }
 
     @staticmethod

@@ -13,7 +13,7 @@ from liechar import cochains
 from liechar import (Cochain, Extension, MultiPoly, ParseError, Representation, Section,
                      SymMultiMap, ValidationError, Workspace, abelian, adjoint_representation,
                      canonical_dumps, cochain_to_json, heisenberg3, nondecreasing_tuples,
-                     param_curvature, param_section, parse_workspace, rational_from_str,
+                     param_curvature, parse_workspace, rational_from_str,
                      rational_to_str, serialize_workspace, trivial_representation)
 from liechar.catalog import (filiform_workspace, heisenberg_workspace,
                              oscillator_workspace)
@@ -558,6 +558,21 @@ class TestReferenceMessages:
         assert type(caught.value) is ValueError
         assert str(caught.value) == f"{kind} '{name}' refers to an unregistered {target}"
 
+    def test_writer_refuses_a_polynomial_section(self):
+        # the schema reads rational literals only, so the writer refuses what
+        # the reader could not read back
+        ws = heisenberg_workspace()
+        ext = ws.extensions["heis"]
+        t = MultiPoly(1, {(1,): 1})
+        ws.sections["family"] = Section(
+            ext, [[x + t * (y - x) for x, y in zip(row_a, row_b)]
+                  for row_a, row_b in zip(ws.sections["s0"].matrix, ws.sections["s1"].matrix)])
+        with pytest.raises(ValueError) as caught:
+            serialize_workspace(ws)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == ("section 'family' has polynomial entries; "
+                                     "a workspace holds rational sections only")
+
 
 class TestSizeBound:
     """The entry count is compared with the number of tuples before enumerating them."""
@@ -747,7 +762,7 @@ class TestCochainJson:
     def test_polynomial_round_trip(self, names):
         ws = filiform_workspace()
         ext = ws.extensions["fil"]
-        rt = param_curvature(ext, param_section(ext, [ws.sections[n] for n in names]))
+        rt = param_curvature(ext, [ws.sections[n] for n in names])
         obj = cochain_to_json(rt)
         back = read_cochain(obj, ext.base, ext.kernel.dim, nvars=len(names) - 1)
         assert back == rt

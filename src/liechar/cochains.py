@@ -11,31 +11,41 @@ stores only the tuples whose vector is not all zero (``nonzero``), which the
 operators read; ``values`` is a read-only view of the full table, zeros
 included, which the writers walk.  A cochain sums over the product of the
 arguments' supports (their nonzero coordinates), so the cost is the product
-of the support sizes rather than d^p; a symmetric map is contracted slot by
-slot, last argument outermost, and terms that share a partial sum compute it
-once.  Scalar entries are Fraction or MultiPoly; every operator here is
-generic over the two kinds.
+of the support sizes rather than d^p; a symmetric map is contracted with the
+symmetric tensor of its arguments, as in the composition below, each vector
+a degree-0 argument.  Scalar entries are Fraction or MultiPoly; every
+operator here is generic over the two kinds.
 The public constructors check and coerce every entry of a full table;
 package code that already holds the nonzero vectors of exact entries (the
 basis cochains of a cohomology space, the operators here) builds the table
 through the trusted constructor _of, which skips those checks.
 
-The composition of a symmetric map f with cochains a_1..a_p is a signed
-shuffle sum over the ordered partitions of the output positions into
-increasing blocks, one block per argument,
+The composition of a symmetric map f with cochains a_1..a_p is f applied to
+their iterated wedge, a signed shuffle sum over the ordered partitions of
+the output positions into increasing blocks, one block per argument,
 
     f~(a_1..a_p)(x_1..x_N) = sum over partitions B_1..B_p of
-                             sign(B) * f(a_1(x_B_1), .., a_p(x_B_p)),
+                             sign(B) * f(a_1(x_B_1), .., a_p(x_B_p)).
 
-so the iterated wedge into symmetric tensors is never built.  The
-partitions are enumerated once per call, into one table of (weight, blocks)
-shared by every output key, and not at all when the output has no key.  A
-run of r consecutive arguments that are one cochain of even degree (the p - n
-copies of a curvature in Delta_f) keeps only the partitions whose blocks in
-the run start in increasing order, weighted by r!: reordering even-size
-blocks is an even permutation and f is symmetric, so all r! orderings give
-the same term.  Odd-degree repeats are summed in full.  The
-Chevalley-Eilenberg differential with module action rho is
+The shuffle sum is associative, so it is built in p wedge steps.  The wedge
+starts as the empty key with the tensor 1; step j joins each stored key K
+with each nonzero key B of a_j disjoint from it, with the sign of the (K, B)
+shuffle (the parity of the pairs k in K, b in B with k > b), and multiplies
+the tensor of K by the vector a_j(B) into a sparse symmetric tensor on the
+source of f, keyed by the multiset of its coordinates.  f is symmetric, so
+every ordering of a multiset meets one entry of f, and a repeated argument
+needs no weighting.  The steps run on integers: each distinct argument is
+scaled once by the lcm L_j of its denominators (a MultiPoly entry gives one
+integer term per monomial), and a tensor key is one int of bit fields, so
+that multiplying two terms adds their keys.  f is then contracted once per
+output key, reading only its entries at the tensor's keys, and each entry is
+divided once by the product of the L_j.  The entries of an output key are
+MultiPoly when a term behind the key holds a MultiPoly entry of an argument,
+and an entry is one when an entry of f it reads is; the others are Fraction,
+as the same sums from Fraction(0) would give.  Nothing is built when the
+output degree exceeds the dimension of the source.
+
+The Chevalley-Eilenberg differential with module action rho is
 
     (d w)(x_0..x_p) = sum_j (-1)^j rho(x_j) . w(.., x_j omitted, ..)
                     + sum_{i<j} (-1)^{i+j} w([x_i,x_j], .., x_i, x_j omitted, ..);
@@ -55,7 +65,7 @@ from bisect import bisect
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
+from math import comb, lcm
 
 from .liealg import LieAlgebra, Representation
 from .scalars import MultiPoly, _coerce_scalar
@@ -271,9 +281,11 @@ class SymMultiMap(_Table):
         return comb(dim + degree - 1, degree) if dim else int(degree == 0)
 
     def evaluate(self, args):
-        """Symmetric multilinear extension to arbitrary coefficient vectors."""
+        """Symmetric multilinear extension to arbitrary coefficient vectors: the
+        contraction of compose_sym, each vector a degree-0 argument."""
         self._check_arguments(args)
-        return _contraction(self, lambda j, key: args[j])([()] * self.degree)
+        forms = [_integer_form([((), [_coerce_scalar(x) for x in vec])]) for vec in args]
+        return list(_composed(self, forms).get(0, (_ZERO,) * self.target_dim))
 
 
 def _differential_rows(algebra: LieAlgebra, rep: Representation, degree: int):
@@ -344,89 +356,181 @@ def ce_differential(w: Cochain, rep: Representation) -> Cochain:
                        _nonzero((key, tuple(out[i * m:i * m + m])) for i, key in enumerate(keys)))
 
 
-def _ordered_partitions(positions, sizes, tied, floor=-1):
-    """The ordered partitions of positions into increasing blocks of the given
-    sizes; a block j with tied[j] starts after the start of block j - 1
-    (floor, the start of the previous block)."""
-    if not sizes:
-        yield []
-        return
-    free = [p for p in positions if p > floor] if tied[0] else positions
-    for block in combinations(free, sizes[0]):
-        chosen = set(block)
-        remaining = tuple(p for p in positions if p not in chosen)
-        for tail in _ordered_partitions(remaining, sizes[1:], tied[1:], block[0] if block else -1):
-            yield [block] + tail
+def _integer_form(pairs):
+    """One argument's (key, vector) pairs times L, the lcm of their entries'
+    denominators: ([(mask, above, terms)], L, nvars, top).  mask has bit i set
+    for each index i of the key; above is the XOR over i of the masks of the
+    indices larger than i, so the parity of (K & above).bit_count() is the
+    parity of the pairs k in K, i in the key with k > i.  terms lists
+    (coordinate, exponents, n) for each nonzero entry, n the entry times L:
+    exponents None for a rational entry, one term per monomial of a MultiPoly.
+    A key whose vector is zero is dropped.  nvars is the set of the MultiPoly
+    entries' variable counts and top their largest exponent."""
+    pairs = list(pairs)
+    dens, nvars, top = {1}, set(), 0
+    for _, vec in pairs:
+        for x in vec:
+            if type(x) is MultiPoly:
+                nvars.add(x.nvars)
+                for e, c in x.terms.items():
+                    dens.add(c.denominator)
+                    top = max(top, *e, 0)
+            else:
+                dens.add(x.denominator)
+    scale = lcm(*dens)
+    form = []
+    for key, vec in pairs:
+        terms = []
+        for c, x in enumerate(vec):
+            if type(x) is MultiPoly:
+                terms += [(c, e, v.numerator * (scale // v.denominator))
+                          for e, v in x.terms.items()]
+            elif x:
+                terms.append((c, None, x.numerator * (scale // x.denominator)))
+        if terms:
+            mask = above = 0
+            for i in key:
+                mask |= 1 << i
+                above ^= ~((2 << i) - 1)
+            form.append((mask, above, terms))
+    return form, scale, nvars, top
 
 
-def _shuffle_sum(args, keys, out_dim, fn):
-    """(key, sum of weight * fn(key restricted to each block)) for each key, over
-    the ordered partitions of the positions of key into increasing blocks, one
-    per argument and of its degree, weighted by the sign of the permutation the
-    blocks spell.  One table of (weight, blocks) serves every key, and none is
-    built without a key; a run of one cochain of even degree > 0 keeps the
-    partitions whose blocks in the run start in increasing order, weighted r!
-    (see the module docstring)."""
-    if not keys:
-        return
-    sizes = [a.degree for a in args]
-    tied = [j > 0 and a is args[j - 1] and a.degree > 0 and a.degree % 2 == 0
-            for j, a in enumerate(args)]
-    weight = run = 1
-    for t in tied:
-        run = run + 1 if t else 1
-        weight *= run
-    table = [(weight * _perm_sign([pos for block in blocks for pos in block]), blocks)
-             for blocks in _ordered_partitions(tuple(range(sum(sizes))), sizes, tied)]
-    for key in keys:
-        out = [_ZERO] * out_dim
-        for w, blocks in table:
-            val = fn([tuple(key[pos] for pos in block) for block in blocks])
-            out = [o + w * x for o, x in zip(out, val)]
-        yield key, tuple(out)
+class _TensorKeys:
+    """The keys of the symmetric tensors of one call, each one int of bit
+    fields, so that multiplying two tensor terms adds their keys: a field per
+    coordinate of the source of f holds how often the coordinate occurs, the
+    next field how many factors were MultiPoly terms (0 for a rational term),
+    and one field per variable its exponent.  A field of ``width`` bits holds
+    up to the call's argument count, and an exponent field the sum of the
+    arguments' largest exponents.  ``row`` decodes a key, once per call, into
+    the entries of f the contraction reads."""
 
+    def __init__(self, f, forms, nvars):
+        self.f, self.nvars = f, nvars
+        self.width = len(forms).bit_length()
+        self.poly_at = self.width * f.source.dim
+        self.exps_at = self.poly_at + self.width
+        self.ebits = max(1, sum(form[3] for form in forms).bit_length())
+        self.rows = {}
 
-def _contraction(f: SymMultiMap, vector):
-    """keys -> f with each slot j contracted against vector(j, keys[j]).
+    def encode(self, c, e):
+        key = 1 << self.width * c
+        if e is not None:
+            key += 1 << self.poly_at
+            for v, a in enumerate(e):
+                key += a << self.exps_at + self.ebits * v
+        return key
 
-    inner(prefix, chosen) is f at the sorted indices ``chosen`` of the later
-    slots, slot j < len(prefix) contracted against vector(j, prefix[j]); None
-    (not a zero of either kind) when such a slot is zero; memoised below the
-    top, where no two calls share their keys."""
-    memo = {}
-    zeros = (_ZERO,) * f.target_dim
-
-    def inner(prefix, chosen):
-        if not prefix:
-            return f.nonzero.get(chosen, zeros)
-        if (prefix, chosen) in memo:
-            return memo[prefix, chosen]
-        out = None
-        for i, x in enumerate(vector(len(prefix) - 1, prefix[-1])):
-            if x:
-                pos = bisect(chosen, i)
-                sub = inner(prefix[:-1], chosen[:pos] + (i,) + chosen[pos:])
-                if sub is None:
-                    break
-                out = ([x * s for s in sub] if out is None
-                       else [o + x * s for o, s in zip(out, sub)])
-        if chosen:
-            memo[prefix, chosen] = out
+    def row(self, key):
+        """(exponents, rational, polys) of a key: exponents None for a rational
+        term; rational lists (r, (exponents, d), n) for each entry n/d of f at
+        the key's coordinates, polys (r, x) for each MultiPoly entry x."""
+        out = self.rows.get(key)
+        if out is None:
+            field = (1 << self.width) - 1
+            coords = tuple(c for c in range(self.f.source.dim)
+                           for _ in range(key >> self.width * c & field))
+            exps = None
+            if key >> self.poly_at & field:
+                exps = tuple(key >> self.exps_at + self.ebits * v & (1 << self.ebits) - 1
+                             for v in range(self.nvars))
+            val = self.f.nonzero.get(coords, ())
+            out = self.rows[key] = (
+                exps,
+                [(r, (exps, x.denominator), x.numerator)
+                 for r, x in enumerate(val) if type(x) is not MultiPoly and x],
+                [(r, x) for r, x in enumerate(val) if type(x) is MultiPoly])
         return out
 
-    return lambda keys: list(inner(tuple(keys), ()) or [_ZERO] * f.target_dim)
+
+def _wedge_step(wedge, form):
+    """The wedge {mask: tensor} times one argument in integer form, its terms
+    (key increment, n): each stored mask K and argument key B disjoint from it
+    add sign(K, B) times the tensor of K multiplied by B's vector at K | B
+    (see the module docstring)."""
+    out = {}
+    for kmask, tensor in wedge.items():
+        for bmask, above, terms in form:
+            if kmask & bmask:
+                continue
+            odd = (kmask & above).bit_count() & 1
+            target = out.get(kmask | bmask)
+            if target is None:
+                target = out[kmask | bmask] = {}
+            for key, w in tensor.items():
+                if odd:
+                    w = -w
+                for inc, x in terms:
+                    new = key + inc
+                    target[new] = target.get(new, 0) + w * x
+    return out
+
+
+def _contract(tensor, scale, keys):
+    """f contracted with one output key's tensor, each entry divided once by
+    scale: a MultiPoly in nvars variables when a tensor term has exponents or
+    the entry of f read is one, else a Fraction.  Only the entries of f at the
+    tensor's keys are read; a rational entry n/d of f adds t * n to an integer
+    sum per (exponents, d), and each sum is put over d once."""
+    m, nvars = keys.f.target_dim, keys.nvars
+    sums = [{} for _ in range(m)]
+    rests = [_ZERO] * m
+    poly = False
+    for key, t in tensor.items():
+        e, rational, polys = keys.row(key)
+        poly = poly or e is not None
+        for r, k, n in rational:
+            s = sums[r]
+            s[k] = s.get(k, 0) + t * n
+        for r, x in polys:
+            y = t * x
+            rests[r] += y if e is None else MultiPoly._of(nvars, {e: Fraction(1)}) * y
+    out = []
+    for s, rest in zip(sums, rests):
+        groups = {}
+        for (e, d), n in s.items():
+            groups.setdefault(e, []).append((d, n))
+        value = {}
+        for e, pairs in groups.items():
+            den = lcm(*(d for d, _ in pairs))
+            value[e] = Fraction(sum(n * (den // d) for d, n in pairs), den * scale)
+        const = value.pop(None, _ZERO)
+        if type(rest) is MultiPoly:
+            const = const + rest / scale
+        out.append(MultiPoly._of(nvars, {e: c for e, c in value.items() if c}) + const
+                   if poly else const)
+    return tuple(out)
+
+
+def _composed(f, forms):
+    """{output mask: value} of f on the wedge of the arguments in integer form:
+    one wedge step per argument, in order, from the empty key with tensor 1,
+    then one contraction per output mask."""
+    nvars = set().union(*(form[2] for form in forms))
+    if len(nvars) > 1:
+        raise ValueError("polynomial variable counts differ")
+    nvars = next(iter(nvars), 0)
+    keys = _TensorKeys(f, forms, nvars)
+    encoded = {}
+    wedge, scale = {0: {0: 1}}, 1
+    for form in forms:
+        if id(form) not in encoded:
+            encoded[id(form)] = [(mask, above, [(keys.encode(c, e), n) for c, e, n in terms])
+                                 for mask, above, terms in form[0]]
+        wedge = _wedge_step(wedge, encoded[id(form)])
+        scale *= form[1]
+    return {mask: _contract(tensor, scale, keys) for mask, tensor in wedge.items()}
 
 
 def compose_sym(f: SymMultiMap, args) -> Cochain:
     """f-tilde applied to the iterated symmetric-tensor wedge of the arguments.
 
     Each argument cochain (with values in the source of f) occupies one slot
-    of f, so len(args) must equal f.degree.  Computed as the signed sum over
-    ordered partitions of the output positions into per-argument increasing
-    blocks, which avoids building symmetric tensor spaces explicitly.  The
-    terms share the partial sums of one contraction of f and one table of
-    partitions, in which a repeated even-degree argument counts once per set
-    of blocks.
+    of f, so len(args) must equal f.degree.  One wedge step per argument, on
+    integers (each distinct argument object put in integer form once), then
+    f contracted once per output key and one division per entry; nothing is
+    built when the output degree exceeds the dimension of the source.
     """
     if len(args) != f.degree:
         raise ValueError(
@@ -440,7 +544,13 @@ def compose_sym(f: SymMultiMap, args) -> Cochain:
         if a.target_dim != f.source.dim:
             raise ValueError("dimension mismatch")
     degree = sum(a.degree for a in args)
-    zeros = (_ZERO,) * f.source.dim
-    term = _contraction(f, lambda j, key: args[j].nonzero.get(key, zeros))
-    return Cochain._of(src, degree, f.target_dim, _nonzero(
-        _shuffle_sum(args, increasing_tuples(src.dim, degree), f.target_dim, term)))
+    if degree > src.dim:
+        return Cochain._of(src, degree, f.target_dim, {})
+    forms = {}
+    for a in args:
+        if id(a) not in forms:
+            forms[id(a)] = _integer_form(a.nonzero.items())
+    values = _composed(f, [forms[id(a)] for a in args])
+    return Cochain._of(src, degree, f.target_dim, _nonzero(sorted(
+        (tuple(i for i in range(src.dim) if mask >> i & 1), val)
+        for mask, val in values.items())))

@@ -12,13 +12,13 @@ the projected simplex
 A polynomial stores a map from exponent tuples to nonzero coefficients; the
 zero polynomial is the empty map.  Every instance keeps three invariants:
 each coefficient is a nonzero Fraction, and each key is a tuple of nvars
-non-negative ints.  The public constructor refuses an exponent that is not
-an int and coerces each coefficient into that form; the arithmetic methods
-build their results through the trusted constructor ``_of``, which skips
-those checks, so each of them drops the zero coefficients it produces itself
-and combines only terms that already hold the invariants.  Terms are ordered
-graded-lexicographically for serialization, so equal polynomials serialize
-to identical bytes.
+non-negative ints.  The public constructor refuses a variable count or an
+exponent that is not an int and coerces each coefficient into that form;
+the arithmetic methods build their results through the trusted constructor
+``_of``, which skips those checks, so each of them drops the zero
+coefficients it produces itself and combines only terms that already hold
+the invariants.  Terms are ordered graded-lexicographically for
+serialization, so equal polynomials serialize to identical bytes.
 
 Integration over D_n with Lebesgue measure is closed form on monomials,
 
@@ -89,15 +89,21 @@ def rational_from_str(s: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _variable_count(nvars) -> int:
+    """nvars itself; ValueError unless it is a non-negative int (a float or a
+    bool is refused)."""
+    if type(nvars) is not int or nvars < 0:
+        raise ValueError(f"variable count must be a non-negative int, not {nvars!r}")
+    return nvars
+
+
 class MultiPoly:
     """Polynomial in the simplex parameters t_1..t_nvars over the rationals."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
-        if nvars < 0:
-            raise ValueError("variable count must be non-negative")
-        self.nvars = nvars
+        self.nvars = _variable_count(nvars)
         clean = {}
         for key, coeff in (terms or {}).items():
             exps = tuple(key)
@@ -118,7 +124,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: value})
+        return cls(nvars, {(0,) * _variable_count(nvars): value})
 
     # -- queries ----------------------------------------------------------
 

@@ -1077,7 +1077,7 @@ def alt(source, degree, target_dim, table):
 # Reference loops for the identities the library computes through one shared
 # path each: the representation and derivation checks on dense scratch
 # matrices, the bracket's own triple loop, and a separate partition enumeration
-# per product.  None of them goes through _defect, bracket or _shuffle_sum.
+# per product.  None of them goes through _defect, bracket or compose_sym.
 
 def _reference_unit(d, i):
     v = [Fraction(0)] * d
@@ -1313,6 +1313,17 @@ def _support_symmap_evaluate(f, vectors):
         val = f.values[tuple(sorted(i for i, _ in terms))]
         out = [o + coeff * x for o, x in zip(out, val)]
     return out
+
+
+def assert_exact_entries(table):
+    """Every stored entry is a Fraction, or a MultiPoly whose coefficients are
+    nonzero Fractions."""
+    for key, vec in table.nonzero.items():
+        for x in vec:
+            if type(x) is MultiPoly:
+                assert all(type(c) is Fraction and c for c in x.terms.values()), (key, x)
+            else:
+                assert type(x) is Fraction, (key, x)
 
 
 def reference_compose_sym(f, args):

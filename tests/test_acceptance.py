@@ -33,7 +33,7 @@ from helpers import (BilinearProduct, ad_matrix, alt, conjugate_algebra, dense_k
                      random_algebra, random_invariant_symmap, random_representation, rank,
                      reference_compose_sym, reference_twisted_differential, reference_wedge,
                      scalar_multiplication, section_pool)
-from test_cochains import raw_product_table
+from test_cochains import raw_product_table, table_digest
 from test_scalars import fubini_integral
 
 
@@ -350,7 +350,8 @@ def test_criterion_14_compose_sym_shares_partial_sums(capsys):
     rng = random.Random(20240214)
     g = abelian(6)
     # dense: every coordinate of the four arguments is nonzero, so each of the
-    # 6!/2! terms of a key is a full 4^4 sum unless the terms share partial sums
+    # 6!/2! terms of a key is a full 4^4 sum unless the wedge steps merge the
+    # terms into one symmetric tensor per key
     f = rand_symmap(rng, abelian(4), 4)
 
     def dense_vector(key):
@@ -364,7 +365,8 @@ def test_criterion_14_compose_sym_shares_partial_sums(capsys):
     assert dense == reference_compose_sym(f, args)
     # sparse: basis-vector arguments on a kernel of dimension 24; a contraction
     # that tabulated each partial sum on every non-decreasing index tuple took
-    # 1.16 s here (Python 3.11.7 on a 2-core Intel Xeon), and this path 0.012 s
+    # 1.16 s here (Python 3.11.7 on a 2-core Intel Xeon), a per-partition
+    # contraction 0.006 s and the wedge steps 0.002 s
     d = 24
     f = rand_symmap(rng, abelian(d), 4)
 
@@ -378,6 +380,40 @@ def test_criterion_14_compose_sym_shares_partial_sums(capsys):
     with capsys.disabled():
         budget.done("criterion 14b: sparse compose_sym, unit arguments on a dim-24 kernel")
     assert sparse == reference_compose_sym(f, args)
+
+
+def compose_sl4_shape_inputs(base_dim):
+    """The shape of the k = 3 Chern-Simons class of sl_4: a seeded degree-3 map
+    on a 15-dimensional kernel and one 2-cochain on a base of base_dim whose
+    values are zero or have one or two nonzero coordinates (the bracket of
+    sl_4 is nonzero on 60 of its 105 pairs)."""
+    rng = random.Random(20240215)
+    d = 15
+    f = rand_symmap(rng, abelian(d), 3)
+
+    def value(key):
+        v = [Fraction(0)] * d
+        if rng.random() < 0.6:
+            for i in rng.sample(range(d), rng.randint(1, 2)):
+                v[i] = rand_fraction(rng)
+        return v
+
+    return f, Cochain.from_function(abelian(base_dim), 2, d, value)
+
+
+def test_criterion_14c_compose_sym_sl4_shape(capsys):
+    f, r = compose_sl4_shape_inputs(8)
+    assert compose_sym(f, [r] * 3) == reference_compose_sym(f, [r] * 3)
+    # 0.82-0.89 s with one contraction per shuffle partition, 0.09-0.14 s with
+    # the wedge steps (Python 3.11.7 on a 2-core Intel Xeon)
+    f, r = compose_sl4_shape_inputs(15)
+    budget = Budget(0.4)
+    out = compose_sym(f, [r, r, r])
+    with capsys.disabled():
+        budget.done("criterion 14c: degree-3 map, three 2-cochains, dim-15 kernel and base")
+    # digest of the output of the partition-sum implementation
+    assert len(out.nonzero) == 4533
+    assert table_digest([("14c", out)]) == "64b83abd645092c2"
 
 
 H15_SCRIPT = """

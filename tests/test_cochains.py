@@ -1,10 +1,11 @@
 """Cochain operators against brute-force oracles.
 
-Two independent routes are checked throughout: the partition-sum compose_sym
-against explicit iterated symmetric-tensor wedges, and the differential
-against the term-by-term formula.  The wedge, the differential twisted by an
-arbitrary linear map and the curvature of a bare 1-cochain exist only as
-references in helpers; their identities are checked here on those references.
+Two independent routes are checked throughout: the wedge-step compose_sym
+against explicit iterated symmetric-tensor wedges and partition sums, and
+the differential against the term-by-term formula.  The wedge, the
+differential twisted by an arbitrary linear map and the curvature of a bare
+1-cochain exist only as references in helpers; their identities are checked
+here on those references.
 """
 
 import copy
@@ -28,9 +29,10 @@ from liechar import (Cochain, MultiPoly, Representation, Section, SymMultiMap, a
 from liechar.catalog import (filiform_workspace, heisenberg_central_extension,
                              heisenberg_workspace, oscillator_workspace)
 
-from helpers import (SMALL_ALGEBRAS, ad_matrix, alt, conjugate_algebra, dense_cochain_evaluate,
-                     dense_differential_matrix, dense_matrices, dense_symmap_evaluate, evaluation_product,
-                     lie_bracket_product, rand_cochain, rand_fraction, rand_symmap,
+from helpers import (SMALL_ALGEBRAS, ad_matrix, alt, assert_exact_entries, conjugate_algebra,
+                     dense_cochain_evaluate, dense_differential_matrix, dense_matrices,
+                     dense_symmap_evaluate, direct_sum_extension, evaluation_product,
+                     lie_bracket_product, rand_cochain, rand_fraction, rand_section, rand_symmap,
                      rand_vector, random_algebra, random_module, random_representation,
                      raise_everywhere,
                      reference_compose_sym, reference_curvature,
@@ -724,12 +726,15 @@ class TestOneCodePath:
             with pytest.raises(AssertionError, match="_bracket_into"):
                 call()
 
-    def test_products_share_one_shuffle_enumerator(self, monkeypatch):
+    def test_compose_and_evaluate_share_one_contraction(self, monkeypatch):
+        # f is contracted in one place: compose_sym and SymMultiMap.evaluate
         rng = random.Random(92)
         f = rand_symmap(rng, abelian(3), 1)
-        raise_everywhere(monkeypatch, cochains, "_shuffle_sum")
-        with pytest.raises(AssertionError, match="_shuffle_sum"):
-            compose_sym(f, [rand_cochain(rng, abelian(2), 1, 3)])
+        a = rand_cochain(rng, abelian(2), 1, 3)
+        raise_everywhere(monkeypatch, cochains, "_contract")
+        for call in (lambda: compose_sym(f, [a]), lambda: f.evaluate([[1, 2, 3]])):
+            with pytest.raises(AssertionError, match="_contract"):
+                call()
 
     def test_trivial_module_rows_hold_only_bracket_entries(self):
         rng = random.Random(93)
@@ -754,6 +759,7 @@ class TestAgainstReferenceProducts:
         assert got == want
         assert [type(x) for v in got.values.values() for x in v] == \
             [type(x) for v in want.values.values() for x in v]
+        assert_exact_entries(got)
 
     @staticmethod
     def _promote(rng, table):
@@ -777,8 +783,8 @@ class TestAgainstReferenceProducts:
             g, p, d, lambda key: [entry(rng) if rng.random() < 0.6 else 0 for _ in range(d)])
 
     def test_compose_sym_shares_partial_sums(self):
-        # p = 3, 4 on kernels of dimension 3-5: the terms of one output key
-        # reuse the contraction of their common inner slots
+        # p = 3, 4 on kernels of dimension 3-5: the wedge steps share the
+        # tensor of each key among the output keys that extend it
         rng = random.Random(97)
         g = abelian(6)
         for d, degrees in ((3, (1, 2, 1)), (3, (2, 1, 1, 2)), (4, (1, 1, 2)),
@@ -805,12 +811,35 @@ class TestAgainstReferenceProducts:
         args[-1] = self._promote(rng, args[-1])
         self._same(compose_sym(f, args), reference_compose_sym(f, args))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_delta_f_integrand_entries_are_exact(self, monkeypatch, n):
+        # p = 3 > n: the integrand f(D_1..D_n, R_t, ..) holds MultiPoly entries
+        # built from integer forms; none of those integers may leak out
+        from liechar import characteristic
+        integrands = []
+
+        def recording(f, args):
+            integrands.append(compose_sym(f, args))
+            return integrands[-1]
+
+        monkeypatch.setattr(characteristic, "compose_sym", recording)
+        rng = random.Random(95 + n)
+        ext = direct_sum_extension()
+        f = rand_symmap(rng, ext.kernel, 3)
+        sections = [rand_section(rng, ext) for _ in range(n + 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            delta_f(ext, f, sections, trivial_representation(ext.base, 1))
+        (integrand,) = integrands
+        assert any(type(x) is MultiPoly for v in integrand.nonzero.values() for x in v)
+        assert_exact_entries(integrand)
+
 
 class TestShuffleTable:
-    """compose_sym builds one table of shuffle terms per call, and none when the
-    output has no key.  A run of one even-degree cochain keeps the terms whose
-    blocks start in increasing order, weighted r!; so repeating one object
-    must give, in value and entry kind, what distinct copies give."""
+    """compose_sym runs one wedge step per argument, and none when the output
+    has no key; it puts each distinct argument object in integer form once per
+    call.  Repeating one object must give, in value and entry kind, what
+    distinct copies give."""
 
     _same = staticmethod(TestAgainstReferenceProducts._same)
 
@@ -851,35 +880,38 @@ class TestShuffleTable:
                 self._same(got, reference_compose_sym(f, args))
 
     @staticmethod
-    def _count_partition_calls(monkeypatch):
+    def _count_calls(monkeypatch, name):
         calls = []
-        original = cochains._ordered_partitions
+        original = getattr(cochains, name)
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(cochains, "_ordered_partitions", counting)
+        monkeypatch.setattr(cochains, name, counting)
         return calls
 
-    def test_no_output_key_enumerates_no_partition(self, monkeypatch):
+    def test_no_output_key_runs_no_wedge_step(self, monkeypatch):
         # Delta_f for p = 4, n = 0 on a base of dimension 5: degree 8, no key
         rng = random.Random(101)
         curv = rand_cochain(rng, abelian(5), 2, 3)
         f = rand_symmap(rng, abelian(3), 4)
-        calls = self._count_partition_calls(monkeypatch)
+        calls = [self._count_calls(monkeypatch, name) for name in ("_integer_form", "_wedge_step")]
         for args in ([curv] * 4, self._copies(curv, 4)):
             out = compose_sym(f, args)
             assert (out.degree, out.values) == (8, {})
-        assert calls == []
+        assert calls == [[], []]
 
-    def test_one_enumeration_per_call_whatever_the_key_count(self, monkeypatch):
+    def test_each_argument_object_put_in_integer_form_once(self, monkeypatch):
         rng = random.Random(102)
-        f = rand_symmap(rng, abelian(3), 3, 2)
-        counts = []
-        for dim in (4, 7):  # 1 and 35 output keys
-            args = [rand_cochain(rng, abelian(dim), p, 3) for p in (1, 1, 2)]
-            calls = self._count_partition_calls(monkeypatch)
-            assert len(compose_sym(f, args).values) == comb(dim, 4)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+        f = rand_symmap(rng, abelian(3), 4, 2)
+        for dim in (6, 7):
+            a, b = (rand_cochain(rng, abelian(dim), p, 3) for p in (2, 1))
+            for args, distinct in (([a, a, b, b], 2), ([b, a, b, a], 2), ([b] * 4, 1),
+                                   (self._copies(a, 2) + self._copies(b, 2), 4)):
+                forms = self._count_calls(monkeypatch, "_integer_form")
+                steps = self._count_calls(monkeypatch, "_wedge_step")
+                got = compose_sym(f, args)
+                assert len(got.values) == comb(dim, sum(x.degree for x in args))
+                assert (len(forms), len(steps)) == (distinct, 4)
+                monkeypatch.undo()

@@ -39,6 +39,12 @@ def compose_dimension_mismatch():
                 [zero_table(Cochain, abelian(2), 1, 2)])
 
 
+def compose_variable_counts():
+    one, two = (MultiPoly(n, {(0,) * n: 1}) for n in (1, 2))
+    compose_sym(SymMultiMap(abelian(1), 2, 1, {(0, 0): [1]}),
+                [Cochain(abelian(1), 0, 1, {(): [one]}), Cochain(abelian(1), 0, 1, {(): [two]})])
+
+
 def differential_shape_mismatch():
     ce_differential(zero_table(Cochain, heisenberg3(), 1, 1),
                     trivial_representation(abelian(2), 1))
@@ -147,6 +153,8 @@ CHECKS = [
      "need at least one argument cochain"),
     ("compose_sym source", compose_source_mismatch, ValueError, "source algebra mismatch"),
     ("compose_sym dimension", compose_dimension_mismatch, ValueError, "dimension mismatch"),
+    ("compose_sym variable counts", compose_variable_counts, ValueError,
+     "polynomial variable counts differ"),
     ("ce_differential shape", differential_shape_mismatch, ValueError, "dimension mismatch"),
     ("coordinates_of shape", coordinates_shape_mismatch, ValueError,
      "cochain shape does not match this cohomology space"),
@@ -184,6 +192,15 @@ CHECKS = [
      "representation needs one space_dim x space_dim matrix per basis element"),
     ("MultiPoly product", lambda: MultiPoly(1, {(1,): 1}) * MultiPoly(2, {(0, 1): 1}),
      ValueError, "polynomial variable counts differ"),
+    # a variable count is an int: a float or a bool is refused, not kept
+    ("MultiPoly float count", lambda: MultiPoly(2.0, {(1, 0): 3}), ValueError,
+     "variable count must be a non-negative int, not 2.0"),
+    ("MultiPoly.constant float count", lambda: MultiPoly.constant(2.0, 1), ValueError,
+     "variable count must be a non-negative int, not 2.0"),
+    ("MultiPoly bool count", lambda: MultiPoly(True, {(1,): 3}), ValueError,
+     "variable count must be a non-negative int, not True"),
+    ("MultiPoly negative count", lambda: MultiPoly(-1), ValueError,
+     "variable count must be a non-negative int, not -1"),
     # an exponent is an int: any other value is refused, not truncated
     ("MultiPoly float exponent", lambda: MultiPoly(2, {(1.5, 0): 3}), ValueError,
      "bad exponent vector (1.5, 0) for 2 variables"),

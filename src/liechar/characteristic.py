@@ -252,9 +252,8 @@ def delta_f(ext: Extension, f: SymMultiMap, sections, rep: Representation,
 
     Emits InvarianceWarning (and proceeds) when f fails the configured
     invariance policy; raises DegreeError when f has fewer slots than there
-    are section differences, InvalidSection on a bad section (or on a
-    polynomial one, when there are two or more), and TypeError on an entry
-    that is not a Section.
+    are section differences, InvalidSection on a section that fails
+    q . sigma = id, and TypeError on an entry that is not a Section.
     """
     sections = _checked_sections(ext, f, sections, rep, mode)
     return _delta_f(f, _Vertices.of(ext, sections, f.degree > len(sections) - 1))

@@ -16,11 +16,11 @@ right-hand sides; the data of a tuple of sections below takes one solve for
 all its cochains.  ExactnessViolation signals a value that escapes the
 kernel, which only happens on corrupted input.
 
-A section is any linear right inverse of q.  It keeps, at construction, only
-the zero of its entry kind and the nonzero entries {row: entry} of each
-column sigma e_i; its matrix, for the writer and the API, is built on read.
-The workspace reader builds a rational section through the trusted
-Section._of from the columns of the rows it read, then runs validate_section.
+A section is any rational linear right inverse of q.  It keeps, at
+construction, only the nonzero Fraction entries {row: entry} of each column
+sigma e_i; its matrix, for the writer and the API, is built on read.  The
+workspace reader builds a section through the trusted Section._of from the
+columns of the rows it read, then runs validate_section.
 Every reader goes through the columns: the curvature, the difference of two
 sections, S(e_i) and validate_section, each of which first checks that the
 section's extension has the shape of the one it is given.  The curvature
@@ -43,12 +43,10 @@ rational sections (t_0 eliminated as 1 - t_1 - ... - t_n) is never built:
 its curvature R_t is exactly quadratic in t, so it follows from rational
 data at the vertices (each section's curvature, the differences D_i and the
 cross brackets [D_i x, D_j y], all read by one kernel_coords call),
-assembled into one MultiPoly per entry.  param_curvature and Delta_f both
-read R_t that way, after one check of the tuple of sections, and the data
-of each face of the simplex follows from the tuple's without a solve.
-Where a dense formula would subtract a zero of the section's kind, the
-sparse loops start from that zero, so entry kinds are those of the dense
-formulas.
+assembled into one MultiPoly per entry: the only polynomials of this
+module.  param_curvature and Delta_f both read R_t that way, after one check
+of the tuple of sections, and the data of each face of the simplex follows
+from the tuple's without a solve.
 """
 
 from __future__ import annotations
@@ -57,10 +55,10 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 
-from .cochains import Cochain, _ZERO, _nonzero, _zero, increasing_tuples
+from .cochains import Cochain, _ZERO, _nonzero, increasing_tuples
 from .liealg import LieAlgebra, Representation, _bracket_into
 from .linalg import solve_linear, sparse_rref, sparse_transpose
-from .scalars import MultiPoly, _coerce_scalar, _fraction
+from .scalars import MultiPoly, _fraction
 
 __all__ = [
     "Extension",
@@ -196,22 +194,21 @@ def _preserves_bracket(cols, source, target, i, j):
 
 
 class Section:
-    """Linear right inverse of the projection, given as a dim(total) x dim(base)
-    matrix; ``_cols[i]`` holds the nonzero entries {row: entry} of sigma e_i
-    and ``_kind_zero`` the zero of its entry kind: the MultiPoly zero of its
-    first polynomial entry, else Fraction(0)."""
+    """Rational linear right inverse of the projection, given as a
+    dim(total) x dim(base) matrix; ``_cols[i]`` holds the nonzero Fraction
+    entries {row: entry} of sigma e_i."""
 
-    __slots__ = ("extension", "_cols", "_kind_zero")
+    __slots__ = ("extension", "_cols")
 
     @classmethod
     def _of(cls, extension: Extension, cols) -> "Section":
-        """Trusted constructor of a rational section: ``cols`` as stored, unchecked."""
+        """Trusted constructor: ``cols`` as stored, unchecked."""
         sec = object.__new__(cls)
-        sec.extension, sec._cols, sec._kind_zero = extension, cols, _ZERO
+        sec.extension, sec._cols = extension, cols
         return sec
 
     def __init__(self, extension: Extension, matrix):
-        mat = [[_coerce_scalar(c) for c in row] for row in matrix]
+        mat = [[_fraction(c) for c in row] for row in matrix]
         if len(mat) != extension.total.dim or any(
             len(row) != extension.base.dim for row in mat
         ):
@@ -219,23 +216,16 @@ class Section:
         self.extension = extension
         self._cols = [{r: row[i] for r, row in enumerate(mat) if row[i]}
                       for i in range(extension.base.dim)]
-        self._kind_zero = _zero([c for row in mat for c in row])
 
     @property
     def matrix(self):
         """The dim(total) x dim(base) matrix, built on read; an entry that is
-        not stored reads as the zero of the section's kind."""
-        zero = self._kind_zero
-        return [[col.get(r, zero) for col in self._cols]
+        not stored reads as Fraction(0)."""
+        return [[col.get(r, _ZERO) for col in self._cols]
                 for r in range(self.extension.total.dim)]
 
-    @property
-    def is_polynomial(self) -> bool:
-        return isinstance(self._kind_zero, MultiPoly)
-
     def __repr__(self):
-        kind = "polynomial" if self.is_polynomial else "rational"
-        return f"Section({kind}, {self.extension!r})"
+        return f"Section({self.extension!r})"
 
 
 def _check_shape(ext: Extension, *sections):
@@ -247,7 +237,7 @@ def _check_shape(ext: Extension, *sections):
 
 
 def validate_section(ext: Extension, sec: Section) -> bool:
-    """True iff q . sigma is exactly the identity (as polynomials if applicable)."""
+    """True iff q . sigma is exactly the identity."""
     _check_shape(ext, sec)
     for j in range(ext.base.dim):
         col = sec._cols[j]
@@ -265,17 +255,14 @@ def validate_section(ext: Extension, sec: Section) -> bool:
 
 def _check_sections(ext: Extension, sections, names=None):
     """Raise on an entry of a tuple of sections that is not a valid section of
-    ext: TypeError on one that is not a Section, InvalidSection on a
-    polynomial one when there are two or more, and on one that fails
-    q . sigma = id.  ``names`` labels the sections in the messages, by
+    ext: TypeError on one that is not a Section, InvalidSection on one that
+    fails q . sigma = id.  ``names`` labels the sections in the messages, by
     default "section {idx}"."""
     if names is None:
         names = [f"section {idx}" for idx in range(len(sections))]
     for name, sec in zip(names, sections):
         if not isinstance(sec, Section):
             raise TypeError(f"{name} must be a Section, not {type(sec).__name__}")
-        if len(sections) > 1 and sec.is_polynomial:
-            raise InvalidSection(f"{name} must be rational")
         if not validate_section(ext, sec):
             raise InvalidSection(f"{name} fails q . sigma = id")
 
@@ -296,18 +283,14 @@ def kernel_coords(ext: Extension, *vecs):
 def _curvature_values(ext: Extension, sec: Section):
     """R(x,y) = [sigma x, sigma y] - sigma([x,y]) in total coordinates, one dense
     vector per increasing pair, over the nonzero entries of the columns of
-    sigma: the package's one curvature loop.  Where sigma([x,y]) is
-    subtracted, every entry starts from the zero of the section's kind, so
-    entry kinds are those of the dense formula."""
+    sigma: the package's one curvature loop."""
     _check_shape(ext, sec)
     cols = sec._cols
-    zero = sec._kind_zero
     vals = []
     for i, j in increasing_tuples(ext.base.dim, 2):
-        terms = ext.base.sparse[i][j]
-        val = _bracket_into([zero if terms else Fraction(0)] * ext.total.dim, ext.total,
-                            cols[i].items(), cols[j].items())
-        for k, c in terms:
+        val = _bracket_into([_ZERO] * ext.total.dim, ext.total, cols[i].items(),
+                            cols[j].items())
+        for k, c in ext.base.sparse[i][j]:
             for r, x in cols[k].items():
                 val[r] = val[r] - c * x
         vals.append(val)
@@ -335,7 +318,6 @@ def _kernel_action(ext: Extension, v):
     [v, iota e_j] = sum_x v_x [e_x, iota e_j], so a pivot row's combination of
     its carried columns is a kernel coordinate and an inconsistent row's is
     nonzero exactly when the bracket escapes; non-pivot coordinates read 0.
-    Entry kinds are those of kernel_coords on the bracket.
     """
     dn = ext.kernel.dim
     cols = [[] for _ in range(dn)]
@@ -365,17 +347,13 @@ def s_from_section(ext: Extension, sec: Section):
 
 def _difference_values(ext: Extension, sec_a: Section, sec_b: Section):
     """sigma_a(e_i) - sigma_b(e_i) in total coordinates, one dense vector per
-    base vector, over the union of the supports of the two columns; every
-    entry starts from the zero of the sections' kind (a MultiPoly zero when
-    either holds one)."""
+    base vector, over the union of the supports of the two columns."""
     _check_shape(ext, sec_a, sec_b)
-    zero = _zero([sec_a._kind_zero, sec_b._kind_zero])
-    poly = type(zero) is MultiPoly
     diffs = []
     for col_a, col_b in zip(sec_a._cols, sec_b._cols):
-        diff = [zero] * ext.total.dim
+        diff = [_ZERO] * ext.total.dim
         for r, a in col_a.items():
-            diff[r] = zero + a if poly else a
+            diff[r] = a
         for r, b in col_b.items():
             diff[r] = diff[r] - b
         diffs.append(diff)

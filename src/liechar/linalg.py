@@ -17,13 +17,13 @@ are therefore reproducible.
 
 Pivots come only from the first ncols columns.  Later columns are carried
 along, scaled and divided with their row; each carried entry is made a
-Fraction, or kept as a MultiPoly, when its row is turned into integers, so
-every division on it is exact.  solve_linear puts its right-hand sides there,
-one column each, so a list of right-hand sides shares one elimination.  That
-is how a whole cochain of curvature values or section differences, of a
-polynomial section too, is expressed in kernel coordinates: one elimination
-per cochain.  Every entry point takes sparse rows; no dense
-matrix is built here.
+Fraction when its row is turned into integers, so every division on it is
+exact, and like every other entry it is stored only while it is nonzero.
+solve_linear puts the nonzero entries of its right-hand sides there, one
+column each, so a list of right-hand sides shares one elimination.  That is
+how a whole cochain of curvature values or section differences is expressed
+in kernel coordinates: one elimination per cochain.  Every entry point takes
+sparse rows of rationals; no dense matrix is built here.
 """
 
 from __future__ import annotations
@@ -31,23 +31,23 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import _coerce_scalar
+from .scalars import _fraction
 
 __all__ = ["sparse_rref", "sparse_transpose", "echelon_nullspace", "solve_linear"]
 
+_FRACTION_ZERO = Fraction(0)
 _FRACTION_ONE = Fraction(1)
 
 
 def _combine(row, a, b, prow, ncols):
     """row = (a * row - b * prow) / g in place, g the gcd of the integer entries in
-    the first ncols columns (those that cancel are dropped; carried entries
-    stay even when zero)."""
+    the first ncols columns; entries that cancel are dropped."""
     if a != 1:
         for k, x in row.items():
             row[k] = a * x
     for k, y in prow.items():
         v = row.get(k, 0) - b * y
-        if v or k >= ncols:
+        if v:
             row[k] = v
         else:
             del row[k]
@@ -60,17 +60,17 @@ def _combine(row, a, b, prow, ncols):
 def sparse_rref(rows, ncols):
     """Reduced row echelon form of sparse rows: [(pivot column, row)] by pivot.
 
-    The rows are {column: entry} dicts with no zero entry in the first ncols
-    columns; they are not modified.  Each pivot row has entry Fraction(1) at
-    its pivot, Fraction entries elsewhere in the first ncols columns, and no
-    entry at any other pivot.
-    Entries past ncols are never pivots and are kept even when zero; they are
-    scaled with their row and keep their kind.  A row whose first ncols
-    entries cancel while a later entry does not is an inconsistent equation
-    for solve_linear; it is returned, after the pivot rows, under the pivot
-    ncols, as a nonzero rational multiple of the row that Gauss-Jordan
-    elimination over Fraction would leave.  Callers only test its carried
-    entries for zero.
+    The rows are {column: entry} dicts of rationals (Fraction or int) with no
+    zero entry in the first ncols columns; they are not modified.  Every
+    returned row holds only nonzero Fraction entries: in a pivot row,
+    Fraction(1) at its pivot and no entry at any other pivot.
+    Entries past ncols are never pivots; they are scaled with their row, and
+    a zero one, given or left by a cancellation, is not stored.  A row whose
+    first ncols entries cancel while a later entry does not is an
+    inconsistent equation for solve_linear; it is returned, after the pivot
+    rows, under the pivot ncols, as a nonzero rational multiple of the row
+    that Gauss-Jordan elimination over Fraction would leave.  Callers only
+    test its carried entries for zero.
     """
     pivots = {}
     inconsistent = []
@@ -79,11 +79,12 @@ def sparse_rref(rows, ncols):
         if lead:  # the integer row, reduced against the pivot rows
             den = lcm(*[row[c].denominator for c in lead])
             if den == 1:
-                row = {c: x.numerator if c < ncols else _coerce_scalar(x) for c, x in row.items()}
+                row = {c: x.numerator if c < ncols else _fraction(x)
+                       for c, x in row.items() if x}
             else:
                 row = {c: x.numerator * (den // x.denominator) if c < ncols
-                       else _coerce_scalar(x) * den
-                       for c, x in row.items()}
+                       else _fraction(x) * den
+                       for c, x in row.items() if x}
             hits = [c for c in lead if c in pivots]
             for c in hits:
                 prow = pivots[c]
@@ -93,7 +94,7 @@ def sparse_rref(rows, ncols):
                 lead = [c for c in row if c < ncols]
         if not lead:
             if any(row.values()):
-                inconsistent.append((ncols, dict(row)))
+                inconsistent.append((ncols, {c: _fraction(x) for c, x in row.items() if x}))
             continue
         c = min(lead)
         for prow in pivots.values():
@@ -148,19 +149,19 @@ def solve_linear(rows, rhs, ncols):
     tuple of ncols entries, or None if any of the systems is inconsistent;
     a is the matrix of ncols columns given by its sparse rows.
 
-    Each b has len(rows) entries, Fraction, int or MultiPoly.  The systems
-    share one elimination, their right-hand sides carried as len(rhs)
-    columns, so every solution entry is a Fraction or a MultiPoly.  Free
-    variables are set to zero.
+    Each b has len(rows) entries, Fraction or int.  The systems share one
+    elimination, their right-hand sides carried as len(rhs) columns of which
+    only the nonzero entries are stored, so every solution entry is a
+    Fraction.  Free variables are set to zero.
     """
     if any(len(b) != len(rows) for b in rhs):
         raise ValueError("matrix dimension mismatch")
-    echelon = sparse_rref([{**row, **{ncols + n: b[i] for n, b in enumerate(rhs)}}
+    echelon = sparse_rref([{**row, **{ncols + n: b[i] for n, b in enumerate(rhs) if b[i]}}
                            for i, row in enumerate(rows)], ncols)
     if echelon and echelon[-1][0] == ncols:
         return None
-    x = [[Fraction(0)] * ncols for _ in rhs]
+    x = [[_FRACTION_ZERO] * ncols for _ in rhs]
     for p, row in echelon:
         for n, xs in enumerate(x):
-            xs[p] = row[ncols + n]
+            xs[p] = row.get(ncols + n, _FRACTION_ZERO)
     return [tuple(xs) for xs in x]

@@ -52,12 +52,15 @@ _RATIONAL = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 
 def _fraction(x) -> Fraction:
     """x itself when it is already a Fraction, else Fraction(x); TypeError on a
-    float, whose binary value is not the decimal it was written as."""
+    float, whose binary value is not the decimal it was written as, and on a
+    MultiPoly."""
     if type(x) is Fraction:
         return x
     if isinstance(x, float):
         raise TypeError(f"float {x!r} is not an exact scalar; use an int, a Fraction "
                         "or a 'p/q' string")
+    if isinstance(x, MultiPoly):
+        raise TypeError(f"polynomial {x!r} is not a rational scalar")
     return Fraction(x)
 
 

@@ -338,9 +338,6 @@ def _section_from_json(name, obj, extensions, location, memo):
 
 
 def _section_to_json(name, sec, extensions):
-    if sec.is_polynomial:
-        raise ValueError(f"section '{name}' has polynomial entries; "
-                         "a workspace holds rational sections only")
     return {
         "extension": _name_of(extensions, sec.extension, f"section '{name}'", "extension"),
         "matrix": [[rational_to_str(c) for c in row] for row in sec.matrix],

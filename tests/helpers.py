@@ -9,8 +9,8 @@ from math import comb, prod
 from types import SimpleNamespace
 
 from liechar import (
-    Cochain, Extension, LieAlgebra, MultiPoly, Representation, Section, SymMultiMap,
-    abelian, adjoint_representation, algebra_from_brackets, as_poly,
+    Cochain, ExactnessViolation, Extension, LieAlgebra, MultiPoly, Representation, Section,
+    SymMultiMap, abelian, adjoint_representation, algebra_from_brackets, as_poly,
     compose_sym, heisenberg, heisenberg3, increasing_tuples, oscillator,
     integrate_poly_simplex, kernel_coords, nondecreasing_tuples,
     rational_from_str,
@@ -310,13 +310,13 @@ def fraction_sparse_rref(rows, ncols):
     This is the loop linalg ran before it went fraction-free: each new row is
     reduced against the pivot rows found so far, divided by its lowest
     remaining entry, and cleared from the older pivot rows.  Same output
-    shape as sparse_rref; an inconsistent row is left as the reduction leaves
-    it.
+    shape as sparse_rref, zero entries dropped; an inconsistent row is left as
+    the reduction leaves it.
     """
     def subtract(row, f, prow):
         for k, y in prow.items():
             v = row.get(k, 0) - f * y
-            if v or k >= ncols:
+            if v:
                 row[k] = v
             else:
                 del row[k]
@@ -324,7 +324,7 @@ def fraction_sparse_rref(rows, ncols):
     pivots = {}
     inconsistent = []
     for row in rows:
-        row = dict(row)
+        row = {k: x for k, x in row.items() if x}
         for c in [c for c in row if c in pivots]:
             subtract(row, row[c], pivots[c])
         lead = [c for c in row if c < ncols]
@@ -553,20 +553,45 @@ def reference_section_difference(ext, sec_a, sec_b):
 
 
 def reference_param_section(ext, sections):
-    """Reference sigma_t: every entry b + sum_i t_i (s_i - b) in public MultiPoly
-    arithmetic, b the entry of the first section."""
+    """Reference sigma_t of n+1 sections as a dense dim(total) x dim(base) matrix:
+    every entry b + sum_i t_i (s_i - b) in public MultiPoly arithmetic, b the
+    entry of the first section."""
     n = len(sections) - 1
-    return Section(ext, [
-        [sum((poly_variable(n, i) * (sec.matrix[r][c] - b) for i, sec in enumerate(sections[1:])),
-             MultiPoly.constant(n, b)) for c, b in enumerate(row)]
-        for r, row in enumerate(sections[0].matrix)])
+    return [[sum((poly_variable(n, i) * (sec.matrix[r][c] - b)
+                  for i, sec in enumerate(sections[1:])), MultiPoly.constant(n, b))
+             for c, b in enumerate(row)]
+            for r, row in enumerate(sections[0].matrix)]
 
 
-def reference_param_curvature(ext, sec_t):
-    """Reference R_t: the dense curvature of sigma_t with every entry a MultiPoly
-    (over a zero-dimensional base sigma_t has no entry, and R_t no value)."""
-    nvars = next((c.nvars for row in sec_t.matrix for c in row), 0)
-    return to_poly(reference_section_curvature(ext, sec_t), nvars)
+def family_point(ext, sections, point):
+    """The rational section sigma_t at t = point (n rational values): every
+    entry of reference_param_section evaluated there."""
+    return Section(ext, [[poly_eval_at(x, point) for x in row]
+                         for row in reference_param_section(ext, sections)])
+
+
+def reference_param_curvature(ext, sigma_t):
+    """Reference R_t of the dense MultiPoly matrix sigma_t, every entry a
+    MultiPoly: R(x,y) = [sigma x, sigma y] - sigma([x,y]) by reference_bracket,
+    put in kernel coordinates by dense_solve on iota, so it shares no code
+    with kernel_coords (over a zero-dimensional base sigma_t has no entry, and
+    R_t no value).  ExactnessViolation when a value escapes the kernel."""
+    nvars = next((c.nvars for row in sigma_t for c in row), 0)
+    cols = [list(col) for col in zip(*sigma_t)]
+    structure = dense_structure(ext.base)
+
+    def fn(key):
+        i, j = key
+        val = reference_bracket(ext.total, cols[i], cols[j])
+        for k, c in enumerate(structure[i][j]):
+            if c:
+                val = [v - c * x for v, x in zip(val, cols[k])]
+        coords = dense_solve(ext.iota, val)
+        if coords is None:
+            raise ExactnessViolation("value does not lie in the image of iota")
+        return coords
+
+    return to_poly(Cochain.from_function(ext.base, 2, ext.kernel.dim, fn), nvars)
 
 
 def to_poly(table, nvars):

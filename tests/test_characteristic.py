@@ -22,7 +22,7 @@ from helpers import (SMALL_ALGEBRAS, conjugate_algebra, dense_cohomology,
                      greedy_cohomology, point_base_extension, rand_cochain, rand_fraction,
                      rand_section, rand_symmap, random_algebra, random_invariant_symmap,
                      random_module, random_representation, raise_everywhere, rank,
-                     reference_delta_f, reference_param_section, reference_wedge,
+                     reference_delta_f, reference_wedge,
                      scalar_multiplication,
                      section_difference, section_pool, sym_product, zero_table)
 
@@ -589,17 +589,6 @@ class TestInputChecks:
             delta_f(ext, f, [good, bad], triv)
         with pytest.raises(InvalidSection, match="^second section fails q . sigma = id$"):
             secondary_class(ext, f, good, bad, triv)
-
-    def test_polynomial_section_refused_before_interpolation(self):
-        ext = heisenberg_central_extension()
-        triv = trivial_representation(ext.base, 1)
-        f = SymMultiMap(ext.kernel, 2, 1, {(0, 0): [1]})
-        good = Section(ext, [[1, 0], [0, 1], [0, 0]])
-        poly = reference_param_section(ext, [good, Section(ext, [[1, 0], [0, 1], [1, 0]])])
-        with pytest.raises(InvalidSection, match="^section 1 must be rational$"):
-            delta_f(ext, f, [good, poly], triv)
-        with pytest.raises(InvalidSection, match="^first section must be rational$"):
-            secondary_class(ext, f, poly, good, triv)
 
     def test_non_closed_representative_raises_not_closed(self, monkeypatch):
         import liechar.characteristic as characteristic

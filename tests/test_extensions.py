@@ -24,7 +24,7 @@ from helpers import (column, conjugate_extension, transpose, dense_kernel_action
                      poly_variable, rand_fraction, rand_section, rand_symmap,
                      random_invariant_symmap, rational_multiple, reference_bracket,
                      reference_is_invariant, reference_kernel_action,
-                     reference_param_curvature, reference_param_section,
+                     family_point, reference_param_curvature, reference_param_section,
                      reference_section_curvature, reference_section_difference,
                      reference_twisted_differential,
                      reference_validate_extension, reference_validate_section,
@@ -271,7 +271,7 @@ class TestValidateAgainstReference:
 
 
 def _same_entries(got, want):
-    """Equal column lists whose entries also agree in kind (Fraction or MultiPoly)."""
+    """Equal column lists whose entries also agree in kind."""
     assert got == want
     assert [[type(c) for _, c in col] for col in got] == [[type(c) for _, c in col] for col in want]
 
@@ -296,10 +296,7 @@ class TestKernelActionAgainstReference:
                 sections = [rand_section(rng, copy) for _ in range(3)]
                 if copy is ext:
                     sections += section_pool(rng, name, ext, 3)
-                families = [reference_param_section(copy, sections[:2]),
-                            reference_param_section(copy, sections[:3]),
-                            reference_param_section(copy, [sections[0], sections[0]])]
-                yield name, copy, sections + families
+                yield name, copy, sections
 
     def test_induced_actions_match(self):
         kinds = set()
@@ -309,7 +306,7 @@ class TestKernelActionAgainstReference:
                 for i, cols in enumerate(got):
                     _same_entries(cols, _reference_columns(ext, column(sec, i)))
                     kinds.update(type(c) for col in cols for _, c in col)
-        assert kinds == {Fraction, MultiPoly}
+        assert kinds == {Fraction}
 
     def test_strict_actions_match(self):
         for name, ext, _ in self.cases():
@@ -340,9 +337,8 @@ class TestKernelActionAgainstReference:
 
 
     def test_columns_are_the_nonzero_entries_of_the_reference(self):
-        # both modes, rational and polynomial sections: each column lists its
-        # nonzero entries by increasing row, and filling them into a zero
-        # matrix gives the reference matrix
+        # both modes: each column lists its nonzero entries by increasing row,
+        # and filling them into a zero matrix gives the reference matrix
         kinds = set()
         for name, ext, sections in self.cases():
             pairs = [(column(sec, i), cols) for sec in sections
@@ -356,7 +352,7 @@ class TestKernelActionAgainstReference:
                     assert rows == sorted(set(rows)) and all(e for _, e in col)
                     kinds.update(type(e) for _, e in col)
                 assert dense_kernel_action(cols) == reference_kernel_action(ext, v), name
-        assert kinds == {Fraction, MultiPoly}
+        assert kinds == {Fraction}
 
     def test_escaping_bracket_raises_in_both_modes(self):
         # only [q, iota e_0] = -2/3 z leaves the image of iota
@@ -367,7 +363,7 @@ class TestKernelActionAgainstReference:
             assert not any(extensions_module._kernel_action(ext, [(x, 1)]))
         sec = Section(ext, [[0, 0], [1, 0], [0, 1], [0, 0]])
         other = Section(ext, [[0, 0], [1, 0], [0, 1], [1, 0]])
-        for escaping in (sec, reference_param_section(ext, [sec, other])):
+        for escaping in (sec, other):
             with pytest.raises(ExactnessViolation):
                 s_from_section(ext, escaping)
         with pytest.raises(ExactnessViolation):
@@ -674,7 +670,7 @@ class TestAgainstReference:
         rng = random.Random(91)
         for name, ext in fixture_extensions().items():
             sections = section_pool(rng, name, ext, 2) + [rand_section(rng, ext)]
-            for sec in sections + [reference_param_section(ext, sections)]:
+            for sec in sections:
                 assert (section_curvature(ext, sec)
                         == reference_section_curvature(ext, sec)), name
 
@@ -714,7 +710,7 @@ def perturbed(rng, sec):
 
 class TestSparseInvariance:
     """is_invariant against the unit-vector oracle where S(x) or rho(x) vanish,
-    where q has non-unit entries, and on polynomial sections."""
+    and where q has non-unit entries."""
 
     @pytest.mark.parametrize("mode", ["section", "strict"])
     def test_direct_sum_kernel(self, mode):
@@ -777,24 +773,6 @@ class TestSparseInvariance:
                 assert (is_invariant(h, ext, rep, mode, sec)
                         == reference_is_invariant(h, ext, rep, mode, sec))
 
-    def test_polynomial_sections(self):
-        rng = random.Random(95)
-        outcomes = []
-        for name, ext in fixture_extensions().items():
-            sec_t = reference_param_section(ext, [rand_section(rng, ext) for _ in range(2)])
-            assert sec_t.is_polynomial
-            for rep, degree in product([trivial_representation(ext.base, 1),
-                                        adjoint_representation(ext.base)], range(1, 3)):
-                maps = [rand_symmap(rng, ext.kernel, degree, rep.space_dim)]
-                if rep.space_dim == 1:
-                    maps.append(random_invariant_symmap(rng, name, ext, degree))
-                for f in filter(None, maps):
-                    got = is_invariant(f, ext, rep, "section", sec_t)
-                    assert got == reference_is_invariant(f, ext, rep, "section", sec_t), (
-                        name, rep.space_dim, degree)
-                    outcomes.append(got)
-        assert True in outcomes and False in outcomes
-
 
 class TestValidateSectionAgainstReference:
     """validate_section against the dense product q . sigma."""
@@ -807,8 +785,8 @@ class TestValidateSectionAgainstReference:
         outcomes = []
         for name, ext in exts.items():
             sections = [rand_section(rng, ext) for _ in range(3)]
-            families = [reference_param_section(ext, sections[:2]),
-                        reference_param_section(ext, sections)]
+            families = [family_point(ext, sections[:2], [rand_fraction(rng)]),
+                        family_point(ext, sections, [rand_fraction(rng), rand_fraction(rng)])]
             candidates = (sections + families
                           + [perturbed(rng, sec) for sec in sections + sections + families])
             for sec in candidates:
@@ -822,7 +800,7 @@ class TestValidateSectionAgainstReference:
         rng = random.Random(97)
         ext = point_base_extension()
         sections = [rand_section(rng, ext) for _ in range(2)]
-        for sec in sections + [reference_param_section(ext, sections)]:
+        for sec in sections + [family_point(ext, sections, [rand_fraction(rng)])]:
             assert sec.matrix == [[], [], []]
             assert validate_section(ext, sec) is reference_validate_section(ext, sec) is True
 
@@ -840,7 +818,8 @@ def _same_table(got, want):
 class TestSparseSections:
     """A section keeps the nonzero entries of its columns; the curvature,
     difference, family curvature and section check read them and agree, in
-    value and entry kind, with the dense references in helpers."""
+    value and entry kind, with the dense references in helpers.  The sections
+    include points of the families through the others."""
 
     @staticmethod
     def cases():
@@ -855,12 +834,12 @@ class TestSparseSections:
                 sections = [lift] + [rand_section(rng, copy) for _ in range(3)]
                 if copy is ext:
                     sections += section_pool(rng, name, ext, 2)
-                families = [reference_param_section(copy, chosen) for chosen in (
-                    sections[:2], sections[:3], [lift, lift], [sections[1], lift])]
+                families = [family_point(copy, chosen, [rand_fraction(rng) for _ in chosen[1:]])
+                            for chosen in (sections[:2], sections[:3], [lift, lift],
+                                           [sections[1], lift])]
                 yield name, copy, sections, families
 
     def test_columns_are_the_nonzero_entries_of_the_matrix(self):
-        polynomial = 0
         for name, ext, sections, families in self.cases():
             for sec in sections + families:
                 entries = {(r, i): x for i, col in enumerate(sec._cols) for r, x in col.items()}
@@ -869,21 +848,16 @@ class TestSparseSections:
                 assert entries == want, name
                 assert all(x is sec.matrix[r][i] for (r, i), x in entries.items())
                 assert len(sec._cols) == ext.base.dim
-                polynomial += any(type(x) is MultiPoly for x in entries.values())
-        assert polynomial >= 20
 
     def test_matrix_reads_back_the_input(self):
         """The matrix, built on read from the columns, equals the given one in
-        value and entry kind: a zero reads as the zero of the section's kind."""
-        t = poly_variable(1, 0)
+        value and entry kind: an int reads as a Fraction, a zero as Fraction(0)."""
         for name, ext, sections, families in self.cases():
             for sec in sections + families:
                 given = sec.matrix
-                cases = [(given, given)]
-                if not sec.is_polynomial:
-                    cases += [([[int(x) if x.denominator == 1 else x for x in row]
-                                for row in given], given),
-                              ([[x * t + x for x in row] for row in given],) * 2]
+                cases = [(given, given),
+                         ([[int(x) if x.denominator == 1 else x for x in row]
+                           for row in given], given)]
                 for matrix, want in cases:
                     got = Section(ext, matrix).matrix
                     assert got == want, name
@@ -928,11 +902,13 @@ class TestParamFamily:
             assert all(x.is_constant() for val in rt.nonzero.values() for x in val), name
 
     def test_projection_composes_to_identity_as_polynomials(self):
+        # q . sigma_t = id is affine in t, so it holds at every rational point
         rng = random.Random(81)
         ext = filiform_extension()
         sections = [rand_section(rng, ext) for _ in range(3)]
-        st = reference_param_section(ext, sections)
-        assert validate_section(ext, st)
+        for _ in range(5):
+            point = [rand_fraction(rng, span=5) for _ in range(2)]
+            assert validate_section(ext, family_point(ext, sections, point))
 
     def test_rejects_invalid_input_section(self):
         ext, s0, _ = oscillator_sections()
@@ -995,9 +971,14 @@ class TestParamFamily:
         for name in ("heisenberg", "filiform", "affine", "oscillator"):
             ext = fixture_extensions()[name]
             sections = section_pool(rng, name, ext, 3)
-            st = reference_param_section(ext, sections)
             rt = param_curvature(ext, sections)
-            st_mats = [dense_kernel_action(cols) for cols in s_from_section(ext, st)]
+            # S_t = ad(sigma_t .)|n is linear in the section: S_0 + sum_i t_i (S_i - S_0)
+            s_0, *s_i = [[dense_kernel_action(cols) for cols in s_from_section(ext, sec)]
+                         for sec in sections]
+            st_mats = [[[as_poly(c, 2) + sum(poly_variable(2, i) * (m[x][r][k] - c)
+                                             for i, m in enumerate(s_i))
+                         for k, c in enumerate(row)] for r, row in enumerate(mat)]
+                       for x, mat in enumerate(s_0)]
             for i in (1, 2):
                 alpha = to_poly(section_difference(ext, sections[i], sections[0]), 2)
                 lhs = reference_twisted_differential(alpha, st_mats)
@@ -1014,15 +995,11 @@ class TestKernelCoordinates:
     @staticmethod
     def cases():
         """(extension, vector factory) over the fixtures and seeded conjugates;
-        each vector is iota w for a random w of Fraction or MultiPoly entries."""
+        each vector is iota w for a random rational w."""
         rng = random.Random(86)
-        t = poly_variable(2, 0)
 
         def image(ext):
-            w = [rand_fraction(rng) for _ in range(ext.kernel.dim)]
-            if rng.random() < 0.5:
-                w = [t * x + rand_fraction(rng) for x in w]
-            return dense_mat_vec(ext.iota, w)
+            return dense_mat_vec(ext.iota, [rand_fraction(rng) for _ in range(ext.kernel.dim)])
 
         for ext in fixture_extensions().values():
             for copy in (ext, conjugate_extension(rng, ext)):
@@ -1088,7 +1065,7 @@ class TestKernelCoordinates:
         for name, ext in exts.items():
             sections = section_pool(rng, name, ext, 2)
             dg = ext.base.dim
-            for sec in sections + [reference_param_section(ext, sections)]:
+            for sec in sections:
                 calls.clear()
                 section_curvature(ext, sec)
                 assert calls == ([dg * (dg - 1) // 2] if dg > 1 else []), name

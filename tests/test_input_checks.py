@@ -7,9 +7,9 @@ from liechar import (Cochain, DegreeError, Extension, InvalidSection, MultiPoly,
                      Representation, Section, SymMultiMap, abelian, adjoint_representation,
                      algebra_from_brackets, as_poly, ce_differential, chern_weil,
                      cohomology_space, compose_sym, delta_f, heisenberg, heisenberg3,
-                     integrate_monomial_simplex, is_invariant, oscillator, param_curvature,
-                     rational_to_str, secondary_class, trivial_representation,
-                     verify_main_theorem)
+                     integrate_monomial_simplex, is_invariant, kernel_coords, oscillator,
+                     param_curvature, rational_to_str, secondary_class, solve_linear,
+                     trivial_representation, verify_main_theorem)
 from liechar.catalog import oscillator_extension
 
 from helpers import zero_table
@@ -120,6 +120,15 @@ def family_through_a_polynomial_section():
     param_curvature(ext, [s0, Section(ext, [[0], [0], [MultiPoly(1, {(1,): 1})], [1]])])
 
 
+def kernel_coords_polynomial(row):
+    """kernel_coords of a vector whose entry at row is t1: row 3 is a zero row
+    of iota, the others hold a pivot."""
+    ext = oscillator_extension()
+    vec = [0] * ext.total.dim
+    vec[row] = MultiPoly(1, {(1,): 1})
+    kernel_coords(ext, vec)
+
+
 def family_through_an_invalid_section():
     ext, s0, _, _, _ = oscillator_inputs()
     param_curvature(ext, [Section(ext, [[0]] * 4), s0])
@@ -183,8 +192,17 @@ CHECKS = [
      "section mode needs a section"),
     ("param_curvature one", family_of_one_section, ValueError,
      "need at least two sections to interpolate"),
-    ("param_curvature polynomial", family_through_a_polynomial_section, InvalidSection,
-     "section 1 must be rational"),
+    # sections and right-hand sides are rational: a MultiPoly entry is refused
+    ("param_curvature polynomial", family_through_a_polynomial_section, TypeError,
+     "polynomial t1 is not a rational scalar"),
+    ("Section polynomial", lambda: Section(oscillator_extension(), [
+        [0], [0], [MultiPoly(1, {(0,): 2})], [1]]), TypeError,
+     "polynomial 2 is not a rational scalar"),
+    ("solve_linear polynomial", lambda: solve_linear(
+        [{0: 1}, {1: 1}], [[1, MultiPoly(2, {(1, 1): 3})]], 2), TypeError,
+     "polynomial 3*t1*t2 is not a rational scalar"),
+    *((f"kernel_coords polynomial at row {row}", lambda row=row: kernel_coords_polynomial(row),
+       TypeError, "polynomial t1 is not a rational scalar") for row in (0, 3)),
     ("param_curvature invalid", family_through_an_invalid_section, InvalidSection,
      "section 0 fails q . sigma = id"),
     ("heisenberg(0)", lambda: heisenberg(0), ValueError, "heisenberg(m) needs m >= 1"),

@@ -21,7 +21,10 @@
 - only ``characteristic._delta_f`` and ``extensions.param_curvature`` call
   ``_family_curvature``, so R_t of a section family is built one way, and
   only ``section_curvature`` and ``_Vertices.of`` run the curvature loop
-  ``_curvature_values``.
+  ``_curvature_values``;
+- sections and right-hand sides are rational: ``linalg`` names neither
+  ``MultiPoly`` nor ``_coerce_scalar``, and in ``extensions`` only
+  ``_family_curvature`` (R_t of a section family) names ``MultiPoly``.
 """
 
 import ast
@@ -249,7 +252,7 @@ def test_only_liealg_scans_the_dense_tables(name):
     ("Representation", ("algebra", "space_dim", "sparse")),
     ("Cochain", ("source", "degree", "target_dim", "nonzero")),
     ("SymMultiMap", ("source", "degree", "target_dim", "nonzero")),
-    ("Section", ("extension", "_cols", "_kind_zero")),
+    ("Section", ("extension", "_cols")),
 ])
 def test_tables_are_stored_sparse_only(cls, slots):
     """Instances have no __dict__, so a dense shadow of the sparse table (or a
@@ -296,3 +299,21 @@ def test_family_curvature_has_two_callers():
 def test_curvature_loop_has_two_callers():
     assert callers("_curvature_values") == [
         "extensions._Vertices.of", "extensions.section_curvature"]
+
+
+def name_uses(node, name):
+    """How often a node reads a name or imports it with a from-import."""
+    return sum(isinstance(sub, ast.Name) and sub.id == name
+               or isinstance(sub, ast.alias) and sub.name == name for sub in ast.walk(node))
+
+
+def test_polynomials_stay_in_the_family_curvature():
+    linalg = tree("linalg")
+    assert name_uses(linalg, "MultiPoly") == name_uses(linalg, "_coerce_scalar") == 0
+    body = tree("extensions").body
+    family = next(node for node in body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_family_curvature")
+    outside = [node for node in body if node is not family and not isinstance(node, ast.ImportFrom)]
+    assert name_uses(family, "MultiPoly")
+    assert [getattr(node, "name", node.lineno) for node in outside
+            if name_uses(node, "MultiPoly")] == []

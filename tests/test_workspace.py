@@ -364,7 +364,7 @@ class TestSparseReader:
 
     FIELDS = {Representation: ("space_dim", "sparse"),
               Extension: ("iota", "proj", "_iota_rows", "_proj_rows", "_echelon"),
-              Section: ("_cols", "_kind_zero")}
+              Section: ("_cols",)}
 
     def assert_same_fields(self, got, want):
         assert type(got) is type(want)
@@ -377,7 +377,6 @@ class TestSparseReader:
             assert all(type(c) is Fraction for row in got.iota + got.proj for c in row)
         else:
             stored = [c for col in got._cols for c in col.values()]
-            assert type(got._kind_zero) is Fraction
         assert all(type(c) is Fraction and c for c in stored)
 
     def test_fixtures_equal_the_public_constructors(self, fixtures_dir):
@@ -557,21 +556,6 @@ class TestReferenceMessages:
             serialize_workspace(Workspace(**{key: {name: obj}}))
         assert type(caught.value) is ValueError
         assert str(caught.value) == f"{kind} '{name}' refers to an unregistered {target}"
-
-    def test_writer_refuses_a_polynomial_section(self):
-        # the schema reads rational literals only, so the writer refuses what
-        # the reader could not read back
-        ws = heisenberg_workspace()
-        ext = ws.extensions["heis"]
-        t = MultiPoly(1, {(1,): 1})
-        ws.sections["family"] = Section(
-            ext, [[x + t * (y - x) for x, y in zip(row_a, row_b)]
-                  for row_a, row_b in zip(ws.sections["s0"].matrix, ws.sections["s1"].matrix)])
-        with pytest.raises(ValueError) as caught:
-            serialize_workspace(ws)
-        assert type(caught.value) is ValueError
-        assert str(caught.value) == ("section 'family' has polynomial entries; "
-                                     "a workspace holds rational sections only")
 
 
 class TestSizeBound:

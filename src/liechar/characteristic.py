@@ -41,7 +41,11 @@ applied to p copies of the section curvature.  For p = n >= 1 the integrand
 has no curvature slot and is constant, so Delta_f = f(a_1 ^ ... ^ a_n) / n!,
 since D_n has volume 1/n!, and no curvature is computed.  The section
 differences a_i stay rational in every case; only R_t is a MultiPoly, and
-the integrand is a polynomial only through it.
+the integrand is a polynomial only through it.  A cochain of degree above
+dim g is zero: Delta_f of degree 2p - n > dim g is returned as the zero
+cochain without R_t or any composition.  The vertex data is still built, so
+every input check runs and a vertex value that escapes the kernel still
+raises ExactnessViolation.
 The primary (Chern-Weil) class of f is (1/p!) [Delta_f(s)], independent of
 the section; the secondary class of an admissible f (Delta_f(s_a) and
 Delta_f(s_b) vanish) is [Delta_f(s_a, s_b)] in degree 2p - 1.
@@ -54,7 +58,10 @@ exactly, and reports which global sign makes both sides agree.  It builds the
 data of the full tuple once and derives each face's: dropping s_i (i >= 1)
 drops index i; dropping s_0 makes s_1 the base point, with differences
 a_j - a_1 and Q'_ij = Q_ij - Q_i1 - Q_1j + Q_11.  secondary_class reads its
-two admissibility checks off the faces of its pair in the same way.
+two admissibility checks off the faces of its pair in the same way.  Both
+sides of the identity have degree 2p - n + 1; above dim g they are zero, and
+verify_main_theorem returns them after the checks and the vertex data, with
+no d and no face.
 """
 
 from __future__ import annotations
@@ -220,9 +227,12 @@ def _check_delta_inputs(ext, f, sections, rep, mode, names=None) -> bool:
 
 
 def _delta_f(f: SymMultiMap, vertices: _Vertices) -> Cochain:
-    """delta_f on the data of sections that _check_delta_inputs accepted."""
+    """delta_f on the data of sections that _check_delta_inputs accepted; a
+    cochain of degree 2p - n above dim g is zero and is not composed."""
     p = f.degree
     n = len(vertices.differences)
+    if 2 * p - n > vertices.base.dim:
+        return Cochain._of(vertices.base, 2 * p - n, f.target_dim, {})
     if n == 0:
         if p == 0:
             return Cochain(vertices.base, 0, f.target_dim, {(): f.entry(())})
@@ -329,13 +339,20 @@ def verify_main_theorem(ext: Extension, f: SymMultiMap, sections,
     the Delta_f over each omitted section, exactly.
 
     The inputs are checked once, as delta_f checks them, and the data of the
-    full tuple is built once; each face's data is derived from it."""
+    full tuple is built once; each face's data is derived from it.  When
+    2p - n + 1 exceeds dim g both sides are zero by degree, and neither d nor
+    a face is computed; the data is still built, so every check runs and an
+    ExactnessViolation is raised where a vertex value escapes the kernel."""
     sections = list(sections)
     n = len(sections) - 1
     if n < 1:
         raise ValueError("the identity needs at least two sections")
     sections = _checked_sections(ext, f, sections, rep, mode)
     vertices = _Vertices.of(ext, sections, True)
+    degree = 2 * f.degree - n + 1
+    if degree > ext.base.dim:
+        return TheoremReport(Cochain._of(ext.base, degree, rep.space_dim, {}),
+                             Cochain._of(ext.base, degree, rep.space_dim, {}), True, 0, None)
     lhs = ce_differential(_delta_f(f, vertices), rep).scale(Fraction(f.degree - n + 1))
     rhs = _delta_f(f, vertices.face(0))
     for i in range(1, n + 1):

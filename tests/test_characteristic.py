@@ -12,17 +12,18 @@ from liechar import (Cochain, DegreeError, InvalidSection, InvarianceWarning,
                      adjoint_representation, ce_differential,
                      chern_weil, classes_equal, cohomology_space, compose_sym,
                      delta_f, heisenberg, heisenberg3, oscillator,
-                     increasing_tuples, secondary_class,
+                     increasing_tuples, is_invariant, secondary_class,
                      section_curvature, trivial_representation, verify_main_theorem)
 from liechar.catalog import (filiform_extension, heisenberg_central_extension,
                              oscillator_extension)
 
-from helpers import (SMALL_ALGEBRAS, conjugate_algebra, dense_cohomology,
-                     dense_differential_matrix, direct_sum_extension, fixture_extensions,
+from helpers import (SMALL_ALGEBRAS, conjugate_algebra, conjugate_extension, dense_cohomology,
+                     dense_differential_matrix, dense_matrices, direct_sum_extension,
+                     fixture_extensions,
                      greedy_cohomology, point_base_extension, rand_cochain, rand_fraction,
                      rand_section, rand_symmap, random_algebra, random_invariant_symmap,
                      random_module, random_representation, raise_everywhere, rank,
-                     reference_delta_f, reference_wedge,
+                     reference_delta_f, reference_twisted_differential, reference_wedge,
                      scalar_multiplication,
                      section_difference, section_pool, sym_product, zero_table)
 
@@ -449,6 +450,147 @@ class TestOneKernelSolve:
         calls.clear()
         assert secondary_class(ext, fz, s0, sz, triv).coordinates == (1,)
         assert len(calls) == 1
+
+
+class TestZeroByDegree:
+    """Delta_f of degree 2p - n above dim g, and both sides of the boundary
+    identity when 2p - n + 1 exceeds dim g, are zero by degree: they come out
+    with no R_t, no composition and no d, after every input check and the one
+    kernel_coords call of the vertex data, and equal the references."""
+
+    @staticmethod
+    def module(base):
+        """A module on which the base acts by nonzero matrices: the adjoint plus a
+        trivial line in a seeded basis when the base is not abelian, else e_i
+        acting by (i + 1) N for one nilpotent N (these commute)."""
+        if any(rows is not None for rows in adjoint_representation(base).sparse):
+            return random_module(random.Random(base.dim), base)
+        return Representation(base, 2, [[[0, i + 1], [0, 0]] for i in range(base.dim)])
+
+    @staticmethod
+    def degrees(base_dim):
+        """(p, n) with 1 <= p <= 4 and n <= min(p, 3) where Delta_f or the
+        identity is zero by degree; the flags say which of the two."""
+        for n in range(4):
+            for p in range(max(n, 1), 5):
+                delta_zero = 2 * p - n > base_dim
+                theorem_zero = n > 0 and 2 * p - n + 1 > base_dim
+                if delta_zero or theorem_zero:
+                    yield p, n, delta_zero, theorem_zero
+
+    def test_no_composition_curvature_or_differential(self, monkeypatch):
+        from liechar import characteristic, extensions
+        calls = {}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        for name in ("compose_sym", "_family_curvature", "ce_differential"):
+            count(characteristic, name)
+        count(extensions, "kernel_coords")
+        rng = random.Random(1600)
+        quiet = TestDeltaFAgainstReference.quiet
+        seen = set()
+        for name, ext in fixture_extensions().items():
+            triv = trivial_representation(ext.base, 1)
+            for p, n, delta_zero, theorem_zero in self.degrees(ext.base.dim):
+                f = rand_symmap(rng, ext.kernel, p)
+                sections = section_pool(rng, name, ext, n + 1)
+                if delta_zero:
+                    calls.clear()
+                    out = quiet(lambda: delta_f(ext, f, sections, triv))
+                    assert out.is_zero() and out.degree == 2 * p - n
+                    assert calls == {"kernel_coords": 1}, (name, p, n)
+                    seen.add((name, "delta_f"))
+                if theorem_zero:
+                    calls.clear()
+                    report = quiet(lambda: verify_main_theorem(ext, f, sections, triv))
+                    assert report.lhs.is_zero() and report.rhs.is_zero()
+                    assert calls == {"kernel_coords": 1}, (name, p, n)
+                    seen.add((name, "theorem"))
+        assert seen == {(name, call) for name in fixture_extensions()
+                        for call in ("delta_f", "theorem")}
+
+    def test_against_the_references(self):
+        rng = random.Random(1601)
+        quiet = TestDeltaFAgainstReference.quiet
+        assert_same = TestDeltaFAgainstReference.assert_same
+        classes = 0
+        for name, plain in fixture_extensions().items():
+            for ext in (plain, conjugate_extension(rng, plain)):
+                for rep in (trivial_representation(ext.base, 1), self.module(ext.base)):
+                    m = rep.space_dim
+                    for p, n, delta_zero, theorem_zero in self.degrees(ext.base.dim):
+                        f = random_invariant_symmap(rng, name, ext, p) if m == 1 else None
+                        f = f or rand_symmap(rng, ext.kernel, p, m)
+                        sections = (section_pool(rng, name, ext, n + 1) if ext is plain
+                                    else [rand_section(rng, ext) for _ in range(n + 1)])
+                        ref = reference_delta_f(ext, f, sections)
+                        for mode in ("section", "strict"):
+                            invariant = (all(is_invariant(f, ext, rep, mode, s) for s in sections)
+                                         if mode == "section" else is_invariant(f, ext, rep, mode))
+                            if delta_zero:
+                                assert_same(quiet(lambda: delta_f(ext, f, sections, rep, mode)),
+                                            ref)
+                            if delta_zero and n == 0:
+                                classes += self.assert_class(
+                                    invariant, lambda: chern_weil(ext, f, sections[0], rep, mode),
+                                    ref.scale(Fraction(1, factorial(p))))
+                            if theorem_zero and n == 1:
+                                classes += self.assert_class(
+                                    invariant,
+                                    lambda: secondary_class(ext, f, *sections, rep, mode), ref)
+                            if theorem_zero:
+                                self.assert_report(
+                                    quiet(lambda: verify_main_theorem(ext, f, sections, rep, mode)),
+                                    ext, f, sections, rep)
+        assert classes > 0
+
+    @staticmethod
+    def assert_class(invariant, compute, representative):
+        """The class of a representative whose faces or itself are zero by
+        degree, or NotInvariant; True when a class was computed."""
+        if not invariant:
+            with pytest.raises(NotInvariant):
+                compute()
+            return False
+        cls = compute()
+        TestDeltaFAgainstReference.assert_same(cls.representative, representative)
+        assert cls.coordinates == cls.h_space.coordinates_of(representative)
+        if representative.degree > representative.source.dim:
+            assert cls.coordinates == () and cls.h_space.h_dim == 0
+        return True
+
+    @staticmethod
+    def assert_report(report, ext, f, sections, rep):
+        p, n = f.degree, len(sections) - 1
+        assert_same = TestDeltaFAgainstReference.assert_same
+        lhs = reference_twisted_differential(reference_delta_f(ext, f, sections),
+                                             dense_matrices(rep))
+        assert_same(report.lhs, lhs.scale(Fraction(p - n + 1)))
+        rhs = None
+        for i in range(n + 1):
+            ref = reference_delta_f(ext, f, sections[:i] + sections[i + 1:])
+            ref = -ref if i % 2 else ref
+            rhs = ref if rhs is None else rhs + ref
+        assert_same(report.rhs, rhs)
+        assert report.lhs.target_dim == rep.space_dim
+        assert (report.equal, report.sign, report.difference) == (True, 0, None)
+
+    def test_invariance_warning_from_the_identity(self):
+        # p = n = 1 on the oscillator: both sides have degree 2 > dim g = 1
+        ext, s0, sz, _, triv = oscillator_setup()
+        pdual = SymMultiMap(ext.kernel, 1, 1, {(0,): [1], (1,): [0], (2,): [0]})
+        for mode in ("section", "strict"):
+            with pytest.warns(InvarianceWarning):
+                report = verify_main_theorem(ext, pdual, [s0, sz], triv, mode)
+            assert report.lhs.degree == 2 and (report.equal, report.sign) == (True, 0)
 
 
 class TestChernWeil:

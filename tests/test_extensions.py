@@ -438,7 +438,9 @@ class TestScaledInconsistentRows:
         escaping [q, iota e_0] in the invariance check.  Past that check, each
         raises ExactnessViolation exactly when it reads a curvature with c != 0:
         Delta_f for p > n, both admissibility checks and every face of the
-        boundary identity."""
+        boundary identity.  The base has dimension 2, so many of these cochains
+        are zero by degree; the vertex data is still read there, and at least
+        one raising case of Delta_f and of the identity is such a case."""
         from liechar import characteristic
 
         ext = self.escaping()
@@ -459,21 +461,27 @@ class TestScaledInconsistentRows:
         f1 = rand_symmap(rng, ext.kernel, 1)
         assert raises(lambda: delta_f(ext, f1, [section(0)], triv))
         monkeypatch.setattr(characteristic, "is_invariant", lambda *args: True)
+        zero_by_degree = set()
         for n in range(4):
             for cs in product((0, Fraction(2, 3)), repeat=n + 1):
                 escapes = any(cs)
                 for p in range(n, 4):
                     f = rand_symmap(rng, ext.kernel, p)
                     sections = [section(c) for c in cs]
-                    assert raises(lambda: delta_f(ext, f, sections, triv)) == (
-                        p > n and escapes), (n, cs, p)
+                    raised = raises(lambda: delta_f(ext, f, sections, triv))
+                    assert raised == (p > n and escapes), (n, cs, p)
+                    if raised and 2 * p - n > ext.base.dim:
+                        zero_by_degree.add("delta_f")
                     if n == 0 and p:
                         assert raises(lambda: chern_weil(ext, f, sections[0], triv)) == escapes
                     if n == 1 and p:
                         assert raises(lambda: secondary_class(ext, f, *sections, triv)) == escapes
                     if n:
-                        assert raises(
-                            lambda: verify_main_theorem(ext, f, sections, triv)) == escapes
+                        raised = raises(lambda: verify_main_theorem(ext, f, sections, triv))
+                        assert raised == escapes
+                        if raised and 2 * p - n + 1 > ext.base.dim:
+                            zero_by_degree.add("verify_main_theorem")
+        assert zero_by_degree == {"delta_f", "verify_main_theorem"}
 
 
 class TestSections:

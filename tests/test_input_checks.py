@@ -76,6 +76,16 @@ def delta_f_off_module():
     delta_f(ext, f, [s0], triv)
 
 
+def module_over_the_total(call, mode):
+    """call on the oscillator with a module over its 4-dimensional total algebra,
+    not its line base; each call's result has degree 2 > dim g = 1."""
+    ext, s0, sz, fz, _ = oscillator_inputs()
+    rep = trivial_representation(ext.total, 1)
+    if call is chern_weil:
+        return chern_weil(ext, fz, s0, rep, mode)
+    return call(ext, fz, [s0, sz] if call is verify_main_theorem else [s0], rep, mode)
+
+
 def theorem_single_section():
     ext, s0, _, fz, triv = oscillator_inputs()
     verify_main_theorem(ext, fz, [s0], triv)
@@ -177,6 +187,10 @@ CHECKS = [
      "dimension mismatch: f is not defined on the kernel"),
     ("delta_f module", delta_f_off_module, ValueError,
      "dimension mismatch: f does not map into the module"),
+    *((f"{call.__name__} module over another base, {mode}",
+       lambda call=call, mode=mode: module_over_the_total(call, mode),
+       ValueError, "dimension mismatch")
+      for call in (delta_f, chern_weil, verify_main_theorem) for mode in ("section", "strict")),
     ("verify_main_theorem one section", theorem_single_section, ValueError,
      "the identity needs at least two sections"),
     ("secondary_class degree 0", secondary_degree_zero, DegreeError,

@@ -11,9 +11,8 @@ spaces with deterministic bases, primary (Chern-Weil) and secondary
 relating the relative cochains of section tuples.
 """
 
-from .scalars import (MultiPoly, as_poly, integrate_monomial_simplex,
-                      integrate_poly_simplex, poly_to_json, rational_from_str,
-                      rational_to_str)
+from .scalars import (MultiPoly, integrate_monomial_simplex, integrate_poly_simplex,
+                      rational_from_str, rational_to_str)
 from .linalg import solve_linear
 from .liealg import (LieAlgebra, Representation, abelian, adjoint_representation,
                      algebra_from_brackets, check_jacobi,

@@ -41,7 +41,8 @@ applied to p copies of the section curvature.  For p = n >= 1 the integrand
 has no curvature slot and is constant, so Delta_f = f(a_1 ^ ... ^ a_n) / n!,
 since D_n has volume 1/n!, and no curvature is computed.  The section
 differences a_i stay rational in every case; only R_t is a MultiPoly, and
-the integrand is a polynomial only through it.  A cochain of degree above
+for p > n every term of the integrand carries it, so every entry is a
+MultiPoly in n variables, integrated as it is.  A cochain of degree above
 dim g is zero: Delta_f of degree 2p - n > dim g is returned as the zero
 cochain without R_t or any composition.  The vertex data is still built, so
 every input check runs and a vertex value that escapes the kernel still
@@ -77,7 +78,7 @@ from .extensions import (Extension, InvarianceWarning, Section, _check_sections,
                          _family_curvature, _Vertices, is_invariant)
 from .liealg import LieAlgebra, Representation
 from .linalg import echelon_nullspace, solve_linear, sparse_rref, sparse_transpose
-from .scalars import as_poly, integrate_poly_simplex
+from .scalars import integrate_poly_simplex
 
 __all__ = [
     "CohomologySpace",
@@ -240,7 +241,7 @@ def _delta_f(f: SymMultiMap, vertices: _Vertices) -> Cochain:
     if p == n:
         return compose_sym(f, vertices.differences).scale(Fraction(1, factorial(n)))
     integrand = compose_sym(f, vertices.differences + [_family_curvature(vertices)] * (p - n))
-    return integrand.map_values(lambda s: integrate_poly_simplex(as_poly(s, n)))
+    return integrand.map_values(integrate_poly_simplex)
 
 
 def _checked_sections(ext, f, sections, rep, mode):

@@ -13,8 +13,8 @@ included, which the writers walk.  A cochain sums over the product of the
 arguments' supports (their nonzero coordinates), so the cost is the product
 of the support sizes rather than d^p; a symmetric map is contracted with the
 symmetric tensor of its arguments, as in the composition below, each vector
-a degree-0 argument.  Scalar entries are Fraction or MultiPoly; every
-operator here is generic over the two kinds.
+a degree-0 argument.  Entries of a symmetric map are Fraction; those of a
+cochain or an argument are Fraction or MultiPoly, and the operators take both.
 The public constructors check and coerce every entry of a full table;
 package code that already holds the nonzero vectors of exact entries (the
 basis cochains of a cohomology space, the operators here) builds the table
@@ -40,10 +40,9 @@ integer term per monomial), and a tensor key is one int of bit fields, so
 that multiplying two terms adds their keys.  f is then contracted once per
 output key, reading only its entries at the tensor's keys, and each entry is
 divided once by the product of the L_j.  The entries of an output key are
-MultiPoly when a term behind the key holds a MultiPoly entry of an argument,
-and an entry is one when an entry of f it reads is; the others are Fraction,
-as the same sums from Fraction(0) would give.  Nothing is built when the
-output degree exceeds the dimension of the source.
+MultiPoly when a term behind the key holds a MultiPoly entry of an argument;
+the others are Fraction, as the same sums from Fraction(0) would give.
+Nothing is built when the output degree exceeds the dimension of the source.
 
 The Chevalley-Eilenberg differential with module action rho is
 
@@ -68,7 +67,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb, lcm
 
 from .liealg import LieAlgebra, Representation
-from .scalars import MultiPoly, _coerce_scalar
+from .scalars import MultiPoly, _coerce_scalar, _fraction
 
 __all__ = [
     "Cochain",
@@ -145,8 +144,8 @@ class _Table:
     """One value vector per canonical index tuple, extended multilinearly.
 
     ``nonzero`` maps each canonical tuple whose vector is not all zero to that
-    vector.  A subclass names its canonical tuples (``key_tuples``) and
-    evaluates its extension.
+    vector.  A subclass names its canonical tuples (``key_tuples``), the
+    coercion of its entries (``_coerce``) and evaluates its extension.
     """
 
     __slots__ = ("source", "degree", "target_dim", "nonzero")
@@ -157,7 +156,7 @@ class _Table:
         for key in keys:
             if key not in values:
                 raise ValueError(f"missing {self._kind} entry for tuple {key}")
-            val = tuple(_coerce_scalar(x) for x in values[key])
+            val = tuple(self._coerce(x) for x in values[key])
             if len(val) != target_dim:
                 raise ValueError(f"{self._kind} value at {key} has wrong length")
             if any(val):
@@ -172,7 +171,7 @@ class _Table:
     @classmethod
     def _of(cls, source: LieAlgebra, degree: int, target_dim: int, nonzero: dict):
         """Trusted constructor: ``nonzero`` must map canonical tuples to tuples of
-        target_dim Fraction or MultiPoly entries, none of them all zero."""
+        target_dim entries ``_coerce`` keeps as they are, none of them all zero."""
         obj = object.__new__(cls)
         obj.source = source
         obj.degree = degree
@@ -197,10 +196,10 @@ class _Table:
         return not self.nonzero
 
     def map_values(self, fn):
-        """fn applied to every entry; fn must take zero to zero, as the tuples
-        the table does not store are not passed to it."""
+        """fn applied to every entry, coerced as the constructor does; fn must take
+        zero to zero, as the tuples the table does not store are not passed to it."""
         return self._of(self.source, self.degree, self.target_dim, _nonzero(
-            (key, tuple(_coerce_scalar(fn(x)) for x in val)) for key, val in self.nonzero.items()))
+            (key, tuple(self._coerce(fn(x)) for x in val)) for key, val in self.nonzero.items()))
 
     def scale(self, c):
         return self.map_values(lambda x: c * x)
@@ -251,6 +250,7 @@ class Cochain(_Table):
     __slots__ = ()
     _kind = "cochain"
     key_tuples = staticmethod(increasing_tuples)
+    _coerce = staticmethod(_coerce_scalar)
 
     def evaluate(self, args):
         """Alternating multilinear extension to arbitrary coefficient vectors."""
@@ -275,6 +275,7 @@ class SymMultiMap(_Table):
     __slots__ = ()
     _kind = "symmetric-map"
     key_tuples = staticmethod(nondecreasing_tuples)
+    _coerce = staticmethod(_fraction)
 
     @staticmethod
     def key_count(dim: int, degree: int) -> int:
@@ -423,9 +424,9 @@ class _TensorKeys:
         return key
 
     def row(self, key):
-        """(exponents, rational, polys) of a key: exponents None for a rational
-        term; rational lists (r, (exponents, d), n) for each entry n/d of f at
-        the key's coordinates, polys (r, x) for each MultiPoly entry x."""
+        """(exponents, entries) of a key: exponents None for a rational term;
+        entries lists (r, (exponents, d), n) for each nonzero entry n/d of f
+        at the key's coordinates."""
         out = self.rows.get(key)
         if out is None:
             field = (1 << self.width) - 1
@@ -437,10 +438,7 @@ class _TensorKeys:
                              for v in range(self.nvars))
             val = self.f.nonzero.get(coords, ())
             out = self.rows[key] = (
-                exps,
-                [(r, (exps, x.denominator), x.numerator)
-                 for r, x in enumerate(val) if type(x) is not MultiPoly and x],
-                [(r, x) for r, x in enumerate(val) if type(x) is MultiPoly])
+                exps, [(r, (exps, x.denominator), x.numerator) for r, x in enumerate(val) if x])
         return out
 
 
@@ -469,25 +467,21 @@ def _wedge_step(wedge, form):
 
 def _contract(tensor, scale, keys):
     """f contracted with one output key's tensor, each entry divided once by
-    scale: a MultiPoly in nvars variables when a tensor term has exponents or
-    the entry of f read is one, else a Fraction.  Only the entries of f at the
-    tensor's keys are read; a rational entry n/d of f adds t * n to an integer
-    sum per (exponents, d), and each sum is put over d once."""
+    scale: a MultiPoly in nvars variables when a tensor term has exponents,
+    else a Fraction.  Only the entries of f at the tensor's keys are read; an
+    entry n/d of f adds t * n to an integer sum per (exponents, d), and each
+    sum is put over d once."""
     m, nvars = keys.f.target_dim, keys.nvars
     sums = [{} for _ in range(m)]
-    rests = [_ZERO] * m
     poly = False
     for key, t in tensor.items():
-        e, rational, polys = keys.row(key)
+        e, entries = keys.row(key)
         poly = poly or e is not None
-        for r, k, n in rational:
+        for r, k, n in entries:
             s = sums[r]
             s[k] = s.get(k, 0) + t * n
-        for r, x in polys:
-            y = t * x
-            rests[r] += y if e is None else MultiPoly._of(nvars, {e: Fraction(1)}) * y
     out = []
-    for s, rest in zip(sums, rests):
+    for s in sums:
         groups = {}
         for (e, d), n in s.items():
             groups.setdefault(e, []).append((d, n))
@@ -496,8 +490,6 @@ def _contract(tensor, scale, keys):
             den = lcm(*(d for d, _ in pairs))
             value[e] = Fraction(sum(n * (den // d) for d, n in pairs), den * scale)
         const = value.pop(None, _ZERO)
-        if type(rest) is MultiPoly:
-            const = const + rest / scale
         out.append(MultiPoly._of(nvars, {e: c for e, c in value.items() if c}) + const
                    if poly else const)
     return tuple(out)

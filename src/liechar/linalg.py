@@ -21,8 +21,8 @@ Fraction when its row is turned into integers, so every division on it is
 exact, and like every other entry it is stored only while it is nonzero.
 solve_linear puts the nonzero entries of its right-hand sides there, one
 column each, so a list of right-hand sides shares one elimination.  That is
-how a whole cochain of curvature values or section differences is expressed
-in kernel coordinates: one elimination per cochain.  Every entry point takes
+how _Vertices.of puts all the vertex data of a tuple of sections in kernel
+coordinates: one kernel_coords call per tuple.  Every entry point takes
 sparse rows of rationals; no dense matrix is built here.
 """
 

@@ -1,11 +1,10 @@
 """Exact scalars: rationals, simplex-parameter polynomials, closed-form integration.
 
 Every number in this library is exact.  Plain scalars are
-``fractions.Fraction``, and every coercion to one refuses a float.
-Quantities that vary over a simplex of section parameters (the curvature of
-a section family and what it enters) are ``MultiPoly`` values: sparse
-polynomials with Fraction coefficients in the coordinates ``t_1 .. t_n`` of
-the projected simplex
+``fractions.Fraction``; every coercion to one refuses a float and a MultiPoly.
+Only the curvature R_t of a section family and what it enters before the
+simplex integral are ``MultiPoly`` values: sparse polynomials with Fraction
+coefficients in the coordinates ``t_1 .. t_n`` of the projected simplex
 
     D_n = { t in R^n : t_i >= 0  and  t_1 + ... + t_n <= 1 }.
 
@@ -17,8 +16,8 @@ exponent that is not an int and coerces each coefficient into that form;
 the arithmetic methods build their results through the trusted constructor
 ``_of``, which skips those checks, so each of them drops the zero
 coefficients it produces itself and combines only terms that already hold
-the invariants.  Terms are ordered graded-lexicographically for
-serialization, so equal polynomials serialize to identical bytes.
+the invariants.  Terms are printed in graded-lexicographic order, so equal
+polynomials print alike.
 
 Integration over D_n with Lebesgue measure is closed form on monomials,
 
@@ -38,10 +37,8 @@ from math import factorial, gcd, prod
 
 __all__ = [
     "MultiPoly",
-    "as_poly",
     "rational_from_str",
     "rational_to_str",
-    "poly_to_json",
     "integrate_monomial_simplex",
     "integrate_poly_simplex",
 ]
@@ -124,10 +121,6 @@ class MultiPoly:
         poly.nvars = nvars
         poly.terms = terms
         return poly
-
-    @classmethod
-    def constant(cls, nvars: int, value) -> "MultiPoly":
-        return cls(nvars, {(0,) * _variable_count(nvars): value})
 
     # -- queries ----------------------------------------------------------
 
@@ -239,29 +232,14 @@ class MultiPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def as_poly(x, nvars: int) -> MultiPoly:
-    """Promote a Fraction/int to a constant polynomial; pass polynomials through."""
-    if isinstance(x, MultiPoly):
-        if x.nvars != nvars:
-            raise ValueError("polynomial variable counts differ")
-        return x
-    return MultiPoly.constant(nvars, x)
-
-
-def poly_to_json(p: MultiPoly):
-    """Graded-lex list of ``{"exponents": [...], "coeff": "p/q"}`` terms."""
-    return [
-        {"exponents": list(e), "coeff": rational_to_str(c)}
-        for e, c in p.sorted_terms()
-    ]
-
-
 def integrate_monomial_simplex(n: int, exponents) -> Fraction:
     """Integral of t_1^a_1 ... t_n^a_n over D_n: prod(a_i!) / (n + sum a_i)!.
 
-    Each exponent must be a non-negative int; any other value (a float, a
-    string, a bool) is refused, not truncated, and the message names the
-    vector as given."""
+    n must be an int of at least 1 and each exponent a non-negative int; any
+    other value (a float, a string, a bool) is refused, not truncated, and
+    the message names the value or the vector as given."""
+    if type(n) is not int:
+        raise ValueError(f"simplex dimension must be an int, not {n!r}")
     if n < 1:
         raise ValueError("simplex dimension must be at least 1")
     exponents = list(exponents)
@@ -272,7 +250,9 @@ def integrate_monomial_simplex(n: int, exponents) -> Fraction:
 
 
 def integrate_poly_simplex(p: MultiPoly) -> Fraction:
-    """Linear extension of the monomial integral over D_n to polynomials."""
+    """Linear extension of the monomial integral over D_n to a MultiPoly."""
+    if not isinstance(p, MultiPoly):
+        raise TypeError(f"can only integrate a MultiPoly, not {type(p).__name__}")
     if p.nvars < 1:
         raise ValueError("simplex dimension must be at least 1")
     total = Fraction(0)

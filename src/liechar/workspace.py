@@ -24,7 +24,7 @@ Schemas:
                     "entries": [{"tuple": [..], "value": [..]}]}
                    over non-decreasing tuples in lexicographic order
 
-Every value read is a rational string; no schema holds polynomial values.
+Every value read or written is a rational string; the writer refuses a MultiPoly.
 Each distinct literal is parsed once per parse_workspace call, and its
 location is formatted only if it is rejected.  Module matrices, iota, q and
 section matrices go through one matrix reader, which checks the shape and
@@ -68,7 +68,7 @@ from .extensions import Extension, Section, validate_extension, validate_section
 from .liealg import (LieAlgebra, Representation, _require_representation,
                      algebra_from_brackets)
 from .linalg import sparse_transpose
-from .scalars import MultiPoly, poly_to_json, rational_from_str, rational_to_str
+from .scalars import rational_from_str, rational_to_str
 
 __all__ = [
     "ParseError",
@@ -389,9 +389,7 @@ def _symmap_to_json(name, f, algebras):
 
 
 def _table_entries_to_json(table):
-    return [{"tuple": list(key),
-             "value": [poly_to_json(v) if isinstance(v, MultiPoly) else rational_to_str(v)
-                       for v in val]}
+    return [{"tuple": list(key), "value": [rational_to_str(v) for v in val]}
             for key, val in table.values.items()]
 
 

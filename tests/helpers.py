@@ -10,10 +10,9 @@ from types import SimpleNamespace
 
 from liechar import (
     Cochain, ExactnessViolation, Extension, LieAlgebra, MultiPoly, Representation, Section,
-    SymMultiMap, abelian, adjoint_representation, algebra_from_brackets, as_poly,
+    SymMultiMap, abelian, adjoint_representation, algebra_from_brackets,
     compose_sym, heisenberg, heisenberg3, increasing_tuples, oscillator,
     integrate_poly_simplex, kernel_coords, nondecreasing_tuples,
-    rational_from_str,
     semidirect_product, trivial_representation,
 )
 from liechar import extensions as extensions_module
@@ -558,7 +557,7 @@ def reference_param_section(ext, sections):
     entry of the first section."""
     n = len(sections) - 1
     return [[sum((poly_variable(n, i) * (sec.matrix[r][c] - b)
-                  for i, sec in enumerate(sections[1:])), MultiPoly.constant(n, b))
+                  for i, sec in enumerate(sections[1:])), poly_constant(n, b))
              for c, b in enumerate(row)]
             for r, row in enumerate(sections[0].matrix)]
 
@@ -594,20 +593,29 @@ def reference_param_curvature(ext, sigma_t):
     return to_poly(Cochain.from_function(ext.base, 2, ext.kernel.dim, fn), nvars)
 
 
-def to_poly(table, nvars):
-    """The same table with every entry promoted to a MultiPoly in nvars variables."""
-    return table.map_values(lambda x: as_poly(x, nvars))
+def poly_constant(nvars, value):
+    """The constant MultiPoly value in nvars variables."""
+    return MultiPoly(nvars, {(0,) * nvars: value})
+
+
+def as_poly(x, nvars):
+    """A rational x promoted to a constant MultiPoly in nvars variables; a
+    MultiPoly in nvars variables passed through."""
+    if isinstance(x, MultiPoly):
+        if x.nvars != nvars:
+            raise ValueError("polynomial variable counts differ")
+        return x
+    return poly_constant(nvars, x)
+
+
+def to_poly(cochain, nvars):
+    """The same cochain with every entry promoted to a MultiPoly in nvars variables."""
+    return cochain.map_values(lambda x: as_poly(x, nvars))
 
 
 def poly_variable(nvars, index):
     """The MultiPoly t_{index+1} in nvars variables (indices are 0-based)."""
     return MultiPoly(nvars, {tuple(int(i == index) for i in range(nvars)): 1})
-
-
-def poly_from_json(obj, nvars):
-    """The inverse of poly_to_json on its output: a MultiPoly from its term list."""
-    return MultiPoly(nvars, {tuple(term["exponents"]): rational_from_str(term["coeff"])
-                             for term in obj})
 
 
 def poly_diff(p, index):

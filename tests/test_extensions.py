@@ -7,7 +7,7 @@ import pytest
 
 from liechar import (ExactnessViolation, Extension, InvalidSection, MultiPoly, NotInvariant,
                      Representation, Section, SymMultiMap, abelian, adjoint_representation,
-                     chern_weil, algebra_from_brackets, as_poly, delta_f, secondary_class,
+                     chern_weil, algebra_from_brackets, delta_f, secondary_class,
                      verify_main_theorem,
                      heisenberg3, is_invariant, param_curvature,
                      parse_workspace, s_from_section,
@@ -29,7 +29,7 @@ from helpers import (column, conjugate_extension, transpose, dense_kernel_action
                      reference_twisted_differential,
                      reference_validate_extension, reference_validate_section,
                      section_difference, section_pool,
-                     to_poly, zero_table)
+                     as_poly, to_poly, zero_table)
 
 ROTATION = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
 ROTATION2 = [[0, -1], [1, 0]]

@@ -1,16 +1,19 @@
 """Each check on the arguments of a public entry point raises its exception
 type with its exact message."""
 
+from fractions import Fraction
+
 import pytest
 
 from liechar import (Cochain, DegreeError, Extension, InvalidSection, MultiPoly,
                      Representation, Section, SymMultiMap, abelian, adjoint_representation,
-                     algebra_from_brackets, as_poly, ce_differential, chern_weil,
+                     algebra_from_brackets, ce_differential, chern_weil, cochain_to_json,
                      cohomology_space, compose_sym, delta_f, heisenberg, heisenberg3,
-                     integrate_monomial_simplex, is_invariant, kernel_coords, oscillator,
-                     param_curvature, rational_to_str, secondary_class, solve_linear,
-                     trivial_representation, verify_main_theorem)
-from liechar.catalog import oscillator_extension
+                     integrate_monomial_simplex, integrate_poly_simplex, is_invariant,
+                     kernel_coords, oscillator, param_curvature, rational_to_str,
+                     secondary_class, solve_linear, trivial_representation,
+                     verify_main_theorem)
+from liechar.catalog import filiform_workspace, oscillator_extension
 
 from helpers import zero_table
 
@@ -139,6 +142,13 @@ def kernel_coords_polynomial(row):
     kernel_coords(ext, vec)
 
 
+def write_a_curvature_family():
+    """cochain_to_json of R_t through the filiform sections s0 and s1, whose
+    first entry, at (0, 1), is -t1."""
+    ws = filiform_workspace()
+    cochain_to_json(param_curvature(ws.extensions["fil"], [ws.sections["s0"], ws.sections["s1"]]))
+
+
 def family_through_an_invalid_section():
     ext, s0, _, _, _ = oscillator_inputs()
     param_curvature(ext, [Section(ext, [[0]] * 4), s0])
@@ -217,6 +227,19 @@ CHECKS = [
      "polynomial 3*t1*t2 is not a rational scalar"),
     *((f"kernel_coords polynomial at row {row}", lambda row=row: kernel_coords_polynomial(row),
        TypeError, "polynomial t1 is not a rational scalar") for row in (0, 3)),
+    # symmetric maps and the writer are rational too: only R_t and the
+    # integrand it enters hold MultiPoly entries
+    ("SymMultiMap polynomial", lambda: SymMultiMap(
+        abelian(1), 1, 1, {(0,): [MultiPoly(1, {(1,): 1})]}), TypeError,
+     "polynomial t1 is not a rational scalar"),
+    ("SymMultiMap.from_function polynomial", lambda: SymMultiMap.from_function(
+        abelian(2), 1, 1, lambda key: [MultiPoly(2, {(0, 1): 2})]), TypeError,
+     "polynomial 2*t2 is not a rational scalar"),
+    ("SymMultiMap.map_values polynomial", lambda: SymMultiMap(
+        abelian(1), 1, 1, {(0,): [3]}).map_values(lambda x: x * MultiPoly(1, {(1,): 1})),
+     TypeError, "polynomial 3*t1 is not a rational scalar"),
+    ("cochain_to_json polynomial", write_a_curvature_family, TypeError,
+     "polynomial -t1 is not a rational scalar"),
     ("param_curvature invalid", family_through_an_invalid_section, InvalidSection,
      "section 0 fails q . sigma = id"),
     ("heisenberg(0)", lambda: heisenberg(0), ValueError, "heisenberg(m) needs m >= 1"),
@@ -226,8 +249,6 @@ CHECKS = [
      ValueError, "polynomial variable counts differ"),
     # a variable count is an int: a float or a bool is refused, not kept
     ("MultiPoly float count", lambda: MultiPoly(2.0, {(1, 0): 3}), ValueError,
-     "variable count must be a non-negative int, not 2.0"),
-    ("MultiPoly.constant float count", lambda: MultiPoly.constant(2.0, 1), ValueError,
      "variable count must be a non-negative int, not 2.0"),
     ("MultiPoly bool count", lambda: MultiPoly(True, {(1,): 3}), ValueError,
      "variable count must be a non-negative int, not True"),
@@ -240,8 +261,6 @@ CHECKS = [
      "bad exponent vector (True, 0) for 2 variables"),
     ("MultiPoly string exponent", lambda: MultiPoly(1, {("2",): 3}), ValueError,
      "bad exponent vector ('2',) for 1 variables"),
-    ("as_poly", lambda: as_poly(MultiPoly(1, {(1,): 1}), 2), ValueError,
-     "polynomial variable counts differ"),
     ("constant_value", lambda: MultiPoly(1, {(1,): 2}).constant_value(), ValueError,
      "2*t1 is not a constant polynomial"),
     ("integrate_monomial_simplex", lambda: integrate_monomial_simplex(2, [1]), ValueError,
@@ -254,6 +273,14 @@ CHECKS = [
      ValueError, "bad exponent vector [True] for D_1"),
     ("integrate_monomial_simplex float D_2", lambda: integrate_monomial_simplex(2, [1.5]),
      ValueError, "bad exponent vector [1.5] for D_2"),
+    # a simplex dimension is an int: a bool is not read as 1, nor a float as 2
+    ("integrate_monomial_simplex bool dimension", lambda: integrate_monomial_simplex(True, [1]),
+     ValueError, "simplex dimension must be an int, not True"),
+    ("integrate_monomial_simplex float dimension",
+     lambda: integrate_monomial_simplex(2.0, [1, 1]),
+     ValueError, "simplex dimension must be an int, not 2.0"),
+    ("integrate_poly_simplex rational", lambda: integrate_poly_simplex(Fraction(1)), TypeError,
+     "can only integrate a MultiPoly, not Fraction"),
     # floats are not exact: every coercion to a scalar refuses them
     ("Section float", lambda: Section(oscillator_extension(), [[0], [0], [0.1], [1]]),
      TypeError, float_message(0.1)),
@@ -266,9 +293,6 @@ CHECKS = [
     ("Cochain float", lambda: Cochain(abelian(1), 1, 1, {(0,): [1.0]}), TypeError,
      float_message(1.0)),
     ("MultiPoly float", lambda: MultiPoly(1, {(1,): 0.1}), TypeError, float_message(0.1)),
-    ("MultiPoly.constant float", lambda: MultiPoly.constant(2, 0.5), TypeError,
-     float_message(0.5)),
-    ("as_poly float", lambda: as_poly(0.5, 1), TypeError, float_message(0.5)),
     ("rational_to_str float", lambda: rational_to_str(0.5), TypeError, float_message(0.5)),
     # a tuple entry that is not a Section is named by its type
     *((f"{call.__name__} non-section {position}", lambda call=call, position=position:

@@ -24,7 +24,12 @@
   ``_curvature_values``;
 - sections and right-hand sides are rational: ``linalg`` names neither
   ``MultiPoly`` nor ``_coerce_scalar``, and in ``extensions`` only
-  ``_family_curvature`` (R_t of a section family) names ``MultiPoly``.
+  ``_family_curvature`` (R_t of a section family) names ``MultiPoly``;
+- symmetric maps and written documents are rational too: ``workspace`` and
+  ``characteristic`` name neither ``MultiPoly`` nor ``as_poly``; in
+  ``cochains`` only the import, ``_integer_form``, ``_contract`` and ``_zero``
+  name ``MultiPoly``; ``SymMultiMap`` coerces its entries with ``_fraction``,
+  ``Cochain`` with ``_coerce_scalar``, and the shared base names neither.
 """
 
 import ast
@@ -317,3 +322,20 @@ def test_polynomials_stay_in_the_family_curvature():
     assert name_uses(family, "MultiPoly")
     assert [getattr(node, "name", node.lineno) for node in outside
             if name_uses(node, "MultiPoly")] == []
+    for name in ("workspace", "characteristic"):
+        module = tree(name)
+        assert name_uses(module, "MultiPoly") == name_uses(module, "as_poly") == 0, name
+    body = tree("cochains").body
+    assert [getattr(node, "name", "import") for node in body if name_uses(node, "MultiPoly")] == [
+        "import", "_zero", "_integer_form", "_contract"]
+    classes = {node.name: node for node in body if isinstance(node, ast.ClassDef)}
+
+    def coercion(cls):
+        return next(ast.unparse(node.value) for node in classes[cls].body
+                    if isinstance(node, ast.Assign)
+                    and [ast.unparse(target) for target in node.targets] == ["_coerce"])
+
+    assert coercion("SymMultiMap") == "staticmethod(_fraction)"
+    assert coercion("Cochain") == "staticmethod(_coerce_scalar)"
+    assert name_uses(classes["_Table"], "_fraction") == 0
+    assert name_uses(classes["_Table"], "_coerce_scalar") == 0

@@ -53,7 +53,9 @@ it applies the sparse rows of d to the flattened cochain.  One builder emits
 those rows from the sparse tables the algebra and the module fill at
 construction: a block sign * rho(e_t) per position of the key (none when
 rho(e_t) is zero, as for a trivial module) and a block coeff * I per nonzero
-c_ab^k of a pair of positions.  The matrix of d and the cohomology spaces in
+c_ab^k of a pair of positions.  The tables keep an integral entry as an int,
+so the rows of d over integral constants are integer rows, which the
+elimination takes as they are.  The matrix of d and the cohomology spaces in
 characteristic use the same rows, so the formula exists once.
 """
 
@@ -66,7 +68,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, lcm
 
-from .liealg import LieAlgebra, Representation
+from .liealg import LieAlgebra, Representation, _entry
 from .scalars import MultiPoly, _coerce_scalar, _fraction
 
 __all__ = [
@@ -292,7 +294,11 @@ class SymMultiMap(_Table):
 def _differential_rows(algebra: LieAlgebra, rep: Representation, degree: int):
     """Sparse rows {column: entry} of d: C^degree -> C^{degree+1} with values in
     the module rep, in the flattened tuple-major bases; no zero entries (an entry
-    whose contributions cancel is deleted where it happens)."""
+    whose contributions cancel is deleted where it happens).  Each entry is an
+    int when it is integral, else a Fraction, as in the tables it is read from:
+    the rows of an algebra and a module with integral constants are integer
+    rows, and an entry that sums several contributions is stored as the tables
+    store theirs."""
     if degree + 1 > algebra.dim:
         return []
     m = rep.space_dim
@@ -319,7 +325,7 @@ def _differential_rows(algebra: LieAlgebra, rep: Representation, degree: int):
                     pos = bisect(rest, k)
                     coeff = -c if (ai + bi + pos) % 2 else c
                     for i, row in enumerate(block, col_of[rest[:pos] + (k,) + rest[pos:]]):
-                        v = row[i] + coeff if i in row else coeff
+                        v = _entry(row[i] + coeff) if i in row else coeff
                         if v:
                             row[i] = v
                         else:
@@ -350,7 +356,7 @@ def ce_differential(w: Cochain, rep: Representation) -> Cochain:
         for c, x in row.items():
             y = flat[c]
             if y:
-                acc = acc + x * y
+                acc = acc + y * x
         out.append(acc)
     keys = increasing_tuples(w.source.dim, w.degree + 1)
     return Cochain._of(w.source, w.degree + 1, m,

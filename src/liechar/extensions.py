@@ -189,7 +189,7 @@ def _preserves_bracket(cols, source, target, i, j):
     out = _bracket_into(defaultdict(int), target, cols[i].items(), cols[j].items())
     for k, c in source.sparse[i][j]:
         for r, a in cols[k].items():
-            out[r] -= c * a
+            out[r] -= a * c
     return not any(out.values())
 
 
@@ -292,7 +292,7 @@ def _curvature_values(ext: Extension, sec: Section):
                             cols[j].items())
         for k, c in ext.base.sparse[i][j]:
             for r, x in cols[k].items():
-                val[r] = val[r] - c * x
+                val[r] = val[r] - x * c
         vals.append(val)
     return vals
 
@@ -499,7 +499,7 @@ def is_invariant(f, ext: Extension, rep: Representation, mode: str = "section",
         for key in keys:
             val = values.get(key, zero)
             lhs = zero if act is None else [
-                sum((e * val[s] for s, e in terms if val[s]), Fraction(0)) for terms in act]
+                sum((val[s] * e for s, e in terms if val[s]), Fraction(0)) for terms in act]
             rhs = list(zero)
             for slot, k in enumerate(key):
                 if not cols[k] or slot and key[slot - 1] == k:

@@ -2,7 +2,14 @@
 
 An algebra stores ``sparse[i][j]``, the pairs (k, c) of the nonzero
 e_k-coefficients of [e_i, e_j], and a representation the nonzero entries of
-each row of each rho(e_t); no dense copy is kept.  algebra_from_brackets
+each row of each rho(e_t); no dense copy is kept.  An entry of either table
+is an int when it is integral and a Fraction otherwise: one helper, _entry,
+stores it so wherever a table is filled, which is algebra_from_brackets, the
+Representation constructor and the workspace reader of modules.  So the
+tables of an algebra with integral structure constants, as every algebra
+the package builds has, hold ints, and the arithmetic that reads them (the
+rows of d, the Jacobi and module checks, the bracket loop) runs on ints;
+what the package returns is Fraction all the same.  algebra_from_brackets
 reads the table off bracket data for i < j, which is antisymmetric by
 construction, the Representation constructor takes dense matrices and keeps
 their nonzero entries, and the adjoint module reads ad(e_i) off the table.
@@ -57,8 +64,9 @@ _ZERO = Fraction(0)
 
 class LieAlgebra:
     """Lie algebra with a named basis and rational structure constants;
-    ``sparse[i][j]`` holds the pairs (k, c), by k, of the nonzero [e_i, e_j]_k.
-    Built by algebra_from_brackets, or by _of when valid by construction."""
+    ``sparse[i][j]`` holds the pairs (k, c), by k, of the nonzero [e_i, e_j]_k,
+    c an int when integral, else a Fraction.  Built by algebra_from_brackets,
+    or by _of when valid by construction."""
 
     __slots__ = ("dim", "basis_names", "sparse")
 
@@ -81,11 +89,18 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, basis={list(self.basis_names)})"
 
 
+def _entry(x):
+    """x, coerced as _fraction coerces it (a float is refused), as a table
+    entry: an int when it is integral, else the Fraction."""
+    x = x if type(x) is int else _fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def algebra_from_brackets(basis_names, brackets) -> LieAlgebra:
     """Build an algebra from sparse data {(i, j): {k: coeff}} for i < j.
 
     The sparse table is read off the data: zero coefficients dropped, each
-    (i, j) negated for (j, i)."""
+    (i, j) negated for (j, i), integral coefficients stored as ints."""
     names = tuple(basis_names)
     d = len(names)
     sparse = [[()] * d for _ in range(d)]
@@ -97,7 +112,7 @@ def algebra_from_brackets(basis_names, brackets) -> LieAlgebra:
             k = int(k)
             if not 0 <= k < d:
                 raise ValueError(f"bracket coefficient index {k} out of range")
-            vec[k] = _fraction(c)
+            vec[k] = _entry(c)
         terms = sparse[i][j] = tuple(sorted((k, c) for k, c in vec.items() if c))
         sparse[j][i] = tuple((k, -c) for k, c in terms)
     return _require_jacobi(LieAlgebra._of(_basis_names(names), tuple(map(tuple, sparse))))
@@ -258,12 +273,13 @@ def oscillator() -> LieAlgebra:
 class Representation:
     """Linear action of an algebra: one space_dim x space_dim matrix rho(e_t) per
     basis element; ``sparse[t]`` is None when rho(e_t) is zero, else the pairs
-    (column, entry) of the nonzero entries of each of its rows."""
+    (column, entry) of the nonzero entries of each of its rows, each entry an
+    int when integral, else a Fraction."""
 
     __slots__ = ("algebra", "space_dim", "sparse")
 
     def __init__(self, algebra: LieAlgebra, space_dim: int, matrices):
-        mats = [[[_fraction(c) for c in row] for row in mat] for mat in matrices]
+        mats = [[[_entry(c) for c in row] for row in mat] for mat in matrices]
         if len(mats) != algebra.dim or any(
             len(mat) != space_dim or any(len(row) != space_dim for row in mat)
             for mat in mats

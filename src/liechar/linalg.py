@@ -9,6 +9,11 @@ scaled by the lcm of its denominators, each reduction is
 row = a row - b prow with a and b the two entries of the pivot column divided
 by their gcd, and the row is then divided by the gcd of its entries, so it
 stays primitive.  Each pivot row is divided by its pivot once, at the end.
+Rows of integers, such as the rows of d over integral structure constants,
+are taken as they are; only a row that holds a Fraction is scaled.
+Back-substitution keeps an index from each column that is not a pivot to the
+pivot rows that hold it, updated with every change to a pivot row, so a new
+pivot visits only the pivot rows it clears, not every pivot row found so far.
 The result is the reduced row echelon form over Fraction, which is unique
 (the row space determines it), so it does not depend on the row order or on
 which row supplies a pivot, and it equals the form reached by scanning
@@ -73,6 +78,7 @@ def sparse_rref(rows, ncols):
     test its carried entries for zero.
     """
     pivots = {}
+    holders = {}  # column that is not a pivot -> the pivots whose rows hold it
     inconsistent = []
     for row in rows:
         lead = [c for c in row if c < ncols]
@@ -97,10 +103,19 @@ def sparse_rref(rows, ncols):
                 inconsistent.append((ncols, {c: _fraction(x) for c, x in row.items() if x}))
             continue
         c = min(lead)
-        for prow in pivots.values():
-            if c in prow:
-                g = gcd(row[c], prow[c])
-                _combine(prow, row[c] // g, prow[c] // g, row, ncols)
+        held = holders.pop(c, ())
+        for k in lead:
+            if k != c:
+                holders.setdefault(k, set()).add(c)
+        for p in held:
+            prow = pivots[p]
+            g = gcd(row[c], prow[c])
+            _combine(prow, row[c] // g, prow[c] // g, row, ncols)
+            for k in lead:
+                if k in prow:
+                    holders[k].add(p)
+                elif k != c:
+                    holders[k].discard(p)
         pivots[c] = row
     made = {}  # one Fraction per (entry, pivot) pair: building one takes a microsecond
     echelon = []

@@ -184,7 +184,7 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return MultiPoly._of(self.nvars, {})
-            return MultiPoly._of(self.nvars, {e: other * v for e, v in self.terms.items()})
+            return MultiPoly._of(self.nvars, {e: v * other for e, v in self.terms.items()})
         if isinstance(other, MultiPoly):
             if other.nvars != self.nvars:
                 raise ValueError("polynomial variable counts differ")

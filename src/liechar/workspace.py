@@ -34,8 +34,10 @@ skipped without a Fraction, and a literal already parsed is read from the
 memo.  Modules, extensions and sections are built from those rows through the
 trusted constructors, and each is then checked as its public constructor
 would check it (_require_representation, validate_extension,
-validate_section), so no entry is coerced or scanned for zeros twice.
-Algebras are built through algebra_from_brackets.
+validate_section), so no entry is coerced or scanned for zeros twice.  A
+module's rows pass through liealg's one table-entry helper on the way, as
+every algebra and module table is filled: an integral entry is kept as an
+int.  Algebras are built through algebra_from_brackets.
 
 A polynomial's entry count is checked against the number of its tuples, and
 each entry's tuple length against its degree, before any tuple is
@@ -65,7 +67,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .characteristic import CharacteristicClass
 from .cochains import Cochain, SymMultiMap, _nondecreasing_walk, _nonzero
 from .extensions import Extension, Section, validate_extension, validate_section
-from .liealg import (LieAlgebra, Representation, _require_representation,
+from .liealg import (LieAlgebra, Representation, _entry, _require_representation,
                      algebra_from_brackets)
 from .linalg import sparse_transpose
 from .scalars import rational_from_str, rational_to_str
@@ -273,7 +275,7 @@ def _rep_from_json(name, obj, algebras, location, memo):
             "need one matrix per basis element", location)
     sparse = []
     for i, mat in enumerate(mats):
-        rows = tuple([tuple(row.items()) for row in
+        rows = tuple([tuple([(c, _entry(x)) for c, x in row.items()]) for row in
                       _rows(mat, m, m, f"{location}.matrices[{i}]", memo)])
         sparse.append(rows if any(rows) else None)
     try:

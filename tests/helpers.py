@@ -105,6 +105,12 @@ def algebra_from_table(names, structure):
                                          for i, j in combinations(range(d), 2)})
 
 
+def exact_entry(x):
+    """True iff x is stored as the algebra and module tables store an entry: an
+    int when its denominator is 1, else a Fraction."""
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
 def sparse_table(structure):
     """The table LieAlgebra.sparse holds for a dense table: the pairs (k, c) of the
     nonzero structure[i][j][k], as tuples of Fractions."""
@@ -303,14 +309,17 @@ def dense_rref(a, ncols=None):
     return m, pivots
 
 
-def fraction_sparse_rref(rows, ncols):
+def fraction_sparse_rref(rows, ncols, counts=None):
     """Reference sparse Gauss-Jordan elimination over Fraction, row by row.
 
     This is the loop linalg ran before it went fraction-free: each new row is
     reduced against the pivot rows found so far, divided by its lowest
     remaining entry, and cleared from the older pivot rows.  Same output
     shape as sparse_rref, zero entries dropped; an inconsistent row is left as
-    the reduction leaves it.
+    the reduction leaves it.  A counts dict, when given, is incremented at
+    "reduced" for each pivot row a new row is reduced against, at "scanned"
+    for each older pivot row tested for the new pivot column and at "cleared"
+    for each one that held it.
     """
     def subtract(row, f, prow):
         for k, y in prow.items():
@@ -322,10 +331,14 @@ def fraction_sparse_rref(rows, ncols):
 
     pivots = {}
     inconsistent = []
+    counts = {} if counts is None else counts
+    for key in ("reduced", "scanned", "cleared"):
+        counts.setdefault(key, 0)
     for row in rows:
         row = {k: x for k, x in row.items() if x}
         for c in [c for c in row if c in pivots]:
             subtract(row, row[c], pivots[c])
+            counts["reduced"] += 1
         lead = [c for c in row if c < ncols]
         if not lead:
             if any(row.values()):
@@ -335,9 +348,11 @@ def fraction_sparse_rref(rows, ncols):
         if row[c] != 1:
             inv = Fraction(1) / row[c]
             row = {k: x * inv for k, x in row.items()}
+        counts["scanned"] += len(pivots)
         for prow in pivots.values():
             if c in prow:
                 subtract(prow, prow[c], row)
+                counts["cleared"] += 1
         pivots[c] = row
     return sorted(pivots.items()) + inconsistent
 
@@ -718,6 +733,37 @@ SMALL_ALGEBRAS = {
     "filiform4": lambda: algebra_from_brackets(
         ("x1", "x2", "x3", "x4"), {(0, 1): {2: 1}, (0, 2): {3: 1}}),
 }
+
+
+def sl_n(n):
+    """sl_n on the basis E_ij (i != j, row-major) followed by h_i = E_ii - E_i+1,i+1;
+    its structure constants are 0, +-1 and +-2.  A traceless diagonal diag(x_1..x_n)
+    is sum_i (x_1 + .. + x_i) h_i."""
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    names = tuple(f"E{i + 1}_{j + 1}" for i, j in off) + tuple(f"h{i + 1}" for i in range(n - 1))
+    units = [{(i, j): 1} for i, j in off] + [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
+    index = {pair: k for k, pair in enumerate(off)}
+
+    def commutator(a, b):
+        out = {}
+        for x, y, sign in ((a, b, 1), (b, a, -1)):
+            for (i, k), u in x.items():
+                for (l, j), v in y.items():
+                    if k == l:
+                        out[i, j] = out.get((i, j), 0) + sign * u * v
+        return out
+
+    def coords(mat):
+        vec = {index[i, j]: x for (i, j), x in mat.items() if i != j and x}
+        partial = 0
+        for i in range(n - 1):
+            partial += mat.get((i, i), 0)
+            if partial:
+                vec[len(off) + i] = partial
+        return vec
+
+    return algebra_from_brackets(names, {(a, b): coords(commutator(units[a], units[b]))
+                                         for a, b in combinations(range(len(units)), 2)})
 
 
 def algebra_pool():

@@ -436,9 +436,11 @@ def test_criterion_15_h15_every_degree_in_tens_of_mib(capsys):
     # A fresh interpreter, so that its peak RSS is this computation's.  Linux
     # carries ru_maxrss over from the process that spawns it (here the test
     # runner), so the child reads its own high-water mark, VmHWM, where the
-    # kernel reports it; both are in KiB.  Python 3.11.7 on a 2-core Intel Xeon:
-    # 1.8-3.4 s at 22 MiB, where basis cochains holding every canonical tuple
-    # took 5.8 s at 2210 MiB for H^8 alone.
+    # kernel reports it; both are in KiB.  Python 3.11.7 on a 2-core Intel Xeon,
+    # whole process: 1.2-1.4 s at 22 MiB on integer rows of d with an indexed
+    # back-substitution, against 2.2-3.2 s on Fraction rows with a scan of every
+    # pivot row (runs alternated), where basis cochains holding every canonical
+    # tuple took 5.8 s at 2210 MiB for H^8 alone.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

@@ -1,4 +1,5 @@
 import random
+import time
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -16,16 +17,18 @@ from liechar import (Cochain, DegreeError, InvalidSection, InvarianceWarning,
                      section_curvature, trivial_representation, verify_main_theorem)
 from liechar.catalog import (filiform_extension, heisenberg_central_extension,
                              oscillator_extension)
+from liechar.cochains import _differential_rows
+from liechar.linalg import sparse_rref
 
-from helpers import (SMALL_ALGEBRAS, conjugate_algebra, conjugate_extension, dense_cohomology,
-                     dense_differential_matrix, dense_matrices, direct_sum_extension,
-                     fixture_extensions,
+from helpers import (SMALL_ALGEBRAS, assert_exact_entries, conjugate_algebra, conjugate_extension,
+                     dense_cohomology, dense_differential_matrix, dense_matrices,
+                     direct_sum_extension, exact_entry, fixture_extensions,
                      greedy_cohomology, point_base_extension, rand_cochain, rand_fraction,
                      rand_section, rand_symmap, random_algebra, random_invariant_symmap,
                      random_module, random_representation, raise_everywhere, rank,
                      reference_delta_f, reference_twisted_differential, reference_wedge,
                      scalar_multiplication,
-                     section_difference, section_pool, sym_product, zero_table)
+                     section_difference, section_pool, sl_n, sym_product, zero_table)
 
 
 def oscillator_setup():
@@ -1027,3 +1030,75 @@ class TestMainTheoremSignsBesidesPlus:
         assert report.rhs.is_zero()
         assert report.lhs.nonzero == {(0, 1): (2,)}
         assert report.difference == report.lhs - report.rhs
+
+
+class TestPublicOutputsStayFraction:
+    """The algebra and module tables keep an integral constant as an int, so the
+    rows of d are integer rows on an integral algebra; every public output read
+    from them is Fraction all the same, on integral algebras and on conjugated
+    copies with rational constants."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(390)
+        for std in (heisenberg(2), oscillator(), SMALL_ALGEBRAS["sl2"]()):
+            for alg in (std, conjugate_algebra(rng, std)):
+                for rep in (trivial_representation(alg, 1), adjoint_representation(alg)):
+                    yield std is alg, alg, rep
+
+    def test_tables_hold_ints_and_outputs_hold_fractions(self):
+        rng = random.Random(391)
+        seen = {"int rows": 0, "rational constants": 0, "classes": 0}
+        for integral, alg, rep in self.cases():
+            constants = [c for plane in alg.sparse for terms in plane for _, c in terms]
+            if integral:
+                assert all(type(c) is int for c in constants)
+            else:
+                assert all(exact_entry(c) for c in constants)
+                seen["rational constants"] += any(type(c) is Fraction for c in constants)
+            for p in range(min(alg.dim, 4) + 1):
+                rows = _differential_rows(alg, rep, p)
+                assert all(exact_entry(x) for row in rows for x in row.values())
+                if integral:
+                    assert all(type(x) is int for row in rows for x in row.values())
+                    seen["int rows"] += bool(rows)
+                echelon = sparse_rref(rows, comb(alg.dim, p) * rep.space_dim)
+                assert all(type(x) is Fraction for _, row in echelon for x in row.values())
+                space = cohomology_space(alg, rep, p)
+                for w in space.cocycle_basis + space.coboundary_basis:
+                    assert_exact_entries(w)
+                    assert_exact_entries(ce_differential(w, rep))
+                assert all(type(x) is Fraction for row in space.class_projection for x in row)
+                for w in space.cocycle_basis[:4]:
+                    assert all(type(x) is Fraction for x in space.coordinates_of(w))
+                seen["classes"] += space.h_dim
+                assert_exact_entries(ce_differential(rand_cochain(rng, alg, p, rep.space_dim),
+                                                     rep))
+        assert seen["int rows"] > 20 and seen["rational constants"] == 6 and seen["classes"] > 20
+
+
+class TestSl3:
+    """sl_3 in the basis E_ij, h_i, whose constants are 0, +-1 and +-2."""
+
+    def test_sl2_from_sl_n(self):
+        # (e, f, h) = (E_12, E_21, h_1): [e, f] = h, [e, h] = -2 e, [f, h] = 2 f
+        sl2 = sl_n(2)
+        assert sl2.basis_names == ("E1_2", "E2_1", "h1")
+        assert (sl2.sparse[0][1], sl2.sparse[0][2], sl2.sparse[1][2]) == (
+            ((2, 1),), ((0, -2),), ((1, 2),))
+
+    def test_poincare_polynomial(self):
+        # H^*(sl_3) = (1 + t^3)(1 + t^5) (Chevalley-Eilenberg 1948), in the standard
+        # basis, on integer rows, and in a seeded basis with rational constants
+        sl3 = sl_n(3)
+        assert {c for plane in sl3.sparse for terms in plane for _, c in terms} == {
+            -2, -1, 1, 2}
+        conj = conjugate_algebra(random.Random(392), sl3)
+        assert any(type(c) is Fraction for plane in conj.sparse for terms in plane
+                   for _, c in terms)
+        start = time.perf_counter()
+        for alg in (sl3, conj):
+            triv = trivial_representation(alg, 1)
+            assert [cohomology_space(alg, triv, p).h_dim for p in range(9)] == [
+                1, 0, 0, 1, 0, 1, 0, 0, 1]
+        assert time.perf_counter() - start < 1.0

@@ -19,7 +19,7 @@ from liechar.catalog import (affine_split_extension, filiform_extension,
 
 from helpers import (SMALL_ALGEBRAS, ad_matrix, algebra_from_table, algebra_pool, bracket,
                      conjugate_algebra, dense_algebra_from_brackets, dense_matrices,
-                     dense_structure, identity,
+                     dense_structure, exact_entry, identity,
                      rand_fraction, rand_matrix, rand_vector, random_algebra, random_module,
                      reference_bracket,
                      reference_check_jacobi, reference_check_representation,
@@ -537,7 +537,7 @@ class TestSparseTables:
             assert LieAlgebra._of(alg.basis_names, sparse_table(table)) == alg
             checked = algebra_from_table(alg.basis_names, table)
             assert checked.sparse == alg.sparse
-            assert all(type(c) is Fraction for plane in alg.sparse for terms in plane
+            assert all(exact_entry(c) for plane in alg.sparse for terms in plane
                        for _, c in terms)
 
     def test_module_tables_equal_a_scan(self):
@@ -622,7 +622,7 @@ class TestBracketsAgainstTheDenseConstruction:
             assert type(got.sparse) is tuple
             assert all(type(plane) is tuple for plane in got.sparse)
             assert all(type(vec) is tuple for plane in got.sparse for vec in plane)
-            assert all(type(c) is Fraction for plane in got.sparse for vec in plane
+            assert all(exact_entry(c) for plane in got.sparse for vec in plane
                        for _, c in vec)
             count += 1
         assert count > 100

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liechar
-from liechar import MultiPoly, linalg, solve_linear
+from liechar import (MultiPoly, characteristic, cohomology_space, heisenberg, linalg,
+                     solve_linear, trivial_representation)
 from liechar.linalg import echelon_nullspace, sparse_rref, sparse_transpose
 
 from helpers import (dense_kernel, dense_mat_mul, dense_mat_vec, dense_rref, dense_solve,
@@ -492,3 +494,81 @@ class TestFractionFree:
         # a repeated equation with another right-hand side is inconsistent
         bad = sparse_rref(rows + [{0: Fraction(-4, 3), 1: F(1), 2: F(3)}], 2)
         assert bad[-1][0] == 2 and min(bad[-1][1]) == 2 and bad[-1][1][2]
+
+
+def filled_systems(rng, count):
+    """Seeded systems whose back-substitution fills and empties pivot rows:
+    rows of small int and rational entries at three densities over 6-24
+    columns, rows that combine two earlier ones (so entries cancel in the
+    pivot rows they clear), and carried columns with int, Fraction and zero
+    entries; a combined row with a fresh carried entry is inconsistent."""
+    for _ in range(count):
+        ncols, extra = rng.randint(6, 24), rng.randint(0, 3)
+        integral = rng.random() < 0.5
+        rows = []
+        for _ in range(rng.randint(ncols // 2, ncols + 4)):
+            if rows and rng.random() < 0.3:
+                a, b = rng.choice(rows), rng.choice(rows)
+                x = rng.choice([1, -1, 2]) if integral else rand_fraction(rng)
+                row = {k: x * a.get(k, 0) + b.get(k, 0) for k in {*a, *b}}
+                row = {k: v for k, v in row.items() if v or k >= ncols}
+            else:
+                density = rng.choice([0.2, 0.5, 0.9])
+                row = {k: rng.choice([-2, -1, 1, 3]) if integral else rand_fraction(rng)
+                       for k in range(ncols) if rng.random() < density}
+                row = {k: v for k, v in row.items() if v}
+            for k in range(ncols, ncols + extra):
+                if rng.random() < 0.5:
+                    row[k] = rng.choice([0, rng.randint(-4, 4), rand_fraction(rng)])
+            rows.append(row)
+        yield rows, ncols
+
+
+class TestBackSubstitutionIndex:
+    """sparse_rref clears a new pivot column only from the pivot rows an index
+    says hold it; the index follows every entry a clearing adds or cancels."""
+
+    def test_matches_the_fraction_loop_on_filled_systems(self):
+        rng = random.Random(391)
+        counts = {}
+        inconsistent = 0
+        for rows, ncols in filled_systems(rng, 150):
+            given = [dict(row) for row in rows]
+            got = sparse_rref(rows, ncols)
+            want = fraction_sparse_rref(rows, ncols, counts)
+            assert rows == given
+            npiv = sum(p < ncols for p, _ in want)
+            assert got[:npiv] == want[:npiv]
+            assert all(type(x) is Fraction and x for _, row in got for x in row.values())
+            assert [p for p, _ in got[npiv:]] == [p for p, _ in want[npiv:]]
+            for (_, row), (_, ref) in zip(got[npiv:], want[npiv:]):
+                assert min(row) >= ncols and rational_multiple(row, ref)
+                inconsistent += 1
+            dense, pivots = dense_rref(to_dense(rows, ncols), ncols)
+            assert [p for p, _ in got[:npiv]] == pivots
+        assert counts["cleared"] > 1500 and inconsistent > 25
+
+    def test_h13_clears_only_the_rows_that_hold_the_pivot(self, monkeypatch):
+        # Every elimination of H^*(h_13), standard basis, trivial module, against
+        # the Fraction loop, which tests every older pivot row for each new pivot
+        # column (1,831,104 tests) and clears the 3,755 that hold it.  sparse_rref
+        # reduces once per pivot row a new row meets and once per pivot row that
+        # holds a new pivot column; its back-substitution reduces every row the
+        # index names, so it visits those 3,755 rows and no other.
+        combines = []
+        combine = linalg._combine
+        monkeypatch.setattr(linalg, "_combine",
+                            lambda *args: combines.append(1) or combine(*args))
+        counts = {}
+
+        def both(rows, ncols):
+            fraction_sparse_rref(rows, ncols, counts)
+            return sparse_rref(rows, ncols)
+
+        monkeypatch.setattr(characteristic, "sparse_rref", both)
+        alg = heisenberg(6)
+        triv = trivial_representation(alg, 1)
+        low = [comb(12, p) - (comb(12, p - 2) if p >= 2 else 0) for p in range(7)]
+        assert [cohomology_space(alg, triv, p).h_dim for p in range(14)] == low + low[::-1]
+        assert (counts["scanned"], counts["cleared"]) == (1831104, 3755)
+        assert len(combines) == counts["reduced"] + counts["cleared"]

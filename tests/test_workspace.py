@@ -19,7 +19,7 @@ from liechar.catalog import (filiform_workspace, heisenberg_workspace,
                              oscillator_workspace)
 
 from helpers import (BOOLEAN_FIELDS, PINNED_LOAD_FAILURES, algebra_pool, boolean_document,
-                     dense_matrices, dense_structure, oversized_polynomial_document,
+                     dense_matrices, dense_structure, exact_entry, oversized_polynomial_document,
                      poly_eval_at, rand_matrix, random_module, raise_everywhere,
                      sparse_matrices, zeros)
 
@@ -412,6 +412,28 @@ class TestSparseReader:
             assert list(read) == list(built), kind
             for name, obj in built.items():
                 self.assert_same_fields(read[name], obj)
+
+
+class TestModuleTablesFromJson:
+    """A module read from a document stores the table its constructor stores:
+    each integral entry an int, each other entry a Fraction.  The fixtures'
+    modules are trivial, so their tables hold no entry to check."""
+
+    def test_nonzero_modules_read_back_as_built(self):
+        h3, plane = heisenberg3(), abelian(2)
+        ws = Workspace(algebras={"h3": h3, "plane": plane})
+        ws.representations["ad"] = adjoint_representation(h3)
+        ws.representations["diagonal"] = Representation(
+            plane, 2, [[[Fraction(1, 2), 0], [0, 2]], [[1, 0], [0, Fraction(-6, 2)]]])
+        back = parse_workspace(serialize_workspace(ws))
+        kinds = set()
+        for name, rep in ws.representations.items():
+            read = back.representations[name]
+            assert read.sparse == rep.sparse, name
+            stored = [c for mat in read.sparse if mat for row in mat for _, c in row]
+            assert stored and all(exact_entry(c) for c in stored), name
+            kinds.update(map(type, stored))
+        assert kinds == {int, Fraction}
 
 
 class TestBooleansAreNotIntegers:
